@@ -67,7 +67,7 @@ def _take_int_field(lines, keyword, count=1):
         raise ParseError(f"expected '{keyword}' with {count} integer(s)", lineno)
     vals = []
     for p in parts[1:]:
-        if not p.isdigit() or int(p) < 1:
+        if not (p.isascii() and p.isdigit()) or int(p) < 1:
             raise ParseError(f"bad positive integer {p!r}", lineno)
         vals.append(int(p))
     return vals[0] if count == 1 else tuple(vals)

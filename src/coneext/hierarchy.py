@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import comb
 
 from .cones import BasedCone, Cone, interior_point
-from .lp import FEASIBLE, INFEASIBLE, LpProblem, conic_membership, solve
+from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
+                 conic_membership, solve)
 from .linalg import dot, primitive, vec
 from .polytopes import FactorFailure, SimplexFactorization, factor_as_simplices
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
@@ -208,7 +209,8 @@ def ext_k_membership(x, a_cone, based, k):
             y = term if y is None else y + term
         _check_extension(x, a_cone, based, k, y)
         return ExtkVerdict(member=True, k=k, extension=y)
-    assert out.status == INFEASIBLE
+    if out.status != INFEASIBLE:
+        raise CertificateError(f"unexpected LP status {out.status!r}")
     mu = out.certificate[:len(eq_rows)]
     zeta_entries = primitive([-m for m in mu])
     zeta = DenseTensor((Slot(nA, DUAL), Slot(nB, DUAL)), zeta_entries)

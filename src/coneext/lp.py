@@ -1,7 +1,10 @@
 """Exact rational linear programming with self-verifying certificates.
 
-Two-phase primal simplex over Fractions with Bland's rule, so every run
-terminates and identical problems pivot identically.  No floating point,
+Two-phase primal simplex with Bland's rule, so every run terminates and
+identical problems pivot identically.  The tableau is fraction-free: each
+row holds int numerators over one positive int denominator, pivoted by
+cross-multiplication and gcd-reduced after every update (Edmonds 1967), so
+it takes the same pivots as a tableau of Fractions.  No floating point,
 no presolve.  Every outcome is re-verified against the original problem
 before it is returned:
 
@@ -13,18 +16,26 @@ before it is returned:
   ones, which no point can satisfy;
 * unbounded: a feasible point plus a recession direction that keeps all
   rows satisfied while the objective decreases.
+
+A failed re-verification raises ``CertificateError``, an explicit raise
+that ``python -O`` does not strip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import dot, primitive, vec
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+class CertificateError(AssertionError):
+    """A result failed its exact re-check against the problem data."""
 
 
 @dataclass(frozen=True)
@@ -115,13 +126,17 @@ def verify_ray(problem, point, ray):
 
 
 class _Tableau:
-    """Dense simplex tableau.  Columns are described by tags:
+    """Dense simplex tableau over integers.  Row i is a list of int
+    numerators ``T[i]`` (one per column, then the right-hand side) over one
+    int denominator ``den[i] > 0``: the real row is ``T[i] / den[i]``.  The
+    reduced-cost row ``z`` over ``zden > 0`` has the same form and holds the
+    negated objective value in its last place.  Every row is kept reduced,
+    ``gcd(den, *row) == 1``.  Columns are described by tags:
     ("var", j, s) for s * x_j of a split variable, ("sur", i) for the surplus
     of ge row i, ("art", i) for the artificial of standard row i."""
 
     def __init__(self, problem):
         self.problem = problem
-        ne = len(problem.eq_rows)
         rows = [(r, b, None) for r, b in problem.eq_rows]
         rows += [(r, b, i) for i, (r, b) in enumerate(problem.ge_rows)]
         self.cols = []
@@ -143,8 +158,8 @@ class _Tableau:
         for ridx in sorted(self.art_of_row, key=self.art_of_row.get):
             self.cols.append(("art", ridx))
         self.sigma = []
-        self.rhs = []
         self.T = []
+        self.den = []
         self.basis = []
         for ridx, (r, b, surplus) in enumerate(rows):
             if surplus is not None and b <= 0:
@@ -152,18 +167,21 @@ class _Tableau:
             else:
                 sg = -1 if b < 0 else 1
             self.sigma.append(sg)
+            # the row times d, the least common denominator of its entries
+            d = lcm(b.denominator, *(a.denominator for a in r))
+            ints = [a.numerator * (d // a.denominator) for a in r]
             row = []
             for tag in self.cols[:nstruct]:
                 if tag[0] == "var":
                     _, j, s = tag
-                    row.append(sg * s * r[j])
+                    row.append(sg * s * ints[j])
                 else:
-                    _, i = tag
-                    row.append(Fraction(-sg) if surplus == i else Fraction(0))
+                    row.append(-sg * d if surplus == tag[1] else 0)
             art = self.art_of_row.get(ridx)
-            row += [Fraction(int(art == i)) for i in range(self.nart)]
+            row += [d if art == i else 0 for i in range(self.nart)]
+            row.append(sg * b.numerator * (d // b.denominator))
             self.T.append(row)
-            self.rhs.append(sg * b)
+            self.den.append(d)
             if art is not None:
                 self.basis.append(nstruct + art)
             else:
@@ -171,63 +189,77 @@ class _Tableau:
         self.banned = set()
 
     def set_costs(self, costs):
-        # reduced-cost row and objective value for the current basis
-        z = list(costs)
-        val = Fraction(0)
-        for i, bcol in enumerate(self.basis):
+        """Reduced costs ``costs - c_B . rows`` for the current basis;
+        ``costs`` holds one int or Fraction per column."""
+        den = lcm(*(c.denominator for c in costs))
+        z = [c.numerator * (den // c.denominator) for c in costs] + [0]
+        for row, d, bcol in zip(self.T, self.den, self.basis):
             cb = costs[bcol]
-            if cb == 0:
-                continue
-            val += cb * self.rhs[i]
-            row = self.T[i]
-            for j in range(len(z)):
-                if row[j] != 0:
-                    z[j] -= cb * row[j]
-        self.z = z
-        self.value = val
+            if cb != 0:
+                # z/den - (n/m) * row/d over the denominator den*m*d
+                n, m = cb.numerator, cb.denominator
+                zs, rs = m * d, n * den
+                z, den = _reduced([a * zs - b * rs for a, b in zip(z, row)],
+                                  den * zs)
+        self.z, self.zden = z, den
+
+    @property
+    def value(self):
+        return Fraction(-self.z[-1], self.zden)
 
     def pivot(self, r, c):
         row = self.T[r]
-        pv = row[c]
-        inv = 1 / pv
-        self.T[r] = row = [a * inv for a in row]
-        self.rhs[r] *= inv
+        p = row[c]
+        if p < 0:
+            row = [-a for a in row]
+            p = -p
+        # row / p is the pivot row scaled to a unit pivot entry
+        row, p = _reduced(row, p)
+        self.T[r] = row
+        self.den[r] = p
         for i, other in enumerate(self.T):
-            if i != r and other[c] != 0:
-                f = other[c]
-                self.T[i] = [a if b == 0 else a - f * b
-                             for a, b in zip(other, row)]
-                self.rhs[i] -= f * self.rhs[r]
+            f = other[c]
+            if i != r and f != 0:
+                self.T[i], self.den[i] = _reduced(
+                    [p * a - f * b for a, b in zip(other, row)], self.den[i] * p)
         f = self.z[c]
         if f != 0:
-            self.z = [a if b == 0 else a - f * b for a, b in zip(self.z, row)]
-            self.value += f * self.rhs[r]
+            self.z, self.zden = _reduced(
+                [p * a - f * b for a, b in zip(self.z, row)], self.zden * p)
         self.basis[r] = c
 
     def run(self):
         """Bland-rule iterations; returns "optimal" or "unbounded"."""
+        ncols = len(self.cols)
         while True:
+            z = self.z
             enter = None
-            for c in range(len(self.cols)):
-                if c not in self.banned and self.z[c] < 0:
+            for c in range(ncols):
+                if z[c] < 0 and c not in self.banned:
                     enter = c
                     break
             if enter is None:
                 return "optimal"
+            # min ratio rhs_i / a_i over a_i > 0; the row denominators cancel
             leave = None
-            best = None
             for i, row in enumerate(self.T):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                    rn = row[-1]
+                    if leave is None or rn * ba < bn * a or (
+                            rn * ba == bn * a
+                            and self.basis[i] < self.basis[leave]):
+                        leave, bn, ba = i, rn, a
             if leave is None:
                 self.unbounded_col = enter
                 return "unbounded"
             self.pivot(leave, enter)
+
+    def entry(self, i, c):
+        return Fraction(self.T[i][c], self.den[i])
+
+    def reduced_cost(self, c):
+        return Fraction(self.z[c], self.zden)
 
     def extract_point(self):
         x = [Fraction(0)] * self.problem.num_vars
@@ -235,7 +267,7 @@ class _Tableau:
             tag = self.cols[bcol]
             if tag[0] == "var":
                 _, j, s = tag
-                x[j] += s * self.rhs[i]
+                x[j] += s * self.entry(i, -1)
         return tuple(x)
 
     def extract_ray(self, enter):
@@ -247,8 +279,16 @@ class _Tableau:
             btag = self.cols[bcol]
             if btag[0] == "var":
                 _, j, s = btag
-                d[j] -= s * self.T[i][enter]
+                d[j] -= s * self.entry(i, enter)
         return tuple(d)
+
+
+def _reduced(row, den):
+    """(row, den) divided by their common gcd."""
+    g = gcd(den, *row)
+    if g > 1:
+        return [a // g for a in row], den // g
+    return row, den
 
 
 def solve(problem):
@@ -256,10 +296,9 @@ def solve(problem):
     tab = _Tableau(problem)
     nart = tab.nart
     art0 = len(tab.cols) - nart
-    costs = [Fraction(0)] * art0 + [Fraction(1)] * nart
-    tab.set_costs(costs)
-    status = tab.run()
-    assert status == "optimal", "phase 1 is bounded below by zero"
+    tab.set_costs([0] * art0 + [1] * nart)
+    if tab.run() != "optimal":
+        raise CertificateError("phase 1 unbounded, but it is bounded below by zero")
     if tab.value > 0:
         mult = []
         ne = len(problem.eq_rows)
@@ -267,9 +306,9 @@ def solve(problem):
         for i in range(nrows):
             art = tab.art_of_row.get(i)
             if art is not None:
-                y = 1 - tab.z[art0 + art]
+                y = 1 - tab.reduced_cost(art0 + art)
             else:
-                y = -tab.z[tab.sur0 + (i - ne)]
+                y = -tab.reduced_cost(tab.sur0 + (i - ne))
             mult.append(tab.sigma[i] * y)
         cert = tuple(mult)
         verify_farkas(problem, cert)
@@ -283,7 +322,7 @@ def solve(problem):
         pivot_col = next((c for c in range(art0) if tab.T[i][c] != 0), None)
         if pivot_col is None:
             del tab.T[i]
-            del tab.rhs[i]
+            del tab.den[i]
             del tab.basis[i]
         else:
             tab.pivot(i, pivot_col)
@@ -294,7 +333,7 @@ def solve(problem):
         verify_point(problem, point)
         return LpOutcome(status=FEASIBLE, point=point)
 
-    costs = [Fraction(0)] * len(tab.cols)
+    costs = [0] * len(tab.cols)
     for c, tag in enumerate(tab.cols):
         if tag[0] == "var":
             _, j, s = tag
@@ -309,7 +348,8 @@ def solve(problem):
     point = tab.extract_point()
     verify_point(problem, point)
     optimum = dot(problem.objective, point)
-    assert optimum == tab.value
+    if optimum != tab.value:
+        raise CertificateError("optimum does not match the tableau value")
     return LpOutcome(status=FEASIBLE, point=point, optimum=optimum)
 
 
@@ -342,9 +382,11 @@ def conic_membership(target, generators):
         for w, g in zip(weights, gens):
             for i, a in enumerate(g):
                 total[i] += w * a
-        assert tuple(total) == target, "decomposition does not re-sum"
+        if tuple(total) != target:
+            raise CertificateError("decomposition does not re-sum")
         return ConicOutcome(member=True, weights=weights)
-    assert out.status == INFEASIBLE
+    if out.status != INFEASIBLE:
+        raise CertificateError(f"unexpected LP status {out.status!r}")
     h = primitive([-lam for lam in out.certificate])
     if dot(h, target) >= 0 or any(dot(h, g) < 0 for g in gens):
         raise AssertionError("separating functional failed verification")

@@ -135,6 +135,19 @@ def test_parse_failure_exit_and_message():
     assert "line 3" in err
 
 
+def test_non_ascii_digit_is_a_parse_error():
+    import tempfile
+
+    # "²" (superscript two) passes str.isdigit but not int()
+    with tempfile.NamedTemporaryFile("w", suffix=".cone", delete=False,
+                                     encoding="utf-8") as f:
+        f.write("cone sq\ndim ²\nray 1 0\nray 0 1\n")
+        path = f.name
+    code, _, err = _run(["dualize", "--cone-a", path])
+    assert code == 2
+    assert "line 2" in err
+
+
 def test_semantic_failures_exit_three():
     import tempfile
 

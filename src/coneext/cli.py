@@ -1,7 +1,10 @@
 """Command-line frontend: one-shot subcommands over the text file formats.
 
 Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage or parse
-error, 3 semantic error (improper cone, bad functional, shape mismatch).
+error, 3 semantic error (improper cone, bad functional, shape mismatch),
+4 internal error (a failed certificate re-check, disagreeing decision
+routes, or any other unexpected exception), so a fault never reads as a
+negative verdict.
 Reports are deterministic: the same input files yield byte-identical
 output.  --report json-lines emits one JSON object per line instead of
 "key: value" text.
@@ -29,6 +32,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_SEMANTIC = 3
+EXIT_INTERNAL = 4
 
 
 class SemanticError(Exception):
@@ -301,6 +305,11 @@ def main(argv=None):
     except SemanticError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except Exception as e:
+        import traceback  # deferred: it loads linecache and tokenize
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -136,7 +136,8 @@ class QuadScalar:
         if sa == sb:
             return sa
         d = self.a * self.a - 2 * self.b * self.b
-        assert d != 0, "a^2 = 2 b^2 is impossible for nonzero rationals"
+        if d == 0:
+            raise AssertionError("a^2 = 2 b^2 is impossible for nonzero rationals")
         return sa if d > 0 else sb
 
     def is_zero(self):

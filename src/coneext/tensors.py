@@ -247,5 +247,6 @@ def sym_basis(n, k, variance=PRIMAL):
             idx = sum(j * st for j, st in zip(arr, stride))
             entries[idx] = weight
         out.append(DenseTensor(slots, entries))
-    assert len(out) == comb(n + k - 1, k)
+    if len(out) != comb(n + k - 1, k):
+        raise AssertionError("symmetric basis has the wrong size")
     return out

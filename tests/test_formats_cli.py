@@ -1,6 +1,7 @@
 """File formats round-trip bit-exactly; the command surface honors the
-exit-code contract (0 yes, 1 no, 2 usage or parse, 3 semantic)."""
+exit-code contract (0 yes, 1 no, 2 usage or parse, 3 semantic, 4 internal)."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -255,3 +256,86 @@ def test_console_script_is_deterministic():
 def test_missing_subcommand_is_usage_error():
     assert _run([])[0] == 2
     assert _run(["no-such-command"])[0] == 2
+
+
+# sha256 of stdout and the exit code, captured before the LP data moved to
+# symmetric-power coordinates; the change must leave every byte alone.
+EXT_CHECK_PINS = {
+    ("gap-k3", "square-skew", 1): (0, "99acef8e5799b586db39cff44440297f9d06390901607b301a134a6022fd9358"),
+    ("gap-k3", "square-skew", 2): (0, "17239815d56cfd507606c587f81a44e85db5aebb3ec8b3f47839353621a1eae9"),
+    ("gap-k3", "square-skew", 3): (0, "7550f49d24ffdcb51172d6e7a0cfefecf391e9acb9e6f03871413c54fc8b5be5"),
+    ("gap-k2", "square-skew", 1): (0, "06779efe1e3f5bb844e61ac91bf9ffc53349c78d890be24659dec8afdfb9527f"),
+    ("gap-k2", "square-skew", 2): (0, "00fa6ef8346e43d0b0f162402585fbd56c4d3966ecc483d68fbf83d0e05ef1e1"),
+    ("gap-k2", "square-skew", 3): (1, "8e81f01f675c54235bdd6608411d24400a8537b750732b8da67f56e89b0f085a"),
+    ("box", "square", 1): (0, "30dc475ed39abde28165bafd3d7e3720003e76ab25c16d3a684f18c8fb04df8e"),
+    ("box", "square", 2): (1, "45a6f91450dc78540856b3af0e4f71703dbe4fa02c3bde5ebd6c441a2b116047"),
+}
+
+EB_CHECK_PINS = {
+    ("square", 1): (1, "8c3a1c39eb47d96636206fff7a0b8e4c2cf6121ed6f28d4255b3179b0930b839"),
+    ("square", 2): (0, "9d0c57e37305826fb41e649448ee360eae4c6ec589874fcde7f6da8f8782b161"),
+    ("square", 3): (0, "97e718343cb2c82f2be4bc29bad46eefb9e7b71ac17b100bab32fbda56a82077"),
+    ("square-skew", 1): (1, "3d06f79eb9e8c698fb72f2a180ccb204535c206ff84786984ce5c51053870d72"),
+    ("square-skew", 2): (1, "efeaa6f67865253b9af9979b3cd3c840e29051aa941a0ca74bdacf83bafbec79"),
+    ("square-skew", 3): (1, "cd266f4b65903b899618fdabccb2c39bb6e870172ecfa1529eb2f59e532fab90"),
+    ("triangle", 1): (0, "7664eedd854fff40e846a6aa85a49223fcc82aa30a7cfdda1c88a8ddfaedc667"),
+    ("triangle", 2): (0, "3fac574ffb64647899c68cc3374d3d615b55dbe6238a7fc6ffa21e42c4be4fcf"),
+    ("triangle", 3): (0, "db29c9d0c85abbf8f91709ebedbce62bcba12ddc025baf6943edbb5670750e57"),
+    ("orthant2", 1): (0, "39f9961ce3b43ffc65c9c22ed8b9a73a368e2ba5fbab90d35747b44472b9ff84"),
+    ("orthant2", 2): (0, "01c8cd594d38cd20fc35b185d48de9e5a90b9518d2b6ee51ed26dc19fae8ac43"),
+    ("orthant2", 3): (0, "e07a02410453963faa97b41b94fa2d3f3882f2e3c4baab095c51776c81193de3"),
+    ("orthant3", 1): (0, "bfe356b48108a96c1907030e27d173b0db5f07be13661cd30455e2a1659d6f4c"),
+    ("orthant3", 2): (0, "fa30ef84654057d63c25b75a0c6c98ec9f064751d0c8c41a5a687a026b62ad9d"),
+    ("orthant3", 3): (0, "c45c32bc4eec78bf75191b98eccd554f1348624cb629c6060efa824666a640e1"),
+    ("cube", 1): (1, "8e82b241a9457ae3e4b64cc593bd9408d9e1811fe7f501a55e395bd3716ce817"),
+    ("cube", 2): (1, "0ad9dabcfeea7244e31845e9bd3dc0c26afc1cb3b1def2246e55467cf81c960e"),
+    ("cube", 3): (0, "17e86e7b5aeb19c70919c37a9c05f84d3f49e59d45795cbf248b9bb058606497"),
+    ("prism", 1): (1, "7c80183dd3e63443be30246843b50d1e2c5c2092dbc6e330c3c1fd044777a572"),
+    ("prism", 2): (0, "f47f640d0a29f7fc4d49b3e0ff445a5726cc386ffcb8fea2ddab6d9ed0558a82"),
+    ("prism", 3): (0, "d6f3c35b592f1292c8a02aca0bf76443160e754f707b3756909c90b17043bf86"),
+    ("pentagon", 1): (1, "5a1d857c861dd19e242bd76ed85054c295076f5d8186593451c71cf1d01d6265"),
+    ("pentagon", 2): (1, "a55990854a878cad9d78df4709c1528405708f456c8a2c3b5556010312e28465"),
+    ("pentagon", 3): (1, "e28be8bed096014a721455957a16f0672e7a68dccbd5131cbb64928aff61bc5a"),
+    ("octahedron", 1): (1, "f1c8810aa5fb62cc6dc44f8b2e6cac59d4fdf2d2d94dbf95d3147e69a11639e2"),
+    ("octahedron", 2): (1, "3a881e375c2317a68c7c27102a57e4c70992d4e0ab016e4542219077ebd726ef"),
+    ("octahedron", 3): (1, "0407fc0fabe2d8e84b970e53583e570f5b7dc0373934f471f62a815bfe55cfe7"),
+    ("quad", 1): (1, "17d2d18872b431898ae3e461fd904a24b9da588a65aafc13ab373491d5473d43"),
+    ("quad", 2): (1, "5066ca33b3e2142a55695223534d4e4c13cc639a89cedcec1116b357a84869ec"),
+    ("quad", 3): (1, "1854152976e2a248529a0898a3397ce668fa27484a01983fbd5db5541413bcec"),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("point,cone_b,k", list(EXT_CHECK_PINS))
+def test_ext_check_output_is_pinned(point, cone_b, k):
+    code, out, _ = _run(["ext-check", "--k", str(k),
+                         "--cone-a", fixture_path("square.cone"),
+                         "--cone-b", fixture_path(f"{cone_b}.cone"),
+                         "--point", fixture_path(f"{point}.pt")])
+    assert (code, _sha256(out)) == EXT_CHECK_PINS[point, cone_b, k]
+
+
+@pytest.mark.parametrize("cone,k", list(EB_CHECK_PINS))
+def test_eb_check_json_lines_output_is_pinned(cone, k):
+    code, out, _ = _run(["eb-check", "--k", str(k), "--report", "json-lines",
+                         "--cone-b", fixture_path(f"{cone}.cone")])
+    assert (code, _sha256(out)) == EB_CHECK_PINS[cone, k]
+
+
+def test_internal_error_exits_four(monkeypatch):
+    """A failed internal check is exit 4, never the negative verdict 1."""
+    import coneext.cli as cli
+    from coneext.hierarchy import ConsistencyError
+
+    def broken(based, k):
+        raise ConsistencyError("injected disagreement")
+
+    monkeypatch.setattr(cli, "is_entanglement_breaking", broken)
+    code, out, err = _run(["eb-check", "--k", "2",
+                           "--cone-b", fixture_path("square.cone")])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "internal error: ConsistencyError: injected disagreement" in err

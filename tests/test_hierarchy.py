@@ -12,7 +12,8 @@ from coneext.fixtures import (CONE_PHIS, EB_LEVELS, based_cone, fixture_text,
                               orthant_cone, square_based, square_cone,
                               triangle_cone)
 from coneext.formats import parse_point_file
-from coneext.hierarchy import (admissible_tuples, apply_reduction,
+from coneext.hierarchy import (_dual_columns, _eb_columns, _eb_generator,
+                               _ext_k_rows, admissible_tuples, apply_reduction,
                                dual_hierarchy_k, ext_k_membership,
                                is_entanglement_breaking, max_tensor_halfspaces,
                                min_tensor_generators, point_tensor,
@@ -20,8 +21,9 @@ from coneext.hierarchy import (admissible_tuples, apply_reduction,
                                omega_interior_test)
 from coneext.linalg import dot
 from coneext.lp import conic_membership
-from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
-                             from_vector, kron, pairing, symmetric_project)
+from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
+                             contract_slot, from_vector, kron, pairing,
+                             sym_basis, symmetric_project)
 
 
 def _load_point(filename, a_cone, b_cone):
@@ -394,3 +396,94 @@ def test_dual_hierarchy_requires_interior_point():
     box = _load_point("box.pt", sq, sq)
     with pytest.raises(ValueError):
         dual_hierarchy_k(box, sq, based)
+
+
+# -- symmetric-power coordinates against the dense definitions --------------
+
+CLOSED_FORM_PAIRS = [(a, b) for a in ("square", "triangle") for b in CONE_PHIS]
+
+
+def _sorted_reps(n, k):
+    return list(itertools.combinations_with_replacement(range(n), k))
+
+
+@pytest.mark.parametrize("a_name,b_name", CLOSED_FORM_PAIRS)
+def test_ext_k_rows_match_dense_pairing(a_name, b_name):
+    """Ge rows against pairing(h, e_a ox sym_basis[m]), eq rows against the
+    dense reduction of each column.  At k = 3 the ge rows use the factored
+    dense pairing f[a] * pairing(g_1 ox .. ox g_k, sym_basis[m]), which
+    keeps the test quick."""
+    a_cone = based_cone(a_name).cone
+    based = based_cone(b_name)
+    nA, nB = a_cone.dim, based.cone.dim
+    for k in (1, 2, 3):
+        ge, eq = _ext_k_rows(a_cone, based, k)
+        sym = sym_basis(nB, k)
+        cols = [kron(basis_vector(nA, a), s) for a in range(nA) for s in sym]
+        b_parts = [kron(*(from_vector(g, DUAL) for g in combo))
+                   for combo in itertools.combinations_with_replacement(
+                       based.cone.facets, k)]
+        assert len(ge) == len(a_cone.facets) * len(b_parts)
+        rows = iter(ge)
+        if k < 3:
+            for f in a_cone.facets:
+                for g in b_parts:
+                    h = kron(from_vector(f, DUAL), g)
+                    assert next(rows) == tuple(pairing(h, c) for c in cols)
+        else:
+            b_rows = [[pairing(g, s) for s in sym] for g in b_parts]
+            for f in a_cone.facets:
+                for b_row in b_rows:
+                    assert next(rows) == tuple(fa * v for fa in f for v in b_row)
+        reduced = [apply_reduction(c, based, k) for c in cols]
+        assert eq == [tuple(rc[i, j] for rc in reduced)
+                      for i in range(nA) for j in range(nB)]
+
+
+@pytest.mark.parametrize("name", list(CONE_PHIS))
+def test_eb_columns_match_dense_tensors(name):
+    """Gamma against the dense reduction tensor, and the generator of every
+    facet multiset (paired with the vertices in turn) against the dense
+    ``_eb_generator``, both read at the sorted indices."""
+    based = based_cone(name)
+    n = based.cone.dim
+    for k in (1, 2, 3):
+        reps = [js + (i,) for js in _sorted_reps(n, k) for i in range(n)]
+        nv = len(based.base.vertices)
+        multis = [(combo, i % nv) for i, combo in
+                  enumerate(_sorted_reps(len(based.base.functionals), k))]
+        gamma, gens = _eb_columns(based, k, multis)
+        dense = reduction_map(based, k).tensor
+        assert gamma == tuple(dense[r] for r in reps)
+        for (combo, v), g in zip(multis, gens):
+            dense = _eb_generator(based, combo, v)
+            assert g == tuple(dense[r] for r in reps)
+
+
+@pytest.mark.parametrize("a_name,b_name", CLOSED_FORM_PAIRS)
+def test_dual_columns_match_dense_symmetrization(a_name, b_name):
+    """z against symmetric_project(x ox y ox .. ox y); each generator against
+    ray_a[a] times the dense symmetrization of its B rays."""
+    rng = random.Random(53)
+    a_cone = based_cone(a_name).cone
+    based = based_cone(b_name)
+    nA, nB = a_cone.dim, based.cone.dim
+    x = point_tensor(a_cone, based.cone,
+                     [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                      for _ in range(nA * nB)])
+    y = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nB))
+    for k in (1, 2, 3):
+        slots = tuple(range(1, k + 1))
+        reps = [(a,) + js for a in range(nA) for js in _sorted_reps(nB, k)]
+        descs, z, gens = _dual_columns(x, a_cone, based, k, y)
+        dense = symmetric_project(kron(x, *([from_vector(y)] * (k - 1))), slots)
+        assert z == tuple(dense[r] for r in reps)
+        assert descs == [(ia, combo) for ia in range(len(a_cone.rays))
+                         for combo in _sorted_reps(len(based.cone.rays), k)]
+        sym_rays = {}
+        for (ia, combo), g in zip(descs, gens):
+            if combo not in sym_rays:
+                sym_rays[combo] = symmetric_project(
+                    kron(*(from_vector(based.cone.rays[j]) for j in combo)))
+            ray, dense = a_cone.rays[ia], sym_rays[combo]
+            assert g == tuple(ray[r[0]] * dense[r[1:]] for r in reps)

@@ -10,7 +10,6 @@ lies outside the minimal tensor product (re-sampled otherwise).
 Run from the repository root:  python3 tools/make_fixtures.py
 """
 
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -23,11 +22,9 @@ from coneext.fixtures import (CONE_BUILDERS, CONE_PHIS, POLYTOPE_BUILDERS,
                               based_cone, square_cone)
 from coneext.formats import (serialize_cone_file, serialize_point_file,
                              serialize_polytope_file)
-from coneext.hierarchy import (apply_reduction, ext_k_membership,
+from coneext.hierarchy import (_ext_k_rows, ext_k_membership,
                                min_tensor_generators, point_tensor)
 from coneext.lp import FEASIBLE, LpProblem, conic_membership, solve
-from coneext.tensors import (DUAL, basis_vector, from_vector, kron, pairing,
-                             sym_basis)
 
 SEED = 20260821
 OUT = Path(__file__).resolve().parent.parent / "src" / "coneext" / "fixtures"
@@ -42,23 +39,11 @@ def shoot_boundary(a_cone, based, k, x0, d):
     """Maximize t with x0 + t*d in the level-k cone; returns (t, entries)
     or None when the direction is infeasible from the start."""
     nA, nB = a_cone.dim, based.cone.dim
-    sym = sym_basis(nB, k)
-    cols = [kron(basis_vector(nA, i), s) for i in range(nA) for s in sym]
-    reduced = [apply_reduction(c, based, k) for c in cols]
-    nv = len(cols) + 1
-    ge_rows = []
-    for f in a_cone.facets:
-        fa = from_vector(f, DUAL)
-        for combo in itertools.combinations_with_replacement(based.cone.facets, k):
-            h = kron(fa, *(from_vector(g, DUAL) for g in combo))
-            ge_rows.append((tuple(pairing(h, c) for c in cols) + (Fraction(0),),
-                            Fraction(0)))
-    eq_rows = []
-    for i in range(nA):
-        for j in range(nB):
-            eq_rows.append((tuple(rc[i, j] for rc in reduced) + (-d[i * nB + j],),
-                            x0[i * nB + j]))
-    objective = tuple([Fraction(0)] * len(cols) + [Fraction(-1)])
+    ge, eq = _ext_k_rows(a_cone, based, k)
+    nv = len(eq[0]) + 1
+    ge_rows = [(row + (Fraction(0),), Fraction(0)) for row in ge]
+    eq_rows = [(row + (-d[ij],), x0[ij]) for ij, row in enumerate(eq)]
+    objective = tuple([Fraction(0)] * (nv - 1) + [Fraction(-1)])
     out = solve(LpProblem.build(nv, eq_rows=eq_rows, ge_rows=ge_rows,
                                 objective=objective))
     if out.status != FEASIBLE:

@@ -4,10 +4,11 @@ Level k sits between the minimal and maximal tensor products: a point of
 V_A ox V_B is a level-k member when it is the image, under one copy of the
 identity tensored with the reduction map of the based cone B, of a point of
 the (k+1)-factor maximal tensor product that is symmetric over the B slots.
-Membership and its refutation are both decided by exact LPs and returned
+Membership and its refutation are decided by one exact LP and returned
 with re-verified certificates: an explicit symmetric extension, or a dual
 witness functional that the adjoint of the reduction map carries into the
-minimal tensor product of the dual cones.
+minimal tensor product of the dual cones, decomposed there by the LP's own
+Farkas multipliers.
 
 The same machinery decides whether the reduction map itself is
 entanglement breaking (two independent routes, compared loudly) and runs
@@ -171,15 +172,6 @@ def _reduced_monomial(m, j, phi):
     return val
 
 
-def _sym_representatives(nA, nB, k):
-    """Row-major multi-indices (a, j1..jk) with the B part sorted ascending."""
-    return [(a,) + js for a in range(nA) for js in _multisets(nB, k)]
-
-
-def _compress(t, reps):
-    return tuple(t[multi] for multi in reps)
-
-
 # ---------------------------------------------------------------------------
 # level-k membership
 
@@ -212,6 +204,30 @@ def _swap_b(y, i, j):
     perm = list(range(len(y.slots)))
     perm[i], perm[j] = perm[j], perm[i]
     return reorder_slots(y, perm)
+
+
+def _check_witness(zeta, mu, lam, a_cone, based, k):
+    """Exact re-verification of a refutation: with zeta = c (-mu), c > 0,
+    the Farkas multipliers lam >= 0 of the max half-space rows re-sum, as
+    sum_h c lam_h Sym(h), to the reduction-adjoint image of zeta, which
+    therefore lies in the minimal product of the dual cones."""
+    i = next(i for i, m in enumerate(mu) if m)
+    c = zeta.entries[i] / -mu[i]
+    if c <= 0 or any(lam_h < 0 for lam_h in lam):
+        raise ConsistencyError("witness multipliers have the wrong sign")
+    b_slots = tuple(range(1, k + 1))
+    image = reduction_adjoint(based, k, zeta)
+    total = zero_tensor(image.slots)
+    halfspaces = itertools.product(
+        a_cone.facets,
+        itertools.combinations_with_replacement(based.cone.facets, k))
+    for lam_h, (f, combo) in zip(lam, halfspaces, strict=True):
+        if lam_h:
+            h = kron(from_vector(f, DUAL), *(from_vector(g, DUAL) for g in combo))
+            total = total + symmetric_project(h, b_slots).scale(c * lam_h)
+    if total != image:
+        raise ConsistencyError(
+            "witness image escaped the minimal product of the duals")
 
 
 def reduction_adjoint(based, k, zeta):
@@ -258,11 +274,14 @@ def _symmetric_extension(weights, nA, nB, k):
 def ext_k_membership(x, a_cone, based, k):
     """Decide level-k membership of x with a certificate either way.
 
-    Member: a symmetric extension in V_A ox Sym_k(V_B), parametrized in
-    sym_basis coordinates for the LP.  Non-member: a primitive witness
-    functional zeta with zeta(x) < 0 whose reduction-adjoint image is
-    confirmed inside the minimal tensor product of the dual cones by an
-    independent conic-membership run.
+    One exact LP either way.  Member: a symmetric extension in
+    V_A ox Sym_k(V_B), parametrized in sym_basis coordinates for the LP.
+    Non-member: the primitive witness functional zeta = c (-mu), c > 0, from
+    the Farkas multipliers mu of the eq rows, with zeta(x) < 0.  The
+    multipliers of the max half-space rows decompose its reduction-adjoint
+    image in the minimal tensor product of the dual cones; that
+    decomposition is re-summed densely and compared exactly, with no second
+    LP.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -280,23 +299,12 @@ def ext_k_membership(x, a_cone, based, k):
         return ExtkVerdict(member=True, k=k, extension=y)
     if out.status != INFEASIBLE:
         raise CertificateError(f"unexpected LP status {out.status!r}")
-    mu = out.certificate[:len(eq_rows)]
+    mu, lam = out.certificate[:len(eq_rows)], out.certificate[len(eq_rows):]
     zeta_entries = primitive([-m for m in mu])
     zeta = DenseTensor((Slot(nA, DUAL), Slot(nB, DUAL)), zeta_entries)
     if pairing(zeta, x) >= 0:
         raise AssertionError("witness does not separate the query point")
-    image = reduction_adjoint(based, k, zeta)
-    reps = _sym_representatives(nA, nB, k)
-    gens = []
-    for f in a_cone.facets:
-        fa = from_vector(f, DUAL)
-        for combo in itertools.combinations_with_replacement(based.cone.facets, k):
-            g = kron(fa, *(from_vector(gg, DUAL) for gg in combo))
-            gens.append(_compress(symmetric_project(g, tuple(range(1, k + 1))), reps))
-    check = conic_membership(_compress(image, reps), gens)
-    if not check.member:
-        raise ConsistencyError(
-            "witness image escaped the minimal product of the duals")
+    _check_witness(zeta, mu, lam, a_cone, based, k)
     return ExtkVerdict(member=False, k=k, witness=zeta)
 
 
@@ -319,23 +327,9 @@ class EbOutcome:
     factorization: object | None = None  # SimplexFactorization | FactorFailure
 
 
-def admissible_tuples(based, k):
-    """Ordered facet k-tuples covering the avoiding set of some vertex,
-    paired with that vertex."""
-    base = based.base
-    nf = len(base.functionals)
-    out = []
-    for v in range(len(base.vertices)):
-        need = base.avoiding_set(v)
-        if len(need) > k:
-            continue
-        for combo in itertools.product(range(nf), repeat=k):
-            if need <= set(combo):
-                out.append((combo, v))
-    return out
-
-
 def _admissible_multisets(based, k):
+    """Sorted facet k-multisets covering the avoiding set of some vertex,
+    paired with that vertex."""
     base = based.base
     nf = len(base.functionals)
     out = []

@@ -1,12 +1,13 @@
 """Exact rational linear programming with self-verifying certificates.
 
 Two-phase primal simplex with Bland's rule, so every run terminates and
-identical problems pivot identically.  The tableau is fraction-free: each
-row holds int numerators over one positive int denominator, pivoted by
-cross-multiplication and gcd-reduced after every update (Edmonds 1967), so
-it takes the same pivots as a tableau of Fractions.  No floating point,
-no presolve.  Every outcome is re-verified against the original problem
-before it is returned:
+identical problems pivot identically.  The tableau is fraction-free and
+sparse: each row maps its nonzero columns to int numerators over one
+positive int denominator, is pivoted by cross-multiplication over the union
+of the two supports and gcd-reduced after every update (Edmonds 1967), so
+it takes the same pivots as a dense tableau of Fractions while a pivot
+touches only nonzero entries.  No floating point, no presolve.  Every
+outcome is re-verified against the original problem before it is returned:
 
 * feasible: the point satisfies every row exactly (and the optimum, when
   an objective is present, equals objective . point);
@@ -32,6 +33,8 @@ from .linalg import dot, primitive, vec
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_RHS = -1  # key of the right-hand side in a sparse tableau row
 
 
 class CertificateError(AssertionError):
@@ -126,12 +129,14 @@ def verify_ray(problem, point, ray):
 
 
 class _Tableau:
-    """Dense simplex tableau over integers.  Row i is a list of int
-    numerators ``T[i]`` (one per column, then the right-hand side) over one
-    int denominator ``den[i] > 0``: the real row is ``T[i] / den[i]``.  The
-    reduced-cost row ``z`` over ``zden > 0`` has the same form and holds the
-    negated objective value in its last place.  Every row is kept reduced,
-    ``gcd(den, *row) == 1``.  Columns are described by tags:
+    """Sparse simplex tableau over integers.  Row i is a dict ``T[i]`` from
+    column to nonzero int numerator, with the right-hand side under the key
+    ``_RHS``, over one int denominator ``den[i] > 0``: the real row is
+    ``T[i] / den[i]``, and a column missing from the dict is zero there.
+    The reduced-cost row ``z`` over ``zden > 0`` stays a dense list (one int
+    per column) whose last place, also ``z[_RHS]``, holds the negated
+    objective value.  Every row is kept reduced, ``gcd(den, *row) == 1``
+    over its nonzeros.  Columns are described by tags:
     ("var", j, s) for s * x_j of a split variable, ("sur", i) for the surplus
     of ge row i, ("art", i) for the artificial of standard row i."""
 
@@ -169,17 +174,18 @@ class _Tableau:
             self.sigma.append(sg)
             # the row times d, the least common denominator of its entries
             d = lcm(b.denominator, *(a.denominator for a in r))
-            ints = [a.numerator * (d // a.denominator) for a in r]
-            row = []
-            for tag in self.cols[:nstruct]:
-                if tag[0] == "var":
-                    _, j, s = tag
-                    row.append(sg * s * ints[j])
-                else:
-                    row.append(-sg * d if surplus == tag[1] else 0)
+            row = {}
+            for c, (_, j, s) in enumerate(self.cols[:self.sur0]):
+                a = r[j]
+                if a:
+                    row[c] = sg * s * a.numerator * (d // a.denominator)
+            if surplus is not None:
+                row[self.sur0 + surplus] = -sg * d
             art = self.art_of_row.get(ridx)
-            row += [d if art == i else 0 for i in range(self.nart)]
-            row.append(sg * b.numerator * (d // b.denominator))
+            if art is not None:
+                row[nstruct + art] = d
+            if b:
+                row[_RHS] = sg * b.numerator * (d // b.denominator)
             self.T.append(row)
             self.den.append(d)
             if art is not None:
@@ -199,33 +205,57 @@ class _Tableau:
                 # z/den - (n/m) * row/d over the denominator den*m*d
                 n, m = cb.numerator, cb.denominator
                 zs, rs = m * d, n * den
-                z, den = _reduced([a * zs - b * rs for a, b in zip(z, row)],
-                                  den * zs)
+                z = [a * zs for a in z]
+                for c, b in row.items():
+                    z[c] -= b * rs
+                z, den = _reduced(z, den * zs)
         self.z, self.zden = z, den
 
     @property
     def value(self):
-        return Fraction(-self.z[-1], self.zden)
+        return Fraction(-self.z[_RHS], self.zden)
 
     def pivot(self, r, c):
         row = self.T[r]
         p = row[c]
         if p < 0:
-            row = [-a for a in row]
+            row = {j: -a for j, a in row.items()}
             p = -p
         # row / p is the pivot row scaled to a unit pivot entry
-        row, p = _reduced(row, p)
+        g = gcd(p, *row.values())
+        if g > 1:
+            row = {j: a // g for j, a in row.items()}
+            p //= g
         self.T[r] = row
         self.den[r] = p
+        items = row.items()
         for i, other in enumerate(self.T):
-            f = other[c]
-            if i != r and f != 0:
-                self.T[i], self.den[i] = _reduced(
-                    [p * a - f * b for a, b in zip(other, row)], self.den[i] * p)
+            f = other.get(c)
+            if f is None or i == r:
+                continue
+            # p * other - f * row over the union of the two supports
+            if p != 1:
+                for j in other:
+                    other[j] *= p
+            for j, b in items:
+                a = other.get(j, 0) - f * b
+                if a:
+                    other[j] = a
+                else:
+                    del other[j]
+            d = self.den[i] * p
+            g = gcd(d, *other.values())
+            if g > 1:
+                for j in other:
+                    other[j] //= g
+                d //= g
+            self.den[i] = d
         f = self.z[c]
         if f != 0:
-            self.z, self.zden = _reduced(
-                [p * a - f * b for a, b in zip(self.z, row)], self.zden * p)
+            z = [p * a for a in self.z] if p != 1 else self.z
+            for j, b in items:
+                z[j] -= f * b
+            self.z, self.zden = _reduced(z, self.zden * p)
         self.basis[r] = c
 
     def run(self):
@@ -243,9 +273,9 @@ class _Tableau:
             # min ratio rhs_i / a_i over a_i > 0; the row denominators cancel
             leave = None
             for i, row in enumerate(self.T):
-                a = row[enter]
+                a = row.get(enter, 0)
                 if a > 0:
-                    rn = row[-1]
+                    rn = row.get(_RHS, 0)
                     if leave is None or rn * ba < bn * a or (
                             rn * ba == bn * a
                             and self.basis[i] < self.basis[leave]):
@@ -256,7 +286,7 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def entry(self, i, c):
-        return Fraction(self.T[i][c], self.den[i])
+        return Fraction(self.T[i].get(c, 0), self.den[i])
 
     def reduced_cost(self, c):
         return Fraction(self.z[c], self.zden)
@@ -267,7 +297,7 @@ class _Tableau:
             tag = self.cols[bcol]
             if tag[0] == "var":
                 _, j, s = tag
-                x[j] += s * self.entry(i, -1)
+                x[j] += s * self.entry(i, _RHS)
         return tuple(x)
 
     def extract_ray(self, enter):
@@ -319,7 +349,7 @@ def solve(problem):
         bcol = tab.basis[i]
         if tab.cols[bcol][0] != "art":
             continue
-        pivot_col = next((c for c in range(art0) if tab.T[i][c] != 0), None)
+        pivot_col = min((c for c in tab.T[i] if 0 <= c < art0), default=None)
         if pivot_col is None:
             del tab.T[i]
             del tab.den[i]

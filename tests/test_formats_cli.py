@@ -318,6 +318,24 @@ def test_ext_check_output_is_pinned(point, cone_b, k):
     assert (code, _sha256(out)) == EXT_CHECK_PINS[point, cone_b, k]
 
 
+def test_ext_check_under_python_O_is_unchanged():
+    """``python -O`` strips ``assert`` statements but no certificate check:
+    the NON-MEMBER verdict, its witness and the exit code stay byte for
+    byte those of the normal run."""
+    args = ["ext-check", "--k", "3",
+            "--cone-a", fixture_path("square.cone"),
+            "--cone-b", fixture_path("square-skew.cone"),
+            "--point", fixture_path("gap-k2.pt")]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coneext.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-m", "coneext.cli"] + args,
+                         capture_output=True, env=env, timeout=60)
+    code, out, _ = _run(args)
+    assert (run.returncode, run.stdout) == (code, out.encode())
+    assert (code, _sha256(out)) == EXT_CHECK_PINS["gap-k2", "square-skew", 3]
+
+
 @pytest.mark.parametrize("cone,k", list(EB_CHECK_PINS))
 def test_eb_check_json_lines_output_is_pinned(cone, k):
     code, out, _ = _run(["eb-check", "--k", str(k), "--report", "json-lines",

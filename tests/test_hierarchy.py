@@ -1,26 +1,35 @@
 """Min/max tensor products, reduction maps, level-k membership, the
 entanglement-breaking decision, and the dual hierarchy search."""
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import coneext
+import coneext.hierarchy as hierarchy
 from coneext.cones import make_based, make_cone
 from coneext.fixtures import (CONE_PHIS, EB_LEVELS, based_cone, fixture_text,
                               orthant_cone, square_based, square_cone,
                               triangle_cone)
 from coneext.formats import parse_point_file
-from coneext.hierarchy import (_dual_columns, _eb_columns, _eb_generator,
-                               _ext_k_rows, admissible_tuples, apply_reduction,
-                               dual_hierarchy_k, ext_k_membership,
-                               is_entanglement_breaking, max_tensor_halfspaces,
+from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
+                               _arrangements, _check_extension, _dual_columns,
+                               _eb_columns, _eb_generator, _ext_k_rows,
+                               apply_reduction, dual_hierarchy_k,
+                               ext_k_membership, is_entanglement_breaking,
+                               max_tensor_halfspaces,
                                min_tensor_generators, point_tensor,
                                reduction_map, vertex_facet_tensor,
                                omega_interior_test)
 from coneext.linalg import dot
-from coneext.lp import conic_membership
+from coneext.lp import INFEASIBLE, LpOutcome, conic_membership, solve
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
                              sym_basis, symmetric_project)
@@ -256,6 +265,170 @@ def test_ext_membership_input_checks():
         ext_k_membership(x, orthant_cone(2), based, 1)
 
 
+# -- the LPs behind level-k membership, and tampered certificates ---------
+
+# sha256 of repr(problem) + repr(outcome) of the LP that ext_k_membership
+# solves, captured before the tableau rows went sparse.  These LPs have free
+# variables and zero-rhs ge rows, which the random LPs of test_lp.py lack;
+# any change to the LP data or to the pivot sequence changes the hashes.
+EXT_K_LP_PINS = {
+    ("gap-k3", "square-skew", 1): "bef5cfae3939e25e66b985dd3f9e1d6cad4f50def07fd1e76d53642aa4b20b37",
+    ("gap-k3", "square-skew", 2): "de9c4bcc0e4003cef6eb035d43deb0f133338914e81ca9d505d702b8bd441e78",
+    ("gap-k3", "square-skew", 3): "7fa782d575d7a8c6f2538deffccaa93cb1a5f837f3021db426807937f6ba9eee",
+    ("gap-k2", "square-skew", 1): "7c7f6c8c8bd42795d5e6edcff9a6014a275045042eebf4277e73c60d7e9eb6d7",
+    ("gap-k2", "square-skew", 2): "8c532f7419b08212aa7e1d3bcbf9227d73ac084b28692acedbd098725187d2cd",
+    ("gap-k2", "square-skew", 3): "877918f6400252a9baaae28f729e8c13020c5d6484af67563224e9f9dda2a950",
+    ("box", "square", 1): "74877af369353b5ab0b22523317e1a131d9e1c8a1a6f48057e01ada99ae62992",
+    ("box", "square", 2): "f145dfefc5e48743281e20548c3bc32a59b33856b3d9ad1c5d6fded11e59103e",
+}
+
+
+def _ext_k_case(point, b_name):
+    a_cone = based_cone("square").cone
+    based = based_cone(b_name)
+    return _load_point(f"{point}.pt", a_cone, based.cone), a_cone, based
+
+
+@pytest.mark.parametrize("point,b_name,k", list(EXT_K_LP_PINS))
+def test_ext_k_lps_are_pinned(monkeypatch, point, b_name, k):
+    digests = []
+
+    def recording(problem):
+        out = solve(problem)
+        digests.append(hashlib.sha256(
+            (repr(problem) + repr(out)).encode()).hexdigest())
+        return out
+
+    monkeypatch.setattr(hierarchy, "solve", recording)
+    x, a_cone, based = _ext_k_case(point, b_name)
+    ext_k_membership(x, a_cone, based, k)
+    assert digests == [EXT_K_LP_PINS[point, b_name, k]]
+
+
+def _gap_k2_extension():
+    x, a_cone, based = _ext_k_case("gap-k2", "square-skew")
+    verdict = ext_k_membership(x, a_cone, based, 2)
+    assert verdict.member
+    return x, a_cone, based, verdict.extension
+
+
+def _with_entry(t, multi, value):
+    ent = list(t.entries)
+    ent[t.flat_index(multi)] = value
+    return DenseTensor(t.slots, ent)
+
+
+def test_check_extension_rejects_a_changed_entry():
+    """One entry of a valid extension, on the B diagonal so that symmetry
+    survives: pushed far down it leaves a max half-space; raised by one where
+    phi is nonzero it no longer reduces to the point."""
+    x, a_cone, based, y = _gap_k2_extension()
+    _check_extension(x, a_cone, based, 2, y)
+    for a in range(a_cone.dim):
+        for j in range(based.cone.dim):
+            old = y[a, j, j]
+            far = _with_entry(y, (a, j, j), old - 10**6)
+            with pytest.raises(AssertionError, match="half-space"):
+                _check_extension(x, a_cone, based, 2, far)
+            if based.phi[j]:
+                up = _with_entry(y, (a, j, j), old + 1)
+                with pytest.raises(AssertionError, match="half-space|reduce"):
+                    _check_extension(x, a_cone, based, 2, up)
+
+
+def test_check_extension_rejects_broken_b_symmetry():
+    x, a_cone, based, y = _gap_k2_extension()
+    for multi in ((0, 0, 1), (1, 2, 0)):
+        bad = _with_entry(y, multi, y[multi] + 1)
+        with pytest.raises(AssertionError, match="not symmetric"):
+            _check_extension(x, a_cone, based, 2, bad)
+
+
+def _tamper_multipliers(monkeypatch, tamper):
+    """Make ext_k_membership see its Farkas certificate changed by
+    ``tamper(cert, h, h_zero)``, where h is the first nonzero and h_zero the
+    first zero multiplier of a max half-space row."""
+    def tampered(problem):
+        out = solve(problem)
+        assert out.status == INFEASIBLE
+        ne = len(problem.eq_rows)
+        cert = list(out.certificate)
+        h = next(i for i in range(ne, len(cert)) if cert[i])
+        h_zero = next(i for i in range(ne, len(cert)) if not cert[i])
+        tamper(cert, h, h_zero)
+        return LpOutcome(status=INFEASIBLE, certificate=tuple(cert))
+
+    monkeypatch.setattr(hierarchy, "solve", tampered)
+
+
+def _scale(cert, h, _):
+    cert[h] *= 2
+
+
+def _move(cert, h, h_zero):
+    cert[h_zero], cert[h] = cert[h], 0
+
+
+def _negate(cert, h, _):
+    cert[h] = -cert[h]
+
+
+WITNESS_CASES = [("box", "square", 2), ("gap-k2", "square-skew", 3)]
+
+
+@pytest.mark.parametrize("point,b_name,k", WITNESS_CASES)
+def test_witness_resum_accepts_the_true_multipliers(monkeypatch, point, b_name, k):
+    _tamper_multipliers(monkeypatch, lambda cert, h, h_zero: None)
+    x, a_cone, based = _ext_k_case(point, b_name)
+    assert not ext_k_membership(x, a_cone, based, k).member
+
+
+@pytest.mark.parametrize("tamper", [_scale, _move, _negate])
+@pytest.mark.parametrize("point,b_name,k", WITNESS_CASES)
+def test_witness_resum_rejects_tampered_multipliers(monkeypatch, point, b_name,
+                                                    k, tamper):
+    _tamper_multipliers(monkeypatch, tamper)
+    x, a_cone, based = _ext_k_case(point, b_name)
+    with pytest.raises(ConsistencyError, match="witness"):
+        ext_k_membership(x, a_cone, based, k)
+
+
+def test_witness_check_survives_python_O():
+    """The witness re-sum raises under ``python -O``, which strips
+    ``assert`` statements."""
+    code = textwrap.dedent("""
+        import sys
+        from coneext import hierarchy, lp
+        from coneext.fixtures import based_cone, fixture_text
+        from coneext.formats import parse_point_file
+        if __debug__:
+            sys.exit("not running under -O")
+
+        def tampered(problem):
+            out = lp.solve(problem)
+            cert = list(out.certificate)
+            h = next(i for i in range(len(problem.eq_rows), len(cert)) if cert[i])
+            cert[h] *= 2
+            return lp.LpOutcome(status=out.status, certificate=tuple(cert))
+
+        hierarchy.solve = tampered
+        based = based_cone("square")
+        _, _, entries = parse_point_file(fixture_text("box.pt"))
+        x = hierarchy.point_tensor(based.cone, based.cone, entries)
+        try:
+            hierarchy.ext_k_membership(x, based.cone, based, 2)
+        except hierarchy.ConsistencyError:
+            sys.exit(0)
+        sys.exit("non-member returned without the witness re-sum check")
+    """)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coneext.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
 # -- entanglement breaking --------------------------------------------------
 
 def test_eb_table_matches_factor_structure():
@@ -290,20 +463,32 @@ def test_eb_refutation_separates():
     assert out.refutation is not None
 
 
+def _ordered_count(based, k):
+    """Ordered admissible facet k-tuples: the arrangements of each
+    admissible multiset."""
+    return sum(_arrangements(combo) for combo, _ in _admissible_multisets(based, k))
+
+
 def test_admissible_tuple_counts():
-    assert len(admissible_tuples(square_based(), 2)) == 8
-    assert len(admissible_tuples(square_based(), 1)) == 0
-    assert len(admissible_tuples(based_cone("triangle"), 1)) == 3
-    assert len(admissible_tuples(based_cone("pentagon"), 2)) == 0
+    assert _ordered_count(square_based(), 2) == 8
+    assert _ordered_count(square_based(), 1) == 0
+    assert _ordered_count(based_cone("triangle"), 1) == 3
+    assert _ordered_count(based_cone("pentagon"), 2) == 0
 
 
 def test_admissible_tuples_cover_avoiding_sets():
+    """The admissible multisets are exactly the sorted facet k-tuples that
+    cover the avoiding set of their vertex."""
     for name in ("square", "prism", "cube"):
         based = based_cone(name)
+        nf = len(based.base.functionals)
         for k in (2, 3):
-            for facets, v in admissible_tuples(based, k):
-                assert len(facets) == k
-                assert based.base.avoiding_set(v) <= set(facets)
+            multis = _admissible_multisets(based, k)
+            expected = {(tuple(sorted(combo)), v)
+                        for v in range(len(based.base.vertices))
+                        for combo in itertools.product(range(nf), repeat=k)
+                        if based.base.avoiding_set(v) <= set(combo)}
+            assert set(multis) == expected and len(multis) == len(expected)
 
 
 # -- the vertex-facet tensor ------------------------------------------------
@@ -320,9 +505,8 @@ def test_omega_pairing_vanishes_exactly_on_admissible_tuples():
     for name, k in (("square", 1), ("square", 2), ("triangle", 1), ("triangle", 2)):
         based = based_cone(name)
         omega = vertex_facet_tensor(based, k)
-        admissible = set()
-        for facets, v in admissible_tuples(based, k):
-            admissible.add((facets, v))
+        admissible = {(order, v) for facets, v in _admissible_multisets(based, k)
+                      for order in itertools.permutations(facets)}
         duals = [from_vector(f[1:], DUAL) for f in based.base.functionals]
         verts = [from_vector(v) for v in based.base.vertices]
         nf = len(duals)

@@ -7,6 +7,8 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import pytest
+
 import coneext
 from coneext.linalg import dot, vec
 from coneext.lp import (FEASIBLE, INFEASIBLE, UNBOUNDED, LpProblem,
@@ -303,3 +305,84 @@ def test_certificate_checks_survive_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def _rejects(check, *args):
+    try:
+        check(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+def _bumped(v, j, new):
+    return v[:j] + (new,) + v[j + 1:]
+
+
+def test_verifiers_reject_mutated_certificates():
+    """Change one entry of each pinned certificate in a way that makes it
+    invalid by construction; its verifier must reject every such change."""
+    tried = {FEASIBLE: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for p in _pinned_corpus():
+        out = solve(p)
+        rows = p.eq_rows + p.ge_rows
+        free = [j for j in range(p.num_vars) if j not in p.nonneg]
+        if out.status == INFEASIBLE:
+            verify_farkas(p, out.certificate)
+            ne = len(p.eq_rows)
+            for i, ((r, _), lam) in enumerate(zip(rows, out.certificate)):
+                mutants = []
+                if any(r[j] != 0 for j in free):
+                    # the combination stops vanishing on a free variable
+                    mutants.append(lam + 1)
+                if i >= ne and lam > 0:
+                    mutants.append(-lam)
+                for m in mutants:
+                    assert _rejects(verify_farkas, p, _bumped(out.certificate, i, m))
+                    tried[INFEASIBLE] += 1
+            continue
+        verify_point(p, out.point)
+        for j in range(p.num_vars):
+            mutants = []
+            if any(r[j] != 0 for r, _ in p.eq_rows):
+                mutants.append(out.point[j] + 1)
+            for r, b in p.ge_rows:
+                if r[j] != 0 and dot(r, out.point) == b:
+                    # step off a tight inequality
+                    mutants.append(out.point[j] - (1 if r[j] > 0 else -1))
+            if j in p.nonneg:
+                mutants.append(Fraction(-1))
+            for m in mutants:
+                assert _rejects(verify_point, p, _bumped(out.point, j, m))
+                tried[out.status] += 1
+        if out.status == UNBOUNDED:
+            verify_ray(p, out.point, out.ray)
+            for j in range(p.num_vars):
+                mutants = []
+                if any(r[j] != 0 for r, _ in p.eq_rows):
+                    mutants.append(out.ray[j] + 1)
+                if j in p.nonneg:
+                    mutants.append(Fraction(-1))
+                for m in mutants:
+                    assert _rejects(verify_ray, p, out.point, _bumped(out.ray, j, m))
+                    tried[UNBOUNDED] += 1
+            # a ray that no longer improves the objective
+            assert _rejects(verify_ray, p, out.point, tuple(0 * d for d in out.ray))
+    assert all(n >= 20 for n in tried.values()), tried
+
+
+def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
+    """Each weight of a valid decomposition, changed by one, fails the
+    re-sum against the target."""
+    from coneext import lp
+
+    gens = [vec(r) for r in ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1))]
+    target = vec((3, 1, 1))
+    out = conic_membership(target, gens)
+    assert out.member
+    for i in range(len(gens)):
+        bad = _bumped(out.weights, i, out.weights[i] + 1)
+        monkeypatch.setattr(lp, "solve", lambda problem, bad=bad: lp.LpOutcome(
+            status=FEASIBLE, point=bad))
+        with pytest.raises(lp.CertificateError, match="re-sum"):
+            conic_membership(target, gens)

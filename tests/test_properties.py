@@ -1,7 +1,7 @@
 """Property tests for the order laws of the extendibility hierarchy:
-min <= Ext_2 <= Ext_1 = max on random small rational points, and Ext_1 =
-min when B is simplicial.  Derandomized, so every run draws the same
-examples."""
+min <= Ext_2 <= Ext_1 = max on random small rational points, Ext_3 <= Ext_2
+on the square pair, and Ext_1 = min when B is simplicial.  Derandomized, so
+every run draws the same examples."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -94,14 +94,30 @@ def test_min_in_ext2_in_ext1_equals_max(data):
     event(f"min={in_min} ext2={ext2} ext1={ext1}")
 
 
-@pytest.mark.parametrize("point_file", ["gap-k2.pt", "gap-k3.pt"])
+@settings(LAWS, max_examples=12)
+@given(st.data())
+def test_ext3_in_ext2(data):
+    """Level 3 is the costliest LP here, so this law draws fewer examples."""
+    a_cone, based, _, x = _draw_query(data, ("square",), ("square-skew",))
+    ext3 = ext_k_membership(x, a_cone, based, 3).member
+    ext2 = ext_k_membership(x, a_cone, based, 2).member
+    event(f"ext3={ext3} ext2={ext2}")
+    assert not ext3 or ext2
+
+
+# Level 3 membership of the gap points: gap-k2 lies in Ext_2 minus Ext_3.
+GAP_EXT3 = {"gap-k2.pt": False, "gap-k3.pt": True}
+
+
+@pytest.mark.parametrize("point_file", list(GAP_EXT3))
 def test_chain_on_gap_points(point_file):
-    """The shipped gap points sit in Ext_2 but outside min, a region random
-    draws rarely reach."""
+    """The shipped gap points sit in Ext_2 but outside min, and gap-k2 also
+    outside Ext_3: regions random draws rarely reach."""
     a_cone, based, gens, _ = _pair("square", "square-skew")
     _, _, entries = parse_point_file(fixture_text(point_file))
     x = point_tensor(a_cone, based.cone, entries)
     assert _check_chain(a_cone, based, gens, x) == (False, True, True)
+    assert ext_k_membership(x, a_cone, based, 3).member == GAP_EXT3[point_file]
 
 
 @LAWS
@@ -111,3 +127,4 @@ def test_simplicial_b_collapses_ext1_to_min(data):
     in_min = conic_membership(x.entries, gens).member
     event(f"min={in_min}")
     assert ext_k_membership(x, a_cone, based, 1).member == in_min
+

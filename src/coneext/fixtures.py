@@ -1,17 +1,17 @@
-"""Built-in example cones and polytopes, as constructors and shipped files.
+"""Built-in example cones, polytopes and points, read from the shipped files.
 
-The construction functions build the corpus in-process; the shipped files
-under ``coneext/fixtures/`` hold the same objects in the canonical text
-formats, plus derived point files whose provenance is tools/make_fixtures.py
-in the source tree.
+The files under ``coneext/fixtures/`` are the single source of the corpus:
+``NAME.cone`` and ``NAME.poly`` are edited directly in the canonical text
+formats; only the point files ``*.pt`` are generated, from the square and
+square-skew cone files, by tools/make_fixtures.py in the source tree.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from importlib import resources
 
 from .cones import make_based, make_cone
+from .formats import parse_cone_file, parse_polytope_file
 from .polytopes import polytope_from_vertices
 
 
@@ -34,145 +34,43 @@ def list_fixtures():
     return sorted(p.name for p in fixture_dir().iterdir() if p.is_file())
 
 
-# ---------------------------------------------------------------------------
-# cones
-
-def square_cone():
-    return make_cone([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)])
+def _stems(suffix):
+    return tuple(fn[:-len(suffix)] for fn in list_fixtures() if fn.endswith(suffix))
 
 
-def square_based(skew=False):
-    phi = (1, Fraction(1, 5), 0) if skew else (1, 0, 0)
-    return make_based(square_cone(), phi)
+def cone_names():
+    """One name per shipped ``.cone`` file, sorted."""
+    return _stems(".cone")
 
 
-def triangle_cone():
-    return make_cone([(1, 1, 0), (1, -1, 1), (1, -1, -1)])
+def polytope_names():
+    """One name per shipped ``.poly`` file, sorted."""
+    return _stems(".poly")
 
 
-def orthant_cone(n):
-    rays = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rays[i][i] = 1
-    return make_cone(rays)
+def _cone_file(name):
+    _, _, rays, phi = parse_cone_file(fixture_text(f"{name}.cone"))
+    return rays, phi
 
 
-def cube_cone():
-    return make_cone([(1, x, y, z) for x in (-1, 1) for y in (-1, 1)
-                      for z in (-1, 1)])
+def cone(name):
+    return make_cone(_cone_file(name)[0])
 
 
-def prism_cone():
-    return make_cone([(1, x, y, z) for (x, y) in ((0, 0), (1, 0), (0, 1))
-                      for z in (0, 1)])
+def based_cone(name):
+    """The cone of ``name``.cone based at the file's phi."""
+    rays, phi = _cone_file(name)
+    return make_based(make_cone(rays), phi)
 
 
-def pentagon_cone():
-    return make_cone([(1,) + v for v in pentagon_vertices()])
+def polytope(name):
+    _, _, vertices = parse_polytope_file(fixture_text(f"{name}.poly"))
+    return polytope_from_vertices(vertices)
 
-
-def octahedron_cone():
-    rays = []
-    for i in range(3):
-        for s in (-1, 1):
-            r = [0, 0, 0]
-            r[i] = s
-            rays.append((1,) + tuple(r))
-    return make_cone(rays)
-
-
-def quad_cone():
-    return make_cone([(1,) + v for v in quad_vertices()])
-
-
-# ---------------------------------------------------------------------------
-# polytopes
-
-def pentagon_vertices():
-    # strictly convex with rational coordinates; no edge is 2-level
-    return ((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2))
-
-
-def quad_vertices():
-    # convex quadrilateral that is not a parallelogram
-    return ((0, 0), (2, 0), (3, 3), (0, 2))
-
-
-def triangle_polytope():
-    return polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
-
-
-def square_polytope():
-    return polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
-
-
-def pentagon_polytope():
-    return polytope_from_vertices(pentagon_vertices())
-
-
-def quad_polytope():
-    return polytope_from_vertices(quad_vertices())
-
-
-def cube_polytope():
-    return polytope_from_vertices([(x, y, z) for x in (0, 1) for y in (0, 1)
-                                   for z in (0, 1)])
-
-
-def prism_polytope():
-    return polytope_from_vertices([(x, y, z) for (x, y) in ((0, 0), (1, 0), (0, 1))
-                                   for z in (0, 1)])
-
-
-def octahedron_polytope():
-    verts = []
-    for i in range(3):
-        for s in (-1, 1):
-            v = [0, 0, 0]
-            v[i] = s
-            verts.append(tuple(v))
-    return polytope_from_vertices(verts)
-
-
-POLYTOPE_BUILDERS = {
-    "triangle": triangle_polytope,
-    "square": square_polytope,
-    "cube": cube_polytope,
-    "prism": prism_polytope,
-    "pentagon": pentagon_polytope,
-    "quad": quad_polytope,
-    "octahedron": octahedron_polytope,
-}
 
 # which polytopes factor into simplices (products of simplices)
 FACTORABLE = ("triangle", "square", "cube", "prism")
 UNFACTORABLE = ("pentagon", "quad", "octahedron")
-
-CONE_BUILDERS = {
-    "square": square_cone,
-    "triangle": triangle_cone,
-    "orthant2": lambda: orthant_cone(2),
-    "orthant3": lambda: orthant_cone(3),
-    "cube": cube_cone,
-    "prism": prism_cone,
-    "pentagon": pentagon_cone,
-    "octahedron": octahedron_cone,
-    "quad": quad_cone,
-}
-
-# strictly positive functionals used by the shipped based-cone files
-CONE_PHIS = {
-    "square": (1, 0, 0),
-    "square-skew": (1, Fraction(1, 5), 0),
-    "triangle": (1, 0, 0),
-    "orthant2": (1, 1),
-    "orthant3": (1, 1, 1),
-    "cube": (1, 0, 0, 0),
-    "prism": (1, 0, 0, 0),
-    "pentagon": (1, 0, 0),
-    "octahedron": (1, 0, 0, 0),
-    "quad": (1, 0, 0),
-}
 
 # smallest k at which the reduction map breaks entanglement; None = never
 EB_LEVELS = {
@@ -187,8 +85,3 @@ EB_LEVELS = {
     "octahedron": None,
     "quad": None,
 }
-
-
-def based_cone(name):
-    base_name = "square" if name == "square-skew" else name
-    return make_based(CONE_BUILDERS[base_name](), CONE_PHIS[name])

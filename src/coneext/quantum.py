@@ -1,7 +1,10 @@
 """Exact verification of the nine-dimensional operator family X_{a,b,c}
 and its symmetric extensions over Q(sqrt2).
 
-Everything here is real symmetric, so no complex arithmetic is needed.
+Everything here is real symmetric, so no complex arithmetic is needed.  An
+n x n operator is a DenseTensor on (Slot(n, PRIMAL), Slot(n, DUAL)) with
+QuadScalar entries in row-major order; a map that acts per tensor factor
+re-slots the same flat entries as one row and one column slot per factor.
 Positivity is decided by symmetric Gaussian elimination with algebraic
 pivot sign tests; every claim in verify_appendix is an exact identity and
 any deviation raises AppendixError.
@@ -12,11 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, prod
 
 from .scalars import QuadScalar
+from .tensors import DUAL, PRIMAL, DenseTensor, Slot, kron, pairing, reorder_slots
 
 ZERO = QuadScalar(0, 0)
 ONE = QuadScalar(1, 0)
+HALF = QuadScalar(Fraction(1, 2), 0)
 
 # eta = 1 - sqrt2/2, the mixing parameter of the counterexample family
 ETA = QuadScalar(1, Fraction(-1, 2))
@@ -26,33 +32,43 @@ class AppendixError(AssertionError):
     """An exact identity in the verification chain failed."""
 
 
-@dataclass(frozen=True)
-class ExactOperator:
-    dim: int
-    entries: tuple  # tuple of row tuples of QuadScalar
+def _as_operator(t):
+    """Read the flat entries of a factored operator as one square operator."""
+    n = isqrt(len(t.entries))
+    return DenseTensor((Slot(n, PRIMAL), Slot(n, DUAL)), t.entries)
 
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
 
-    def is_symmetric(self):
-        e = self.entries
-        return all(e[i][j] == e[j][i]
-                   for i in range(self.dim) for j in range(i))
+def _factored(m, dims):
+    """The same entries with one row slot, then one column slot, per factor."""
+    return DenseTensor(tuple(Slot(d, PRIMAL) for d in dims)
+                       + tuple(Slot(d, DUAL) for d in dims), m.entries)
 
-    def __add__(self, other):
-        return ExactOperator(self.dim, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
 
-    def __sub__(self, other):
-        return ExactOperator(self.dim, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+def _partial_trace(t, i, j):
+    """Trace slot i against slot j: move the pair last, then add up the
+    diagonal of each trailing d x d block."""
+    rest = [s for s in range(len(t.slots)) if s not in (i, j)]
+    moved = reorder_slots(t, rest + [i, j])
+    d = t.slots[i].dim
+    e = moved.entries
+    return DenseTensor(moved.slots[:-2], [sum(e[b + d + 1:b + d * d:d + 1], e[b])
+                                          for b in range(0, len(e), d * d)])
 
-    def scale(self, c):
-        c = QuadScalar.of(c)
-        return ExactOperator(self.dim, tuple(
-            tuple(c * a for a in row) for row in self.entries))
+
+def _with_identity(t, d):
+    """t ox identity on a new trailing (d, d*) slot pair, the adjoint of
+    _partial_trace: each entry on the diagonal of its own d x d block."""
+    entries = []
+    for e in t.entries:
+        block = [ZERO] * (d * d)
+        block[::d + 1] = [e] * d
+        entries.extend(block)
+    return DenseTensor(t.slots + (Slot(d, PRIMAL), Slot(d, DUAL)), entries)
+
+
+def _swap_bc(t):
+    """Exchange the two trailing factors of a factored 27 x 27 operator."""
+    return reorder_slots(t, (0, 2, 1, 3, 5, 4))
 
 
 def operator(rows):
@@ -60,7 +76,8 @@ def operator(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    return ExactOperator(n, rows)
+    return DenseTensor((Slot(n, PRIMAL), Slot(n, DUAL)),
+                       [x for row in rows for x in row])
 
 
 def identity_operator(n):
@@ -68,23 +85,13 @@ def identity_operator(n):
 
 
 def kron_operator(x, y):
-    n, m = x.dim, y.dim
-    rows = []
-    for i in range(n):
-        for a in range(m):
-            rows.append([x.entries[i][j] * y.entries[a][b]
-                         for j in range(n) for b in range(m)])
-    return operator(rows)
+    return _as_operator(reorder_slots(kron(x, y), (0, 2, 1, 3)))
 
 
 def trace_product(x, y):
-    if x.dim != y.dim:
+    if x.slots != y.slots:
         raise ValueError("dimension mismatch")
-    total = ZERO
-    for i in range(x.dim):
-        for j in range(x.dim):
-            total = total + x.entries[i][j] * y.entries[j][i]
-    return total
+    return pairing(x, reorder_slots(y, (1, 0)))
 
 
 def build_X(alpha, beta, gamma):
@@ -108,10 +115,10 @@ def psd_check_exact(m, strict=False):
     eliminated, a zero pivot forces its whole remaining row to vanish, a
     negative pivot (or a nonzero entry beside a zero pivot) refutes
     positivity.  Strict mode additionally demands full rank."""
-    if not m.is_symmetric():
+    n = m.slots[0].dim
+    a = [list(m.entries[i * n:(i + 1) * n]) for i in range(n)]
+    if not all(a[i][j] == a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    n = m.dim
-    a = [list(row) for row in m.entries]
     positive = 0
     for i in range(n):
         p = a[i][i]
@@ -136,79 +143,33 @@ def psd_check_exact(m, strict=False):
 
 def partial_transpose(m, factor_dims, which):
     """Transpose the chosen tensor factor's index between row and column."""
-    prod = 1
-    for d in factor_dims:
-        prod *= d
-    if prod != m.dim:
+    if prod(factor_dims) != m.slots[0].dim:
         raise ValueError("factor dimensions do not multiply to the matrix size")
     if not 0 <= which < len(factor_dims):
         raise ValueError("factor index out of range")
-    strides = []
-    s = 1
-    for d in reversed(factor_dims):
-        strides.append(s)
-        s *= d
-    strides.reverse()
-
-    def decode(idx):
-        return tuple((idx // strides[f]) % factor_dims[f]
-                     for f in range(len(factor_dims)))
-
-    def encode(parts):
-        return sum(p * strides[f] for f, p in enumerate(parts))
-
-    out = [[ZERO] * m.dim for _ in range(m.dim)]
-    for r in range(m.dim):
-        rp = decode(r)
-        for c in range(m.dim):
-            cp = decode(c)
-            nr = list(rp)
-            nc = list(cp)
-            nr[which], nc[which] = cp[which], rp[which]
-            out[encode(nr)][encode(nc)] = m.entries[r][c]
-    return operator(out)
+    f = len(factor_dims)
+    perm = list(range(2 * f))
+    perm[which], perm[f + which] = f + which, which
+    return _as_operator(reorder_slots(_factored(m, factor_dims), perm))
 
 
 def reduce_b_factors(m):
     """27x27 -> 9x9: average of tracing out either one of the two trailing
     factors, i.e. symmetrically discarding all but one B copy."""
-    if m.dim != 27:
+    if m.slots[0].dim != 27:
         raise ValueError("expected a 27x27 operator")
-    half = QuadScalar.of(Fraction(1, 2))
-    out = [[ZERO] * 9 for _ in range(9)]
-    for a in range(3):
-        for b in range(3):
-            for a2 in range(3):
-                for b2 in range(3):
-                    t = ZERO
-                    for c in range(3):
-                        t = t + m.entries[9 * a + 3 * b + c][9 * a2 + 3 * b2 + c]
-                        t = t + m.entries[9 * a + 3 * c + b][9 * a2 + 3 * c + b2]
-                    out[3 * a + b][3 * a2 + b2] = half * t
-    return operator(out)
+    t = _factored(m, (3, 3, 3))
+    return _as_operator((_partial_trace(t, 2, 5) + _partial_trace(t, 1, 4)).scale(HALF))
 
 
 def sym_identity_extension(w):
     """9x9 -> 27x27 adjoint of reduce_b_factors: average of padding with the
     identity on either trailing slot."""
-    if w.dim != 9:
+    if w.slots[0].dim != 9:
         raise ValueError("expected a 9x9 operator")
-    half = QuadScalar.of(Fraction(1, 2))
-    out = [[ZERO] * 27 for _ in range(27)]
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                r = 9 * a + 3 * b + c
-                for a2 in range(3):
-                    for b2 in range(3):
-                        for c2 in range(3):
-                            t = ZERO
-                            if c == c2:
-                                t = t + w.entries[3 * a + b][3 * a2 + b2]
-                            if b == b2:
-                                t = t + w.entries[3 * a + c][3 * a2 + c2]
-                            out[r][9 * a2 + 3 * b2 + c2] = half * t
-    return operator(out)
+    pad = reorder_slots(_with_identity(_factored(w.scale(HALF), (3, 3)), 3),
+                        (0, 1, 4, 2, 3, 5))
+    return _as_operator(pad + _swap_bc(pad))
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +224,7 @@ def _gram_vectors():
 
 
 def _swap_symmetric(m):
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for a2 in range(3):
-                    for b2 in range(3):
-                        for c2 in range(3):
-                            if m.entries[9 * a + 3 * b + c][9 * a2 + 3 * b2 + c2] != \
-                               m.entries[9 * a + 3 * c + b][9 * a2 + 3 * c2 + b2]:
-                                return False
-    return True
+    return _swap_bc(_factored(m, (3, 3, 3))).entries == m.entries
 
 
 def verify_appendix(rng_seed=7):
@@ -299,11 +251,12 @@ def verify_appendix(rng_seed=7):
     w_corner = QuadScalar.of(Fraction(1, 4))
     w_flip = QuadScalar(Fraction(3, 4), Fraction(-1, 2))
     recomposed = corner.scale(w_corner) + build_X(0, 1, 1).scale(w_flip)
-    ok1 = recomposed == y and psd_check_exact(y)
+    y_psd = psd_check_exact(y)
+    ok1 = recomposed == y and y_psd
     claims.append(AppendixClaim("decomposition", ok1, (
         ("weight_corner", str(w_corner)),
         ("weight_flip", str(w_flip)),
-        ("y_psd", str(psd_check_exact(y))))))
+        ("y_psd", str(y_psd)))))
     if not ok1:
         raise AppendixError("decomposition of Y failed")
 
@@ -312,11 +265,11 @@ def verify_appendix(rng_seed=7):
     for v in _gram_vectors():
         t = _vec_outer(v)
         gram = t if gram is None else gram + t
-    ok2 = (_swap_symmetric(gram) and psd_check_exact(gram)
-           and reduce_b_factors(gram) == corner)
+    swap_ok, gram_psd = _swap_symmetric(gram), psd_check_exact(gram)
+    ok2 = swap_ok and gram_psd and reduce_b_factors(gram) == corner
     claims.append(AppendixClaim("gram-extension", ok2, (
-        ("swap_symmetric", str(_swap_symmetric(gram))),
-        ("psd", str(psd_check_exact(gram))),)))
+        ("swap_symmetric", str(swap_ok)),
+        ("psd", str(gram_psd)),)))
     if not ok2:
         raise AppendixError("Gram extension of the corner operator failed")
 
@@ -327,14 +280,8 @@ def verify_appendix(rng_seed=7):
     sigma = _vec_outer(perm_vec)
     reduced = reduce_b_factors(sigma)
     pt = partial_transpose(build_X(0, 1, 1), (3, 3), 1)
-    scale = None
-    for i in range(9):
-        for j in range(9):
-            if pt.entries[i][j] != ZERO:
-                scale = reduced.entries[i][j] / pt.entries[i][j]
-                break
-        if scale is not None:
-            break
+    scale = next((r / p for r, p in zip(reduced.entries, pt.entries) if p != ZERO),
+                 None)
     ok3 = (psd_check_exact(sigma) and _swap_symmetric(sigma)
            and scale is not None and reduced == pt.scale(scale)
            and partial_transpose(partial_transpose(pt, (3, 3), 1), (3, 3), 1) == pt)

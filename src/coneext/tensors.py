@@ -148,40 +148,23 @@ def reorder_slots(t, perm):
     if sorted(perm) != list(range(len(t.slots))):
         raise ValueError("not a permutation")
     slots = tuple(t.slots[p] for p in perm)
-    out = zero_tensor(slots, zero=t.entries[0] * 0)
-    entries = list(out.entries)
-    stride = out._stride
-    for multi in t.multi_indices():
-        # entry at input index multi lands at output index with out[j] = multi[perm[j]]
-        idx = 0
-        for j, p in enumerate(perm):
-            idx += multi[p] * stride[j]
-        entries[idx] = t.entries[t.flat_index(multi)]
+    # input slot perm[j] moves with the stride of output slot j; walking the
+    # input entries in row-major order, each lands at the sum of its offsets
+    moved = [0] * len(perm)
+    for j, st in enumerate(_strides(slots)):
+        moved[perm[j]] = st
+    offsets = itertools.product(*(range(0, s.dim * st, st)
+                                  for s, st in zip(t.slots, moved)))
+    entries = [None] * len(t.entries)
+    for off, e in zip(offsets, t.entries):
+        entries[sum(off)] = e
     return DenseTensor(slots, entries)
 
 
-def permute_slots(t, sigma):
-    """Symmetric-group action: slot j of the output holds the factor that was
-    in slot sigma^-1(j).  All slots must share dimension and variance.
-
-    On pure tensors this is x_1 ox ... ox x_k |-> x_{sigma^-1(1)} ox ... and on
-    entries (U t)[i_1..i_k] = t[i_{sigma(1)}, .., i_{sigma(k)}].
-    """
-    k = len(t.slots)
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(k)):
-        raise ValueError("not a permutation")
-    if len({(s.dim, s.variance) for s in t.slots}) > 1:
-        raise ValueError("permute_slots needs identical slots")
-    inv = [0] * k
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return reorder_slots(t, inv)
-
-
 def symmetric_project(t, slot_indices=None):
-    """Average of permute_slots over the symmetric group on the given slots
-    (all slots by default).  Materialized directly; intended for k <= 8.
+    """Average of reorder_slots over every permutation of the given slots
+    (all slots by default), which must share dimension and variance.
+    Materialized directly; intended for k <= 8.
     """
     k = len(t.slots)
     if slot_indices is None:
@@ -214,10 +197,10 @@ def contract_slot(t, slot_index, f):
     out_slots = t.slots[:slot_index] + t.slots[slot_index + 1:]
     entries = [None] * (len(t.entries) // s.dim)
     stride_out = _strides(out_slots)
-    for multi in t.multi_indices():
+    for multi, e in zip(t.multi_indices(), t.entries):
         rest = multi[:slot_index] + multi[slot_index + 1:]
         idx = sum(j * st for j, st in zip(rest, stride_out))
-        term = t.entries[t.flat_index(multi)] * f.entries[multi[slot_index]]
+        term = e * f.entries[multi[slot_index]]
         entries[idx] = term if entries[idx] is None else entries[idx] + term
     return DenseTensor(out_slots, entries)
 

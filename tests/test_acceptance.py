@@ -7,9 +7,8 @@ import time
 from fractions import Fraction
 
 from coneext.cones import ConeError, dualize, interior_point, is_simplicial, make_cone
-from coneext.fixtures import (CONE_PHIS, EB_LEVELS, POLYTOPE_BUILDERS, based_cone,
-                              fixture_text, orthant_cone, pentagon_cone,
-                              square_based, square_cone, triangle_cone)
+from coneext.fixtures import (EB_LEVELS, based_cone, cone, cone_names,
+                              fixture_text, polytope)
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (apply_reduction, dual_hierarchy_k, ext_k_membership,
                                is_entanglement_breaking, max_tensor_halfspaces,
@@ -43,8 +42,8 @@ def test_criterion_1_square_pair_collapse():
     """Level-2 reduction sends the triple max product of the square cone
     into the pairwise min product, on 200 sampled points."""
     t0 = time.monotonic()
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     assert tuple(based.phi) == (1, 0, 0)
     halfspaces = [_entries(h) for h in max_tensor_halfspaces(sq, sq, sq)]
     sf = [sum(c) for c in zip(*sq.facets)]
@@ -108,7 +107,7 @@ def test_criterion_2_breaking_routes_agree():
     """Combinatorial and LP routes of the breaking decision on the whole
     corpus; any disagreement raises inside the call."""
     checked = 0
-    for name in CONE_PHIS:
+    for name in cone_names():
         based = based_cone(name)
         level = EB_LEVELS[name]
         for k in (1, 2, 3):
@@ -120,15 +119,15 @@ def test_criterion_2_breaking_routes_agree():
             else:
                 assert out.refutation is not None, (name, k)
             checked += 1
-    assert checked == 3 * len(CONE_PHIS)
+    assert checked == 3 * len(cone_names())
     print(f"criterion 2: PASS (both routes agree on {checked} corpus decisions)")
 
 
 def test_criterion_3_gap_points_certified():
     """Shipped gap points: extendible at their level with the extension
     re-verified, yet outside the min product with the witness re-verified."""
-    sq = square_cone()
-    based = square_based(skew=True)
+    sq = cone("square")
+    based = based_cone("square-skew")
     gens = [_entries(g) for g in min_tensor_generators(sq, based.cone)]
     for fname, k in (("gap-k2.pt", 2), ("gap-k3.pt", 3)):
         _, dims, entries = parse_point_file(fixture_text(fname))
@@ -187,8 +186,8 @@ def test_criterion_4_simplicial_collapse():
     inclusion; the square pair keeps a strict gap with a verified witness."""
     rng = random.Random(42)
     cbs = [_random_simplicial(rng, 3) for _ in range(3)]
-    cas = [_random_nonsimplicial_image(rng, square_cone()),
-           _random_nonsimplicial_image(rng, pentagon_cone())]
+    cas = [_random_nonsimplicial_image(rng, cone("square")),
+           _random_nonsimplicial_image(rng, cone("pentagon"))]
     pairs = 0
     for ca in cas:
         for cb in cbs:
@@ -205,7 +204,7 @@ def test_criterion_4_simplicial_collapse():
                 assert all(dot(h, g) >= 0 for h in halfspaces)
             pairs += 1
     assert pairs == 6
-    sq = square_cone()
+    sq = cone("square")
     _, dims, entries = parse_point_file(fixture_text("box.pt"))
     box = point_tensor(sq, sq, entries)
     halfspaces = [_entries(h) for h in max_tensor_halfspaces(sq, sq)]
@@ -236,7 +235,7 @@ def test_criterion_5_hull_commutation_matches_structure():
     passing = ("triangle", "square", "cube", "prism")
     for name in ("triangle", "square", "cube", "prism",
                  "pentagon", "quad", "octahedron"):
-        p = POLYTOPE_BUILDERS[name]()
+        p = polytope(name)
         commutes, witness = affine_hull_commutes(p)
         factorable = isinstance(factor_as_simplices(p), SimplexFactorization)
         structural = is_simple(p) and is_two_level(p)
@@ -253,7 +252,7 @@ def test_criterion_5_hull_commutation_matches_structure():
 
 def test_criterion_6_interior_sides_agree_and_square_flips():
     results = {}
-    for name in CONE_PHIS:
+    for name in cone_names():
         based = based_cone(name)
         for k in (1, 2, 3):
             # raises inside when the two sides disagree
@@ -285,7 +284,7 @@ def test_criterion_7_exact_operator_claims():
     assert QuadScalar.parse(vals["obstruction"]["trace_y_w"]).is_zero()
     assert not psd_check_exact(w)
     padded = sym_identity_extension(w)
-    assert len(padded.entries) == 27
+    assert [s.dim for s in padded.slots] == [27, 27]
     assert psd_check_exact(padded, strict=True)
     assert vals["obstruction"]["pad_strictly_pd"] == "True"
     elapsed = time.monotonic() - t0
@@ -308,10 +307,10 @@ def test_criterion_8_hierarchy_levels():
     """Simplicial pairs finish at level 1; the square pair needs exactly
     two levels on the shipped interior point."""
     rng = random.Random(8)
-    pairs = [(triangle_cone(), based_cone("orthant3")),
-             (orthant_cone(2), based_cone("triangle")),
-             (orthant_cone(3), based_cone("orthant3")),
-             (triangle_cone(), based_cone("triangle"))]
+    pairs = [(cone("triangle"), based_cone("orthant3")),
+             (cone("orthant2"), based_cone("triangle")),
+             (cone("orthant3"), based_cone("orthant3")),
+             (cone("triangle"), based_cone("triangle"))]
     count = 0
     for a, based in pairs:
         gens = [kron(from_vector(ra), from_vector(rb))
@@ -326,8 +325,8 @@ def test_criterion_8_hierarchy_levels():
             _rebuild_hierarchy(a, based.cone, result, x)
             count += 1
     assert count == 20
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     _, dims, entries = parse_point_file(fixture_text("box-interior.pt"))
     x = point_tensor(sq, based.cone, entries)
     result = dual_hierarchy_k(x, sq, based)
@@ -346,16 +345,14 @@ def test_criterion_9_certificate_soundness():
     """Randomized membership queries; every answer re-verified from the raw
     certificate, zero tolerance."""
     rng = random.Random(9)
-    from coneext.fixtures import (cube_cone, octahedron_cone, prism_cone,
-                                  quad_cone)
-    pairs = [(square_cone(), square_cone()),
-             (triangle_cone(), square_cone()),
-             (orthant_cone(2), triangle_cone()),
-             (pentagon_cone(), square_cone()),
-             (square_cone(), quad_cone()),
-             (prism_cone(), square_cone()),
-             (cube_cone(), triangle_cone()),
-             (square_cone(), octahedron_cone())]
+    pairs = [(cone("square"), cone("square")),
+             (cone("triangle"), cone("square")),
+             (cone("orthant2"), cone("triangle")),
+             (cone("pentagon"), cone("square")),
+             (cone("square"), cone("quad")),
+             (cone("prism"), cone("square")),
+             (cone("cube"), cone("triangle")),
+             (cone("square"), cone("octahedron"))]
     tables = []
     for a, b in pairs:
         gens = [_entries(kron(from_vector(ra), from_vector(rb)))

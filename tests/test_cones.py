@@ -7,8 +7,7 @@ import pytest
 
 from coneext.cones import (Cone, ConeError, dualize, interior_point,
                            is_simplicial, make_based, make_cone)
-from coneext.fixtures import (CONE_BUILDERS, CONE_PHIS, based_cone,
-                              pentagon_cone, square_cone)
+from coneext.fixtures import based_cone, cone, cone_names
 from coneext.linalg import dot, greedy_independent, rank
 from coneext.lp import conic_membership
 
@@ -19,7 +18,7 @@ def test_redundant_generator_dropped():
 
 
 def test_square_cone_rays_and_facets():
-    c = square_cone()
+    c = cone("square")
     assert set(c.rays) == {(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)}
     assert set(c.facets) == {(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)}
 
@@ -43,14 +42,14 @@ def test_orthant_self_dual():
 
 
 def test_dualize_square():
-    d = dualize(square_cone())
+    d = dualize(cone("square"))
     assert set(d.rays) == {(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)}
-    assert set(d.facets) == set(square_cone().rays)
+    assert set(d.facets) == set(cone("square").rays)
 
 
 def test_dualize_involution_on_corpus():
-    for name, build in CONE_BUILDERS.items():
-        c = build()
+    for name in cone_names():
+        c = cone(name)
         assert dualize(dualize(c)) == c
 
 
@@ -72,8 +71,8 @@ def test_dualize_involution_on_random_cones():
 def test_double_description_certificate_externally():
     """Incidence pattern: facet values vanish exactly on incident pairs, and
     every ray is pinned by a rank n-1 set of tight facets."""
-    for name, build in CONE_BUILDERS.items():
-        c = build()
+    for name in cone_names():
+        c = cone(name)
         for r in c.rays:
             tight = [f for f in c.facets if dot(f, r) == 0]
             assert all(dot(f, r) > 0 for f in c.facets if f not in tight)
@@ -87,7 +86,7 @@ def test_membership_agrees_between_descriptions():
     """Facet evaluation and the ray-combination LP define the same set."""
     rng = random.Random(37)
     for name in ("square", "pentagon", "orthant3", "cube"):
-        c = CONE_BUILDERS[name]()
+        c = cone(name)
         for _ in range(25):
             if rng.random() < 0.5:
                 pt = [Fraction(0)] * c.dim
@@ -115,17 +114,17 @@ def test_is_simplicial_table():
         "quad": False,
     }
     for name, want in expected.items():
-        assert is_simplicial(CONE_BUILDERS[name]()) == want
+        assert is_simplicial(cone(name)) == want
 
 
 def test_interior_point_is_ray_sum_and_strictly_inside():
     c2 = make_cone([(1, 0), (0, 1)])
     assert interior_point(c2) == (1, 1)
-    sq = square_cone()
+    sq = cone("square")
     assert interior_point(sq) == (4, 0, 0)
     assert interior_point(dualize(sq)) == (4, 0, 0)
-    for name, build in CONE_BUILDERS.items():
-        c = build()
+    for name in cone_names():
+        c = cone(name)
         p = interior_point(c)
         assert c.strictly_contains(p)
 
@@ -138,11 +137,11 @@ def test_make_based_square():
 
 def test_make_based_rejects_boundary_phi():
     with pytest.raises(ConeError):
-        make_based(square_cone(), (0, 1, 0))
+        make_based(cone("square"), (0, 1, 0))
     with pytest.raises(ConeError):
-        make_based(square_cone(), (1, 1, 0))  # vanishes on the ray (1,-1,0)
+        make_based(cone("square"), (1, 1, 0))  # vanishes on the ray (1,-1,0)
     with pytest.raises(ConeError):
-        make_based(square_cone(), (1, 0))
+        make_based(cone("square"), (1, 0))
 
 
 def test_skewed_base_is_not_a_parallelogram():
@@ -162,7 +161,7 @@ def test_skewed_base_is_not_a_parallelogram():
 
 
 def test_reconing_base_recovers_rays():
-    for name in CONE_PHIS:
+    for name in cone_names():
         b = based_cone(name)
         again = make_cone(list(b.base.vertices))
         assert again.rays == b.cone.rays
@@ -170,7 +169,7 @@ def test_reconing_base_recovers_rays():
 
 def test_base_vertices_biject_with_rays():
     rng = random.Random(53)
-    for name in CONE_PHIS:
+    for name in cone_names():
         b = based_cone(name)
         assert len(b.base.vertices) == len(b.cone.rays)
         for v in b.base.vertices:
@@ -178,6 +177,6 @@ def test_base_vertices_biject_with_rays():
 
 
 def test_pentagon_facet_count():
-    c = pentagon_cone()
+    c = cone("pentagon")
     assert len(c.rays) == 5
     assert len(c.facets) == 5

@@ -13,7 +13,9 @@ import pytest
 
 import coneext
 from coneext.cli import main
-from coneext.fixtures import fixture_path, fixture_text, list_fixtures
+from coneext.fixtures import (EB_LEVELS, FACTORABLE, UNFACTORABLE, cone_names,
+                              fixture_path, fixture_text, list_fixtures,
+                              polytope_names)
 from coneext.formats import (ParseError, parse_cone_file, parse_point_file,
                              parse_polytope_file, serialize_cone_file,
                              serialize_point_file, serialize_polytope_file)
@@ -34,6 +36,15 @@ def test_every_shipped_fixture_round_trips():
             assert fn.endswith(".pt")
             name, dims, entries = parse_point_file(text)
             assert serialize_point_file(name, dims, entries) == text
+
+
+def test_corpus_names_come_from_the_files():
+    for name in cone_names():
+        assert parse_cone_file(fixture_text(f"{name}.cone"))[0] == name
+    for name in polytope_names():
+        assert parse_polytope_file(fixture_text(f"{name}.poly"))[0] == name
+    assert set(EB_LEVELS) == set(cone_names())
+    assert sorted(FACTORABLE + UNFACTORABLE) == sorted(polytope_names())
 
 
 def test_cone_parse_reports_line_numbers():
@@ -334,6 +345,29 @@ def test_ext_check_under_python_O_is_unchanged():
     code, out, _ = _run(args)
     assert (run.returncode, run.stdout) == (code, out.encode())
     assert (code, _sha256(out)) == EXT_CHECK_PINS["gap-k2", "square-skew", 3]
+
+
+# sha256 of quantum-demo's stdout and its exit code, captured from the
+# hand-indexed operator maps that preceded the tensor-slot versions.
+QUANTUM_DEMO_PINS = {
+    "text": (0, "1cb8dacf3afbf78f10018b7eb11e9cf232cc47450936eb47e7b259ba4d380602"),
+    "json-lines": (0, "b443cbbb041bd7a4bbbb668d6bea4874ec76d8ba96ab3d97d78e14dd1a135a08"),
+}
+
+
+@pytest.mark.parametrize("report", list(QUANTUM_DEMO_PINS))
+def test_quantum_demo_output_is_pinned(report):
+    code, out, _ = _run(["quantum-demo", "--report", report])
+    assert (code, _sha256(out)) == QUANTUM_DEMO_PINS[report]
+
+
+def test_quantum_demo_under_python_O_is_unchanged():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coneext.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-m", "coneext.cli", "quantum-demo"],
+                         capture_output=True, env=env, timeout=60)
+    assert (run.returncode, _sha256(run.stdout.decode())) == QUANTUM_DEMO_PINS["text"]
 
 
 @pytest.mark.parametrize("cone,k", list(EB_CHECK_PINS))

@@ -15,9 +15,7 @@ import pytest
 import coneext
 import coneext.hierarchy as hierarchy
 from coneext.cones import make_based, make_cone
-from coneext.fixtures import (CONE_PHIS, EB_LEVELS, based_cone, fixture_text,
-                              orthant_cone, square_based, square_cone,
-                              triangle_cone)
+from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                _arrangements, _check_extension, _dual_columns,
@@ -57,15 +55,15 @@ def _affine_base_point(rng, based):
 # -- generator and half-space counts ----------------------------------------
 
 def test_product_description_counts():
-    sq = square_cone()
+    sq = cone("square")
     assert len(min_tensor_generators(sq, sq)) == 16
     assert len(max_tensor_halfspaces(sq, sq, sq)) == 64
-    tri = triangle_cone()
+    tri = cone("triangle")
     assert len(min_tensor_generators(tri, sq, sq)) == 48
 
 
 def test_pure_tensor_is_min_member():
-    sq = square_cone()
+    sq = cone("square")
     gens = [g.entries for g in min_tensor_generators(sq, sq)]
     target = kron(from_vector((1, 1, 0)), from_vector((1, 0, 1)))
     assert conic_membership(target.entries, gens).member
@@ -85,9 +83,9 @@ def test_level_one_reduction_is_identity():
 
 def test_apply_reduction_level_one_is_identity():
     rng = random.Random(3)
-    sq = square_cone()
+    sq = cone("square")
     x = point_tensor(sq, sq, [rng.randint(-4, 4) for _ in range(9)])
-    assert apply_reduction(x, square_based(), 1) == x
+    assert apply_reduction(x, based_cone("square"), 1) == x
 
 
 def test_defining_identity_on_base_points():
@@ -109,7 +107,7 @@ def test_defining_identity_on_base_points():
 
 def test_square_level_two_averages_base_points():
     rng = random.Random(31)
-    based = square_based()
+    based = based_cone("square")
     gamma = reduction_map(based, 2).tensor
     for _ in range(20):
         u = _affine_base_point(rng, based)
@@ -121,7 +119,7 @@ def test_square_level_two_averages_base_points():
 
 def test_apply_reduction_keeps_the_a_factor():
     rng = random.Random(33)
-    based = square_based()
+    based = based_cone("square")
     for _ in range(10):
         a = tuple(rng.randint(-3, 3) for _ in range(3))
         u = _affine_base_point(rng, based)
@@ -134,7 +132,7 @@ def test_apply_reduction_keeps_the_a_factor():
 def test_square_level_two_four_term_expansion():
     """The doubled level-2 tensor decomposes over vertex and avoided-facet
     pairs of the square with half-integer dual vectors."""
-    based = square_based()
+    based = based_cone("square")
     h = Fraction(1, 2)
     psi_pp = (h, h, h)
     psi_pm = (h, h, -h)
@@ -168,8 +166,8 @@ def _in_max(x, a_cone, based, k):
 
 def test_level_one_equals_max_product():
     rng = random.Random(37)
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     box = _load_point("box.pt", sq, sq)
     seen = {True: 0, False: 0}
     for trial in range(60):
@@ -193,8 +191,8 @@ def test_level_one_equals_max_product():
 
 
 def test_box_point_splits_max_from_min():
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     box = _load_point("box.pt", sq, sq)
     assert _in_max(box, sq, based, 1)
     gens = [g.entries for g in min_tensor_generators(sq, sq)]
@@ -205,8 +203,8 @@ def test_box_point_splits_max_from_min():
 
 
 def test_box_point_rejected_at_level_two_with_witness():
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     box = _load_point("box.pt", sq, sq)
     verdict = ext_k_membership(box, sq, based, 2)
     assert not verdict.member
@@ -219,8 +217,8 @@ def test_box_point_rejected_at_level_two_with_witness():
 def test_member_extension_certificate_chain():
     """A returned level-2 extension contracts back to the query point and a
     level-3 extension contracts to a valid level-2 extension."""
-    sq = square_cone()
-    skew = square_based(skew=True)
+    sq = cone("square")
+    skew = based_cone("square-skew")
     phi = from_vector(skew.phi, DUAL)
     gap2 = _load_point("gap-k2.pt", sq, sq)
     v2 = ext_k_membership(gap2, sq, skew, 2)
@@ -242,8 +240,8 @@ def test_member_extension_certificate_chain():
 
 def test_min_points_pass_every_level():
     rng = random.Random(41)
-    sq = square_cone()
-    skew = square_based(skew=True)
+    sq = cone("square")
+    skew = based_cone("square-skew")
     gens = min_tensor_generators(sq, sq)
     for k in (1, 2, 3):
         for _ in range(2 if k < 3 else 1):
@@ -256,13 +254,13 @@ def test_min_points_pass_every_level():
 
 
 def test_ext_membership_input_checks():
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     x = point_tensor(sq, sq, range(9))
     with pytest.raises(ValueError):
         ext_k_membership(x, sq, based, 0)
     with pytest.raises(ValueError):
-        ext_k_membership(x, orthant_cone(2), based, 1)
+        ext_k_membership(x, cone("orthant2"), based, 1)
 
 
 # -- the LPs behind level-k membership, and tampered certificates ---------
@@ -440,7 +438,7 @@ def test_eb_table_matches_factor_structure():
 
 
 def test_eb_square_decomposition_resums():
-    based = square_based()
+    based = based_cone("square")
     out = is_entanglement_breaking(based, 2)
     assert out.breaking
     assert len(out.terms) == 4
@@ -457,7 +455,7 @@ def test_eb_square_decomposition_resums():
 
 
 def test_eb_refutation_separates():
-    skew = square_based(skew=True)
+    skew = based_cone("square-skew")
     out = is_entanglement_breaking(skew, 2)
     assert not out.breaking
     assert out.refutation is not None
@@ -470,8 +468,8 @@ def _ordered_count(based, k):
 
 
 def test_admissible_tuple_counts():
-    assert _ordered_count(square_based(), 2) == 8
-    assert _ordered_count(square_based(), 1) == 0
+    assert _ordered_count(based_cone("square"), 2) == 8
+    assert _ordered_count(based_cone("square"), 1) == 0
     assert _ordered_count(based_cone("triangle"), 1) == 3
     assert _ordered_count(based_cone("pentagon"), 2) == 0
 
@@ -494,7 +492,7 @@ def test_admissible_tuples_cover_avoiding_sets():
 # -- the vertex-facet tensor ------------------------------------------------
 
 def test_vertex_facet_tensor_annihilates_reduction():
-    for name in CONE_PHIS:
+    for name in cone_names():
         based = based_cone(name)
         for k in (1, 2, 3):
             omega = vertex_facet_tensor(based, k)
@@ -542,7 +540,7 @@ def test_omega_interior_flip_table():
 
 def test_dual_hierarchy_simplicial_pair_is_level_one():
     rng = random.Random(47)
-    a = orthant_cone(2)
+    a = cone("orthant2")
     based = based_cone("orthant3")
     for _ in range(5):
         entries = [Fraction(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(6)]
@@ -552,8 +550,8 @@ def test_dual_hierarchy_simplicial_pair_is_level_one():
 
 
 def test_dual_hierarchy_square_pair_needs_level_two():
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     x = _load_point("box-interior.pt", sq, sq)
     res = dual_hierarchy_k(x, sq, based)
     assert res is not None
@@ -575,8 +573,8 @@ def test_dual_hierarchy_square_pair_needs_level_two():
 
 
 def test_dual_hierarchy_requires_interior_point():
-    sq = square_cone()
-    based = square_based()
+    sq = cone("square")
+    based = based_cone("square")
     box = _load_point("box.pt", sq, sq)
     with pytest.raises(ValueError):
         dual_hierarchy_k(box, sq, based)
@@ -584,7 +582,7 @@ def test_dual_hierarchy_requires_interior_point():
 
 # -- symmetric-power coordinates against the dense definitions --------------
 
-CLOSED_FORM_PAIRS = [(a, b) for a in ("square", "triangle") for b in CONE_PHIS]
+CLOSED_FORM_PAIRS = [(a, b) for a in ("square", "triangle") for b in cone_names()]
 
 
 def _sorted_reps(n, k):
@@ -624,7 +622,7 @@ def test_ext_k_rows_match_dense_pairing(a_name, b_name):
                       for i in range(nA) for j in range(nB)]
 
 
-@pytest.mark.parametrize("name", list(CONE_PHIS))
+@pytest.mark.parametrize("name", cone_names())
 def test_eb_columns_match_dense_tensors(name):
     """Gamma against the dense reduction tensor, and the generator of every
     facet multiset (paired with the vertices in turn) against the dense

@@ -5,8 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from coneext.fixtures import (FACTORABLE, POLYTOPE_BUILDERS, UNFACTORABLE,
-                              pentagon_polytope, square_polytope)
+from coneext.fixtures import FACTORABLE, UNFACTORABLE, polytope, polytope_names
 from coneext.linalg import affine_rank, dot, nullspace, solve
 from coneext.polytopes import (FactorFailure, SimplexFactorization,
                                affine_hull_commutes, factor_as_simplices,
@@ -21,8 +20,8 @@ EXPECTED_DIMS = {
 
 
 def test_corpus_verdicts_and_oracle_triangle():
-    for name, build in POLYTOPE_BUILDERS.items():
-        p = build()
+    for name in polytope_names():
+        p = polytope(name)
         simple = is_simple(p)
         two_level = is_two_level(p)
         commutes, witness = affine_hull_commutes(p)
@@ -40,14 +39,14 @@ def test_corpus_verdicts_and_oracle_triangle():
 
 
 def test_octahedron_is_not_simple():
-    p = POLYTOPE_BUILDERS["octahedron"]()
+    p = polytope("octahedron")
     assert all(len(inc) == 4 for inc in p.incidence)
     assert p.dim == 3
     assert not is_simple(p)
 
 
 def test_pentagon_not_two_level():
-    p = pentagon_polytope()
+    p = polytope("pentagon")
     assert is_simple(p)
     # some edge functional takes two distinct nonzero values on the
     # three vertices off that edge
@@ -75,7 +74,7 @@ def _reconstruct_incidence(p, fact):
 
 def test_factorization_invariants_on_corpus():
     for name in FACTORABLE:
-        p = POLYTOPE_BUILDERS[name]()
+        p = polytope(name)
         f = factor_as_simplices(p)
         nverts = 1
         for d in f.factor_dims:
@@ -136,7 +135,7 @@ def test_random_simplex_products_factor_back():
 def test_hull_commutation_is_affine_invariant():
     rng = random.Random(311)
     for name in ("pentagon", "quad", "square", "prism"):
-        base = POLYTOPE_BUILDERS[name]()
+        base = polytope(name)
         want, _ = affine_hull_commutes(base)
         for _ in range(3):
             mapped = polytope_from_vertices(_random_affine_image(rng, list(base.vertices)))
@@ -160,14 +159,14 @@ def _recheck_witness(p, subset):
 
 def test_failure_witnesses_recheck():
     for name in UNFACTORABLE:
-        p = POLYTOPE_BUILDERS[name]()
+        p = polytope(name)
         commutes, witness = affine_hull_commutes(p)
         assert not commutes
         assert _recheck_witness(p, sorted(witness)), name
 
 
 def test_pentagon_witness_is_two_disjoint_edges():
-    p = pentagon_polytope()
+    p = polytope("pentagon")
     _, witness = affine_hull_commutes(p)
     assert len(witness) == 2
     assert p.face_from_facets(witness) == ()
@@ -180,7 +179,7 @@ def test_pentagon_witness_is_two_disjoint_edges():
 
 
 def test_avoiding_sets_on_square():
-    p = square_polytope()
+    p = polytope("square")
     for i, v in enumerate(p.vertices):
         av = p.avoiding_set(i)
         assert len(av) == 2
@@ -200,7 +199,7 @@ def test_square_pyramid_apex():
 
 
 def test_face_from_facets_on_cube():
-    p = POLYTOPE_BUILDERS["cube"]()
+    p = polytope("cube")
     pairs = itertools.combinations(range(len(p.functionals)), 2)
     sizes = sorted(len(p.face_from_facets(s)) for s in pairs)
     # 12 edges from adjacent pairs, 3 empty faces from opposite pairs
@@ -208,14 +207,14 @@ def test_face_from_facets_on_cube():
 
 
 def test_face_from_facets_on_square():
-    p = square_polytope()
+    p = polytope("square")
     for j in range(len(p.functionals)):
         assert len(p.face_from_facets([j])) == 2
 
 
 def test_vertex_order_does_not_matter():
     rng = random.Random(41)
-    verts = list(POLYTOPE_BUILDERS["prism"]().vertices)
+    verts = list(polytope("prism").vertices)
     for _ in range(3):
         shuffled = verts[:]
         rng.shuffle(shuffled)

@@ -1,14 +1,15 @@
 """Exact operator checks over Q(sqrt2): the X family, partial transposes,
 reductions, and the four verified claims of the demo report."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coneext.quantum import (ETA, ONE, ZERO, AppendixError, ExactOperator,
-                             build_X, identity_operator, kron_operator,
+from coneext.quantum import (ETA, ONE, ZERO, AppendixError, build_X,
+                             identity_operator, kron_operator,
                              operator, partial_transpose, psd_check_exact,
                              reduce_b_factors, sym_identity_extension,
                              trace_product, verify_appendix)
@@ -26,14 +27,20 @@ def _random_symmetric(rng, n, span=3):
     return operator(rows)
 
 
+def _random_operator(rng, n, span=3):
+    return operator([[QuadScalar(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
+                                 Fraction(rng.randint(-span, span), rng.randint(1, 2)))
+                      for _ in range(n)] for _ in range(n)])
+
+
 def _mat_mul(x, y):
-    n = x.dim
+    n = x.slots[0].dim
     return operator([[sum((x[(i, l)] * y[(l, j)] for l in range(n)), ZERO)
                       for j in range(n)] for i in range(n)])
 
 
 def _gram(m):
-    n = m.dim
+    n = m.slots[0].dim
     return operator([[sum((m[(l, i)] * m[(l, j)] for l in range(n)), ZERO)
                       for j in range(n)] for i in range(n)])
 
@@ -47,7 +54,7 @@ def test_eta_value():
 def test_build_x_explicit_matrix():
     gamma = QuadScalar(1, 2)  # 1 + 2 sqrt2
     x = build_X(QuadScalar(4), ONE, gamma)
-    assert x.dim == 9
+    assert x.slots[0].dim == 9
     corners = {0, 4, 8}  # the |ii> slots
     for i in range(9):
         for j in range(9):
@@ -192,6 +199,51 @@ def test_sym_extension_is_swap_symmetric():
     for i in range(27):
         for j in range(27):
             assert ext[(i, j)] == ext[(swap(i), swap(j))]
+
+
+# sha256 of the str of every entry (row-major, one per line), captured from
+# the hand-indexed maps that preceded the tensor-slot versions.
+MAP_PINS = {
+    "reduce_b_factors": "c8884dfa8d377ad32769de0757ecbb908bcb28c3f489cb85720caf3dd7dfce40",
+    "sym_identity_extension": "dbfb5df22b41d539bfd63e5b9e5e007f24b48fc47de1d49d6005521ca1ddd92a",
+    "partial_transpose 3x3 0": "e24e83fb9b9c929fb25b55a0edf5f2472c87bc891a7ddc8ca85a69f36595e82b",
+    "partial_transpose 3x3 1": "4863547264d2c09e142bae186c5cea744da03f6410d90be6ebba570dfa824037",
+    "partial_transpose 2x3 0": "d076cb8cd74a398db83448990d7b64b6b34ad6be8c1c5bd43581d35c4f79823d",
+    "partial_transpose 2x3 1": "e3916c5eb002bed867698f3a0551a9ed6863b6f9eefbc0b5b958a2e22b0647a9",
+    "kron_operator": "ad15371538cd54c203f59ea3364a7f0f6661c988000c9fd3cbe0709de47a55e9",
+}
+
+
+def test_operator_maps_are_pinned():
+    """The partial transposes and kron run on non-symmetric inputs: on a
+    symmetric one the two factors' partial transposes coincide."""
+    rng = random.Random(29)
+    out = {
+        "reduce_b_factors": reduce_b_factors(_random_symmetric(rng, 27)),
+        "sym_identity_extension": sym_identity_extension(_random_symmetric(rng, 9)),
+    }
+    for dims in ((3, 3), (2, 3)):
+        m = _random_operator(rng, dims[0] * dims[1])
+        for which in (0, 1):
+            out[f"partial_transpose {dims[0]}x{dims[1]} {which}"] = \
+                partial_transpose(m, dims, which)
+    out["kron_operator"] = kron_operator(_random_operator(rng, 2), _random_operator(rng, 3))
+    digests = {label: hashlib.sha256("\n".join(str(e) for e in m.entries).encode()).hexdigest()
+               for label, m in out.items()}
+    assert digests == MAP_PINS
+
+
+def test_operator_map_shape_checks():
+    with pytest.raises(ValueError):
+        reduce_b_factors(identity_operator(9))
+    with pytest.raises(ValueError):
+        sym_identity_extension(identity_operator(27))
+    with pytest.raises(ValueError):
+        partial_transpose(identity_operator(6), (3, 3), 0)
+    with pytest.raises(ValueError):
+        partial_transpose(identity_operator(9), (3, 3), 2)
+    with pytest.raises(ValueError):
+        trace_product(identity_operator(3), identity_operator(4))
 
 
 def test_report_passes_all_claims():

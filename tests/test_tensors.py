@@ -10,7 +10,7 @@ import pytest
 from coneext.linalg import rank
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
-                             permute_slots, sym_basis, symmetric_project,
+                             reorder_slots, sym_basis, symmetric_project,
                              zero_tensor)
 
 
@@ -26,16 +26,25 @@ def _compose(sigma, tau):
     return tuple(sigma[tau[i]] for i in range(len(sigma)))
 
 
+def _permute(t, sigma):
+    """Symmetric-group action: slot j of the output holds the factor that was
+    in slot sigma^-1(j), i.e. reorder_slots by the inverse permutation."""
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return reorder_slots(t, inv)
+
+
 def test_identity_permutation_fixes_everything():
     rng = random.Random(2)
     t = _random_tensor(rng, 3, 2)
-    assert permute_slots(t, (0, 1, 2)) == t
+    assert _permute(t, (0, 1, 2)) == t
 
 
 def test_transposition_on_pure_tensor():
     e1 = basis_vector(2, 0)
     e2 = basis_vector(2, 1)
-    swapped = permute_slots(kron(e1, e2), (1, 0))
+    swapped = _permute(kron(e1, e2), (1, 0))
     assert swapped == kron(e2, e1)
 
 
@@ -46,14 +55,15 @@ def test_permutation_action_composes():
         t = _random_tensor(rng, k, 2)
         sigma = tuple(rng.sample(range(k), k))
         tau = tuple(rng.sample(range(k), k))
-        lhs = permute_slots(permute_slots(t, tau), sigma)
-        assert lhs == permute_slots(t, _compose(sigma, tau))
+        lhs = _permute(_permute(t, tau), sigma)
+        assert lhs == _permute(t, _compose(sigma, tau))
 
 
-def test_permutation_needs_matching_slots():
+def test_reorder_needs_a_permutation():
     t = kron(basis_vector(2, 0), basis_vector(3, 0))
+    assert reorder_slots(t, (1, 0)) == kron(basis_vector(3, 0), basis_vector(2, 0))
     with pytest.raises(ValueError):
-        permute_slots(t, (1, 0))
+        reorder_slots(t, (0, 0))
 
 
 def test_symmetric_tensors_are_permutation_fixed():
@@ -62,7 +72,7 @@ def test_symmetric_tensors_are_permutation_fixed():
         k = rng.choice((2, 3))
         s = symmetric_project(_random_tensor(rng, k, 3))
         for sigma in itertools.permutations(range(k)):
-            assert permute_slots(s, sigma) == s
+            assert _permute(s, sigma) == s
 
 
 def test_projection_idempotent_up_to_k4():

@@ -1,11 +1,13 @@
-"""Regenerate the shipped fixture files under src/coneext/fixtures/.
+"""Regenerate the shipped point files under src/coneext/fixtures/.
 
-Deterministic: cones and polytopes come from the fixture builders, the gap
-points from a seeded boundary search.  The gap points are found by shooting
-a ray from a product interior point along a random direction, maximizing
-the step length subject to level-k membership of the skewed square pair;
-the optimum lands on the boundary of the level-k cone and is kept when it
-lies outside the minimal tensor product (re-sampled otherwise).
+The cone and polytope files there are the source of the corpus and are not
+written here.  Deterministic: the two box points are fixed, the gap points
+come from a seeded boundary search on the shipped square and square-skew
+cones.  A gap point is found by shooting a ray from a product interior
+point along a random direction, maximizing the step length subject to
+level-k membership of the skewed square pair; the optimum lands on the
+boundary of the level-k cone and is kept when it lies outside the minimal
+tensor product (re-sampled otherwise).
 
 Run from the repository root:  python3 tools/make_fixtures.py
 """
@@ -18,10 +20,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coneext.cones import interior_point
-from coneext.fixtures import (CONE_BUILDERS, CONE_PHIS, POLYTOPE_BUILDERS,
-                              based_cone, square_cone)
-from coneext.formats import (serialize_cone_file, serialize_point_file,
-                             serialize_polytope_file)
+from coneext.fixtures import based_cone, cone
+from coneext.formats import serialize_point_file
 from coneext.hierarchy import (_ext_k_rows, ext_k_membership,
                                min_tensor_generators, point_tensor)
 from coneext.lp import FEASIBLE, LpProblem, conic_membership, solve
@@ -54,7 +54,7 @@ def shoot_boundary(a_cone, based, k, x0, d):
 
 
 def find_gap_point(k, rng):
-    sq = square_cone()
+    sq = cone("square")
     based = based_cone("square-skew")
     s = interior_point(sq)
     x0 = tuple(Fraction(a) * Fraction(b) for a in s for b in s)
@@ -71,22 +71,12 @@ def find_gap_point(k, rng):
             continue
         # confirm the certificates the acceptance checks will re-derive
         x = point_tensor(sq, sq, entries)
-        assert ext_k_membership(x, sq, based, k).member
+        if not ext_k_membership(x, sq, based, k).member:
+            raise RuntimeError(f"boundary point is not in the level-{k} cone")
         return entries
 
 
 def main():
-    OUT.mkdir(exist_ok=True)
-    for name, build in CONE_BUILDERS.items():
-        cone = build()
-        write(f"{name}.cone",
-              serialize_cone_file(name, cone.rays, CONE_PHIS[name]))
-    sq = square_cone()
-    write("square-skew.cone",
-          serialize_cone_file("square-skew", sq.rays, CONE_PHIS["square-skew"]))
-    for name, build in POLYTOPE_BUILDERS.items():
-        write(f"{name}.poly", serialize_polytope_file(name, build().vertices))
-
     write("box.pt", serialize_point_file(
         "box", (3, 3), [Fraction(v) for v in (2, 0, 0, 0, 1, 1, 0, 1, -1)]))
     write("box-interior.pt", serialize_point_file(

@@ -27,7 +27,8 @@ from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                reduction_map, vertex_facet_tensor,
                                omega_interior_test)
 from coneext.linalg import dot
-from coneext.lp import INFEASIBLE, LpOutcome, conic_membership, solve
+from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
+                        conic_membership, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
                              sym_basis, symmetric_project)
@@ -461,6 +462,73 @@ def test_eb_refutation_separates():
     assert out.refutation is not None
 
 
+def _tamper_weights(monkeypatch, tamper):
+    """Make the hierarchy see the weights of every member outcome of
+    ``conic_membership`` changed by ``tamper(weights, h, h_zero)``, where h is
+    the first nonzero and h_zero the first zero weight."""
+    def tampered(target, generators):
+        out = conic_membership(target, generators)
+        if not out.member:
+            return out
+        weights = list(out.weights)
+        h = next(i for i, w in enumerate(weights) if w)
+        h_zero = next(i for i, w in enumerate(weights) if not w)
+        tamper(weights, h, h_zero)
+        return ConicOutcome(member=True, weights=tuple(weights))
+
+    monkeypatch.setattr(hierarchy, "conic_membership", tampered)
+
+
+# breaking decompositions with zero weights, so that a weight can move
+EB_TAMPER_CASES = [("square", 3), ("prism", 3)]
+
+
+@pytest.mark.parametrize("name,k", EB_TAMPER_CASES)
+def test_eb_resum_accepts_the_true_weights(monkeypatch, name, k):
+    _tamper_weights(monkeypatch, lambda weights, h, h_zero: None)
+    assert is_entanglement_breaking(based_cone(name), k).breaking
+
+
+@pytest.mark.parametrize("tamper", [_scale, _move, _negate])
+@pytest.mark.parametrize("name,k", EB_TAMPER_CASES)
+def test_eb_resum_rejects_tampered_weights(monkeypatch, name, k, tamper):
+    _tamper_weights(monkeypatch, tamper)
+    with pytest.raises(AssertionError):
+        is_entanglement_breaking(based_cone(name), k)
+
+
+def test_eb_check_survives_python_O():
+    """The breaking re-sum raises under ``python -O``, which strips
+    ``assert`` statements."""
+    code = textwrap.dedent("""
+        import sys
+        from coneext import hierarchy, lp
+        from coneext.fixtures import based_cone
+        if __debug__:
+            sys.exit("not running under -O")
+
+        def tampered(target, generators):
+            out = lp.conic_membership(target, generators)
+            weights = list(out.weights)
+            h = next(i for i, w in enumerate(weights) if w)
+            weights[h] *= 2
+            return lp.ConicOutcome(member=True, weights=tuple(weights))
+
+        hierarchy.conic_membership = tampered
+        try:
+            hierarchy.is_entanglement_breaking(based_cone("square"), 2)
+        except AssertionError:
+            sys.exit(0)
+        sys.exit("breaking verdict returned without the re-sum check")
+    """)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coneext.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
 def _ordered_count(based, k):
     """Ordered admissible facet k-tuples: the arrangements of each
     admissible multiset."""
@@ -578,6 +646,22 @@ def test_dual_hierarchy_requires_interior_point():
     box = _load_point("box.pt", sq, sq)
     with pytest.raises(ValueError):
         dual_hierarchy_k(box, sq, based)
+
+
+def test_dual_hierarchy_resum_accepts_the_true_weights(monkeypatch):
+    _tamper_weights(monkeypatch, lambda weights, h, h_zero: None)
+    sq = cone("square")
+    x = _load_point("box-interior.pt", sq, sq)
+    assert dual_hierarchy_k(x, sq, based_cone("square")).k == 2
+
+
+@pytest.mark.parametrize("tamper", [_scale, _move, _negate])
+def test_dual_hierarchy_resum_rejects_tampered_weights(monkeypatch, tamper):
+    _tamper_weights(monkeypatch, tamper)
+    sq = cone("square")
+    x = _load_point("box-interior.pt", sq, sq)
+    with pytest.raises(AssertionError):
+        dual_hierarchy_k(x, sq, based_cone("square"))
 
 
 # -- symmetric-power coordinates against the dense definitions --------------

@@ -24,8 +24,12 @@ of ``sym_basis``.  Two exact closed forms replace dense n^k tensor work:
 * the reduction of the symmetric basis element s_m, read at j, is
   (m_j / k) phi^(m - e_j), zero when j is not in m; that is (1/k) grad p(phi).
 
-The certificate re-checks stay on the dense tensors and share no code with
-these formulas.
+The re-checks of a refutation, of a breaking decomposition and of a dual
+hierarchy decomposition read a symmetric k-tensor S as its degree-k form
+t -> S(t, .., t) and compare forms by exact evaluation on the principal
+lattice {t in N^n : |t| = k}, where they are determined.  They never read a
+coefficient of a form, so they share no code with these formulas.  An
+extension is re-checked on its dense tensor.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from math import factorial
 from .cones import BasedCone, Cone, interior_point
 from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
                  conic_membership, solve)
-from .linalg import dot, primitive, vec
+from .linalg import dot, primitive
 from .polytopes import FactorFailure, SimplexFactorization, factor_as_simplices
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                       from_vector, kron, pairing, reorder_slots,
@@ -47,7 +51,8 @@ from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
 
 
 class ConsistencyError(AssertionError):
-    """Two independent decision routes disagreed; a bug, raised loudly."""
+    """A certificate failed its exact re-check, or two independent decision
+    routes disagreed; a bug, raised loudly."""
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +178,50 @@ def _reduced_monomial(m, j, phi):
 
 
 # ---------------------------------------------------------------------------
+# exact evaluation on the principal lattice
+
+def _lattice(n, k):
+    """The principal lattice {t in N^n : |t| = k}: C(n+k-1, k) points.
+
+    The points are unisolvent for homogeneous forms of degree k in n
+    variables (Nicolaides, SIAM J. Numer. Anal. 9, 1972; Chung and Yao,
+    SIAM J. Numer. Anal. 14, 1977): such a form that vanishes at every point
+    is zero.  A symmetric k-tensor S is the form t -> S(t, .., t), and
+    Sym(v_1 ox .. ox v_k) is the form prod_s <v_s, t>, so two symmetric
+    tensors are equal exactly when their forms agree at every point.
+    """
+    if n == 1:
+        yield (k,)
+        return
+    for first in range(k, -1, -1):
+        for rest in _lattice(n - 1, k - first):
+            yield (first,) + rest
+
+
+def _forms_agree(terms, vectors, rows, pad, k):
+    """Whether, for every o, sum over terms (coefs, idx) of
+    coefs[o] prod_(j in idx) <vectors[j], t> equals <rows[o], t> <pad, t>^(k-1)
+    at every point t of the principal lattice.  Each linear form is
+    evaluated at the points once, before the loop over terms."""
+    points = list(_lattice(len(pad), k))
+
+    def values(v):
+        return [sum(a * b for a, b in zip(v, t) if b) for t in points]
+
+    forms = [values(v) for v in vectors]
+    pad_pow = [p ** (k - 1) for p in values(pad)]
+    total = [[0] * len(points) for _ in rows]
+    for coefs, idx in terms:
+        prod = [1] * len(points)
+        for j in idx:
+            prod = [p * f for p, f in zip(prod, forms[j])]
+        for row, c in zip(total, coefs, strict=True):
+            if c:
+                row[:] = [r + c * p for r, p in zip(row, prod)]
+    return total == [[r * p for r, p in zip(values(row), pad_pow)] for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # level-k membership
 
 @dataclass(frozen=True)
@@ -189,15 +238,15 @@ def _check_extension(x, a_cone, based, k, y):
     for i in range(1, k):
         swapped = _swap_b(y, i, i + 1)
         if swapped != y:
-            raise AssertionError("extension is not symmetric over the B slots")
+            raise ConsistencyError("extension is not symmetric over the B slots")
     b = based.cone
     for f in a_cone.facets:
         for combo in itertools.combinations_with_replacement(b.facets, k):
             h = kron(from_vector(f, DUAL), *(from_vector(g, DUAL) for g in combo))
             if pairing(h, y) < 0:
-                raise AssertionError("extension violates a max half-space")
+                raise ConsistencyError("extension violates a max half-space")
     if apply_reduction(y, based, k) != x:
-        raise AssertionError("extension does not reduce to the query point")
+        raise ConsistencyError("extension does not reduce to the query point")
 
 
 def _swap_b(y, i, j):
@@ -209,23 +258,30 @@ def _swap_b(y, i, j):
 def _check_witness(zeta, mu, lam, a_cone, based, k):
     """Exact re-verification of a refutation: with zeta = c (-mu), c > 0,
     the Farkas multipliers lam >= 0 of the max half-space rows re-sum, as
-    sum_h c lam_h Sym(h), to the reduction-adjoint image of zeta, which
-    therefore lies in the minimal product of the dual cones."""
+    sum_h c lam_h Sym(h), to the reduction-adjoint image Sym(zeta ox
+    phi^(k-1)) of zeta, which therefore lies in the minimal product of the
+    dual cones.
+
+    Both sides are read, for each A index a, as forms on the principal
+    lattice: sum_h c lam_h f_h[a] prod_s g_(h,s)(t) against
+    zeta_a(t) phi(t)^(k-1).  The LP rows came from the coefficients of the
+    same products (``_sym_product``) and from the closed form of the
+    reduction (``_reduced_monomial``); this check evaluates the products at
+    integer points and never reads a coefficient, so a fault in either
+    formula leaves multipliers that fail here.
+    """
     i = next(i for i, m in enumerate(mu) if m)
     c = zeta.entries[i] / -mu[i]
     if c <= 0 or any(lam_h < 0 for lam_h in lam):
         raise ConsistencyError("witness multipliers have the wrong sign")
-    b_slots = tuple(range(1, k + 1))
-    image = reduction_adjoint(based, k, zeta)
-    total = zero_tensor(image.slots)
+    nB = based.cone.dim
     halfspaces = itertools.product(
         a_cone.facets,
-        itertools.combinations_with_replacement(based.cone.facets, k))
-    for lam_h, (f, combo) in zip(lam, halfspaces, strict=True):
-        if lam_h:
-            h = kron(from_vector(f, DUAL), *(from_vector(g, DUAL) for g in combo))
-            total = total + symmetric_project(h, b_slots).scale(c * lam_h)
-    if total != image:
+        itertools.combinations_with_replacement(range(len(based.cone.facets)), k))
+    terms = [([c * lam_h * fa for fa in f], combo)
+             for lam_h, (f, combo) in zip(lam, halfspaces, strict=True) if lam_h]
+    zetas = [zeta.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
+    if not _forms_agree(terms, based.cone.facets, zetas, based.phi, k):
         raise ConsistencyError(
             "witness image escaped the minimal product of the duals")
 
@@ -303,7 +359,7 @@ def ext_k_membership(x, a_cone, based, k):
     zeta_entries = primitive([-m for m in mu])
     zeta = DenseTensor((Slot(nA, DUAL), Slot(nB, DUAL)), zeta_entries)
     if pairing(zeta, x) >= 0:
-        raise AssertionError("witness does not separate the query point")
+        raise ConsistencyError("witness does not separate the query point")
     _check_witness(zeta, mu, lam, a_cone, based, k)
     return ExtkVerdict(member=False, k=k, witness=zeta)
 
@@ -343,13 +399,6 @@ def _admissible_multisets(based, k):
     return out
 
 
-def _eb_generator(based, combo, v):
-    base = based.base
-    psis = [from_vector(base.functionals[j][1:], DUAL) for j in combo]
-    sym = symmetric_project(kron(*psis), tuple(range(len(combo))))
-    return kron(sym, from_vector(base.vertices[v]))
-
-
 def _eb_columns(based, k, multis):
     """The reduction tensor and the generators of ``multis`` at the sorted
     indices (j1..jk, i), j1 <= .. <= jk: Gamma there is
@@ -374,6 +423,17 @@ def is_entanglement_breaking(based, k):
     simplices recognition on the base (at most k nontrivial factors) and an
     LP expressing the reduction tensor over symmetrized admissible-tuple
     generators.  Disagreement raises ConsistencyError.
+
+    A breaking decomposition is re-summed as forms on the principal lattice,
+    one per primal index i.  The reduction tensor is
+    Gamma = (1/k) sum_pos phi ox .. ox id ox .. ox phi, the identity in dual
+    slot pos and the primal slot last.  Fed t in every dual slot and read at
+    i, each position gives t_i phi(t)^(k-1), so the form of Gamma[.., i] is
+    t_i phi(t)^(k-1).  A term w Sym(psi_j1 ox .. ox psi_jk) ox v gives
+    w v[i] prod_s psi_js(t).  The LP columns came from the coefficients of
+    these products (``_sym_product``) and the closed form of Gamma
+    (``_reduced_monomial``); the re-sum evaluates at integer points and
+    never reads a coefficient, so the two routes are independent.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -389,15 +449,17 @@ def is_entanglement_breaking(based, k):
     if check.member:
         terms = tuple(EbTerm(combo, v, w)
                       for (combo, v), w in zip(multis, check.weights) if w != 0)
-        gamma = reduction_map(based, k).tensor
-        total = None
-        for t in terms:
-            g = _eb_generator(based, t.facet_indices, t.vertex_index).scale(t.weight)
-            total = g if total is None else total + g
-        if total is None:
-            total = zero_tensor(gamma.slots)
-        if total != gamma:
-            raise AssertionError("decomposition does not re-sum to the reduction tensor")
+        if any(t.weight < 0 for t in terms):
+            raise ConsistencyError("breaking decomposition has a negative weight")
+        base = based.base
+        n = based.cone.dim
+        resum = [([t.weight * vi for vi in base.vertices[t.vertex_index]],
+                  t.facet_indices) for t in terms]
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        if not _forms_agree(resum, [f[1:] for f in base.functionals], units,
+                            based.phi, k):
+            raise ConsistencyError(
+                "decomposition does not re-sum to the reduction tensor")
         return EbOutcome(True, k, terms=terms, factorization=fact)
     return EbOutcome(False, k, refutation=check.separating, factorization=fact)
 
@@ -430,7 +492,8 @@ def vertex_facet_tensor(based, k):
         total = term if total is None else total + term
     gamma = reduction_map(based, k).tensor
     if pairing(gamma, total) != 0:
-        raise AssertionError("vertex-facet tensor is not orthogonal to the reduction map")
+        raise ConsistencyError(
+            "vertex-facet tensor is not orthogonal to the reduction map")
     return total
 
 
@@ -510,11 +573,20 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
 
     Requires x strictly interior to the max product (checked; ValueError
     otherwise).  Returns HierarchyResult or None when k_max is exhausted.
+
+    The decomposition is re-summed as forms on the principal lattice, one
+    per A index a: sum w ray_A[a] prod_s ray_(B,s)(t) against
+    x_a(t) y(t)^(k-1), the form of Sym(x ox y^(k-1)).  The LP data came
+    from the coefficients of these products (``_sym_product``) and the
+    closed form of the pad (``_reduced_monomial``); the re-sum evaluates at
+    integer points and never reads a coefficient, so the two routes are
+    independent.
     """
     for f in a_cone.facets:
         for g in based.cone.facets:
             if pairing(kron(from_vector(f, DUAL), from_vector(g, DUAL)), x) <= 0:
                 raise ValueError("point is not strictly interior to the max product")
+    nB = based.cone.dim
     y = interior_point(based.cone)
     scale = dot(based.phi, y)
     y = tuple(v / scale for v in y)
@@ -523,17 +595,15 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
         check = conic_membership(target, gens)
         if check.member:
             nonzero = [(d, w) for d, w in zip(descs, check.weights) if w != 0]
-            b_slots = tuple(range(1, k + 1))
-            z = symmetric_project(kron(x, *([from_vector(y)] * (k - 1))), b_slots)
-            total = None
-            for (ia, combo), w in nonzero:
-                g = kron(from_vector(a_cone.rays[ia]),
-                         *(from_vector(based.cone.rays[j]) for j in combo))
-                g = symmetric_project(g, b_slots).scale(w)
-                total = g if total is None else total + g
-            if (total if total is not None else zero_tensor(z.slots)) != z:
-                raise AssertionError("hierarchy decomposition does not re-sum")
+            if any(w < 0 for _, w in nonzero):
+                raise ConsistencyError("hierarchy decomposition has a negative weight")
+            resum = [([w * r for r in a_cone.rays[ia]], combo)
+                     for (ia, combo), w in nonzero]
+            xs = [x.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
+            if not _forms_agree(resum, based.cone.rays, xs, y, k):
+                raise ConsistencyError("hierarchy decomposition does not re-sum")
             return HierarchyResult(k=k,
                                    weights=tuple(w for _, w in nonzero),
                                    generators=tuple(d for d, _ in nonzero))
     return None
+

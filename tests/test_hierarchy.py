@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,19 +20,19 @@ from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, fixture_te
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                _arrangements, _check_extension, _dual_columns,
-                               _eb_columns, _eb_generator, _ext_k_rows,
+                               _eb_columns, _ext_k_rows,
                                apply_reduction, dual_hierarchy_k,
                                ext_k_membership, is_entanglement_breaking,
                                max_tensor_halfspaces,
                                min_tensor_generators, point_tensor,
                                reduction_map, vertex_facet_tensor,
                                omega_interior_test)
-from coneext.linalg import dot
+from coneext.linalg import dot, rank
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
-                             sym_basis, symmetric_project)
+                             sym_basis, symmetric_project, zero_tensor)
 
 
 def _load_point(filename, a_cone, b_cone):
@@ -493,7 +494,7 @@ def test_eb_resum_accepts_the_true_weights(monkeypatch, name, k):
 @pytest.mark.parametrize("name,k", EB_TAMPER_CASES)
 def test_eb_resum_rejects_tampered_weights(monkeypatch, name, k, tamper):
     _tamper_weights(monkeypatch, tamper)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConsistencyError, match="re-sum|negative weight"):
         is_entanglement_breaking(based_cone(name), k)
 
 
@@ -517,7 +518,7 @@ def test_eb_check_survives_python_O():
         hierarchy.conic_membership = tampered
         try:
             hierarchy.is_entanglement_breaking(based_cone("square"), 2)
-        except AssertionError:
+        except hierarchy.ConsistencyError:
             sys.exit(0)
         sys.exit("breaking verdict returned without the re-sum check")
     """)
@@ -660,13 +661,67 @@ def test_dual_hierarchy_resum_rejects_tampered_weights(monkeypatch, tamper):
     _tamper_weights(monkeypatch, tamper)
     sq = cone("square")
     x = _load_point("box-interior.pt", sq, sq)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConsistencyError, match="re-sum|negative weight"):
         dual_hierarchy_k(x, sq, based_cone("square"))
 
 
 # -- symmetric-power coordinates against the dense definitions --------------
 
 CLOSED_FORM_PAIRS = [(a, b) for a in ("square", "triangle") for b in cone_names()]
+
+
+def _form(t):
+    """The degree-k form x -> t(x, .., x) of a k-slot tensor, as a function
+    of the point x."""
+    support = [(multi, e) for multi, e in zip(t.multi_indices(), t.entries) if e]
+
+    def at(x):
+        total = 0
+        for multi, e in support:
+            for j in multi:
+                e *= x[j]
+            total += e
+        return total
+    return at
+
+
+def test_lattice_is_unisolvent():
+    """For n <= 4 and k <= 5 the lattice has C(n+k-1, k) distinct points of
+    N^n with |t| = k; the monomials of degree k are independent on it, and
+    the form of every symmetric basis element, and of a random nonzero
+    symmetrized tensor, is nonzero at some point."""
+    rng = random.Random(59)
+    for n in range(1, 5):
+        for k in range(1, 6):
+            points = list(hierarchy._lattice(n, k))
+            assert len(points) == len(set(points)) == comb(n + k - 1, k)
+            assert all(len(t) == n and min(t) >= 0 and sum(t) == k for t in points)
+            forms = [_form(s) for s in sym_basis(n, k)]
+            assert rank([[form(t) for t in points] for form in forms]) == len(points)
+            sym = zero_tensor((Slot(n, PRIMAL),) * k)
+            while sym.is_zero():
+                ent = list(sym.entries)
+                for _ in range(3):
+                    ent[rng.randrange(len(ent))] = Fraction(rng.randint(-4, 4),
+                                                            rng.randint(1, 3))
+                sym = symmetric_project(DenseTensor(sym.slots, ent))
+            for form in forms + [_form(sym)]:
+                assert any(form(t) != 0 for t in points), (n, k)
+
+
+def test_forms_agree_sees_every_monomial():
+    """(t_1 + .. + t_n)^k expanded over the degree-k monomials, each the
+    product of k coordinate forms with its multinomial coefficient, agrees
+    with the target; a coefficient off by one, at any monomial, does not."""
+    for n in (1, 2, 3, 4):
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        ones = [1] * n
+        for k in (1, 2, 3, 4):
+            terms = [([_arrangements(m)], m) for m in _sorted_reps(n, k)]
+            assert hierarchy._forms_agree(terms, units, [ones], ones, k)
+            for i, (coefs, m) in enumerate(terms):
+                off = terms[:i] + [([coefs[0] + 1], m)] + terms[i + 1:]
+                assert not hierarchy._forms_agree(off, units, [ones], ones, k), m
 
 
 def _sorted_reps(n, k):
@@ -710,9 +765,10 @@ def test_ext_k_rows_match_dense_pairing(a_name, b_name):
 def test_eb_columns_match_dense_tensors(name):
     """Gamma against the dense reduction tensor, and the generator of every
     facet multiset (paired with the vertices in turn) against the dense
-    ``_eb_generator``, both read at the sorted indices."""
+    Sym(psi_combo) ox vertex, both read at the sorted indices."""
     based = based_cone(name)
     n = based.cone.dim
+    psis = [from_vector(f[1:], DUAL) for f in based.base.functionals]
     for k in (1, 2, 3):
         reps = [js + (i,) for js in _sorted_reps(n, k) for i in range(n)]
         nv = len(based.base.vertices)
@@ -722,7 +778,8 @@ def test_eb_columns_match_dense_tensors(name):
         dense = reduction_map(based, k).tensor
         assert gamma == tuple(dense[r] for r in reps)
         for (combo, v), g in zip(multis, gens):
-            dense = _eb_generator(based, combo, v)
+            dense = kron(symmetric_project(kron(*(psis[j] for j in combo))),
+                         from_vector(based.base.vertices[v]))
             assert g == tuple(dense[r] for r in reps)
 
 

@@ -1,21 +1,22 @@
 """Property tests for the order laws of the extendibility hierarchy:
-min <= Ext_2 <= Ext_1 = max on random small rational points, Ext_3 <= Ext_2
-on the square pair, and Ext_1 = min when B is simplicial.  Derandomized, so
-every run draws the same examples."""
+min <= Ext_2 <= Ext_1 = max on random small rational points, over fixture
+pairs and over random polygon cones, Ext_3 <= Ext_2 on the square pair, and
+Ext_1 = min when B is simplicial.  Derandomized, so every run draws the same
+examples."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from coneext.cones import make_cone
+from coneext.cones import make_based, make_cone
 from coneext.fixtures import based_cone, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (ext_k_membership, max_tensor_halfspaces,
                                min_tensor_generators, point_tensor)
-from coneext.lp import conic_membership
+from coneext.lp import LpProblem, conic_membership, solve
 from coneext.tensors import pairing
 
 # min = max unless both factors are non-simplicial, so the chain draws A
@@ -103,6 +104,55 @@ def test_ext3_in_ext2(data):
     ext2 = ext_k_membership(x, a_cone, based, 2).member
     event(f"ext3={ext3} ext2={ext2}")
     assert not ext3 or ext2
+
+
+GRID = tuple((x, y) for x in range(-2, 3) for y in range(-2, 3))
+
+
+def _polygon_cone(data):
+    """A based cone through make_cone: the cone over 4 or 5 distinct lattice
+    points of [-2, 2]^2 at height 1, not all on a line, with
+    phi = (5, a, b), a, b in {-1, 0, 1}, which is positive on every ray."""
+    pts = data.draw(st.permutations(GRID))[:data.draw(st.integers(4, 5))]
+    (x0, y0), (x1, y1) = pts[:2]
+    assume(any((x1 - x0) * (y - y0) != (y1 - y0) * (x - x0) for x, y in pts[2:]))
+    phi = (5, data.draw(st.integers(-1, 1)), data.draw(st.integers(-1, 1)))
+    return make_based(make_cone([(1, x, y) for x, y in pts]), phi)
+
+
+@LAWS
+@given(st.data())
+def test_chain_on_random_cones(data):
+    """The chain with A and B drawn through make_cone, so the witness and
+    extension checks run on facets no fixture has.  A point is a combination
+    of min generators, that plus noise, or an extreme ray of max: the vertex
+    of the slice {h >= 0 for every max half-space h, sum_h h = 1} at which
+    the separating functional of a random point outside min is least.  The
+    functional is nonnegative on min, so the vertex lies outside min
+    whenever that least value is negative."""
+    a_cone = _polygon_cone(data).cone
+    based = _polygon_cone(data)
+    gens = tuple(g.entries for g in min_tensor_generators(a_cone, based.cone))
+    entries = _terms(data, gens)
+    n = len(entries)
+    mode = data.draw(st.sampled_from(("min", "noise", "max")))
+    if mode == "noise":
+        noise = data.draw(st.lists(st.fractions(-2, 2, max_denominator=3),
+                                   min_size=n, max_size=n))
+        entries = [e + d for e, d in zip(entries, noise)]
+    if mode == "max":
+        probe = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        outside = conic_membership(probe, gens)
+        assume(not outside.member)
+        rows = [h.entries for h in max_tensor_halfspaces(a_cone, based.cone)]
+        slice_ = LpProblem.build(
+            n, eq_rows=[([sum(col) for col in zip(*rows)], 1)],
+            ge_rows=[(r, 0) for r in rows], objective=outside.separating)
+        entries = list(solve(slice_).point)
+    x = point_tensor(a_cone, based.cone, entries)
+    in_min, ext2, ext1 = _check_chain(a_cone, based, gens, x)
+    event(f"{mode}: min={in_min} ext2={ext2} ext1={ext1}")
+    event(f"facets {len(a_cone.facets)}x{len(based.cone.facets)}")
 
 
 # Level 3 membership of the gap points: gap-k2 lies in Ext_2 minus Ext_3.

@@ -201,8 +201,16 @@ def _lattice(n, k):
 def _forms_agree(terms, vectors, rows, pad, k):
     """Whether, for every o, sum over terms (coefs, idx) of
     coefs[o] prod_(j in idx) <vectors[j], t> equals <rows[o], t> <pad, t>^(k-1)
-    at every point t of the principal lattice.  Each linear form is
-    evaluated at the points once, before the loop over terms."""
+    at every point t of the principal lattice.
+
+    The LP data this re-check judges come from the coefficients of products
+    of linear forms (``_sym_product``) and from the closed form of the
+    reduction (``_reduced_monomial``).  Here the products are evaluated at
+    integer points and no coefficient is read, so the two routes share no
+    code, and a fault in either formula leaves weights or multipliers that
+    fail here.  Each linear form is evaluated at the points once, before the
+    loop over terms.
+    """
     points = list(_lattice(len(pad), k))
 
     def values(v):
@@ -264,11 +272,7 @@ def _check_witness(zeta, mu, lam, a_cone, based, k):
 
     Both sides are read, for each A index a, as forms on the principal
     lattice: sum_h c lam_h f_h[a] prod_s g_(h,s)(t) against
-    zeta_a(t) phi(t)^(k-1).  The LP rows came from the coefficients of the
-    same products (``_sym_product``) and from the closed form of the
-    reduction (``_reduced_monomial``); this check evaluates the products at
-    integer points and never reads a coefficient, so a fault in either
-    formula leaves multipliers that fail here.
+    zeta_a(t) phi(t)^(k-1), independently of the LP rows (``_forms_agree``).
     """
     i = next(i for i, m in enumerate(mu) if m)
     c = zeta.entries[i] / -mu[i]
@@ -430,10 +434,8 @@ def is_entanglement_breaking(based, k):
     slot pos and the primal slot last.  Fed t in every dual slot and read at
     i, each position gives t_i phi(t)^(k-1), so the form of Gamma[.., i] is
     t_i phi(t)^(k-1).  A term w Sym(psi_j1 ox .. ox psi_jk) ox v gives
-    w v[i] prod_s psi_js(t).  The LP columns came from the coefficients of
-    these products (``_sym_product``) and the closed form of Gamma
-    (``_reduced_monomial``); the re-sum evaluates at integer points and
-    never reads a coefficient, so the two routes are independent.
+    w v[i] prod_s psi_js(t).  The re-sum is independent of the LP columns
+    (``_forms_agree``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -576,11 +578,8 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
 
     The decomposition is re-summed as forms on the principal lattice, one
     per A index a: sum w ray_A[a] prod_s ray_(B,s)(t) against
-    x_a(t) y(t)^(k-1), the form of Sym(x ox y^(k-1)).  The LP data came
-    from the coefficients of these products (``_sym_product``) and the
-    closed form of the pad (``_reduced_monomial``); the re-sum evaluates at
-    integer points and never reads a coefficient, so the two routes are
-    independent.
+    x_a(t) y(t)^(k-1), the form of Sym(x ox y^(k-1)), independently of the
+    LP data (``_forms_agree``).
     """
     for f in a_cone.facets:
         for g in based.cone.facets:

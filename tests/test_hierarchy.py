@@ -393,10 +393,21 @@ def test_witness_resum_rejects_tampered_multipliers(monkeypatch, point, b_name,
         ext_k_membership(x, a_cone, based, k)
 
 
+def _passes_under_python_O(code):
+    """Run ``code`` under ``python -O`` with this checkout's coneext; it
+    exits 0 when the check it tampers with raised."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coneext.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
 def test_witness_check_survives_python_O():
     """The witness re-sum raises under ``python -O``, which strips
     ``assert`` statements."""
-    code = textwrap.dedent("""
+    code = """
         import sys
         from coneext import hierarchy, lp
         from coneext.fixtures import based_cone, fixture_text
@@ -420,13 +431,8 @@ def test_witness_check_survives_python_O():
         except hierarchy.ConsistencyError:
             sys.exit(0)
         sys.exit("non-member returned without the witness re-sum check")
-    """)
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coneext.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-O", "-c", code],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
+    """
+    _passes_under_python_O(code)
 
 
 # -- entanglement breaking --------------------------------------------------
@@ -501,7 +507,7 @@ def test_eb_resum_rejects_tampered_weights(monkeypatch, name, k, tamper):
 def test_eb_check_survives_python_O():
     """The breaking re-sum raises under ``python -O``, which strips
     ``assert`` statements."""
-    code = textwrap.dedent("""
+    code = """
         import sys
         from coneext import hierarchy, lp
         from coneext.fixtures import based_cone
@@ -521,13 +527,8 @@ def test_eb_check_survives_python_O():
         except hierarchy.ConsistencyError:
             sys.exit(0)
         sys.exit("breaking verdict returned without the re-sum check")
-    """)
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coneext.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-O", "-c", code],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
+    """
+    _passes_under_python_O(code)
 
 
 def _ordered_count(based, k):

@@ -23,8 +23,8 @@ from .formats import (ParseError, parse_cone_file, parse_point_file,
 from .hierarchy import (ext_k_membership, is_entanglement_breaking,
                         min_tensor_generators, point_tensor)
 from .lp import conic_membership
-from .polytopes import (FactorFailure, affine_hull_commutes,
-                        factor_as_simplices)
+from .polytopes import (FACET_CAP, FactorFailure, affine_hull_commutes,
+                        factor_as_simplices, polytope_from_vertices)
 from .quantum import AppendixError, verify_appendix
 from .scalars import format_rational, parse_rational
 
@@ -71,7 +71,6 @@ def _load_based(path, phi_override):
 
 
 def _load_polytope_arg(args):
-    from .polytopes import polytope_from_vertices
     if args.polytope is not None:
         name, ambient, verts = parse_polytope_file(_read(args.polytope))
         try:
@@ -184,6 +183,9 @@ def cmd_factor(args, rep, out):
 
 def cmd_hull_check(args, rep, out):
     name, poly = _load_polytope_arg(args)
+    if len(poly.functionals) > FACET_CAP:
+        raise SemanticError(f"{name}: {len(poly.functionals)} facets exceed "
+                            f"the hull-check cap of {FACET_CAP}")
     rep.emit("command", "hull-check")
     rep.emit("polytope", name)
     ok, witness = affine_hull_commutes(poly)

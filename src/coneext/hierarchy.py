@@ -24,12 +24,17 @@ of ``sym_basis``.  Two exact closed forms replace dense n^k tensor work:
 * the reduction of the symmetric basis element s_m, read at j, is
   (m_j / k) phi^(m - e_j), zero when j is not in m; that is (1/k) grad p(phi).
 
-The re-checks of a refutation, of a breaking decomposition and of a dual
-hierarchy decomposition read a symmetric k-tensor S as its degree-k form
-t -> S(t, .., t) and compare forms by exact evaluation on the principal
-lattice {t in N^n : |t| = k}, where they are determined.  They never read a
-coefficient of a form, so they share no code with these formulas.  An
-extension is re-checked on its dense tensor.
+A refutation, a breaking decomposition and a dual hierarchy decomposition
+are one object: nonnegative weights decomposing the symmetric pad
+Sym(R ox pad^(k-1)) of R over generators head ox Sym(tails).  R is the
+witness, the identity or the query point; the pad is phi, phi or an interior
+point; the generators are f ox Sym(g..), vertex ox Sym(psi..) or
+ray_A ox Sym(rays_B..).  ``_pad_columns`` builds the last two LPs, and one
+judge, ``_pad_resum_agrees``, re-checks all three.  It reads a symmetric
+k-tensor S as its degree-k form t -> S(t, .., t) and compares forms by exact
+evaluation on the principal lattice {t in N^n : |t| = k}, where they are
+determined, never reading a coefficient, so it shares no code with the
+formulas above.  An extension is re-checked on its dense tensor.
 """
 
 from __future__ import annotations
@@ -177,6 +182,25 @@ def _reduced_monomial(m, j, phi):
     return val
 
 
+def _pad_columns(rows, pad, heads, tails, pairs, k):
+    """LP data of a symmetric-pad decomposition at the indices (m, o).
+
+    The target is Sym(R ox pad^(k-1)) for the tensor R with rows ``rows``:
+    at (m, o) it is sum_j rows[o][j] (m_j / k) pad^(m - e_j).  The generator
+    of a pair (combo, h) is Sym(tails_combo)[m] heads[h][o].
+    """
+    multisets = _multisets(len(pad), k)
+    target = []
+    for m in multisets:
+        red = [_reduced_monomial(m, j, pad) for j in range(len(pad))]
+        target.extend(dot(row, red) for row in rows)
+    syms = {combo: _sym_product([tails[j] for j in combo], multisets)
+            for combo in {combo for combo, _ in pairs}}
+    gens = [tuple(s * c for s in syms[combo] for c in heads[h])
+            for combo, h in pairs]
+    return tuple(target), gens
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation on the principal lattice
 
@@ -229,6 +253,19 @@ def _forms_agree(terms, vectors, rows, pad, k):
     return total == [[r * p for r, p in zip(values(row), pad_pow)] for row in rows]
 
 
+def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
+    """The one re-check of a symmetric-pad decomposition: whether the weights
+    are nonnegative and sum_(combo, h) w heads[h] ox Sym(tails_combo), the
+    columns of ``_pad_columns``, re-sums to Sym(R ox pad^(k-1)).  Read per
+    row o as forms on the principal lattice: sum w heads[h][o] prod_s
+    tails_s(t) against rows[o](t) pad(t)^(k-1) (``_forms_agree``)."""
+    if any(w < 0 for w in weights):
+        return False
+    terms = [([w * c for c in heads[h]], combo)
+             for w, (combo, h) in zip(weights, pairs, strict=True) if w]
+    return _forms_agree(terms, tails, rows, pad, k)
+
+
 # ---------------------------------------------------------------------------
 # level-k membership
 
@@ -265,29 +302,23 @@ def _swap_b(y, i, j):
 
 def _check_witness(zeta, mu, lam, a_cone, based, k):
     """Exact re-verification of a refutation: with zeta = c (-mu), c > 0,
-    the Farkas multipliers lam >= 0 of the max half-space rows re-sum, as
-    sum_h c lam_h Sym(h), to the reduction-adjoint image Sym(zeta ox
+    the weights c lam_h of the max half-spaces f ox Sym(g_combo) are
+    nonnegative and re-sum to the reduction-adjoint image Sym(zeta ox
     phi^(k-1)) of zeta, which therefore lies in the minimal product of the
-    dual cones.
-
-    Both sides are read, for each A index a, as forms on the principal
-    lattice: sum_h c lam_h f_h[a] prod_s g_(h,s)(t) against
-    zeta_a(t) phi(t)^(k-1), independently of the LP rows (``_forms_agree``).
+    dual cones (``_pad_resum_agrees``, independent of the LP rows).
     """
     i = next(i for i, m in enumerate(mu) if m)
     c = zeta.entries[i] / -mu[i]
-    if c <= 0 or any(lam_h < 0 for lam_h in lam):
-        raise ConsistencyError("witness multipliers have the wrong sign")
     nB = based.cone.dim
-    halfspaces = itertools.product(
-        a_cone.facets,
-        itertools.combinations_with_replacement(range(len(based.cone.facets)), k))
-    terms = [([c * lam_h * fa for fa in f], combo)
-             for lam_h, (f, combo) in zip(lam, halfspaces, strict=True) if lam_h]
+    pairs = [(combo, f) for f in range(len(a_cone.facets)) for combo in
+             itertools.combinations_with_replacement(range(len(based.cone.facets)), k)]
     zetas = [zeta.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
-    if not _forms_agree(terms, based.cone.facets, zetas, based.phi, k):
+    if c <= 0 or not _pad_resum_agrees([c * lam_h for lam_h in lam], pairs,
+                                       a_cone.facets, based.cone.facets,
+                                       zetas, based.phi, k):
         raise ConsistencyError(
-            "witness image escaped the minimal product of the duals")
+            "witness multipliers have the wrong sign or the witness image "
+            "escaped the minimal product of the duals")
 
 
 def reduction_adjoint(based, k, zeta):
@@ -339,9 +370,8 @@ def ext_k_membership(x, a_cone, based, k):
     Non-member: the primitive witness functional zeta = c (-mu), c > 0, from
     the Farkas multipliers mu of the eq rows, with zeta(x) < 0.  The
     multipliers of the max half-space rows decompose its reduction-adjoint
-    image in the minimal tensor product of the dual cones; that
-    decomposition is re-summed densely and compared exactly, with no second
-    LP.
+    image in the minimal tensor product of the dual cones, re-checked by
+    ``_check_witness`` with no second LP.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -403,65 +433,40 @@ def _admissible_multisets(based, k):
     return out
 
 
-def _eb_columns(based, k, multis):
-    """The reduction tensor and the generators of ``multis`` at the sorted
-    indices (j1..jk, i), j1 <= .. <= jk: Gamma there is
-    (count_i(js) / k) phi^(js - e_i), and generator (combo, v) is
-    Sym(psi_combo)[js] vertex_v[i]."""
-    base = based.base
-    n = based.cone.dim
-    multisets = _multisets(n, k)
-    gamma = tuple(_reduced_monomial(js, i, based.phi)
-                  for js in multisets for i in range(n))
-    psis = [f[1:] for f in base.functionals]
-    gens = []
-    for combo, v in multis:
-        sym = _sym_product([psis[j] for j in combo], multisets)
-        vertex = base.vertices[v]
-        gens.append(tuple(s * vi for s in sym for vi in vertex))
-    return gamma, gens
-
-
 def is_entanglement_breaking(based, k):
     """Two independent routes, compared: the combinatorial product-of-
     simplices recognition on the base (at most k nontrivial factors) and an
     LP expressing the reduction tensor over symmetrized admissible-tuple
     generators.  Disagreement raises ConsistencyError.
 
-    A breaking decomposition is re-summed as forms on the principal lattice,
-    one per primal index i.  The reduction tensor is
-    Gamma = (1/k) sum_pos phi ox .. ox id ox .. ox phi, the identity in dual
-    slot pos and the primal slot last.  Fed t in every dual slot and read at
-    i, each position gives t_i phi(t)^(k-1), so the form of Gamma[.., i] is
-    t_i phi(t)^(k-1).  A term w Sym(psi_j1 ox .. ox psi_jk) ox v gives
-    w v[i] prod_s psi_js(t).  The re-sum is independent of the LP columns
-    (``_forms_agree``).
+    The reduction tensor (1/k) sum_pos phi ox .. ox id ox .. ox phi is the
+    symmetric pad of the identity with phi, so the LP and its re-check are
+    the pad ones (``_pad_columns``, ``_pad_resum_agrees``) with the identity
+    as rows, the vertices as heads and the facet functionals psi as tails.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     fact = factor_as_simplices(based.base)
     route1 = isinstance(fact, SimplexFactorization) and len(fact.factor_dims) <= k
     multis = _admissible_multisets(based, k)
-    target, gens = _eb_columns(based, k, multis)
+    n = based.cone.dim
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    psis = [f[1:] for f in based.base.functionals]
+    target, gens = _pad_columns(units, based.phi, based.base.vertices, psis,
+                                multis, k)
     check = conic_membership(target, gens)
     if check.member != route1:
         raise ConsistencyError(
             f"entanglement-breaking routes disagree at k={k}: "
             f"combinatorial={route1} lp={check.member}")
     if check.member:
+        if not _pad_resum_agrees(check.weights, multis, based.base.vertices,
+                                 psis, units, based.phi, k):
+            raise ConsistencyError(
+                "breaking decomposition has a negative weight or does not "
+                "re-sum to the reduction tensor")
         terms = tuple(EbTerm(combo, v, w)
                       for (combo, v), w in zip(multis, check.weights) if w != 0)
-        if any(t.weight < 0 for t in terms):
-            raise ConsistencyError("breaking decomposition has a negative weight")
-        base = based.base
-        n = based.cone.dim
-        resum = [([t.weight * vi for vi in base.vertices[t.vertex_index]],
-                  t.facet_indices) for t in terms]
-        units = [[int(i == j) for j in range(n)] for i in range(n)]
-        if not _forms_agree(resum, [f[1:] for f in base.functionals], units,
-                            based.phi, k):
-            raise ConsistencyError(
-                "decomposition does not re-sum to the reduction tensor")
         return EbOutcome(True, k, terms=terms, factorization=fact)
     return EbOutcome(False, k, refutation=check.separating, factorization=fact)
 
@@ -546,29 +551,6 @@ class HierarchyResult:
     generators: tuple     # (a-ray index, sorted tuple of b-ray indices) per weight
 
 
-def _dual_columns(x, a_cone, based, k, y):
-    """Level-k data of the dual hierarchy search at the indices (a, m):
-    the generator descriptions (ia, combo), the symmetrized pad
-    z[a, m] = sum_j x[a, j] (m_j / k) y^(m - e_j), and the generators
-    ray_ia[a] Sym(rays_combo)[m]."""
-    nA, nB = a_cone.dim, based.cone.dim
-    multisets = _multisets(nB, k)
-    z = tuple(sum((x.entries[a * nB + j] * _reduced_monomial(m, j, y)
-                   for j in range(nB)), Fraction(0))
-              for a in range(nA) for m in multisets)
-    combos = list(itertools.combinations_with_replacement(
-        range(len(based.cone.rays)), k))
-    syms = [_sym_product([based.cone.rays[j] for j in combo], multisets)
-            for combo in combos]
-    descs = []
-    gens = []
-    for ia, ra in enumerate(a_cone.rays):
-        for combo, sym in zip(combos, syms):
-            descs.append((ia, combo))
-            gens.append(tuple(r * s for r in ra for s in sym))
-    return descs, z, gens
-
-
 def dual_hierarchy_k(x, a_cone, based, k_max=6):
     """Smallest k <= k_max such that the symmetrized pad of x with interior
     base points lands in the k-fold minimal tensor product.
@@ -576,33 +558,30 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
     Requires x strictly interior to the max product (checked; ValueError
     otherwise).  Returns HierarchyResult or None when k_max is exhausted.
 
-    The decomposition is re-summed as forms on the principal lattice, one
-    per A index a: sum w ray_A[a] prod_s ray_(B,s)(t) against
-    x_a(t) y(t)^(k-1), the form of Sym(x ox y^(k-1)), independently of the
-    LP data (``_forms_agree``).
+    The target is the symmetric pad of x with y, and a generator is
+    ray_A ox Sym(rays_B): the LP and its re-check are those of every pad
+    decomposition (``_pad_columns``, ``_pad_resum_agrees``).
     """
     for f in a_cone.facets:
         for g in based.cone.facets:
             if pairing(kron(from_vector(f, DUAL), from_vector(g, DUAL)), x) <= 0:
                 raise ValueError("point is not strictly interior to the max product")
     nB = based.cone.dim
+    xs = [x.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
     y = interior_point(based.cone)
     scale = dot(based.phi, y)
     y = tuple(v / scale for v in y)
     for k in range(1, k_max + 1):
-        descs, target, gens = _dual_columns(x, a_cone, based, k, y)
+        pairs = [(combo, ia) for ia in range(len(a_cone.rays)) for combo in
+                 itertools.combinations_with_replacement(range(len(based.cone.rays)), k)]
+        target, gens = _pad_columns(xs, y, a_cone.rays, based.cone.rays, pairs, k)
         check = conic_membership(target, gens)
         if check.member:
-            nonzero = [(d, w) for d, w in zip(descs, check.weights) if w != 0]
-            if any(w < 0 for _, w in nonzero):
-                raise ConsistencyError("hierarchy decomposition has a negative weight")
-            resum = [([w * r for r in a_cone.rays[ia]], combo)
-                     for (ia, combo), w in nonzero]
-            xs = [x.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
-            if not _forms_agree(resum, based.cone.rays, xs, y, k):
-                raise ConsistencyError("hierarchy decomposition does not re-sum")
-            return HierarchyResult(k=k,
-                                   weights=tuple(w for _, w in nonzero),
-                                   generators=tuple(d for d, _ in nonzero))
+            if not _pad_resum_agrees(check.weights, pairs, a_cone.rays,
+                                     based.cone.rays, xs, y, k):
+                raise ConsistencyError(
+                    "hierarchy decomposition has a negative weight or does not re-sum")
+            kept = [i for i, w in enumerate(check.weights) if w]
+            return HierarchyResult(k=k, weights=tuple(check.weights[i] for i in kept),
+                                   generators=tuple(pairs[i][::-1] for i in kept))
     return None
-

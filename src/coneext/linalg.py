@@ -22,11 +22,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c, u):
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def dot(u, v):
     return sum((a * b for a, b in zip(u, v, strict=True)), start=Fraction(0))
 

@@ -419,5 +419,5 @@ def conic_membership(target, generators):
         raise CertificateError(f"unexpected LP status {out.status!r}")
     h = primitive([-lam for lam in out.certificate])
     if dot(h, target) >= 0 or any(dot(h, g) < 0 for g in gens):
-        raise AssertionError("separating functional failed verification")
+        raise CertificateError("separating functional failed verification")
     return ConicOutcome(member=False, separating=h)

@@ -145,11 +145,7 @@ def is_simple(p):
 
 def is_two_level(p):
     """Every facet functional takes a single nonzero value on vertices."""
-    for j in range(len(p.functionals)):
-        values = {p.evaluate(j, v) for v in p.vertices} - {Fraction(0)}
-        if len(values) != 1:
-            return False
-    return True
+    return _facet_levels(p) is not None
 
 
 def _facet_levels(p):

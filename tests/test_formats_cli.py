@@ -222,6 +222,24 @@ def test_hull_check_witness():
     assert "verdict: COMMUTES" in out
 
 
+def test_hull_check_refuses_more_facets_than_the_cap(tmp_path, monkeypatch):
+    """The 21-gon through (i, i^2), i = 0..20, has one facet more than the
+    subset-iteration cap: exit 3 with the cap named on stderr and nothing on
+    stdout, before any of the 2^21 facet subsets is visited."""
+    import coneext.cli as cli
+    from coneext.polytopes import FACET_CAP
+
+    monkeypatch.setattr(cli, "affine_hull_commutes",
+                        lambda p: pytest.fail("the subset iteration started"))
+    path = tmp_path / "parabola21.poly"
+    path.write_text(serialize_polytope_file(
+        "parabola21", [(Fraction(i), Fraction(i * i)) for i in range(21)]))
+    code, out, err = _run(["hull-check", "--polytope", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and f"cap of {FACET_CAP}" in err
+    assert "21 facets" in err
+
+
 def test_quantum_demo_passes():
     code, out, _ = _run(["quantum-demo"])
     assert code == 0

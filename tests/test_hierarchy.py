@@ -19,15 +19,15 @@ from coneext.cones import make_based, make_cone
 from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
-                               _arrangements, _check_extension, _dual_columns,
-                               _eb_columns, _ext_k_rows,
+                               _arrangements, _check_extension, _ext_k_rows,
+                               _pad_columns, _pad_resum_agrees,
                                apply_reduction, dual_hierarchy_k,
                                ext_k_membership, is_entanglement_breaking,
                                max_tensor_halfspaces,
                                min_tensor_generators, point_tensor,
                                reduction_map, vertex_facet_tensor,
                                omega_interior_test)
-from coneext.linalg import dot, rank
+from coneext.linalg import dot, rank, vec
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
@@ -531,6 +531,28 @@ def test_eb_check_survives_python_O():
     _passes_under_python_O(code)
 
 
+def test_pad_resum_rejects_a_negative_weight_that_resums():
+    """A decomposition with one pair repeated: splitting its weight w as
+    w/2 + w/2 re-sums and passes, and 2w - w re-sums just as exactly but
+    fails on the sign alone."""
+    based = based_cone("square")
+    n, k = based.cone.dim, 2
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    psis = [f[1:] for f in based.base.functionals]
+    multis = _admissible_multisets(based, k)
+    rest = (based.base.vertices, psis, units, based.phi, k)
+    weights = list(conic_membership(*_pad_columns(units, based.phi,
+                                                  based.base.vertices, psis,
+                                                  multis, k)).weights)
+    h = next(i for i, w in enumerate(weights) if w)
+    pairs = multis + [multis[h]]
+    w = weights[h]
+    split = weights[:h] + [w / 2] + weights[h + 1:] + [w / 2]
+    signed = weights[:h] + [2 * w] + weights[h + 1:] + [-w]
+    assert _pad_resum_agrees(split, pairs, *rest)
+    assert not _pad_resum_agrees(signed, pairs, *rest)
+
+
 def _ordered_count(based, k):
     """Ordered admissible facet k-tuples: the arrangements of each
     admissible multiset."""
@@ -666,6 +688,39 @@ def test_dual_hierarchy_resum_rejects_tampered_weights(monkeypatch, tamper):
         dual_hierarchy_k(x, sq, based_cone("square"))
 
 
+def test_dual_check_survives_python_O():
+    """The dual hierarchy re-sum raises under ``python -O``, which strips
+    ``assert`` statements."""
+    code = """
+        import sys
+        from coneext import hierarchy, lp
+        from coneext.fixtures import based_cone, fixture_text
+        from coneext.formats import parse_point_file
+        if __debug__:
+            sys.exit("not running under -O")
+
+        def tampered(target, generators):
+            out = lp.conic_membership(target, generators)
+            if not out.member:
+                return out
+            weights = list(out.weights)
+            h = next(i for i, w in enumerate(weights) if w)
+            weights[h] *= 2
+            return lp.ConicOutcome(member=True, weights=tuple(weights))
+
+        hierarchy.conic_membership = tampered
+        based = based_cone("square")
+        _, _, entries = parse_point_file(fixture_text("box-interior.pt"))
+        x = hierarchy.point_tensor(based.cone, based.cone, entries)
+        try:
+            hierarchy.dual_hierarchy_k(x, based.cone, based)
+        except hierarchy.ConsistencyError:
+            sys.exit(0)
+        sys.exit("hierarchy level returned without the re-sum check")
+    """
+    _passes_under_python_O(code)
+
+
 # -- symmetric-power coordinates against the dense definitions --------------
 
 CLOSED_FORM_PAIRS = [(a, b) for a in ("square", "triangle") for b in cone_names()]
@@ -764,20 +819,25 @@ def test_ext_k_rows_match_dense_pairing(a_name, b_name):
 
 @pytest.mark.parametrize("name", cone_names())
 def test_eb_columns_match_dense_tensors(name):
-    """Gamma against the dense reduction tensor, and the generator of every
-    facet multiset (paired with the vertices in turn) against the dense
-    Sym(psi_combo) ox vertex, both read at the sorted indices."""
+    """The pad columns with the identity as rows: Gamma against the dense
+    reduction tensor, and the generator of every facet multiset (paired with
+    the vertices in turn) against the dense Sym(psi_combo) ox vertex, both
+    read at the sorted indices."""
     based = based_cone(name)
     n = based.cone.dim
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
     psis = [from_vector(f[1:], DUAL) for f in based.base.functionals]
     for k in (1, 2, 3):
         reps = [js + (i,) for js in _sorted_reps(n, k) for i in range(n)]
         nv = len(based.base.vertices)
         multis = [(combo, i % nv) for i, combo in
                   enumerate(_sorted_reps(len(based.base.functionals), k))]
-        gamma, gens = _eb_columns(based, k, multis)
+        gamma, gens = _pad_columns(units, based.phi, based.base.vertices,
+                                   [f[1:] for f in based.base.functionals],
+                                   multis, k)
         dense = reduction_map(based, k).tensor
         assert gamma == tuple(dense[r] for r in reps)
+        assert len(gens) == len(multis)
         for (combo, v), g in zip(multis, gens):
             dense = kron(symmetric_project(kron(*(psis[j] for j in combo))),
                          from_vector(based.base.vertices[v]))
@@ -786,8 +846,9 @@ def test_eb_columns_match_dense_tensors(name):
 
 @pytest.mark.parametrize("a_name,b_name", CLOSED_FORM_PAIRS)
 def test_dual_columns_match_dense_symmetrization(a_name, b_name):
-    """z against symmetric_project(x ox y ox .. ox y); each generator against
-    ray_a[a] times the dense symmetrization of its B rays."""
+    """The pad columns with the rows of x: the target against
+    symmetric_project(x ox y ox .. ox y), each generator against ray_a[a]
+    times the dense symmetrization of its B rays, read at (m, a)."""
     rng = random.Random(53)
     a_cone = based_cone(a_name).cone
     based = based_cone(b_name)
@@ -795,19 +856,55 @@ def test_dual_columns_match_dense_symmetrization(a_name, b_name):
     x = point_tensor(a_cone, based.cone,
                      [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                       for _ in range(nA * nB)])
+    xs = [x.entries[a * nB:(a + 1) * nB] for a in range(nA)]
     y = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nB))
     for k in (1, 2, 3):
         slots = tuple(range(1, k + 1))
-        reps = [(a,) + js for a in range(nA) for js in _sorted_reps(nB, k)]
-        descs, z, gens = _dual_columns(x, a_cone, based, k, y)
+        reps = [(a,) + js for js in _sorted_reps(nB, k) for a in range(nA)]
+        pairs = [(combo, ia) for ia in range(len(a_cone.rays))
+                 for combo in _sorted_reps(len(based.cone.rays), k)]
+        z, gens = _pad_columns(xs, y, a_cone.rays, based.cone.rays, pairs, k)
         dense = symmetric_project(kron(x, *([from_vector(y)] * (k - 1))), slots)
         assert z == tuple(dense[r] for r in reps)
-        assert descs == [(ia, combo) for ia in range(len(a_cone.rays))
-                         for combo in _sorted_reps(len(based.cone.rays), k)]
+        assert len(gens) == len(pairs)
         sym_rays = {}
-        for (ia, combo), g in zip(descs, gens):
+        for (combo, ia), g in zip(pairs, gens):
             if combo not in sym_rays:
                 sym_rays[combo] = symmetric_project(
                     kron(*(from_vector(based.cone.rays[j]) for j in combo)))
             ray, dense = a_cone.rays[ia], sym_rays[combo]
             assert g == tuple(ray[r[0]] * dense[r[1:]] for r in reps)
+
+
+# sha256 of repr(target, generators) of the entanglement-breaking LPs at
+# k = 1, 2, 3, captured from the EB-only builder that preceded
+# ``_pad_columns``; the shared builder must leave every entry and its order
+# alone, so the eb-check bytes cannot move.
+EB_LP_PINS = {
+    "cube": "7f07b6a44a18d400d24e579c73634b10f9d5f1026d485c8fd7b4dc3ce2b28028",
+    "octahedron": "07b9e73e038ec228e37ebbd4579a5f430c0b7cbe53ccbb47ef9c0f602755fac9",
+    "orthant2": "c75ace4743d91c0710f92ce5209dec6ff07f6ef474c0823eb1e1106839bd32f7",
+    "orthant3": "01ee1baa0e2d01d2a2c192c7b97dbe14963152b4a6804c758cd1a70ef407fcba",
+    "pentagon": "b375ca9dc75b38dfee2bb27235f830b163b657ef2bae141dbb6effd2cb41952d",
+    "prism": "0299bd24d826d9595027910aea0fc9ca1f7543ab5fc64763cc5dfd3026336810",
+    "quad": "1dd0f1b265ab9faccfa95163fbebd09ffb55aa60c20a48e199f43f2c77a118f4",
+    "square-skew": "f80b325bd1bf7d6425c0904e4e2326d442b1044e9a98937c6a01281156f03e1e",
+    "square": "8251f7974c93c0161708044bf4ad5dc0ce7ed13afee5433349bca089356d467c",
+    "triangle": "ddd2bb9ccb2413edbb9b10d7d638f32688bd66050332bc29e732cabbad352774",
+}
+
+
+@pytest.mark.parametrize("name", cone_names())
+def test_eb_lp_data_is_pinned(monkeypatch, name):
+    reps = []
+
+    def recording(target, generators):
+        reps.append(repr((vec(target), [vec(g) for g in generators])))
+        return conic_membership(target, generators)
+
+    monkeypatch.setattr(hierarchy, "conic_membership", recording)
+    based = based_cone(name)
+    for k in (1, 2, 3):
+        is_entanglement_breaking(based, k)
+    assert len(reps) == 3
+    assert hashlib.sha256("".join(reps).encode()).hexdigest() == EB_LP_PINS[name]

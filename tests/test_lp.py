@@ -386,3 +386,15 @@ def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
             status=FEASIBLE, point=bad))
         with pytest.raises(lp.CertificateError, match="re-sum"):
             conic_membership(target, gens)
+
+
+def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
+    """An INFEASIBLE answer whose functional is nonnegative on the target
+    fails the separation check with ``CertificateError``, an explicit raise
+    that ``python -O`` keeps."""
+    from coneext import lp
+
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(
+        status=INFEASIBLE, certificate=(Fraction(-1), Fraction(0))))
+    with pytest.raises(lp.CertificateError, match="separating"):
+        conic_membership(vec((1, 0)), [vec((1, 0))])

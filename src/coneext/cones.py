@@ -13,9 +13,7 @@ exactness at small dimension over asymptotic speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import lp
 from .linalg import (dot, greedy_independent, inverse, is_zero_vec, primitive,
                      rank, vec, vec_add)
 
@@ -52,8 +50,9 @@ def _adjacent(constraints, tight_a, tight_b, n):
 def _dual_extreme_rays(constraints, n):
     """Extreme rays of {f : c . f >= 0 for all c} by incremental insertion.
 
-    Assumes the constraints span (result pointed) and that the result is
-    full-dimensional; both are guaranteed by make_cone's properness checks.
+    Assumes the constraints span, so the result is pointed.  Every ray
+    returned satisfies every constraint, so when the result is not
+    full-dimensional the rays have rank < n; make_cone reads that as a line.
     """
     base = greedy_independent(constraints, n)
     if len(base) < n:
@@ -133,11 +132,10 @@ def make_cone(generators):
         raise ConeError("mixed ambient dimensions")
     if rank(gens) != n:
         raise ConeError("cone is not full-dimensional")
-    # pointedness: some functional is >= 1 on every generator
-    probe = lp.LpProblem.build(n, ge_rows=[(g, Fraction(1)) for g in gens])
-    if lp.solve(probe).status != lp.FEASIBLE:
-        raise ConeError("cone contains a line")
     facets = _dual_extreme_rays(gens, n)
+    # the dual cone is full-dimensional exactly when the cone has no line
+    if rank(facets) != n:
+        raise ConeError("cone contains a line")
     rays = sorted(g for g in gens
                   if rank([f for f in facets if dot(f, g) == 0]) == n - 1)
     cone = Cone(dim=n, rays=tuple(rays), facets=tuple(facets))

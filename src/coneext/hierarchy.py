@@ -34,7 +34,7 @@ judge, ``_pad_resum_agrees``, re-checks all three.  It reads a symmetric
 k-tensor S as its degree-k form t -> S(t, .., t) and compares forms by exact
 evaluation on the principal lattice {t in N^n : |t| = k}, where they are
 determined, never reading a coefficient, so it shares no code with the
-formulas above.  An extension is re-checked on its dense tensor.
+formulas above.  An extension is re-checked by contraction with the facets.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .cones import BasedCone, Cone, interior_point
+from .cones import BasedCone, interior_point
 from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
                  conic_membership, solve)
 from .linalg import dot, primitive
-from .polytopes import FactorFailure, SimplexFactorization, factor_as_simplices
+from .polytopes import SimplexFactorization, factor_as_simplices
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                       from_vector, kron, pairing, reorder_slots,
                       symmetric_project, zero_tensor)
@@ -277,27 +277,38 @@ class ExtkVerdict:
     witness: DenseTensor | None = None    # primitive functional on V_A ox V_B
 
 
+def _max_halfspace_values(t, a_facets, b_facets, k):
+    """Yield <f ox g_1 ox .. ox g_k, t> for each A facet f and each sorted
+    k-multiset g of B facets (``combinations_with_replacement`` order).
+
+    t is contracted with f, then with one facet per B slot, so multisets with
+    a common prefix share that contraction.  Multisets are enough only
+    because t is B-symmetric: every arrangement of g pairs with t alike.
+    """
+    duals = [from_vector(g, DUAL) for g in b_facets]
+
+    def walk(s, start):
+        if not s.slots:
+            yield s.entries[0]
+            return
+        for i in range(start, len(duals)):
+            yield from walk(contract_slot(s, 0, duals[i]), i)
+
+    for f in a_facets:
+        yield from walk(contract_slot(t, 0, from_vector(f, DUAL)), 0)
+
+
 def _check_extension(x, a_cone, based, k, y):
     """Exact re-verification: B-symmetric, all max half-spaces nonnegative,
     and reduces to x."""
-    for i in range(1, k):
-        swapped = _swap_b(y, i, i + 1)
-        if swapped != y:
+    for (a, *js), e in zip(y.multi_indices(), y.entries):
+        if e != y[(a, *sorted(js))]:
             raise ConsistencyError("extension is not symmetric over the B slots")
-    b = based.cone
-    for f in a_cone.facets:
-        for combo in itertools.combinations_with_replacement(b.facets, k):
-            h = kron(from_vector(f, DUAL), *(from_vector(g, DUAL) for g in combo))
-            if pairing(h, y) < 0:
-                raise ConsistencyError("extension violates a max half-space")
+    if any(v < 0 for v in _max_halfspace_values(y, a_cone.facets,
+                                                based.cone.facets, k)):
+        raise ConsistencyError("extension violates a max half-space")
     if apply_reduction(y, based, k) != x:
         raise ConsistencyError("extension does not reduce to the query point")
-
-
-def _swap_b(y, i, j):
-    perm = list(range(len(y.slots)))
-    perm[i], perm[j] = perm[j], perm[i]
-    return reorder_slots(y, perm)
 
 
 def _check_witness(zeta, mu, lam, a_cone, based, k):
@@ -562,10 +573,9 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
     ray_A ox Sym(rays_B): the LP and its re-check are those of every pad
     decomposition (``_pad_columns``, ``_pad_resum_agrees``).
     """
-    for f in a_cone.facets:
-        for g in based.cone.facets:
-            if pairing(kron(from_vector(f, DUAL), from_vector(g, DUAL)), x) <= 0:
-                raise ValueError("point is not strictly interior to the max product")
+    if any(v <= 0 for v in _max_halfspace_values(x, a_cone.facets,
+                                                 based.cone.facets, 1)):
+        raise ValueError("point is not strictly interior to the max product")
     nB = based.cone.dim
     xs = [x.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
     y = interior_point(based.cone)

@@ -41,19 +41,6 @@ def primitive(u):
     return tuple(Fraction(x // g) for x in ints)
 
 
-def primitive_signed(u):
-    """Primitive form with the first nonzero coordinate made positive.
-
-    Only for vectors whose overall sign is conventional (nullspace basis
-    vectors and the like); cone rays keep their geometric direction.
-    """
-    p = primitive(u)
-    for a in p:
-        if a != 0:
-            return p if a > 0 else tuple(-x for x in p)
-    raise AssertionError
-
-
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot column indices)."""
     m = [list(map(Fraction, r)) for r in rows]

@@ -76,25 +76,25 @@ class LpOutcome:
 
 def verify_point(problem, point):
     if len(point) != problem.num_vars:
-        raise AssertionError("point arity mismatch")
+        raise CertificateError("point arity mismatch")
     for r, b in problem.eq_rows:
         if dot(r, point) != b:
-            raise AssertionError("equality row violated")
+            raise CertificateError("equality row violated")
     for r, b in problem.ge_rows:
         if dot(r, point) < b:
-            raise AssertionError("inequality row violated")
+            raise CertificateError("inequality row violated")
     for j in problem.nonneg:
         if point[j] < 0:
-            raise AssertionError("sign constraint violated")
+            raise CertificateError("sign constraint violated")
 
 
 def verify_farkas(problem, mult):
     ne = len(problem.eq_rows)
     if len(mult) != ne + len(problem.ge_rows):
-        raise AssertionError("multiplier arity mismatch")
+        raise CertificateError("multiplier arity mismatch")
     for lam in mult[ne:]:
         if lam < 0:
-            raise AssertionError("inequality multiplier must be nonnegative")
+            raise CertificateError("inequality multiplier must be nonnegative")
     combined = [Fraction(0)] * problem.num_vars
     rho = Fraction(0)
     for lam, (r, b) in zip(mult, problem.eq_rows + problem.ge_rows):
@@ -104,28 +104,28 @@ def verify_farkas(problem, mult):
             combined[j] += lam * a
         rho += lam * b
     if rho <= 0:
-        raise AssertionError("Farkas combination has nonpositive rhs")
+        raise CertificateError("Farkas combination has nonpositive rhs")
     for j, a in enumerate(combined):
         if j in problem.nonneg:
             if a > 0:
-                raise AssertionError("Farkas row positive on a nonnegative variable")
+                raise CertificateError("Farkas row positive on a nonnegative variable")
         elif a != 0:
-            raise AssertionError("Farkas row nonzero on a free variable")
+            raise CertificateError("Farkas row nonzero on a free variable")
 
 
 def verify_ray(problem, point, ray):
     verify_point(problem, point)
     for r, _ in problem.eq_rows:
         if dot(r, ray) != 0:
-            raise AssertionError("ray leaves an equality row")
+            raise CertificateError("ray leaves an equality row")
     for r, _ in problem.ge_rows:
         if dot(r, ray) < 0:
-            raise AssertionError("ray leaves an inequality row")
+            raise CertificateError("ray leaves an inequality row")
     for j in problem.nonneg:
         if ray[j] < 0:
-            raise AssertionError("ray leaves the sign orthant")
+            raise CertificateError("ray leaves the sign orthant")
     if problem.objective is None or dot(problem.objective, ray) >= 0:
-        raise AssertionError("ray does not improve the objective")
+        raise CertificateError("ray does not improve the objective")
 
 
 class _Tableau:

@@ -27,6 +27,8 @@ HALF = QuadScalar(Fraction(1, 2), 0)
 # eta = 1 - sqrt2/2, the mixing parameter of the counterexample family
 ETA = QuadScalar(1, Fraction(-1, 2))
 
+ADJOINT_PROBE_SEED = 7  # seeds the random operators of claim 4's adjoint probe
+
 
 class AppendixError(AssertionError):
     """An exact identity in the verification chain failed."""
@@ -227,7 +229,7 @@ def _swap_symmetric(m):
     return _swap_bc(_factored(m, (3, 3, 3))).entries == m.entries
 
 
-def verify_appendix(rng_seed=7):
+def verify_appendix():
     """Run the four exact claims separating level-2 max-extendibility from
     level-2 PSD-extendibility and return the per-claim report.
 
@@ -296,7 +298,7 @@ def verify_appendix(rng_seed=7):
     try_w = psd_check_exact(w)
     pd = psd_check_exact(w2, strict=True)
     t_yw = trace_product(y, w)
-    rng = random.Random(rng_seed)
+    rng = random.Random(ADJOINT_PROBE_SEED)
     z0 = kron_operator(build_X(1, 0, 0), identity_operator(3))
     adjoint_ok = True
     for z in [z0] + [_random_symmetric(rng) for _ in range(3)]:

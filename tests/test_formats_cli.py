@@ -101,14 +101,11 @@ def test_dualize_square_emits_dual_file():
     assert set(gens) == {(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)}
 
 
-def test_dualize_twice_returns_original_rays():
-    import tempfile
-
+def test_dualize_twice_returns_original_rays(tmp_path):
     code, out, _ = _run(["dualize", "--cone-a", fixture_path("square.cone")])
-    with tempfile.NamedTemporaryFile("w", suffix=".cone", delete=False) as f:
-        f.write(out)
-        path = f.name
-    code, out2, _ = _run(["dualize", "--cone-a", path])
+    path = tmp_path / "dual.cone"
+    path.write_text(out)
+    code, out2, _ = _run(["dualize", "--cone-a", str(path)])
     assert code == 0
     _, _, gens, _ = parse_cone_file(out2)
     orig = parse_cone_file(fixture_text("square.cone"))[2]
@@ -136,37 +133,27 @@ def test_ext_check_rejects_k_zero():
     assert code == 2
 
 
-def test_parse_failure_exit_and_message():
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".cone", delete=False) as f:
-        f.write("cone bad\ndim 3\nray 1 1//2 0\n")
-        path = f.name
-    code, _, err = _run(["dualize", "--cone-a", path])
+def test_parse_failure_exit_and_message(tmp_path):
+    path = tmp_path / "bad.cone"
+    path.write_text("cone bad\ndim 3\nray 1 1//2 0\n")
+    code, _, err = _run(["dualize", "--cone-a", str(path)])
     assert code == 2
     assert "line 3" in err
 
 
-def test_non_ascii_digit_is_a_parse_error():
-    import tempfile
-
+def test_non_ascii_digit_is_a_parse_error(tmp_path):
     # "²" (superscript two) passes str.isdigit but not int()
-    with tempfile.NamedTemporaryFile("w", suffix=".cone", delete=False,
-                                     encoding="utf-8") as f:
-        f.write("cone sq\ndim ²\nray 1 0\nray 0 1\n")
-        path = f.name
-    code, _, err = _run(["dualize", "--cone-a", path])
+    path = tmp_path / "sq.cone"
+    path.write_text("cone sq\ndim ²\nray 1 0\nray 0 1\n", encoding="utf-8")
+    code, _, err = _run(["dualize", "--cone-a", str(path)])
     assert code == 2
     assert "line 2" in err
 
 
-def test_semantic_failures_exit_three():
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".cone", delete=False) as f:
-        f.write("cone line\ndim 2\nray 1 0\nray -1 0\nray 0 1\n")
-        path = f.name
-    code, _, err = _run(["dualize", "--cone-a", path])
+def test_semantic_failures_exit_three(tmp_path):
+    path = tmp_path / "line.cone"
+    path.write_text("cone line\ndim 2\nray 1 0\nray -1 0\nray 0 1\n")
+    code, _, err = _run(["dualize", "--cone-a", str(path)])
     assert code == 3
     assert "line" in err
 

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -32,7 +32,8 @@ from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
-                             sym_basis, symmetric_project, zero_tensor)
+                             reorder_slots, sym_basis, symmetric_project,
+                             zero_tensor)
 
 
 def _load_point(filename, a_cone, b_cone):
@@ -342,6 +343,126 @@ def test_check_extension_rejects_broken_b_symmetry():
         bad = _with_entry(y, multi, y[multi] + 1)
         with pytest.raises(AssertionError, match="not symmetric"):
             _check_extension(x, a_cone, based, 2, bad)
+
+
+def _summed_min_point(a_cone, b_cone):
+    """The sum of the min-product generators: a member at every level."""
+    total = [Fraction(0)] * (a_cone.dim * b_cone.dim)
+    for g in min_tensor_generators(a_cone, b_cone):
+        total = [s + e for s, e in zip(total, g.entries)]
+    return point_tensor(a_cone, b_cone, total)
+
+
+@pytest.fixture(scope="module", params=[("gap-k3", 3), ("summed-min", 4)],
+                ids=["gap-k3-k3", "summed-min-k4"])
+def extension_case(request):
+    """A returned extension with the dense max half-spaces of its level,
+    each paired with its (f, g) index tuple."""
+    name, k = request.param
+    a_cone, based = cone("square"), based_cone("square-skew")
+    if name == "summed-min":
+        x = _summed_min_point(a_cone, based.cone)
+    else:
+        x = _load_point(f"{name}.pt", a_cone, based.cone)
+    verdict = ext_k_membership(x, a_cone, based, k)
+    assert verdict.member
+    index = itertools.product(range(len(a_cone.facets)),
+                              *[range(len(based.cone.facets))] * k)
+    dense = list(zip(index, max_tensor_halfspaces(a_cone, *[based.cone] * k)))
+    return x, a_cone, based, k, verdict.extension, dense
+
+
+def _orbit_tamper(y, a, m, delta):
+    """Add delta to every entry of y at A index a and an arrangement of m."""
+    ent = list(y.entries)
+    for arr in set(itertools.permutations(m)):
+        ent[y.flat_index((a,) + arr)] += delta
+    return DenseTensor(y.slots, ent)
+
+
+def test_max_halfspace_values_match_dense_pairing(extension_case):
+    """The contraction helper yields, per A facet and sorted B-facet
+    multiset, the pairing with the matching dense max half-space tensor,
+    also on a symmetric tensor outside the max product."""
+    x, a_cone, based, k, y, dense = extension_case
+    off = _orbit_tamper(y, 0, (2,) * k, Fraction(-10**6))
+    for t in (y, off):
+        want = [pairing(h, t) for (_, *g), h in dense if g == sorted(g)]
+        got = list(hierarchy._max_halfspace_values(
+            t, a_cone.facets, based.cone.facets, k))
+        assert got == want
+    assert min(want) < 0 <= min(pairing(h, y) for _, h in dense)
+
+
+def _dense_accepts(x, based, k, y, dense):
+    """The dense reference: invariant under every adjacent B-slot swap, every
+    max half-space tensor pairs nonnegatively, and reduces to x.  The
+    pairings are taken with y scaled to integers by a positive factor, which
+    keeps their signs."""
+    for i in range(1, k):
+        perm = list(range(k + 1))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if reorder_slots(y, perm) != y:
+            return False
+    scale = lcm(*(e.denominator for e in y.entries))
+    ints = [int(e * scale) for e in y.entries]
+    return (all(sum(int(a) * b for a, b in zip(h.entries, ints) if a) >= 0
+                for _, h in dense)
+            and apply_reduction(y, based, k) == x)
+
+
+def test_check_extension_agrees_with_the_dense_reference(extension_case):
+    """Whole-orbit tampers and single-entry tampers at every arrangement of
+    the orbit, small and large, up and down: ``_check_extension`` accepts
+    exactly when the dense reference does."""
+    x, a_cone, based, k, y, dense = extension_case
+    rng = random.Random(k)
+    orbits = [(a, m) for a in range(a_cone.dim)
+              for m in itertools.combinations_with_replacement(range(3), k)]
+    tampered = [y]
+    for delta in (Fraction(1, 9), Fraction(-1, 9), Fraction(-10**6)):
+        for a, m in rng.sample(orbits, 4) + [(rng.randrange(3), (2,) * k)]:
+            tampered.append(_orbit_tamper(y, a, m, delta))
+            tampered.extend(_with_entry(y, (a,) + arr, y[(a,) + arr] + delta)
+                            for arr in sorted(set(itertools.permutations(m))))
+    verdicts = []
+    for t in tampered:
+        try:
+            _check_extension(x, a_cone, based, k, t)
+            fast = True
+        except ConsistencyError:
+            fast = False
+        assert fast == _dense_accepts(x, based, k, t, dense)
+        verdicts.append(fast)
+    assert verdicts[0] and not all(verdicts)
+
+
+def test_check_extension_survives_python_O():
+    """The max half-space check raises under ``python -O`` on an extension
+    with one symmetric entry pushed far below zero."""
+    code = """
+        import sys
+        from coneext import hierarchy
+        from coneext.fixtures import based_cone, cone, fixture_text
+        from coneext.formats import parse_point_file
+        from coneext.tensors import DenseTensor
+        if __debug__:
+            sys.exit("not running under -O")
+
+        a_cone, based = cone("square"), based_cone("square-skew")
+        _, _, entries = parse_point_file(fixture_text("gap-k2.pt"))
+        x = hierarchy.point_tensor(a_cone, based.cone, entries)
+        y = hierarchy.ext_k_membership(x, a_cone, based, 2).extension
+        ent = list(y.entries)
+        ent[y.flat_index((0, 1, 1))] -= 10**6
+        try:
+            hierarchy._check_extension(x, a_cone, based, 2,
+                                       DenseTensor(y.slots, ent))
+        except hierarchy.ConsistencyError as err:
+            sys.exit(0 if "half-space" in str(err) else str(err))
+        sys.exit("a tampered extension passed its re-check")
+    """
+    _passes_under_python_O(code)
 
 
 def _tamper_multipliers(monkeypatch, tamper):

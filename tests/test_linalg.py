@@ -76,11 +76,7 @@ def test_affine_rank_is_translation_invariant():
 
 
 def test_primitive_normalization():
-    from coneext.linalg import primitive_signed
-
     assert primitive((Fraction(5, 6), Fraction(5, 6), 0)) == (1, 1, 0)
-    # direction is kept; only primitive_signed flips the overall sign
+    # direction is kept
     assert primitive((-2, 4, -6)) == (-1, 2, -3)
-    assert primitive_signed((-2, 4, -6)) == (1, -2, 3)
     assert primitive((0, Fraction(-1, 3))) == (0, -1)
-    assert primitive_signed((0, Fraction(-1, 3))) == (0, 1)

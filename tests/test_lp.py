@@ -307,6 +307,20 @@ def test_certificate_checks_survive_python_O():
     assert run.returncode == 0, run.stderr
 
 
+def test_verifiers_raise_certificate_error():
+    """Each verifier reports a bad certificate as ``CertificateError``
+    itself, not as the bare ``AssertionError`` it derives from."""
+    from coneext import lp
+
+    p = LpProblem.build(1, ge_rows=[((1,), 1)], nonneg=(0,), objective=(1,))
+    for check, args in ((verify_point, ((0,),)),
+                        (verify_farkas, ((1,),)),
+                        (verify_ray, ((1,), (1,)))):
+        with pytest.raises(AssertionError) as caught:
+            check(p, *args)
+        assert caught.type is lp.CertificateError, check.__name__
+
+
 def _rejects(check, *args):
     try:
         check(*args)

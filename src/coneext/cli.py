@@ -41,10 +41,15 @@ class SemanticError(Exception):
 
 def _read(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise SemanticError(f"cannot read {path}: {e.strerror}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: byte {data[e.start]:#04x} is not UTF-8",
+                         data.count(b"\n", 0, e.start) + 1)
 
 
 def _load_cone(path):

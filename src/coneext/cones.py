@@ -50,13 +50,14 @@ def _adjacent(constraints, tight_a, tight_b, n):
 def _dual_extreme_rays(constraints, n):
     """Extreme rays of {f : c . f >= 0 for all c} by incremental insertion.
 
-    Assumes the constraints span, so the result is pointed.  Every ray
-    returned satisfies every constraint, so when the result is not
-    full-dimensional the rays have rank < n; make_cone reads that as a line.
+    The constraints must span, else the cone they generate is not
+    full-dimensional, and the result is then pointed.  Every ray returned
+    satisfies every constraint, so when the result is not full-dimensional
+    the rays have rank < n; make_cone reads that as a line.
     """
     base = greedy_independent(constraints, n)
     if len(base) < n:
-        raise ConeError("constraints do not span; dual cone is not pointed")
+        raise ConeError("cone is not full-dimensional")
     minv = inverse([constraints[i] for i in base])
     rays = [primitive(tuple(minv[r][l] for r in range(n))) for l in range(n)]
     processed = list(base)
@@ -130,8 +131,6 @@ def make_cone(generators):
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise ConeError("mixed ambient dimensions")
-    if rank(gens) != n:
-        raise ConeError("cone is not full-dimensional")
     facets = _dual_extreme_rays(gens, n)
     # the dual cone is full-dimensional exactly when the cone has no line
     if rank(facets) != n:
@@ -179,6 +178,10 @@ class BasedCone:
 
 
 def make_based(cone, phi):
+    # the only facet of a ray misses its base, a point, so a base keeps the
+    # facet-functional bijection only from dimension 2 on
+    if cone.dim < 2:
+        raise ConeError("a based cone needs dimension at least 2")
     phi = vec(phi)
     if len(phi) != cone.dim:
         raise ConeError("phi dimension mismatch")

@@ -51,8 +51,7 @@ from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
 from .linalg import dot, primitive
 from .polytopes import SimplexFactorization, factor_as_simplices
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
-                      from_vector, kron, pairing, reorder_slots,
-                      symmetric_project, zero_tensor)
+                      from_vector, kron, pairing, symmetric_project)
 
 
 class ConsistencyError(AssertionError):
@@ -98,41 +97,29 @@ class ReductionMap:
 
 
 def reduction_map(based, k):
-    """Average over positions of (phi everywhere except one identity slot);
-    level 1 is the identity."""
+    """Average over positions of (phi everywhere except one identity slot),
+    as phi^(k-1) ox identity symmetrized over its k dual slots; level 1 is
+    the identity."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = based.cone.dim
-    phi_dual = from_vector(based.phi, DUAL)
-    ident = zero_tensor((Slot(n, DUAL), Slot(n, PRIMAL)))
-    ent = list(ident.entries)
-    for i in range(n):
-        ent[i * n + i] = Fraction(1)
-    ident = DenseTensor(ident.slots, ent)
-    total = None
-    for pos in range(k):
-        factors = [phi_dual] * pos + [ident] + [phi_dual] * (k - 1 - pos)
-        term = kron(*factors)
-        # primal slot of the identity sits at position pos+1; move it last
-        perm = [j for j in range(k + 1) if j != pos + 1] + [pos + 1]
-        term = reorder_slots(term, perm)
-        total = term if total is None else total + term
-    return ReductionMap(based, k, total.scale(Fraction(1, k)))
+    ident = DenseTensor((Slot(n, DUAL), Slot(n, PRIMAL)),
+                        [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+    t = kron(*([from_vector(based.phi, DUAL)] * (k - 1)), ident)
+    return ReductionMap(based, k, symmetric_project(t, range(k)))
 
 
 def apply_reduction(x, based, k):
-    """(Id_A ox reduction)(x) for x in V_A ox V_B^{ox k}: average over
-    keeping one B slot and pairing the rest with phi."""
+    """(Id_A ox reduction)(x) for x in V_A ox V_B^{ox k}: symmetrize the B
+    slots, then pair all but the first with phi, which is the average over
+    keeping one B slot for any x.  No code is shared with ``_sym_product``,
+    ``_reduced_monomial`` or ``_symmetric_extension``, which build the LPs,
+    so ``_check_extension``'s reduction check stays independent of them."""
     phi_dual = from_vector(based.phi, DUAL)
-    total = None
-    for keep in range(1, k + 1):
-        t = x
-        for slot in range(k, 0, -1):
-            if slot == keep:
-                continue
-            t = contract_slot(t, slot, phi_dual)
-        total = t if total is None else total + t
-    return total.scale(Fraction(1, k))
+    t = symmetric_project(x, range(1, k + 1))
+    for slot in range(k, 1, -1):
+        t = contract_slot(t, slot, phi_dual)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -113,13 +113,6 @@ class DenseTensor:
         return f"DenseTensor[{shape}]"
 
 
-def zero_tensor(slots, zero=Fraction(0)):
-    size = 1
-    for s in slots:
-        size *= s.dim
-    return DenseTensor(slots, (zero,) * size)
-
-
 def basis_vector(dim, i, variance=PRIMAL):
     entries = [Fraction(0)] * dim
     entries[i] = Fraction(1)
@@ -161,29 +154,32 @@ def reorder_slots(t, perm):
     return DenseTensor(slots, entries)
 
 
+def _orbits(slots, chosen):
+    """Flat positions grouped by agreeing off the chosen slots and carrying
+    the same multiset on them, in order of first appearance."""
+    orbits = {}
+    for pos, multi in enumerate(itertools.product(*(range(s.dim) for s in slots))):
+        key = list(multi)
+        for i, j in zip(chosen, sorted(multi[i] for i in chosen)):
+            key[i] = j
+        orbits.setdefault(tuple(key), []).append(pos)
+    return orbits.values()
+
+
 def symmetric_project(t, slot_indices=None):
     """Average of reorder_slots over every permutation of the given slots
-    (all slots by default), which must share dimension and variance.
-    Materialized directly; intended for k <= 8.
-    """
-    k = len(t.slots)
-    if slot_indices is None:
-        slot_indices = tuple(range(k))
-    slot_indices = tuple(slot_indices)
-    if len({(t.slots[i].dim, t.slots[i].variance) for i in slot_indices}) > 1:
+    (all slots by default), which must share dimension and variance: each
+    entry becomes the mean of its orbit, so no permutation is enumerated."""
+    chosen = tuple(range(len(t.slots)) if slot_indices is None else slot_indices)
+    if len({(t.slots[i].dim, t.slots[i].variance) for i in chosen}) > 1:
         raise ValueError("symmetrized slots must be identical")
-    if factorial(len(slot_indices)) > factorial(8):
-        raise ValueError("symmetric_project materializes k! terms; k too large")
-    total = None
-    count = 0
-    for perm in itertools.permutations(slot_indices):
-        full = list(range(k))
-        for pos, src in zip(slot_indices, perm):
-            full[pos] = src
-        term = reorder_slots(t, full)
-        total = term if total is None else total + term
-        count += 1
-    return total.scale(Fraction(1, count))
+    entries = [None] * len(t.entries)
+    for orbit in _orbits(t.slots, chosen):
+        total = sum((t.entries[pos] for pos in orbit[1:]), t.entries[orbit[0]])
+        mean = Fraction(1, len(orbit)) * total
+        for pos in orbit:
+            entries[pos] = mean
+    return DenseTensor(t.slots, entries)
 
 
 def contract_slot(t, slot_index, f):
@@ -215,20 +211,17 @@ def pairing(s, t):
 def sym_basis(n, k, variance=PRIMAL):
     """Basis of the symmetric subspace of the k-fold power of an n-dim space.
 
-    One element per size-k multiset of [n]: the symmetrization of the
-    corresponding monomial.  Each is fixed by symmetric_project, and there
-    are C(n+k-1, k) of them.
+    One element per size-k multiset of [n], in combinations_with_replacement
+    order (a multiset first appears as its sorted arrangement): the mean of
+    the unit tensors over its arrangements.  Each is fixed by
+    symmetric_project, and there are C(n+k-1, k) of them.
     """
+    slots = (Slot(n, variance),) * k
     out = []
-    slots = tuple(Slot(n, variance) for _ in range(k))
-    for multiset in itertools.combinations_with_replacement(range(n), k):
-        arrangements = set(itertools.permutations(multiset))
-        weight = Fraction(1, len(arrangements))
+    for orbit in _orbits(slots, range(k)):
         entries = [Fraction(0)] * (n ** k)
-        stride = _strides(slots)
-        for arr in arrangements:
-            idx = sum(j * st for j, st in zip(arr, stride))
-            entries[idx] = weight
+        for pos in orbit:
+            entries[pos] = Fraction(1, len(orbit))
         out.append(DenseTensor(slots, entries))
     if len(out) != comb(n + k - 1, k):
         raise AssertionError("symmetric basis has the wrong size")

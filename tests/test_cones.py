@@ -34,6 +34,14 @@ def test_error_cases():
         make_cone([(0, 0)])
 
 
+def test_make_based_refuses_a_ray():
+    """A ray's only facet misses its base, so no based cone of dimension 1."""
+    ray = make_cone([(1,)])
+    assert ray.rays == ((1,),) and ray.facets == ((1,),)
+    with pytest.raises(ConeError, match="dimension at least 2"):
+        make_based(ray, (1,))
+
+
 def _lp_probe_verdict(gens):
     """make_cone's verdict by an independent route: the rank of the
     generators, then an LP for a functional >= 1 on every generator, which

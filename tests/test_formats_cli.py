@@ -150,6 +150,36 @@ def test_non_ascii_digit_is_a_parse_error(tmp_path):
     assert "line 2" in err
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.cone"
+    path.write_bytes(b"cone bad\ndim 2\nray 1 0\nray 0 \xff1\n")
+    code, out, err = _run(["dualize", "--cone-a", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "line 4" in err and str(path) in err and "0xff" in err
+    assert out == ""
+
+
+def test_one_dimensional_based_cone_exits_three(tmp_path):
+    one = tmp_path / "one.cone"
+    one.write_text("cone one\ndim 1\nray 1\nphi 1\n")
+    point = tmp_path / "p.pt"
+    point.write_text("point p\ndims 1 2\nrow 1 1\n")
+    for argv in (["eb-check", "--k", "1", "--cone-b", str(one)],
+                 ["factor", "--cone-b", str(one)],
+                 ["hull-check", "--cone-b", str(one)],
+                 ["ext-check", "--k", "1", "--cone-a", str(one),
+                  "--cone-b", str(one), "--point", str(point)]):
+        code, out, err = _run(argv)
+        assert code == 3, argv
+        assert "dimension at least 2" in err and out == ""
+    code, out, _ = _run(["ext-check", "--k", "2", "--cone-a", str(one),
+                         "--cone-b", fixture_path("orthant2.cone"),
+                         "--point", str(point)])
+    assert code == 0
+    assert "verdict: MEMBER" in out
+
+
 def test_semantic_failures_exit_three(tmp_path):
     path = tmp_path / "line.cone"
     path.write_text("cone line\ndim 2\nray 1 0\nray -1 0\nray 0 1\n")

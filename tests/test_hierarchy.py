@@ -32,8 +32,7 @@ from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
-                             reorder_slots, sym_basis, symmetric_project,
-                             zero_tensor)
+                             reorder_slots, sym_basis, symmetric_project)
 
 
 def _load_point(filename, a_cone, b_cone):
@@ -130,6 +129,64 @@ def test_apply_reduction_keeps_the_a_factor():
         x = kron(from_vector(a), from_vector(u), from_vector(v))
         avg = tuple((p + q) / 2 for p, q in zip(u, v))
         assert apply_reduction(x, based, 2) == kron(from_vector(a), from_vector(avg))
+
+
+def _reduction_map_by_positions(based, k):
+    """The level-k reduction tensor term by term: phi on every dual slot but
+    one, which carries the identity with its primal slot moved last,
+    averaged over the k positions of the identity."""
+    n = based.cone.dim
+    phi = from_vector(based.phi, DUAL)
+    ident = DenseTensor((Slot(n, DUAL), Slot(n, PRIMAL)),
+                        [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+    total = None
+    for pos in range(k):
+        term = kron(*([phi] * pos), ident, *([phi] * (k - 1 - pos)))
+        term = reorder_slots(term, [j for j in range(k + 1) if j != pos + 1] + [pos + 1])
+        total = term if total is None else total + term
+    return total.scale(Fraction(1, k))
+
+
+def _reduce_by_kept_slot(x, based, k):
+    """(Id_A ox reduction)(x) term by term: the average, over the kept B
+    slot, of pairing every other B slot with phi."""
+    phi = from_vector(based.phi, DUAL)
+    total = None
+    for keep in range(1, k + 1):
+        t = x
+        for slot in range(k, 0, -1):
+            if slot != keep:
+                t = contract_slot(t, slot, phi)
+        total = t if total is None else total + t
+    return total.scale(Fraction(1, k))
+
+
+def test_reduction_map_matches_the_position_sum():
+    for name in cone_names():
+        based = based_cone(name)
+        for k in (1, 2, 3, 4):
+            gamma = reduction_map(based, k).tensor
+            assert gamma == _reduction_map_by_positions(based, k), (name, k)
+            assert all(type(e) is Fraction for e in gamma.entries)
+
+
+def test_apply_reduction_matches_the_kept_slot_average():
+    """On tensors that are not symmetric over the B slots, symmetrizing and
+    then pairing k-1 slots with phi equals the kept-slot average."""
+    rng = random.Random(37)
+    for name in cone_names():
+        based = based_cone(name)
+        n = based.cone.dim
+        for k in (1, 2, 3, 4):
+            nA = rng.randint(1, 3)
+            slots = (Slot(nA, PRIMAL),) + (Slot(n, PRIMAL),) * k
+            x = DenseTensor(slots, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                    for _ in range(nA * n ** k)])
+            if k > 1:
+                assert symmetric_project(x, range(1, k + 1)) != x
+            got = apply_reduction(x, based, k)
+            assert got == _reduce_by_kept_slot(x, based, k), (name, k)
+            assert all(type(e) is Fraction for e in got.entries)
 
 
 def test_square_level_two_four_term_expansion():
@@ -875,7 +932,7 @@ def test_lattice_is_unisolvent():
             assert all(len(t) == n and min(t) >= 0 and sum(t) == k for t in points)
             forms = [_form(s) for s in sym_basis(n, k)]
             assert rank([[form(t) for t in points] for form in forms]) == len(points)
-            sym = zero_tensor((Slot(n, PRIMAL),) * k)
+            sym = DenseTensor((Slot(n, PRIMAL),) * k, [Fraction(0)] * n ** k)
             while sym.is_zero():
                 ent = list(sym.entries)
                 for _ in range(3):

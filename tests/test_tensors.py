@@ -8,10 +8,10 @@ from math import comb
 import pytest
 
 from coneext.linalg import rank
+from coneext.scalars import QuadScalar
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
-                             reorder_slots, sym_basis, symmetric_project,
-                             zero_tensor)
+                             reorder_slots, sym_basis, symmetric_project)
 
 
 def _random_tensor(rng, k, dim, variance=PRIMAL, span=5):
@@ -81,6 +81,66 @@ def test_projection_idempotent_up_to_k4():
         t = _random_tensor(rng, k, 2)
         p = symmetric_project(t)
         assert symmetric_project(p) == p
+
+
+def _permutation_average(t, chosen):
+    """symmetric_project by its definition: the mean of reorder_slots over
+    every permutation of the chosen slots, k! copies."""
+    terms = []
+    for perm in itertools.permutations(chosen):
+        full = list(range(len(t.slots)))
+        for pos, src in zip(chosen, perm):
+            full[pos] = src
+        terms.append(reorder_slots(t, full))
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total.scale(Fraction(1, len(terms)))
+
+
+def test_projection_is_the_permutation_average():
+    """On seeded tensors with mixed slots, a symmetrized subset of up to four
+    identical slots, and Fraction, int or QuadScalar entries, the orbit
+    average equals the k!-term average entry for entry, types included."""
+    rng = random.Random(61)
+    kinds = {
+        "fraction": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        "int": lambda: rng.randint(-5, 5),
+        "quad": lambda: QuadScalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                   Fraction(rng.randint(-5, 5), rng.randint(1, 3))),
+    }
+    for _ in range(60):
+        count = rng.randint(1, 5)
+        chosen = sorted(rng.sample(range(count), rng.randint(1, min(count, 4))))
+        shared = Slot(rng.randint(1, 3), rng.choice((PRIMAL, DUAL)))
+        slots = [shared if i in chosen else
+                 Slot(rng.randint(1, 3), rng.choice((PRIMAL, DUAL)))
+                 for i in range(count)]
+        make = kinds[rng.choice(sorted(kinds))]
+        size = 1
+        for s in slots:
+            size *= s.dim
+        t = DenseTensor(slots, [make() for _ in range(size)])
+        order = rng.sample(chosen, len(chosen))
+        got = symmetric_project(t, order)
+        want = _permutation_average(t, chosen)
+        assert got == want
+        assert [type(e) for e in got.entries] == [type(e) for e in want.entries]
+
+
+def test_projection_beyond_eight_slots():
+    """Nine slots of dimension 2: the result is idempotent, fixed by every
+    adjacent transposition, and each entry is the mean of its orbit."""
+    rng = random.Random(67)
+    t = _random_tensor(rng, 9, 2)
+    p = symmetric_project(t)
+    assert symmetric_project(p) == p
+    for i in range(8):
+        swap = list(range(9))
+        swap[i], swap[i + 1] = swap[i + 1], swap[i]
+        assert reorder_slots(p, swap) == p
+    one_hot = [tuple(int(j == i) for j in range(9)) for i in range(9)]
+    assert p[one_hot[0]] == sum(t[m] for m in one_hot) / 9
 
 
 def test_projection_two_element_average():
@@ -194,7 +254,7 @@ def test_pairing_is_flat_dot():
 
 
 def test_zero_tensor_and_entry_count_check():
-    z = zero_tensor((Slot(2, PRIMAL), Slot(3, PRIMAL)))
-    assert all(e == 0 for e in z.entries)
+    z = DenseTensor((Slot(2, PRIMAL), Slot(3, PRIMAL)), [Fraction(0)] * 6)
+    assert z.is_zero()
     with pytest.raises(ValueError):
         DenseTensor((Slot(2, PRIMAL),), (1, 2, 3))

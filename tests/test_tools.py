@@ -1,5 +1,7 @@
-"""The fixture tool rewrites the shipped point files byte for byte."""
+"""The fixture tool rewrites the shipped point files byte for byte, and the
+benchmark tracer's table names live functions."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -23,3 +25,17 @@ def test_make_fixtures_reproduces_the_shipped_points(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(POINT_FILES)
     for name in POINT_FILES:
         assert (tmp_path / name).read_bytes() == Path(fixture_path(name)).read_bytes(), name
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps each name of its ``TRACED`` table with
+    ``getattr``; a helper removed from ``coneext`` breaks the traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for module, names in tracer.TRACED.items():
+        mod = importlib.import_module(f"coneext.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"coneext.{module}.{name}"

@@ -68,11 +68,11 @@ def _load_based(path, phi_override):
     if phi is None:
         raise SemanticError(f"{path}: no phi in file and no --phi given")
     if len(phi) != cone.dim:
-        raise SemanticError(f"phi has {len(phi)} entries, cone has dim {cone.dim}")
+        raise SemanticError(f"{path}: phi has {len(phi)} entries, cone has dim {cone.dim}")
     try:
         return name, make_based(cone, phi)
     except ValueError as e:
-        raise SemanticError(str(e))
+        raise SemanticError(f"{path}: {e}")
 
 
 def _load_polytope_arg(args):

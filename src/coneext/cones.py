@@ -91,10 +91,10 @@ def _dual_extreme_rays(constraints, n):
     return sorted(set(rays))
 
 
-def _certify(dim, rays, facets):
+def _certify(dim, rays, facets, facet_rank=None):
     if rank(rays) != dim:
         raise CertificationError("rays do not span")
-    if rank(facets) != dim:
+    if (rank(facets) if facet_rank is None else facet_rank) != dim:
         raise CertificationError("facets do not span")
     for f in facets:
         for r in rays:
@@ -119,7 +119,6 @@ def make_cone(generators):
     gens = []
     seen = set()
     for g in generators:
-        g = vec(g)
         if is_zero_vec(g):
             continue
         p = primitive(g)
@@ -133,12 +132,13 @@ def make_cone(generators):
         raise ConeError("mixed ambient dimensions")
     facets = _dual_extreme_rays(gens, n)
     # the dual cone is full-dimensional exactly when the cone has no line
-    if rank(facets) != n:
+    facet_rank = rank(facets)
+    if facet_rank != n:
         raise ConeError("cone contains a line")
     rays = sorted(g for g in gens
                   if rank([f for f in facets if dot(f, g) == 0]) == n - 1)
     cone = Cone(dim=n, rays=tuple(rays), facets=tuple(facets))
-    _certify(n, cone.rays, cone.facets)
+    _certify(n, cone.rays, cone.facets, facet_rank)
     return cone
 
 

@@ -1,17 +1,20 @@
-"""Small exact linear-algebra toolkit over Fraction vectors.
+"""Small exact linear-algebra toolkit; Fraction (or int) in, Fraction out.
 
-Vectors are tuples of Fractions, matrices are lists/tuples of row vectors.
-Everything here is plain Gaussian elimination; sizes stay at desk scale.
+Vectors are tuples, matrices lists/tuples of row vectors.  The inner loops
+run on integer numerators over a cleared denominator: ``dot`` divides once,
+and ``rref`` is fraction-free Gauss-Jordan elimination (cf. Bareiss 1968)
+on integer rows, each gcd-reduced after every update.  Desk-scale sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def vec(entries):
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def vec_add(u, v):
@@ -22,8 +25,20 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
+def clear_denominators(v):
+    """(ints, d): int numerators over the least common denominator d > 0
+    of the int or Fraction entries of ``v``, so that v == ints / d."""
+    d = lcm(*[a.denominator for a in v])
+    if d == 1:
+        return [a.numerator for a in v], 1
+    return [a.numerator * (d // a.denominator) for a in v], d
+
+
 def dot(u, v):
-    return sum((a * b for a, b in zip(u, v, strict=True)), start=Fraction(0))
+    (us, ud), (vs, vd) = clear_denominators(u), clear_denominators(v)
+    if len(us) != len(vs):
+        raise ValueError(f"dot of vectors of lengths {len(us)} and {len(vs)}")
+    return Fraction(sum(map(mul, us, vs)), ud * vd)
 
 
 def is_zero_vec(u):
@@ -32,90 +47,94 @@ def is_zero_vec(u):
 
 def primitive(u):
     """Scale to coprime integers, clearing denominators; direction kept."""
-    u = vec(u)
-    if is_zero_vec(u):
-        raise ValueError("zero vector has no primitive form")
-    mult = lcm(*(a.denominator for a in u))
-    ints = [int(a * mult) for a in u]
+    ints, _ = clear_denominators(u)
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
     return tuple(Fraction(x // g) for x in ints)
+
+
+def _echelon(rows):
+    """Gauss-Jordan elimination on the rows cleared to integers.  Returns
+    (int rows, pivot columns): row i < len(pivots) is a multiple of row i of
+    the reduced row echelon form by its pivot entry, later rows are zero."""
+    m = [clear_denominators(r)[0] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                # p * row - f * prow, with p and f divided by their gcd
+                g = gcd(prow[c], f)
+                p, f = prow[c] // g, f // g
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, pivots = _echelon(rows)
+    out = [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)]
+    out += [[Fraction(0)] * len(row) for row in m[len(pivots):]]
+    return out, pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows, ncols=None):
     """Basis of {x : A x = 0}, via back substitution from the rref."""
-    rows = [vec(r) for r in rows]
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty system")
         ncols = len(rows[0])
-    m, pivots = rref(rows)
+    m, pivots = _echelon(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         x = [Fraction(0)] * ncols
         x[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            x[pc] = -m[ri][fc]
+        for row, pc in zip(m, pivots):
+            x[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(x))
     return basis
 
 
 def solve(rows, rhs):
     """One solution of A x = b, or None when inconsistent."""
-    rows = [vec(r) for r in rows]
-    rhs = vec(rhs)
     if not rows:
         return ()
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    m, pivots = rref(aug)
+    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs, strict=True)]
+    m, pivots = _echelon(aug)
     if ncols in pivots:  # pivot in the rhs column: inconsistent
         return None
     x = [Fraction(0)] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = m[ri][ncols]
+    for row, pc in zip(m, pivots):
+        x[pc] = Fraction(row[ncols], row[pc])
     return tuple(x)
 
 
 def inverse(rows):
     """Inverse of a square matrix; raises ValueError when singular."""
     n = len(rows)
-    aug = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
+    aug = [tuple(r) + tuple(int(i == j) for j in range(n))
            for i, r in enumerate(rows)]
-    m, pivots = rref(aug)
+    m, pivots = _echelon(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [tuple(m[i][n:]) for i in range(n)]
+    return [tuple(Fraction(a, row[i]) for a in row[n:]) for i, row in enumerate(m)]
 
 
 def mat_vec(rows, x):
@@ -128,20 +147,11 @@ def transpose(rows):
 
 def affine_rank(points):
     """Dimension of the affine hull of a nonempty point set."""
-    points = [vec(p) for p in points]
-    base = points[0]
-    return rank([vec_sub(p, base) for p in points[1:]])
+    return rank([vec_sub(p, points[0]) for p in points[1:]])
 
 
 def greedy_independent(rows, target_rank=None):
     """Indices of a maximal (or rank-``target_rank``) independent subset,
-    scanning in list order."""
-    chosen = []
-    chosen_rows = []
-    for i, r in enumerate(rows):
-        if rank(chosen_rows + [r]) > len(chosen_rows):
-            chosen.append(i)
-            chosen_rows.append(r)
-            if target_rank is not None and len(chosen) == target_rank:
-                break
-    return chosen
+    scanning in list order: the pivot columns of the rows taken as columns."""
+    pivots = _echelon(transpose(rows))[1]
+    return pivots if target_rank is None else pivots[:target_rank]

@@ -6,8 +6,11 @@ sparse: each row maps its nonzero columns to int numerators over one
 positive int denominator, is pivoted by cross-multiplication over the union
 of the two supports and gcd-reduced after every update (Edmonds 1967), so
 it takes the same pivots as a dense tableau of Fractions while a pivot
-touches only nonzero entries.  No floating point, no presolve.  Every
-outcome is re-verified against the original problem before it is returned:
+touches only nonzero entries.  No floating point, no presolve.  The API
+stays Fraction in and Fraction out, and the re-checks below also run on
+integer numerators over a cleared denominator (``clear_denominators``),
+each an exact comparison.  Every outcome is re-verified against the
+original problem before it is returned:
 
 * feasible: the point satisfies every row exactly (and the optimum, when
   an objective is present, equals objective . point);
@@ -26,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
-from .linalg import dot, primitive, vec
+from .linalg import clear_denominators, dot, primitive, vec
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -74,15 +78,24 @@ class LpOutcome:
     ray: tuple | None = None          # recession direction when unbounded
 
 
+def _excess(rows, x):
+    """For each row (r, b), an int with the sign of r . x - b; ``x`` is
+    cleared to integers once for all rows."""
+    xs, xd = clear_denominators(x)
+    for r, b in rows:
+        rs, rd = clear_denominators(r)
+        if len(rs) != len(xs):
+            raise ValueError(f"row of length {len(rs)} against {len(xs)} values")
+        yield sum(map(mul, rs, xs)) * b.denominator - b.numerator * rd * xd
+
+
 def verify_point(problem, point):
     if len(point) != problem.num_vars:
         raise CertificateError("point arity mismatch")
-    for r, b in problem.eq_rows:
-        if dot(r, point) != b:
-            raise CertificateError("equality row violated")
-    for r, b in problem.ge_rows:
-        if dot(r, point) < b:
-            raise CertificateError("inequality row violated")
+    if any(_excess(problem.eq_rows, point)):
+        raise CertificateError("equality row violated")
+    if any(e < 0 for e in _excess(problem.ge_rows, point)):
+        raise CertificateError("inequality row violated")
     for j in problem.nonneg:
         if point[j] < 0:
             raise CertificateError("sign constraint violated")
@@ -95,14 +108,10 @@ def verify_farkas(problem, mult):
     for lam in mult[ne:]:
         if lam < 0:
             raise CertificateError("inequality multiplier must be nonnegative")
-    combined = [Fraction(0)] * problem.num_vars
-    rho = Fraction(0)
-    for lam, (r, b) in zip(mult, problem.eq_rows + problem.ge_rows):
-        if lam == 0:
-            continue
-        for j, a in enumerate(r):
-            combined[j] += lam * a
-        rho += lam * b
+    # the signs of mult . column over the columns of the rows with their rhs
+    rows = [r + (b,) for r, b in problem.eq_rows + problem.ge_rows]
+    cols = zip(*rows) if rows else [()] * (problem.num_vars + 1)
+    *combined, rho = _excess(((c, 0) for c in cols), mult)
     if rho <= 0:
         raise CertificateError("Farkas combination has nonpositive rhs")
     for j, a in enumerate(combined):
@@ -115,12 +124,10 @@ def verify_farkas(problem, mult):
 
 def verify_ray(problem, point, ray):
     verify_point(problem, point)
-    for r, _ in problem.eq_rows:
-        if dot(r, ray) != 0:
-            raise CertificateError("ray leaves an equality row")
-    for r, _ in problem.ge_rows:
-        if dot(r, ray) < 0:
-            raise CertificateError("ray leaves an inequality row")
+    if any(_excess(((r, 0) for r, _ in problem.eq_rows), ray)):
+        raise CertificateError("ray leaves an equality row")
+    if any(e < 0 for e in _excess(((r, 0) for r, _ in problem.ge_rows), ray)):
+        raise CertificateError("ray leaves an inequality row")
     for j in problem.nonneg:
         if ray[j] < 0:
             raise CertificateError("ray leaves the sign orthant")
@@ -173,19 +180,18 @@ class _Tableau:
                 sg = -1 if b < 0 else 1
             self.sigma.append(sg)
             # the row times d, the least common denominator of its entries
-            d = lcm(b.denominator, *(a.denominator for a in r))
+            ints, d = clear_denominators(r + (b,))
             row = {}
             for c, (_, j, s) in enumerate(self.cols[:self.sur0]):
-                a = r[j]
-                if a:
-                    row[c] = sg * s * a.numerator * (d // a.denominator)
+                if ints[j]:
+                    row[c] = sg * s * ints[j]
             if surplus is not None:
                 row[self.sur0 + surplus] = -sg * d
             art = self.art_of_row.get(ridx)
             if art is not None:
                 row[nstruct + art] = d
             if b:
-                row[_RHS] = sg * b.numerator * (d // b.denominator)
+                row[_RHS] = sg * ints[-1]
             self.T.append(row)
             self.den.append(d)
             if art is not None:
@@ -197,8 +203,8 @@ class _Tableau:
     def set_costs(self, costs):
         """Reduced costs ``costs - c_B . rows`` for the current basis;
         ``costs`` holds one int or Fraction per column."""
-        den = lcm(*(c.denominator for c in costs))
-        z = [c.numerator * (den // c.denominator) for c in costs] + [0]
+        z, den = clear_denominators(costs)
+        z.append(0)
         for row, d, bcol in zip(self.T, self.den, self.basis):
             cb = costs[bcol]
             if cb != 0:
@@ -403,21 +409,16 @@ def conic_membership(target, generators):
     for g in gens:
         if len(g) != n:
             raise ValueError("generator dimension mismatch")
-    eq_rows = [(tuple(g[i] for g in gens), target[i]) for i in range(n)]
-    problem = LpProblem.build(len(gens), eq_rows=eq_rows, nonneg=range(len(gens)))
-    out = solve(problem)
+    eq_rows = tuple((tuple(g[i] for g in gens), target[i]) for i in range(n))
+    out = solve(LpProblem(len(gens), eq_rows, (), frozenset(range(len(gens)))))
     if out.status == FEASIBLE:
-        weights = out.point
-        total = [Fraction(0)] * n
-        for w, g in zip(weights, gens):
-            for i, a in enumerate(g):
-                total[i] += w * a
-        if tuple(total) != target:
+        # the LP rows are the target's coordinates as sums over the generators
+        if any(_excess(eq_rows, out.point)):
             raise CertificateError("decomposition does not re-sum")
-        return ConicOutcome(member=True, weights=weights)
+        return ConicOutcome(member=True, weights=out.point)
     if out.status != INFEASIBLE:
         raise CertificateError(f"unexpected LP status {out.status!r}")
     h = primitive([-lam for lam in out.certificate])
-    if dot(h, target) >= 0 or any(dot(h, g) < 0 for g in gens):
+    if dot(h, target) >= 0 or any(e < 0 for e in _excess(((g, 0) for g in gens), h)):
         raise CertificateError("separating functional failed verification")
     return ConicOutcome(member=False, separating=h)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cones import make_cone
 from .linalg import (affine_rank, dot, greedy_independent, inverse, nullspace,
-                     primitive, solve, transpose, vec, vec_sub)
+                     primitive, solve, vec, vec_sub)
 
 FACET_CAP = 20  # subset iteration guard for the commutation test
 
@@ -87,11 +87,9 @@ def polytope_from_vertices(points):
         p = Polytope(ambient, (pts[0],), (), pts[0], (), (frozenset(),))
         return p
     # local coordinates t(x) = L (x - v0) with L the left inverse of D
-    dmat = transpose(directions)           # ambient x d, columns are directions
     gram = [[dot(a, b) for b in directions] for a in directions]
-    left = [vec(r) for r in inverse(gram)]
-    lmap = [tuple(sum(left[i][j] * directions[j][c] for j in range(d))
-                  for c in range(ambient)) for i in range(d)]
+    left = inverse(gram)
+    lmap = [tuple(dot(row, col) for col in zip(*directions)) for row in left]
 
     def local(x):
         diff = vec_sub(x, v0)
@@ -107,8 +105,7 @@ def polytope_from_vertices(points):
     functionals = []
     for f in cone.facets:
         a0, alocal = f[0], f[1:]
-        coeffs = tuple(sum(alocal[i] * lmap[i][c] for i in range(d))
-                       for c in range(ambient))
+        coeffs = tuple(dot(alocal, col) for col in zip(*lmap))
         const = a0 - dot(coeffs, v0)
         functionals.append(primitive((const,) + coeffs))
     functionals = tuple(sorted(functionals))

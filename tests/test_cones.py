@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from coneext.cones import (Cone, ConeError, dualize, interior_point,
-                           is_simplicial, make_based, make_cone)
+from coneext.cones import (CertificationError, Cone, ConeError, dualize,
+                           interior_point, is_simplicial, make_based, make_cone)
 from coneext.fixtures import based_cone, cone, cone_names
 from coneext.linalg import dot, greedy_independent, rank
 from coneext.lp import FEASIBLE, LpProblem, conic_membership, solve
@@ -40,6 +40,18 @@ def test_make_based_refuses_a_ray():
     assert ray.rays == ((1,),) and ray.facets == ((1,),)
     with pytest.raises(ConeError, match="dimension at least 2"):
         make_based(ray, (1,))
+
+
+def test_dualize_certifies_the_facet_rank():
+    """make_cone hands its facet rank to the certification; dualize has
+    none to hand, so the certification computes it and refuses a pair
+    whose facets do not span."""
+    flat = Cone(dim=3, rays=((1, 0, 0), (0, 1, 0)),
+                facets=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(CertificationError, match="facets do not span"):
+        dualize(flat)
+    with pytest.raises(ConeError, match="line"):
+        make_cone([(1, 0), (-1, 0), (0, 1)])
 
 
 def _lp_probe_verdict(gens):

@@ -180,6 +180,22 @@ def test_one_dimensional_based_cone_exits_three(tmp_path):
     assert "verdict: MEMBER" in out
 
 
+def test_based_cone_errors_name_the_file(tmp_path):
+    one = tmp_path / "one.cone"
+    one.write_text("cone one\ndim 1\nray 1\nphi 1\n")
+    point = tmp_path / "p.pt"
+    point.write_text("point p\ndims 3 1\nrow 1\nrow 1\nrow 1\n")
+    code, out, err = _run(["ext-check", "--k", "1",
+                           "--cone-a", fixture_path("square.cone"),
+                           "--cone-b", str(one), "--point", str(point)])
+    assert code == 3 and out == ""
+    assert f"{one}: a based cone needs dimension at least 2" in err
+    code, out, err = _run(["eb-check", "--k", "1", "--phi", "1 0",
+                           "--cone-b", fixture_path("square.cone")])
+    assert code == 3 and out == ""
+    assert f"{fixture_path('square.cone')}: phi has 2 entries" in err
+
+
 def test_semantic_failures_exit_three(tmp_path):
     path = tmp_path / "line.cone"
     path.write_text("cone line\ndim 2\nray 1 0\nray -1 0\nray 0 1\n")

@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
-from coneext.linalg import (affine_rank, dot, inverse, mat_vec, nullspace,
-                            primitive, rank, rref, solve, transpose, vec)
+import pytest
+
+from coneext.linalg import (affine_rank, dot, greedy_independent, inverse,
+                            mat_vec, nullspace, primitive, rank, rref, solve,
+                            transpose, vec)
 
 
 def _random_matrix(rng, rows, cols, span=6):
@@ -80,3 +84,168 @@ def test_primitive_normalization():
     # direction is kept
     assert primitive((-2, 4, -6)) == (-1, 2, -3)
     assert primitive((0, Fraction(-1, 3))) == (0, -1)
+
+
+# -- differential test against a plain-Fraction reference --------------------
+#
+# The kernels above run on integer numerators over a cleared denominator;
+# the reference below is textbook Gauss-Jordan elimination on Fractions.
+
+def _ref_dot(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def _ref_rref(rows):
+    m = [[Fraction(a) for a in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _ref_nullspace(rows, ncols):
+    m, pivots = _ref_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            x[pc] = -m[ri][fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def _ref_solve(rows, rhs):
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    m, pivots = _ref_rref([list(r) + [b] for r, b in zip(rows, rhs, strict=True)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for ri, pc in enumerate(pivots):
+        x[pc] = m[ri][ncols]
+    return tuple(x)
+
+
+def _ref_inverse(rows):
+    n = len(rows)
+    m, pivots = _ref_rref([list(r) + [int(i == j) for j in range(n)]
+                           for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [tuple(m[i][n:]) for i in range(n)]
+
+
+def _ref_primitive(u):
+    mult = lcm(*(Fraction(a).denominator for a in u))
+    ints = [int(a * mult) for a in u]
+    g = gcd(*ints)
+    return tuple(Fraction(x // g) for x in ints)
+
+
+def _ref_greedy(rows):
+    chosen = []
+    for i, r in enumerate(rows):
+        if len(_ref_rref([rows[j] for j in chosen] + [r])[1]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+def _entry(rng):
+    """0 half the time, else an int or a Fraction with a small denominator."""
+    if rng.random() < 0.5:
+        return 0
+    num = rng.randint(-9, 9)
+    return num if rng.random() < 0.5 else Fraction(num, rng.randint(1, 12))
+
+
+def _awkward_matrix(rng, nrows, ncols):
+    """Rational rows mixing int and Fraction entries, with zero rows,
+    duplicate rows and combinations of earlier rows mixed in."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * ncols)
+        elif kind < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.5 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([_entry(rng) for _ in range(ncols)])
+    return rows
+
+
+def _all_fractions(rows):
+    return all(type(a) is Fraction for r in rows for a in r)
+
+
+def test_kernels_match_the_fraction_reference():
+    rng = random.Random(2024)
+    for trial in range(400):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        rows = _awkward_matrix(rng, nrows, ncols)
+        m, pivots = rref(rows)
+        assert (m, pivots) == _ref_rref(rows), rows
+        assert _all_fractions(m)
+        assert rank(rows) == len(pivots)
+        chosen = _ref_greedy(rows)
+        assert greedy_independent(rows) == chosen
+        assert greedy_independent(rows, 2) == chosen[:2]
+        basis = nullspace(rows, ncols)
+        assert basis == _ref_nullspace(rows, ncols) and _all_fractions(basis)
+        rhs = [_entry(rng) for _ in rows]
+        sol = solve(rows, rhs)
+        assert sol == _ref_solve(rows, rhs)
+        assert sol is None or _all_fractions([sol])
+        if nrows:
+            u = rows[0]
+            v = [_entry(rng) for _ in u]
+            assert dot(u, v) == _ref_dot(u, v) and type(dot(u, v)) is Fraction
+            if any(u):
+                assert primitive(u) == _ref_primitive(u)
+                assert _all_fractions([primitive(u)])
+        square = _awkward_matrix(rng, ncols, ncols)
+        expected = _ref_inverse(square)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(square)
+        else:
+            inv = inverse(square)
+            assert inv == expected and _all_fractions(inv)
+
+
+def test_kernels_on_empty_inputs():
+    assert rref([]) == _ref_rref([]) == ([], [])
+    assert rank([]) == 0
+    assert nullspace([], 3) == _ref_nullspace([], 3)
+    assert solve([], ()) == ()
+    assert inverse([]) == []
+    assert dot((), ()) == 0 and type(dot((), ())) is Fraction
+    with pytest.raises(ValueError):
+        primitive(())
+    with pytest.raises(ValueError):
+        primitive((0, Fraction(0)))
+
+
+def test_dot_of_unequal_lengths_raises():
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        dot((Fraction(1, 2),), ())

@@ -299,10 +299,16 @@ def test_certificate_checks_survive_python_O():
             sys.exit(0)
         sys.exit("member=True returned without a re-sum check")
     """)
+    _passes_under_python_O(code)
+
+
+def _passes_under_python_O(code):
+    """Run ``code`` under ``python -O`` with this checkout's coneext; it
+    exits 0 when the check it tampers with raised."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(coneext.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-O", "-c", code],
+    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
 
@@ -402,6 +408,55 @@ def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
             conic_membership(target, gens)
 
 
+# generators and a target with non-unit denominators, so that the integer
+# re-sum has to scale the weights, the generators and the target
+_FRACTIONAL_GENS = ((Fraction(1, 2), Fraction(1, 3), 0), (Fraction(1, 2), Fraction(-1, 3), 0),
+                    (Fraction(1, 5), 0, Fraction(3, 4)), (Fraction(1, 5), 0, Fraction(-3, 4)))
+_FRACTIONAL_TARGET = (Fraction(13, 12), Fraction(1, 9), Fraction(3, 8))
+
+
+def test_conic_resum_rejects_a_weight_moved_by_a_seventh(monkeypatch):
+    """With fractional generators and target, each weight of the valid
+    decomposition changed by +-1/7 fails the re-sum."""
+    from coneext import lp
+
+    out = conic_membership(_FRACTIONAL_TARGET, _FRACTIONAL_GENS)
+    assert out.member
+    assert any(w.denominator > 1 for w in out.weights)
+    for i in range(len(_FRACTIONAL_GENS)):
+        for delta in (Fraction(1, 7), Fraction(-1, 7)):
+            bad = _bumped(out.weights, i, out.weights[i] + delta)
+            monkeypatch.setattr(lp, "solve", lambda problem, bad=bad: lp.LpOutcome(
+                status=FEASIBLE, point=bad))
+            with pytest.raises(lp.CertificateError, match="re-sum"):
+                conic_membership(_FRACTIONAL_TARGET, _FRACTIONAL_GENS)
+
+
+def test_fractional_resum_survives_python_O():
+    code = f"""
+        import sys
+        from fractions import Fraction
+        from coneext import lp
+        if __debug__:
+            sys.exit("not running under -O")
+        gens, target = {_FRACTIONAL_GENS!r}, {_FRACTIONAL_TARGET!r}
+        weights = lp.conic_membership(target, gens).weights
+        for i in range(len(gens)):
+            for delta in (Fraction(1, 7), Fraction(-1, 7)):
+                bad = weights[:i] + (weights[i] + delta,) + weights[i + 1:]
+                lp.solve = lambda problem, bad=bad: lp.LpOutcome(
+                    status=lp.FEASIBLE, point=bad)
+                try:
+                    lp.conic_membership(target, gens)
+                except lp.CertificateError as err:
+                    if "re-sum" not in str(err):
+                        sys.exit(str(err))
+                    continue
+                sys.exit(f"weight {{i}} moved by {{delta}} passed the re-sum")
+    """
+    _passes_under_python_O(code)
+
+
 def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
     """An INFEASIBLE answer whose functional is nonnegative on the target
     fails the separation check with ``CertificateError``, an explicit raise
@@ -412,3 +467,8 @@ def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
         status=INFEASIBLE, certificate=(Fraction(-1), Fraction(0))))
     with pytest.raises(lp.CertificateError, match="separating"):
         conic_membership(vec((1, 0)), [vec((1, 0))])
+    # negative on the target, but also negative on the second generator
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(
+        status=INFEASIBLE, certificate=(Fraction(-1, 3), Fraction(1, 3))))
+    with pytest.raises(lp.CertificateError, match="separating"):
+        conic_membership(vec((-1, 0)), [vec((1, 0)), vec((0, 1))])

@@ -28,6 +28,8 @@ def vec_sub(u, v):
 def clear_denominators(v):
     """(ints, d): int numerators over the least common denominator d > 0
     of the int or Fraction entries of ``v``, so that v == ints / d."""
+    if not isinstance(v, (tuple, list)):
+        v = tuple(v)  # an iterator is read twice below
     d = lcm(*[a.denominator for a in v])
     if d == 1:
         return [a.numerator for a in v], 1
@@ -95,6 +97,7 @@ def rank(rows):
 
 def nullspace(rows, ncols=None):
     """Basis of {x : A x = 0}, via back substitution from the rref."""
+    rows = [tuple(r) for r in rows]
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty system")
@@ -113,10 +116,11 @@ def nullspace(rows, ncols=None):
 
 def solve(rows, rhs):
     """One solution of A x = b, or None when inconsistent."""
+    rows = [tuple(r) for r in rows]
     if not rows:
         return ()
     ncols = len(rows[0])
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs, strict=True)]
+    aug = [r + (b,) for r, b in zip(rows, rhs, strict=True)]
     m, pivots = _echelon(aug)
     if ncols in pivots:  # pivot in the rhs column: inconsistent
         return None

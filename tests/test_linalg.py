@@ -249,3 +249,14 @@ def test_dot_of_unequal_lengths_raises():
         dot((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         dot((Fraction(1, 2),), ())
+
+
+def test_kernels_accept_iterators():
+    """Rows and vectors may be any iterables, as with plain Fractions."""
+    rows = [(1, Fraction(1, 2), 0), (2, 1, 0), (0, 0, Fraction(3, 4))]
+    assert rref(iter(r) for r in rows) == _ref_rref(rows)
+    assert rank([iter(r) for r in rows]) == 2
+    assert dot(iter(rows[0]), iter(rows[2])) == _ref_dot(rows[0], rows[2])
+    assert primitive(a for a in rows[0]) == _ref_primitive(rows[0])
+    assert nullspace(iter(r) for r in rows) == _ref_nullspace(rows, 3)
+    assert solve((iter(r) for r in rows), iter((1, 2, 0))) == _ref_solve(rows, (1, 2, 0))

@@ -109,7 +109,7 @@ def verify_farkas(problem, mult):
         if lam < 0:
             raise CertificateError("inequality multiplier must be nonnegative")
     # the signs of mult . column over the columns of the rows with their rhs
-    rows = [r + (b,) for r, b in problem.eq_rows + problem.ge_rows]
+    rows = [tuple(r) + (b,) for r, b in problem.eq_rows + problem.ge_rows]
     cols = zip(*rows) if rows else [()] * (problem.num_vars + 1)
     *combined, rho = _excess(((c, 0) for c in cols), mult)
     if rho <= 0:
@@ -180,7 +180,7 @@ class _Tableau:
                 sg = -1 if b < 0 else 1
             self.sigma.append(sg)
             # the row times d, the least common denominator of its entries
-            ints, d = clear_denominators(r + (b,))
+            ints, d = clear_denominators(tuple(r) + (b,))
             row = {}
             for c, (_, j, s) in enumerate(self.cols[:self.sur0]):
                 if ints[j]:

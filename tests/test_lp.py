@@ -472,3 +472,12 @@ def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
         status=INFEASIBLE, certificate=(Fraction(-1, 3), Fraction(1, 3))))
     with pytest.raises(lp.CertificateError, match="separating"):
         conic_membership(vec((-1, 0)), [vec((1, 0)), vec((0, 1))])
+
+
+def test_directly_built_problem_with_list_rows():
+    """An LpProblem made without ``build``, with list rows, solves and
+    re-checks as the built one does."""
+    eq, ge = [([1, 1], Fraction(1))], [([1, -1], Fraction(3))]
+    direct = LpProblem(2, eq, ge, frozenset({0, 1}))
+    assert solve(direct) == solve(LpProblem.build(2, eq, ge, nonneg=(0, 1)))
+    assert solve(direct).status == INFEASIBLE

@@ -298,9 +298,12 @@ def main(argv=None):
     try:
         if getattr(args, "phi", None) is not None:
             args.phi = _parse_phi(args.phi)
-        if getattr(args, "polytope", "") is None and \
-                getattr(args, "cone_b", None) is None:
-            raise _UsageError("need --polytope or --cone-b")
+        if hasattr(args, "polytope"):
+            if args.polytope is None and args.cone_b is None:
+                raise _UsageError("need --polytope or --cone-b")
+            if args.polytope is not None and (args.cone_b is not None
+                                              or args.phi is not None):
+                raise _UsageError("--polytope cannot be combined with --cone-b or --phi")
         rep = _Reporter(args.report, out)
         return args.fn(args, rep, out)
     except ParseError as e:

@@ -13,9 +13,12 @@ exactness at small dimension over asymptotic speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from .linalg import (dot, greedy_independent, inverse, is_zero_vec, primitive,
-                     rank, vec, vec_add)
+from .linalg import (clear_denominators, dot, greedy_independent, inverse,
+                     is_zero_vec, primitive, rank, vec, vec_add)
 
 
 class ConeError(ValueError):
@@ -48,65 +51,81 @@ def _adjacent(constraints, tight_a, tight_b, n):
 
 
 def _dual_extreme_rays(constraints, n):
-    """Extreme rays of {f : c . f >= 0 for all c} by incremental insertion.
+    """Extreme rays of {f : c . f >= 0 for all c} by incremental insertion,
+    each with its tight set: the indices of the constraints it saturates.
 
     The constraints must span, else the cone they generate is not
     full-dimensional, and the result is then pointed.  Every ray returned
     satisfies every constraint, so when the result is not full-dimensional
     the rays have rank < n; make_cone reads that as a line.
+
+    Tight sets are kept incrementally over the processed constraints, as in
+    Fukuda and Prodon, "Double description method revisited" (1996).  Basis
+    ray l solves c_base[i] . r = [i == l], so it is tight on every basis
+    constraint but base[l].  Inserting c adds c to the tight set of each
+    kept ray with c . r = 0.  A new ray r = v+ r- - v- r+ from r+ (c . r+ =
+    v+ > 0) and r- (c . r- = v- < 0) is tight on c, and on a processed
+    constraint c' it is v+ (c' . r-) - v- (c' . r+), a sum of two terms
+    >= 0 because both rays satisfy c'; it vanishes exactly when both do.
+    So its tight set is (tight(r+) & tight(r-)) | {c}, with no dot product.
+
+    The work runs on the constraints cleared to integers once and on
+    primitive integer rays.  Returns (ray, tight set) pairs sorted by ray,
+    each ray a primitive integer vector of Fractions.
     """
-    base = greedy_independent(constraints, n)
+    cons = [clear_denominators(c)[0] for c in constraints]
+    base = greedy_independent(cons, n)
     if len(base) < n:
         raise ConeError("cone is not full-dimensional")
-    minv = inverse([constraints[i] for i in base])
-    rays = [primitive(tuple(minv[r][l] for r in range(n))) for l in range(n)]
-    processed = list(base)
-    order = base + [i for i in range(len(constraints)) if i not in base]
-    for idx in order[n:]:
-        c = constraints[idx]
-        processed.append(idx)
-        vals = [dot(c, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            continue
-        tight = [frozenset(i for i in processed if dot(constraints[i], r) == 0)
-                 for r in rays]
-        keep = [r for r, v in zip(rays, vals) if v >= 0]
-        new = []
-        for ip, (rp, vp) in enumerate(zip(rays, vals)):
-            if vp <= 0:
-                continue
-            for im, (rm, vm) in enumerate(zip(rays, vals)):
-                if vm >= 0:
+    minv = inverse([cons[i] for i in base])
+    rays = [_primitive_ints([minv[r][l] for r in range(n)]) for l in range(n)]
+    tight = [frozenset(base[:l] + base[l + 1:]) for l in range(n)]
+    for idx in (i for i in range(len(cons)) if i not in base):
+        c = cons[idx]
+        vals = [sum(map(mul, c, r)) for r in rays]
+        keep = [(r, t | {idx} if v == 0 else t)
+                for r, t, v in zip(rays, tight, vals) if v >= 0]
+        if len(keep) < len(rays):
+            seen = {r for r, _ in keep}
+            for rp, tp, vp in zip(rays, tight, vals):
+                if vp <= 0:
                     continue
-                if not _adjacent(constraints, tight[ip], tight[im], n):
-                    continue
-                combo = tuple(vp * bm - vm * bp for bp, bm in zip(rp, rm))
-                new.append(primitive(combo))
-        seen = set(keep)
-        for r in new:
-            if r not in seen:
-                seen.add(r)
-                keep.append(r)
-        rays = keep
-    return sorted(set(rays))
+                for rm, tm, vm in zip(rays, tight, vals):
+                    if vm >= 0 or not _adjacent(cons, tp, tm, n):
+                        continue
+                    r = _primitive_ints([vp * bm - vm * bp for bp, bm in zip(rp, rm)])
+                    if r not in seen:
+                        seen.add(r)
+                        keep.append((r, (tp & tm) | {idx}))
+        rays = [r for r, _ in keep]
+        tight = [t for _, t in keep]
+    return sorted((tuple(map(Fraction, r)), t) for r, t in zip(rays, tight))
+
+
+def _primitive_ints(v):
+    """``primitive(v)`` as a tuple of ints."""
+    ints, _ = clear_denominators(v)
+    g = gcd(*ints)
+    return tuple(a // g for a in ints)
 
 
 def _certify(dim, rays, facets, facet_rank=None):
-    if rank(rays) != dim:
+    """Certify rays and facets against each other from one table of
+    facet . ray values, computed on integer coordinates."""
+    rints = [clear_denominators(r)[0] for r in rays]
+    fints = [clear_denominators(f)[0] for f in facets]
+    if rank(rints) != dim:
         raise CertificationError("rays do not span")
-    if (rank(facets) if facet_rank is None else facet_rank) != dim:
+    if (rank(fints) if facet_rank is None else facet_rank) != dim:
         raise CertificationError("facets do not span")
-    for f in facets:
-        for r in rays:
-            if dot(f, r) < 0:
-                raise CertificationError("facet negative on a ray")
-    for r in rays:
-        tight = [f for f in facets if dot(f, r) == 0]
-        if rank(tight) != dim - 1:
+    values = [[sum(map(mul, f, r)) for r in rints] for f in fints]
+    if any(v < 0 for row in values for v in row):
+        raise CertificationError("facet negative on a ray")
+    for j in range(len(rints)):
+        if rank([f for f, row in zip(fints, values) if row[j] == 0]) != dim - 1:
             raise CertificationError("ray does not saturate a rank n-1 facet set")
-    for f in facets:
-        tight = [r for r in rays if dot(f, r) == 0]
-        if rank(tight) != dim - 1:
+    for row in values:
+        if rank([r for r, v in zip(rints, row) if v == 0]) != dim - 1:
             raise CertificationError("facet not supported by a rank n-1 ray set")
 
 
@@ -130,13 +149,16 @@ def make_cone(generators):
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise ConeError("mixed ambient dimensions")
-    facets = _dual_extreme_rays(gens, n)
+    described = _dual_extreme_rays(gens, n)
+    facets = [f for f, _ in described]
     # the dual cone is full-dimensional exactly when the cone has no line
     facet_rank = rank(facets)
     if facet_rank != n:
         raise ConeError("cone contains a line")
-    rays = sorted(g for g in gens
-                  if rank([f for f in facets if dot(f, g) == 0]) == n - 1)
+    # a generator is extreme when the facets it saturates have rank n-1;
+    # the tight sets of the facets are that incidence, over the generators
+    rays = sorted(g for i, g in enumerate(gens)
+                  if rank([f for f, t in described if i in t]) == n - 1)
     cone = Cone(dim=n, rays=tuple(rays), facets=tuple(facets))
     _certify(n, cone.rays, cone.facets, facet_rank)
     return cone

@@ -485,18 +485,29 @@ def _facet_centroids(base):
     return out
 
 
+def _reduction_pairing(phi, points, psis, k):
+    """<Gamma_k, sum_f x_f^{ox k} ox psi_f> for the level-k reduction tensor
+    Gamma_k of ``reduction_map``, as the scalar sum_f psi_f(x_f) phi(x_f)^(k-1):
+    x^{ox k} is symmetric, so the symmetrization of phi^(k-1) ox id over the
+    dual slots pairs with it as phi^(k-1) ox id does."""
+    return sum((dot(psi, x) * dot(phi, x) ** (k - 1) for x, psi in zip(points, psis)),
+               Fraction(0))
+
+
 def vertex_facet_tensor(based, k):
     """Sum over facets of (facet centroid)^{ox k} ox (facet functional).
-    Exactly orthogonal to the level-k reduction tensor."""
+    Exactly orthogonal to the level-k reduction tensor, checked as the
+    scalar identity of ``_reduction_pairing`` without building that tensor."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     base = based.base
+    cents = _facet_centroids(base)
+    psis = [f[1:] for f in base.functionals]
     total = None
-    for j, cent in enumerate(_facet_centroids(base)):
-        xf = from_vector(cent)
-        psi = from_vector(base.functionals[j][1:], DUAL)
-        term = kron(*([xf] * k), psi)
+    for cent, psi in zip(cents, psis):
+        term = kron(*([from_vector(cent)] * k), from_vector(psi, DUAL))
         total = term if total is None else total + term
-    gamma = reduction_map(based, k).tensor
-    if pairing(gamma, total) != 0:
+    if _reduction_pairing(based.phi, cents, psis, k) != 0:
         raise ConsistencyError(
             "vertex-facet tensor is not orthogonal to the reduction map")
     return total

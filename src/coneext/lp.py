@@ -7,10 +7,11 @@ positive int denominator, is pivoted by cross-multiplication over the union
 of the two supports and gcd-reduced after every update (Edmonds 1967), so
 it takes the same pivots as a dense tableau of Fractions while a pivot
 touches only nonzero entries.  No floating point, no presolve.  The API
-stays Fraction in and Fraction out, and the re-checks below also run on
-integer numerators over a cleared denominator (``clear_denominators``),
-each an exact comparison.  Every outcome is re-verified against the
-original problem before it is returned:
+stays Fraction in and Fraction out.  Each problem clears its rows to
+integers once (``LpProblem.int_rows``); the tableau, every re-check below
+and the conic re-sum and separation check all read that one copy, each an
+exact comparison.  Every outcome is re-verified against the original
+problem before it is returned:
 
 * feasible: the point satisfies every row exactly (and the optimum, when
   an objective is present, equals objective . point);
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -68,6 +70,15 @@ class LpProblem:
             raise ValueError("objective length does not match num_vars")
         return LpProblem(num_vars, eqs, ges, frozenset(nonneg), obj)
 
+    @cached_property
+    def int_rows(self):
+        """Every row with its rhs cleared to integers, eq rows then ge rows:
+        one ``(ints, d)`` per row (r, b), ``ints`` a tuple with
+        ``(*r, b) == ints / d`` over the least common denominator ``d``.
+        Computed once per problem and shared, so nothing may mutate it."""
+        return tuple((tuple(ints), d) for ints, d in (
+            clear_denominators((*r, b)) for r, b in (*self.eq_rows, *self.ge_rows)))
+
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -78,23 +89,40 @@ class LpOutcome:
     ray: tuple | None = None          # recession direction when unbounded
 
 
-def _excess(rows, x):
-    """For each row (r, b), an int with the sign of r . x - b; ``x`` is
-    cleared to integers once for all rows."""
-    xs, xd = clear_denominators(x)
-    for r, b in rows:
-        rs, rd = clear_denominators(r)
-        if len(rs) != len(xs):
-            raise ValueError(f"row of length {len(rs)} against {len(xs)} values")
-        yield sum(map(mul, rs, xs)) * b.denominator - b.numerator * rd * xd
+def _excess(int_rows, x, rhs_scale=1):
+    """For each cleared row (r, b) of ``int_rows``, an int with the sign of
+    r . x - rhs_scale * b; ``x`` is cleared to integers once for all rows."""
+    xs, _ = clear_denominators((*x, -rhs_scale))
+    out = []
+    for ints, _ in int_rows:
+        if len(ints) != len(xs):
+            raise ValueError(f"row of length {len(ints) - 1} against {len(x)} values")
+        out.append(sum(map(mul, ints, xs)))
+    return out
+
+
+def _combination(int_rows, mult, width):
+    """The row sum sum_i mult_i (r_i, b_i) of rows of ``width`` places (the
+    rhs last) as ints with the same signs, entry by entry; the mult_i / d_i
+    are cleared to integers once."""
+    if len(mult) != len(int_rows):
+        raise ValueError(f"{len(mult)} multipliers against {len(int_rows)} rows")
+    ms, _ = clear_denominators([Fraction(m, d) for m, (_, d) in zip(mult, int_rows)])
+    total = [0] * width
+    for m, (ints, _) in zip(ms, int_rows):
+        if m:
+            total = [t + m * a for t, a in zip(total, ints)]
+    return total
 
 
 def verify_point(problem, point):
     if len(point) != problem.num_vars:
         raise CertificateError("point arity mismatch")
-    if any(_excess(problem.eq_rows, point)):
+    ne = len(problem.eq_rows)
+    excess = _excess(problem.int_rows, point)
+    if any(excess[:ne]):
         raise CertificateError("equality row violated")
-    if any(e < 0 for e in _excess(problem.ge_rows, point)):
+    if any(e < 0 for e in excess[ne:]):
         raise CertificateError("inequality row violated")
     for j in problem.nonneg:
         if point[j] < 0:
@@ -108,10 +136,7 @@ def verify_farkas(problem, mult):
     for lam in mult[ne:]:
         if lam < 0:
             raise CertificateError("inequality multiplier must be nonnegative")
-    # the signs of mult . column over the columns of the rows with their rhs
-    rows = [tuple(r) + (b,) for r, b in problem.eq_rows + problem.ge_rows]
-    cols = zip(*rows) if rows else [()] * (problem.num_vars + 1)
-    *combined, rho = _excess(((c, 0) for c in cols), mult)
+    *combined, rho = _combination(problem.int_rows, mult, problem.num_vars + 1)
     if rho <= 0:
         raise CertificateError("Farkas combination has nonpositive rhs")
     for j, a in enumerate(combined):
@@ -124,9 +149,11 @@ def verify_farkas(problem, mult):
 
 def verify_ray(problem, point, ray):
     verify_point(problem, point)
-    if any(_excess(((r, 0) for r, _ in problem.eq_rows), ray)):
+    ne = len(problem.eq_rows)
+    excess = _excess(problem.int_rows, ray, rhs_scale=0)
+    if any(excess[:ne]):
         raise CertificateError("ray leaves an equality row")
-    if any(e < 0 for e in _excess(((r, 0) for r, _ in problem.ge_rows), ray)):
+    if any(e < 0 for e in excess[ne:]):
         raise CertificateError("ray leaves an inequality row")
     for j in problem.nonneg:
         if ray[j] < 0:
@@ -149,8 +176,11 @@ class _Tableau:
 
     def __init__(self, problem):
         self.problem = problem
-        rows = [(r, b, None) for r, b in problem.eq_rows]
-        rows += [(r, b, i) for i, (r, b) in enumerate(problem.ge_rows)]
+        # each row times d, the least common denominator of its entries;
+        # ints[-1] is the rhs times d, so it has the sign of the rhs
+        ne = len(problem.eq_rows)
+        rows = [(ints, d, i - ne if i >= ne else None)
+                for i, (ints, d) in enumerate(problem.int_rows)]
         self.cols = []
         for j in range(problem.num_vars):
             self.cols.append(("var", j, 1))
@@ -163,8 +193,8 @@ class _Tableau:
         # a ge row with nonpositive rhs is flipped so its surplus column can
         # start basic; only the remaining rows need artificial variables
         self.art_of_row = {}
-        for ridx, (r, b, surplus) in enumerate(rows):
-            if surplus is None or b > 0:
+        for ridx, (ints, _, surplus) in enumerate(rows):
+            if surplus is None or ints[-1] > 0:
                 self.art_of_row[ridx] = len(self.art_of_row)
         self.nart = len(self.art_of_row)
         for ridx in sorted(self.art_of_row, key=self.art_of_row.get):
@@ -173,14 +203,13 @@ class _Tableau:
         self.T = []
         self.den = []
         self.basis = []
-        for ridx, (r, b, surplus) in enumerate(rows):
+        for ridx, (ints, d, surplus) in enumerate(rows):
+            b = ints[-1]
             if surplus is not None and b <= 0:
                 sg = -1
             else:
                 sg = -1 if b < 0 else 1
             self.sigma.append(sg)
-            # the row times d, the least common denominator of its entries
-            ints, d = clear_denominators(tuple(r) + (b,))
             row = {}
             for c, (_, j, s) in enumerate(self.cols[:self.sur0]):
                 if ints[j]:
@@ -191,7 +220,7 @@ class _Tableau:
             if art is not None:
                 row[nstruct + art] = d
             if b:
-                row[_RHS] = sg * ints[-1]
+                row[_RHS] = sg * b
             self.T.append(row)
             self.den.append(d)
             if art is not None:
@@ -410,15 +439,19 @@ def conic_membership(target, generators):
         if len(g) != n:
             raise ValueError("generator dimension mismatch")
     eq_rows = tuple((tuple(g[i] for g in gens), target[i]) for i in range(n))
-    out = solve(LpProblem(len(gens), eq_rows, (), frozenset(range(len(gens)))))
+    problem = LpProblem(len(gens), eq_rows, (), frozenset(range(len(gens))))
+    out = solve(problem)
     if out.status == FEASIBLE:
         # the LP rows are the target's coordinates as sums over the generators
-        if any(_excess(eq_rows, out.point)):
+        if any(_excess(problem.int_rows, out.point)):
             raise CertificateError("decomposition does not re-sum")
         return ConicOutcome(member=True, weights=out.point)
     if out.status != INFEASIBLE:
         raise CertificateError(f"unexpected LP status {out.status!r}")
     h = primitive([-lam for lam in out.certificate])
-    if dot(h, target) >= 0 or any(e < 0 for e in _excess(((g, 0) for g in gens), h)):
+    # the columns of the rows are the generators and then the target, so
+    # the row sum weighted by h holds the signs of h on each of them
+    *on_gens, on_target = _combination(problem.int_rows, h, len(gens) + 1)
+    if on_target >= 0 or any(v < 0 for v in on_gens):
         raise CertificateError("separating functional failed verification")
     return ConicOutcome(member=False, separating=h)

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from coneext.cones import (CertificationError, Cone, ConeError, dualize,
-                           interior_point, is_simplicial, make_based, make_cone)
+from coneext.cones import (CertificationError, Cone, ConeError, _certify,
+                           dualize, interior_point, is_simplicial, make_based,
+                           make_cone)
 from coneext.fixtures import based_cone, cone, cone_names
-from coneext.linalg import dot, greedy_independent, rank
+from coneext.linalg import dot, greedy_independent, inverse, primitive, rank
 from coneext.lp import FEASIBLE, LpProblem, conic_membership, solve
 
 
@@ -236,3 +237,147 @@ def test_pentagon_facet_count():
     c = cone("pentagon")
     assert len(c.rays) == 5
     assert len(c.facets) == 5
+
+
+# -- the double description against its parent ------------------------------
+#
+# The reference below is the double description as it was before tight sets
+# were carried along: every insertion re-derives each ray's tight set with
+# ``dot``, the extreme generators are selected by a fresh incidence pass, and
+# the certification makes three more.
+
+def _reference_dual_extreme_rays(constraints, n):
+    base = greedy_independent(constraints, n)
+    if len(base) < n:
+        raise ConeError("cone is not full-dimensional")
+    minv = inverse([constraints[i] for i in base])
+    rays = [primitive(tuple(minv[r][l] for r in range(n))) for l in range(n)]
+    processed = list(base)
+    order = base + [i for i in range(len(constraints)) if i not in base]
+    for idx in order[n:]:
+        c = constraints[idx]
+        processed.append(idx)
+        vals = [dot(c, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            continue
+        tight = [frozenset(i for i in processed if dot(constraints[i], r) == 0)
+                 for r in rays]
+        keep = [r for r, v in zip(rays, vals) if v >= 0]
+        new = []
+        for ip, (rp, vp) in enumerate(zip(rays, vals)):
+            if vp <= 0:
+                continue
+            for im, (rm, vm) in enumerate(zip(rays, vals)):
+                if vm >= 0:
+                    continue
+                common = sorted(tight[ip] & tight[im])
+                if rank([constraints[i] for i in common]) != n - 2:
+                    continue
+                combo = tuple(vp * bm - vm * bp for bp, bm in zip(rp, rm))
+                new.append(primitive(combo))
+        seen = set(keep)
+        for r in new:
+            if r not in seen:
+                seen.add(r)
+                keep.append(r)
+        rays = keep
+    return sorted(set(rays))
+
+
+def _reference_certify(dim, rays, facets):
+    if rank(rays) != dim:
+        raise CertificationError("rays do not span")
+    if rank(facets) != dim:
+        raise CertificationError("facets do not span")
+    for f in facets:
+        for r in rays:
+            if dot(f, r) < 0:
+                raise CertificationError("facet negative on a ray")
+    for r in rays:
+        if rank([f for f in facets if dot(f, r) == 0]) != dim - 1:
+            raise CertificationError("ray does not saturate a rank n-1 facet set")
+    for f in facets:
+        if rank([r for r in rays if dot(f, r) == 0]) != dim - 1:
+            raise CertificationError("facet not supported by a rank n-1 ray set")
+
+
+def _reference_make_cone(generators):
+    gens, seen = [], set()
+    for g in generators:
+        if all(a == 0 for a in g):
+            continue
+        p = primitive(g)
+        if p not in seen:
+            seen.add(p)
+            gens.append(p)
+    if not gens:
+        raise ConeError("no nonzero generators")
+    n = len(gens[0])
+    facets = _reference_dual_extreme_rays(gens, n)
+    if rank(facets) != n:
+        raise ConeError("cone contains a line")
+    rays = sorted(g for g in gens
+                  if rank([f for f in facets if dot(f, g) == 0]) == n - 1)
+    _reference_certify(n, rays, facets)
+    return tuple(rays), tuple(facets)
+
+
+def _outcome(build, gens):
+    try:
+        return build(gens)
+    except (ConeError, CertificationError) as err:
+        return type(err), str(err)
+
+
+def _seeded_generator_sets(rng, count):
+    """Generator sets in dimensions 2-5: general ones, ones through a line
+    (a generator and its negative), lower-dimensional ones (a zero last
+    coordinate) and ones with fractional or repeated generators."""
+    for t in range(count):
+        dim = 2 + t % 4
+        gens = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(dim, dim + 4))]
+        kind = t // 4 % 4
+        if kind == 1:
+            gens.append(tuple(-a for a in gens[0]))
+        elif kind == 2:
+            gens = [g[:-1] + (0,) for g in gens]
+        elif kind == 3:
+            gens = [(1,) + g[1:] for g in gens]
+            gens.append(tuple(Fraction(a, 2) for a in gens[-1]))
+        yield gens
+
+
+def test_make_cone_matches_the_reference_double_description():
+    """Rays, facets, and the type and message of every refusal equal the
+    reference's on seeded generator sets."""
+    rng = random.Random(4099)
+    kinds = {}
+    for gens in _seeded_generator_sets(rng, 1200):
+        got = _outcome(lambda g: (lambda c: (c.rays, c.facets))(make_cone(g)), gens)
+        want = _outcome(_reference_make_cone, gens)
+        assert got == want, gens
+        key = want[1] if want[0] in (ConeError, CertificationError) else len(gens[0])
+        kinds[key] = kinds.get(key, 0) + 1
+    for key in (2, 3, 4, 5, "cone contains a line", "cone is not full-dimensional"):
+        assert kinds.get(key, 0) >= 20, kinds
+
+
+def test_certification_rejects_tampered_descriptions():
+    """A negated facet, a dropped ray and an extra non-extreme ray each
+    raise their own certification message.  The cones are ones whose
+    facets each hold exactly n-1 rays, so a dropped ray leaves a facet
+    unsupported."""
+    for name in ("square", "pentagon", "octahedron"):
+        c = cone(name)
+        negated = (tuple(-a for a in c.facets[0]),) + c.facets[1:]
+        with pytest.raises(CertificationError, match="facet negative on a ray"):
+            _certify(c.dim, c.rays, negated)
+        with pytest.raises(CertificationError, match="facet not supported"):
+            _certify(c.dim, c.rays[1:], c.facets)
+        extra = c.rays + (interior_point(c),)
+        with pytest.raises(CertificationError, match="ray does not saturate"):
+            _certify(c.dim, extra, c.facets)
+    flat = ((1, 0, 0), (0, 1, 0))
+    with pytest.raises(CertificationError, match="rays do not span"):
+        _certify(3, flat, cone("orthant3").facets)

@@ -245,6 +245,23 @@ def test_factor_accepts_based_cone_input():
     assert "factors: [1, 1, 1]" in out
 
 
+@pytest.mark.parametrize("command", ["factor", "hull-check"])
+def test_polytope_excludes_cone_b_and_phi(command):
+    """--polytope with --cone-b or --phi is a usage error (exit 2, nothing
+    on stdout), not an answer for the polytope alone; each option alone
+    still answers."""
+    poly, cone_b = fixture_path("cube.poly"), fixture_path("square.cone")
+    for extra in (["--cone-b", cone_b], ["--phi", "1 0 0"],
+                  ["--cone-b", cone_b, "--phi", "1 0 0"]):
+        code, out, err = _run([command, "--polytope", poly] + extra)
+        assert (code, out) == (2, ""), extra
+        assert err == "usage error: --polytope cannot be combined with --cone-b or --phi\n"
+    assert _run([command, "--polytope", poly])[0] == 0
+    assert _run([command, "--cone-b", cone_b])[0] == 0
+    code, out, err = _run([command])
+    assert (code, out, err) == (2, "", "usage error: need --polytope or --cone-b\n")
+
+
 def test_hull_check_witness():
     code, out, _ = _run(["hull-check", "--polytope", fixture_path("pentagon.poly")])
     assert code == 1

@@ -20,7 +20,8 @@ from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, fixture_te
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                _arrangements, _check_extension, _ext_k_rows,
-                               _pad_columns, _pad_resum_agrees,
+                               _facet_centroids, _pad_columns,
+                               _pad_resum_agrees, _reduction_pairing,
                                apply_reduction, dual_hierarchy_k,
                                ext_k_membership, is_entanglement_breaking,
                                max_tensor_halfspaces,
@@ -767,6 +768,43 @@ def test_vertex_facet_tensor_annihilates_reduction():
         for k in (1, 2, 3):
             omega = vertex_facet_tensor(based, k)
             assert pairing(reduction_map(based, k).tensor, omega) == 0
+
+
+def test_reduction_pairing_scalar_equals_the_dense_pairing():
+    """The scalar sum_f psi_f(x_f) phi(x_f)^(k-1) equals the dense pairing
+    of the reduction tensor with sum_f x_f^{ox k} ox psi_f, at the facet
+    centroids (where both vanish) and at seeded points (where they need
+    not), for every fixture at k = 1..3."""
+    rng = random.Random(61)
+    nonzero = 0
+    for name in cone_names():
+        based = based_cone(name)
+        psis = [f[1:] for f in based.base.functionals]
+        n = based.cone.dim
+        for k in (1, 2, 3):
+            gamma = reduction_map(based, k).tensor
+            seeded = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+                      for _ in psis]
+            for points in (_facet_centroids(based.base), seeded):
+                dense = None
+                for x, psi in zip(points, psis):
+                    term = kron(*([from_vector(x)] * k), from_vector(psi, DUAL))
+                    dense = term if dense is None else dense + term
+                scalar = _reduction_pairing(based.phi, points, psis, k)
+                assert scalar == pairing(gamma, dense), (name, k)
+                nonzero += scalar != 0
+    assert nonzero >= 25
+
+
+def test_vertex_facet_tensor_refuses_points_off_the_identity(monkeypatch):
+    """Facet points that break the orthogonality raise ConsistencyError."""
+    import coneext.hierarchy as hierarchy
+
+    based = based_cone("square")
+    moved = [[a + Fraction(1, 7) for a in c] for c in _facet_centroids(based.base)]
+    monkeypatch.setattr(hierarchy, "_facet_centroids", lambda base: moved)
+    with pytest.raises(ConsistencyError, match="not orthogonal"):
+        vertex_facet_tensor(based, 2)
 
 
 def test_omega_pairing_vanishes_exactly_on_admissible_tuples():

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import coneext
-from coneext.linalg import dot, vec
+from coneext.linalg import clear_denominators, dot, vec
 from coneext.lp import (FEASIBLE, INFEASIBLE, UNBOUNDED, LpProblem,
                         conic_membership, solve, verify_farkas, verify_point,
                         verify_ray)
@@ -481,3 +482,172 @@ def test_directly_built_problem_with_list_rows():
     direct = LpProblem(2, eq, ge, frozenset({0, 1}))
     assert solve(direct) == solve(LpProblem.build(2, eq, ge, nonneg=(0, 1)))
     assert solve(direct).status == INFEASIBLE
+
+
+# -- one cleared copy of the rows per problem ---------------------------------
+
+def _fresh_clearing(p):
+    return tuple((tuple(ints), d) for ints, d in (
+        clear_denominators((*r, b)) for r, b in (*p.eq_rows, *p.ge_rows)))
+
+
+def test_int_rows_are_the_rows_cleared_once():
+    """For each row (r, b), ``int_rows`` holds a tuple of ints over the
+    least common denominator of (r, b), eq rows first; ``solve`` reads it
+    without changing it."""
+    problems = list(_pinned_corpus())
+    problems.append(LpProblem(2, [([1, Fraction(1, 2)], Fraction(2, 3))],
+                              [([Fraction(-1, 4), 3], 1)], frozenset({0})))
+    for p in problems:
+        rows = p.int_rows
+        assert type(rows) is tuple and len(rows) == len(p.eq_rows) + len(p.ge_rows)
+        for (ints, d), (r, b) in zip(rows, (*p.eq_rows, *p.ge_rows)):
+            assert type(ints) is tuple and all(type(a) is int for a in ints)
+            assert tuple(Fraction(a, d) for a in ints) == (*r, b)
+            assert d == lcm(*(Fraction(a).denominator for a in (*r, b)))
+        solve(p)
+        assert p.int_rows is rows
+        assert rows == _fresh_clearing(p)
+
+
+def _seventh_mutants():
+    """(verifier, args) for each pinned LP answer with one entry moved by
+    +-1/7 in a way that makes it invalid by construction, plus the same
+    for the separation check of a conic query."""
+    sevenths = (Fraction(1, 7), Fraction(-1, 7))
+    for p in _pinned_corpus():
+        out = solve(p)
+        free = [j for j in range(p.num_vars) if j not in p.nonneg]
+        if out.status == INFEASIBLE:
+            ne = len(p.eq_rows)
+            for i, ((r, _), lam) in enumerate(zip(p.eq_rows + p.ge_rows, out.certificate)):
+                # the combination stops vanishing on a free variable
+                moves = sevenths if any(r[j] != 0 for j in free) else ()
+                if i >= ne and lam == 0:
+                    moves += (Fraction(-1, 7),)
+                for m in moves:
+                    yield verify_farkas, (p, _bumped(out.certificate, i, lam + m))
+            continue
+        for j in range(p.num_vars):
+            moves = sevenths if any(r[j] != 0 for r, _ in p.eq_rows) else ()
+            for r, b in p.ge_rows:
+                if r[j] != 0 and dot(r, out.point) == b:
+                    moves += (Fraction(-1 if r[j] > 0 else 1, 7),)
+            if j in p.nonneg and out.point[j] == 0:
+                moves += (Fraction(-1, 7),)
+            for m in moves:
+                yield verify_point, (p, _bumped(out.point, j, out.point[j] + m))
+            if out.status == UNBOUNDED:
+                moves = sevenths if any(r[j] != 0 for r, _ in p.eq_rows) else ()
+                if j in p.nonneg and out.ray[j] == 0:
+                    moves += (Fraction(-1, 7),)
+                for m in moves:
+                    yield verify_ray, (p, out.point, _bumped(out.ray, j, out.ray[j] + m))
+    # the generators span a line, so a separating functional vanishes on it
+    # and each certificate entry moved by 1/7 stops vanishing there
+    cert = solve(LpProblem.build(2, eq_rows=[(g, t) for g, t in zip(
+        zip(*_LINE_GENS), _LINE_TARGET)], nonneg=(0, 1))).certificate
+    for i in range(len(cert)):
+        for m in sevenths:
+            yield _separation, (_bumped(cert, i, cert[i] + m),)
+
+
+_LINE_GENS = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 2), Fraction(-1, 3)))
+_LINE_TARGET = (Fraction(1, 5), Fraction(-1, 7))
+
+
+def _separation(certificate):
+    """The separation check of ``conic_membership`` on the line query, for
+    an LP answer carrying ``certificate``."""
+    from coneext import lp
+
+    solve_ = lp.solve
+    lp.solve = lambda problem: lp.LpOutcome(status=lp.INFEASIBLE,
+                                            certificate=certificate)
+    try:
+        lp.conic_membership(_LINE_TARGET, _LINE_GENS)
+    finally:
+        lp.solve = solve_
+
+
+def _seventh_survivors():
+    """(counts per check, the mutants that raised no ``CertificateError``);
+    raises nothing itself, so it also reports under ``python -O``."""
+    from coneext import lp
+
+    counts, survivors = {}, []
+    for check, args in _seventh_mutants():
+        counts[check.__name__] = counts.get(check.__name__, 0) + 1
+        try:
+            check(*args)
+        except lp.CertificateError:
+            continue
+        survivors.append((check.__name__, args))
+    return counts, survivors
+
+
+def test_verifiers_reject_entries_moved_by_a_seventh():
+    """Fractional data: every point, Farkas, ray and separating certificate
+    entry moved by 1/7 where that breaks a row, a sign or the separation
+    fails its check with ``CertificateError``."""
+    counts, survivors = _seventh_survivors()
+    assert survivors == []
+    assert min(counts.get(name, 0) for name in (
+        "verify_point", "verify_farkas", "verify_ray")) >= 20, counts
+    assert counts["_separation"] == 4
+
+
+def test_seventh_moves_are_rejected_under_python_O():
+    code = f"""
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+        import test_lp
+        counts, survivors = test_lp._seventh_survivors()
+        if survivors or len(counts) != 4:
+            sys.exit(f"{{counts}}: accepted {{survivors[:3]}}")
+    """
+    _passes_under_python_O(code)
+
+
+def test_every_certificate_message_is_raised(monkeypatch):
+    """Each ``CertificateError`` message of the module comes from some bad
+    certificate or tampered solver step."""
+    from coneext import lp
+
+    # x0 >= 0 and x1 free, x0 + x1 = 2, x1 >= -5, minimize x0 - x1
+    p = LpProblem.build(2, eq_rows=[((1, 1), 2)], ge_rows=[((0, 1), -5)],
+                        nonneg=(0,), objective=(1, -1))
+    neg_rhs = LpProblem.build(2, eq_rows=[((1, 1), -2)], nonneg=(0,))
+    pos_rhs = LpProblem.build(2, eq_rows=[((1, 1), 2)], nonneg=(0,))
+    cases = [
+        ("point arity mismatch", verify_point, (p, (1,))),
+        ("equality row violated", verify_point, (p, (0, 0))),
+        ("inequality row violated", verify_point, (p, (8, -6))),
+        ("sign constraint violated", verify_point, (p, (-1, 3))),
+        ("multiplier arity mismatch", verify_farkas, (p, (1,))),
+        ("multiplier must be nonnegative", verify_farkas, (p, (0, -1))),
+        ("nonpositive rhs", verify_farkas, (p, (0, 0))),
+        ("positive on a nonnegative variable", verify_farkas, (pos_rhs, (1,))),
+        ("nonzero on a free variable", verify_farkas, (neg_rhs, (-1,))),
+        ("ray leaves an equality row", verify_ray, (p, (1, 1), (1, 0))),
+        ("ray leaves an inequality row", verify_ray, (p, (1, 1), (1, -1))),
+        ("ray leaves the sign orthant", verify_ray, (p, (1, 1), (-1, 1))),
+        ("ray does not improve", verify_ray, (p, (1, 1), (0, 0))),
+    ]
+    for message, check, args in cases:
+        with pytest.raises(lp.CertificateError, match=message):
+            check(*args)
+    with monkeypatch.context() as m:
+        m.setattr(lp._Tableau, "value", property(lambda tab: Fraction(-1)))
+        with pytest.raises(lp.CertificateError, match="tableau value"):
+            solve(LpProblem.build(1, ge_rows=[((1,), 3)], nonneg=(0,), objective=(1,)))
+    with monkeypatch.context() as m:
+        m.setattr(lp._Tableau, "run", lambda tab: "unbounded")
+        with pytest.raises(lp.CertificateError, match="phase 1 unbounded"):
+            solve(p)
+    with monkeypatch.context() as m:
+        m.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=UNBOUNDED))
+        with pytest.raises(lp.CertificateError, match="unexpected LP status"):
+            conic_membership((1, 0), [(1, 0)])

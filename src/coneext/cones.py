@@ -6,19 +6,23 @@ other (every ray saturates a rank n-1 set of facets and vice versa), so
 downstream modules may use either view without re-deriving it.
 
 Facets are computed by the double description method with incremental
-constraint insertion and exact rational pivots, chosen for certified
-exactness at small dimension over asymptotic speed.
+constraint insertion, chosen for certified exactness at small dimension
+over asymptotic speed.  It runs on the generators cleared to integers once
+and carries each ray's tight set through the insertions, so the facet-
+generator incidence comes out of it with no further dot product; the
+certification re-derives the incidence independently, from one table of
+facet . ray values on integer coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .linalg import (clear_denominators, dot, greedy_independent, inverse,
-                     is_zero_vec, primitive, rank, vec, vec_add)
+                     is_zero_vec, primitive, primitive_ints, rank, vec,
+                     vec_add)
 
 
 class ConeError(ValueError):
@@ -78,7 +82,7 @@ def _dual_extreme_rays(constraints, n):
     if len(base) < n:
         raise ConeError("cone is not full-dimensional")
     minv = inverse([cons[i] for i in base])
-    rays = [_primitive_ints([minv[r][l] for r in range(n)]) for l in range(n)]
+    rays = [primitive_ints([minv[r][l] for r in range(n)]) for l in range(n)]
     tight = [frozenset(base[:l] + base[l + 1:]) for l in range(n)]
     for idx in (i for i in range(len(cons)) if i not in base):
         c = cons[idx]
@@ -93,20 +97,13 @@ def _dual_extreme_rays(constraints, n):
                 for rm, tm, vm in zip(rays, tight, vals):
                     if vm >= 0 or not _adjacent(cons, tp, tm, n):
                         continue
-                    r = _primitive_ints([vp * bm - vm * bp for bp, bm in zip(rp, rm)])
+                    r = primitive_ints([vp * bm - vm * bp for bp, bm in zip(rp, rm)])
                     if r not in seen:
                         seen.add(r)
                         keep.append((r, (tp & tm) | {idx}))
         rays = [r for r, _ in keep]
         tight = [t for _, t in keep]
     return sorted((tuple(map(Fraction, r)), t) for r, t in zip(rays, tight))
-
-
-def _primitive_ints(v):
-    """``primitive(v)`` as a tuple of ints."""
-    ints, _ = clear_denominators(v)
-    g = gcd(*ints)
-    return tuple(a // g for a in ints)
 
 
 def _certify(dim, rays, facets, facet_rank=None):

@@ -47,13 +47,18 @@ def is_zero_vec(u):
     return all(a == 0 for a in u)
 
 
-def primitive(u):
-    """Scale to coprime integers, clearing denominators; direction kept."""
+def primitive_ints(u):
+    """Scale to coprime ints, clearing denominators; direction kept."""
     ints, _ = clear_denominators(u)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple(x // g for x in ints)
+
+
+def primitive(u):
+    """``primitive_ints(u)`` as Fractions."""
+    return tuple(map(Fraction, primitive_ints(u)))
 
 
 def _echelon(rows):

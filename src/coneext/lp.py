@@ -75,7 +75,7 @@ class LpProblem:
         """Every row with its rhs cleared to integers, eq rows then ge rows:
         one ``(ints, d)`` per row (r, b), ``ints`` a tuple with
         ``(*r, b) == ints / d`` over the least common denominator ``d``.
-        Computed once per problem and shared, so nothing may mutate it."""
+        Computed once per problem; the tableau and every re-check read it."""
         return tuple((tuple(ints), d) for ints, d in (
             clear_denominators((*r, b)) for r, b in (*self.eq_rows, *self.ge_rows)))
 

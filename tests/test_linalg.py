@@ -7,8 +7,8 @@ from math import gcd, lcm
 import pytest
 
 from coneext.linalg import (affine_rank, dot, greedy_independent, inverse,
-                            mat_vec, nullspace, primitive, rank, rref, solve,
-                            transpose, vec)
+                            mat_vec, nullspace, primitive, primitive_ints,
+                            rank, rref, solve, transpose, vec)
 
 
 def _random_matrix(rng, rows, cols, span=6):
@@ -84,6 +84,9 @@ def test_primitive_normalization():
     # direction is kept
     assert primitive((-2, 4, -6)) == (-1, 2, -3)
     assert primitive((0, Fraction(-1, 3))) == (0, -1)
+    ints = primitive_ints((Fraction(5, 6), Fraction(-5, 3), 0))
+    assert ints == (1, -2, 0) and all(type(a) is int for a in ints)
+    assert all(type(a) is Fraction for a in primitive((2, 4)))
 
 
 # -- differential test against a plain-Fraction reference --------------------

@@ -239,7 +239,7 @@ def test_pentagon_facet_count():
     assert len(c.facets) == 5
 
 
-# -- the double description against its parent ------------------------------
+# -- the double description against a reference -----------------------------
 #
 # The reference below is the double description as it was before tight sets
 # were carried along: every insertion re-derives each ray's tight set with

@@ -130,7 +130,10 @@ def make_cone(generators):
     """Canonicalize generators into a certified proper cone.
 
     Redundant (non-extreme) generators are removed.  Raises ConeError when
-    the input is empty, not full-dimensional, or contains a line.
+    the input is empty, not full-dimensional, or contains a line.  The pair
+    is complete by construction, so unlike ``dualize`` it needs no second
+    double description: the facets are every extreme ray of the dual of
+    the generators, and the rays are every generator they make extreme.
     """
     gens = []
     seen = set()
@@ -162,9 +165,16 @@ def make_cone(generators):
 
 
 def dualize(cone):
-    """The dual cone; exact involution thanks to the stored double description."""
+    """The dual cone; exact involution thanks to the stored double description.
+
+    ``_certify`` alone passes a pair that lacks a ray or a facet whenever
+    every ray and facet left keeps a rank n-1 incidence set, so the extreme
+    rays of the facets must also be exactly the stored rays.
+    """
     dual = Cone(dim=cone.dim, rays=cone.facets, facets=cone.rays)
     _certify(dual.dim, dual.rays, dual.facets)
+    if [r for r, _ in _dual_extreme_rays(cone.facets, cone.dim)] != list(cone.rays):
+        raise CertificationError("facets cut out a cone with other extreme rays")
     return dual
 
 

@@ -308,8 +308,7 @@ def _check_witness(zeta, mu, lam, a_cone, based, k):
     i = next(i for i, m in enumerate(mu) if m)
     c = zeta.entries[i] / -mu[i]
     nB = based.cone.dim
-    pairs = [(combo, f) for f in range(len(a_cone.facets)) for combo in
-             itertools.combinations_with_replacement(range(len(based.cone.facets)), k)]
+    pairs = _ext_k_pairs(a_cone, based, k)
     zetas = [zeta.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
     if c <= 0 or not _pad_resum_agrees([c * lam_h for lam_h in lam], pairs,
                                        a_cone.facets, based.cone.facets,
@@ -327,20 +326,30 @@ def reduction_adjoint(based, k, zeta):
     return symmetric_project(t, tuple(range(1, k + 1)))
 
 
+def _ext_k_pairs(a_cone, based, k):
+    """The level-k max half-spaces f ox Sym(g) as (B facet multiset, A
+    facet) index pairs: A facets outer, multisets in ``_multisets`` order.
+    This is the order of the LP's ge rows and of the witness weights."""
+    combos = _multisets(len(based.cone.facets), k)
+    return [(combo, f) for f in range(len(a_cone.facets)) for combo in combos]
+
+
 def _ext_k_rows(a_cone, based, k):
     """Coefficient rows of the level-k LP over the columns (a, m).
 
-    Column (a, m) is e_a ox sym_basis[m].  The ge rows, one per facet f of A
-    and facet multiset g of B, are f[a] Sym(g)[m]: max half-spaces paired
+    Column (a, m) is e_a ox sym_basis[m].  The ge rows, one per pair
+    (g, f) of ``_ext_k_pairs``, are f[a] Sym(g)[m]: max half-spaces paired
     with the column.  The eq rows, one per (i, j) in row-major order, are
     the reduced columns read at (i, j).
     """
     nA, nB = a_cone.dim, based.cone.dim
     multisets = _multisets(nB, k)
-    syms = [_sym_product(combo, multisets) for combo in
-            itertools.combinations_with_replacement(based.cone.facets, k)]
-    ge = [tuple(fa * s for fa in f for s in sym)
-          for f in a_cone.facets for sym in syms]
+    pairs = _ext_k_pairs(a_cone, based, k)
+    b_facets = based.cone.facets
+    syms = {combo: _sym_product([b_facets[g] for g in combo], multisets)
+            for combo in {combo for combo, _ in pairs}}
+    ge = [tuple(fa * s for fa in a_cone.facets[f] for s in syms[combo])
+          for combo, f in pairs]
     zeros = (Fraction(0),) * len(multisets)
     eq = []
     for i in range(nA):

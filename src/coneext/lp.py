@@ -2,11 +2,13 @@
 
 Two-phase primal simplex with Bland's rule, so every run terminates and
 identical problems pivot identically.  The tableau is fraction-free and
-sparse: each row maps its nonzero columns to int numerators over one
-positive int denominator, is pivoted by cross-multiplication over the union
-of the two supports and gcd-reduced after every update (Edmonds 1967), so
-it takes the same pivots as a dense tableau of Fractions while a pivot
-touches only nonzero entries.  No floating point, no presolve.  The API
+sparse, with one kind of row: a dict of int entries whose denominator is
+its own positive entry at its basic column.  The reduced costs are one more
+such row, basic in an objective column.  One step, cross-multiplication
+over the union of two supports and a gcd reduction (Edmonds 1967), does
+every pivot and prices every cost row, so the tableau takes the same pivots
+as a dense tableau of Fractions while a pivot touches only nonzero entries.
+Phase 2 drops the artificial columns.  No floating point, no presolve.  The API
 stays Fraction in and Fraction out.  Each problem clears its rows to
 integers once (``LpProblem.int_rows``); the tableau, every re-check below
 and the conic re-sum and separation check all read that one copy, each an
@@ -41,6 +43,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _RHS = -1  # key of the right-hand side in a sparse tableau row
+_OBJ = -2  # key of the objective column, where the reduced-cost row is basic
 
 
 class CertificateError(AssertionError):
@@ -163,16 +166,16 @@ def verify_ray(problem, point, ray):
 
 
 class _Tableau:
-    """Sparse simplex tableau over integers.  Row i is a dict ``T[i]`` from
-    column to nonzero int numerator, with the right-hand side under the key
-    ``_RHS``, over one int denominator ``den[i] > 0``: the real row is
-    ``T[i] / den[i]``, and a column missing from the dict is zero there.
-    The reduced-cost row ``z`` over ``zden > 0`` stays a dense list (one int
-    per column) whose last place, also ``z[_RHS]``, holds the negated
-    objective value.  Every row is kept reduced, ``gcd(den, *row) == 1``
-    over its nonzeros.  Columns are described by tags:
-    ("var", j, s) for s * x_j of a split variable, ("sur", i) for the surplus
-    of ge row i, ("art", i) for the artificial of standard row i."""
+    """Sparse simplex tableau over integers, with one kind of row.  A row is
+    a dict from column to nonzero int, with the right-hand side under the
+    key ``_RHS``; a column missing from the dict is zero there.  Row i is
+    basic in column ``basis[i]``, and its entry there is positive and is its
+    denominator: the real row is ``T[i] / T[i][basis[i]]``.  The reduced-
+    cost row ``z`` is one more such row, basic in the objective column
+    ``_OBJ``, so that ``-z[_RHS] / z[_OBJ]`` is the objective value.  Every
+    row is kept gcd-reduced over its nonzeros.  Columns are described by
+    tags: ("var", j, s) for s * x_j of a split variable, ("sur", i) for the
+    surplus of ge row i, ("art", i) for the artificial of standard row i."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -201,7 +204,6 @@ class _Tableau:
             self.cols.append(("art", ridx))
         self.sigma = []
         self.T = []
-        self.den = []
         self.basis = []
         for ridx, (ints, d, surplus) in enumerate(rows):
             b = ints[-1]
@@ -222,76 +224,35 @@ class _Tableau:
             if b:
                 row[_RHS] = sg * b
             self.T.append(row)
-            self.den.append(d)
-            if art is not None:
-                self.basis.append(nstruct + art)
-            else:
-                self.basis.append(self.sur0 + surplus)
-        self.banned = set()
+            # the basic entry is d > 0 either way
+            self.basis.append(nstruct + art if art is not None
+                              else self.sur0 + surplus)
 
     def set_costs(self, costs):
-        """Reduced costs ``costs - c_B . rows`` for the current basis;
-        ``costs`` holds one int or Fraction per column."""
-        z, den = clear_denominators(costs)
-        z.append(0)
-        for row, d, bcol in zip(self.T, self.den, self.basis):
-            cb = costs[bcol]
-            if cb != 0:
-                # z/den - (n/m) * row/d over the denominator den*m*d
-                n, m = cb.numerator, cb.denominator
-                zs, rs = m * d, n * den
-                z = [a * zs for a in z]
-                for c, b in row.items():
-                    z[c] -= b * rs
-                z, den = _reduced(z, den * zs)
-        self.z, self.zden = z, den
+        """The row ``z`` of reduced costs ``costs - c_B . rows`` for the
+        current basis; ``costs`` holds one int or Fraction per column."""
+        ints, d = clear_denominators(costs)
+        z = {c: a for c, a in enumerate(ints) if a}
+        z[_OBJ] = d
+        for row, bcol in zip(self.T, self.basis):
+            if bcol in z:
+                _eliminate(z, row, bcol)
+        self.z = z
 
     @property
     def value(self):
-        return Fraction(-self.z[_RHS], self.zden)
+        return Fraction(-self.z.get(_RHS, 0), self.z[_OBJ])
 
     def pivot(self, r, c):
         row = self.T[r]
-        p = row[c]
-        if p < 0:
-            row = {j: -a for j, a in row.items()}
-            p = -p
-        # row / p is the pivot row scaled to a unit pivot entry
-        g = gcd(p, *row.values())
-        if g > 1:
-            row = {j: a // g for j, a in row.items()}
-            p //= g
-        self.T[r] = row
-        self.den[r] = p
-        items = row.items()
-        for i, other in enumerate(self.T):
-            f = other.get(c)
-            if f is None or i == r:
-                continue
-            # p * other - f * row over the union of the two supports
-            if p != 1:
-                for j in other:
-                    other[j] *= p
-            for j, b in items:
-                a = other.get(j, 0) - f * b
-                if a:
-                    other[j] = a
-                else:
-                    del other[j]
-            d = self.den[i] * p
-            g = gcd(d, *other.values())
-            if g > 1:
-                for j in other:
-                    other[j] //= g
-                d //= g
-            self.den[i] = d
-        f = self.z[c]
-        if f != 0:
-            z = [p * a for a in self.z] if p != 1 else self.z
-            for j, b in items:
-                z[j] -= f * b
-            self.z, self.zden = _reduced(z, self.zden * p)
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+        _reduce(row)
         self.basis[r] = c
+        for other in (*self.T, self.z):
+            if c in other and other is not row:
+                _eliminate(other, row, c)
 
     def run(self):
         """Bland-rule iterations; returns "optimal" or "unbounded"."""
@@ -300,7 +261,7 @@ class _Tableau:
             z = self.z
             enter = None
             for c in range(ncols):
-                if z[c] < 0 and c not in self.banned:
+                if z.get(c, 0) < 0:
                     enter = c
                     break
             if enter is None:
@@ -321,10 +282,11 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def entry(self, i, c):
-        return Fraction(self.T[i].get(c, 0), self.den[i])
+        row = self.T[i]
+        return Fraction(row.get(c, 0), row[self.basis[i]])
 
     def reduced_cost(self, c):
-        return Fraction(self.z[c], self.zden)
+        return Fraction(self.z.get(c, 0), self.z[_OBJ])
 
     def extract_point(self):
         x = [Fraction(0)] * self.problem.num_vars
@@ -348,12 +310,31 @@ class _Tableau:
         return tuple(d)
 
 
-def _reduced(row, den):
-    """(row, den) divided by their common gcd."""
-    g = gcd(den, *row)
+def _reduce(row):
+    """Divide the row in place by the gcd of its entries."""
+    g = gcd(*row.values())
     if g > 1:
-        return [a // g for a in row], den // g
-    return row, den
+        for j in row:
+            row[j] //= g
+
+
+def _eliminate(other, row, c):
+    """Clear column c of ``other`` in place with ``row``, which is basic in
+    c: with p = row[c] > 0, ``other`` becomes p * other - other[c] * row
+    over the union of the two supports, gcd-reduced (Edmonds 1967).  The
+    basic entry of ``other`` lies outside the support of ``row``, so it is
+    multiplied by p and stays positive."""
+    p, f = row[c], other[c]
+    if p != 1:
+        for j in other:
+            other[j] *= p
+    for j, b in row.items():
+        a = other.get(j, 0) - f * b
+        if a:
+            other[j] = a
+        else:
+            del other[j]
+    _reduce(other)
 
 
 def solve(problem):
@@ -387,18 +368,21 @@ def solve(problem):
         pivot_col = min((c for c in tab.T[i] if 0 <= c < art0), default=None)
         if pivot_col is None:
             del tab.T[i]
-            del tab.den[i]
             del tab.basis[i]
         else:
             tab.pivot(i, pivot_col)
-    tab.banned = set(range(art0, len(tab.cols)))
 
     if problem.objective is None:
         point = tab.extract_point()
         verify_point(problem, point)
         return LpOutcome(status=FEASIBLE, point=point)
 
-    costs = [0] * len(tab.cols)
+    # no artificial is basic now; drop their columns so none can enter
+    tab.T = [{j: a for j, a in row.items() if j < art0} for row in tab.T]
+    for row in tab.T:
+        _reduce(row)
+    del tab.cols[art0:]
+    costs = [0] * art0
     for c, tag in enumerate(tab.cols):
         if tag[0] == "var":
             _, j, s = tag

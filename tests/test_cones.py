@@ -1,10 +1,15 @@
 """Double description with certificates: rays, facets, duality, bases."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import coneext
 from coneext.cones import (CertificationError, Cone, ConeError, _certify,
                            dualize, interior_point, is_simplicial, make_based,
                            make_cone)
@@ -53,6 +58,68 @@ def test_dualize_certifies_the_facet_rank():
         dualize(flat)
     with pytest.raises(ConeError, match="line"):
         make_cone([(1, 0), (-1, 0), (0, 1)])
+
+
+def _dropped_one(c):
+    """Every copy of ``c`` with one ray or one facet left out."""
+    for i in range(len(c.rays)):
+        yield Cone(c.dim, c.rays[:i] + c.rays[i + 1:], c.facets)
+    for i in range(len(c.facets)):
+        yield Cone(c.dim, c.rays, c.facets[:i] + c.facets[i + 1:])
+
+
+def _incomplete_pairs_dualized():
+    """({fixture: messages ``dualize`` raised on its copies missing one ray
+    or facet}, the copies it returned); raises nothing itself, so it also
+    reports under ``python -O``."""
+    raised, returned = {}, []
+    for name in cone_names():
+        for tampered in _dropped_one(cone(name)):
+            try:
+                dualize(tampered)
+            except CertificationError as err:
+                raised.setdefault(name, set()).add(str(err))
+                continue
+            returned.append(tampered)
+    return raised, returned
+
+
+_OTHER_RAYS = "facets cut out a cone with other extreme rays"
+
+
+def test_dualize_refuses_a_pair_missing_a_ray_or_a_facet():
+    """The cube without one ray and the octahedron without one facet keep a
+    rank n-1 incidence set on every ray and facet left, so only the extreme
+    rays of the facets tell them from a cone; every other fixture with a
+    ray or facet dropped fails some certification too."""
+    cube, octahedron = cone("cube"), cone("octahedron")
+    for tampered in (Cone(cube.dim, cube.rays[1:], cube.facets),
+                     Cone(octahedron.dim, octahedron.rays, octahedron.facets[1:])):
+        with pytest.raises(CertificationError, match=_OTHER_RAYS):
+            dualize(tampered)
+    raised, returned = _incomplete_pairs_dualized()
+    assert returned == []
+    assert set(raised) == set(cone_names())
+    assert _OTHER_RAYS in raised["cube"] and _OTHER_RAYS in raised["octahedron"]
+
+
+def test_dualize_refuses_incomplete_pairs_under_python_O():
+    code = f"""
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+        import test_cones
+        raised, returned = test_cones._incomplete_pairs_dualized()
+        if returned or test_cones._OTHER_RAYS not in raised["cube"]:
+            sys.exit(f"returned {{returned[:3]}}, raised {{raised}}")
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coneext.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def _lp_probe_verdict(gens):
@@ -184,6 +251,9 @@ def test_interior_point_is_ray_sum_and_strictly_inside():
         c = cone(name)
         p = interior_point(c)
         assert c.strictly_contains(p)
+    # an uncertified pair whose one ray lies on the second facet
+    with pytest.raises(CertificationError, match="not strictly interior"):
+        interior_point(Cone(dim=2, rays=((1, 0),), facets=((1, 0), (0, 1))))
 
 
 def test_make_based_square():

@@ -1,16 +1,20 @@
 """Exact simplex: verified points, Farkas refutations, conic membership."""
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 import coneext
+from coneext.fixtures import based_cone, fixture_text
+from coneext.formats import parse_point_file
+from coneext.hierarchy import ext_k_membership, point_tensor
 from coneext.linalg import clear_denominators, dot, vec
 from coneext.lp import (FEASIBLE, INFEASIBLE, UNBOUNDED, LpProblem,
                         conic_membership, solve, verify_farkas, verify_point,
@@ -160,9 +164,10 @@ def test_random_queries_always_carry_valid_certificates():
     assert member > 0 and nonmember > 0
 
 
-def test_random_lps_self_verify():
-    """Integer data, then fractional data with denominators 1-4 and more
-    rows, so that rows start with denominators other than 1."""
+def _random_lps():
+    """(kind, problem) pairs: 60 LPs on integer data (kind 0), then 60 on
+    fractional data with denominators 1-4 and more rows (kind 1), so that
+    rows start with denominators other than 1."""
     rng = random.Random(103)
 
     def integral(m):
@@ -171,11 +176,11 @@ def test_random_lps_self_verify():
     def fractional(m):
         return Fraction(rng.randint(-2 * m, 2 * m), rng.randint(1, 4))
 
-    for coef, max_eq, max_ge in ((integral, 2, 3), (fractional, 3, 5)):
-        statuses = set()
+    for kind, (coef, max_eq, max_ge) in enumerate(((integral, 2, 3),
+                                                   (fractional, 3, 5))):
         for _ in range(60):
             nv = rng.randint(1, 4)
-            p = LpProblem.build(
+            yield kind, LpProblem.build(
                 nv,
                 eq_rows=[(tuple(coef(3) for _ in range(nv)), coef(3))
                          for _ in range(rng.randint(0, max_eq))],
@@ -184,15 +189,22 @@ def test_random_lps_self_verify():
                 nonneg=tuple(j for j in range(nv) if rng.random() < 0.7),
                 objective=tuple(coef(2) for _ in range(nv)),
             )
-            out = solve(p)
-            statuses.add(out.status)
-            if out.status == FEASIBLE:
-                verify_point(p, out.point)
-            elif out.status == INFEASIBLE:
-                verify_farkas(p, out.certificate)
-            else:
-                verify_ray(p, out.point, out.ray)
-        assert statuses == {FEASIBLE, INFEASIBLE, UNBOUNDED}
+
+
+def test_random_lps_self_verify():
+    """Each kind of random LP reaches all three outcomes, each re-verified."""
+    statuses = {0: set(), 1: set()}
+    for kind, p in _random_lps():
+        out = solve(p)
+        statuses[kind].add(out.status)
+        if out.status == FEASIBLE:
+            verify_point(p, out.point)
+        elif out.status == INFEASIBLE:
+            verify_farkas(p, out.certificate)
+        else:
+            verify_ray(p, out.point, out.ray)
+    for seen in statuses.values():
+        assert seen == {FEASIBLE, INFEASIBLE, UNBOUNDED}
 
 
 def _pinned_corpus():
@@ -280,6 +292,125 @@ def test_pinned_outcomes():
     outs = [solve(p) for p in _pinned_corpus()]
     assert {o.status for o in outs} == {FEASIBLE, INFEASIBLE, UNBOUNDED}
     assert [_summary(o) for o in outs] == _PINNED
+
+
+# -- the pivot sequence and the tableau rows ---------------------------------
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The (leaving row, entering column) of each pivot made from here on."""
+    from coneext import lp
+
+    seen = []
+    pivot = lp._Tableau.pivot
+
+    def recording(tab, r, c):
+        seen.append((r, c))
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    return seen
+
+
+def _digest(pivots):
+    return hashlib.sha256(repr(pivots).encode()).hexdigest()
+
+
+# sha256 of repr of the pivot sequence of each LP of _pinned_corpus(), with
+# its pivot count in the comment, captured while the tableau kept its denominators in a list and its
+# reduced costs in a dense row; a change of pricing rule changes these.
+_PINNED_PIVOTS = [
+    'fb90f46c543c466c0d11b1fb35d0ca1da5bdee34a35a24ba484f9e5cefa2d3ad',  # 7
+    '86ea23e5b5627a8b803d8eecf4201aac2cab2c32d2fc1a8c2d9be894e16b4f2e',  # 4
+    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
+    '3e65b5c6f3c55eee3575d9efb8f04c65953e0783f49814152f40b4a04ee2ad51',  # 3
+    '391ef33e47f8dbc8810327e7cdb3cc2d7198c379b306d5450ac3ce66b49bf163',  # 2
+    '4c461d4a0ab0fe42d5dfe0398002bac0ee02261aa3b5641fe9d4d1f8d99633a3',  # 1
+    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
+    '61157c2e8d2e4abfee965cfb103ba809f3a7844c654f1b63b6f5cd3301b52549',  # 5
+    '02cc7f0711a1198b57ce717df6271cfb6feb5cd998d090133efe84ba0152fbf3',  # 1
+    '6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a',  # 2
+    'f499276321a466df49ded2a2d9cb982b2db39105bce7a6be76b5fb392aacbca1',  # 2
+    'dba010dc185ba44cc16ac8ed5e5bbbe721e8dc9d928b5377686d1b3a9d786530',  # 1
+    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
+    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
+    '921af0b4acb4608c8c1f8e495aa69200072c01d42aac9a530e9d9a655c803a36',  # 5
+    'd4ef6b98a667c5074cf4a79064a9c5a07522e6f72b4f1cfbaf6a9e2f3f487abc',  # 2
+    '95ba72b9222675ebb14eddfa36633fa225c746e5569a6513951140a8cb16b24d',  # 5
+    'fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963',  # 1
+    '1b92d0de8bb0230dbb301de92e0c5e4a1362f052233a1e409a393b0267011d41',  # 1
+    '8ae835587e8fc751735ae843a9e25d091dd14f0edbdfe6578afe9265c1d0c6c4',  # 4
+    '415b7a16ddb540d4cfde7216ca29c5cc5d3c2a3804e3913384176d8f616d07b0',  # 4
+    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
+    '00ce6357cff8c2924ca78454dfcaaf693aca5b46178568fa33c70d0f8288746f',  # 1
+    'a11bdd623c2770e6a223a7322f4c9e60c196b716cf46828fa4ee4049904ed072',  # 10
+    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
+    'f05fa3e3f78ecec7a7cffcb94df3a40d00ca846b48fd5be048b0d8eb75d2ff74',  # 5
+    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
+    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
+    'd3c9c0fb28f1b0bf08aae307988a852ea4d0b1460e6f0336ef5a771104b07bb4',  # 4
+    '45108e4d96e34edf3cd7fc9e28414dcb8de67996f1c610c21337b2a6070a63f1',  # 6
+    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
+    '98a0f47130676156412a9dc716b9abd54b6c08fb1927ac3576c60fa22a1afab2',  # 8
+]
+
+
+def test_pinned_pivot_sequences(pivots):
+    digests = []
+    for p in _pinned_corpus():
+        pivots.clear()
+        solve(p)
+        digests.append(_digest(pivots))
+    assert digests == _PINNED_PIVOTS
+
+
+# (pivot count, sha256 of the pivot sequence) of the one LP of each
+# EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS.
+EXT_K_PIVOT_PINS = {
+    ("gap-k3", "square-skew", 1): (10, "95acb0f8ad33d5ee0b7042b5ed620422b37e496477c9d9059cb6c02909b47dc4"),
+    ("gap-k3", "square-skew", 2): (24, "5ec2c38505e4451218da558b071eecfa91ebcf646434bbd734c5ebe5d8101428"),
+    ("gap-k3", "square-skew", 3): (155, "059acce330a8c82c0a9a531df7501988ce0bcabe9243a329e355a48bc2f96b41"),
+    ("gap-k2", "square-skew", 1): (10, "520a2c9a13c739fe245bb85b4c6148adbe42fe7ab1fb523e798d7280f86b9d8b"),
+    ("gap-k2", "square-skew", 2): (27, "889da17ce51cc246383dec4a86f373ca2382cf081141366370051f6aeb9ff5d7"),
+    ("gap-k2", "square-skew", 3): (128, "398573741bc27fb2cf5c19421b57635cee0fa4c94ee427aa4b9c32c380027cd4"),
+    ("box", "square", 1): (17, "408a73a7d3e31abcb41324077a3c21d4e8f7da4e06548ea63a24373a522a3a00"),
+    ("box", "square", 2): (35, "77b68bcff63fc5848f38a6da45c15137ef9f447504868a846d2d31fb6d54673b"),
+}
+
+
+@pytest.mark.parametrize("point,b_name,k", list(EXT_K_PIVOT_PINS))
+def test_ext_k_pivot_sequences(pivots, point, b_name, k):
+    a_cone = based_cone("square").cone
+    based = based_cone(b_name)
+    _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
+    ext_k_membership(point_tensor(a_cone, based.cone, entries), a_cone, based, k)
+    assert (len(pivots), _digest(pivots)) == EXT_K_PIVOT_PINS[point, b_name, k]
+
+
+def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
+    """After every pivot of the random LPs, each constraint row has a
+    positive entry at its basic column, its denominator; the reduced-cost
+    row has a positive objective entry and none at a basic column; and
+    every row is gcd-reduced."""
+    from coneext import lp
+
+    pivot = lp._Tableau.pivot
+    checked = []
+
+    def checking(tab, r, c):
+        pivot(tab, r, c)
+        for row, bcol in zip(tab.T, tab.basis):
+            assert row[bcol] > 0
+            assert gcd(*row.values()) == 1
+        assert tab.z[lp._OBJ] > 0
+        assert not any(bcol in tab.z for bcol in tab.basis)
+        assert gcd(*tab.z.values()) == 1
+        checked.append((r, c))
+
+    monkeypatch.setattr(lp._Tableau, "pivot", checking)
+    for _, p in _random_lps():
+        solve(p)
+    assert len(checked) >= 200, len(checked)
 
 
 def test_certificate_checks_survive_python_O():

@@ -1124,3 +1124,43 @@ def test_eb_lp_data_is_pinned(monkeypatch, name):
         is_entanglement_breaking(based, k)
     assert len(reps) == 3
     assert hashlib.sha256("".join(reps).encode()).hexdigest() == EB_LP_PINS[name]
+
+
+def _dual_lp_cases():
+    """The dual hierarchy calls behind ``DUAL_LP_PINS``: box-interior on
+    square x square (k = 1 non-member, k = 2 member) and the first seeded
+    point of ``test_dual_hierarchy_simplicial_pair_is_level_one``."""
+    sq = cone("square")
+    a = cone("orthant2")
+    rng = random.Random(47)
+    entries = [Fraction(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(6)]
+    return {
+        "box-interior": (_load_point("box-interior.pt", sq, sq), sq,
+                         based_cone("square")),
+        "orthant2-orthant3": (point_tensor(a, cone("orthant3"), entries), a,
+                              based_cone("orthant3")),
+    }
+
+
+# sha256 of repr(target, generators) of every LP that ``dual_hierarchy_k``
+# solves on the ``_dual_lp_cases`` points, joined in call order, captured
+# before the pad LPs were routed through ``_pad_decompose``.
+DUAL_LP_PINS = {
+    "box-interior": "01f080d8a1cbad03b9b60e98fc58f896edcdcb8abeb6321f79f8e1a43d9cc96a",
+    "orthant2-orthant3": "b4794c3878c0effaec0788001eed621c4f5d9e98a61dfc95b052ce4c356c7a75",
+}
+
+
+@pytest.mark.parametrize("case", list(DUAL_LP_PINS))
+def test_dual_lp_data_is_pinned(monkeypatch, case):
+    reps = []
+
+    def recording(target, generators):
+        reps.append(repr((vec(target), [vec(g) for g in generators])))
+        return conic_membership(target, generators)
+
+    monkeypatch.setattr(hierarchy, "conic_membership", recording)
+    x, a_cone, based = _dual_lp_cases()[case]
+    res = dual_hierarchy_k(x, a_cone, based)
+    assert len(reps) == res.k
+    assert hashlib.sha256("".join(reps).encode()).hexdigest() == DUAL_LP_PINS[case]

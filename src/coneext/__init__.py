@@ -16,8 +16,8 @@ from .polytopes import (FactorFailure, Polytope, SimplexFactorization,
                         is_simple, is_two_level, polytope_from_vertices)
 from .lp import (ConicOutcome, LpOutcome, LpProblem, conic_membership, solve,
                  verify_farkas, verify_point, verify_ray)
-from .hierarchy import (EbOutcome, ExtkVerdict, HierarchyResult, ReductionMap,
-                        apply_reduction, dual_hierarchy_k, ext_k_membership,
+from .hierarchy import (EbOutcome, ExtkVerdict, HierarchyResult, apply_reduction,
+                        dual_hierarchy_k, ext_k_membership,
                         is_entanglement_breaking, max_tensor_halfspaces,
                         min_tensor_generators, omega_interior_test, point_tensor,
                         reduction_map, vertex_facet_tensor)
@@ -37,7 +37,7 @@ __all__ = [
     "factor_as_simplices", "is_simple", "is_two_level",
     "LpProblem", "LpOutcome", "ConicOutcome", "solve", "conic_membership",
     "verify_point", "verify_farkas", "verify_ray",
-    "ReductionMap", "ExtkVerdict", "EbOutcome", "HierarchyResult",
+    "ExtkVerdict", "EbOutcome", "HierarchyResult",
     "reduction_map", "apply_reduction", "ext_k_membership",
     "is_entanglement_breaking", "omega_interior_test", "dual_hierarchy_k",
     "min_tensor_generators", "max_tensor_halfspaces", "point_tensor",

@@ -90,7 +90,7 @@ def _parse_phi(text):
     try:
         return tuple(parse_rational(t) for t in text.split())
     except ValueError as e:
-        raise ParseError(str(e), 1)
+        raise _UsageError(f"--phi: {e}")
 
 
 class _Reporter:

@@ -17,7 +17,8 @@ the finite interior test for the vertex-facet pairing tensor.
 Every hierarchy LP lives on V_A ox Sym^k(V_B), so its data is built in
 symmetric-power coordinates: one coordinate per pair (a, m) with m a sorted
 k-multiset of [dim B] in ``combinations_with_replacement`` order, the order
-of ``sym_basis``.  Two exact closed forms replace dense n^k tensor work:
+of ``sym_basis``.  Two exact closed forms, tabled once per LP by
+``_sym_tables``, replace dense n^k tensor work:
 
 * Sym(v_1 ox .. ox v_k)[m] = coeff of t^m in prod_s <v_s, t>, divided by
   the number of arrangements of m;
@@ -29,12 +30,10 @@ are one object: nonnegative weights decomposing the symmetric pad
 Sym(R ox pad^(k-1)) of R over generators head ox Sym(tails).  R is the
 witness, the identity or the query point; the pad is phi, phi or an interior
 point; the generators are f ox Sym(g..), vertex ox Sym(psi..) or
-ray_A ox Sym(rays_B..).  ``_pad_columns`` builds the last two LPs, and one
-judge, ``_pad_resum_agrees``, re-checks all three.  It reads a symmetric
-k-tensor S as its degree-k form t -> S(t, .., t) and compares forms by exact
-evaluation on the principal lattice {t in N^n : |t| = k}, where they are
-determined, never reading a coefficient, so it shares no code with the
-formulas above.  An extension is re-checked by contraction with the facets.
+ray_A ox Sym(rays_B..).  ``_pad_decompose`` solves the last two, and one
+judge, ``_pad_resum_agrees``, re-checks all three as degree-k forms on the
+principal lattice, sharing no code with the formulas above.  An extension is
+re-checked by contraction with the facets.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .cones import BasedCone, interior_point
+from .cones import interior_point
 from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
                  conic_membership, solve)
 from .linalg import dot, primitive
@@ -89,24 +88,18 @@ def point_tensor(a_cone, b_cone, entries):
 # ---------------------------------------------------------------------------
 # the reduction map
 
-@dataclass(frozen=True)
-class ReductionMap:
-    based: BasedCone
-    k: int
-    tensor: DenseTensor  # k dual slots then one primal slot, all dim n
-
-
 def reduction_map(based, k):
     """Average over positions of (phi everywhere except one identity slot),
     as phi^(k-1) ox identity symmetrized over its k dual slots; level 1 is
-    the identity."""
+    the identity.  The tensor has k dual slots then one primal slot, all of
+    dimension dim B."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = based.cone.dim
     ident = DenseTensor((Slot(n, DUAL), Slot(n, PRIMAL)),
                         [Fraction(int(i == j)) for i in range(n) for j in range(n)])
     t = kron(*([from_vector(based.phi, DUAL)] * (k - 1)), ident)
-    return ReductionMap(based, k, symmetric_project(t, range(k)))
+    return symmetric_project(t, range(k))
 
 
 def apply_reduction(x, based, k):
@@ -169,6 +162,17 @@ def _reduced_monomial(m, j, phi):
     return val
 
 
+def _sym_tables(pad, tails, combos, k):
+    """The reduction table, row m holding (m_j / k) pad^(m - e_j) at each j,
+    and Sym(tails_combo) for each combo, both at m in ``_multisets(len(pad), k)``."""
+    multisets = _multisets(len(pad), k)
+    red = [[_reduced_monomial(m, j, pad) for j in range(len(pad))]
+           for m in multisets]
+    syms = {combo: _sym_product([tails[j] for j in combo], multisets)
+            for combo in combos}
+    return red, syms
+
+
 def _pad_columns(rows, pad, heads, tails, pairs, k):
     """LP data of a symmetric-pad decomposition at the indices (m, o).
 
@@ -176,16 +180,22 @@ def _pad_columns(rows, pad, heads, tails, pairs, k):
     at (m, o) it is sum_j rows[o][j] (m_j / k) pad^(m - e_j).  The generator
     of a pair (combo, h) is Sym(tails_combo)[m] heads[h][o].
     """
-    multisets = _multisets(len(pad), k)
-    target = []
-    for m in multisets:
-        red = [_reduced_monomial(m, j, pad) for j in range(len(pad))]
-        target.extend(dot(row, red) for row in rows)
-    syms = {combo: _sym_product([tails[j] for j in combo], multisets)
-            for combo in {combo for combo, _ in pairs}}
+    red, syms = _sym_tables(pad, tails, {combo for combo, _ in pairs}, k)
+    target = tuple(dot(row, red_m) for red_m in red for row in rows)
     gens = [tuple(s * c for s in syms[combo] for c in heads[h])
             for combo, h in pairs]
-    return tuple(target), gens
+    return target, gens
+
+
+def _pad_decompose(rows, pad, heads, tails, pairs, k):
+    """The ``ConicOutcome`` of the LP of ``_pad_columns``, a member's weights
+    re-checked by ``_pad_resum_agrees``."""
+    check = conic_membership(*_pad_columns(rows, pad, heads, tails, pairs, k))
+    if check.member and not _pad_resum_agrees(check.weights, pairs, heads,
+                                              tails, rows, pad, k):
+        raise ConsistencyError(
+            "pad decomposition has a negative weight or does not re-sum")
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +219,12 @@ def _lattice(n, k):
             yield (first,) + rest
 
 
-def _forms_agree(terms, vectors, rows, pad, k):
-    """Whether, for every o, sum over terms (coefs, idx) of
-    coefs[o] prod_(j in idx) <vectors[j], t> equals <rows[o], t> <pad, t>^(k-1)
-    at every point t of the principal lattice.
+def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
+    """The one judge of a symmetric-pad decomposition: whether the weights are
+    nonnegative and the columns of ``_pad_columns`` re-sum to Sym(R ox
+    pad^(k-1)), read per row o as forms: sum w heads[h][o] prod_(j in combo)
+    <tails[j], t> against <rows[o], t> <pad, t>^(k-1) at every point t of the
+    principal lattice.
 
     The LP data this re-check judges come from the coefficients of products
     of linear forms (``_sym_product``) and from the closed form of the
@@ -220,37 +232,28 @@ def _forms_agree(terms, vectors, rows, pad, k):
     integer points and no coefficient is read, so the two routes share no
     code, and a fault in either formula leaves weights or multipliers that
     fail here.  Each linear form is evaluated at the points once, before the
-    loop over terms.
+    loop over pairs.
     """
+    if any(w < 0 for w in weights):
+        return False
     points = list(_lattice(len(pad), k))
 
     def values(v):
         return [sum(a * b for a, b in zip(v, t) if b) for t in points]
 
-    forms = [values(v) for v in vectors]
+    forms = [values(v) for v in tails]
     pad_pow = [p ** (k - 1) for p in values(pad)]
     total = [[0] * len(points) for _ in rows]
-    for coefs, idx in terms:
+    for w, (combo, h) in zip(weights, pairs, strict=True):
+        if not w:
+            continue
         prod = [1] * len(points)
-        for j in idx:
+        for j in combo:
             prod = [p * f for p, f in zip(prod, forms[j])]
-        for row, c in zip(total, coefs, strict=True):
-            if c:
-                row[:] = [r + c * p for r, p in zip(row, prod)]
+        for row, wc in zip(total, [w * c for c in heads[h]], strict=True):
+            if wc:
+                row[:] = [r + wc * p for r, p in zip(row, prod)]
     return total == [[r * p for r, p in zip(values(row), pad_pow)] for row in rows]
-
-
-def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
-    """The one re-check of a symmetric-pad decomposition: whether the weights
-    are nonnegative and sum_(combo, h) w heads[h] ox Sym(tails_combo), the
-    columns of ``_pad_columns``, re-sums to Sym(R ox pad^(k-1)).  Read per
-    row o as forms on the principal lattice: sum w heads[h][o] prod_s
-    tails_s(t) against rows[o](t) pad(t)^(k-1) (``_forms_agree``)."""
-    if any(w < 0 for w in weights):
-        return False
-    terms = [([w * c for c in heads[h]], combo)
-             for w, (combo, h) in zip(weights, pairs, strict=True) if w]
-    return _forms_agree(terms, tails, rows, pad, k)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +345,15 @@ def _ext_k_rows(a_cone, based, k):
     with the column.  The eq rows, one per (i, j) in row-major order, are
     the reduced columns read at (i, j).
     """
-    nA, nB = a_cone.dim, based.cone.dim
-    multisets = _multisets(nB, k)
+    nA = a_cone.dim
     pairs = _ext_k_pairs(a_cone, based, k)
-    b_facets = based.cone.facets
-    syms = {combo: _sym_product([b_facets[g] for g in combo], multisets)
-            for combo in {combo for combo, _ in pairs}}
+    red, syms = _sym_tables(based.phi, based.cone.facets,
+                            {combo for combo, _ in pairs}, k)
     ge = [tuple(fa * s for fa in a_cone.facets[f] for s in syms[combo])
           for combo, f in pairs]
-    zeros = (Fraction(0),) * len(multisets)
-    eq = []
-    for i in range(nA):
-        for j in range(nB):
-            red = tuple(_reduced_monomial(m, j, based.phi) for m in multisets)
-            eq.append(zeros * i + red + zeros * (nA - 1 - i))
+    zeros = (Fraction(0),) * len(red)
+    eq = [zeros * i + red_j + zeros * (nA - 1 - i)
+          for i in range(nA) for red_j in zip(*red)]
     return ge, eq
 
 
@@ -420,7 +418,7 @@ class EbOutcome:
     breaking: bool
     k: int
     terms: tuple | None = None          # decomposition when breaking
-    refutation: tuple | None = None     # separating functional (compressed rows)
+    refutation: tuple | None = None     # separator at _pad_columns' (m, o)
     factorization: object | None = None  # SimplexFactorization | FactorFailure
 
 
@@ -428,13 +426,13 @@ def _admissible_multisets(based, k):
     """Sorted facet k-multisets covering the avoiding set of some vertex,
     paired with that vertex."""
     base = based.base
-    nf = len(base.functionals)
+    combos = _multisets(len(base.functionals), k)
     out = []
     for v in range(len(base.vertices)):
         need = base.avoiding_set(v)
         if len(need) > k:
             continue
-        for combo in itertools.combinations_with_replacement(range(nf), k):
+        for combo in combos:
             if need <= set(combo):
                 out.append((combo, v))
     return out
@@ -447,9 +445,9 @@ def is_entanglement_breaking(based, k):
     generators.  Disagreement raises ConsistencyError.
 
     The reduction tensor (1/k) sum_pos phi ox .. ox id ox .. ox phi is the
-    symmetric pad of the identity with phi, so the LP and its re-check are
-    the pad ones (``_pad_columns``, ``_pad_resum_agrees``) with the identity
-    as rows, the vertices as heads and the facet functionals psi as tails.
+    symmetric pad of the identity with phi, so the LP route is one
+    ``_pad_decompose`` with the identity as rows, the vertices as heads and
+    the facet functionals psi, which are B's facets, as tails.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -458,20 +456,13 @@ def is_entanglement_breaking(based, k):
     multis = _admissible_multisets(based, k)
     n = based.cone.dim
     units = [[int(i == j) for j in range(n)] for i in range(n)]
-    psis = [f[1:] for f in based.base.functionals]
-    target, gens = _pad_columns(units, based.phi, based.base.vertices, psis,
-                                multis, k)
-    check = conic_membership(target, gens)
+    check = _pad_decompose(units, based.phi, based.base.vertices,
+                           based.cone.facets, multis, k)
     if check.member != route1:
         raise ConsistencyError(
             f"entanglement-breaking routes disagree at k={k}: "
             f"combinatorial={route1} lp={check.member}")
     if check.member:
-        if not _pad_resum_agrees(check.weights, multis, based.base.vertices,
-                                 psis, units, based.phi, k):
-            raise ConsistencyError(
-                "breaking decomposition has a negative weight or does not "
-                "re-sum to the reduction tensor")
         terms = tuple(EbTerm(combo, v, w)
                       for (combo, v), w in zip(multis, check.weights) if w != 0)
         return EbOutcome(True, k, terms=terms, factorization=fact)
@@ -539,7 +530,7 @@ def omega_interior_test(based, k):
     psi_at_ray = [[dot(base.functionals[a][1:], r) for r in cone.rays]
                   for a in range(nf)]
     left = True
-    for combo in itertools.combinations_with_replacement(range(nf), k):
+    for combo in _multisets(nf, k):
         for ri in range(len(cone.rays)):
             val = Fraction(0)
             for f in range(nf):
@@ -576,9 +567,8 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
     Requires x strictly interior to the max product (checked; ValueError
     otherwise).  Returns HierarchyResult or None when k_max is exhausted.
 
-    The target is the symmetric pad of x with y, and a generator is
-    ray_A ox Sym(rays_B): the LP and its re-check are those of every pad
-    decomposition (``_pad_columns``, ``_pad_resum_agrees``).
+    Each level is one ``_pad_decompose`` of the symmetric pad of x with y
+    over the generators ray_A ox Sym(rays_B).
     """
     if any(v <= 0 for v in _max_halfspace_values(x, a_cone.facets,
                                                  based.cone.facets, 1)):
@@ -589,15 +579,10 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
     scale = dot(based.phi, y)
     y = tuple(v / scale for v in y)
     for k in range(1, k_max + 1):
-        pairs = [(combo, ia) for ia in range(len(a_cone.rays)) for combo in
-                 itertools.combinations_with_replacement(range(len(based.cone.rays)), k)]
-        target, gens = _pad_columns(xs, y, a_cone.rays, based.cone.rays, pairs, k)
-        check = conic_membership(target, gens)
+        combos = _multisets(len(based.cone.rays), k)
+        pairs = [(combo, ia) for ia in range(len(a_cone.rays)) for combo in combos]
+        check = _pad_decompose(xs, y, a_cone.rays, based.cone.rays, pairs, k)
         if check.member:
-            if not _pad_resum_agrees(check.weights, pairs, a_cone.rays,
-                                     based.cone.rays, xs, y, k):
-                raise ConsistencyError(
-                    "hierarchy decomposition has a negative weight or does not re-sum")
             kept = [i for i, w in enumerate(check.weights) if w]
             return HierarchyResult(k=k, weights=tuple(check.weights[i] for i in kept),
                                    generators=tuple(pairs[i][::-1] for i in kept))

@@ -115,7 +115,7 @@ def test_criterion_2_breaking_routes_agree():
             assert out.breaking == (level is not None and k >= level), (name, k)
             if out.breaking:
                 assert _rebuilt_breaking_tensor(based, k, out.terms) \
-                    == reduction_map(based, k).tensor, (name, k)
+                    == reduction_map(based, k), (name, k)
             else:
                 assert out.refutation is not None, (name, k)
             checked += 1

@@ -245,6 +245,18 @@ def test_factor_accepts_based_cone_input():
     assert "factors: [1, 1, 1]" in out
 
 
+@pytest.mark.parametrize("phi,message", [
+    ("1 x 0", "bad rational literal 'x'"),
+    ("1 1/0 0", "zero denominator in '1/0'"),
+])
+def test_bad_phi_literal_is_a_usage_error(phi, message):
+    """A bad --phi literal names the option, not a line of some file, and
+    exits 2 with nothing on stdout."""
+    code, out, err = _run(["eb-check", "--k", "1", "--phi", phi,
+                           "--cone-b", fixture_path("square.cone")])
+    assert (code, out, err) == (2, "", f"usage error: --phi: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["factor", "hull-check"])
 def test_polytope_excludes_cone_b_and_phi(command):
     """--polytope with --cone-b or --phi is a usage error (exit 2, nothing

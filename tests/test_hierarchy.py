@@ -78,7 +78,7 @@ def test_level_one_reduction_is_identity():
     for name in ("square", "triangle", "orthant3"):
         based = based_cone(name)
         n = based.cone.dim
-        t = reduction_map(based, 1).tensor
+        t = reduction_map(based, 1)
         for i in range(n):
             for j in range(n):
                 assert t[(i, j)] == (1 if i == j else 0)
@@ -99,7 +99,7 @@ def test_defining_identity_on_base_points():
         based = based_cone(name)
         n = based.cone.dim
         for k in (1, 2, 3):
-            gamma = reduction_map(based, k).tensor
+            gamma = reduction_map(based, k)
             for _ in range(5):
                 xs = [_affine_base_point(rng, based) for _ in range(k)]
                 psi = tuple(rng.randint(-3, 3) for _ in range(n))
@@ -111,7 +111,7 @@ def test_defining_identity_on_base_points():
 def test_square_level_two_averages_base_points():
     rng = random.Random(31)
     based = based_cone("square")
-    gamma = reduction_map(based, 2).tensor
+    gamma = reduction_map(based, 2)
     for _ in range(20):
         u = _affine_base_point(rng, based)
         v = _affine_base_point(rng, based)
@@ -166,7 +166,7 @@ def test_reduction_map_matches_the_position_sum():
     for name in cone_names():
         based = based_cone(name)
         for k in (1, 2, 3, 4):
-            gamma = reduction_map(based, k).tensor
+            gamma = reduction_map(based, k)
             assert gamma == _reduction_map_by_positions(based, k), (name, k)
             assert all(type(e) is Fraction for e in gamma.entries)
 
@@ -214,7 +214,7 @@ def test_square_level_two_four_term_expansion():
         term = kron(fa, fb) + kron(fb, fa)
         term = kron(term, from_vector(v))
         expansion = term if expansion is None else expansion + term
-    doubled = reduction_map(based, 2).tensor.scale(Fraction(2))
+    doubled = reduction_map(based, 2).scale(Fraction(2))
     assert expansion == doubled
 
 
@@ -638,7 +638,7 @@ def test_eb_square_decomposition_resums():
         pair = symmetric_project(kron(*(duals[j] for j in term.facet_indices)))
         t = kron(pair, verts[term.vertex_index]).scale(term.weight)
         total = t if total is None else total + t
-    assert total == reduction_map(based, 2).tensor
+    assert total == reduction_map(based, 2)
 
 
 def test_eb_refutation_separates():
@@ -767,7 +767,7 @@ def test_vertex_facet_tensor_annihilates_reduction():
         based = based_cone(name)
         for k in (1, 2, 3):
             omega = vertex_facet_tensor(based, k)
-            assert pairing(reduction_map(based, k).tensor, omega) == 0
+            assert pairing(reduction_map(based, k), omega) == 0
 
 
 def test_reduction_pairing_scalar_equals_the_dense_pairing():
@@ -782,7 +782,7 @@ def test_reduction_pairing_scalar_equals_the_dense_pairing():
         psis = [f[1:] for f in based.base.functionals]
         n = based.cone.dim
         for k in (1, 2, 3):
-            gamma = reduction_map(based, k).tensor
+            gamma = reduction_map(based, k)
             seeded = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
                       for _ in psis]
             for points in (_facet_centroids(based.base), seeded):
@@ -983,17 +983,20 @@ def test_lattice_is_unisolvent():
 
 def test_forms_agree_sees_every_monomial():
     """(t_1 + .. + t_n)^k expanded over the degree-k monomials, each the
-    product of k coordinate forms with its multinomial coefficient, agrees
-    with the target; a coefficient off by one, at any monomial, does not."""
+    product of k coordinate forms with its multinomial coefficient as the
+    weight of a pair with the one head (1), agrees with the target; a weight
+    off by one, at any monomial, does not."""
     for n in (1, 2, 3, 4):
         units = [[int(i == j) for j in range(n)] for i in range(n)]
         ones = [1] * n
         for k in (1, 2, 3, 4):
-            terms = [([_arrangements(m)], m) for m in _sorted_reps(n, k)]
-            assert hierarchy._forms_agree(terms, units, [ones], ones, k)
-            for i, (coefs, m) in enumerate(terms):
-                off = terms[:i] + [([coefs[0] + 1], m)] + terms[i + 1:]
-                assert not hierarchy._forms_agree(off, units, [ones], ones, k), m
+            pairs = [(m, 0) for m in _sorted_reps(n, k)]
+            weights = [_arrangements(m) for m, _ in pairs]
+            rest = (pairs, [[1]], units, [ones], ones, k)
+            assert _pad_resum_agrees(weights, *rest)
+            for i, (m, _) in enumerate(pairs):
+                off = weights[:i] + [weights[i] + 1] + weights[i + 1:]
+                assert not _pad_resum_agrees(off, *rest), m
 
 
 def _sorted_reps(n, k):
@@ -1051,7 +1054,7 @@ def test_eb_columns_match_dense_tensors(name):
         gamma, gens = _pad_columns(units, based.phi, based.base.vertices,
                                    [f[1:] for f in based.base.functionals],
                                    multis, k)
-        dense = reduction_map(based, k).tensor
+        dense = reduction_map(based, k)
         assert gamma == tuple(dense[r] for r in reps)
         assert len(gens) == len(multis)
         for (combo, v), g in zip(multis, gens):

@@ -500,9 +500,8 @@ def vertex_facet_tensor(based, k):
     scalar identity of ``_reduction_pairing`` without building that tensor."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    base = based.base
-    cents = _facet_centroids(base)
-    psis = [f[1:] for f in base.functionals]
+    cents = _facet_centroids(based.base)
+    psis = based.cone.facets
     total = None
     for cent, psi in zip(cents, psis):
         term = kron(*([from_vector(cent)] * k), from_vector(psi, DUAL))
@@ -523,12 +522,10 @@ def omega_interior_test(based, k):
     """
     base = based.base
     cone = based.cone
-    nf = len(base.functionals)
+    nf = len(cone.facets)
     cent_val = _facet_centroids(base)
-    psi_at_cent = [[base.functionals[a][0] + dot(base.functionals[a][1:], cent_val[f])
-                    for f in range(nf)] for a in range(nf)]
-    psi_at_ray = [[dot(base.functionals[a][1:], r) for r in cone.rays]
-                  for a in range(nf)]
+    psi_at_cent = [[dot(psi, cent) for cent in cent_val] for psi in cone.facets]
+    psi_at_ray = [[dot(psi, r) for r in cone.rays] for psi in cone.facets]
     left = True
     for combo in _multisets(nf, k):
         for ri in range(len(cone.rays)):

@@ -8,8 +8,11 @@ such row, basic in an objective column.  One step, cross-multiplication
 over the union of two supports and a gcd reduction (Edmonds 1967), does
 every pivot and prices every cost row, so the tableau takes the same pivots
 as a dense tableau of Fractions while a pivot touches only nonzero entries.
-Phase 2 drops the artificial columns.  No floating point, no presolve.  The API
-stays Fraction in and Fraction out.  Each problem clears its rows to
+Phase 1 deletes an artificial column when it leaves the basis, so no
+artificial re-enters or is carried through later pivots; an infeasible
+problem's Farkas multipliers are solved from the final basis, and a problem
+without an objective stops after phase 1 (see ``solve``).  No floating
+point, no presolve.  The API stays Fraction in and Fraction out.  Each problem clears its rows to
 integers once (``LpProblem.int_rows``); the tableau, every re-check below
 and the conic re-sum and separation check all read that one copy, each an
 exact comparison.  Every outcome is re-verified against the original
@@ -33,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import clear_denominators, dot, primitive, vec
+from .linalg import solve as linear_solve
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -192,25 +196,16 @@ class _Tableau:
         self.sur0 = len(self.cols)
         for i in range(len(problem.ge_rows)):
             self.cols.append(("sur", i))
-        nstruct = len(self.cols)
-        # a ge row with nonpositive rhs is flipped so its surplus column can
-        # start basic; only the remaining rows need artificial variables
-        self.art_of_row = {}
-        for ridx, (ints, _, surplus) in enumerate(rows):
-            if surplus is None or ints[-1] > 0:
-                self.art_of_row[ridx] = len(self.art_of_row)
-        self.nart = len(self.art_of_row)
-        for ridx in sorted(self.art_of_row, key=self.art_of_row.get):
-            self.cols.append(("art", ridx))
+        self.art0 = len(self.cols)
         self.sigma = []
         self.T = []
         self.basis = []
         for ridx, (ints, d, surplus) in enumerate(rows):
             b = ints[-1]
-            if surplus is not None and b <= 0:
-                sg = -1
-            else:
-                sg = -1 if b < 0 else 1
+            # a ge row with nonpositive rhs is flipped so its surplus column
+            # can start basic; only the remaining rows need an artificial
+            flipped = surplus is not None and b <= 0
+            sg = -1 if flipped or b < 0 else 1
             self.sigma.append(sg)
             row = {}
             for c, (_, j, s) in enumerate(self.cols[:self.sur0]):
@@ -218,15 +213,16 @@ class _Tableau:
                     row[c] = sg * s * ints[j]
             if surplus is not None:
                 row[self.sur0 + surplus] = -sg * d
-            art = self.art_of_row.get(ridx)
-            if art is not None:
-                row[nstruct + art] = d
             if b:
                 row[_RHS] = sg * b
             self.T.append(row)
             # the basic entry is d > 0 either way
-            self.basis.append(nstruct + art if art is not None
-                              else self.sur0 + surplus)
+            if flipped:
+                self.basis.append(self.sur0 + surplus)
+            else:
+                row[len(self.cols)] = d
+                self.basis.append(len(self.cols))
+                self.cols.append(("art", ridx))
 
     def set_costs(self, costs):
         """The row ``z`` of reduced costs ``costs - c_B . rows`` for the
@@ -245,6 +241,10 @@ class _Tableau:
 
     def pivot(self, r, c):
         row = self.T[r]
+        if self.basis[r] >= self.art0:
+            # a leaving artificial leaves the problem: its column is nonzero
+            # only in its own row, so deleting that entry drops the column
+            del row[self.basis[r]]
         if row[c] < 0:
             for j in row:
                 row[j] = -row[j]
@@ -255,12 +255,14 @@ class _Tableau:
                 _eliminate(other, row, c)
 
     def run(self):
-        """Bland-rule iterations; returns "optimal" or "unbounded"."""
-        ncols = len(self.cols)
+        """Bland-rule iterations; returns "optimal" or "unbounded".  The
+        scan for an entering column stops before the artificials: each is
+        basic until it leaves, and then its column is gone."""
+        art0 = self.art0
         while True:
             z = self.z
             enter = None
-            for c in range(ncols):
+            for c in range(art0):
                 if z.get(c, 0) < 0:
                     enter = c
                     break
@@ -285,8 +287,43 @@ class _Tableau:
         row = self.T[i]
         return Fraction(row.get(c, 0), row[self.basis[i]])
 
-    def reduced_cost(self, c):
-        return Fraction(self.z.get(c, 0), self.z[_OBJ])
+    def multipliers(self):
+        """The Farkas multipliers of an infeasible phase 1, one per problem
+        row: sigma_i * y_i for the duals y = c_B B^-1 of the final basis B,
+        from y . B = c_B column by column.  A basic artificial of row i
+        (cost 1, column e_i) gives y_i = 1; a basic surplus of ge row i
+        (cost 0, column -sigma_i e_i) gives y_i = 0; each basic variable
+        column j (cost 0) gives sum_i m_i A_ij = 0.  The artificial and
+        surplus columns of B are multiples of unit columns at distinct rows,
+        so the remaining rows and the basic variable columns make a square
+        block of B, nonsingular because B is: one solution, solved on the
+        cleared rows."""
+        rows = self.problem.int_rows
+        ne = len(self.problem.eq_rows)
+        mult = [None] * len(rows)
+        var_cols = []
+        for bcol in self.basis:
+            tag = self.cols[bcol]
+            if tag[0] == "art":
+                mult[tag[1]] = self.sigma[tag[1]]
+            elif tag[0] == "sur":
+                mult[ne + tag[1]] = 0
+            else:
+                var_cols.append(tag[1])
+        known = [i for i, m in enumerate(mult) if m]
+        unknown = [i for i, m in enumerate(mult) if m is None]
+        # sum_i m_i ints_i[j] / d_i = 0 at each basic variable column j;
+        # times the lcm D of the known d_i, in the unknowns D m_i / d_i
+        scale = lcm(*(rows[i][1] for i in known))
+        weights = [(mult[i] * (scale // rows[i][1]), rows[i][0]) for i in known]
+        system = [[rows[i][0][j] for i in unknown] for j in var_cols]
+        rhs = [-sum(w * ints[j] for w, ints in weights) for j in var_cols]
+        solution = linear_solve(system, rhs)
+        if solution is None:
+            raise CertificateError("final phase 1 basis is singular")
+        for i, u in zip(unknown, solution):
+            mult[i] = u * Fraction(rows[i][1], scale)
+        return tuple(map(Fraction, mult))
 
     def extract_point(self):
         x = [Fraction(0)] * self.problem.num_vars
@@ -338,32 +375,56 @@ def _eliminate(other, row, c):
 
 
 def solve(problem):
-    """Exact two-phase simplex.  Deterministic; outcome verified before return."""
+    """Exact two-phase simplex.  Deterministic; outcome verified before return.
+
+    Phase 1 minimizes the sum of the artificials, and an artificial that
+    leaves the basis leaves the problem: its column is deleted and never
+    enters again.  Three facts make this sound.
+
+    * Optimum 0 exactly when the problem is feasible.  Each deletion fixes
+      an artificial at 0, so the restricted phase 1 is the full one with
+      some artificials fixed at 0.  A feasible point of the problem, with
+      every artificial 0, is feasible for every restriction, so the
+      optimum is 0.  Conversely, at optimum 0 every remaining artificial is
+      0 and so is every deleted one, and the basic solution solves the rows.
+    * The multipliers certify infeasibility.  At an optimum of value w > 0
+      with basis B, y = c_B B^-1 prices every remaining column at a
+      nonnegative reduced cost: y . a_j <= 0 for every split variable and
+      surplus column a_j, whose costs are 0, and y . b = w > 0.  Deleted
+      artificial columns do not enter Farkas' lemma, which reads only the
+      structural columns.  Take m_i = sigma_i y_i, where sigma_i = -1 on
+      the rows the tableau negates.  Then y . a_j <= 0 makes
+      sum_i m_i A_ij zero on a free variable (both halves), nonpositive
+      on a nonnegative one, and m_i >= 0 on ge row i (its surplus), and
+      sum_i m_i b_i = w > 0: the certificate ``verify_farkas`` judges.
+      ``_Tableau.multipliers`` solves y . B = c_B for y.
+    * Termination.  Between deletions the column set is fixed and Bland's
+      rule (Bland 1977) cannot cycle; the scan of ``_Tableau.run`` covers
+      every nonbasic column of the restricted problem, since the remaining
+      artificials are all basic.  There are finitely many deletions.
+
+    A problem without an objective returns the phase 1 point: artificials
+    left basic at level 0 do not change it.  With an objective they are
+    pivoted out first (a row with no structural entry is redundant and is
+    dropped), and phase 2 runs on the structural columns alone.
+    """
     tab = _Tableau(problem)
-    nart = tab.nart
-    art0 = len(tab.cols) - nart
-    tab.set_costs([0] * art0 + [1] * nart)
+    art0 = tab.art0
+    tab.set_costs([0] * art0 + [1] * (len(tab.cols) - art0))
     if tab.run() != "optimal":
         raise CertificateError("phase 1 unbounded, but it is bounded below by zero")
     if tab.value > 0:
-        mult = []
-        ne = len(problem.eq_rows)
-        nrows = ne + len(problem.ge_rows)
-        for i in range(nrows):
-            art = tab.art_of_row.get(i)
-            if art is not None:
-                y = 1 - tab.reduced_cost(art0 + art)
-            else:
-                y = -tab.reduced_cost(tab.sur0 + (i - ne))
-            mult.append(tab.sigma[i] * y)
-        cert = tuple(mult)
+        cert = tab.multipliers()
         verify_farkas(problem, cert)
         return LpOutcome(status=INFEASIBLE, certificate=cert)
+    if problem.objective is None:
+        point = tab.extract_point()
+        verify_point(problem, point)
+        return LpOutcome(status=FEASIBLE, point=point)
 
     # drive leftover artificials out of the basis, dropping redundant rows
     for i in range(len(tab.basis) - 1, -1, -1):
-        bcol = tab.basis[i]
-        if tab.cols[bcol][0] != "art":
+        if tab.basis[i] < art0:
             continue
         pivot_col = min((c for c in tab.T[i] if 0 <= c < art0), default=None)
         if pivot_col is None:
@@ -371,16 +432,7 @@ def solve(problem):
             del tab.basis[i]
         else:
             tab.pivot(i, pivot_col)
-
-    if problem.objective is None:
-        point = tab.extract_point()
-        verify_point(problem, point)
-        return LpOutcome(status=FEASIBLE, point=point)
-
-    # no artificial is basic now; drop their columns so none can enter
-    tab.T = [{j: a for j, a in row.items() if j < art0} for row in tab.T]
-    for row in tab.T:
-        _reduce(row)
+    # no row holds an artificial entry now
     del tab.cols[art0:]
     costs = [0] * art0
     for c, tag in enumerate(tab.cols):

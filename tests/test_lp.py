@@ -319,6 +319,8 @@ def _digest(pivots):
 # sha256 of repr of the pivot sequence of each LP of _pinned_corpus(), with
 # its pivot count in the comment, captured while the tableau kept its denominators in a list and its
 # reduced costs in a dense row; a change of pricing rule changes these.
+# Entry 15 was re-captured when feasibility-only LPs stopped driving zero-
+# level artificials out of the basis.
 _PINNED_PIVOTS = [
     'fb90f46c543c466c0d11b1fb35d0ca1da5bdee34a35a24ba484f9e5cefa2d3ad',  # 7
     '86ea23e5b5627a8b803d8eecf4201aac2cab2c32d2fc1a8c2d9be894e16b4f2e',  # 4
@@ -335,7 +337,7 @@ _PINNED_PIVOTS = [
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     '921af0b4acb4608c8c1f8e495aa69200072c01d42aac9a530e9d9a655c803a36',  # 5
-    'd4ef6b98a667c5074cf4a79064a9c5a07522e6f72b4f1cfbaf6a9e2f3f487abc',  # 2
+    '478320901d993375e8bcf2be91a742c5ec8ff9deac0956df56cd1f529aa59172',  # 1
     '95ba72b9222675ebb14eddfa36633fa225c746e5569a6513951140a8cb16b24d',  # 5
     'fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963',  # 1
     '1b92d0de8bb0230dbb301de92e0c5e4a1362f052233a1e409a393b0267011d41',  # 1
@@ -366,14 +368,17 @@ def test_pinned_pivot_sequences(pivots):
 
 # (pivot count, sha256 of the pivot sequence) of the one LP of each
 # EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS.
+# gap-k3 at k=3, gap-k2 at k=2 and box at k=1 were re-captured when phase 1
+# stopped re-entering left artificials and, without an objective, driving
+# zero-level ones out.
 EXT_K_PIVOT_PINS = {
     ("gap-k3", "square-skew", 1): (10, "95acb0f8ad33d5ee0b7042b5ed620422b37e496477c9d9059cb6c02909b47dc4"),
     ("gap-k3", "square-skew", 2): (24, "5ec2c38505e4451218da558b071eecfa91ebcf646434bbd734c5ebe5d8101428"),
-    ("gap-k3", "square-skew", 3): (155, "059acce330a8c82c0a9a531df7501988ce0bcabe9243a329e355a48bc2f96b41"),
+    ("gap-k3", "square-skew", 3): (154, "d46f85848c7c817a315a98375bbd6ebdf7373c00cb64adec5bd15f139c90d150"),
     ("gap-k2", "square-skew", 1): (10, "520a2c9a13c739fe245bb85b4c6148adbe42fe7ab1fb523e798d7280f86b9d8b"),
-    ("gap-k2", "square-skew", 2): (27, "889da17ce51cc246383dec4a86f373ca2382cf081141366370051f6aeb9ff5d7"),
+    ("gap-k2", "square-skew", 2): (26, "42ae998ba37287b0080b8f382862156a05779ebb2345b27bf707c10a1112947f"),
     ("gap-k2", "square-skew", 3): (128, "398573741bc27fb2cf5c19421b57635cee0fa4c94ee427aa4b9c32c380027cd4"),
-    ("box", "square", 1): (17, "408a73a7d3e31abcb41324077a3c21d4e8f7da4e06548ea63a24373a522a3a00"),
+    ("box", "square", 1): (9, "93bc233e9cf08e47bcc8eb3206b41df8fa9baf231d873a53f8ddab31bf0c03e5"),
     ("box", "square", 2): (35, "77b68bcff63fc5848f38a6da45c15137ef9f447504868a846d2d31fb6d54673b"),
 }
 
@@ -390,8 +395,9 @@ def test_ext_k_pivot_sequences(pivots, point, b_name, k):
 def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
     """After every pivot of the random LPs, each constraint row has a
     positive entry at its basic column, its denominator; the reduced-cost
-    row has a positive objective entry and none at a basic column; and
-    every row is gcd-reduced."""
+    row has a positive objective entry and none at a basic column; every
+    row is gcd-reduced; and no row, nor the reduced-cost row, holds an
+    entry at an artificial column that is not basic."""
     from coneext import lp
 
     pivot = lp._Tableau.pivot
@@ -399,18 +405,116 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
 
     def checking(tab, r, c):
         pivot(tab, r, c)
+        left = set(range(tab.art0, len(tab.cols))) - set(tab.basis)
         for row, bcol in zip(tab.T, tab.basis):
             assert row[bcol] > 0
             assert gcd(*row.values()) == 1
+            assert not left & row.keys()
         assert tab.z[lp._OBJ] > 0
         assert not any(bcol in tab.z for bcol in tab.basis)
         assert gcd(*tab.z.values()) == 1
+        assert not left & tab.z.keys()
         checked.append((r, c))
 
     monkeypatch.setattr(lp._Tableau, "pivot", checking)
     for _, p in _random_lps():
         solve(p)
     assert len(checked) >= 200, len(checked)
+
+
+@pytest.fixture
+def entering(monkeypatch):
+    """The tag of the entering column of each pivot made from here on."""
+    from coneext import lp
+
+    seen = []
+    pivot = lp._Tableau.pivot
+
+    def recording(tab, r, c):
+        seen.append(tab.cols[c])
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    return seen
+
+
+def test_no_pivot_enters_an_artificial_column(entering):
+    """Over the pinned and the random LPs, every pivot, phase 1 and the
+    drive-out included, enters a variable or surplus column."""
+    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
+        solve(p)
+    assert len(entering) >= 300, len(entering)
+    assert {tag[0] for tag in entering} == {"var", "sur"}
+
+
+# x0 free, x1 >= 0; 2 x0 = 1 and 3/2 x0 = 4/3 disagree, x0 - x1 >= -1/2.
+# Phase 1 pivots x0 in for the first row's artificial and stops at value
+# 7/12 with the second row's artificial, the ge row's surplus and x0 basic.
+_MIXED_BASIS_LP = LpProblem.build(
+    2, eq_rows=[((2, 0), 1), ((Fraction(3, 2), 0), Fraction(4, 3))],
+    ge_rows=[((1, -1), Fraction(-1, 2))], nonneg=(1,))
+# m_1 = 1 at the basic artificial, m_2 = 0 at the basic surplus, and
+# 2 m_0 + 3/2 m_1 = 0 at the basic x0 column
+_MIXED_BASIS_CERTIFICATE = (Fraction(-3, 4), Fraction(1), Fraction(0))
+
+
+def test_multipliers_are_solved_from_a_mixed_final_basis(monkeypatch):
+    from coneext import lp
+
+    multipliers = lp._Tableau.multipliers
+    kinds = []
+
+    def recording(tab):
+        kinds.append(sorted(tab.cols[bcol][0] for bcol in tab.basis))
+        return multipliers(tab)
+
+    monkeypatch.setattr(lp._Tableau, "multipliers", recording)
+    out = solve(_MIXED_BASIS_LP)
+    assert kinds == [["art", "sur", "var"]]
+    assert out.status == INFEASIBLE
+    assert out.certificate == _MIXED_BASIS_CERTIFICATE
+    assert all(type(m) is Fraction for m in out.certificate)
+
+
+def _solved_multiplier_moved_by_a_seventh():
+    """The message raised when the solved multiplier m_0 of the mixed-basis
+    LP is moved by 1/7 before the Farkas check, or None; raises nothing
+    itself, so it also reports under ``python -O``."""
+    from coneext import lp
+
+    multipliers = lp._Tableau.multipliers
+
+    def moved(tab):
+        m = multipliers(tab)
+        return (m[0] + Fraction(1, 7), *m[1:])
+
+    lp._Tableau.multipliers = moved
+    try:
+        lp.solve(_MIXED_BASIS_LP)
+    except lp.CertificateError as err:
+        return str(err)
+    finally:
+        lp._Tableau.multipliers = multipliers
+    return None
+
+
+def test_a_solved_multiplier_moved_by_a_seventh_is_rejected():
+    # x0 is free, so the combination stops vanishing on it
+    assert "nonzero on a free variable" in _solved_multiplier_moved_by_a_seventh()
+
+
+def test_a_moved_solved_multiplier_is_rejected_under_python_O():
+    code = f"""
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+        import test_lp
+        message = test_lp._solved_multiplier_moved_by_a_seventh()
+        if message is None or "nonzero on a free variable" not in message:
+            sys.exit(f"moved multiplier gave {{message!r}}")
+    """
+    _passes_under_python_O(code)
 
 
 def test_certificate_checks_survive_python_O():
@@ -778,6 +882,10 @@ def test_every_certificate_message_is_raised(monkeypatch):
         m.setattr(lp._Tableau, "run", lambda tab: "unbounded")
         with pytest.raises(lp.CertificateError, match="phase 1 unbounded"):
             solve(p)
+    with monkeypatch.context() as m:
+        m.setattr(lp, "linear_solve", lambda rows, rhs: None)
+        with pytest.raises(lp.CertificateError, match="basis is singular"):
+            solve(_MIXED_BASIS_LP)
     with monkeypatch.context() as m:
         m.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=UNBOUNDED))
         with pytest.raises(lp.CertificateError, match="unexpected LP status"):

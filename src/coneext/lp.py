@@ -12,11 +12,11 @@ Phase 1 deletes an artificial column when it leaves the basis, so no
 artificial re-enters or is carried through later pivots; an infeasible
 problem's Farkas multipliers are solved from the final basis, and a problem
 without an objective stops after phase 1 (see ``solve``).  No floating
-point, no presolve.  The API stays Fraction in and Fraction out.  Each problem clears its rows to
-integers once (``LpProblem.int_rows``); the tableau, every re-check below
-and the conic re-sum and separation check all read that one copy, each an
-exact comparison.  Every outcome is re-verified against the original
-problem before it is returned:
+point, no presolve.  The API stays Fraction in and Fraction out.  Each
+problem clears its rows to integers once (``LpProblem.int_rows``); the
+tableau, every re-check below and the conic re-sum and separation check all
+read that one copy, each an exact comparison.  Every outcome is re-verified
+against the original problem before it is returned:
 
 * feasible: the point satisfies every row exactly (and the optimum, when
   an objective is present, equals objective . point);

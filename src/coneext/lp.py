@@ -1,6 +1,8 @@
 """Exact rational linear programming with self-verifying certificates.
 
-Two-phase primal simplex with Bland's rule, so every run terminates and
+Two-phase primal simplex with guarded Dantzig pricing: the most negative
+reduced cost enters, and Bland's rule takes over for the rest of a run of
+degenerate pivots once it repeats a basis, so every run terminates and
 identical problems pivot identically.  The tableau is fraction-free and
 sparse, with one kind of row: a dict of int entries whose denominator is
 its own positive entry at its basic column.  The reduced costs are one more
@@ -255,19 +257,26 @@ class _Tableau:
                 _eliminate(other, row, c)
 
     def run(self):
-        """Bland-rule iterations; returns "optimal" or "unbounded".  The
-        scan for an entering column stops before the artificials: each is
-        basic until it leaves, and then its column is gone."""
+        """Guarded Dantzig iterations; returns "optimal" or "unbounded".
+        The entering column has the most negative reduced cost, the lowest
+        index on ties (every entry of ``z`` shares the denominator
+        ``z[_OBJ]``, so the ints compare directly).  Through a run of
+        degenerate pivots, where the leaving row's rhs is 0, the bases are
+        kept; once one repeats, the lowest column with a negative reduced
+        cost enters instead (Bland's rule) until the next non-degenerate
+        pivot.  Only structural columns enter: each artificial is basic
+        until it leaves, and then its column is gone."""
         art0 = self.art0
+        seen = set()
+        bland = False
         while True:
-            z = self.z
-            enter = None
-            for c in range(art0):
-                if z.get(c, 0) < 0:
-                    enter = c
-                    break
-            if enter is None:
+            basis = tuple(self.basis)
+            bland = bland or basis in seen
+            seen.add(basis)
+            negative = [(a, c) for c, a in self.z.items() if a < 0 and 0 <= c < art0]
+            if not negative:
                 return "optimal"
+            enter = min(c for _, c in negative) if bland else min(negative)[1]
             # min ratio rhs_i / a_i over a_i > 0; the row denominators cancel
             leave = None
             for i, row in enumerate(self.T):
@@ -281,6 +290,9 @@ class _Tableau:
             if leave is None:
                 self.unbounded_col = enter
                 return "unbounded"
+            if bn:
+                seen.clear()
+                bland = False
             self.pivot(leave, enter)
 
     def entry(self, i, c):
@@ -398,10 +410,21 @@ def solve(problem):
       on a nonnegative one, and m_i >= 0 on ge row i (its surplus), and
       sum_i m_i b_i = w > 0: the certificate ``verify_farkas`` judges.
       ``_Tableau.multipliers`` solves y . B = c_B for y.
-    * Termination.  Between deletions the column set is fixed and Bland's
-      rule (Bland 1977) cannot cycle; the scan of ``_Tableau.run`` covers
-      every nonbasic column of the restricted problem, since the remaining
-      artificials are all basic.  There are finitely many deletions.
+    * Termination under the guarded rule of ``_Tableau.run``.  A non-
+      degenerate pivot strictly lowers the objective: the entering reduced
+      cost is negative and the step is positive.  A degenerate pivot, and
+      the deletion of an artificial column, which is nonbasic by then,
+      leave the basic solution and the objective alone.  The objective is
+      a function of the basis, so no basis recurs across a non-degenerate
+      pivot, and as there are finitely many bases there are finitely many
+      non-degenerate pivots.  A run of degenerate pivots either ends or
+      repeats a basis, again because there are finitely many bases; at the
+      first repeat Bland's rule takes over until the run ends.  Between
+      deletions the column set is fixed and Bland's rule (Bland 1977)
+      cannot cycle from any basis: its scan covers every nonbasic column
+      of the restricted problem, since the remaining artificials are all
+      basic, and the ratio test lets the smallest basic column leave on
+      ties.  There are finitely many deletions, so the run ends.
 
     A problem without an objective returns the phase 1 point: artificials
     left basic at level 0 do not change it.  With an objective they are

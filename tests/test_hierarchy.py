@@ -330,13 +330,15 @@ def test_ext_membership_input_checks():
 # solves, captured before the tableau rows went sparse.  These LPs have free
 # variables and zero-rhs ge rows, which the random LPs of test_lp.py lack;
 # any change to the LP data or to the pivot sequence changes the hashes.
+# gap-k3 at k=2 and gap-k2 at k=2 and k=3 were re-captured under guarded
+# Dantzig pricing.
 EXT_K_LP_PINS = {
     ("gap-k3", "square-skew", 1): "bef5cfae3939e25e66b985dd3f9e1d6cad4f50def07fd1e76d53642aa4b20b37",
-    ("gap-k3", "square-skew", 2): "de9c4bcc0e4003cef6eb035d43deb0f133338914e81ca9d505d702b8bd441e78",
+    ("gap-k3", "square-skew", 2): "892f31998bd20d1b32f8c48e4ee5b396e2ddbe3a9a56828674ed743a7330c65e",
     ("gap-k3", "square-skew", 3): "7fa782d575d7a8c6f2538deffccaa93cb1a5f837f3021db426807937f6ba9eee",
     ("gap-k2", "square-skew", 1): "7c7f6c8c8bd42795d5e6edcff9a6014a275045042eebf4277e73c60d7e9eb6d7",
-    ("gap-k2", "square-skew", 2): "8c532f7419b08212aa7e1d3bcbf9227d73ac084b28692acedbd098725187d2cd",
-    ("gap-k2", "square-skew", 3): "877918f6400252a9baaae28f729e8c13020c5d6484af67563224e9f9dda2a950",
+    ("gap-k2", "square-skew", 2): "6fc67ef5fe74fcbcd973585cfae02f4207bdb243143bb040d29743be9268b942",
+    ("gap-k2", "square-skew", 3): "1eeed0a11b130210ef14943082f455c45e9b78fedef7be5e3f3e7bf00a726700",
     ("box", "square", 1): "74877af369353b5ab0b22523317e1a131d9e1c8a1a6f48057e01ada99ae62992",
     ("box", "square", 2): "f145dfefc5e48743281e20548c3bc32a59b33856b3d9ad1c5d6fded11e59103e",
 }

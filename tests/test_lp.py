@@ -255,15 +255,15 @@ def _summary(out):
 _PINNED = [
     'feasible|1 0 0 22/3 17/3|-|-|-',  # 5 vars, 4 eq, 3 ge, no obj
     'feasible|0 0 -217/72 35/8 0|-|-2303/144|-',  # 5 vars, 1 eq, 1 ge, obj
-    'unbounded|0 0 0 0 0|-|-|0 0 1 0 0',  # 5 vars, 0 eq, 0 ge, obj
-    'unbounded|3/2 0 9/2 0|-|-|1 -1 3/2 0',  # 4 vars, 3 eq, 0 ge, obj
+    'unbounded|0 0 0 0 0|-|-|0 0 0 -1 0',  # 5 vars, 0 eq, 0 ge, obj
+    'unbounded|0 3/2 9/4 0|-|-|0 1 0 1',  # 4 vars, 3 eq, 0 ge, obj
     'infeasible|-|-67/146 48/73 -1 1 0|-|-',  # 3 vars, 3 eq, 2 ge, obj
-    'feasible|0 10/3 0 0 0|-|-|-',  # 5 vars, 1 eq, 0 ge, no obj
-    'unbounded|0 0 0|-|-|-1 0 0',  # 3 vars, 0 eq, 1 ge, obj
+    'feasible|0 0 0 0 20/9|-|-|-',  # 5 vars, 1 eq, 0 ge, no obj
+    'unbounded|0 7/8 0|-|-|-1 0 0',  # 3 vars, 0 eq, 1 ge, obj
     'feasible|9/14 -34/7 -34/21|-|55/63|-',  # 3 vars, 2 eq, 2 ge, obj
     'infeasible|-|-1 1 1 2/3|-|-',  # 1 vars, 3 eq, 1 ge, obj
-    'unbounded|0 31/3 0 0 0|-|-|0 4 0 1 0',  # 5 vars, 2 eq, 0 ge, obj
-    'feasible|71/9 215/18 0 0 0|-|-|-',  # 5 vars, 1 eq, 2 ge, no obj
+    'unbounded|0 0 31/8 0 0|-|-|0 0 3/2 1 0',  # 5 vars, 2 eq, 0 ge, obj
+    'feasible|31/33 0 0 0 -86/33|-|-|-',  # 5 vars, 1 eq, 2 ge, no obj
     'feasible|0 5/6 0 0|-|-5/12|-',  # 4 vars, 0 eq, 2 ge, obj
     'infeasible|-|1 0 0 0 0|-|-',  # 3 vars, 0 eq, 5 ge, obj
     'feasible|1/3|-|1/3|-',  # 1 vars, 2 eq, 0 ge, obj
@@ -271,20 +271,20 @@ _PINNED = [
     'feasible|4|-|-|-',  # 1 vars, 2 eq, 1 ge, no obj
     'feasible|0 7/4 0 5/24 91/36|-|265/36|-',  # 5 vars, 0 eq, 5 ge, obj
     'unbounded|7 0 0 0 0|-|-|0 0 -1 0 0',  # 5 vars, 0 eq, 2 ge, obj
-    'unbounded|0 0 -7/2 0 0|-|-|0 1 0 0 0',  # 5 vars, 0 eq, 1 ge, obj
-    'unbounded|0 0 197/102 233/612 0|-|-|-1 0 23/34 65/204 0',  # 5 vars, 2 eq, 0 ge, obj
+    'unbounded|0 0 0 -7/4 0|-|-|0 0 1 -1/2 0',  # 5 vars, 0 eq, 1 ge, obj
+    'unbounded|0 0 0 157/108 197/162|-|-|-1 0 0 25/36 23/54',  # 5 vars, 2 eq, 0 ge, obj
     'infeasible|-|-1 -1 1 19/3 13/2|-|-',  # 3 vars, 3 eq, 2 ge, no obj
     'feasible|1|-|-1|-',  # 1 vars, 4 eq, 4 ge, obj
-    'unbounded|0 0 0 2 0|-|-|0 1 0 1 0',  # 5 vars, 1 eq, 0 ge, obj
+    'unbounded|0 0 0 2 0|-|-|0 0 0 2 -1',  # 5 vars, 1 eq, 0 ge, obj
     'feasible|7 0 -139/30 -607/30|-|-3593/60|-',  # 4 vars, 1 eq, 4 ge, obj
     'feasible|0|-|0|-',  # 1 vars, 2 eq, 3 ge, obj
-    'feasible|-325/134 343/134 773/201 54/67|-|-|-',  # 4 vars, 2 eq, 5 ge, no obj
+    'feasible|-593/227 889/227 581/227 995/681|-|-|-',  # 4 vars, 2 eq, 5 ge, no obj
     'feasible|2|-|1|-',  # 1 vars, 2 eq, 2 ge, obj
     'feasible|3/2|-|3/2|-',  # 1 vars, 3 eq, 5 ge, obj
     'feasible|0 17/9 73/6 0 65/2|-|205/9|-',  # 5 vars, 3 eq, 0 ge, obj
     'unbounded|49/6 0 25/3 44/9|-|-|20/9 1 7/3 8/27',  # 4 vars, 3 eq, 2 ge, obj
     'feasible|0 5/3 0|-|-|-',  # 3 vars, 0 eq, 2 ge, no obj
-    'unbounded|0 137/99 0 5383/1188 1531/396|-|-|0 4/11 1 149/66 25/22',  # 5 vars, 0 eq, 4 ge, obj
+    'unbounded|319/408 0 0 1849/612 395/136|-|-|27/68 0 1 43/34 21/68',  # 5 vars, 0 eq, 4 ge, obj
 ]
 
 
@@ -317,43 +317,43 @@ def _digest(pivots):
 
 
 # sha256 of repr of the pivot sequence of each LP of _pinned_corpus(), with
-# its pivot count in the comment, captured while the tableau kept its denominators in a list and its
-# reduced costs in a dense row; a change of pricing rule changes these.
-# Entry 15 was re-captured when feasibility-only LPs stopped driving zero-
-# level artificials out of the basis.
+# its pivot count in the comment, captured under guarded Dantzig pricing:
+# the most negative reduced cost enters, and Bland's rule takes over after a
+# basis repeats within a run of degenerate pivots.  A change of pricing rule
+# or of the ratio test's tie-break changes these.
 _PINNED_PIVOTS = [
-    'fb90f46c543c466c0d11b1fb35d0ca1da5bdee34a35a24ba484f9e5cefa2d3ad',  # 7
-    '86ea23e5b5627a8b803d8eecf4201aac2cab2c32d2fc1a8c2d9be894e16b4f2e',  # 4
+    '422d7572839f779a3eb7f478bcfdb25b372f4262862385f7b1ce14b6a666a3d2',  # 5
+    '643f8657ff718366cde08057645efc911a46b71d725cca31ab238dbb6a4f6e16',  # 3
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    '3e65b5c6f3c55eee3575d9efb8f04c65953e0783f49814152f40b4a04ee2ad51',  # 3
-    '391ef33e47f8dbc8810327e7cdb3cc2d7198c379b306d5450ac3ce66b49bf163',  # 2
-    '4c461d4a0ab0fe42d5dfe0398002bac0ee02261aa3b5641fe9d4d1f8d99633a3',  # 1
-    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    '61157c2e8d2e4abfee965cfb103ba809f3a7844c654f1b63b6f5cd3301b52549',  # 5
+    'e4be09c7fe8eae07f78292b76527ab03398adf17143d9365cee59ddc6dc6332b',  # 2
+    'e87a3e3505b338a58d78d286bb9216a2ed2d496de7d0cceed98a750b47ed9a2f',  # 2
+    '00ce6357cff8c2924ca78454dfcaaf693aca5b46178568fa33c70d0f8288746f',  # 1
+    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
+    'd0d044c4e8a09f2200e78827e83ce3512478ada3bc133dfdddd1c4126b6600f8',  # 8
     '02cc7f0711a1198b57ce717df6271cfb6feb5cd998d090133efe84ba0152fbf3',  # 1
-    '6eb681965c5b82a90cca16c8bdf17656f2924a055ac074ea7f4c45a594d0b76a',  # 2
-    'f499276321a466df49ded2a2d9cb982b2db39105bce7a6be76b5fb392aacbca1',  # 2
+    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
+    '9b3b21ee41692541dda0f9af2f395260ffc654cb15594e9db70a727a3457ce2c',  # 2
     'dba010dc185ba44cc16ac8ed5e5bbbe721e8dc9d928b5377686d1b3a9d786530',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     '921af0b4acb4608c8c1f8e495aa69200072c01d42aac9a530e9d9a655c803a36',  # 5
     '478320901d993375e8bcf2be91a742c5ec8ff9deac0956df56cd1f529aa59172',  # 1
-    '95ba72b9222675ebb14eddfa36633fa225c746e5569a6513951140a8cb16b24d',  # 5
+    '1f6681814b50dab5213fb3429662197608df3f8dfe3be40303e316778aef52de',  # 4
     'fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963',  # 1
-    '1b92d0de8bb0230dbb301de92e0c5e4a1362f052233a1e409a393b0267011d41',  # 1
-    '8ae835587e8fc751735ae843a9e25d091dd14f0edbdfe6578afe9265c1d0c6c4',  # 4
-    '415b7a16ddb540d4cfde7216ca29c5cc5d3c2a3804e3913384176d8f616d07b0',  # 4
+    '23fafb672dbd5fbdcaf03359549a4966fd4db23c15a2b1bcf9f22479fe3a2277',  # 1
+    '2eef8a342e1bc3825c51c24910f0ab66cf63e2e82eec2298baf2375ebf75222f',  # 2
+    '468d6fe1ef80d78491953e87344cc5062b8f48043713895871ff9b6fa1ad4c25',  # 2
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '00ce6357cff8c2924ca78454dfcaaf693aca5b46178568fa33c70d0f8288746f',  # 1
-    'a11bdd623c2770e6a223a7322f4c9e60c196b716cf46828fa4ee4049904ed072',  # 10
+    '52cb1a84941336bd2f434b6fa792dfe9d2994aaf12eca97af9e6d5e695d6705a',  # 2
+    '9901f9739cc37f4e3aecd32f74dc3e4ebc72191036166c5a97839551b7287065',  # 8
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    'f05fa3e3f78ecec7a7cffcb94df3a40d00ca846b48fd5be048b0d8eb75d2ff74',  # 5
+    'e077fdfe80d785eeefcdf6a753caf8b3a6d147f206d89cdec37305ad09c9e659',  # 6
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     'd3c9c0fb28f1b0bf08aae307988a852ea4d0b1460e6f0336ef5a771104b07bb4',  # 4
-    '45108e4d96e34edf3cd7fc9e28414dcb8de67996f1c610c21337b2a6070a63f1',  # 6
+    'f3199671dce748348e4a7e23f88959f29d8b62bdbc44143c8f327e7dbfd8ec38',  # 6
     '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
-    '98a0f47130676156412a9dc716b9abd54b6c08fb1927ac3576c60fa22a1afab2',  # 8
+    'c3775583128a6a59a08cd5b4b1f55d321100f9c50159d0c554f3b20853e0980f',  # 4
 ]
 
 
@@ -368,18 +368,17 @@ def test_pinned_pivot_sequences(pivots):
 
 # (pivot count, sha256 of the pivot sequence) of the one LP of each
 # EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS.
-# gap-k3 at k=3, gap-k2 at k=2 and box at k=1 were re-captured when phase 1
-# stopped re-entering left artificials and, without an objective, driving
-# zero-level ones out.
+# Every ge row of these LPs has rhs 0, so phase 1 starts at a degenerate
+# vertex; under Bland's rule gap-k3 took 154 pivots at k=3 and gap-k2 128.
 EXT_K_PIVOT_PINS = {
     ("gap-k3", "square-skew", 1): (10, "95acb0f8ad33d5ee0b7042b5ed620422b37e496477c9d9059cb6c02909b47dc4"),
-    ("gap-k3", "square-skew", 2): (24, "5ec2c38505e4451218da558b071eecfa91ebcf646434bbd734c5ebe5d8101428"),
-    ("gap-k3", "square-skew", 3): (154, "d46f85848c7c817a315a98375bbd6ebdf7373c00cb64adec5bd15f139c90d150"),
+    ("gap-k3", "square-skew", 2): (23, "ea7db940034ba2377c8c92ec12773d533db86b94dfba4074fa43a13c41da8d40"),
+    ("gap-k3", "square-skew", 3): (103, "da2a0233c5ddfd65b2e07d1c72df0ca20e6a8d25e8d0e36248d3d075df47addd"),
     ("gap-k2", "square-skew", 1): (10, "520a2c9a13c739fe245bb85b4c6148adbe42fe7ab1fb523e798d7280f86b9d8b"),
-    ("gap-k2", "square-skew", 2): (26, "42ae998ba37287b0080b8f382862156a05779ebb2345b27bf707c10a1112947f"),
-    ("gap-k2", "square-skew", 3): (128, "398573741bc27fb2cf5c19421b57635cee0fa4c94ee427aa4b9c32c380027cd4"),
+    ("gap-k2", "square-skew", 2): (23, "ef66c7645ae0c727545c08d6086c6ce0fa32058742150da171199479629d4600"),
+    ("gap-k2", "square-skew", 3): (69, "51aba647ec8b0afcb53010b8120450d55fefce2b8af548f21b6d9a5cd391ace4"),
     ("box", "square", 1): (9, "93bc233e9cf08e47bcc8eb3206b41df8fa9baf231d873a53f8ddab31bf0c03e5"),
-    ("box", "square", 2): (35, "77b68bcff63fc5848f38a6da45c15137ef9f447504868a846d2d31fb6d54673b"),
+    ("box", "square", 2): (15, "569b6ac39c9a105108f3adf0359c4389f53eabb96243455d5fc1234d1f776c4e"),
 }
 
 
@@ -390,6 +389,138 @@ def test_ext_k_pivot_sequences(pivots, point, b_name, k):
     _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
     ext_k_membership(point_tensor(a_cone, based.cone, entries), a_cone, based, k)
     assert (len(pivots), _digest(pivots)) == EXT_K_PIVOT_PINS[point, b_name, k]
+
+
+def _pentagon_diagonal():
+    """x = sum_i e_i ox e_i on pentagon x pentagon, with its cone pair."""
+    based = based_cone("pentagon")
+    n = based.cone.dim
+    x = point_tensor(based.cone, based.cone,
+                     [int(i == j) for i in range(n) for j in range(n)])
+    return x, based.cone, based
+
+
+# (pivot count, sha256 of the pivot sequence) of the pentagon diagonal
+# point's one LP.  It is a NON-MEMBER from k=1 on; Bland's rule stalled at
+# the degenerate apex for 194 pivots at k=2 and 2,393 at k=3.
+PENTAGON_DIAGONAL_PIVOT_PINS = {
+    2: (47, "f70267c7758506f8e3dfe7622d158ec83f9a59e7768e670551c267d19c883add"),
+    3: (99, "572301f63196ff0f26a96521b01d93499efae43ab411e65c858d157d353e061c"),
+}
+
+
+@pytest.mark.parametrize("k", list(PENTAGON_DIAGONAL_PIVOT_PINS))
+def test_pentagon_diagonal_leaves_the_apex(pivots, k):
+    assert not ext_k_membership(*_pentagon_diagonal(), k).member
+    assert (len(pivots), _digest(pivots)) == PENTAGON_DIAGONAL_PIVOT_PINS[k]
+
+
+# Beale's LP (1955): min -3/4 x0 + 20 x1 - 1/2 x2 + 6 x3 over x >= 0 with
+# 1/4 x0 - 8 x1 - x2 + 9 x3 <= 0, 1/2 x0 - 12 x1 - 1/2 x2 + 3 x3 <= 0 and
+# x2 <= 1.  The surplus columns 4, 5, 6 start basic at the degenerate apex,
+# and plain Dantzig pricing with these tie-breaks cycles back to them.
+_BEALE = LpProblem.build(
+    4, ge_rows=[((Fraction(-1, 4), 8, 1, -9), 0),
+                ((Fraction(-1, 2), 12, Fraction(1, 2), -3), 0),
+                ((0, 0, -1, 0), -1)],
+    nonneg=range(4), objective=(Fraction(-3, 4), 20, Fraction(-1, 2), 6))
+
+
+def test_guard_breaks_beales_cycle(monkeypatch):
+    """The starting basis comes back once, after six degenerate pivots;
+    from there Bland's rule leaves the cycle and reaches the optimum."""
+    from coneext import lp
+
+    pivot = lp._Tableau.pivot
+    bases = []
+
+    def capped(tab, r, c):
+        if not bases:
+            bases.append(tuple(tab.basis))
+        if len(bases) > 50:
+            raise RuntimeError("more than 50 pivots: the guard did not fire")
+        pivot(tab, r, c)
+        bases.append(tuple(tab.basis))
+
+    monkeypatch.setattr(lp._Tableau, "pivot", capped)
+    out = solve(_BEALE)
+    assert out.status == FEASIBLE
+    assert out.optimum == Fraction(-5, 4)
+    assert out.point == (1, 0, 1, 0)
+    assert bases[0] == bases[6] == (4, 5, 6)
+    assert bases.count((4, 5, 6)) == 2
+
+
+def _bland_run(tab):
+    """``_Tableau.run`` under Bland's rule alone, the pricing before the
+    guarded Dantzig rule: the lowest structural column with a negative
+    reduced cost enters, with the same ratio test and tie-break."""
+    from coneext.lp import _RHS
+
+    while True:
+        z = tab.z
+        enter = next((c for c in range(tab.art0) if z.get(c, 0) < 0), None)
+        if enter is None:
+            return "optimal"
+        leave = None
+        for i, row in enumerate(tab.T):
+            a = row.get(enter, 0)
+            if a > 0:
+                rn = row.get(_RHS, 0)
+                if leave is None or rn * ba < bn * a or (
+                        rn * ba == bn * a and tab.basis[i] < tab.basis[leave]):
+                    leave, bn, ba = i, rn, a
+        if leave is None:
+            tab.unbounded_col = enter
+            return "unbounded"
+        tab.pivot(leave, enter)
+
+
+def _judged(problem):
+    """Solve and re-check the outcome with its judge."""
+    out = solve(problem)
+    if out.status == FEASIBLE:
+        verify_point(problem, out.point)
+    elif out.status == INFEASIBLE:
+        verify_farkas(problem, out.certificate)
+    else:
+        verify_ray(problem, out.point, out.ray)
+    return out
+
+
+def test_guarded_dantzig_agrees_with_bland(monkeypatch):
+    """On the pinned and the random LPs, the Ext_k pin cases and the
+    pentagon diagonal at k=2, both rules reach the same status, optimum and
+    verdict, and every outcome passes its judge."""
+    from coneext import hierarchy, lp
+
+    lps = [*_pinned_corpus(), *(p for _, p in _random_lps())]
+    cases = []
+    for point, b_name, k in EXT_K_PIVOT_PINS:
+        a_cone = based_cone("square").cone
+        based = based_cone(b_name)
+        _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
+        cases.append((point_tensor(a_cone, based.cone, entries), a_cone, based, k))
+    cases.append((*_pentagon_diagonal(), 2))
+    ext_k_lps = []
+
+    def judged(problem):
+        out = _judged(problem)
+        ext_k_lps.append(out.status)
+        return out
+
+    def outcomes():
+        # what every final basis must agree on
+        ext_k_lps.clear()
+        verdicts = [ext_k_membership(*case).member for case in cases]
+        return ([(o.status, o.optimum) for o in map(_judged, lps)],
+                verdicts, list(ext_k_lps))
+
+    monkeypatch.setattr(hierarchy, "solve", judged)
+    guarded = outcomes()
+    monkeypatch.setattr(lp._Tableau, "run", _bland_run)
+    assert outcomes() == guarded
+    assert set(guarded[1]) == {True, False}
 
 
 def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
@@ -439,10 +570,13 @@ def entering(monkeypatch):
 
 
 def test_no_pivot_enters_an_artificial_column(entering):
-    """Over the pinned and the random LPs, every pivot, phase 1 and the
-    drive-out included, enters a variable or surplus column."""
+    """Over the pinned and the random LPs and the pentagon diagonal's LPs,
+    every pivot, phase 1 and the drive-out included, enters a variable or
+    surplus column."""
     for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
         solve(p)
+    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
+        ext_k_membership(*_pentagon_diagonal(), k)
     assert len(entering) >= 300, len(entering)
     assert {tag[0] for tag in entering} == {"var", "sur"}
 

@@ -369,7 +369,7 @@ def test_pinned_pivot_sequences(pivots):
 # (pivot count, sha256 of the pivot sequence) of the one LP of each
 # EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS.
 # Every ge row of these LPs has rhs 0, so phase 1 starts at a degenerate
-# vertex; under Bland's rule gap-k3 took 154 pivots at k=3 and gap-k2 128.
+# vertex.
 EXT_K_PIVOT_PINS = {
     ("gap-k3", "square-skew", 1): (10, "95acb0f8ad33d5ee0b7042b5ed620422b37e496477c9d9059cb6c02909b47dc4"),
     ("gap-k3", "square-skew", 2): (23, "ea7db940034ba2377c8c92ec12773d533db86b94dfba4074fa43a13c41da8d40"),

@@ -191,18 +191,23 @@ def _random_lps():
             )
 
 
+def _judged(problem):
+    """Solve and re-check the outcome with its judge."""
+    out = solve(problem)
+    if out.status == FEASIBLE:
+        verify_point(problem, out.point)
+    elif out.status == INFEASIBLE:
+        verify_farkas(problem, out.certificate)
+    else:
+        verify_ray(problem, out.point, out.ray)
+    return out
+
+
 def test_random_lps_self_verify():
     """Each kind of random LP reaches all three outcomes, each re-verified."""
     statuses = {0: set(), 1: set()}
     for kind, p in _random_lps():
-        out = solve(p)
-        statuses[kind].add(out.status)
-        if out.status == FEASIBLE:
-            verify_point(p, out.point)
-        elif out.status == INFEASIBLE:
-            verify_farkas(p, out.certificate)
-        else:
-            verify_ray(p, out.point, out.ray)
+        statuses[kind].add(_judged(p).status)
     for seen in statuses.values():
         assert seen == {FEASIBLE, INFEASIBLE, UNBOUNDED}
 
@@ -382,12 +387,17 @@ EXT_K_PIVOT_PINS = {
 }
 
 
-@pytest.mark.parametrize("point,b_name,k", list(EXT_K_PIVOT_PINS))
-def test_ext_k_pivot_sequences(pivots, point, b_name, k):
+def _ext_k_case(point, b_name, k):
+    """The arguments of ext_k_membership for a shipped point on square x B."""
     a_cone = based_cone("square").cone
     based = based_cone(b_name)
     _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
-    ext_k_membership(point_tensor(a_cone, based.cone, entries), a_cone, based, k)
+    return point_tensor(a_cone, based.cone, entries), a_cone, based, k
+
+
+@pytest.mark.parametrize("point,b_name,k", list(EXT_K_PIVOT_PINS))
+def test_ext_k_pivot_sequences(pivots, point, b_name, k):
+    ext_k_membership(*_ext_k_case(point, b_name, k))
     assert (len(pivots), _digest(pivots)) == EXT_K_PIVOT_PINS[point, b_name, k]
 
 
@@ -476,18 +486,6 @@ def _bland_run(tab):
         tab.pivot(leave, enter)
 
 
-def _judged(problem):
-    """Solve and re-check the outcome with its judge."""
-    out = solve(problem)
-    if out.status == FEASIBLE:
-        verify_point(problem, out.point)
-    elif out.status == INFEASIBLE:
-        verify_farkas(problem, out.certificate)
-    else:
-        verify_ray(problem, out.point, out.ray)
-    return out
-
-
 def test_guarded_dantzig_agrees_with_bland(monkeypatch):
     """On the pinned and the random LPs, the Ext_k pin cases and the
     pentagon diagonal at k=2, both rules reach the same status, optimum and
@@ -495,12 +493,7 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
     from coneext import hierarchy, lp
 
     lps = [*_pinned_corpus(), *(p for _, p in _random_lps())]
-    cases = []
-    for point, b_name, k in EXT_K_PIVOT_PINS:
-        a_cone = based_cone("square").cone
-        based = based_cone(b_name)
-        _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
-        cases.append((point_tensor(a_cone, based.cone, entries), a_cone, based, k))
+    cases = [_ext_k_case(*key) for key in EXT_K_PIVOT_PINS]
     cases.append((*_pentagon_diagonal(), 2))
     ext_k_lps = []
 

@@ -34,6 +34,12 @@ ray_A ox Sym(rays_B..).  ``_pad_decompose`` solves the last two, and one
 judge, ``_pad_resum_agrees``, re-checks all three as degree-k forms on the
 principal lattice, sharing no code with the formulas above.  An extension is
 re-checked by contraction with the facets.
+
+``_sym_tables``, the judge and ``omega_interior_test`` run on ints: each
+clears its vectors by positive integers, so no sign moves, and divides or
+cross-multiplies once.  The interior test scales every facet centroid by one
+common D, which multiplies each of its terms by D^k, and each ray on its
+own, since its sums are linear in the ray.
 """
 
 from __future__ import annotations
@@ -43,11 +49,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .cones import interior_point
 from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
                  conic_membership, solve)
-from .linalg import dot, primitive
+from .linalg import clear_denominators, clear_rows, dot, primitive
 from .polytopes import SimplexFactorization, factor_as_simplices
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                       from_vector, kron, pairing, symmetric_project)
@@ -131,11 +138,10 @@ def _arrangements(m):
     return out
 
 
-def _sym_product(vectors, multisets):
-    """Sym(v_1 ox .. ox v_k) at each sorted multiset m: the coefficient of
-    t^m in the product of the linear forms <v_s, t>, over the number of
-    arrangements of m."""
-    poly = {(): Fraction(1)}
+def _sym_product(vectors, multisets, divisors):
+    """The int coefficient of t^m in the product of the linear forms <v_s, t>
+    of the int vectors v_s, over divisors[i] at the i-th multiset m."""
+    poly = {(): 1}
     for v in vectors:
         nxt = {}
         for mono, c in poly.items():
@@ -145,30 +151,34 @@ def _sym_product(vectors, multisets):
                     key = mono[:p] + (j,) + mono[p:]
                     nxt[key] = nxt.get(key, 0) + c * vj
         poly = nxt
-    return [poly.get(m, Fraction(0)) / _arrangements(m) for m in multisets]
+    return [Fraction(poly.get(m, 0), d) for m, d in zip(multisets, divisors)]
 
 
-def _reduced_monomial(m, j, phi):
-    """(m_j / k) phi^(m - e_j): coordinate j of the reduction of the
-    symmetric basis element s_m."""
+def _reduced_monomial(m, j, pad, d):
+    """(m_j / k) phi^(m - e_j) for phi = pad / d: coordinate j of the
+    reduction of the symmetric basis element s_m."""
     count = m.count(j)
     if not count:
         return Fraction(0)
     rest = list(m)
     rest.remove(j)
-    val = Fraction(count, len(m))
+    val = count
     for q in rest:
-        val *= phi[q]
-    return val
+        val *= pad[q]
+    return Fraction(val, len(m) * d ** len(rest))
 
 
 def _sym_tables(pad, tails, combos, k):
     """The reduction table, row m holding (m_j / k) pad^(m - e_j) at each j,
-    and Sym(tails_combo) for each combo, both at m in ``_multisets(len(pad), k)``."""
+    and Sym(tails_combo) for each combo, both at m in ``_multisets(len(pad), k)``.
+    The tails share one denominator dt, so every product of k is over dt^k."""
     multisets = _multisets(len(pad), k)
-    red = [[_reduced_monomial(m, j, pad) for j in range(len(pad))]
+    pad, dp = clear_denominators(pad)
+    red = [[_reduced_monomial(m, j, pad, dp) for j in range(len(pad))]
            for m in multisets]
-    syms = {combo: _sym_product([tails[j] for j in combo], multisets)
+    tails, dt = clear_rows(tails)
+    divisors = [_arrangements(m) * dt ** k for m in multisets]
+    syms = {combo: _sym_product([tails[j] for j in combo], multisets, divisors)
             for combo in combos}
     return red, syms
 
@@ -182,7 +192,8 @@ def _pad_columns(rows, pad, heads, tails, pairs, k):
     """
     red, syms = _sym_tables(pad, tails, {combo for combo, _ in pairs}, k)
     target = tuple(dot(row, red_m) for red_m in red for row in rows)
-    gens = [tuple(s * c for s in syms[combo] for c in heads[h])
+    # most Sym entries are zero, and a zero needs no Fraction product
+    gens = [tuple(s * c if s else s for s in syms[combo] for c in heads[h])
             for combo, h in pairs]
     return target, gens
 
@@ -241,7 +252,13 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
     def values(v):
         return [sum(a * b for a, b in zip(v, t) if b) for t in points]
 
+    # the weights over dw, head coordinate o over dh, the tails over one dt,
+    # the pad over dp and row o over dr; row o is compared cross-multiplied
+    weights, dw = clear_denominators(weights)
+    cols = [clear_denominators(col) for col in zip(*heads)]
+    tails, dt = clear_rows(tails)
     forms = [values(v) for v in tails]
+    pad, dp = clear_denominators(pad)
     pad_pow = [p ** (k - 1) for p in values(pad)]
     total = [[0] * len(points) for _ in rows]
     for w, (combo, h) in zip(weights, pairs, strict=True):
@@ -250,10 +267,16 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
         prod = [1] * len(points)
         for j in combo:
             prod = [p * f for p, f in zip(prod, forms[j])]
-        for row, wc in zip(total, [w * c for c in heads[h]], strict=True):
-            if wc:
+        for row, (col, _) in zip(total, cols, strict=True):
+            if wc := w * col[h]:
                 row[:] = [r + wc * p for r, p in zip(row, prod)]
-    return total == [[r * p for r, p in zip(values(row), pad_pow)] for row in rows]
+    for sums, (_, dh), row in zip(total, cols, rows, strict=True):
+        row, dr = clear_denominators(row)
+        lhs, rhs = dr * dp ** (k - 1), dw * dh * dt ** k
+        target = [v * p for v, p in zip(values(row), pad_pow)]
+        if [s * lhs for s in sums] != [v * rhs for v in target]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +545,20 @@ def omega_interior_test(based, k):
     """
     base = based.base
     cone = based.cone
-    nf = len(cone.facets)
-    cent_val = _facet_centroids(base)
-    psi_at_cent = [[dot(psi, cent) for cent in cent_val] for psi in cone.facets]
-    psi_at_ray = [[dot(psi, r) for r in cone.rays] for psi in cone.facets]
-    left = True
-    for combo in _multisets(nf, k):
-        for ri in range(len(cone.rays)):
-            val = Fraction(0)
-            for f in range(nf):
-                prod = psi_at_ray[f][ri]
-                for a in combo:
-                    prod *= psi_at_cent[a][f]
-                val += prod
-            if val <= 0:
-                left = False
-                break
-        if not left:
-            break
+    # sum_f psi_f(r) prod_(a in combo) psi_a(cent_f) on ints
+    psis, _ = clear_rows(cone.facets)
+    cents, _ = clear_rows(_facet_centroids(base))
+    at_cent = [[sum(map(mul, psi, c)) for c in cents] for psi in psis]
+    at_ray = [[sum(map(mul, psi, r)) for psi in psis]
+              for r, _ in map(clear_denominators, cone.rays)]
+
+    def positive(combo):
+        prods = [1] * len(psis)
+        for a in combo:
+            prods = list(map(mul, prods, at_cent[a]))
+        return all(sum(map(mul, prods, r)) > 0 for r in at_ray)
+
+    left = all(map(positive, _multisets(len(psis), k)))
     right = all(len(base.avoiding_set(v)) > k for v in range(len(base.vertices)))
     if left != right:
         raise ConsistencyError(

@@ -36,6 +36,13 @@ def clear_denominators(v):
     return [a.numerator * (d // a.denominator) for a in v], d
 
 
+def clear_rows(rows):
+    """(int rows, d): the rows over the least common denominator d > 0 of
+    all their int or Fraction entries, so that rows == int rows / d."""
+    d = lcm(*[a.denominator for r in rows for a in r])
+    return [[a.numerator * (d // a.denominator) for a in r] for r in rows], d
+
+
 def dot(u, v):
     (us, ud), (vs, vd) = clear_denominators(u), clear_denominators(v)
     if len(us) != len(vs):

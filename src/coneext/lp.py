@@ -267,16 +267,21 @@ class _Tableau:
         pivot.  Only structural columns enter: each artificial is basic
         until it leaves, and then its column is gone."""
         art0 = self.art0
-        seen = set()
+        seen = set()  # bases left by degenerate pivots since the last other one
         bland = False
         while True:
-            basis = tuple(self.basis)
-            bland = bland or basis in seen
-            seen.add(basis)
-            negative = [(a, c) for c, a in self.z.items() if a < 0 and 0 <= c < art0]
-            if not negative:
+            if seen and not bland:
+                bland = tuple(self.basis) in seen
+            enter, best = None, 0
+            for c, a in self.z.items():
+                if a < 0 and 0 <= c < art0:
+                    if bland:
+                        if enter is None or c < enter:
+                            enter = c
+                    elif a < best or a == best and c < enter:
+                        enter, best = c, a
+            if enter is None:
                 return "optimal"
-            enter = min(c for _, c in negative) if bland else min(negative)[1]
             # min ratio rhs_i / a_i over a_i > 0; the row denominators cancel
             leave = None
             for i, row in enumerate(self.T):
@@ -293,6 +298,8 @@ class _Tableau:
             if bn:
                 seen.clear()
                 bland = False
+            elif not bland:
+                seen.add(tuple(self.basis))
             self.pivot(leave, enter)
 
     def entry(self, i, c):

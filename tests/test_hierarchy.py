@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import coneext
 import coneext.hierarchy as hierarchy
@@ -734,6 +736,70 @@ def test_pad_resum_rejects_a_negative_weight_that_resums():
     assert not _pad_resum_agrees(signed, pairs, *rest)
 
 
+def _accepted_resums(monkeypatch):
+    """The arguments of every accepting ``_pad_resum_agrees`` call, each as
+    (weights, pairs, heads, tails, rows, pad, k), made with the square cone
+    based at phi = (2, 0, 0): by the dual hierarchy search on box-interior
+    / 3, whose rows and pad are not integral, and by EB at k = 2, whose
+    heads (the base vertices) are not; then by EB on cube and by the square
+    x square refutation of box at k = 2."""
+    calls = []
+    judge = hierarchy._pad_resum_agrees
+
+    def recording(*args):
+        ok = judge(*args)
+        if ok:
+            calls.append(args)
+        return ok
+
+    monkeypatch.setattr(hierarchy, "_pad_resum_agrees", recording)
+    sq = based_cone("square")
+    x = _load_point("box-interior.pt", sq.cone, sq.cone).scale(Fraction(1, 3))
+    halved = make_based(sq.cone, (2, 0, 0))
+    assert dual_hierarchy_k(x, sq.cone, halved).k == 2
+    assert is_entanglement_breaking(halved, 2).breaking
+    is_entanglement_breaking(based_cone("cube"), 3)
+    ext_k_membership(*_ext_k_case("box", "square"), 2)
+    monkeypatch.undo()
+    return calls
+
+
+def _moved(vectors, i, j):
+    """The vectors with entry j of vector i moved by 1/7."""
+    out = [list(v) for v in vectors]
+    out[i][j] += Fraction(1, 7)
+    return out
+
+
+def test_pad_resum_rejects_a_moved_pad_head_or_row(monkeypatch):
+    """Each accepted decomposition, at k >= 2 so that the pad counts, is
+    refused once one pad entry, one coordinate of a head that carries
+    weight, or one row entry is moved by 1/7.  With every tail halved and
+    every weight times 2^k it is accepted again."""
+    calls = [c for c in _accepted_resums(monkeypatch) if c[-1] >= 2]
+    assert len(calls) == 4
+    def off_lattice(vectors):
+        return any(Fraction(e).denominator > 1 for v in vectors for e in v)
+
+    assert any(off_lattice([pad]) for *_, pad, _ in calls)
+    assert any(off_lattice(rows) for *_, rows, _, _ in calls)
+    assert any(off_lattice(heads) for _, _, heads, *_ in calls)
+    for weights, pairs, heads, tails, rows, pad, k in calls:
+        halves = [[Fraction(e, 2) for e in v] for v in tails]
+        assert _pad_resum_agrees([w * 2 ** k for w in weights], pairs, heads,
+                                 halves, rows, pad, k)
+        h = next(h for w, (_, h) in zip(weights, pairs) if w)
+        for j in range(len(pad)):
+            assert not _pad_resum_agrees(weights, pairs, heads, tails, rows,
+                                         _moved([pad], 0, j)[0], k)
+        for o in range(len(heads[h])):
+            assert not _pad_resum_agrees(weights, pairs, _moved(heads, h, o),
+                                         tails, rows, pad, k)
+        for o, j in itertools.product(range(len(rows)), range(len(pad))):
+            assert not _pad_resum_agrees(weights, pairs, heads, tails,
+                                         _moved(rows, o, j), pad, k)
+
+
 def _ordered_count(based, k):
     """Ordered admissible facet k-tuples: the arrangements of each
     admissible multiset."""
@@ -844,6 +910,71 @@ def test_omega_interior_flip_table():
         based = based_cone(name)
         for k, want in by_level.items():
             assert omega_interior_test(based, k) == want, (name, k)
+
+
+def _omega_by_fractions(based, k):
+    """The strict side of the interior test in Fractions, as written before
+    the test ran on ints: sum_f psi_f(r) prod_(a in combo) psi_a(cent_f) > 0
+    for every facet multiset and every ray."""
+    facets, rays = based.cone.facets, based.cone.rays
+    cents = _facet_centroids(based.base)
+    psi_at_cent = [[dot(psi, c) for c in cents] for psi in facets]
+    psi_at_ray = [[dot(psi, r) for r in rays] for psi in facets]
+    for combo in itertools.combinations_with_replacement(range(len(facets)), k):
+        for ri in range(len(rays)):
+            val = Fraction(0)
+            for f in range(len(facets)):
+                prod = psi_at_ray[f][ri]
+                for a in combo:
+                    prod *= psi_at_cent[a][f]
+                val += prod
+            if val <= 0:
+                return False
+    return True
+
+
+def test_omega_interior_test_matches_the_fraction_formula():
+    for name in cone_names():
+        based = based_cone(name)
+        for k in (1, 2, 3, 4):
+            want = _omega_by_fractions(based, k)
+            assert omega_interior_test(based, k) == want, (name, k)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_omega_interior_test_law_on_random_cones(data):
+    """On the cone over 4 to 6 lattice points of [-2, 2]^(n-1) at height 1,
+    n = 3 or 4, spanning it, with phi = (7, a, ..), a in {-1, 0, 1}: the
+    integer test agrees with the Fraction formula, and its two sides agree,
+    at k = 1..3."""
+    n = data.draw(st.integers(3, 4))
+    grid = list(itertools.product(range(-2, 3), repeat=n - 1))
+    size = data.draw(st.integers(4, 6))
+    pts = [(1, *p) for p in data.draw(st.permutations(grid))[:size]]
+    assume(rank(pts) == n)
+    phi = (7, *(data.draw(st.integers(-1, 1)) for _ in range(n - 1)))
+    based = make_based(make_cone(pts), phi)
+    verdicts = [omega_interior_test(based, k) for k in (1, 2, 3)]
+    event(f"n={n} interior at k=1..3: {verdicts}")
+    assert verdicts == [_omega_by_fractions(based, k) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,k,at", [("square", 1, "vertex"), ("square", 2, "interior"),
+                                       ("cube", 3, "interior")])
+def test_omega_interior_test_refuses_a_flipped_strict_side(monkeypatch, name, k, at):
+    """Every facet centroid moved to one vertex zeroes each term with a facet
+    through it, so a True strict side turns False; moved to the average of
+    the vertices, every term is positive, so a False one turns True.  The
+    avoidance side stays, and the two disagree."""
+    based = based_cone(name)
+    verts = based.base.vertices
+    point = verts[0] if at == "vertex" else [sum(c) / len(verts) for c in zip(*verts)]
+    assert omega_interior_test(based, k) == (at == "vertex")
+    monkeypatch.setattr(hierarchy, "_facet_centroids",
+                        lambda base: [point] * len(base.functionals))
+    with pytest.raises(ConsistencyError, match="interior test sides disagree"):
+        omega_interior_test(based, k)
 
 
 # -- the dual hierarchy -----------------------------------------------------
@@ -1095,6 +1226,30 @@ def test_dual_columns_match_dense_symmetrization(a_name, b_name):
                     kron(*(from_vector(based.cone.rays[j]) for j in combo)))
             ray, dense = a_cone.rays[ia], sym_rays[combo]
             assert g == tuple(ray[r[0]] * dense[r[1:]] for r in reps)
+
+
+def test_sym_tables_match_dense_tensors_off_the_lattice():
+    """``_sym_tables`` clears the pad and the tails to ints and divides once
+    per entry; with entries of unequal denominators its Sym(tails_combo)
+    still equals the dense symmetrization, and its reduction table the
+    dense reduction of the pad, at every sorted multiset."""
+    rng = random.Random(67)
+    n = 3
+    tails = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(4)]
+    pad = [Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n)]
+    ident = DenseTensor((Slot(n, DUAL), Slot(n, PRIMAL)),
+                        [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+    for k in (1, 2, 3):
+        combos = _sorted_reps(len(tails), k)
+        red, syms = hierarchy._sym_tables(pad, tails, combos, k)
+        gamma = symmetric_project(kron(*([from_vector(pad, DUAL)] * (k - 1)), ident),
+                                  range(k))
+        for m, red_m in zip(_sorted_reps(n, k), red):
+            assert red_m == [gamma[(*m, j)] for j in range(n)]
+        for combo in combos:
+            dense = symmetric_project(kron(*(from_vector(tails[j]) for j in combo)))
+            assert syms[combo] == [dense[m] for m in _sorted_reps(n, k)], combo
 
 
 # sha256 of repr(target, generators) of the entanglement-breaking LPs at

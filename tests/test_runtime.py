@@ -3,9 +3,14 @@ library and computes with no floating point."""
 
 import ast
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import coneext
+from coneext.fixtures import EB_LEVELS, based_cone, fixture_text
+from coneext.formats import parse_point_file
+from coneext.hierarchy import (dual_hierarchy_k, ext_k_membership,
+                               is_entanglement_breaking, point_tensor)
 
 SRC = Path(coneext.__file__).resolve().parent
 
@@ -57,3 +62,45 @@ def test_no_floating_point_outside_quad_scalar_float():
     # the scan does see the conversion it exempts
     assert {(name, what) for name, _, what in allowed} >= {
         ("scalars.py", "float("), ("scalars.py", "2.0")}
+
+
+def _point(filename, a_cone, b_cone):
+    _, _, entries = parse_point_file(fixture_text(filename))
+    return point_tensor(a_cone, b_cone, entries)
+
+
+def test_decisions_return_only_ints_and_fractions():
+    """The scan above cannot see an ``int / int``, which makes a float at run
+    time; so the corpus decisions run, and every number they return must be
+    an int or a Fraction: EB terms and refutations, the entries of Ext_k
+    witnesses and extensions, and dual hierarchy weights."""
+    seen, wrong = {}, []
+
+    def scan(kind, values):
+        values = list(values)
+        seen[kind] = seen.get(kind, 0) + len(values)
+        wrong.extend((kind, v) for v in values if type(v) not in (int, Fraction))
+
+    for name in EB_LEVELS:
+        for k in (1, 2, 3):
+            out = is_entanglement_breaking(based_cone(name), k)
+            if out.breaking:
+                scan("eb terms", [n for t in out.terms
+                                  for n in (*t.facet_indices, t.vertex_index, t.weight)])
+            else:
+                scan("eb refutation", out.refutation)
+    sq, skew = based_cone("square"), based_cone("square-skew")
+    for point, based, levels in (("gap-k2", skew, (1, 2, 3)), ("gap-k3", skew, (1, 2, 3)),
+                                 ("box", sq, (1, 2))):
+        x = _point(f"{point}.pt", sq.cone, based.cone)
+        for k in levels:
+            out = ext_k_membership(x, sq.cone, based, k)
+            if out.member:
+                scan("extension", out.extension.entries)
+            else:
+                scan("witness", out.witness.entries)
+    res = dual_hierarchy_k(_point("box-interior.pt", sq.cone, sq.cone), sq.cone, sq)
+    scan("dual weights", res.weights)
+    assert wrong == []
+    assert set(seen) == {"eb terms", "eb refutation", "extension", "witness",
+                         "dual weights"} and min(seen.values()) > 0

@@ -15,7 +15,7 @@ from .polytopes import (FactorFailure, Polytope, SimplexFactorization,
                         affine_hull_commutes, base_polytope, factor_as_simplices,
                         is_simple, is_two_level, polytope_from_vertices)
 from .lp import (ConicOutcome, LpOutcome, LpProblem, conic_membership, solve,
-                 verify_farkas, verify_point, verify_ray)
+                 verify_farkas, verify_point)
 from .hierarchy import (EbOutcome, ExtkVerdict, HierarchyResult, apply_reduction,
                         dual_hierarchy_k, ext_k_membership,
                         is_entanglement_breaking, max_tensor_halfspaces,
@@ -36,7 +36,7 @@ __all__ = [
     "polytope_from_vertices", "base_polytope", "affine_hull_commutes",
     "factor_as_simplices", "is_simple", "is_two_level",
     "LpProblem", "LpOutcome", "ConicOutcome", "solve", "conic_membership",
-    "verify_point", "verify_farkas", "verify_ray",
+    "verify_point", "verify_farkas",
     "ExtkVerdict", "EbOutcome", "HierarchyResult",
     "reduction_map", "apply_reduction", "ext_k_membership",
     "is_entanglement_breaking", "omega_interior_test", "dual_hierarchy_k",

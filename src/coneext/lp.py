@@ -1,33 +1,31 @@
-"""Exact rational linear programming with self-verifying certificates.
+"""Exact rational feasibility with self-verifying certificates.
 
-Two-phase primal simplex with guarded Dantzig pricing: the most negative
-reduced cost enters, and Bland's rule takes over for the rest of a run of
-degenerate pivots once it repeats a basis, so every run terminates and
-identical problems pivot identically.  The tableau is fraction-free and
-sparse, with one kind of row: a dict of int entries whose denominator is
-its own positive entry at its basic column.  The reduced costs are one more
-such row, basic in an objective column.  One step, cross-multiplication
-over the union of two supports and a gcd reduction (Edmonds 1967), does
-every pivot and prices every cost row, so the tableau takes the same pivots
-as a dense tableau of Fractions while a pivot touches only nonzero entries.
-Phase 1 deletes an artificial column when it leaves the basis, so no
-artificial re-enters or is carried through later pivots; an infeasible
-problem's Farkas multipliers are solved from the final basis, and a problem
-without an objective stops after phase 1 (see ``solve``).  No floating
-point, no presolve.  The API stays Fraction in and Fraction out.  Each
-problem clears its rows to integers once (``LpProblem.int_rows``); the
-tableau, every re-check below and the conic re-sum and separation check all
-read that one copy, each an exact comparison.  Every outcome is re-verified
-against the original problem before it is returned:
+An LP here has no objective: ``solve`` decides whether the rows have a
+solution, by phase 1 of the primal simplex with guarded Dantzig pricing.
+The most negative reduced cost enters, and Bland's rule takes over for the
+rest of a run of degenerate pivots once it repeats a basis, so every run
+terminates and identical problems pivot identically.  The tableau is
+fraction-free and sparse, with one kind of row: a dict of int entries whose
+denominator is its own positive entry at its basic column.  The reduced
+costs of the phase 1 objective are one more such row, basic in an objective
+column.  One step, cross-multiplication over the union of two supports and
+a gcd reduction (Edmonds 1967), does every pivot and prices the cost row,
+so the tableau takes the same pivots as a dense tableau of Fractions while
+a pivot touches only nonzero entries.  An artificial column is deleted when
+it leaves the basis, so no artificial re-enters or is carried through later
+pivots, and an infeasible problem's Farkas multipliers are solved from the
+final basis (see ``solve``).  No floating point, no presolve.  The API
+stays Fraction in and Fraction out.  Each problem clears its rows to
+integers once (``LpProblem.int_rows``); the tableau, both re-checks below
+and the conic re-sum and separation check all read that one copy, each an
+exact comparison.  Every outcome is re-verified against the original
+problem before it is returned:
 
-* feasible: the point satisfies every row exactly (and the optimum, when
-  an objective is present, equals objective . point);
+* feasible: the point satisfies every row exactly;
 * infeasible: Farkas multipliers (free on equality rows, nonnegative on
   inequality rows) combine the rows into ``r . x >= rho`` with ``rho > 0``
   while ``r`` is nonpositive on nonnegative variables and zero on free
-  ones, which no point can satisfy;
-* unbounded: a feasible point plus a recession direction that keeps all
-  rows satisfied while the objective decreases.
+  ones, which no point can satisfy.
 
 A failed re-verification raises ``CertificateError``, an explicit raise
 that ``python -O`` does not strip.
@@ -41,12 +39,11 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import clear_denominators, dot, primitive, vec
+from .linalg import clear_denominators, primitive, vec
 from .linalg import solve as linear_solve
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _RHS = -1  # key of the right-hand side in a sparse tableau row
 _OBJ = -2  # key of the objective column, where the reduced-cost row is basic
@@ -58,26 +55,22 @@ class CertificateError(AssertionError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . x  subject to  eq rows (= rhs), ge rows (>= rhs),
-    x_j >= 0 for j in nonneg, remaining variables free."""
+    """Find x with eq rows (= rhs), ge rows (>= rhs), x_j >= 0 for j in
+    nonneg and the remaining variables free."""
 
     num_vars: int
     eq_rows: tuple
     ge_rows: tuple
     nonneg: frozenset
-    objective: tuple | None = None
 
     @staticmethod
-    def build(num_vars, eq_rows=(), ge_rows=(), nonneg=(), objective=None):
+    def build(num_vars, eq_rows=(), ge_rows=(), nonneg=()):
         eqs = tuple((vec(r), Fraction(b)) for r, b in eq_rows)
         ges = tuple((vec(r), Fraction(b)) for r, b in ge_rows)
         for r, _ in eqs + ges:
             if len(r) != num_vars:
                 raise ValueError("row length does not match num_vars")
-        obj = vec(objective) if objective is not None else None
-        if obj is not None and len(obj) != num_vars:
-            raise ValueError("objective length does not match num_vars")
-        return LpProblem(num_vars, eqs, ges, frozenset(nonneg), obj)
+        return LpProblem(num_vars, eqs, ges, frozenset(nonneg))
 
     @cached_property
     def int_rows(self):
@@ -94,14 +87,13 @@ class LpOutcome:
     status: str
     point: tuple | None = None
     certificate: tuple | None = None  # Farkas multipliers: eq rows then ge rows
-    optimum: Fraction | None = None
-    ray: tuple | None = None          # recession direction when unbounded
+    ray: tuple | None = None          # always None; perfbench/tracer.py reads it
 
 
-def _excess(int_rows, x, rhs_scale=1):
+def _excess(int_rows, x):
     """For each cleared row (r, b) of ``int_rows``, an int with the sign of
-    r . x - rhs_scale * b; ``x`` is cleared to integers once for all rows."""
-    xs, _ = clear_denominators((*x, -rhs_scale))
+    r . x - b; ``x`` is cleared to integers once for all rows."""
+    xs, _ = clear_denominators((*x, -1))
     out = []
     for ints, _ in int_rows:
         if len(ints) != len(xs):
@@ -154,21 +146,6 @@ def verify_farkas(problem, mult):
                 raise CertificateError("Farkas row positive on a nonnegative variable")
         elif a != 0:
             raise CertificateError("Farkas row nonzero on a free variable")
-
-
-def verify_ray(problem, point, ray):
-    verify_point(problem, point)
-    ne = len(problem.eq_rows)
-    excess = _excess(problem.int_rows, ray, rhs_scale=0)
-    if any(excess[:ne]):
-        raise CertificateError("ray leaves an equality row")
-    if any(e < 0 for e in excess[ne:]):
-        raise CertificateError("ray leaves an inequality row")
-    for j in problem.nonneg:
-        if ray[j] < 0:
-            raise CertificateError("ray leaves the sign orthant")
-    if problem.objective is None or dot(problem.objective, ray) >= 0:
-        raise CertificateError("ray does not improve the objective")
 
 
 class _Tableau:
@@ -293,7 +270,6 @@ class _Tableau:
                             and self.basis[i] < self.basis[leave]):
                         leave, bn, ba = i, rn, a
             if leave is None:
-                self.unbounded_col = enter
                 return "unbounded"
             if bn:
                 seen.clear()
@@ -353,18 +329,6 @@ class _Tableau:
                 x[j] += s * self.entry(i, _RHS)
         return tuple(x)
 
-    def extract_ray(self, enter):
-        d = [Fraction(0)] * self.problem.num_vars
-        tag = self.cols[enter]
-        if tag[0] == "var":
-            d[tag[1]] += tag[2]
-        for i, bcol in enumerate(self.basis):
-            btag = self.cols[bcol]
-            if btag[0] == "var":
-                _, j, s = btag
-                d[j] -= s * self.entry(i, enter)
-        return tuple(d)
-
 
 def _reduce(row):
     """Divide the row in place by the gcd of its entries."""
@@ -394,19 +358,21 @@ def _eliminate(other, row, c):
 
 
 def solve(problem):
-    """Exact two-phase simplex.  Deterministic; outcome verified before return.
+    """Exact phase 1 simplex.  Deterministic; outcome verified before return.
 
     Phase 1 minimizes the sum of the artificials, and an artificial that
     leaves the basis leaves the problem: its column is deleted and never
-    enters again.  Three facts make this sound.
+    enters again.  At minimum 0 the point is read from the final basis;
+    artificials left basic at level 0 do not change it.  Three facts make
+    this sound.
 
-    * Optimum 0 exactly when the problem is feasible.  Each deletion fixes
+    * Minimum 0 exactly when the problem is feasible.  Each deletion fixes
       an artificial at 0, so the restricted phase 1 is the full one with
       some artificials fixed at 0.  A feasible point of the problem, with
       every artificial 0, is feasible for every restriction, so the
-      optimum is 0.  Conversely, at optimum 0 every remaining artificial is
+      minimum is 0.  Conversely, at minimum 0 every remaining artificial is
       0 and so is every deleted one, and the basic solution solves the rows.
-    * The multipliers certify infeasibility.  At an optimum of value w > 0
+    * The multipliers certify infeasibility.  At a minimum of value w > 0
       with basis B, y = c_B B^-1 prices every remaining column at a
       nonnegative reduced cost: y . a_j <= 0 for every split variable and
       surplus column a_j, whose costs are 0, and y . b = w > 0.  Deleted
@@ -432,11 +398,6 @@ def solve(problem):
       of the restricted problem, since the remaining artificials are all
       basic, and the ratio test lets the smallest basic column leave on
       ties.  There are finitely many deletions, so the run ends.
-
-    A problem without an objective returns the phase 1 point: artificials
-    left basic at level 0 do not change it.  With an objective they are
-    pivoted out first (a row with no structural entry is redundant and is
-    dropped), and phase 2 runs on the structural columns alone.
     """
     tab = _Tableau(problem)
     art0 = tab.art0
@@ -447,41 +408,9 @@ def solve(problem):
         cert = tab.multipliers()
         verify_farkas(problem, cert)
         return LpOutcome(status=INFEASIBLE, certificate=cert)
-    if problem.objective is None:
-        point = tab.extract_point()
-        verify_point(problem, point)
-        return LpOutcome(status=FEASIBLE, point=point)
-
-    # drive leftover artificials out of the basis, dropping redundant rows
-    for i in range(len(tab.basis) - 1, -1, -1):
-        if tab.basis[i] < art0:
-            continue
-        pivot_col = min((c for c in tab.T[i] if 0 <= c < art0), default=None)
-        if pivot_col is None:
-            del tab.T[i]
-            del tab.basis[i]
-        else:
-            tab.pivot(i, pivot_col)
-    # no row holds an artificial entry now
-    del tab.cols[art0:]
-    costs = [0] * art0
-    for c, tag in enumerate(tab.cols):
-        if tag[0] == "var":
-            _, j, s = tag
-            costs[c] = s * problem.objective[j]
-    tab.set_costs(costs)
-    status = tab.run()
-    if status == "unbounded":
-        point = tab.extract_point()
-        ray = tab.extract_ray(tab.unbounded_col)
-        verify_ray(problem, point, ray)
-        return LpOutcome(status=UNBOUNDED, point=point, ray=ray)
     point = tab.extract_point()
     verify_point(problem, point)
-    optimum = dot(problem.objective, point)
-    if optimum != tab.value:
-        raise CertificateError("optimum does not match the tableau value")
-    return LpOutcome(status=FEASIBLE, point=point, optimum=optimum)
+    return LpOutcome(status=FEASIBLE, point=point)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from coneext.hierarchy import (apply_reduction, dual_hierarchy_k, ext_k_membersh
                                point_tensor, reduction_map)
 from coneext.linalg import affine_rank, dot, nullspace, primitive, rank
 from coneext.linalg import solve as lin_solve
-from coneext.lp import FEASIBLE, LpProblem, conic_membership, solve
+from coneext.lp import conic_membership
 from coneext.polytopes import (SimplexFactorization, affine_hull_commutes,
                                factor_as_simplices, is_simple, is_two_level)
 from coneext.quantum import (ETA, build_X, psd_check_exact, sym_identity_extension,
@@ -24,6 +24,7 @@ from coneext.quantum import (ETA, build_X, psd_check_exact, sym_identity_extensi
 from coneext.scalars import QuadScalar
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, from_vector, kron,
                              pairing, reorder_slots, symmetric_project)
+from slices import _least_on_slice
 
 
 def _entries(t):
@@ -48,16 +49,13 @@ def test_criterion_1_square_pair_collapse():
     halfspaces = [_entries(h) for h in max_tensor_halfspaces(sq, sq, sq)]
     sf = [sum(c) for c in zip(*sq.facets)]
     norm = _entries(kron(*([from_vector(sf, DUAL)] * 3)))
+    start = _entries(kron(*([from_vector(interior_point(sq))] * 3)))
     rng = random.Random(101)
     rays = []
     seen = set()
     for _ in range(14):
         obj = tuple(Fraction(rng.randint(-9, 9)) for _ in range(27))
-        out = solve(LpProblem.build(27, eq_rows=[(norm, 1)],
-                                    ge_rows=[(h, 0) for h in halfspaces],
-                                    objective=obj))
-        assert out.status == FEASIBLE
-        z = out.point
+        z = _least_on_slice(obj, halfspaces, norm, start)
         assert any(v != 0 for v in z)
         assert all(dot(h, z) >= 0 for h in halfspaces)
         tight = [h for h in halfspaces if dot(h, z) == 0]

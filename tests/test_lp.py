@@ -16,17 +16,8 @@ from coneext.fixtures import based_cone, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import ext_k_membership, point_tensor
 from coneext.linalg import clear_denominators, dot, vec
-from coneext.lp import (FEASIBLE, INFEASIBLE, UNBOUNDED, LpProblem,
-                        conic_membership, solve, verify_farkas, verify_point,
-                        verify_ray)
-
-
-def test_minimize_simple_bound():
-    p = LpProblem.build(1, ge_rows=[((1,), 3)], nonneg=(0,), objective=(1,))
-    out = solve(p)
-    assert out.status == FEASIBLE
-    assert out.optimum == 3
-    assert out.point == (3,)
+from coneext.lp import (FEASIBLE, INFEASIBLE, LpProblem, conic_membership,
+                        solve, verify_farkas, verify_point)
 
 
 def test_infeasible_with_farkas_certificate():
@@ -34,20 +25,6 @@ def test_infeasible_with_farkas_certificate():
     out = solve(p)
     assert out.status == INFEASIBLE
     verify_farkas(p, out.certificate)
-
-
-def test_unbounded_with_ray():
-    p = LpProblem.build(1, ge_rows=[((1,), 0)], nonneg=(0,), objective=(-1,))
-    out = solve(p)
-    assert out.status == UNBOUNDED
-    verify_ray(p, out.point, out.ray)
-
-
-def test_free_variable_optimum():
-    p = LpProblem.build(1, ge_rows=[((1,), -5)], objective=(1,))
-    out = solve(p)
-    assert out.status == FEASIBLE
-    assert out.optimum == -5
 
 
 def test_equality_system_feasibility():
@@ -113,7 +90,6 @@ def test_determinism():
         3,
         ge_rows=[((1, 2, -1), 1), ((0, 1, 1), 2), ((-1, 0, 3), 0)],
         nonneg=(0, 1, 2),
-        objective=(2, 1, 1),
     )
     assert solve(p) == solve(p)
 
@@ -167,7 +143,9 @@ def test_random_queries_always_carry_valid_certificates():
 def _random_lps():
     """(kind, problem) pairs: 60 LPs on integer data (kind 0), then 60 on
     fractional data with denominators 1-4 and more rows (kind 1), so that
-    rows start with denominators other than 1."""
+    rows start with denominators other than 1.  Each draw of the objective
+    that the LPs once carried is kept and discarded, so the rows stay as
+    they were."""
     rng = random.Random(103)
 
     def integral(m):
@@ -180,15 +158,17 @@ def _random_lps():
                                                    (fractional, 3, 5))):
         for _ in range(60):
             nv = rng.randint(1, 4)
-            yield kind, LpProblem.build(
+            problem = LpProblem.build(
                 nv,
                 eq_rows=[(tuple(coef(3) for _ in range(nv)), coef(3))
                          for _ in range(rng.randint(0, max_eq))],
                 ge_rows=[(tuple(coef(3) for _ in range(nv)), coef(3))
                          for _ in range(rng.randint(0, max_ge))],
                 nonneg=tuple(j for j in range(nv) if rng.random() < 0.7),
-                objective=tuple(coef(2) for _ in range(nv)),
             )
+            for _ in range(nv):
+                coef(2)
+            yield kind, problem
 
 
 def _judged(problem):
@@ -196,27 +176,26 @@ def _judged(problem):
     out = solve(problem)
     if out.status == FEASIBLE:
         verify_point(problem, out.point)
-    elif out.status == INFEASIBLE:
-        verify_farkas(problem, out.certificate)
     else:
-        verify_ray(problem, out.point, out.ray)
+        verify_farkas(problem, out.certificate)
     return out
 
 
 def test_random_lps_self_verify():
-    """Each kind of random LP reaches all three outcomes, each re-verified."""
+    """Each kind of random LP reaches both outcomes, each re-verified."""
     statuses = {0: set(), 1: set()}
     for kind, p in _random_lps():
         statuses[kind].add(_judged(p).status)
     for seen in statuses.values():
-        assert seen == {FEASIBLE, INFEASIBLE, UNBOUNDED}
+        assert seen == {FEASIBLE, INFEASIBLE}
 
 
 def _pinned_corpus():
     """Seeded LPs mixing equality and inequality rows, free and nonnegative
-    variables, integer and fractional data, with and without an objective.
-    Most are feasible by construction around a hidden point; some carry a
-    redundant equality row that phase 1 drops."""
+    variables, integer and fractional data.  Most are feasible by
+    construction around a hidden point; some carry a redundant equality
+    row.  Four in five once carried an objective; its draw is kept and
+    discarded, so the rows stay as they were."""
     rng = random.Random(211)
 
     def coef():
@@ -241,61 +220,65 @@ def _pinned_corpus():
         for _ in range(rng.randint(0, 5)):
             r = vec(coef() for _ in range(nv))
             ges.append((r, rhs(r, abs(coef()))))
-        objective = tuple(coef() for _ in range(nv)) if t % 5 else None
-        yield LpProblem.build(nv, eq_rows=eqs, ge_rows=ges, nonneg=nonneg,
-                              objective=objective)
+        if t % 5:
+            for _ in range(nv):
+                coef()
+        yield LpProblem.build(nv, eq_rows=eqs, ge_rows=ges, nonneg=nonneg)
 
 
 def _summary(out):
     def show(v):
         return "-" if v is None else " ".join(map(str, v))
 
-    optimum = "-" if out.optimum is None else str(out.optimum)
+    # the fourth place held the optimum, which solve no longer returns; it
+    # stays so that the lines of LPs that never had an objective read as
+    # they were pinned before
     return "|".join((out.status, show(out.point), show(out.certificate),
-                     optimum, show(out.ray)))
+                     "-", show(out.ray)))
 
 
-# (status | point | Farkas certificate | optimum | ray) for each problem of
-# _pinned_corpus(); any change to the pivot sequence changes these.
+# (status | point | Farkas certificate | - | ray) for each problem of
+# _pinned_corpus(); any change to the pivot sequence changes these.  The
+# comment on each line says whether the LP once carried an objective.
 _PINNED = [
     'feasible|1 0 0 22/3 17/3|-|-|-',  # 5 vars, 4 eq, 3 ge, no obj
-    'feasible|0 0 -217/72 35/8 0|-|-2303/144|-',  # 5 vars, 1 eq, 1 ge, obj
-    'unbounded|0 0 0 0 0|-|-|0 0 0 -1 0',  # 5 vars, 0 eq, 0 ge, obj
-    'unbounded|0 3/2 9/4 0|-|-|0 1 0 1',  # 4 vars, 3 eq, 0 ge, obj
+    'feasible|0 0 49/36 0 0|-|-|-',  # 5 vars, 1 eq, 1 ge, obj
+    'feasible|0 0 0 0 0|-|-|-',  # 5 vars, 0 eq, 0 ge, obj
+    'feasible|0 3/2 9/4 0|-|-|-',  # 4 vars, 3 eq, 0 ge, obj
     'infeasible|-|-67/146 48/73 -1 1 0|-|-',  # 3 vars, 3 eq, 2 ge, obj
     'feasible|0 0 0 0 20/9|-|-|-',  # 5 vars, 1 eq, 0 ge, no obj
-    'unbounded|0 7/8 0|-|-|-1 0 0',  # 3 vars, 0 eq, 1 ge, obj
-    'feasible|9/14 -34/7 -34/21|-|55/63|-',  # 3 vars, 2 eq, 2 ge, obj
+    'feasible|0 0 0|-|-|-',  # 3 vars, 0 eq, 1 ge, obj
+    'feasible|-3/2 -13/4 1/6|-|-|-',  # 3 vars, 2 eq, 2 ge, obj
     'infeasible|-|-1 1 1 2/3|-|-',  # 1 vars, 3 eq, 1 ge, obj
-    'unbounded|0 0 31/8 0 0|-|-|0 0 3/2 1 0',  # 5 vars, 2 eq, 0 ge, obj
+    'feasible|0 0 31/8 0 0|-|-|-',  # 5 vars, 2 eq, 0 ge, obj
     'feasible|31/33 0 0 0 -86/33|-|-|-',  # 5 vars, 1 eq, 2 ge, no obj
-    'feasible|0 5/6 0 0|-|-5/12|-',  # 4 vars, 0 eq, 2 ge, obj
+    'feasible|0 0 0 0|-|-|-',  # 4 vars, 0 eq, 2 ge, obj
     'infeasible|-|1 0 0 0 0|-|-',  # 3 vars, 0 eq, 5 ge, obj
-    'feasible|1/3|-|1/3|-',  # 1 vars, 2 eq, 0 ge, obj
-    'feasible|2 1|-|-3|-',  # 2 vars, 3 eq, 4 ge, obj
+    'feasible|1/3|-|-|-',  # 1 vars, 2 eq, 0 ge, obj
+    'feasible|2 1|-|-|-',  # 2 vars, 3 eq, 4 ge, obj
     'feasible|4|-|-|-',  # 1 vars, 2 eq, 1 ge, no obj
-    'feasible|0 7/4 0 5/24 91/36|-|265/36|-',  # 5 vars, 0 eq, 5 ge, obj
-    'unbounded|7 0 0 0 0|-|-|0 0 -1 0 0',  # 5 vars, 0 eq, 2 ge, obj
-    'unbounded|0 0 0 -7/4 0|-|-|0 0 1 -1/2 0',  # 5 vars, 0 eq, 1 ge, obj
-    'unbounded|0 0 0 157/108 197/162|-|-|-1 0 0 25/36 23/54',  # 5 vars, 2 eq, 0 ge, obj
+    'feasible|0 7/4 0 5/24 91/36|-|-|-',  # 5 vars, 0 eq, 5 ge, obj
+    'feasible|0 0 0 0 0|-|-|-',  # 5 vars, 0 eq, 2 ge, obj
+    'feasible|0 0 0 -7/4 0|-|-|-',  # 5 vars, 0 eq, 1 ge, obj
+    'feasible|0 0 0 157/108 197/162|-|-|-',  # 5 vars, 2 eq, 0 ge, obj
     'infeasible|-|-1 -1 1 19/3 13/2|-|-',  # 3 vars, 3 eq, 2 ge, no obj
-    'feasible|1|-|-1|-',  # 1 vars, 4 eq, 4 ge, obj
-    'unbounded|0 0 0 2 0|-|-|0 0 0 2 -1',  # 5 vars, 1 eq, 0 ge, obj
-    'feasible|7 0 -139/30 -607/30|-|-3593/60|-',  # 4 vars, 1 eq, 4 ge, obj
-    'feasible|0|-|0|-',  # 1 vars, 2 eq, 3 ge, obj
+    'feasible|1|-|-|-',  # 1 vars, 4 eq, 4 ge, obj
+    'feasible|0 0 0 0 1|-|-|-',  # 5 vars, 1 eq, 0 ge, obj
+    'feasible|470/271 399/542 -4247/1626 253/1626|-|-|-',  # 4 vars, 1 eq, 4 ge, obj
+    'feasible|0|-|-|-',  # 1 vars, 2 eq, 3 ge, obj
     'feasible|-593/227 889/227 581/227 995/681|-|-|-',  # 4 vars, 2 eq, 5 ge, no obj
-    'feasible|2|-|1|-',  # 1 vars, 2 eq, 2 ge, obj
-    'feasible|3/2|-|3/2|-',  # 1 vars, 3 eq, 5 ge, obj
-    'feasible|0 17/9 73/6 0 65/2|-|205/9|-',  # 5 vars, 3 eq, 0 ge, obj
-    'unbounded|49/6 0 25/3 44/9|-|-|20/9 1 7/3 8/27',  # 4 vars, 3 eq, 2 ge, obj
+    'feasible|2|-|-|-',  # 1 vars, 2 eq, 2 ge, obj
+    'feasible|3/2|-|-|-',  # 1 vars, 3 eq, 5 ge, obj
+    'feasible|0 149/33 188/11 390/11 0|-|-|-',  # 5 vars, 3 eq, 0 ge, obj
+    'feasible|3/2 -3 4/3 4|-|-|-',  # 4 vars, 3 eq, 2 ge, obj
     'feasible|0 5/3 0|-|-|-',  # 3 vars, 0 eq, 2 ge, no obj
-    'unbounded|319/408 0 0 1849/612 395/136|-|-|27/68 0 1 43/34 21/68',  # 5 vars, 0 eq, 4 ge, obj
+    'feasible|319/408 0 0 1849/612 395/136|-|-|-',  # 5 vars, 0 eq, 4 ge, obj
 ]
 
 
 def test_pinned_outcomes():
     outs = [solve(p) for p in _pinned_corpus()]
-    assert {o.status for o in outs} == {FEASIBLE, INFEASIBLE, UNBOUNDED}
+    assert {o.status for o in outs} == {FEASIBLE, INFEASIBLE}
     assert [_summary(o) for o in outs] == _PINNED
 
 
@@ -325,38 +308,40 @@ def _digest(pivots):
 # its pivot count in the comment, captured under guarded Dantzig pricing:
 # the most negative reduced cost enters, and Bland's rule takes over after a
 # basis repeats within a run of degenerate pivots.  A change of pricing rule
-# or of the ratio test's tie-break changes these.
+# or of the ratio test's tie-break changes these.  Each is phase 1 alone;
+# where an LP once carried an objective, its sequence is a prefix of the one
+# pinned when solve also ran phase 2.
 _PINNED_PIVOTS = [
     '422d7572839f779a3eb7f478bcfdb25b372f4262862385f7b1ce14b6a666a3d2',  # 5
-    '643f8657ff718366cde08057645efc911a46b71d725cca31ab238dbb6a4f6e16',  # 3
+    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     'e4be09c7fe8eae07f78292b76527ab03398adf17143d9365cee59ddc6dc6332b',  # 2
     'e87a3e3505b338a58d78d286bb9216a2ed2d496de7d0cceed98a750b47ed9a2f',  # 2
     '00ce6357cff8c2924ca78454dfcaaf693aca5b46178568fa33c70d0f8288746f',  # 1
-    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
-    'd0d044c4e8a09f2200e78827e83ce3512478ada3bc133dfdddd1c4126b6600f8',  # 8
+    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
+    'a626abeb03512bd6d196da2bfd7e118d81b703b971e19267498ccc0a725850ac',  # 5
     '02cc7f0711a1198b57ce717df6271cfb6feb5cd998d090133efe84ba0152fbf3',  # 1
     '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
     '9b3b21ee41692541dda0f9af2f395260ffc654cb15594e9db70a727a3457ce2c',  # 2
-    'dba010dc185ba44cc16ac8ed5e5bbbe721e8dc9d928b5377686d1b3a9d786530',  # 1
+    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     '921af0b4acb4608c8c1f8e495aa69200072c01d42aac9a530e9d9a655c803a36',  # 5
     '478320901d993375e8bcf2be91a742c5ec8ff9deac0956df56cd1f529aa59172',  # 1
     '1f6681814b50dab5213fb3429662197608df3f8dfe3be40303e316778aef52de',  # 4
-    'fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963',  # 1
+    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '23fafb672dbd5fbdcaf03359549a4966fd4db23c15a2b1bcf9f22479fe3a2277',  # 1
     '2eef8a342e1bc3825c51c24910f0ab66cf63e2e82eec2298baf2375ebf75222f',  # 2
     '468d6fe1ef80d78491953e87344cc5062b8f48043713895871ff9b6fa1ad4c25',  # 2
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '52cb1a84941336bd2f434b6fa792dfe9d2994aaf12eca97af9e6d5e695d6705a',  # 2
-    '9901f9739cc37f4e3aecd32f74dc3e4ebc72191036166c5a97839551b7287065',  # 8
-    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
+    '23fafb672dbd5fbdcaf03359549a4966fd4db23c15a2b1bcf9f22479fe3a2277',  # 1
+    'cd070bae97d2d052fea5e6aa6b199aa35f912459498b5421c445e1a17e69e0e0',  # 5
+    '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     'e077fdfe80d785eeefcdf6a753caf8b3a6d147f206d89cdec37305ad09c9e659',  # 6
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    'd3c9c0fb28f1b0bf08aae307988a852ea4d0b1460e6f0336ef5a771104b07bb4',  # 4
-    'f3199671dce748348e4a7e23f88959f29d8b62bdbc44143c8f327e7dbfd8ec38',  # 6
+    '85c638cc9bae41f712025b7f481181e0bf5df988c3b6e221f3d6e36aec3b308e',  # 3
+    '532b4cb6a95c98418bd691e27214629473f3d7d9abff759aa83a91016c39a9fd',  # 5
     '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
     'c3775583128a6a59a08cd5b4b1f55d321100f9c50159d0c554f3b20853e0980f',  # 4
 ]
@@ -428,12 +413,14 @@ def test_pentagon_diagonal_leaves_the_apex(pivots, k):
 # Beale's LP (1955): min -3/4 x0 + 20 x1 - 1/2 x2 + 6 x3 over x >= 0 with
 # 1/4 x0 - 8 x1 - x2 + 9 x3 <= 0, 1/2 x0 - 12 x1 - 1/2 x2 + 3 x3 <= 0 and
 # x2 <= 1.  The surplus columns 4, 5, 6 start basic at the degenerate apex,
-# and plain Dantzig pricing with these tie-breaks cycles back to them.
+# and plain Dantzig pricing with these tie-breaks cycles back to them.  The
+# rows need no artificial, so the tableau runs on Beale's costs directly.
 _BEALE = LpProblem.build(
     4, ge_rows=[((Fraction(-1, 4), 8, 1, -9), 0),
                 ((Fraction(-1, 2), 12, Fraction(1, 2), -3), 0),
                 ((0, 0, -1, 0), -1)],
-    nonneg=range(4), objective=(Fraction(-3, 4), 20, Fraction(-1, 2), 6))
+    nonneg=range(4))
+_BEALE_COSTS = (Fraction(-3, 4), 20, Fraction(-1, 2), 6, 0, 0, 0)
 
 
 def test_guard_breaks_beales_cycle(monkeypatch):
@@ -453,10 +440,12 @@ def test_guard_breaks_beales_cycle(monkeypatch):
         bases.append(tuple(tab.basis))
 
     monkeypatch.setattr(lp._Tableau, "pivot", capped)
-    out = solve(_BEALE)
-    assert out.status == FEASIBLE
-    assert out.optimum == Fraction(-5, 4)
-    assert out.point == (1, 0, 1, 0)
+    tab = lp._Tableau(_BEALE)
+    assert len(tab.cols) == len(_BEALE_COSTS)
+    tab.set_costs(_BEALE_COSTS)
+    assert tab.run() == "optimal"
+    assert tab.value == Fraction(-5, 4)
+    assert tab.extract_point() == (1, 0, 1, 0)
     assert bases[0] == bases[6] == (4, 5, 6)
     assert bases.count((4, 5, 6)) == 2
 
@@ -481,15 +470,14 @@ def _bland_run(tab):
                         rn * ba == bn * a and tab.basis[i] < tab.basis[leave]):
                     leave, bn, ba = i, rn, a
         if leave is None:
-            tab.unbounded_col = enter
             return "unbounded"
         tab.pivot(leave, enter)
 
 
 def test_guarded_dantzig_agrees_with_bland(monkeypatch):
     """On the pinned and the random LPs, the Ext_k pin cases and the
-    pentagon diagonal at k=2, both rules reach the same status, optimum and
-    verdict, and every outcome passes its judge."""
+    pentagon diagonal at k=2, both rules reach the same statuses and
+    verdicts, and every outcome passes its judge."""
     from coneext import hierarchy, lp
 
     lps = [*_pinned_corpus(), *(p for _, p in _random_lps())]
@@ -506,8 +494,7 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
         # what every final basis must agree on
         ext_k_lps.clear()
         verdicts = [ext_k_membership(*case).member for case in cases]
-        return ([(o.status, o.optimum) for o in map(_judged, lps)],
-                verdicts, list(ext_k_lps))
+        return ([o.status for o in map(_judged, lps)], verdicts, list(ext_k_lps))
 
     monkeypatch.setattr(hierarchy, "solve", judged)
     guarded = outcomes()
@@ -517,11 +504,11 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
 
 
 def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
-    """After every pivot of the random LPs, each constraint row has a
-    positive entry at its basic column, its denominator; the reduced-cost
-    row has a positive objective entry and none at a basic column; every
-    row is gcd-reduced; and no row, nor the reduced-cost row, holds an
-    entry at an artificial column that is not basic."""
+    """After every pivot of the pinned and the random LPs, each constraint
+    row has a positive entry at its basic column, its denominator; the
+    reduced-cost row has a positive objective entry and none at a basic
+    column; every row is gcd-reduced; and no row, nor the reduced-cost row,
+    holds an entry at an artificial column that is not basic."""
     from coneext import lp
 
     pivot = lp._Tableau.pivot
@@ -541,7 +528,7 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
         checked.append((r, c))
 
     monkeypatch.setattr(lp._Tableau, "pivot", checking)
-    for _, p in _random_lps():
+    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
         solve(p)
     assert len(checked) >= 200, len(checked)
 
@@ -564,8 +551,7 @@ def entering(monkeypatch):
 
 def test_no_pivot_enters_an_artificial_column(entering):
     """Over the pinned and the random LPs and the pentagon diagonal's LPs,
-    every pivot, phase 1 and the drive-out included, enters a variable or
-    surplus column."""
+    every pivot enters a variable or surplus column."""
     for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
         solve(p)
     for k in PENTAGON_DIAGONAL_PIVOT_PINS:
@@ -681,10 +667,9 @@ def test_verifiers_raise_certificate_error():
     itself, not as the bare ``AssertionError`` it derives from."""
     from coneext import lp
 
-    p = LpProblem.build(1, ge_rows=[((1,), 1)], nonneg=(0,), objective=(1,))
+    p = LpProblem.build(1, ge_rows=[((1,), 1)], nonneg=(0,))
     for check, args in ((verify_point, ((0,),)),
-                        (verify_farkas, ((1,),)),
-                        (verify_ray, ((1,), (1,)))):
+                        (verify_farkas, ((1,),))):
         with pytest.raises(AssertionError) as caught:
             check(p, *args)
         assert caught.type is lp.CertificateError, check.__name__
@@ -705,7 +690,7 @@ def _bumped(v, j, new):
 def test_verifiers_reject_mutated_certificates():
     """Change one entry of each pinned certificate in a way that makes it
     invalid by construction; its verifier must reject every such change."""
-    tried = {FEASIBLE: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    tried = {FEASIBLE: 0, INFEASIBLE: 0}
     for p in _pinned_corpus():
         out = solve(p)
         rows = p.eq_rows + p.ge_rows
@@ -737,20 +722,7 @@ def test_verifiers_reject_mutated_certificates():
                 mutants.append(Fraction(-1))
             for m in mutants:
                 assert _rejects(verify_point, p, _bumped(out.point, j, m))
-                tried[out.status] += 1
-        if out.status == UNBOUNDED:
-            verify_ray(p, out.point, out.ray)
-            for j in range(p.num_vars):
-                mutants = []
-                if any(r[j] != 0 for r, _ in p.eq_rows):
-                    mutants.append(out.ray[j] + 1)
-                if j in p.nonneg:
-                    mutants.append(Fraction(-1))
-                for m in mutants:
-                    assert _rejects(verify_ray, p, out.point, _bumped(out.ray, j, m))
-                    tried[UNBOUNDED] += 1
-            # a ray that no longer improves the objective
-            assert _rejects(verify_ray, p, out.point, tuple(0 * d for d in out.ray))
+                tried[FEASIBLE] += 1
     assert all(n >= 20 for n in tried.values()), tried
 
 
@@ -899,12 +871,6 @@ def _seventh_mutants():
                 moves += (Fraction(-1, 7),)
             for m in moves:
                 yield verify_point, (p, _bumped(out.point, j, out.point[j] + m))
-            if out.status == UNBOUNDED:
-                moves = sevenths if any(r[j] != 0 for r, _ in p.eq_rows) else ()
-                if j in p.nonneg and out.ray[j] == 0:
-                    moves += (Fraction(-1, 7),)
-                for m in moves:
-                    yield verify_ray, (p, out.point, _bumped(out.ray, j, out.ray[j] + m))
     # the generators span a line, so a separating functional vanishes on it
     # and each certificate entry moved by 1/7 stops vanishing there
     cert = solve(LpProblem.build(2, eq_rows=[(g, t) for g, t in zip(
@@ -949,13 +915,13 @@ def _seventh_survivors():
 
 
 def test_verifiers_reject_entries_moved_by_a_seventh():
-    """Fractional data: every point, Farkas, ray and separating certificate
+    """Fractional data: every point, Farkas and separating certificate
     entry moved by 1/7 where that breaks a row, a sign or the separation
     fails its check with ``CertificateError``."""
     counts, survivors = _seventh_survivors()
     assert survivors == []
     assert min(counts.get(name, 0) for name in (
-        "verify_point", "verify_farkas", "verify_ray")) >= 20, counts
+        "verify_point", "verify_farkas")) >= 20, counts
     assert counts["_separation"] == 4
 
 
@@ -967,7 +933,7 @@ def test_seventh_moves_are_rejected_under_python_O():
         sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
         import test_lp
         counts, survivors = test_lp._seventh_survivors()
-        if survivors or len(counts) != 4:
+        if survivors or len(counts) != 3:
             sys.exit(f"{{counts}}: accepted {{survivors[:3]}}")
     """
     _passes_under_python_O(code)
@@ -976,11 +942,11 @@ def test_seventh_moves_are_rejected_under_python_O():
 def test_every_certificate_message_is_raised(monkeypatch):
     """Each ``CertificateError`` message of the module comes from some bad
     certificate or tampered solver step."""
-    from coneext import lp
+    from coneext import hierarchy, lp
 
-    # x0 >= 0 and x1 free, x0 + x1 = 2, x1 >= -5, minimize x0 - x1
+    # x0 >= 0 and x1 free, x0 + x1 = 2, x1 >= -5
     p = LpProblem.build(2, eq_rows=[((1, 1), 2)], ge_rows=[((0, 1), -5)],
-                        nonneg=(0,), objective=(1, -1))
+                        nonneg=(0,))
     neg_rhs = LpProblem.build(2, eq_rows=[((1, 1), -2)], nonneg=(0,))
     pos_rhs = LpProblem.build(2, eq_rows=[((1, 1), 2)], nonneg=(0,))
     cases = [
@@ -993,18 +959,10 @@ def test_every_certificate_message_is_raised(monkeypatch):
         ("nonpositive rhs", verify_farkas, (p, (0, 0))),
         ("positive on a nonnegative variable", verify_farkas, (pos_rhs, (1,))),
         ("nonzero on a free variable", verify_farkas, (neg_rhs, (-1,))),
-        ("ray leaves an equality row", verify_ray, (p, (1, 1), (1, 0))),
-        ("ray leaves an inequality row", verify_ray, (p, (1, 1), (1, -1))),
-        ("ray leaves the sign orthant", verify_ray, (p, (1, 1), (-1, 1))),
-        ("ray does not improve", verify_ray, (p, (1, 1), (0, 0))),
     ]
     for message, check, args in cases:
         with pytest.raises(lp.CertificateError, match=message):
             check(*args)
-    with monkeypatch.context() as m:
-        m.setattr(lp._Tableau, "value", property(lambda tab: Fraction(-1)))
-        with pytest.raises(lp.CertificateError, match="tableau value"):
-            solve(LpProblem.build(1, ge_rows=[((1,), 3)], nonneg=(0,), objective=(1,)))
     with monkeypatch.context() as m:
         m.setattr(lp._Tableau, "run", lambda tab: "unbounded")
         with pytest.raises(lp.CertificateError, match="phase 1 unbounded"):
@@ -1013,7 +971,16 @@ def test_every_certificate_message_is_raised(monkeypatch):
         m.setattr(lp, "linear_solve", lambda rows, rhs: None)
         with pytest.raises(lp.CertificateError, match="basis is singular"):
             solve(_MIXED_BASIS_LP)
+
+    def unknown(problem):
+        # a status that solve never returns
+        return lp.LpOutcome(status="unknown")
+
     with monkeypatch.context() as m:
-        m.setattr(lp, "solve", lambda problem: lp.LpOutcome(status=UNBOUNDED))
+        m.setattr(lp, "solve", unknown)
         with pytest.raises(lp.CertificateError, match="unexpected LP status"):
             conic_membership((1, 0), [(1, 0)])
+    with monkeypatch.context() as m:
+        m.setattr(hierarchy, "solve", unknown)
+        with pytest.raises(lp.CertificateError, match="unexpected LP status"):
+            ext_k_membership(*_ext_k_case("box", "square", 1))

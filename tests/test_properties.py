@@ -16,8 +16,9 @@ from coneext.fixtures import based_cone, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (ext_k_membership, max_tensor_halfspaces,
                                min_tensor_generators, point_tensor)
-from coneext.lp import LpProblem, conic_membership, solve
+from coneext.lp import conic_membership
 from coneext.tensors import pairing
+from slices import _least_on_slice
 
 # min = max unless both factors are non-simplicial, so the chain draws A
 # from the square only; the collapse test draws every A.
@@ -145,10 +146,8 @@ def test_chain_on_random_cones(data):
         outside = conic_membership(probe, gens)
         assume(not outside.member)
         rows = [h.entries for h in max_tensor_halfspaces(a_cone, based.cone)]
-        slice_ = LpProblem.build(
-            n, eq_rows=[([sum(col) for col in zip(*rows)], 1)],
-            ge_rows=[(r, 0) for r in rows], objective=outside.separating)
-        entries = list(solve(slice_).point)
+        entries = list(_least_on_slice(outside.separating, rows,
+                                       [sum(col) for col in zip(*rows)], gens[0]))
     x = point_tensor(a_cone, based.cone, entries)
     in_min, ext2, ext1 = _check_chain(a_cone, based, gens, x)
     event(f"{mode}: min={in_min} ext2={ext2} ext1={ext1}")

@@ -14,8 +14,8 @@ POINT_FILES = ("box.pt", "box-interior.pt", "gap-k2.pt", "gap-k3.pt")
 
 def test_make_fixtures_reproduces_the_shipped_points(tmp_path, monkeypatch):
     """A run on an unchanged checkout leaves ``git status`` clean.  The gap
-    points come from the level-k LP rows and phase 2 of the simplex, for
-    which the tool is the only caller outside the tests."""
+    points come from a cutting plane over ``ext_k_membership``: the largest
+    step along a ray that stays in the level-k cone."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("make_fixtures", TOOL)
     tool = importlib.util.module_from_spec(spec)

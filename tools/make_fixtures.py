@@ -4,10 +4,12 @@ The cone and polytope files there are the source of the corpus and are not
 written here.  Deterministic: the two box points are fixed, the gap points
 come from a seeded boundary search on the shipped square and square-skew
 cones.  A gap point is found by shooting a ray from a product interior
-point along a random direction, maximizing the step length subject to
-level-k membership of the skewed square pair; the optimum lands on the
-boundary of the level-k cone and is kept when it lies outside the minimal
-tensor product (re-sampled otherwise).
+point along a random direction and taking the largest step length that
+keeps level-k membership of the skewed square pair.  A cutting plane finds
+that step with membership tests alone: each refuted point's witness bounds
+the step, and the first bound whose point is a member is the maximum.  The
+point lands on the boundary of the level-k cone and is kept when it lies
+outside the minimal tensor product (re-sampled otherwise).
 
 Run from the repository root:  python3 tools/make_fixtures.py
 """
@@ -22,9 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from coneext.cones import interior_point
 from coneext.fixtures import based_cone, cone
 from coneext.formats import serialize_point_file
-from coneext.hierarchy import (_ext_k_rows, ext_k_membership,
-                               min_tensor_generators, point_tensor)
-from coneext.lp import FEASIBLE, LpProblem, conic_membership, solve
+from coneext.hierarchy import ext_k_membership, min_tensor_generators, point_tensor
+from coneext.lp import conic_membership
+from coneext.tensors import pairing
 
 SEED = 20260821
 OUT = Path(__file__).resolve().parent.parent / "src" / "coneext" / "fixtures"
@@ -36,21 +38,27 @@ def write(name, text):
 
 
 def shoot_boundary(a_cone, based, k, x0, d):
-    """Maximize t with x0 + t*d in the level-k cone; returns (t, entries)
-    or None when the direction is infeasible from the start."""
-    nA, nB = a_cone.dim, based.cone.dim
-    ge, eq = _ext_k_rows(a_cone, based, k)
-    nv = len(eq[0]) + 1
-    ge_rows = [(row + (Fraction(0),), Fraction(0)) for row in ge]
-    eq_rows = [(row + (-d[ij],), x0[ij]) for ij, row in enumerate(eq)]
-    objective = tuple([Fraction(0)] * (nv - 1) + [Fraction(-1)])
-    out = solve(LpProblem.build(nv, eq_rows=eq_rows, ge_rows=ge_rows,
-                                objective=objective))
-    if out.status != FEASIBLE:
+    """The largest t with x0 + t*d in the level-k cone, for x0 in that cone;
+    returns (t, entries), or None when d is in the cone and t is unbounded.
+
+    A witness zeta of a non-member is nonnegative on the cone and negative
+    at the point, so it bounds t <= -zeta(x0)/zeta(d).  Each bound's point
+    is tested in turn; the first member is the maximum (Kelley 1960)."""
+    def test(entries):
+        return ext_k_membership(point_tensor(a_cone, based.cone, entries),
+                                a_cone, based, k)
+
+    x0_t, d_t = (point_tensor(a_cone, based.cone, v) for v in (x0, d))
+    verdict = test(d)
+    if verdict.member:
         return None
-    t = out.point[-1]
-    entries = tuple(x0[i] + t * d[i] for i in range(nA * nB))
-    return t, entries
+    while True:
+        zeta = verdict.witness
+        t = Fraction(-pairing(zeta, x0_t), pairing(zeta, d_t))
+        entries = tuple(a + t * b for a, b in zip(x0, d))
+        verdict = test(entries)
+        if verdict.member:
+            return t, entries
 
 
 def find_gap_point(k, rng):
@@ -67,13 +75,9 @@ def find_gap_point(k, rng):
         t, entries = got
         if t <= 0:
             continue
-        if conic_membership(entries, gens).member:
-            continue
-        # confirm the certificates the acceptance checks will re-derive
-        x = point_tensor(sq, sq, entries)
-        if not ext_k_membership(x, sq, based, k).member:
-            raise RuntimeError(f"boundary point is not in the level-{k} cone")
-        return entries
+        # shoot_boundary's last test made it a member of the level-k cone
+        if not conic_membership(entries, gens).member:
+            return entries
 
 
 def main():

@@ -21,9 +21,8 @@ from .hierarchy import (EbOutcome, ExtkVerdict, HierarchyResult, apply_reduction
                         is_entanglement_breaking, max_tensor_halfspaces,
                         min_tensor_generators, omega_interior_test, point_tensor,
                         reduction_map, vertex_facet_tensor)
-from .quantum import (AppendixReport, build_X, partial_transpose, psd_check_exact,
-                      reduce_b_factors, sym_identity_extension, trace_product,
-                      verify_appendix)
+from .quantum import (build_X, partial_transpose, psd_check_exact, reduce_b_factors,
+                      sym_identity_extension, trace_product, verify_appendix)
 from .formats import (ParseError, parse_cone_file, parse_point_file,
                       parse_polytope_file, serialize_cone_file,
                       serialize_point_file, serialize_polytope_file)
@@ -42,7 +41,7 @@ __all__ = [
     "is_entanglement_breaking", "omega_interior_test", "dual_hierarchy_k",
     "min_tensor_generators", "max_tensor_halfspaces", "point_tensor",
     "vertex_facet_tensor",
-    "AppendixReport", "build_X", "psd_check_exact",
+    "build_X", "psd_check_exact",
     "partial_transpose", "reduce_b_factors", "sym_identity_extension",
     "trace_product", "verify_appendix",
     "ParseError", "parse_cone_file", "parse_polytope_file", "parse_point_file",

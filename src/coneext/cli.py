@@ -4,10 +4,11 @@ Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage or parse
 error, 3 semantic error (improper cone, bad functional, shape mismatch),
 4 internal error (a failed certificate re-check, disagreeing decision
 routes, or any other unexpected exception), so a fault never reads as a
-negative verdict.
+negative verdict.  Every subcommand computes before it prints, so exits 2,
+3 and 4 leave stdout empty.
 Reports are deterministic: the same input files yield byte-identical
 output.  --report json-lines emits one JSON object per line instead of
-"key: value" text.
+"key: value" text; dualize writes the dual cone file in either mode.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .hierarchy import (ext_k_membership, is_entanglement_breaking,
 from .lp import conic_membership
 from .polytopes import (FACET_CAP, FactorFailure, affine_hull_commutes,
                         factor_as_simplices, polytope_from_vertices)
-from .quantum import AppendixError, verify_appendix
+from .quantum import verify_appendix
 from .scalars import format_rational, parse_rational
 
 EXIT_YES = 0
@@ -170,9 +171,9 @@ def cmd_eb_check(args, rep, out):
 
 def cmd_factor(args, rep, out):
     name, poly = _load_polytope_arg(args)
+    result = factor_as_simplices(poly)
     rep.emit("command", "factor")
     rep.emit("polytope", name)
-    result = factor_as_simplices(poly)
     if isinstance(result, FactorFailure):
         rep.emit("verdict", "NOT-FACTORABLE")
         rep.emit("reason", result.reason)
@@ -191,9 +192,9 @@ def cmd_hull_check(args, rep, out):
     if len(poly.functionals) > FACET_CAP:
         raise SemanticError(f"{name}: {len(poly.functionals)} facets exceed "
                             f"the hull-check cap of {FACET_CAP}")
+    ok, witness = affine_hull_commutes(poly)
     rep.emit("command", "hull-check")
     rep.emit("polytope", name)
-    ok, witness = affine_hull_commutes(poly)
     if ok:
         rep.emit("verdict", "COMMUTES")
         return EXIT_YES
@@ -226,25 +227,19 @@ def cmd_min_check(args, rep, out):
 
 
 def cmd_quantum_demo(args, rep, out):
+    claims = verify_appendix()  # raises AppendixError on a failed claim
     rep.emit("command", "quantum-demo")
-    try:
-        report = verify_appendix()
-    except AppendixError as e:
-        rep.emit("verdict", "FAIL")
-        rep.emit("failed", str(e))
-        return EXIT_NO
-    for claim in report.claims:
+    for claim in claims:
         rep.emit("claim", {
             "label": claim.label,
-            "verdict": "PASS" if claim.verdict else "FAIL",
+            "verdict": "PASS",
             "values": dict(claim.values),
-        } if rep.mode == "json-lines" else
-            f"{claim.label} {'PASS' if claim.verdict else 'FAIL'}")
+        } if rep.mode == "json-lines" else f"{claim.label} PASS")
         if rep.mode == "text":
             for key, val in claim.values:
                 rep.emit("value", f"{claim.label}.{key} = {val}")
-    rep.emit("verdict", "ALL-PASS" if report.all_passed else "FAIL")
-    return EXIT_YES if report.all_passed else EXIT_NO
+    rep.emit("verdict", "ALL-PASS")
+    return EXIT_YES
 
 
 class _UsageError(Exception):

@@ -442,7 +442,6 @@ class EbOutcome:
     k: int
     terms: tuple | None = None          # decomposition when breaking
     refutation: tuple | None = None     # separator at _pad_columns' (m, o)
-    factorization: object | None = None  # SimplexFactorization | FactorFailure
 
 
 def _admissible_multisets(based, k):
@@ -488,8 +487,8 @@ def is_entanglement_breaking(based, k):
     if check.member:
         terms = tuple(EbTerm(combo, v, w)
                       for (combo, v), w in zip(multis, check.weights) if w != 0)
-        return EbOutcome(True, k, terms=terms, factorization=fact)
-    return EbOutcome(False, k, refutation=check.separating, factorization=fact)
+        return EbOutcome(True, k, terms=terms)
+    return EbOutcome(False, k, refutation=check.separating)
 
 
 # ---------------------------------------------------------------------------

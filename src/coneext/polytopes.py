@@ -214,7 +214,6 @@ class SimplexFactorization:
     facet_classes: tuple      # tuple of sorted facet-index tuples
     vertex_labels: tuple      # per vertex: tuple of positions within classes
     normalized: tuple         # per facet: functional scaled to level 1
-    levels: tuple             # per facet: original nonzero value on vertices
 
 
 @dataclass(frozen=True)
@@ -291,4 +290,4 @@ def factor_as_simplices(p):
     classes = tuple(classes[c] for c in order)
     labels = tuple(tuple(lab[c] for c in order) for lab in labels)
     dims = tuple(len(members) - 1 for members in classes)
-    return SimplexFactorization(dims, classes, labels, normalized, tuple(levels))
+    return SimplexFactorization(dims, classes, labels, normalized)

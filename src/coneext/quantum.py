@@ -57,17 +57,6 @@ def _partial_trace(t, i, j):
                                           for b in range(0, len(e), d * d)])
 
 
-def _with_identity(t, d):
-    """t ox identity on a new trailing (d, d*) slot pair, the adjoint of
-    _partial_trace: each entry on the diagonal of its own d x d block."""
-    entries = []
-    for e in t.entries:
-        block = [ZERO] * (d * d)
-        block[::d + 1] = [e] * d
-        entries.extend(block)
-    return DenseTensor(t.slots + (Slot(d, PRIMAL), Slot(d, DUAL)), entries)
-
-
 def _swap_bc(t):
     """Exchange the two trailing factors of a factored 27 x 27 operator."""
     return reorder_slots(t, (0, 2, 1, 3, 5, 4))
@@ -169,7 +158,7 @@ def sym_identity_extension(w):
     identity on either trailing slot."""
     if w.slots[0].dim != 9:
         raise ValueError("expected a 9x9 operator")
-    pad = reorder_slots(_with_identity(_factored(w.scale(HALF), (3, 3)), 3),
+    pad = reorder_slots(kron(_factored(w.scale(HALF), (3, 3)), identity_operator(3)),
                         (0, 1, 4, 2, 3, 5))
     return _as_operator(pad + _swap_bc(pad))
 
@@ -180,17 +169,7 @@ def sym_identity_extension(w):
 @dataclass(frozen=True)
 class AppendixClaim:
     label: str
-    verdict: bool
     values: tuple  # (name, exact value as string) pairs
-
-
-@dataclass(frozen=True)
-class AppendixReport:
-    claims: tuple
-
-    @property
-    def all_passed(self):
-        return all(c.verdict for c in self.claims)
 
 
 def _vec_outer(coeffs):
@@ -231,7 +210,8 @@ def _swap_symmetric(m):
 
 def verify_appendix():
     """Run the four exact claims separating level-2 max-extendibility from
-    level-2 PSD-extendibility and return the per-claim report.
+    level-2 PSD-extendibility and return them in order, each with its exact
+    values.
 
     1. The convex split of Y = X_{1,eta,1} into the extendible corner
        operator and X_{0,1,1}.
@@ -242,7 +222,8 @@ def verify_appendix():
        symmetric identity pad W2 is strictly positive definite, and the
        pad is adjoint to the reduction, so no PSD symmetric extension of Y
        can exist.
-    Any failed identity raises AppendixError naming the claim.
+    Any failed identity raises AppendixError naming the claim, so a
+    returned claim has passed.
     """
     claims = []
     root = QuadScalar(0, 1)
@@ -254,13 +235,12 @@ def verify_appendix():
     w_flip = QuadScalar(Fraction(3, 4), Fraction(-1, 2))
     recomposed = corner.scale(w_corner) + build_X(0, 1, 1).scale(w_flip)
     y_psd = psd_check_exact(y)
-    ok1 = recomposed == y and y_psd
-    claims.append(AppendixClaim("decomposition", ok1, (
+    if recomposed != y or not y_psd:
+        raise AppendixError("decomposition of Y failed")
+    claims.append(AppendixClaim("decomposition", (
         ("weight_corner", str(w_corner)),
         ("weight_flip", str(w_flip)),
         ("y_psd", str(y_psd)))))
-    if not ok1:
-        raise AppendixError("decomposition of Y failed")
 
     # claim 2: Gram-sum extension of the corner operator
     gram = None
@@ -268,12 +248,11 @@ def verify_appendix():
         t = _vec_outer(v)
         gram = t if gram is None else gram + t
     swap_ok, gram_psd = _swap_symmetric(gram), psd_check_exact(gram)
-    ok2 = swap_ok and gram_psd and reduce_b_factors(gram) == corner
-    claims.append(AppendixClaim("gram-extension", ok2, (
+    if not (swap_ok and gram_psd and reduce_b_factors(gram) == corner):
+        raise AppendixError("Gram extension of the corner operator failed")
+    claims.append(AppendixClaim("gram-extension", (
         ("swap_symmetric", str(swap_ok)),
         ("psd", str(gram_psd)),)))
-    if not ok2:
-        raise AppendixError("Gram extension of the corner operator failed")
 
     # claim 3: rank-one extension of the partial transpose of X_{0,1,1}
     perm_vec = [ZERO] * 27
@@ -284,13 +263,12 @@ def verify_appendix():
     pt = partial_transpose(build_X(0, 1, 1), (3, 3), 1)
     scale = next((r / p for r, p in zip(reduced.entries, pt.entries) if p != ZERO),
                  None)
-    ok3 = (psd_check_exact(sigma) and _swap_symmetric(sigma)
-           and scale is not None and reduced == pt.scale(scale)
-           and partial_transpose(partial_transpose(pt, (3, 3), 1), (3, 3), 1) == pt)
-    claims.append(AppendixClaim("transpose-extension", ok3, (
-        ("scale", str(scale)),)))
-    if not ok3:
+    if not (psd_check_exact(sigma) and _swap_symmetric(sigma)
+            and scale is not None and reduced == pt.scale(scale)
+            and partial_transpose(partial_transpose(pt, (3, 3), 1), (3, 3), 1) == pt):
         raise AppendixError("partial-transpose extension failed")
+    claims.append(AppendixClaim("transpose-extension", (
+        ("scale", str(scale)),)))
 
     # claim 4: the obstruction functional
     w = build_X(1, ETA, QuadScalar(-2, 1))
@@ -300,22 +278,16 @@ def verify_appendix():
     t_yw = trace_product(y, w)
     rng = random.Random(ADJOINT_PROBE_SEED)
     z0 = kron_operator(build_X(1, 0, 0), identity_operator(3))
-    adjoint_ok = True
-    for z in [z0] + [_random_symmetric(rng) for _ in range(3)]:
-        lhs = trace_product(reduce_b_factors(z), w)
-        rhs = trace_product(z, w2)
-        if lhs != rhs:
-            adjoint_ok = False
-            break
-    ok4 = (not try_w) and pd and t_yw == ZERO and adjoint_ok
-    claims.append(AppendixClaim("obstruction", ok4, (
+    adjoint_ok = all(trace_product(reduce_b_factors(z), w) == trace_product(z, w2)
+                     for z in [z0] + [_random_symmetric(rng) for _ in range(3)])
+    if try_w or not (pd and t_yw == ZERO and adjoint_ok):
+        raise AppendixError("obstruction verification failed")
+    claims.append(AppendixClaim("obstruction", (
         ("w_psd", str(try_w)),
         ("pad_strictly_pd", str(pd)),
         ("trace_y_w", str(t_yw)),
         ("adjoint_identity", str(adjoint_ok)))))
-    if not ok4:
-        raise AppendixError("obstruction verification failed")
-    return AppendixReport(tuple(claims))
+    return tuple(claims)
 
 
 def _random_symmetric(rng):

@@ -463,17 +463,40 @@ def test_eb_check_json_lines_output_is_pinned(cone, k):
     assert (code, _sha256(out)) == EB_CHECK_PINS[cone, k]
 
 
-def test_internal_error_exits_four(monkeypatch):
-    """A failed internal check is exit 4, never the negative verdict 1."""
+_SQUARE, _SKEW = fixture_path("square.cone"), fixture_path("square-skew.cone")
+
+# (core call as cli.py names it, argv of the subcommand that makes it)
+_CORE_CALLS = {
+    "dualize": ("dualize", ["dualize", "--cone-a", _SQUARE]),
+    "ext-check": ("ext_k_membership",
+                  ["ext-check", "--cone-a", _SQUARE, "--cone-b", _SKEW, "--k", "2",
+                   "--point", fixture_path("gap-k3.pt")]),
+    "eb-check": ("is_entanglement_breaking", ["eb-check", "--k", "2", "--cone-b", _SQUARE]),
+    "factor": ("factor_as_simplices", ["factor", "--polytope", fixture_path("prism.poly")]),
+    "hull-check": ("affine_hull_commutes",
+                   ["hull-check", "--polytope", fixture_path("pentagon.poly")]),
+    "min-check": ("conic_membership",
+                  ["min-check", "--cone-a", _SQUARE, "--cone-b", _SKEW,
+                   "--point", fixture_path("gap-k2.pt")]),
+    "quantum-demo": ("verify_appendix", ["quantum-demo"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_CORE_CALLS))
+def test_internal_error_exits_four(monkeypatch, command):
+    """A failed internal check is exit 4 with nothing on stdout, never the
+    negative verdict 1 and never a partial report."""
     import coneext.cli as cli
     from coneext.hierarchy import ConsistencyError
+    from coneext.quantum import AppendixError
 
-    def broken(based, k):
-        raise ConsistencyError("injected disagreement")
+    name, argv = _CORE_CALLS[command]
+    error = AppendixError if name == "verify_appendix" else ConsistencyError
 
-    monkeypatch.setattr(cli, "is_entanglement_breaking", broken)
-    code, out, err = _run(["eb-check", "--k", "2",
-                           "--cone-b", fixture_path("square.cone")])
-    assert code == cli.EXIT_INTERNAL == 4
-    assert out == ""
-    assert "internal error: ConsistencyError: injected disagreement" in err
+    def broken(*args):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = _run(argv)
+    assert (code, out) == (cli.EXIT_INTERNAL, "") == (4, "")
+    assert f"internal error: {error.__name__}: injected failure" in err

@@ -17,8 +17,8 @@ the finite interior test for the vertex-facet pairing tensor.
 Every hierarchy LP lives on V_A ox Sym^k(V_B), so its data is built in
 symmetric-power coordinates: one coordinate per pair (a, m) with m a sorted
 k-multiset of [dim B] in ``combinations_with_replacement`` order, the order
-of ``sym_basis``.  Two exact closed forms, tabled once per LP by
-``_sym_tables``, replace dense n^k tensor work:
+of ``sym_basis``.  Two exact closed forms, tabled once per LP, replace
+dense n^k tensor work:
 
 * Sym(v_1 ox .. ox v_k)[m] = coeff of t^m in prod_s <v_s, t>, divided by
   the number of arrangements of m;
@@ -37,9 +37,11 @@ re-checked by contraction with the facets.
 
 ``_sym_tables``, the judge and ``omega_interior_test`` run on ints: each
 clears its vectors by positive integers, so no sign moves, and divides or
-cross-multiplies once.  The interior test scales every facet centroid by one
-common D, which multiplies each of its terms by D^k, and each ray on its
-own, since its sums are linear in the ray.
+cross-multiplies once.  ``_pad_columns`` does not divide at all: it hands
+the LP a ``GeneratorTable`` of integer products over one denominator per
+row.  The interior test scales every facet centroid by one common D, which
+multiplies each of its terms by D^k, and each ray on its own, since its
+sums are linear in the ray.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 
 from .cones import interior_point
-from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
-                 conic_membership, solve)
+from .lp import (FEASIBLE, INFEASIBLE, CertificateError, GeneratorTable,
+                 LpProblem, conic_membership, solve)
 from .linalg import clear_denominators, clear_rows, dot, primitive
-from .polytopes import SimplexFactorization, factor_as_simplices
+from .polytopes import SimplexFactorization
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                       from_vector, kron, pairing, symmetric_project)
 
@@ -138,9 +140,9 @@ def _arrangements(m):
     return out
 
 
-def _sym_product(vectors, multisets, divisors):
+def _sym_product(vectors, multisets):
     """The int coefficient of t^m in the product of the linear forms <v_s, t>
-    of the int vectors v_s, over divisors[i] at the i-th multiset m."""
+    of the int vectors v_s, at each multiset m."""
     poly = {(): 1}
     for v in vectors:
         nxt = {}
@@ -151,7 +153,7 @@ def _sym_product(vectors, multisets, divisors):
                     key = mono[:p] + (j,) + mono[p:]
                     nxt[key] = nxt.get(key, 0) + c * vj
         poly = nxt
-    return [Fraction(poly.get(m, 0), d) for m, d in zip(multisets, divisors)]
+    return [poly.get(m, 0) for m in multisets]
 
 
 def _reduced_monomial(m, j, pad, d):
@@ -168,34 +170,62 @@ def _reduced_monomial(m, j, pad, d):
     return Fraction(val, len(m) * d ** len(rest))
 
 
-def _sym_tables(pad, tails, combos, k):
-    """The reduction table, row m holding (m_j / k) pad^(m - e_j) at each j,
-    and Sym(tails_combo) for each combo, both at m in ``_multisets(len(pad), k)``.
-    The tails share one denominator dt, so every product of k is over dt^k."""
-    multisets = _multisets(len(pad), k)
+def _reduction_table(pad, multisets):
+    """Row m holding (m_j / k) pad^(m - e_j) at each j, for m in ``multisets``."""
     pad, dp = clear_denominators(pad)
-    red = [[_reduced_monomial(m, j, pad, dp) for j in range(len(pad))]
-           for m in multisets]
+    return [[_reduced_monomial(m, j, pad, dp) for j in range(len(pad))]
+            for m in multisets]
+
+
+def _sym_coefficients(tails, combos, multisets):
+    """(coefficients, dt): the tails over their one common denominator dt,
+    and for each combo the int coefficients of ``_sym_product`` of its tails
+    at each m in ``multisets``, so that Sym(tails_combo)[m] is the
+    coefficient over #arrangements(m) dt^k."""
     tails, dt = clear_rows(tails)
+    return {combo: _sym_product([tails[j] for j in combo], multisets)
+            for combo in combos}, dt
+
+
+def _sym_tables(pad, tails, combos, k):
+    """The reduction table and Sym(tails_combo) for each combo, both at m in
+    ``_multisets(len(pad), k)``."""
+    multisets = _multisets(len(pad), k)
+    coeffs, dt = _sym_coefficients(tails, combos, multisets)
     divisors = [_arrangements(m) * dt ** k for m in multisets]
-    syms = {combo: _sym_product([tails[j] for j in combo], multisets, divisors)
-            for combo in combos}
-    return red, syms
+    syms = {combo: [Fraction(c, d) for c, d in zip(cs, divisors)]
+            for combo, cs in coeffs.items()}
+    return _reduction_table(pad, multisets), syms
 
 
 def _pad_columns(rows, pad, heads, tails, pairs, k):
-    """LP data of a symmetric-pad decomposition at the indices (m, o).
+    """LP data of a symmetric-pad decomposition at the indices (m, o): the
+    target and a ``GeneratorTable`` of the pairs.
 
     The target is Sym(R ox pad^(k-1)) for the tensor R with rows ``rows``:
     at (m, o) it is sum_j rows[o][j] (m_j / k) pad^(m - e_j).  The generator
-    of a pair (combo, h) is Sym(tails_combo)[m] heads[h][o].
+    of a pair (combo, h) is Sym(tails_combo)[m] heads[h][o].  With head
+    coordinate o cleared over dh_o, table row (m, o) is the int coefficient
+    of ``_sym_product`` times the cleared head entry over #arrangements(m)
+    dt^k dh_o, divided by one gcd down to the least common denominator, so
+    no entry is ever a Fraction.
     """
-    red, syms = _sym_tables(pad, tails, {combo for combo, _ in pairs}, k)
-    target = tuple(dot(row, red_m) for red_m in red for row in rows)
-    # most Sym entries are zero, and a zero needs no Fraction product
-    gens = [tuple(s * c if s else s for s in syms[combo] for c in heads[h])
-            for combo, h in pairs]
-    return target, gens
+    multisets = _multisets(len(pad), k)
+    target = tuple(dot(row, red_m) for red_m in _reduction_table(pad, multisets)
+                   for row in rows)
+    coeffs, dt = _sym_coefficients(tails, {combo for combo, _ in pairs}, multisets)
+    cols = [clear_denominators(col) for col in zip(*heads)]
+    hs = [h for _, h in pairs]
+    table = []
+    for i, m in enumerate(multisets):
+        sym_m = [coeffs[combo][i] for combo, _ in pairs]
+        base = _arrangements(m) * dt ** k
+        for col, dh in cols:
+            ints = [s * col[h] for s, h in zip(sym_m, hs)]
+            g = gcd(base * dh, *ints)
+            table.append((tuple(a // g for a in ints) if g > 1 else tuple(ints),
+                          base * dh // g))
+    return target, GeneratorTable(len(pairs), tuple(table))
 
 
 def _pad_decompose(rows, pad, heads, tails, pairs, k):
@@ -473,7 +503,7 @@ def is_entanglement_breaking(based, k):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    fact = factor_as_simplices(based.base)
+    fact = based.base.factorization
     route1 = isinstance(fact, SimplexFactorization) and len(fact.factor_dims) <= k
     multis = _admissible_multisets(based, k)
     n = based.cone.dim

@@ -15,11 +15,15 @@ a pivot touches only nonzero entries.  An artificial column is deleted when
 it leaves the basis, so no artificial re-enters or is carried through later
 pivots, and an infeasible problem's Farkas multipliers are solved from the
 final basis (see ``solve``).  No floating point, no presolve.  The API
-stays Fraction in and Fraction out.  Each problem clears its rows to
-integers once (``LpProblem.int_rows``); the tableau, both re-checks below
-and the conic re-sum and separation check all read that one copy, each an
-exact comparison.  Every outcome is re-verified against the original
-problem before it is returned:
+stays Fraction in and Fraction out.  Each problem holds its rows cleared to
+integers in one copy (``LpProblem.int_rows``); the tableau, both re-checks
+below and the conic re-sum and separation check all read that copy, each an
+exact comparison.  A problem made by ``build`` clears its Fraction rows
+once.  A conic LP arrives cleared: its generators come as a
+``GeneratorTable``, one cleared row per coordinate, and ``conic_membership``
+joins each row with the target's entry into the problem's ``int_rows``, so
+its Fraction rows are formed only if something reads them.  Every outcome
+is re-verified against the original problem before it is returned:
 
 * feasible: the point satisfies every row exactly;
 * infeasible: Farkas multipliers (free on equality rows, nonnegative on
@@ -53,15 +57,31 @@ class CertificateError(AssertionError):
     """A result failed its exact re-check against the problem data."""
 
 
-@dataclass(frozen=True)
 class LpProblem:
     """Find x with eq rows (= rhs), ge rows (>= rhs), x_j >= 0 for j in
-    nonneg and the remaining variables free."""
+    nonneg and the remaining variables free.
 
-    num_vars: int
-    eq_rows: tuple
-    ge_rows: tuple
-    nonneg: frozenset
+    A problem is made from Fraction rows (the constructor or ``build``) or
+    from rows already cleared to integers (``cleared``).  Either form is
+    computed from the other once, when it is first read: the solver and its
+    re-checks read only ``int_rows`` and ``num_eq``."""
+
+    def __init__(self, num_vars, eq_rows, ge_rows, nonneg):
+        self.num_vars = num_vars
+        self.eq_rows = eq_rows
+        self.ge_rows = ge_rows
+        self.nonneg = nonneg
+        self.num_eq = len(eq_rows)
+
+    @classmethod
+    def cleared(cls, num_vars, int_rows, num_eq, nonneg):
+        """The problem whose ``int_rows`` are ``int_rows``, the first
+        ``num_eq`` of them eq rows: each ``(ints, d)`` a tuple of ints with
+        the rhs last over the least common denominator d of the row."""
+        p = cls.__new__(cls)
+        p.num_vars, p.nonneg, p.num_eq = num_vars, nonneg, num_eq
+        p.int_rows = int_rows
+        return p
 
     @staticmethod
     def build(num_vars, eq_rows=(), ge_rows=(), nonneg=()):
@@ -72,6 +92,10 @@ class LpProblem:
                 raise ValueError("row length does not match num_vars")
         return LpProblem(num_vars, eqs, ges, frozenset(nonneg))
 
+    def __repr__(self):
+        return (f"LpProblem(num_vars={self.num_vars!r}, eq_rows={self.eq_rows!r}, "
+                f"ge_rows={self.ge_rows!r}, nonneg={self.nonneg!r})")
+
     @cached_property
     def int_rows(self):
         """Every row with its rhs cleared to integers, eq rows then ge rows:
@@ -80,6 +104,20 @@ class LpProblem:
         Computed once per problem; the tableau and every re-check read it."""
         return tuple((tuple(ints), d) for ints, d in (
             clear_denominators((*r, b)) for r, b in (*self.eq_rows, *self.ge_rows)))
+
+    @cached_property
+    def eq_rows(self):
+        return _fraction_rows(self.int_rows[:self.num_eq])
+
+    @cached_property
+    def ge_rows(self):
+        return _fraction_rows(self.int_rows[self.num_eq:])
+
+
+def _fraction_rows(int_rows):
+    """The rows (r, b) of cleared rows ``(ints, d)``, as Fractions."""
+    return tuple((tuple(Fraction(a, d) for a in ints[:-1]), Fraction(ints[-1], d))
+                 for ints, d in int_rows)
 
 
 @dataclass(frozen=True)
@@ -119,7 +157,7 @@ def _combination(int_rows, mult, width):
 def verify_point(problem, point):
     if len(point) != problem.num_vars:
         raise CertificateError("point arity mismatch")
-    ne = len(problem.eq_rows)
+    ne = problem.num_eq
     excess = _excess(problem.int_rows, point)
     if any(excess[:ne]):
         raise CertificateError("equality row violated")
@@ -131,8 +169,8 @@ def verify_point(problem, point):
 
 
 def verify_farkas(problem, mult):
-    ne = len(problem.eq_rows)
-    if len(mult) != ne + len(problem.ge_rows):
+    ne = problem.num_eq
+    if len(mult) != len(problem.int_rows):
         raise CertificateError("multiplier arity mismatch")
     for lam in mult[ne:]:
         if lam < 0:
@@ -164,16 +202,18 @@ class _Tableau:
         self.problem = problem
         # each row times d, the least common denominator of its entries;
         # ints[-1] is the rhs times d, so it has the sign of the rhs
-        ne = len(problem.eq_rows)
+        ne = problem.num_eq
         rows = [(ints, d, i - ne if i >= ne else None)
                 for i, (ints, d) in enumerate(problem.int_rows)]
         self.cols = []
+        at = []  # (column of +x_j, whether x_j is free) per variable j
         for j in range(problem.num_vars):
+            at.append((len(self.cols), j not in problem.nonneg))
             self.cols.append(("var", j, 1))
             if j not in problem.nonneg:
                 self.cols.append(("var", j, -1))
         self.sur0 = len(self.cols)
-        for i in range(len(problem.ge_rows)):
+        for i in range(len(rows) - ne):
             self.cols.append(("sur", i))
         self.art0 = len(self.cols)
         self.sigma = []
@@ -187,9 +227,11 @@ class _Tableau:
             sg = -1 if flipped or b < 0 else 1
             self.sigma.append(sg)
             row = {}
-            for c, (_, j, s) in enumerate(self.cols[:self.sur0]):
-                if ints[j]:
-                    row[c] = sg * s * ints[j]
+            for (c, free), a in zip(at, ints):
+                if a:
+                    row[c] = sg * a
+                    if free:
+                        row[c + 1] = -sg * a
             if surplus is not None:
                 row[self.sur0 + surplus] = -sg * d
             if b:
@@ -294,7 +336,7 @@ class _Tableau:
         block of B, nonsingular because B is: one solution, solved on the
         cleared rows."""
         rows = self.problem.int_rows
-        ne = len(self.problem.eq_rows)
+        ne = self.problem.num_eq
         mult = [None] * len(rows)
         var_cols = []
         for bcol in self.basis:
@@ -420,21 +462,66 @@ class ConicOutcome:
     separating: tuple | None = None   # h with h(target) < 0 <= h(generator)
 
 
+@dataclass(frozen=True)
+class GeneratorTable:
+    """Generators of a cone stored by coordinate, cleared: ``rows[i]`` is
+    ``(ints, d)``, coordinate i of every generator as ints over their least
+    common denominator d > 0.  ``len`` is the number of generators, and
+    iterating yields each generator as a tuple of Fractions."""
+
+    count: int
+    rows: tuple
+
+    @staticmethod
+    def of(generators, dim):
+        """The table of a list of generators of ``dim`` int or Fraction
+        entries each."""
+        gens = [tuple(g) for g in generators]
+        if any(len(g) != dim for g in gens):
+            raise ValueError("generator dimension mismatch")
+        cols = zip(*gens) if gens else [()] * dim
+        return GeneratorTable(len(gens), tuple(
+            (tuple(ints), d) for ints, d in map(clear_denominators, cols)))
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        for g in range(self.count):
+            yield tuple(Fraction(ints[g], d) for ints, d in self.rows)
+
+    def joined(self, target):
+        """Each row with its target entry t as the cleared row of
+        ``(*row, t)``: over L = lcm(d, den t), the row's ints times L / d
+        and then num t times L / den t, which is
+        ``clear_denominators((*row, t))`` read off without a Fraction."""
+        out = []
+        for (ints, d), t in zip(self.rows, target, strict=True):
+            q = t.denominator
+            scale = q // gcd(d, q)  # L / d
+            if scale != 1:
+                ints = tuple(a * scale for a in ints)
+            out.append(((*ints, t.numerator * (d * scale // q)), d * scale))
+        return tuple(out)
+
+
 def conic_membership(target, generators):
-    """Exact membership of ``target`` in the cone spanned by ``generators``.
+    """Exact membership of ``target`` in the cone spanned by ``generators``,
+    a ``GeneratorTable`` or a list of generators, which is tabled first.
 
     Member: nonnegative weights whose combination re-sums to the target
     exactly.  Non-member: a separating functional derived from the Farkas
     certificate, normalized to a primitive integer vector.
     """
     target = vec(target)
-    gens = [vec(g) for g in generators]
-    n = len(target)
-    for g in gens:
-        if len(g) != n:
-            raise ValueError("generator dimension mismatch")
-    eq_rows = tuple((tuple(g[i] for g in gens), target[i]) for i in range(n))
-    problem = LpProblem(len(gens), eq_rows, (), frozenset(range(len(gens))))
+    if not isinstance(generators, GeneratorTable):
+        generators = GeneratorTable.of(generators, len(target))
+    elif len(generators.rows) != len(target):
+        raise ValueError("generator dimension mismatch")
+    count = len(generators)
+    # one eq row per coordinate: the generators' entries = the target's
+    problem = LpProblem.cleared(count, generators.joined(target), len(target),
+                                frozenset(range(count)))
     out = solve(problem)
     if out.status == FEASIBLE:
         # the LP rows are the target's coordinates as sums over the generators
@@ -446,7 +533,7 @@ def conic_membership(target, generators):
     h = primitive([-lam for lam in out.certificate])
     # the columns of the rows are the generators and then the target, so
     # the row sum weighted by h holds the signs of h on each of them
-    *on_gens, on_target = _combination(problem.int_rows, h, len(gens) + 1)
+    *on_gens, on_target = _combination(problem.int_rows, h, count + 1)
     if on_target >= 0 or any(v < 0 for v in on_gens):
         raise CertificateError("separating functional failed verification")
     return ConicOutcome(member=False, separating=h)

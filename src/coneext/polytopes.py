@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cones import make_cone
 from .linalg import (affine_rank, dot, greedy_independent, inverse, nullspace,
@@ -32,6 +33,11 @@ class Polytope:
     @property
     def dim(self):
         return len(self.hull_directions)
+
+    @cached_property
+    def factorization(self):
+        """``factor_as_simplices(self)``, computed once per polytope."""
+        return factor_as_simplices(self)
 
     def evaluate(self, facet_index, point):
         f = self.functionals[facet_index]

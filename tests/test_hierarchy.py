@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import coneext
 import coneext.hierarchy as hierarchy
-from coneext.cones import make_based, make_cone
+import coneext.polytopes as polytopes
+from coneext.cones import interior_point, make_based, make_cone
 from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
@@ -30,7 +31,7 @@ from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                min_tensor_generators, point_tensor,
                                reduction_map, vertex_facet_tensor,
                                omega_interior_test)
-from coneext.linalg import dot, rank, vec
+from coneext.linalg import clear_denominators, dot, rank, vec
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
@@ -1327,3 +1328,79 @@ def test_dual_lp_data_is_pinned(monkeypatch, case):
     res = dual_hierarchy_k(x, a_cone, based)
     assert len(reps) == res.k
     assert hashlib.sha256("".join(reps).encode()).hexdigest() == DUAL_LP_PINS[case]
+
+
+# -- the cleared generator table of the pad LPs ------------------------------
+
+def _fraction_generators(rows, pad, heads, tails, pairs, k):
+    """The pad generators by the Fraction-product formula the generator
+    table replaced: entry (m, o) of pair (combo, h) is Sym(tails_combo)[m]
+    times heads[h][o]."""
+    _, syms = hierarchy._sym_tables(pad, tails, {combo for combo, _ in pairs}, k)
+    return [tuple(s * c for s in syms[combo] for c in heads[h]) for combo, h in pairs]
+
+
+def _pad_lp_cases():
+    """The arguments of ``_pad_columns`` for the EB LP of every corpus cone,
+    the dual LPs of ``_dual_lp_cases`` and seeded dual LPs on each
+    ``CLOSED_FORM_PAIRS`` pair, at k = 1..3."""
+    rng = random.Random(71)
+    for name in cone_names():
+        based = based_cone(name)
+        n = based.cone.dim
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in (1, 2, 3):
+            yield (units, based.phi, based.base.vertices, based.cone.facets,
+                   _admissible_multisets(based, k), k)
+    duals = [(x.entries, a_cone, based) for x, a_cone, based in _dual_lp_cases().values()]
+    for a_name, b_name in CLOSED_FORM_PAIRS:
+        a_cone, based = based_cone(a_name).cone, based_cone(b_name)
+        entries = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in range(a_cone.dim * based.cone.dim)]
+        duals.append((entries, a_cone, based))
+    for entries, a_cone, based in duals:
+        nB = based.cone.dim
+        xs = [entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
+        y = interior_point(based.cone)
+        y = tuple(v / dot(based.phi, y) for v in y)
+        for k in (1, 2, 3):
+            pairs = [(combo, ia) for ia in range(len(a_cone.rays))
+                     for combo in _sorted_reps(len(based.cone.rays), k)]
+            yield xs, y, a_cone.rays, based.cone.rays, pairs, k
+
+
+def test_pad_table_matches_the_fraction_formula():
+    """The generator table of every pad LP reads back entry for entry as
+    the Fraction-product formula, and each of its rows is that formula's
+    row cleared by ``clear_denominators``: the ints and the least common
+    denominator the LP is solved on."""
+    cases = 0
+    for args in _pad_lp_cases():
+        _, table = _pad_columns(*args)
+        gens = _fraction_generators(*args)
+        assert list(table) == gens
+        assert len(table.rows) == len(args[0]) * comb(len(args[1]) + args[-1] - 1,
+                                                      args[-1])
+        for i, row in enumerate(table.rows):
+            ints, d = clear_denominators([g[i] for g in gens])
+            assert row == (tuple(ints), d)
+        cases += 1
+    assert cases == 3 * (len(cone_names()) + len(DUAL_LP_PINS) + len(CLOSED_FORM_PAIRS))
+
+
+def test_eb_factors_each_base_once(monkeypatch):
+    """``is_entanglement_breaking`` at k = 1..3 on one base factors it once,
+    through ``factor_as_simplices``, and decides with that factorization."""
+    calls = []
+    factor = polytopes.factor_as_simplices
+
+    def counting(p):
+        calls.append(p)
+        return factor(p)
+
+    monkeypatch.setattr(polytopes, "factor_as_simplices", counting)
+    sq = based_cone("square")
+    based = make_based(sq.cone, sq.phi)
+    assert [is_entanglement_breaking(based, k).breaking for k in (1, 2, 3)] == [
+        False, True, True]
+    assert len(calls) == 1 and calls[0] is based.base

@@ -10,14 +10,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import coneext
 from coneext.fixtures import based_cone, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import ext_k_membership, point_tensor
 from coneext.linalg import clear_denominators, dot, vec
-from coneext.lp import (FEASIBLE, INFEASIBLE, LpProblem, conic_membership,
-                        solve, verify_farkas, verify_point)
+from coneext.lp import (FEASIBLE, INFEASIBLE, GeneratorTable, LpProblem,
+                        conic_membership, solve, verify_farkas, verify_point)
 
 
 def test_infeasible_with_farkas_certificate():
@@ -842,6 +844,60 @@ def test_int_rows_are_the_rows_cleared_once():
         solve(p)
         assert p.int_rows is rows
         assert rows == _fresh_clearing(p)
+
+
+def test_cleared_problem_reads_as_the_built_one():
+    """A problem made from the cleared rows of a built one solves to the
+    same outcome without forming its Fraction rows, and once they are read
+    they and its ``repr`` are the built problem's."""
+    for p in _pinned_corpus():
+        q = LpProblem.cleared(p.num_vars, p.int_rows, p.num_eq, p.nonneg)
+        assert solve(q) == solve(p)
+        assert "eq_rows" not in vars(q) and "ge_rows" not in vars(q)
+        assert (q.eq_rows, q.ge_rows) == (p.eq_rows, p.ge_rows)
+        assert repr(q) == repr(p)
+
+
+# an entry is an int or a Fraction of denominator up to 12, zero half the time
+_ENTRY = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-9, 9),
+                   st.fractions(-9, 9, max_denominator=12))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_table_row_joined_with_its_target_is_the_row_cleared(data):
+    """Row i of a generator table joined with target entry t is exactly
+    ``clear_denominators((*row_i, t))``, ints and least common denominator,
+    for generators mixing ints and Fractions of unequal denominators,
+    negative entries, all-zero rows and zero targets; the table reads back
+    as the generators, and a conic query gives the same outcome on the
+    table as on the list."""
+    dim = data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
+                              max_size=5))
+    target = vec(data.draw(st.lists(_ENTRY, min_size=dim, max_size=dim)))
+    table = GeneratorTable.of(gens, dim)
+    assert len(table) == len(gens)
+    assert list(table) == [vec(g) for g in gens]
+    joined = table.joined(target)
+    assert len(joined) == dim
+    for i, (ints, d) in enumerate(joined):
+        row = [g[i] for g in gens]
+        event("all-zero row" if not any(row) else
+              "zero target" if not target[i] else "both nonzero")
+        clear, lcd = clear_denominators((*row, target[i]))
+        assert (ints, d) == (tuple(clear), lcd)
+        assert all(type(a) is int for a in ints) and type(d) is int
+        assert d == lcm(*(Fraction(a).denominator for a in (*row, target[i])))
+    assert conic_membership(target, table) == conic_membership(target, gens)
+
+
+def test_generator_dimension_mismatch_is_refused():
+    """A generator or a table of the wrong dimension is a ``ValueError``."""
+    with pytest.raises(ValueError, match="generator dimension mismatch"):
+        conic_membership((1, 0), [(1, 0), (1,)])
+    with pytest.raises(ValueError, match="generator dimension mismatch"):
+        conic_membership((1, 0, 0), GeneratorTable.of([(1, 0)], 2))
 
 
 def _seventh_mutants():

@@ -63,11 +63,12 @@ class LpProblem:
 
     A problem is made from Fraction rows (the constructor or ``build``) or
     from rows already cleared to integers (``cleared``).  Either form is
-    computed from the other once, when it is first read: the solver and its
-    re-checks read only ``int_rows`` and ``num_eq``."""
+    computed from the other once, when it is first read; the solver and its
+    re-checks read the rows only as ``int_rows``."""
 
     def __init__(self, num_vars, eq_rows, ge_rows, nonneg):
         self.num_vars = num_vars
+        # set here, the rows shadow the cached properties of the same names
         self.eq_rows = eq_rows
         self.ge_rows = ge_rows
         self.nonneg = nonneg

@@ -35,13 +35,13 @@ judge, ``_pad_resum_agrees``, re-checks all three as degree-k forms on the
 principal lattice, sharing no code with the formulas above.  An extension is
 re-checked by contraction with the facets.
 
-``_sym_tables``, the judge and ``omega_interior_test`` run on ints: each
-clears its vectors by positive integers, so no sign moves, and divides or
-cross-multiplies once.  ``_pad_columns`` does not divide at all: it hands
-the LP a ``GeneratorTable`` of integer products over one denominator per
-row.  The interior test scales every facet centroid by one common D, which
-multiplies each of its terms by D^k, and each ray on its own, since its
-sums are linear in the ray.
+The LP builders, the judge and ``omega_interior_test`` run on ints: each
+clears its vectors by positive integers, so no sign moves.  The judge
+cross-multiplies once.  ``_ext_k_rows`` and ``_pad_columns`` do not divide
+at all: they hand the LP integer products over one denominator per row, as
+cleared rows or as a ``GeneratorTable``.  The interior test scales every
+facet centroid by one common D, which multiplies each of its terms by D^k,
+and each ray on its own, since its sums are linear in the ray.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .cones import interior_point
@@ -156,25 +156,35 @@ def _sym_product(vectors, multisets):
     return [poly.get(m, 0) for m in multisets]
 
 
-def _reduced_monomial(m, j, pad, d):
-    """(m_j / k) phi^(m - e_j) for phi = pad / d: coordinate j of the
-    reduction of the symmetric basis element s_m."""
+def _reduced_monomial(m, j, pad):
+    """The int m_j pad^(m - e_j) of an int pad, zero when j is not in m:
+    k d^(k-1) times coordinate j of the reduction of the symmetric basis
+    element s_m for phi = pad / d."""
     count = m.count(j)
     if not count:
-        return Fraction(0)
+        return 0
     rest = list(m)
     rest.remove(j)
     val = count
     for q in rest:
         val *= pad[q]
-    return Fraction(val, len(m) * d ** len(rest))
+    return val
+
+
+def _reduction_ints(pad, multisets):
+    """(table, den): row m of the table holds the ints of
+    ``_reduced_monomial`` at each j, for m in ``multisets``, and
+    table / den is the reduction table (m_j / k) pad^(m - e_j)."""
+    pad, dp = clear_denominators(pad)
+    k = len(multisets[0])
+    return ([[_reduced_monomial(m, j, pad) for j in range(len(pad))]
+             for m in multisets], k * dp ** (k - 1))
 
 
 def _reduction_table(pad, multisets):
     """Row m holding (m_j / k) pad^(m - e_j) at each j, for m in ``multisets``."""
-    pad, dp = clear_denominators(pad)
-    return [[_reduced_monomial(m, j, pad, dp) for j in range(len(pad))]
-            for m in multisets]
+    table, den = _reduction_ints(pad, multisets)
+    return [[Fraction(v, den) for v in row] for row in table]
 
 
 def _sym_coefficients(tails, combos, multisets):
@@ -187,15 +197,14 @@ def _sym_coefficients(tails, combos, multisets):
             for combo in combos}, dt
 
 
-def _sym_tables(pad, tails, combos, k):
-    """The reduction table and Sym(tails_combo) for each combo, both at m in
-    ``_multisets(len(pad), k)``."""
-    multisets = _multisets(len(pad), k)
-    coeffs, dt = _sym_coefficients(tails, combos, multisets)
-    divisors = [_arrangements(m) * dt ** k for m in multisets]
-    syms = {combo: [Fraction(c, d) for c, d in zip(cs, divisors)]
-            for combo, cs in coeffs.items()}
-    return _reduction_table(pad, multisets), syms
+def _lowest_terms(ints, d):
+    """The row ints / d, for ints over a common multiple d > 0 of their
+    denominators, as a tuple of ints over its least common denominator:
+    both divided by their gcd."""
+    g = gcd(d, *ints)
+    if g == 1:
+        return tuple(ints), d
+    return tuple(a // g for a in ints), d // g
 
 
 def _pad_columns(rows, pad, heads, tails, pairs, k):
@@ -221,10 +230,8 @@ def _pad_columns(rows, pad, heads, tails, pairs, k):
         sym_m = [coeffs[combo][i] for combo, _ in pairs]
         base = _arrangements(m) * dt ** k
         for col, dh in cols:
-            ints = [s * col[h] for s, h in zip(sym_m, hs)]
-            g = gcd(base * dh, *ints)
-            table.append((tuple(a // g for a in ints) if g > 1 else tuple(ints),
-                          base * dh // g))
+            table.append(_lowest_terms([s * col[h] for s, h in zip(sym_m, hs)],
+                                       base * dh))
     return target, GeneratorTable(len(pairs), tuple(table))
 
 
@@ -390,23 +397,43 @@ def _ext_k_pairs(a_cone, based, k):
     return [(combo, f) for f in range(len(a_cone.facets)) for combo in combos]
 
 
-def _ext_k_rows(a_cone, based, k):
-    """Coefficient rows of the level-k LP over the columns (a, m).
+def _ext_k_rows(x, a_cone, based, k):
+    """(ge, eq): the rows of the level-k LP for the point x over the columns
+    (a, m), cleared as ``LpProblem.cleared`` takes them, each ``(ints, d)``
+    with the rhs last over the least common denominator d of the row.
 
     Column (a, m) is e_a ox sym_basis[m].  The ge rows, one per pair
-    (g, f) of ``_ext_k_pairs``, are f[a] Sym(g)[m]: max half-spaces paired
-    with the column.  The eq rows, one per (i, j) in row-major order, are
-    the reduced columns read at (i, j).
+    (g, f) of ``_ext_k_pairs``, are f[a] Sym(g)[m] >= 0: max half-spaces
+    paired with the column.  With f cleared over d_f, entry (a, m) is
+    ``_sym_coefficients``' int coefficient times f's a-th int over
+    #arrangements(m) dt^k d_f; the row is put over L dt^k d_f, for L the
+    lcm of the arrangement counts, and divided by one gcd down to the least
+    common denominator.  The eq rows, one per (i, j) in row-major order,
+    are the reduced columns read at (i, j) = x[i, j]: block i joins the
+    cleared reduction table with row i of x (``GeneratorTable.joined``).
+    No entry is ever a Fraction.
     """
-    nA = a_cone.dim
+    nA, nB = a_cone.dim, based.cone.dim
     pairs = _ext_k_pairs(a_cone, based, k)
-    red, syms = _sym_tables(based.phi, based.cone.facets,
-                            {combo for combo, _ in pairs}, k)
-    ge = [tuple(fa * s for fa in a_cone.facets[f] for s in syms[combo])
+    multisets = _multisets(nB, k)
+    coeffs, dt = _sym_coefficients(based.cone.facets,
+                                   {combo for combo, _ in pairs}, multisets)
+    arrangements = [_arrangements(m) for m in multisets]
+    top = lcm(*arrangements)
+    syms = {combo: [c * (top // n) for c, n in zip(cs, arrangements)]
+            for combo, cs in coeffs.items()}
+    base = top * dt ** k
+    facets = [clear_denominators(f) for f in a_cone.facets]
+    ge = [_lowest_terms([fa * c for fa in facets[f][0] for c in syms[combo]] + [0],
+                        base * facets[f][1])
           for combo, f in pairs]
-    zeros = (Fraction(0),) * len(red)
-    eq = [zeros * i + red_j + zeros * (nA - 1 - i)
-          for i in range(nA) for red_j in zip(*red)]
+    red, den = _reduction_ints(based.phi, multisets)
+    table = GeneratorTable(len(multisets), tuple(
+        _lowest_terms(col, den) for col in zip(*red)))
+    zeros = (0,) * len(multisets)
+    eq = [(zeros * i + ints[:-1] + zeros * (nA - 1 - i) + ints[-1:], d)
+          for i in range(nA)
+          for ints, d in table.joined(x.entries[i * nB:(i + 1) * nB])]
     return ge, eq
 
 
@@ -436,10 +463,9 @@ def ext_k_membership(x, a_cone, based, k):
     nA, nB = a_cone.dim, based.cone.dim
     if x.slots != (Slot(nA, PRIMAL), Slot(nB, PRIMAL)):
         raise ValueError("point has wrong shape for the cone pair")
-    ge, eq = _ext_k_rows(a_cone, based, k)
-    ge_rows = [(row, Fraction(0)) for row in ge]
-    eq_rows = [(row, x.entries[ij]) for ij, row in enumerate(eq)]
-    problem = LpProblem.build(len(eq[0]), eq_rows=eq_rows, ge_rows=ge_rows)
+    ge, eq = _ext_k_rows(x, a_cone, based, k)
+    problem = LpProblem.cleared(len(eq[0][0]) - 1, (*eq, *ge), len(eq),
+                                frozenset())
     out = solve(problem)
     if out.status == FEASIBLE:
         y = _symmetric_extension(out.point, nA, nB, k)
@@ -447,7 +473,7 @@ def ext_k_membership(x, a_cone, based, k):
         return ExtkVerdict(member=True, k=k, extension=y)
     if out.status != INFEASIBLE:
         raise CertificateError(f"unexpected LP status {out.status!r}")
-    mu, lam = out.certificate[:len(eq_rows)], out.certificate[len(eq_rows):]
+    mu, lam = out.certificate[:len(eq)], out.certificate[len(eq):]
     zeta_entries = primitive([-m for m in mu])
     zeta = DenseTensor((Slot(nA, DUAL), Slot(nB, DUAL)), zeta_entries)
     if pairing(zeta, x) >= 0:

@@ -11,10 +11,15 @@ costs of the phase 1 objective are one more such row, basic in an objective
 column.  One step, cross-multiplication over the union of two supports and
 a gcd reduction (Edmonds 1967), does every pivot and prices the cost row,
 so the tableau takes the same pivots as a dense tableau of Fractions while
-a pivot touches only nonzero entries.  An artificial column is deleted when
-it leaves the basis, so no artificial re-enters or is carried through later
-pivots, and an infeasible problem's Farkas multipliers are solved from the
-final basis (see ``solve``).  No floating point, no presolve.  The API
+a pivot touches only nonzero entries.  A free variable x_j keeps the two
+column labels +x_j and -x_j of the split x_j = x_j+ - x_j-, and every tie-
+break reads those labels, but a row stores only its +x_j entry: the -x_j
+entry is always its negative and is read as such (Maros 2003, ch. 9), so a
+row carries each free variable once and the pivots are those of the split
+tableau.  An artificial column is deleted when it leaves the basis, so no
+artificial re-enters or is carried through later pivots, and an infeasible
+problem's Farkas multipliers are solved from the final basis (see
+``solve``).  No floating point, no presolve.  The API
 stays Fraction in and Fraction out.  Each problem holds its rows cleared to
 integers in one copy (``LpProblem.int_rows``); the tableau, both re-checks
 below and the conic re-sum and separation check all read that copy, each an
@@ -77,8 +82,14 @@ class LpProblem:
     @classmethod
     def cleared(cls, num_vars, int_rows, num_eq, nonneg):
         """The problem whose ``int_rows`` are ``int_rows``, the first
-        ``num_eq`` of them eq rows: each ``(ints, d)`` a tuple of ints with
-        the rhs last over the least common denominator d of the row."""
+        ``num_eq`` of them eq rows: each ``(ints, d)`` a tuple of
+        ``num_vars + 1`` ints with the rhs last over the least common
+        denominator d > 0 of the row."""
+        for ints, d in int_rows:
+            if len(ints) != num_vars + 1:
+                raise ValueError("row length does not match num_vars")
+            if d <= 0:
+                raise ValueError("row denominator must be positive")
         p = cls.__new__(cls)
         p.num_vars, p.nonneg, p.num_eq = num_vars, nonneg, num_eq
         p.int_rows = int_rows
@@ -151,7 +162,7 @@ def _combination(int_rows, mult, width):
     total = [0] * width
     for m, (ints, _) in zip(ms, int_rows):
         if m:
-            total = [t + m * a for t, a in zip(total, ints)]
+            total = [t + m * a for t, a in zip(total, ints, strict=True)]
     return total
 
 
@@ -196,8 +207,12 @@ class _Tableau:
     cost row ``z`` is one more such row, basic in the objective column
     ``_OBJ``, so that ``-z[_RHS] / z[_OBJ]`` is the objective value.  Every
     row is kept gcd-reduced over its nonzeros.  Columns are described by
-    tags: ("var", j, s) for s * x_j of a split variable, ("sur", i) for the
-    surplus of ge row i, ("art", i) for the artificial of standard row i."""
+    tags: ("var", j, s) for the column of s * x_j, ("sur", i) for the
+    surplus of ge row i, ("art", i) for the artificial of standard row i.
+    A free x_j has two columns, ("var", j, 1) and next to it ("var", j, -1),
+    as if split into x_j+ - x_j-.  Every row, ``z`` included, stores only
+    the first; the entry of the second is minus the stored one (``_key``),
+    as it would be in every row of the split tableau."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -207,11 +222,13 @@ class _Tableau:
         rows = [(ints, d, i - ne if i >= ne else None)
                 for i, (ints, d) in enumerate(problem.int_rows)]
         self.cols = []
-        at = []  # (column of +x_j, whether x_j is free) per variable j
+        at = []  # the column of +x_j per variable j
+        self.free = set()  # the +x_j columns of the free variables
         for j in range(problem.num_vars):
-            at.append((len(self.cols), j not in problem.nonneg))
+            at.append(len(self.cols))
             self.cols.append(("var", j, 1))
             if j not in problem.nonneg:
+                self.free.add(at[-1])
                 self.cols.append(("var", j, -1))
         self.sur0 = len(self.cols)
         for i in range(len(rows) - ne):
@@ -227,12 +244,7 @@ class _Tableau:
             flipped = surplus is not None and b <= 0
             sg = -1 if flipped or b < 0 else 1
             self.sigma.append(sg)
-            row = {}
-            for (c, free), a in zip(at, ints):
-                if a:
-                    row[c] = sg * a
-                    if free:
-                        row[c + 1] = -sg * a
+            row = {c: sg * a for c, a in zip(at, ints) if a}
             if surplus is not None:
                 row[self.sur0 + surplus] = -sg * d
             if b:
@@ -246,15 +258,23 @@ class _Tableau:
                 self.basis.append(len(self.cols))
                 self.cols.append(("art", ridx))
 
+    def _key(self, c):
+        """(stored column, sign) of column c: the -x_j column of a free
+        variable reads as minus the +x_j column before it."""
+        return (c - 1, -1) if c - 1 in self.free else (c, 1)
+
     def set_costs(self, costs):
         """The row ``z`` of reduced costs ``costs - c_B . rows`` for the
-        current basis; ``costs`` holds one int or Fraction per column."""
+        current basis; ``costs`` holds one int or Fraction per column, and
+        the -x_j column of a free variable costs minus its +x_j column, so
+        its own entry is not read."""
         ints, d = clear_denominators(costs)
-        z = {c: a for c, a in enumerate(ints) if a}
+        z = {c: a for c, a in enumerate(ints) if a and c - 1 not in self.free}
         z[_OBJ] = d
         for row, bcol in zip(self.T, self.basis):
-            if bcol in z:
-                _eliminate(z, row, bcol)
+            key, s = self._key(bcol)
+            if key in z:
+                _eliminate(z, row, key, s)
         self.z = z
 
     @property
@@ -267,14 +287,15 @@ class _Tableau:
             # a leaving artificial leaves the problem: its column is nonzero
             # only in its own row, so deleting that entry drops the column
             del row[self.basis[r]]
-        if row[c] < 0:
+        key, s = self._key(c)
+        if s * row[key] < 0:
             for j in row:
                 row[j] = -row[j]
         _reduce(row)
         self.basis[r] = c
         for other in (*self.T, self.z):
-            if c in other and other is not row:
-                _eliminate(other, row, c)
+            if key in other and other is not row:
+                _eliminate(other, row, key, s)
 
     def run(self):
         """Guarded Dantzig iterations; returns "optimal" or "unbounded".
@@ -285,8 +306,10 @@ class _Tableau:
         kept; once one repeats, the lowest column with a negative reduced
         cost enters instead (Bland's rule) until the next non-degenerate
         pivot.  Only structural columns enter: each artificial is basic
-        until it leaves, and then its column is gone."""
-        art0 = self.art0
+        until it leaves, and then its column is gone.  A free variable's
+        stored reduced cost a prices its +x_j column at a and its -x_j
+        column at -a, so a positive one makes the -x_j column a candidate."""
+        art0, free = self.art0, self.free
         seen = set()  # bases left by degenerate pivots since the last other one
         bland = False
         while True:
@@ -294,18 +317,25 @@ class _Tableau:
                 bland = tuple(self.basis) in seen
             enter, best = None, 0
             for c, a in self.z.items():
-                if a < 0 and 0 <= c < art0:
-                    if bland:
-                        if enter is None or c < enter:
-                            enter = c
-                    elif a < best or a == best and c < enter:
-                        enter, best = c, a
+                if a < 0:
+                    if not 0 <= c < art0:
+                        continue
+                elif c in free:
+                    c, a = c + 1, -a
+                else:
+                    continue
+                if bland:
+                    if enter is None or c < enter:
+                        enter = c
+                elif a < best or a == best and c < enter:
+                    enter, best = c, a
             if enter is None:
                 return "optimal"
             # min ratio rhs_i / a_i over a_i > 0; the row denominators cancel
+            key, s = self._key(enter)
             leave = None
             for i, row in enumerate(self.T):
-                a = row.get(enter, 0)
+                a = s * row.get(key, 0)
                 if a > 0:
                     rn = row.get(_RHS, 0)
                     if leave is None or rn * ba < bn * a or (
@@ -323,7 +353,8 @@ class _Tableau:
 
     def entry(self, i, c):
         row = self.T[i]
-        return Fraction(row.get(c, 0), row[self.basis[i]])
+        (key, s), (bkey, bs) = self._key(c), self._key(self.basis[i])
+        return Fraction(s * row.get(key, 0), bs * row[bkey])
 
     def multipliers(self):
         """The Farkas multipliers of an infeasible phase 1, one per problem
@@ -381,13 +412,14 @@ def _reduce(row):
             row[j] //= g
 
 
-def _eliminate(other, row, c):
-    """Clear column c of ``other`` in place with ``row``, which is basic in
-    c: with p = row[c] > 0, ``other`` becomes p * other - other[c] * row
-    over the union of the two supports, gcd-reduced (Edmonds 1967).  The
-    basic entry of ``other`` lies outside the support of ``row``, so it is
-    multiplied by p and stays positive."""
-    p, f = row[c], other[c]
+def _eliminate(other, row, c, s):
+    """Clear stored column c of ``other`` in place with ``row``, which is
+    basic in the column read as s times column c: with p = s * row[c] > 0
+    and f = s * other[c], ``other`` becomes p * other - f * row over the
+    union of the two supports, gcd-reduced (Edmonds 1967).  The basic entry
+    of ``other`` lies outside the support of ``row``, so it is multiplied by
+    p and stays positive."""
+    p, f = s * row[c], s * other[c]
     if p != 1:
         for j in other:
             other[j] *= p
@@ -417,13 +449,14 @@ def solve(problem):
       0 and so is every deleted one, and the basic solution solves the rows.
     * The multipliers certify infeasibility.  At a minimum of value w > 0
       with basis B, y = c_B B^-1 prices every remaining column at a
-      nonnegative reduced cost: y . a_j <= 0 for every split variable and
+      nonnegative reduced cost: y . a_j <= 0 for every variable and
       surplus column a_j, whose costs are 0, and y . b = w > 0.  Deleted
       artificial columns do not enter Farkas' lemma, which reads only the
       structural columns.  Take m_i = sigma_i y_i, where sigma_i = -1 on
       the rows the tableau negates.  Then y . a_j <= 0 makes
-      sum_i m_i A_ij zero on a free variable (both halves), nonpositive
-      on a nonnegative one, and m_i >= 0 on ge row i (its surplus), and
+      sum_i m_i A_ij zero on a free variable (its +x_j and -x_j columns
+      have opposite reduced costs, both nonnegative), nonpositive on a
+      nonnegative one, and m_i >= 0 on ge row i (its surplus), and
       sum_i m_i b_i = w > 0: the certificate ``verify_farkas`` judges.
       ``_Tableau.multipliers`` solves y . B = c_B for y.
     * Termination under the guarded rule of ``_Tableau.run``.  A non-

@@ -372,6 +372,21 @@ def test_ext_k_lps_are_pinned(monkeypatch, point, b_name, k):
     assert digests == [EXT_K_LP_PINS[point, b_name, k]]
 
 
+@pytest.mark.parametrize("point,b_name,k", list(EXT_K_LP_PINS))
+def test_ext_k_lp_reaches_solve_cleared(monkeypatch, point, b_name, k):
+    """``ext_k_membership`` hands its LP to the solver as cleared rows
+    alone: no Fraction row of the problem exists when solve is entered."""
+    formed = []
+
+    def recording(problem):
+        formed.append({"eq_rows", "ge_rows"} & vars(problem).keys())
+        return solve(problem)
+
+    monkeypatch.setattr(hierarchy, "solve", recording)
+    ext_k_membership(*_ext_k_case(point, b_name), k)
+    assert formed == [set()]
+
+
 def _gap_k2_extension():
     x, a_cone, based = _ext_k_case("gap-k2", "square-skew")
     verdict = ext_k_membership(x, a_cone, based, 2)
@@ -1140,17 +1155,38 @@ def _sorted_reps(n, k):
     return list(itertools.combinations_with_replacement(range(n), k))
 
 
+def _read_back(rows):
+    """The Fraction coefficients ints[:-1] / d of cleared rows (ints, d),
+    each checked to be its row and rhs cleared by ``clear_denominators``."""
+    out = []
+    for ints, d in rows:
+        row = tuple(Fraction(a, d) for a in ints)
+        cleared, lcd = clear_denominators(row)
+        assert (ints, d) == (tuple(cleared), lcd)
+        out.append(row[:-1])
+    return out
+
+
 @pytest.mark.parametrize("a_name,b_name", CLOSED_FORM_PAIRS)
 def test_ext_k_rows_match_dense_pairing(a_name, b_name):
     """Ge rows against pairing(h, e_a ox sym_basis[m]), eq rows against the
-    dense reduction of each column.  At k = 3 the ge rows use the factored
-    dense pairing f[a] * pairing(g_1 ox .. ox g_k, sym_basis[m]), which
-    keeps the test quick."""
+    dense reduction of each column, both read back from the cleared rows as
+    ints[:-1] / d; the ge rhs is 0 and the eq rhs the point's entry.  At
+    k = 3 the ge rows use the factored dense pairing
+    f[a] * pairing(g_1 ox .. ox g_k, sym_basis[m]), which keeps the test
+    quick."""
+    rng = random.Random(59)
     a_cone = based_cone(a_name).cone
     based = based_cone(b_name)
     nA, nB = a_cone.dim, based.cone.dim
+    x = point_tensor(a_cone, based.cone,
+                     [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                      for _ in range(nA * nB)])
     for k in (1, 2, 3):
-        ge, eq = _ext_k_rows(a_cone, based, k)
+        ge_rows, eq_rows = _ext_k_rows(x, a_cone, based, k)
+        assert all(ints[-1] == 0 for ints, _ in ge_rows)
+        assert [Fraction(ints[-1], d) for ints, d in eq_rows] == list(x.entries)
+        ge, eq = _read_back(ge_rows), _read_back(eq_rows)
         sym = sym_basis(nB, k)
         cols = [kron(basis_vector(nA, a), s) for a in range(nA) for s in sym]
         b_parts = [kron(*(from_vector(g, DUAL) for g in combo))
@@ -1232,11 +1268,24 @@ def test_dual_columns_match_dense_symmetrization(a_name, b_name):
             assert g == tuple(ray[r[0]] * dense[r[1:]] for r in reps)
 
 
+def _sym_tables(pad, tails, combos, k):
+    """The reduction table and Sym(tails_combo) for each combo as Fractions,
+    both at the sorted k-multisets of [len(pad)]: each int coefficient of
+    ``_sym_coefficients`` divided by #arrangements(m) dt^k."""
+    multisets = _sorted_reps(len(pad), k)
+    coeffs, dt = hierarchy._sym_coefficients(tails, combos, multisets)
+    syms = {combo: [Fraction(c, _arrangements(m) * dt ** k)
+                    for c, m in zip(cs, multisets)]
+            for combo, cs in coeffs.items()}
+    return hierarchy._reduction_table(pad, multisets), syms
+
+
 def test_sym_tables_match_dense_tensors_off_the_lattice():
-    """``_sym_tables`` clears the pad and the tails to ints and divides once
-    per entry; with entries of unequal denominators its Sym(tails_combo)
-    still equals the dense symmetrization, and its reduction table the
-    dense reduction of the pad, at every sorted multiset."""
+    """``_sym_coefficients`` and ``_reduction_table`` clear the pad and the
+    tails to ints; with entries of unequal denominators, each coefficient
+    over #arrangements(m) dt^k (``_sym_tables``) still equals the dense
+    symmetrization, and the reduction table the dense reduction of the pad,
+    at every sorted multiset."""
     rng = random.Random(67)
     n = 3
     tails = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
@@ -1246,7 +1295,7 @@ def test_sym_tables_match_dense_tensors_off_the_lattice():
                         [Fraction(int(i == j)) for i in range(n) for j in range(n)])
     for k in (1, 2, 3):
         combos = _sorted_reps(len(tails), k)
-        red, syms = hierarchy._sym_tables(pad, tails, combos, k)
+        red, syms = _sym_tables(pad, tails, combos, k)
         gamma = symmetric_project(kron(*([from_vector(pad, DUAL)] * (k - 1)), ident),
                                   range(k))
         for m, red_m in zip(_sorted_reps(n, k), red):
@@ -1336,7 +1385,7 @@ def _fraction_generators(rows, pad, heads, tails, pairs, k):
     """The pad generators by the Fraction-product formula the generator
     table replaced: entry (m, o) of pair (combo, h) is Sym(tails_combo)[m]
     times heads[h][o]."""
-    _, syms = hierarchy._sym_tables(pad, tails, {combo for combo, _ in pairs}, k)
+    _, syms = _sym_tables(pad, tails, {combo for combo, _ in pairs}, k)
     return [tuple(s * c for s in syms[combo] for c in heads[h]) for combo, h in pairs]
 
 

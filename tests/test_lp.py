@@ -452,20 +452,34 @@ def test_guard_breaks_beales_cycle(monkeypatch):
     assert bases.count((4, 5, 6)) == 2
 
 
+def _stored_columns(tab):
+    """(stored column, sign) of each column of ``tab``, read from the tags:
+    the ("var", j, -1) column of a free x_j is stored as minus the
+    ("var", j, 1) column, every other column as itself."""
+    plus = {tag[1]: c for c, tag in enumerate(tab.cols)
+            if tag[0] == "var" and tag[2] > 0}
+    return [(plus[tag[1]], -1) if tag[0] == "var" and tag[2] < 0 else (c, 1)
+            for c, tag in enumerate(tab.cols)]
+
+
 def _bland_run(tab):
     """``_Tableau.run`` under Bland's rule alone, the pricing before the
     guarded Dantzig rule: the lowest structural column with a negative
-    reduced cost enters, with the same ratio test and tie-break."""
+    reduced cost enters, with the same ratio test and tie-break.  Every
+    entry is read with its sign from ``_stored_columns``."""
     from coneext.lp import _RHS
 
+    columns = _stored_columns(tab)
     while True:
         z = tab.z
-        enter = next((c for c in range(tab.art0) if z.get(c, 0) < 0), None)
+        enter = next((c for c in range(tab.art0)
+                      if columns[c][1] * z.get(columns[c][0], 0) < 0), None)
         if enter is None:
             return "optimal"
+        key, sign = columns[enter]
         leave = None
         for i, row in enumerate(tab.T):
-            a = row.get(enter, 0)
+            a = sign * row.get(key, 0)
             if a > 0:
                 rn = row.get(_RHS, 0)
                 if leave is None or rn * ba < bn * a or (
@@ -507,10 +521,11 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
 
 def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
     """After every pivot of the pinned and the random LPs, each constraint
-    row has a positive entry at its basic column, its denominator; the
-    reduced-cost row has a positive objective entry and none at a basic
-    column; every row is gcd-reduced; and no row, nor the reduced-cost row,
-    holds an entry at an artificial column that is not basic."""
+    row has a positive entry at its basic column, read with its sign, its
+    denominator; the reduced-cost row has a positive objective entry and
+    none at a basic column; every row is gcd-reduced; and no row, nor the
+    reduced-cost row, holds an entry at an artificial column that is not
+    basic or at the -x_j column of a free variable."""
     from coneext import lp
 
     pivot = lp._Tableau.pivot
@@ -518,21 +533,27 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
 
     def checking(tab, r, c):
         pivot(tab, r, c)
+        columns = _stored_columns(tab)
+        mirrors = {c for c, (_, sign) in enumerate(columns) if sign < 0}
         left = set(range(tab.art0, len(tab.cols))) - set(tab.basis)
         for row, bcol in zip(tab.T, tab.basis):
-            assert row[bcol] > 0
+            key, sign = columns[bcol]
+            assert sign * row[key] > 0
             assert gcd(*row.values()) == 1
             assert not left & row.keys()
+            assert not mirrors & row.keys()
         assert tab.z[lp._OBJ] > 0
-        assert not any(bcol in tab.z for bcol in tab.basis)
+        assert not any(columns[bcol][0] in tab.z for bcol in tab.basis)
         assert gcd(*tab.z.values()) == 1
         assert not left & tab.z.keys()
-        checked.append((r, c))
+        assert not mirrors & tab.z.keys()
+        checked.append(c in mirrors)
 
     monkeypatch.setattr(lp._Tableau, "pivot", checking)
     for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
         solve(p)
     assert len(checked) >= 200, len(checked)
+    assert any(checked)  # some pivot entered a -x_j column
 
 
 @pytest.fixture
@@ -856,6 +877,27 @@ def test_cleared_problem_reads_as_the_built_one():
         assert "eq_rows" not in vars(q) and "ge_rows" not in vars(q)
         assert (q.eq_rows, q.ge_rows) == (p.eq_rows, p.ge_rows)
         assert repr(q) == repr(p)
+
+
+@pytest.mark.parametrize("ints", [(1, 2), (1, 2, 3, 4)], ids=["short", "long"])
+def test_cleared_rows_of_the_wrong_length_are_refused(ints):
+    """A cleared row holds num_vars + 1 ints, the rhs last.  A short or a
+    long one is refused when the problem is made, as ``build`` refuses its
+    Fraction row, and the Farkas combination refuses it too."""
+    from coneext import lp
+
+    with pytest.raises(ValueError, match="row length does not match num_vars"):
+        LpProblem.cleared(2, (((1, 0, 1), 1), (ints, 1)), 1, frozenset())
+    with pytest.raises(ValueError, match="row length does not match num_vars"):
+        LpProblem.build(2, ge_rows=[(ints[:-1], ints[-1])])
+    with pytest.raises(ValueError):
+        lp._combination((((1, 0, 1), 1), (ints, 1)), (1, 1), 3)
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_cleared_rows_need_a_positive_denominator(d):
+    with pytest.raises(ValueError, match="row denominator must be positive"):
+        LpProblem.cleared(2, (((1, 0, 1), d),), 1, frozenset())
 
 
 # an entry is an int or a Fraction of denominator up to 12, zero half the time

@@ -534,7 +534,7 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
     def checking(tab, r, c):
         pivot(tab, r, c)
         columns = _stored_columns(tab)
-        mirrors = {c for c, (_, sign) in enumerate(columns) if sign < 0}
+        mirrors = {col for col, (_, sign) in enumerate(columns) if sign < 0}
         left = set(range(tab.art0, len(tab.cols))) - set(tab.basis)
         for row, bcol in zip(tab.T, tab.basis):
             key, sign = columns[bcol]

@@ -38,10 +38,12 @@ re-checked by contraction with the facets.
 The LP builders, the judge and ``omega_interior_test`` run on ints: each
 clears its vectors by positive integers, so no sign moves.  The judge
 cross-multiplies once.  ``_ext_k_rows`` and ``_pad_columns`` do not divide
-at all: they hand the LP integer products over one denominator per row, as
-cleared rows or as a ``GeneratorTable``.  The interior test scales every
-facet centroid by one common D, which multiplies each of its terms by D^k,
-and each ray on its own, since its sums are linear in the ray.
+at all: both read one table of head ox Sym(tails) integers over one
+denominator (``_sym_head_ints``), the first by rows and the second by
+columns, and hand the LP each row in lowest terms, as cleared rows or as a
+``GeneratorTable``.  The interior test scales every facet centroid by one
+common D, which multiplies each of its terms by D^k, and each ray on its
+own, since its sums are linear in the ray.
 """
 
 from __future__ import annotations
@@ -181,20 +183,23 @@ def _reduction_ints(pad, multisets):
              for m in multisets], k * dp ** (k - 1))
 
 
-def _reduction_table(pad, multisets):
-    """Row m holding (m_j / k) pad^(m - e_j) at each j, for m in ``multisets``."""
-    table, den = _reduction_ints(pad, multisets)
-    return [[Fraction(v, den) for v in row] for row in table]
-
-
-def _sym_coefficients(tails, combos, multisets):
-    """(coefficients, dt): the tails over their one common denominator dt,
-    and for each combo the int coefficients of ``_sym_product`` of its tails
-    at each m in ``multisets``, so that Sym(tails_combo)[m] is the
-    coefficient over #arrangements(m) dt^k."""
+def _sym_head_ints(heads, tails, pairs, multisets):
+    """(ints, den): ints[p][o][i] / den is heads[h][o] Sym(tails_combo)[m]
+    for the pair p = (combo, h) and the i-th multiset m of ``multisets``.
+    The heads are cleared once over dh and the tails over dt, and den is
+    L dt^k dh for L the lcm of the arrangement counts: each entry is a
+    cleared head entry times the int coefficient of ``_sym_product`` times
+    L / #arrangements(m), so no entry is ever a Fraction."""
+    heads, dh = clear_rows(heads)
     tails, dt = clear_rows(tails)
-    return {combo: _sym_product([tails[j] for j in combo], multisets)
-            for combo in combos}, dt
+    arrangements = [_arrangements(m) for m in multisets]
+    top = lcm(*arrangements)
+    syms = {}
+    for combo in {combo for combo, _ in pairs}:
+        coeffs = _sym_product([tails[j] for j in combo], multisets)
+        syms[combo] = [c * (top // n) for c, n in zip(coeffs, arrangements)]
+    ints = [[[a * s for s in syms[combo]] for a in heads[h]] for combo, h in pairs]
+    return ints, top * dt ** len(multisets[0]) * dh
 
 
 def _lowest_terms(ints, d):
@@ -204,7 +209,7 @@ def _lowest_terms(ints, d):
     g = gcd(d, *ints)
     if g == 1:
         return tuple(ints), d
-    return tuple(a // g for a in ints), d // g
+    return tuple([a // g for a in ints]), d // g
 
 
 def _pad_columns(rows, pad, heads, tails, pairs, k):
@@ -212,27 +217,21 @@ def _pad_columns(rows, pad, heads, tails, pairs, k):
     target and a ``GeneratorTable`` of the pairs.
 
     The target is Sym(R ox pad^(k-1)) for the tensor R with rows ``rows``:
-    at (m, o) it is sum_j rows[o][j] (m_j / k) pad^(m - e_j).  The generator
-    of a pair (combo, h) is Sym(tails_combo)[m] heads[h][o].  With head
-    coordinate o cleared over dh_o, table row (m, o) is the int coefficient
-    of ``_sym_product`` times the cleared head entry over #arrangements(m)
-    dt^k dh_o, divided by one gcd down to the least common denominator, so
-    no entry is ever a Fraction.
+    at (m, o) it is sum_j rows[o][j] (m_j / k) pad^(m - e_j), read off the
+    cleared reduction table of ``_reduction_ints``.  The generator of a pair
+    (combo, h) is Sym(tails_combo)[m] heads[h][o], so table row (m, o) reads
+    entry (o, m) of every pair in ``_sym_head_ints``, divided by one gcd down
+    to the least common denominator.
     """
     multisets = _multisets(len(pad), k)
-    target = tuple(dot(row, red_m) for red_m in _reduction_table(pad, multisets)
-                   for row in rows)
-    coeffs, dt = _sym_coefficients(tails, {combo for combo, _ in pairs}, multisets)
-    cols = [clear_denominators(col) for col in zip(*heads)]
-    hs = [h for _, h in pairs]
-    table = []
-    for i, m in enumerate(multisets):
-        sym_m = [coeffs[combo][i] for combo, _ in pairs]
-        base = _arrangements(m) * dt ** k
-        for col, dh in cols:
-            table.append(_lowest_terms([s * col[h] for s, h in zip(sym_m, hs)],
-                                       base * dh))
-    return target, GeneratorTable(len(pairs), tuple(table))
+    red, red_den = _reduction_ints(pad, multisets)
+    rows = [clear_denominators(row) for row in rows]
+    target = tuple(Fraction(sum(map(mul, ints, red_m)), d * red_den)
+                   for red_m in red for ints, d in rows)
+    ints, den = _sym_head_ints(heads, tails, pairs, multisets)
+    table = tuple(_lowest_terms([t[o][i] for t in ints], den)
+                  for i in range(len(multisets)) for o in range(len(heads[0])))
+    return target, GeneratorTable(len(pairs), table)
 
 
 def _pad_decompose(rows, pad, heads, tails, pairs, k):
@@ -399,34 +398,23 @@ def _ext_k_pairs(a_cone, based, k):
 
 def _ext_k_rows(x, a_cone, based, k):
     """(ge, eq): the rows of the level-k LP for the point x over the columns
-    (a, m), cleared as ``LpProblem.cleared`` takes them, each ``(ints, d)``
-    with the rhs last over the least common denominator d of the row.
+    (a, m), cleared as ``LpProblem`` takes them, each ``(ints, d)`` with the
+    rhs last over the least common denominator d of the row.
 
     Column (a, m) is e_a ox sym_basis[m].  The ge rows, one per pair
     (g, f) of ``_ext_k_pairs``, are f[a] Sym(g)[m] >= 0: max half-spaces
-    paired with the column.  With f cleared over d_f, entry (a, m) is
-    ``_sym_coefficients``' int coefficient times f's a-th int over
-    #arrangements(m) dt^k d_f; the row is put over L dt^k d_f, for L the
-    lcm of the arrangement counts, and divided by one gcd down to the least
-    common denominator.  The eq rows, one per (i, j) in row-major order,
-    are the reduced columns read at (i, j) = x[i, j]: block i joins the
-    cleared reduction table with row i of x (``GeneratorTable.joined``).
-    No entry is ever a Fraction.
+    paired with the column, which is entry (a, m) of the pair in
+    ``_sym_head_ints`` with A's facets as heads, divided by one gcd down to
+    the least common denominator.  The eq rows, one per (i, j) in
+    row-major order, are the reduced columns read at (i, j) = x[i, j]:
+    block i joins the cleared reduction table with row i of x
+    (``GeneratorTable.joined``).  No entry is ever a Fraction.
     """
     nA, nB = a_cone.dim, based.cone.dim
     pairs = _ext_k_pairs(a_cone, based, k)
     multisets = _multisets(nB, k)
-    coeffs, dt = _sym_coefficients(based.cone.facets,
-                                   {combo for combo, _ in pairs}, multisets)
-    arrangements = [_arrangements(m) for m in multisets]
-    top = lcm(*arrangements)
-    syms = {combo: [c * (top // n) for c, n in zip(cs, arrangements)]
-            for combo, cs in coeffs.items()}
-    base = top * dt ** k
-    facets = [clear_denominators(f) for f in a_cone.facets]
-    ge = [_lowest_terms([fa * c for fa in facets[f][0] for c in syms[combo]] + [0],
-                        base * facets[f][1])
-          for combo, f in pairs]
+    ints, den = _sym_head_ints(a_cone.facets, based.cone.facets, pairs, multisets)
+    ge = [_lowest_terms((*itertools.chain.from_iterable(t), 0), den) for t in ints]
     red, den = _reduction_ints(based.phi, multisets)
     table = GeneratorTable(len(multisets), tuple(
         _lowest_terms(col, den) for col in zip(*red)))
@@ -464,8 +452,7 @@ def ext_k_membership(x, a_cone, based, k):
     if x.slots != (Slot(nA, PRIMAL), Slot(nB, PRIMAL)):
         raise ValueError("point has wrong shape for the cone pair")
     ge, eq = _ext_k_rows(x, a_cone, based, k)
-    problem = LpProblem.cleared(len(eq[0][0]) - 1, (*eq, *ge), len(eq),
-                                frozenset())
+    problem = LpProblem(len(eq[0][0]) - 1, (*eq, *ge), len(eq), frozenset())
     out = solve(problem)
     if out.status == FEASIBLE:
         y = _symmetric_extension(out.point, nA, nB, k)

@@ -20,15 +20,14 @@ tableau.  An artificial column is deleted when it leaves the basis, so no
 artificial re-enters or is carried through later pivots, and an infeasible
 problem's Farkas multipliers are solved from the final basis (see
 ``solve``).  No floating point, no presolve.  The API
-stays Fraction in and Fraction out.  Each problem holds its rows cleared to
-integers in one copy (``LpProblem.int_rows``); the tableau, both re-checks
-below and the conic re-sum and separation check all read that copy, each an
-exact comparison.  A problem made by ``build`` clears its Fraction rows
-once.  A conic LP arrives cleared: its generators come as a
-``GeneratorTable``, one cleared row per coordinate, and ``conic_membership``
-joins each row with the target's entry into the problem's ``int_rows``, so
-its Fraction rows are formed only if something reads them.  Every outcome
-is re-verified against the original problem before it is returned:
+stays Fraction in and Fraction out.  A problem holds its rows only cleared
+to integers (``LpProblem.int_rows``); the tableau, both re-checks below and
+the conic re-sum and separation check all read them, each an exact
+comparison.  ``build`` clears Fraction rows once.  A conic LP arrives
+cleared: its generators come as a ``GeneratorTable``, one cleared row per
+coordinate, and ``conic_membership`` joins each row with the target's entry
+into the problem's ``int_rows``.  Every outcome is re-verified against the
+original problem before it is returned:
 
 * feasible: the point satisfies every row exactly;
 * infeasible: Farkas multipliers (free on equality rows, nonnegative on
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -66,62 +64,43 @@ class LpProblem:
     """Find x with eq rows (= rhs), ge rows (>= rhs), x_j >= 0 for j in
     nonneg and the remaining variables free.
 
-    A problem is made from Fraction rows (the constructor or ``build``) or
-    from rows already cleared to integers (``cleared``).  Either form is
-    computed from the other once, when it is first read; the solver and its
-    re-checks read the rows only as ``int_rows``."""
+    The rows are held cleared to integers, the first ``num_eq`` of them eq
+    rows: each of ``int_rows`` is ``(ints, d)``, a tuple of ``num_vars + 1``
+    ints with the rhs last over the least common denominator d > 0 of the
+    row.  ``build`` makes a problem from Fraction rows.  The solver and its
+    re-checks read only ``int_rows``; ``eq_rows`` and ``ge_rows`` are the
+    rows as Fractions, formed each time they are read."""
 
-    def __init__(self, num_vars, eq_rows, ge_rows, nonneg):
-        self.num_vars = num_vars
-        # set here, the rows shadow the cached properties of the same names
-        self.eq_rows = eq_rows
-        self.ge_rows = ge_rows
-        self.nonneg = nonneg
-        self.num_eq = len(eq_rows)
-
-    @classmethod
-    def cleared(cls, num_vars, int_rows, num_eq, nonneg):
-        """The problem whose ``int_rows`` are ``int_rows``, the first
-        ``num_eq`` of them eq rows: each ``(ints, d)`` a tuple of
-        ``num_vars + 1`` ints with the rhs last over the least common
-        denominator d > 0 of the row."""
+    def __init__(self, num_vars, int_rows, num_eq, nonneg):
         for ints, d in int_rows:
             if len(ints) != num_vars + 1:
                 raise ValueError("row length does not match num_vars")
             if d <= 0:
                 raise ValueError("row denominator must be positive")
-        p = cls.__new__(cls)
-        p.num_vars, p.nonneg, p.num_eq = num_vars, nonneg, num_eq
-        p.int_rows = int_rows
-        return p
+        if not 0 <= num_eq <= len(int_rows):
+            raise ValueError("num_eq out of range")
+        if any(not 0 <= j < num_vars for j in nonneg):
+            raise ValueError("nonneg index out of range")
+        self.num_vars, self.int_rows = num_vars, int_rows
+        self.num_eq, self.nonneg = num_eq, nonneg
 
     @staticmethod
     def build(num_vars, eq_rows=(), ge_rows=(), nonneg=()):
-        eqs = tuple((vec(r), Fraction(b)) for r, b in eq_rows)
-        ges = tuple((vec(r), Fraction(b)) for r, b in ge_rows)
-        for r, _ in eqs + ges:
-            if len(r) != num_vars:
-                raise ValueError("row length does not match num_vars")
-        return LpProblem(num_vars, eqs, ges, frozenset(nonneg))
+        """The problem of int or Fraction rows (r, b), each cleared once."""
+        eqs = tuple(eq_rows)
+        rows = tuple((tuple(ints), d) for ints, d in (
+            clear_denominators(vec((*r, b))) for r, b in (*eqs, *ge_rows)))
+        return LpProblem(num_vars, rows, len(eqs), frozenset(nonneg))
 
     def __repr__(self):
         return (f"LpProblem(num_vars={self.num_vars!r}, eq_rows={self.eq_rows!r}, "
                 f"ge_rows={self.ge_rows!r}, nonneg={self.nonneg!r})")
 
-    @cached_property
-    def int_rows(self):
-        """Every row with its rhs cleared to integers, eq rows then ge rows:
-        one ``(ints, d)`` per row (r, b), ``ints`` a tuple with
-        ``(*r, b) == ints / d`` over the least common denominator ``d``.
-        Computed once per problem; the tableau and every re-check read it."""
-        return tuple((tuple(ints), d) for ints, d in (
-            clear_denominators((*r, b)) for r, b in (*self.eq_rows, *self.ge_rows)))
-
-    @cached_property
+    @property
     def eq_rows(self):
         return _fraction_rows(self.int_rows[:self.num_eq])
 
-    @cached_property
+    @property
     def ge_rows(self):
         return _fraction_rows(self.int_rows[self.num_eq:])
 
@@ -554,8 +533,8 @@ def conic_membership(target, generators):
         raise ValueError("generator dimension mismatch")
     count = len(generators)
     # one eq row per coordinate: the generators' entries = the target's
-    problem = LpProblem.cleared(count, generators.joined(target), len(target),
-                                frozenset(range(count)))
+    problem = LpProblem(count, generators.joined(target), len(target),
+                        frozenset(range(count)))
     out = solve(problem)
     if out.status == FEASIBLE:
         # the LP rows are the target's coordinates as sums over the generators

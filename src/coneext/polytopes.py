@@ -243,7 +243,7 @@ def factor_as_simplices(p):
     nf = len(p.functionals)
     nv = len(p.vertices)
     if nf == 0:
-        return SimplexFactorization((), (), ((),) * nv, (), ())
+        return SimplexFactorization((), (), ((),) * nv, ())
     avoid = [p.avoiding_set(i) for i in range(nv)]
     separated = [[False] * nf for _ in range(nf)]
     for av in avoid:

@@ -239,6 +239,21 @@ def test_factor_prism_reports_dims():
     assert "NOT-FACTORABLE" in out
 
 
+def test_factor_of_a_point_is_factorable(tmp_path):
+    """A one-vertex polytope is the product of zero simplices: exit 0 with
+    an empty factor list in text and in json-lines mode."""
+    path = tmp_path / "pt.poly"
+    path.write_text("polytope pt\nambient 2\nvertex 1 2\n")
+    code, out, err = _run(["factor", "--polytope", str(path)])
+    assert (code, err) == (0, "")
+    assert "verdict: FACTORABLE\n" in out and "factors: []\n" in out
+    code, out, err = _run(["factor", "--polytope", str(path),
+                           "--report", "json-lines"])
+    assert (code, err) == (0, "")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert {"verdict": "FACTORABLE"} in lines and {"factors": []} in lines
+
+
 def test_factor_accepts_based_cone_input():
     code, out, _ = _run(["factor", "--cone-b", fixture_path("cube.cone")])
     assert code == 0

@@ -1270,20 +1270,22 @@ def test_dual_columns_match_dense_symmetrization(a_name, b_name):
 
 def _sym_tables(pad, tails, combos, k):
     """The reduction table and Sym(tails_combo) for each combo as Fractions,
-    both at the sorted k-multisets of [len(pad)]: each int coefficient of
-    ``_sym_coefficients`` divided by #arrangements(m) dt^k."""
+    both at the sorted k-multisets of [len(pad)]: the ints of
+    ``_reduction_ints`` and of ``_sym_head_ints`` with the one head [1],
+    each over its denominator."""
     multisets = _sorted_reps(len(pad), k)
-    coeffs, dt = hierarchy._sym_coefficients(tails, combos, multisets)
-    syms = {combo: [Fraction(c, _arrangements(m) * dt ** k)
-                    for c, m in zip(cs, multisets)]
-            for combo, cs in coeffs.items()}
-    return hierarchy._reduction_table(pad, multisets), syms
+    pairs = [(combo, 0) for combo in combos]
+    ints, den = hierarchy._sym_head_ints([[1]], tails, pairs, multisets)
+    syms = {combo: [Fraction(v, den) for v in t[0]]
+            for (combo, _), t in zip(pairs, ints)}
+    red, red_den = hierarchy._reduction_ints(pad, multisets)
+    return [[Fraction(v, red_den) for v in row] for row in red], syms
 
 
 def test_sym_tables_match_dense_tensors_off_the_lattice():
-    """``_sym_coefficients`` and ``_reduction_table`` clear the pad and the
-    tails to ints; with entries of unequal denominators, each coefficient
-    over #arrangements(m) dt^k (``_sym_tables``) still equals the dense
+    """``_sym_head_ints`` and ``_reduction_ints`` clear the pad and the
+    tails to ints; with entries of unequal denominators, each int over its
+    denominator (``_sym_tables``) still equals the dense
     symmetrization, and the reduction table the dense reduction of the pad,
     at every sorted multiset."""
     rng = random.Random(67)

@@ -833,12 +833,13 @@ def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
 
 
 def test_directly_built_problem_with_list_rows():
-    """An LpProblem made without ``build``, with list rows, solves and
-    re-checks as the built one does."""
+    """``build`` with list rows solves and re-checks as with tuple rows."""
     eq, ge = [([1, 1], Fraction(1))], [([1, -1], Fraction(3))]
-    direct = LpProblem(2, eq, ge, frozenset({0, 1}))
-    assert solve(direct) == solve(LpProblem.build(2, eq, ge, nonneg=(0, 1)))
-    assert solve(direct).status == INFEASIBLE
+    listed = LpProblem.build(2, eq, ge, nonneg=[0, 1])
+    tupled = LpProblem.build(2, (((1, 1), 1),), (((1, -1), 3),), nonneg=(0, 1))
+    assert listed.int_rows == tupled.int_rows
+    assert solve(listed) == solve(tupled)
+    assert solve(listed).status == INFEASIBLE
 
 
 # -- one cleared copy of the rows per problem ---------------------------------
@@ -853,8 +854,8 @@ def test_int_rows_are_the_rows_cleared_once():
     least common denominator of (r, b), eq rows first; ``solve`` reads it
     without changing it."""
     problems = list(_pinned_corpus())
-    problems.append(LpProblem(2, [([1, Fraction(1, 2)], Fraction(2, 3))],
-                              [([Fraction(-1, 4), 3], 1)], frozenset({0})))
+    problems.append(LpProblem.build(2, [([1, Fraction(1, 2)], Fraction(2, 3))],
+                                    [([Fraction(-1, 4), 3], 1)], nonneg=(0,)))
     for p in problems:
         rows = p.int_rows
         assert type(rows) is tuple and len(rows) == len(p.eq_rows) + len(p.ge_rows)
@@ -872,7 +873,7 @@ def test_cleared_problem_reads_as_the_built_one():
     same outcome without forming its Fraction rows, and once they are read
     they and its ``repr`` are the built problem's."""
     for p in _pinned_corpus():
-        q = LpProblem.cleared(p.num_vars, p.int_rows, p.num_eq, p.nonneg)
+        q = LpProblem(p.num_vars, p.int_rows, p.num_eq, p.nonneg)
         assert solve(q) == solve(p)
         assert "eq_rows" not in vars(q) and "ge_rows" not in vars(q)
         assert (q.eq_rows, q.ge_rows) == (p.eq_rows, p.ge_rows)
@@ -887,7 +888,7 @@ def test_cleared_rows_of_the_wrong_length_are_refused(ints):
     from coneext import lp
 
     with pytest.raises(ValueError, match="row length does not match num_vars"):
-        LpProblem.cleared(2, (((1, 0, 1), 1), (ints, 1)), 1, frozenset())
+        LpProblem(2, (((1, 0, 1), 1), (ints, 1)), 1, frozenset())
     with pytest.raises(ValueError, match="row length does not match num_vars"):
         LpProblem.build(2, ge_rows=[(ints[:-1], ints[-1])])
     with pytest.raises(ValueError):
@@ -897,7 +898,34 @@ def test_cleared_rows_of_the_wrong_length_are_refused(ints):
 @pytest.mark.parametrize("d", [0, -2])
 def test_cleared_rows_need_a_positive_denominator(d):
     with pytest.raises(ValueError, match="row denominator must be positive"):
-        LpProblem.cleared(2, (((1, 0, 1), d),), 1, frozenset())
+        LpProblem(2, (((1, 0, 1), d),), 1, frozenset())
+
+
+@pytest.mark.parametrize("nonneg", [(-1,), (2,), (0, 3)])
+def test_nonneg_index_out_of_range_is_refused(nonneg):
+    """A sign constraint on a variable the problem does not have is refused
+    when the problem is made: -1 would silently constrain nothing, and an
+    index past the end would fail only in the re-check after the solve."""
+    with pytest.raises(ValueError, match="nonneg index out of range"):
+        LpProblem.build(2, eq_rows=[((1, 1), -1)], nonneg=nonneg)
+    with pytest.raises(ValueError, match="nonneg index out of range"):
+        LpProblem(2, (((1, 1, -1), 1),), 1, frozenset(nonneg))
+
+
+@pytest.mark.parametrize("num_eq", [-1, 2])
+def test_num_eq_out_of_range_is_refused(num_eq):
+    with pytest.raises(ValueError, match="num_eq out of range"):
+        LpProblem(2, (((1, 0, 1), 1),), num_eq, frozenset())
+
+
+def test_old_constructor_signature_is_refused_before_solving():
+    """The constructor takes cleared rows; Fraction rows go through
+    ``build``.  A call in the old form ``LpProblem(num_vars, eq_rows,
+    ge_rows, nonneg)`` reads each (r, b) as a cleared row of the wrong
+    length and is refused without reaching the tableau."""
+    eq, ge = [([1, 1], Fraction(1))], [([1, -1], Fraction(3))]
+    with pytest.raises(ValueError, match="row length does not match num_vars"):
+        solve(LpProblem(2, eq, ge, frozenset({0, 1})))
 
 
 # an entry is an int or a Fraction of denominator up to 12, zero half the time

@@ -178,6 +178,14 @@ def test_pentagon_witness_is_two_disjoint_edges():
     assert any(p.evaluate(j, pt) < 0 for j in range(len(p.functionals)))
 
 
+def test_a_point_is_the_product_of_no_simplices():
+    """A one-vertex polytope has no facets: it factors as the empty
+    product, its one vertex labelled by the empty tuple."""
+    p = polytope_from_vertices([(Fraction(1), Fraction(2))])
+    fact = factor_as_simplices(p)
+    assert fact == SimplexFactorization((), (), ((),), ())
+
+
 def test_avoiding_sets_on_square():
     p = polytope("square")
     for i, v in enumerate(p.vertices):

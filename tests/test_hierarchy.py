@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import coneext
 import coneext.hierarchy as hierarchy
+import coneext.lp as lp
 import coneext.polytopes as polytopes
 from coneext.cones import interior_point, make_based, make_cone
 from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, fixture_text
@@ -374,17 +375,30 @@ def test_ext_k_lps_are_pinned(monkeypatch, point, b_name, k):
 
 @pytest.mark.parametrize("point,b_name,k", list(EXT_K_LP_PINS))
 def test_ext_k_lp_reaches_solve_cleared(monkeypatch, point, b_name, k):
-    """``ext_k_membership`` hands its LP to the solver as cleared rows
-    alone: no Fraction row of the problem exists when solve is entered."""
-    formed = []
+    """``ext_k_membership`` makes its LP with the constructor, from rows of
+    ints and an int ``num_eq``: neither ``LpProblem.build`` nor a Fraction
+    view of the rows is reached before the problem is handed to solve."""
+    made = []
 
-    def recording(problem):
-        formed.append({"eq_rows", "ge_rows"} & vars(problem).keys())
+    class Watched(lp.LpProblem):
+        def __init__(self, num_vars, int_rows, num_eq, nonneg):
+            made.append(type(num_eq) is int and all(
+                type(a) is int for ints, d in int_rows for a in (*ints, d)))
+            super().__init__(num_vars, int_rows, num_eq, nonneg)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("Fraction rows formed before solve")
+
+    def entered(problem):
+        monkeypatch.undo()
         return solve(problem)
 
-    monkeypatch.setattr(hierarchy, "solve", recording)
+    monkeypatch.setattr(hierarchy, "LpProblem", Watched)
+    monkeypatch.setattr(lp.LpProblem, "build", staticmethod(refused))
+    monkeypatch.setattr(lp, "_fraction_rows", refused)
+    monkeypatch.setattr(hierarchy, "solve", entered)
     ext_k_membership(*_ext_k_case(point, b_name), k)
-    assert formed == [set()]
+    assert made == [True]
 
 
 def _gap_k2_extension():

@@ -192,9 +192,10 @@ def test_random_lps_self_verify():
         assert seen == {FEASIBLE, INFEASIBLE}
 
 
-def _pinned_corpus():
-    """Seeded LPs mixing equality and inequality rows, free and nonnegative
-    variables, integer and fractional data.  Most are feasible by
+def _pinned_rows():
+    """``(num_vars, eq_rows, ge_rows, nonneg)`` of seeded LPs mixing
+    equality and inequality rows, free and nonnegative variables, integer
+    and fractional data, the rows as drawn.  Most are feasible by
     construction around a hidden point; some carry a redundant equality
     row.  Four in five once carried an objective; its draw is kept and
     discarded, so the rows stay as they were."""
@@ -225,6 +226,12 @@ def _pinned_corpus():
         if t % 5:
             for _ in range(nv):
                 coef()
+        yield nv, eqs, ges, nonneg
+
+
+def _pinned_corpus():
+    """The LPs of ``_pinned_rows``, each made by ``build``."""
+    for nv, eqs, ges, nonneg in _pinned_rows():
         yield LpProblem.build(nv, eq_rows=eqs, ge_rows=ges, nonneg=nonneg)
 
 
@@ -844,39 +851,56 @@ def test_directly_built_problem_with_list_rows():
 
 # -- one cleared copy of the rows per problem ---------------------------------
 
-def _fresh_clearing(p):
-    return tuple((tuple(ints), d) for ints, d in (
-        clear_denominators((*r, b)) for r, b in (*p.eq_rows, *p.ge_rows)))
+# a problem beside the seeded ones: list rows, unequal denominators, an int
+# rhs and one nonnegative variable
+_EXTRA_ROWS = (2, [([1, Fraction(1, 2)], Fraction(2, 3))],
+               [([Fraction(-1, 4), 3], 1)], (0,))
+
+
+def _built_with_rows():
+    """Each problem made by ``build``, with the rows it was given."""
+    for nv, eqs, ges, nonneg in (*_pinned_rows(), _EXTRA_ROWS):
+        yield LpProblem.build(nv, eqs, ges, nonneg), eqs, ges
 
 
 def test_int_rows_are_the_rows_cleared_once():
-    """For each row (r, b), ``int_rows`` holds a tuple of ints over the
-    least common denominator of (r, b), eq rows first; ``solve`` reads it
-    without changing it."""
-    problems = list(_pinned_corpus())
-    problems.append(LpProblem.build(2, [([1, Fraction(1, 2)], Fraction(2, 3))],
-                                    [([Fraction(-1, 4), 3], 1)], nonneg=(0,)))
-    for p in problems:
+    """For each input row (r, b), ``int_rows`` holds a tuple of ints over
+    the least common denominator of (r, b), the eq rows first and
+    ``num_eq`` of them; ``solve`` reads it without changing it."""
+    for p, eqs, ges in _built_with_rows():
         rows = p.int_rows
-        assert type(rows) is tuple and len(rows) == len(p.eq_rows) + len(p.ge_rows)
-        for (ints, d), (r, b) in zip(rows, (*p.eq_rows, *p.ge_rows)):
+        assert type(rows) is tuple and len(rows) == len(eqs) + len(ges)
+        assert p.num_eq == len(eqs)
+        for (ints, d), (r, b) in zip(rows, (*eqs, *ges), strict=True):
             assert type(ints) is tuple and all(type(a) is int for a in ints)
+            assert type(d) is int
             assert tuple(Fraction(a, d) for a in ints) == (*r, b)
             assert d == lcm(*(Fraction(a).denominator for a in (*r, b)))
         solve(p)
         assert p.int_rows is rows
-        assert rows == _fresh_clearing(p)
+        assert rows == tuple((tuple(ints), d) for ints, d in (
+            clear_denominators((*r, b)) for r, b in (*eqs, *ges)))
 
 
-def test_cleared_problem_reads_as_the_built_one():
+def test_cleared_problem_reads_as_the_built_one(monkeypatch):
     """A problem made from the cleared rows of a built one solves to the
     same outcome without forming its Fraction rows, and once they are read
-    they and its ``repr`` are the built problem's."""
-    for p in _pinned_corpus():
+    they are the rows it was built from and its ``repr`` is the built
+    problem's."""
+    from coneext import lp
+
+    def refused(int_rows):
+        raise AssertionError("Fraction rows formed by the solver")
+
+    for p, eqs, ges in _built_with_rows():
         q = LpProblem(p.num_vars, p.int_rows, p.num_eq, p.nonneg)
-        assert solve(q) == solve(p)
+        expected = solve(p)
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_fraction_rows", refused)
+            assert solve(q) == expected
         assert "eq_rows" not in vars(q) and "ge_rows" not in vars(q)
-        assert (q.eq_rows, q.ge_rows) == (p.eq_rows, p.ge_rows)
+        assert q.eq_rows == tuple((vec(r), Fraction(b)) for r, b in eqs)
+        assert q.ge_rows == tuple((vec(r), Fraction(b)) for r, b in ges)
         assert repr(q) == repr(p)
 
 

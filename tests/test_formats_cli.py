@@ -515,3 +515,129 @@ def test_internal_error_exits_four(monkeypatch, command):
     code, out, err = _run(argv)
     assert (code, out) == (cli.EXIT_INTERNAL, "") == (4, "")
     assert f"internal error: {error.__name__}: injected failure" in err
+
+
+# sha256 of stdout and the exit code in the report mode the pins above do
+# not cover, and of the other subcommands in both modes, captured while each
+# subcommand still wrote its report line by line.
+EXT_CHECK_JSON_PINS = {
+    ("gap-k3", "square-skew", 1): (0, "0591bd6da59fbca691d10477372062c05a5e8172e52c8850989fd823438c9bd3"),
+    ("gap-k3", "square-skew", 2): (0, "202089e1c51e0d38e72ef4baa69eb0997e595d57899a37a628ef434ec598c006"),
+    ("gap-k3", "square-skew", 3): (0, "e045cc2c96a8bb986e6ff19019d65cac7ccf9e5598f9241bfd27626a02944153"),
+    ("gap-k2", "square-skew", 1): (0, "9f649da8259cdb154f9556b27b965128fc6e1aae02836c0c4ec3945fb3cea02b"),
+    ("gap-k2", "square-skew", 2): (0, "4b55a080a10a456761324ca14b70b3957ebd11b9d86fb736c0392e3c41fcb8ac"),
+    ("gap-k2", "square-skew", 3): (1, "41d7faf5c49fd9e6c8576f91ad079574152a597dbebbc068cb9a84e0657e1af8"),
+    ("box", "square", 1): (0, "9d3ee6f38872322a44f0e4a2f3080084a0c230029cfae0e226b11c5e6d8206e4"),
+    ("box", "square", 2): (1, "3d2fe22648d102c7904622433277807975d7ec9f5e6c95c4adff2c1f4df348d9"),
+}
+
+EB_CHECK_TEXT_PINS = {
+    ("square", 1): (1, "6a444b7c3991e05a83b7b17358af891fdd2f31571ac392e5a40ee9c9d7dbb5b0"),
+    ("square", 2): (0, "c452176f1e167439b12ece50d36756149a5512b7a8f04335dd66c9005f32e130"),
+    ("square", 3): (0, "d3add9558bc6ee7d51277e60aa4a4dbf31280bd19201898ca975526b05753ffc"),
+    ("square-skew", 1): (1, "495e9eb2dcd648545005f093e1a767bccd45f6e18c5b7fb37596da6dfa5dd59f"),
+    ("square-skew", 2): (1, "68f6a38a1191f5ca2607f27659b878520a79c4fcec699b58cfce8305abb9b69c"),
+    ("square-skew", 3): (1, "3f95476dbb6cf259b7d6a9235a946c407b6bea21aecd1a132473d33c7ff1fc15"),
+    ("triangle", 1): (0, "cb2a5b90ed23229c163a9c12e9b67b682f61017afcea56ebd52497d69622f969"),
+    ("triangle", 2): (0, "a9097cd59cf1d6e26592aec60dabd705347d7f11e027dbe7adf1c18443888588"),
+    ("triangle", 3): (0, "bb97f6be5e8faf4d7660a01e0b3672d68c43068643f90361814d21a0ad10db8a"),
+    ("orthant2", 1): (0, "969954ddcd54edf74cb320fd6077afaf1fa44d73a274b95d115a4fc79944f24f"),
+    ("orthant2", 2): (0, "6a179c1eec66e35053de0332b145209774c0e6992b1092e22d4d1b7168ebe765"),
+    ("orthant2", 3): (0, "e018fed2b595ebd972028ddce5ccfbd2a08fbda8d0910eea8edd8adf370d78e6"),
+    ("orthant3", 1): (0, "38d38469c251da2f1bec38f58fb9a153ef150fecd6074d2b0e541df5ff61e07c"),
+    ("orthant3", 2): (0, "dda2247ff12219dd778acf30cdee7e909a69bb626d29f8c8479d232bf716e22e"),
+    ("orthant3", 3): (0, "0f642a3df77cd74dad96e368726c4d693b62e94385bd377ad6c02318fddaf4ef"),
+    ("cube", 1): (1, "41fc2d21a16f7f58415f980330ab7e5b4c07c8b91901625f9619b7e0b98f2fdd"),
+    ("cube", 2): (1, "9b5e1188ea00c7c1191c11567bf1edf9ded8c1cf0e45e0531e6625b21e567ded"),
+    ("cube", 3): (0, "5cbbee73e7aedff0e16f8bb74ad3a1067d26b7170c0c40fc95ad3ab9e540b27a"),
+    ("prism", 1): (1, "a858293a723007ec49f37349629e3014f2a258115e59409eb81b10ba01a16305"),
+    ("prism", 2): (0, "2b961d104169e8ee6fc1ac76bd94e292d0a332b09595116a378a4c161f6ef317"),
+    ("prism", 3): (0, "9b975a1cf31b8c34218f55b6acc1589c6665f795297861aa4928d1cfffd0a32f"),
+    ("pentagon", 1): (1, "eb214711650c5053b88a1c1b902cf70a502d65c925fde873d454a6a775755465"),
+    ("pentagon", 2): (1, "a26bb18345037143d5017d6c991a05d2c14a19be99f005cca3fe42c81c11323f"),
+    ("pentagon", 3): (1, "c558c570cb816023ffc20b2fee3827057dea53279973605fd34c7f058ee7f9e1"),
+    ("octahedron", 1): (1, "b76e645ff0034310fd6b199bdafb49fae05d39db780035b3300dd5efa130da01"),
+    ("octahedron", 2): (1, "10029c21e5b6f13752a48828a305c11f894f35dc8b53addb081b6430f6982bd1"),
+    ("octahedron", 3): (1, "e5e6976070faee17ec5ac3f59607709056067d513fe59e9ccef3da1e0a96806b"),
+    ("quad", 1): (1, "d6bcedd90583510d5da41cf406d79160b5293fed088adc67dc3fbdbd5f668336"),
+    ("quad", 2): (1, "d59ea258fb9b7a1e9749d650ee5852c49080ebe8b626ccb0ece363912c5858be"),
+    ("quad", 3): (1, "f6e97ff3ad3c2d3c5ec43f1f6c001cba107dbbaf44c603b01eba3c4c7f9ad33d"),
+}
+
+CLI_PINS = {
+    ("min-check --cone-a square.cone --cone-b square.cone --point box.pt", "text"):
+        (1, "06bb5be9113c2993181db2bc5ae5fa28da81d2db89c786cf99dfa4524fb395e6"),
+    ("min-check --cone-a square.cone --cone-b square.cone --point box.pt", "json-lines"):
+        (1, "7162487ee1b04b523938f13e35d46e7141615bcdc2facea842c3671a91644852"),
+    ("min-check --cone-a square.cone --cone-b square-skew.cone --point gap-k2.pt", "text"):
+        (1, "9d08caef60140f3e32160e618cef6a28dc3a296a609cee29b51ecfc7028d700f"),
+    ("min-check --cone-a square.cone --cone-b square-skew.cone --point gap-k2.pt", "json-lines"):
+        (1, "8e1eff3110b5c1b2196b0ea4efb40d19eee6e7191a58bdadcf340a075885eb12"),
+    ("min-check --cone-a square.cone --cone-b square.cone --point box-interior.pt", "text"):
+        (1, "1eddae05199d96cee56512bd994950caca17d720117d2d24fe14d3be79cbb713"),
+    ("min-check --cone-a square.cone --cone-b square.cone --point box-interior.pt", "json-lines"):
+        (1, "c8fb2f719fbe751a4de5bdcba137353988e20aee3c475ac31e853cde467a7bd7"),
+    ("factor --polytope cube.poly", "text"):
+        (0, "f7fc4d2ca4f8135a5ddd2abca64fa5882e51fbf03bc46dbc2d3bfc6f6e95bb38"),
+    ("factor --polytope cube.poly", "json-lines"):
+        (0, "27d8b24880260b7b6c79673dfbccdd426a01d43334f19df826180e2370ced0ad"),
+    ("factor --polytope pentagon.poly", "text"):
+        (1, "ae3cbdee10f9ee4da3b4bb4a108cbe7501e008570468c4277891e16f47410c12"),
+    ("factor --polytope pentagon.poly", "json-lines"):
+        (1, "c337efd9f061204221449d1210d4461f92c9e14d92e1679970180ff784eb5248"),
+    ("factor --polytope prism.poly", "text"):
+        (0, "5c524c5d267e255c8b17fca7af861b01d0ad76bbd215114e8381342347e89420"),
+    ("factor --polytope prism.poly", "json-lines"):
+        (0, "1df2b0c54744afdc454ee68faac4d39fcefa6889f8f9e6078b654c7080d35b17"),
+    ("factor --cone-b square-skew.cone", "text"):
+        (1, "758356b7979054e6a1811c8906afbc29c41aac5bb0cc11b82a5ed56a16f7224a"),
+    ("factor --cone-b square-skew.cone", "json-lines"):
+        (1, "8cdda8470bf672c2baced66b4eeab6b5aa870320bbe604426427d9118c5cba33"),
+    ("hull-check --polytope square.poly", "text"):
+        (0, "e923d2775047550dd0fa5dd2df4a0618c1d58896ad3d1cbc1c14fc131d9e46b4"),
+    ("hull-check --polytope square.poly", "json-lines"):
+        (0, "9067f8eeba933619d4a961c03bbe9da18e04579cbdd5e9cc6a878cee6c90ee64"),
+    ("hull-check --polytope octahedron.poly", "text"):
+        (1, "cb1d03807b8a778efd467825e05ad9d431a03c7bf3fb8816ff1b4b4acb682b8e"),
+    ("hull-check --polytope octahedron.poly", "json-lines"):
+        (1, "0054b5ab7ee5cc24fbef99327dedaac2b398234f4987669763db77f0b74bc398"),
+    ("hull-check --cone-b cube.cone", "text"):
+        (0, "7d838da27dc84f33da0a89b3e288d9b984cb681c78cb5bc02f480aafe55eee1a"),
+    ("hull-check --cone-b cube.cone", "json-lines"):
+        (0, "6c4d5c48c726d7d7624ea65fd7236e61e9344f4b290dfe447a02dc8026dd30dd"),
+    ("dualize --cone-a square.cone", "text"):
+        (0, "2464c7ed9ce7c3527c4fc4b17238cea81d2e92ca99353b45d21b9996c5fdf7c9"),
+    ("dualize --cone-a square.cone", "json-lines"):
+        (0, "2464c7ed9ce7c3527c4fc4b17238cea81d2e92ca99353b45d21b9996c5fdf7c9"),
+    ("dualize --cone-a orthant3.cone", "text"):
+        (0, "61cdd53364d18ace93e9c378ec43f105c7f846ca3d06258a4386467afa6d050d"),
+    ("dualize --cone-a orthant3.cone", "json-lines"):
+        (0, "61cdd53364d18ace93e9c378ec43f105c7f846ca3d06258a4386467afa6d050d"),
+}
+
+
+@pytest.mark.parametrize("point,cone_b,k", list(EXT_CHECK_JSON_PINS))
+def test_ext_check_json_lines_output_is_pinned(point, cone_b, k):
+    code, out, _ = _run(["ext-check", "--k", str(k), "--report", "json-lines",
+                         "--cone-a", fixture_path("square.cone"),
+                         "--cone-b", fixture_path(f"{cone_b}.cone"),
+                         "--point", fixture_path(f"{point}.pt")])
+    assert (code, _sha256(out)) == EXT_CHECK_JSON_PINS[point, cone_b, k]
+
+
+@pytest.mark.parametrize("cone,k", list(EB_CHECK_TEXT_PINS))
+def test_eb_check_text_output_is_pinned(cone, k):
+    code, out, _ = _run(["eb-check", "--k", str(k),
+                         "--cone-b", fixture_path(f"{cone}.cone")])
+    assert (code, _sha256(out)) == EB_CHECK_TEXT_PINS[cone, k]
+
+
+@pytest.mark.parametrize("command,report", list(CLI_PINS))
+def test_cli_output_is_pinned(command, report):
+    """Each key is the command line with fixture file names in place of
+    their paths."""
+    argv = [fixture_path(t) if t.endswith((".cone", ".poly", ".pt")) else t
+            for t in command.split()]
+    code, out, err = _run(argv + ["--report", report])
+    assert err == ""
+    assert (code, _sha256(out)) == CLI_PINS[command, report]

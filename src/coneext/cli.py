@@ -1,14 +1,20 @@
 """Command-line frontend: one-shot subcommands over the text file formats.
 
+Each ``cmd_*`` returns its exit code and its report, and only ``main``
+writes: it prints the report through ``_write_report`` once the command has
+returned.  A command has no stream to write to, so exits 2, 3 and 4 leave
+stdout empty.  A report is dualize's cone file text, written as it is in
+either mode, or a list of ``(key, value)`` or ``(key, value, text)`` lines:
+--report json-lines writes ``{key: value}`` per line, and the default text
+mode ``key: text``.
+Reports are deterministic: the same input files yield byte-identical
+output.
+
 Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage or parse
 error, 3 semantic error (improper cone, bad functional, shape mismatch),
 4 internal error (a failed certificate re-check, disagreeing decision
 routes, or any other unexpected exception), so a fault never reads as a
-negative verdict.  Every subcommand computes before it prints, so exits 2,
-3 and 4 leave stdout empty.
-Reports are deterministic: the same input files yield byte-identical
-output.  --report json-lines emits one JSON object per line instead of
-"key: value" text; dualize writes the dual cone file in either mode.
+negative verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cones import ConeError, dualize, make_based, make_cone
 from .formats import (ParseError, parse_cone_file, parse_point_file,
@@ -37,6 +42,10 @@ EXIT_INTERNAL = 4
 
 
 class SemanticError(Exception):
+    pass
+
+
+class _UsageError(Exception):
     pass
 
 
@@ -87,6 +96,13 @@ def _load_polytope_arg(args):
     return name, based.base
 
 
+def _load_point(path, dims):
+    name, point_dims, entries = parse_point_file(_read(path))
+    if point_dims != dims:
+        raise SemanticError(f"point dims {point_dims} do not match cones {dims}")
+    return name, entries
+
+
 def _parse_phi(text):
     try:
         return tuple(parse_rational(t) for t in text.split())
@@ -94,156 +110,123 @@ def _parse_phi(text):
         raise _UsageError(f"--phi: {e}")
 
 
-class _Reporter:
-    def __init__(self, mode, out):
-        self.mode = mode
-        self.out = out
-
-    def emit(self, key, value):
-        if self.mode == "json-lines":
-            self.out.write(json.dumps({key: value}, sort_keys=True) + "\n")
-        else:
-            if isinstance(value, list):
-                value = " ".join(str(v) for v in value)
-            self.out.write(f"{key}: {value}\n")
-
-
 def _fmt_vec(v):
     return [format_rational(x) for x in v]
 
 
-def cmd_dualize(args, rep, out):
-    name, cone, phi = _load_cone(args.cone_a)
-    dual = dualize(cone)
-    out.write(serialize_cone_file(name, dual.rays))
-    return EXIT_YES
+def _write_report(report, mode, out):
+    """Print a command's report: dualize's file text as it is, and each
+    ``(key, value)`` or ``(key, value, text)`` line as ``{key: value}`` in
+    json-lines mode, where a ``None`` value is not written, or as
+    ``key: text`` in text mode, where the text defaults to the value with a
+    list joined by spaces."""
+    if isinstance(report, str):
+        out.write(report)
+        return
+    for key, value, *text in report:
+        if mode == "json-lines":
+            if value is not None:
+                out.write(json.dumps({key: value}, sort_keys=True) + "\n")
+            continue
+        if text:
+            value = text[0]
+        elif isinstance(value, list):
+            value = " ".join(str(v) for v in value)
+        out.write(f"{key}: {value}\n")
 
 
-def cmd_ext_check(args, rep, out):
-    if args.k < 1:
-        raise _UsageError("--k must be a positive integer")
+def cmd_dualize(args):
+    name, cone, _ = _load_cone(args.cone_a)
+    return EXIT_YES, serialize_cone_file(name, dualize(cone).rays)
+
+
+def cmd_ext_check(args):
     _, cone_a, _ = _load_cone(args.cone_a)
     _, based = _load_based(args.cone_b, args.phi)
-    pname, dims, entries = parse_point_file(_read(args.point))
-    if dims != (cone_a.dim, based.cone.dim):
-        raise SemanticError(
-            f"point dims {dims} do not match cones ({cone_a.dim}, {based.cone.dim})")
+    pname, entries = _load_point(args.point, (cone_a.dim, based.cone.dim))
     x = point_tensor(cone_a, based.cone, entries)
     verdict = ext_k_membership(x, cone_a, based, args.k)
-    rep.emit("command", "ext-check")
-    rep.emit("point", pname)
-    rep.emit("k", args.k)
+    report = [("command", "ext-check"), ("point", pname), ("k", args.k)]
     if verdict.member:
-        rep.emit("verdict", "MEMBER")
         y = verdict.extension
-        rep.emit("extension-slots", [s.dim for s in y.slots])
-        rep.emit("extension", _fmt_vec(y.entries))
-        return EXIT_YES
-    rep.emit("verdict", "NON-MEMBER")
-    rep.emit("witness", _fmt_vec(verdict.witness.entries))
-    return EXIT_NO
+        return EXIT_YES, report + [("verdict", "MEMBER"),
+                                   ("extension-slots", [s.dim for s in y.slots]),
+                                   ("extension", _fmt_vec(y.entries))]
+    return EXIT_NO, report + [("verdict", "NON-MEMBER"),
+                              ("witness", _fmt_vec(verdict.witness.entries))]
 
 
-def cmd_eb_check(args, rep, out):
-    if args.k < 1:
-        raise _UsageError("--k must be a positive integer")
+def cmd_eb_check(args):
     name, based = _load_based(args.cone_b, args.phi)
     outcome = is_entanglement_breaking(based, args.k)
-    rep.emit("command", "eb-check")
-    rep.emit("cone", name)
-    rep.emit("k", args.k)
-    if outcome.breaking:
-        rep.emit("verdict", "BREAKING")
-        rep.emit("terms", len(outcome.terms))
-        for t in outcome.terms:
-            rep.emit("term", {
-                "facets": list(t.facet_indices),
-                "vertex": t.vertex_index,
-                "weight": format_rational(t.weight),
-            } if rep.mode == "json-lines" else
-                f"facets={','.join(map(str, t.facet_indices))} "
-                f"vertex={t.vertex_index} weight={format_rational(t.weight)}")
-        return EXIT_YES
-    rep.emit("verdict", "NOT-BREAKING")
-    rep.emit("refutation", _fmt_vec(outcome.refutation))
-    return EXIT_NO
+    report = [("command", "eb-check"), ("cone", name), ("k", args.k)]
+    if not outcome.breaking:
+        return EXIT_NO, report + [("verdict", "NOT-BREAKING"),
+                                  ("refutation", _fmt_vec(outcome.refutation))]
+    report += [("verdict", "BREAKING"), ("terms", len(outcome.terms))]
+    for t in outcome.terms:
+        weight = format_rational(t.weight)
+        report.append(("term", {"facets": list(t.facet_indices),
+                                "vertex": t.vertex_index, "weight": weight},
+                       f"facets={','.join(map(str, t.facet_indices))} "
+                       f"vertex={t.vertex_index} weight={weight}"))
+    return EXIT_YES, report
 
 
-def cmd_factor(args, rep, out):
+def cmd_factor(args):
     name, poly = _load_polytope_arg(args)
     result = factor_as_simplices(poly)
-    rep.emit("command", "factor")
-    rep.emit("polytope", name)
+    report = [("command", "factor"), ("polytope", name)]
     if isinstance(result, FactorFailure):
-        rep.emit("verdict", "NOT-FACTORABLE")
-        rep.emit("reason", result.reason)
-        return EXIT_NO
-    rep.emit("verdict", "FACTORABLE")
-    rep.emit("factors", list(result.factor_dims) if rep.mode == "json-lines"
-             else "[" + ", ".join(map(str, result.factor_dims)) + "]")
-    for cls in result.facet_classes:
-        rep.emit("class", list(cls) if rep.mode == "json-lines"
-                 else ",".join(map(str, cls)))
-    return EXIT_YES
+        return EXIT_NO, report + [("verdict", "NOT-FACTORABLE"),
+                                  ("reason", result.reason)]
+    dims = list(result.factor_dims)
+    report += [("verdict", "FACTORABLE"),
+               ("factors", dims, "[" + ", ".join(map(str, dims)) + "]")]
+    report += [("class", list(cls), ",".join(map(str, cls)))
+               for cls in result.facet_classes]
+    return EXIT_YES, report
 
 
-def cmd_hull_check(args, rep, out):
+def cmd_hull_check(args):
     name, poly = _load_polytope_arg(args)
     if len(poly.functionals) > FACET_CAP:
         raise SemanticError(f"{name}: {len(poly.functionals)} facets exceed "
                             f"the hull-check cap of {FACET_CAP}")
     ok, witness = affine_hull_commutes(poly)
-    rep.emit("command", "hull-check")
-    rep.emit("polytope", name)
+    report = [("command", "hull-check"), ("polytope", name)]
     if ok:
-        rep.emit("verdict", "COMMUTES")
-        return EXIT_YES
-    rep.emit("verdict", "VIOLATED")
+        return EXIT_YES, report + [("verdict", "COMMUTES")]
     idx = sorted(witness)
-    rep.emit("violated", idx if rep.mode == "json-lines"
-             else "facets {" + ", ".join(map(str, idx)) + "}")
-    return EXIT_NO
+    return EXIT_NO, report + [("verdict", "VIOLATED"),
+                              ("violated", idx,
+                               "facets {" + ", ".join(map(str, idx)) + "}")]
 
 
-def cmd_min_check(args, rep, out):
+def cmd_min_check(args):
     _, cone_a, _ = _load_cone(args.cone_a)
     _, cone_b, _ = _load_cone(args.cone_b)
-    pname, dims, entries = parse_point_file(_read(args.point))
-    if dims != (cone_a.dim, cone_b.dim):
-        raise SemanticError(
-            f"point dims {dims} do not match cones ({cone_a.dim}, {cone_b.dim})")
-    target = tuple(Fraction(e) for e in entries)
+    pname, entries = _load_point(args.point, (cone_a.dim, cone_b.dim))
     gens = [tuple(g.entries) for g in min_tensor_generators(cone_a, cone_b)]
-    outcome = conic_membership(target, gens)
-    rep.emit("command", "min-check")
-    rep.emit("point", pname)
+    outcome = conic_membership(entries, gens)
+    report = [("command", "min-check"), ("point", pname)]
     if outcome.member:
-        rep.emit("verdict", "MEMBER")
-        rep.emit("weights", _fmt_vec(outcome.weights))
-        return EXIT_YES
-    rep.emit("verdict", "NON-MEMBER")
-    rep.emit("separating", _fmt_vec(outcome.separating))
-    return EXIT_NO
+        return EXIT_YES, report + [("verdict", "MEMBER"),
+                                   ("weights", _fmt_vec(outcome.weights))]
+    return EXIT_NO, report + [("verdict", "NON-MEMBER"),
+                              ("separating", _fmt_vec(outcome.separating))]
 
 
-def cmd_quantum_demo(args, rep, out):
+def cmd_quantum_demo(args):
     claims = verify_appendix()  # raises AppendixError on a failed claim
-    rep.emit("command", "quantum-demo")
+    report = [("command", "quantum-demo")]
     for claim in claims:
-        rep.emit("claim", {
-            "label": claim.label,
-            "verdict": "PASS",
-            "values": dict(claim.values),
-        } if rep.mode == "json-lines" else f"{claim.label} PASS")
-        if rep.mode == "text":
-            for key, val in claim.values:
-                rep.emit("value", f"{claim.label}.{key} = {val}")
-    rep.emit("verdict", "ALL-PASS")
-    return EXIT_YES
-
-
-class _UsageError(Exception):
-    pass
+        report.append(("claim", {"label": claim.label, "verdict": "PASS",
+                                 "values": dict(claim.values)},
+                       f"{claim.label} PASS"))
+        report += [("value", None, f"{claim.label}.{key} = {val}")
+                   for key, val in claim.values]
+    return EXIT_YES, report + [("verdict", "ALL-PASS")]
 
 
 def _build_parser():
@@ -289,18 +272,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    out = sys.stdout
     try:
         if getattr(args, "phi", None) is not None:
             args.phi = _parse_phi(args.phi)
+        if getattr(args, "k", 1) < 1:
+            raise _UsageError("--k must be a positive integer")
         if hasattr(args, "polytope"):
             if args.polytope is None and args.cone_b is None:
                 raise _UsageError("need --polytope or --cone-b")
             if args.polytope is not None and (args.cone_b is not None
                                               or args.phi is not None):
                 raise _UsageError("--polytope cannot be combined with --cone-b or --phi")
-        rep = _Reporter(args.report, out)
-        return args.fn(args, rep, out)
+        code, report = args.fn(args)
+        _write_report(report, args.report, sys.stdout)
+        return code
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

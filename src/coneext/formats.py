@@ -1,7 +1,12 @@
 """Line-oriented plain-text file formats for cones, polytopes, and points.
 
 Three kinds of file, all using "p/q" rationals, '#' comments, and blank
-lines.  Serialization is canonical: parsing a serialized object and
+lines, and one grammar: a header line ``KIND NAME``, a size line of
+positive integers, then one ``WORD q q q`` line per vector, each vector as
+long as the last size.  ``_read`` reads that grammar and ``_write`` writes
+it; each ``parse_*`` adds only its own kind's rule.  A parse error names
+the offending line, and an error found at the end of the file names its
+last line.  Serialization is canonical: parsing a serialized object and
 serializing it again reproduces the bytes exactly.
 
 cone file:            polytope file:        point file:
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .scalars import Rational, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
@@ -27,6 +32,10 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _last_line(text):
+    return max(1, len(text.splitlines()))
+
+
 def _logical_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -34,135 +43,108 @@ def _logical_lines(text):
             yield lineno, body
 
 
-def _parse_vector(tokens, lineno):
-    out = []
-    for t in tokens:
-        try:
-            out.append(parse_rational(t))
-        except ValueError:
-            raise ParseError(f"bad rational {t!r}", lineno)
-    return tuple(out)
+def _read(text, kind, field, count, words):
+    """-> (name, size, [(lineno, word, vector)]) of a file whose header is
+    ``kind NAME``, whose size line is ``field`` with ``count`` positive
+    integers (``size`` is the one integer, or the tuple of them), and whose
+    other lines each hold a word of ``words`` and a vector as long as the
+    last size."""
+    lines = _logical_lines(text)
 
+    def take(missing):
+        lineno, body = next(lines, (_last_line(text), None))
+        if body is None:
+            raise ParseError(missing, lineno)
+        return lineno, body.split()
 
-def _take_header(lines, keyword):
-    try:
-        lineno, body = next(lines)
-    except StopIteration:
-        raise ParseError(f"empty file, expected '{keyword} NAME'", 1)
-    parts = body.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise ParseError(f"expected '{keyword} NAME'", lineno)
+    lineno, parts = take(f"empty file, expected '{kind} NAME'")
+    if len(parts) != 2 or parts[0] != kind:
+        raise ParseError(f"expected '{kind} NAME'", lineno)
     if not _NAME_RE.match(parts[1]):
         raise ParseError(f"bad name {parts[1]!r}", lineno)
-    return parts[1]
-
-
-def _take_int_field(lines, keyword, count=1):
-    try:
-        lineno, body = next(lines)
-    except StopIteration:
-        raise ParseError(f"expected '{keyword}'", 1)
-    parts = body.split()
-    if len(parts) != 1 + count or parts[0] != keyword:
-        raise ParseError(f"expected '{keyword}' with {count} integer(s)", lineno)
-    vals = []
+    name = parts[1]
+    lineno, parts = take(f"expected '{field}'")
+    if len(parts) != 1 + count or parts[0] != field:
+        raise ParseError(f"expected '{field}' with {count} integer(s)", lineno)
     for p in parts[1:]:
         if not (p.isascii() and p.isdigit()) or int(p) < 1:
             raise ParseError(f"bad positive integer {p!r}", lineno)
-        vals.append(int(p))
-    return vals[0] if count == 1 else tuple(vals)
+    size = tuple(int(p) for p in parts[1:])
+    vectors = []
+    for lineno, body in lines:
+        word, *tokens = body.split()
+        if word not in words:
+            raise ParseError(f"unexpected keyword {word!r}", lineno)
+        v = []
+        for t in tokens:
+            try:
+                v.append(parse_rational(t))
+            except ValueError:
+                raise ParseError(f"bad rational {t!r}", lineno)
+        if len(v) != size[-1]:
+            raise ParseError(f"{word} has {len(v)} entries, expected {size[-1]}", lineno)
+        vectors.append((lineno, word, tuple(v)))
+    return name, size[0] if count == 1 else size, vectors
+
+
+def _write(kind, name, field, sizes, lines):
+    """Canonical text of a file: the header, the size line, then one line
+    per ``(word, vector)`` of ``lines``."""
+    out = [f"{kind} {name}", f"{field} " + " ".join(map(str, sizes))]
+    out += [word + " " + " ".join(format_rational(x) for x in v) for word, v in lines]
+    return "\n".join(out) + "\n"
 
 
 def parse_cone_file(text):
     """-> (name, dim, generators, phi-or-None).  Geometry is not validated
     here; building the cone is the caller's job."""
-    lines = _logical_lines(text)
-    name = _take_header(lines, "cone")
-    dim = _take_int_field(lines, "dim")
+    name, dim, lines = _read(text, "cone", "dim", 1, ("ray", "phi"))
     gens = []
     phi = None
-    for lineno, body in lines:
-        parts = body.split()
-        if parts[0] == "ray":
-            if phi is not None:
-                raise ParseError("ray after phi", lineno)
-            v = _parse_vector(parts[1:], lineno)
-            if len(v) != dim:
-                raise ParseError(f"ray has {len(v)} entries, expected {dim}", lineno)
+    for lineno, word, v in lines:
+        if phi is not None:
+            raise ParseError("ray after phi" if word == "ray" else "duplicate phi", lineno)
+        if word == "ray":
             gens.append(v)
-        elif parts[0] == "phi":
-            if phi is not None:
-                raise ParseError("duplicate phi", lineno)
-            phi = _parse_vector(parts[1:], lineno)
-            if len(phi) != dim:
-                raise ParseError(f"phi has {len(phi)} entries, expected {dim}", lineno)
         else:
-            raise ParseError(f"unexpected keyword {parts[0]!r}", lineno)
+            phi = v
     if not gens:
-        raise ParseError("cone file has no rays", 1)
+        raise ParseError("cone file has no rays", _last_line(text))
     return name, dim, tuple(gens), phi
 
 
 def serialize_cone_file(name, rays, phi=None):
-    out = [f"cone {name}", f"dim {len(rays[0])}"]
-    for r in rays:
-        out.append("ray " + " ".join(format_rational(x) for x in r))
+    lines = [("ray", r) for r in rays]
     if phi is not None:
-        out.append("phi " + " ".join(format_rational(x) for x in phi))
-    return "\n".join(out) + "\n"
+        lines.append(("phi", phi))
+    return _write("cone", name, "dim", (len(rays[0]),), lines)
 
 
 def parse_polytope_file(text):
-    lines = _logical_lines(text)
-    name = _take_header(lines, "polytope")
-    ambient = _take_int_field(lines, "ambient")
-    verts = []
-    for lineno, body in lines:
-        parts = body.split()
-        if parts[0] != "vertex":
-            raise ParseError(f"unexpected keyword {parts[0]!r}", lineno)
-        v = _parse_vector(parts[1:], lineno)
-        if len(v) != ambient:
-            raise ParseError(f"vertex has {len(v)} entries, expected {ambient}", lineno)
-        verts.append(v)
-    if not verts:
-        raise ParseError("polytope file has no vertices", 1)
-    return name, ambient, tuple(verts)
+    name, ambient, lines = _read(text, "polytope", "ambient", 1, ("vertex",))
+    if not lines:
+        raise ParseError("polytope file has no vertices", _last_line(text))
+    return name, ambient, tuple(v for _, _, v in lines)
 
 
 def serialize_polytope_file(name, vertices):
-    out = [f"polytope {name}", f"ambient {len(vertices[0])}"]
-    for v in vertices:
-        out.append("vertex " + " ".join(format_rational(x) for x in v))
-    return "\n".join(out) + "\n"
+    return _write("polytope", name, "ambient", (len(vertices[0]),),
+                  [("vertex", v) for v in vertices])
 
 
 def parse_point_file(text):
     """-> (name, (dim_a, dim_b), row-major entries)."""
-    lines = _logical_lines(text)
-    name = _take_header(lines, "point")
-    na, nb = _take_int_field(lines, "dims", count=2)
-    rows = []
-    for lineno, body in lines:
-        parts = body.split()
-        if parts[0] != "row":
-            raise ParseError(f"unexpected keyword {parts[0]!r}", lineno)
-        v = _parse_vector(parts[1:], lineno)
-        if len(v) != nb:
-            raise ParseError(f"row has {len(v)} entries, expected {nb}", lineno)
-        rows.append(v)
-    if len(rows) != na:
-        raise ParseError(f"point has {len(rows)} rows, expected {na}", 1)
-    entries = tuple(x for row in rows for x in row)
-    return name, (na, nb), entries
+    name, (na, nb), lines = _read(text, "point", "dims", 2, ("row",))
+    if len(lines) != na:
+        # a surplus row is named by its own line, a missing one at the end
+        raise ParseError(f"point has {len(lines)} rows, expected {na}",
+                         lines[na][0] if len(lines) > na else _last_line(text))
+    return name, (na, nb), tuple(x for _, _, row in lines for x in row)
 
 
 def serialize_point_file(name, dims, entries):
     na, nb = dims
     if len(entries) != na * nb:
         raise ValueError("entry count does not match dims")
-    out = [f"point {name}", f"dims {na} {nb}"]
-    for i in range(na):
-        row = entries[i * nb:(i + 1) * nb]
-        out.append("row " + " ".join(format_rational(x) for x in row))
-    return "\n".join(out) + "\n"
+    return _write("point", name, "dims", dims,
+                  [("row", entries[i * nb:(i + 1) * nb]) for i in range(na)])

@@ -84,6 +84,31 @@ def test_point_file_shape_checks():
         parse_point_file("point p\ndims 2 2\nrow 1 0 3\nrow 0 1\n")
 
 
+@pytest.mark.parametrize("parse,text,line,message", [
+    (parse_cone_file, "", 1, "empty file, expected 'cone NAME'"),
+    (parse_cone_file, "# a\n\n", 2, "empty file, expected 'cone NAME'"),
+    (parse_cone_file, "# c\n# d\ncone x\n", 3, "expected 'dim'"),
+    (parse_cone_file, "cone x\ndim 2\n# end\n", 3, "cone file has no rays"),
+    (parse_polytope_file, "polytope p\nambient 2", 2, "polytope file has no vertices"),
+    (parse_point_file, "point p\ndims 3 2\nrow 1 0\n\n", 4, "point has 1 rows, expected 3"),
+    (parse_point_file, "point p\ndims 1 2\nrow 1 0\nrow 0 1\n", 4,
+     "point has 2 rows, expected 1"),
+])
+def test_parse_errors_name_the_offending_line(parse, text, line, message):
+    """An error found at the end of the file names the file's last line (at
+    least 1), and a surplus row names its own line."""
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, str(e.value)) == (line, f"line {line}: {message}")
+
+
+def test_vector_faults_come_before_the_ray_phi_order():
+    with pytest.raises(ParseError, match=r"^line 4: bad rational 'x'$"):
+        parse_cone_file("cone x\ndim 2\nphi 1 1\nray 1 x\n")
+    with pytest.raises(ParseError, match=r"^line 4: ray after phi$"):
+        parse_cone_file("cone x\ndim 2\nphi 1 1\nray 1 0\n")
+
+
 def _run(argv):
     import io
     from contextlib import redirect_stdout, redirect_stderr

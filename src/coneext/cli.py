@@ -131,7 +131,7 @@ def _write_report(report, mode, out):
         if text:
             value = text[0]
         elif isinstance(value, list):
-            value = " ".join(str(v) for v in value)
+            value = " ".join(map(str, value))
         out.write(f"{key}: {value}\n")
 
 
@@ -182,7 +182,7 @@ def cmd_factor(args):
                                   ("reason", result.reason)]
     dims = list(result.factor_dims)
     report += [("verdict", "FACTORABLE"),
-               ("factors", dims, "[" + ", ".join(map(str, dims)) + "]")]
+               ("factors", dims, str(dims))]
     report += [("class", list(cls), ",".join(map(str, cls)))
                for cls in result.facet_classes]
     return EXIT_YES, report

@@ -1,6 +1,7 @@
 """Min/max tensor products, reduction maps, level-k membership, the
 entanglement-breaking decision, and the dual hierarchy search."""
 
+import ast
 import hashlib
 import itertools
 import os
@@ -1469,3 +1470,31 @@ def test_eb_factors_each_base_once(monkeypatch):
     assert [is_entanglement_breaking(based, k).breaking for k in (1, 2, 3)] == [
         False, True, True]
     assert len(calls) == 1 and calls[0] is based.base
+
+
+def _reachable(functions, roots):
+    """The names in ``functions`` reachable from ``roots`` through the names
+    each body loads, roots included."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        todo += [node.id for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Name) and node.id in functions]
+    return seen
+
+
+def test_judges_share_no_hierarchy_function_with_the_builders():
+    """The certificate judges reach no function of ``hierarchy`` that the LP
+    builders reach, so a fault in a builder's formula cannot also pass its
+    judge."""
+    with open(hierarchy.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    judges = _reachable(functions, ("_pad_resum_agrees", "_check_extension"))
+    builders = _reachable(functions, ("_ext_k_rows", "_pad_columns"))
+    assert "_lattice" in judges and "_sym_head_ints" in builders
+    assert judges.isdisjoint(builders), judges & builders

@@ -1,11 +1,16 @@
 """Face combinatorics: simplicity, 2-levelness, hull commutation, and
 product-of-simplices recognition, cross-checked against each other."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
-from coneext.fixtures import FACTORABLE, UNFACTORABLE, polytope, polytope_names
+import pytest
+
+from coneext import polytopes
+from coneext.fixtures import (FACTORABLE, UNFACTORABLE, based_cone, cone_names,
+                              polytope, polytope_names)
 from coneext.linalg import affine_rank, dot, nullspace, solve
 from coneext.polytopes import (FactorFailure, SimplexFactorization,
                                affine_hull_commutes, factor_as_simplices,
@@ -227,3 +232,34 @@ def test_vertex_order_does_not_matter():
         shuffled = verts[:]
         rng.shuffle(shuffled)
         assert polytope_from_vertices(shuffled) == polytope_from_vertices(verts)
+
+
+def _checked_polytopes():
+    """Every shipped polytope and the base of every corpus cone, named."""
+    return ([(name, polytope(name)) for name in polytope_names()]
+            + [(f"base {name}", based_cone(name).base) for name in cone_names()])
+
+
+def _with_functional(p, j, f):
+    """p with functional j replaced by f, every other field kept."""
+    functionals = p.functionals[:j] + (f,) + p.functionals[j + 1:]
+    return dataclasses.replace(p, functionals=functionals)
+
+
+@pytest.mark.parametrize("name, p", _checked_polytopes())
+def test_check_polytope_rejects_a_negated_functional(name, p):
+    """A facet functional negated is negative on the vertices off its facet."""
+    for j, f in enumerate(p.functionals):
+        bad = _with_functional(p, j, tuple(-a for a in f))
+        with pytest.raises(AssertionError, match="negative on a vertex"):
+            polytopes._check_polytope(bad)
+
+
+@pytest.mark.parametrize("name, p", _checked_polytopes())
+def test_check_polytope_rejects_a_shifted_functional(name, p):
+    """A facet functional shifted by +1 is zero on no vertex, so it no
+    longer cuts out a face."""
+    for j, f in enumerate(p.functionals):
+        bad = _with_functional(p, j, (f[0] + 1,) + f[1:])
+        with pytest.raises(AssertionError):
+            polytopes._check_polytope(bad)

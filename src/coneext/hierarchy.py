@@ -17,13 +17,15 @@ the finite interior test for the vertex-facet pairing tensor.
 Every hierarchy LP lives on V_A ox Sym^k(V_B), so its data is built in
 symmetric-power coordinates: one coordinate per pair (a, m) with m a sorted
 k-multiset of [dim B] in ``combinations_with_replacement`` order, the order
-of ``sym_basis``.  Two exact closed forms, tabled once per LP, replace
+of ``sym_basis``.  One exact closed form, tabled once per LP, replaces
 dense n^k tensor work:
 
-* Sym(v_1 ox .. ox v_k)[m] = coeff of t^m in prod_s <v_s, t>, divided by
-  the number of arrangements of m;
-* the reduction of the symmetric basis element s_m, read at j, is
-  (m_j / k) phi^(m - e_j), zero when j is not in m; that is (1/k) grad p(phi).
+  Sym(v_1 ox .. ox v_k)[m] = coeff of t^m in prod_s <v_s, t>, divided by
+  the number of arrangements of m.
+
+The reduction needs no second formula: pairing s_m with a symmetric tensor
+reads that tensor's entry at m, so the reduction of the symmetric basis
+element s_m, read at j, is Sym(e_j ox phi^(k-1))[m].
 
 A refutation, a breaking decomposition and a dual hierarchy decomposition
 are one object: nonnegative weights decomposing the symmetric pad
@@ -32,7 +34,7 @@ witness, the identity or the query point; the pad is phi, phi or an interior
 point; the generators are f ox Sym(g..), vertex ox Sym(psi..) or
 ray_A ox Sym(rays_B..).  ``_pad_decompose`` solves the last two, and one
 judge, ``_pad_resum_agrees``, re-checks all three as degree-k forms on the
-principal lattice, sharing no code with the formulas above.  An extension is
+principal lattice, sharing no code with the formula above.  An extension is
 re-checked by contraction with the facets.
 
 The LP builders, the judge and ``omega_interior_test`` run on ints: each
@@ -116,9 +118,9 @@ def reduction_map(based, k):
 def apply_reduction(x, based, k):
     """(Id_A ox reduction)(x) for x in V_A ox V_B^{ox k}: symmetrize the B
     slots, then pair all but the first with phi, which is the average over
-    keeping one B slot for any x.  No code is shared with ``_sym_product``,
-    ``_reduced_monomial`` or ``_symmetric_extension``, which build the LPs,
-    so ``_check_extension``'s reduction check stays independent of them."""
+    keeping one B slot for any x.  No code is shared with ``_sym_product``
+    or ``_symmetric_extension``, which build the LPs, so
+    ``_check_extension``'s reduction check stays independent of them."""
     phi_dual = from_vector(based.phi, DUAL)
     t = symmetric_project(x, range(1, k + 1))
     for slot in range(k, 1, -1):
@@ -158,31 +160,6 @@ def _sym_product(vectors, multisets):
     return [poly.get(m, 0) for m in multisets]
 
 
-def _reduced_monomial(m, j, pad):
-    """The int m_j pad^(m - e_j) of an int pad, zero when j is not in m:
-    k d^(k-1) times coordinate j of the reduction of the symmetric basis
-    element s_m for phi = pad / d."""
-    count = m.count(j)
-    if not count:
-        return 0
-    rest = list(m)
-    rest.remove(j)
-    val = count
-    for q in rest:
-        val *= pad[q]
-    return val
-
-
-def _reduction_ints(pad, multisets):
-    """(table, den): row m of the table holds the ints of
-    ``_reduced_monomial`` at each j, for m in ``multisets``, and
-    table / den is the reduction table (m_j / k) pad^(m - e_j)."""
-    pad, dp = clear_denominators(pad)
-    k = len(multisets[0])
-    return ([[_reduced_monomial(m, j, pad) for j in range(len(pad))]
-             for m in multisets], k * dp ** (k - 1))
-
-
 def _sym_head_ints(heads, tails, pairs, multisets):
     """(ints, den): ints[p][o][i] / den is heads[h][o] Sym(tails_combo)[m]
     for the pair p = (combo, h) and the i-th multiset m of ``multisets``.
@@ -202,6 +179,16 @@ def _sym_head_ints(heads, tails, pairs, multisets):
     return ints, top * dt ** len(multisets[0]) * dh
 
 
+def _sym_pad_ints(rows, pad, multisets):
+    """(ints, den): ints[o][i] / den is Sym(rows[o] ox pad^(k-1)) at the i-th
+    multiset of ``multisets``, the ``_sym_head_ints`` table of the one head
+    [1] over the tails rows[o], pad, .., pad."""
+    n, k = len(rows), len(multisets[0])
+    pairs = [((o,) + (n,) * (k - 1), 0) for o in range(n)]
+    ints, den = _sym_head_ints([[1]], [*rows, pad], pairs, multisets)
+    return [t[0] for t in ints], den
+
+
 def _lowest_terms(ints, d):
     """The row ints / d, for ints over a common multiple d > 0 of their
     denominators, as a tuple of ints over its least common denominator:
@@ -216,18 +203,16 @@ def _pad_columns(rows, pad, heads, tails, pairs, k):
     """LP data of a symmetric-pad decomposition at the indices (m, o): the
     target and a ``GeneratorTable`` of the pairs.
 
-    The target is Sym(R ox pad^(k-1)) for the tensor R with rows ``rows``:
-    at (m, o) it is sum_j rows[o][j] (m_j / k) pad^(m - e_j), read off the
-    cleared reduction table of ``_reduction_ints``.  The generator of a pair
+    The target is Sym(R ox pad^(k-1)) for the tensor R with rows ``rows``,
+    read at (m, o) off ``_sym_pad_ints``.  The generator of a pair
     (combo, h) is Sym(tails_combo)[m] heads[h][o], so table row (m, o) reads
     entry (o, m) of every pair in ``_sym_head_ints``, divided by one gcd down
     to the least common denominator.
     """
     multisets = _multisets(len(pad), k)
-    red, red_den = _reduction_ints(pad, multisets)
-    rows = [clear_denominators(row) for row in rows]
-    target = tuple(Fraction(sum(map(mul, ints, red_m)), d * red_den)
-                   for red_m in red for ints, d in rows)
+    target, den = _sym_pad_ints(rows, pad, multisets)
+    target = tuple(Fraction(t[i], den)
+                   for i in range(len(multisets)) for t in target)
     ints, den = _sym_head_ints(heads, tails, pairs, multisets)
     table = tuple(_lowest_terms([t[o][i] for t in ints], den)
                   for i in range(len(multisets)) for o in range(len(heads[0])))
@@ -273,12 +258,11 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
     <tails[j], t> against <rows[o], t> <pad, t>^(k-1) at every point t of the
     principal lattice.
 
-    The LP data this re-check judges come from the coefficients of products
-    of linear forms (``_sym_product``) and from the closed form of the
-    reduction (``_reduced_monomial``).  Here the products are evaluated at
-    integer points and no coefficient is read, so the two routes share no
-    code, and a fault in either formula leaves weights or multipliers that
-    fail here.  Each linear form is evaluated at the points once, before the
+    The LP data this re-check judges, the pad target included, are
+    coefficients of products of linear forms (``_sym_product``).  Here the
+    products are evaluated at integer points and no coefficient is read, so
+    the two routes share no code, and a fault in the formula leaves weights
+    or multipliers that fail here.  Each linear form is evaluated at the points once, before the
     loop over pairs.
     """
     if any(w < 0 for w in weights):
@@ -406,18 +390,21 @@ def _ext_k_rows(x, a_cone, based, k):
     paired with the column, which is entry (a, m) of the pair in
     ``_sym_head_ints`` with A's facets as heads, divided by one gcd down to
     the least common denominator.  The eq rows, one per (i, j) in
-    row-major order, are the reduced columns read at (i, j) = x[i, j]:
-    block i joins the cleared reduction table with row i of x
-    (``GeneratorTable.joined``).  No entry is ever a Fraction.
+    row-major order, are the reduced columns read at (i, j) = x[i, j]: the
+    reduction of sym_basis[m] read at j is Sym(e_j ox phi^(k-1))[m], so
+    block i joins row j of the ``_sym_pad_ints`` table of the unit rows
+    with row i of x (``GeneratorTable.joined``).  No entry is ever a
+    Fraction.
     """
     nA, nB = a_cone.dim, based.cone.dim
     pairs = _ext_k_pairs(a_cone, based, k)
     multisets = _multisets(nB, k)
     ints, den = _sym_head_ints(a_cone.facets, based.cone.facets, pairs, multisets)
     ge = [_lowest_terms((*itertools.chain.from_iterable(t), 0), den) for t in ints]
-    red, den = _reduction_ints(based.phi, multisets)
+    units = [[int(i == j) for j in range(nB)] for i in range(nB)]
+    red, den = _sym_pad_ints(units, based.phi, multisets)
     table = GeneratorTable(len(multisets), tuple(
-        _lowest_terms(col, den) for col in zip(*red)))
+        _lowest_terms(row, den) for row in red))
     zeros = (0,) * len(multisets)
     eq = [(zeros * i + ints[:-1] + zeros * (nA - 1 - i) + ints[-1:], d)
           for i in range(nA)

@@ -1286,19 +1286,21 @@ def test_dual_columns_match_dense_symmetrization(a_name, b_name):
 def _sym_tables(pad, tails, combos, k):
     """The reduction table and Sym(tails_combo) for each combo as Fractions,
     both at the sorted k-multisets of [len(pad)]: the ints of
-    ``_reduction_ints`` and of ``_sym_head_ints`` with the one head [1],
-    each over its denominator."""
+    ``_sym_pad_ints`` with the unit rows, read by multiset, and of
+    ``_sym_head_ints`` with the one head [1], each over its denominator."""
     multisets = _sorted_reps(len(pad), k)
     pairs = [(combo, 0) for combo in combos]
     ints, den = hierarchy._sym_head_ints([[1]], tails, pairs, multisets)
     syms = {combo: [Fraction(v, den) for v in t[0]]
             for (combo, _), t in zip(pairs, ints)}
-    red, red_den = hierarchy._reduction_ints(pad, multisets)
-    return [[Fraction(v, red_den) for v in row] for row in red], syms
+    n = len(pad)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    red, red_den = hierarchy._sym_pad_ints(units, pad, multisets)
+    return [[Fraction(v, red_den) for v in row] for row in zip(*red)], syms
 
 
 def test_sym_tables_match_dense_tensors_off_the_lattice():
-    """``_sym_head_ints`` and ``_reduction_ints`` clear the pad and the
+    """``_sym_head_ints`` and ``_sym_pad_ints`` clear the pad and the
     tails to ints; with entries of unequal denominators, each int over its
     denominator (``_sym_tables``) still equals the dense
     symmetrization, and the reduction table the dense reduction of the pad,

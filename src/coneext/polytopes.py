@@ -4,7 +4,9 @@ the affine-hull commutation test, and recognition of products of simplices.
 A polytope may sit in a lower-dimensional affine subspace of its ambient
 space; it carries an explicit hull description (point plus direction basis).
 Facet functionals are affine, nonnegative on the polytope and zero exactly
-on their facet.
+on their facet.  Each is evaluated at each vertex once (``Polytope.values``),
+and the incidence, the polytope check, two-levelness and the class sums of
+the factorization all read that one table.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 
 from .cones import make_cone
 from .linalg import (affine_rank, dot, greedy_independent, inverse, nullspace,
-                     primitive, solve, vec, vec_sub)
+                     primitive, rank, solve, vec, vec_sub)
 
 FACET_CAP = 20  # subset iteration guard for the commutation test
 
@@ -28,11 +30,23 @@ class Polytope:
     functionals: tuple       # rows (a0, a1..aN): psi(x) = a0 + a . x, primitive
     hull_point: tuple
     hull_directions: tuple   # basis of the hull's direction space
-    incidence: tuple         # per vertex: frozenset of facet indices with psi == 0
 
     @property
     def dim(self):
         return len(self.hull_directions)
+
+    @cached_property
+    def values(self):
+        """``values[j][i]``: facet functional j at vertex i, evaluated once
+        per polytope."""
+        return tuple(tuple(self.evaluate(j, v) for v in self.vertices)
+                     for j in range(len(self.functionals)))
+
+    @cached_property
+    def incidence(self):
+        """Per vertex: the frozenset of facet indices with psi == 0."""
+        return tuple(frozenset(j for j, row in enumerate(self.values) if not row[i])
+                     for i in range(len(self.vertices)))
 
     @cached_property
     def factorization(self):
@@ -56,13 +70,8 @@ class Polytope:
 
 
 def _check_polytope(p):
-    for j in range(len(p.functionals)):
-        for i, v in enumerate(p.vertices):
-            val = p.evaluate(j, v)
-            if val < 0:
-                raise AssertionError("facet functional negative on a vertex")
-            if (val == 0) != (j in p.incidence[i]):
-                raise AssertionError("incidence does not match functional zeros")
+    if any(val < 0 for row in p.values for val in row):
+        raise AssertionError("facet functional negative on a vertex")
     d = p.dim
     if len(p.vertices) > 1 and affine_rank(p.vertices) != d:
         raise AssertionError("vertex set does not span the recorded hull")
@@ -90,8 +99,7 @@ def polytope_from_vertices(points):
     directions = [diffs[i] for i in dir_idx]
     d = len(directions)
     if d == 0:
-        p = Polytope(ambient, (pts[0],), (), pts[0], (), (frozenset(),))
-        return p
+        return Polytope(ambient, (pts[0],), (), pts[0], ())
     # local coordinates t(x) = L (x - v0) with L the left inverse of D
     gram = [[dot(a, b) for b in directions] for a in directions]
     left = inverse(gram)
@@ -101,13 +109,9 @@ def polytope_from_vertices(points):
         diff = vec_sub(x, v0)
         return tuple(dot(row, diff) for row in lmap)
 
-    cone = make_cone([(Fraction(1),) + local(p) for p in pts])
-    kept = []
-    for p in pts:
-        ray = primitive((Fraction(1),) + local(p))
-        if ray in cone.rays:
-            kept.append(p)
-    vertices = tuple(sorted(kept))
+    lifted = [(Fraction(1),) + local(p) for p in pts]
+    cone = make_cone(lifted)
+    vertices = tuple(p for p, q in zip(pts, lifted) if primitive(q) in cone.rays)
     functionals = []
     for f in cone.facets:
         a0, alocal = f[0], f[1:]
@@ -115,13 +119,7 @@ def polytope_from_vertices(points):
         const = a0 - dot(coeffs, v0)
         functionals.append(primitive((const,) + coeffs))
     functionals = tuple(sorted(functionals))
-    incidence = []
-    for v in vertices:
-        inc = frozenset(j for j, f in enumerate(functionals)
-                        if f[0] + dot(f[1:], v) == 0)
-        incidence.append(inc)
-    p = Polytope(ambient, vertices, functionals, v0, tuple(directions),
-                 tuple(incidence))
+    p = Polytope(ambient, vertices, functionals, v0, tuple(directions))
     _check_polytope(p)
     return p
 
@@ -133,10 +131,7 @@ def base_polytope(cone, phi):
     vertices = tuple(sorted(tuple(x / dot(phi, r) for x in r) for r in cone.rays))
     functionals = tuple((Fraction(0),) + f for f in cone.facets)
     directions = tuple(nullspace([phi]))
-    incidence = tuple(frozenset(j for j, f in enumerate(cone.facets)
-                                if dot(f, v) == 0) for v in vertices)
-    p = Polytope(cone.dim, vertices, functionals, vertices[0], directions,
-                 incidence)
+    p = Polytope(cone.dim, vertices, functionals, vertices[0], directions)
     _check_polytope(p)
     return p
 
@@ -153,24 +148,12 @@ def is_two_level(p):
 
 def _facet_levels(p):
     levels = []
-    for j in range(len(p.functionals)):
-        values = {p.evaluate(j, v) for v in p.vertices} - {Fraction(0)}
+    for row in p.values:
+        values = set(row) - {0}
         if len(values) != 1:
             return None
         levels.append(next(iter(values)))
     return levels
-
-
-def _hull_system(p, facet_indices):
-    """Rows/rhs of {t : psi_F(hull_point + directions t) = 0, F in S}."""
-    rows = []
-    rhs = []
-    for j in facet_indices:
-        f = p.functionals[j]
-        coeffs = f[1:]
-        rows.append(tuple(dot(coeffs, dvec) for dvec in p.hull_directions))
-        rhs.append(-(f[0] + dot(coeffs, p.hull_point)))
-    return rows, rhs
 
 
 def affine_hull_commutes(p):
@@ -186,15 +169,18 @@ def affine_hull_commutes(p):
     nf = len(p.functionals)
     if nf > FACET_CAP:
         raise ValueError(f"facet count {nf} exceeds the {FACET_CAP} subset-iteration cap")
+    # facet j's hull in hull coordinates t: row . t = rhs, for the points
+    # hull_point + directions t
+    hulls = [(tuple(dot(f[1:], d) for d in p.hull_directions),
+              -p.evaluate(j, p.hull_point)) for j, f in enumerate(p.functionals)]
     for size in range(1, nf + 1):
         for subset in itertools.combinations(range(nf), size):
             face = p.face_from_facets(subset)
-            rows, rhs = _hull_system(p, subset)
-            sol = solve(rows, rhs)
-            if sol is None:
+            rows, rhs = zip(*(hulls[j] for j in subset))
+            if solve(rows, rhs) is None:
                 hull_dim = None           # intersection of hulls is empty
             else:
-                hull_dim = len(nullspace(rows, len(p.hull_directions)))
+                hull_dim = p.dim - rank(rows)
             if not face:
                 if hull_dim is not None:
                     return False, frozenset(subset)
@@ -288,8 +274,8 @@ def factor_as_simplices(p):
         tuple(a / levels[j] for a in p.functionals[j]) for j in range(nf))
     for i in range(nv):
         for members in classes:
-            total = sum((p.evaluate(j, p.vertices[i]) / levels[j]
-                         for j in members), start=Fraction(0))
+            total = sum((p.values[j][i] / levels[j] for j in members),
+                        start=Fraction(0))
             if total != 1:
                 return FactorFailure("class functionals do not sum to one")
     order = sorted(range(len(classes)), key=lambda c: (len(classes[c]), classes[c]))

@@ -49,21 +49,29 @@ class _UsageError(Exception):
     pass
 
 
-def _read(path):
+class _FileParseError(Exception):
+    """A ``ParseError`` in an input file, prefixed with the file's path."""
+
+
+def _read(path, parse):
+    """``parse`` of the text of the file at ``path``."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
         raise SemanticError(f"cannot read {path}: {e.strerror}")
     try:
-        return data.decode("utf-8")
+        return parse(data.decode("utf-8"))
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: byte {data[e.start]:#04x} is not UTF-8",
-                         data.count(b"\n", 0, e.start) + 1)
+        error = ParseError(f"byte {data[e.start]:#04x} is not UTF-8",
+                           data.count(b"\n", 0, e.start) + 1)
+    except ParseError as e:
+        error = e
+    raise _FileParseError(f"{path}: {error}")
 
 
 def _load_cone(path):
-    name, dim, gens, phi = parse_cone_file(_read(path))
+    name, dim, gens, phi = _read(path, parse_cone_file)
     try:
         cone = make_cone(gens)
     except ConeError as e:
@@ -87,7 +95,7 @@ def _load_based(path, phi_override):
 
 def _load_polytope_arg(args):
     if args.polytope is not None:
-        name, ambient, verts = parse_polytope_file(_read(args.polytope))
+        name, ambient, verts = _read(args.polytope, parse_polytope_file)
         try:
             return name, polytope_from_vertices(verts)
         except ValueError as e:
@@ -97,7 +105,7 @@ def _load_polytope_arg(args):
 
 
 def _load_point(path, dims):
-    name, point_dims, entries = parse_point_file(_read(path))
+    name, point_dims, entries = _read(path, parse_point_file)
     if point_dims != dims:
         raise SemanticError(f"point dims {point_dims} do not match cones {dims}")
     return name, entries
@@ -286,7 +294,7 @@ def main(argv=None):
         code, report = args.fn(args)
         _write_report(report, args.report, sys.stdout)
         return code
-    except ParseError as e:
+    except _FileParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except _UsageError as e:

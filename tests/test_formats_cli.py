@@ -174,10 +174,30 @@ def test_non_utf8_input_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.cone"
     path.write_bytes(b"cone bad\ndim 2\nray 1 0\nray 0 \xff1\n")
     code, out, err = _run(["dualize", "--cone-a", str(path)])
-    assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert "line 4" in err and str(path) in err and "0xff" in err
-    assert out == ""
+    assert (code, out, err) == (
+        2, "", f"error: {path}: line 4: byte 0xff is not UTF-8\n")
+
+
+_EXT_CHECK_FILES = {"--cone-a": "square.cone", "--cone-b": "square-skew.cone",
+                    "--point": "gap-k2.pt"}
+
+
+@pytest.mark.parametrize("flag", [*_EXT_CHECK_FILES, "--polytope"])
+def test_parse_error_names_its_file(tmp_path, flag):
+    """A parse error is prefixed with the path of the file it is in, so a
+    bad --cone-b does not read like a bad --cone-a."""
+    files = ({"--polytope": "square.poly"} if flag == "--polytope"
+             else _EXT_CHECK_FILES)
+    argv = ["factor"] if flag == "--polytope" else ["ext-check", "--k", "1"]
+    for f, name in files.items():
+        argv += [f, fixture_path(name)]
+    lines = fixture_text(files[flag]).splitlines()
+    word, _, *rest = lines[2].split()
+    lines[2] = " ".join([word, "1//2", *rest])
+    bad = tmp_path / files[flag]
+    bad.write_text("\n".join(lines) + "\n")
+    argv[argv.index(flag) + 1] = str(bad)
+    assert _run(argv) == (2, "", f"error: {bad}: line 3: bad rational '1//2'\n")
 
 
 def test_one_dimensional_based_cone_exits_three(tmp_path):

@@ -42,9 +42,6 @@ class Cone:
     rays: tuple
     facets: tuple
 
-    def contains(self, point):
-        return all(dot(f, point) >= 0 for f in self.facets)
-
     def strictly_contains(self, point):
         return all(dot(f, point) > 0 for f in self.facets)
 

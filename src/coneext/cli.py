@@ -54,7 +54,9 @@ class _FileParseError(Exception):
 
 
 def _read(path, parse):
-    """``parse`` of the text of the file at ``path``."""
+    """``parse`` of the text of the file at ``path``; a parse error, or a
+    byte that is not UTF-8, is raised as a ``_FileParseError`` naming the
+    path."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -262,8 +262,8 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
     coefficients of products of linear forms (``_sym_product``).  Here the
     products are evaluated at integer points and no coefficient is read, so
     the two routes share no code, and a fault in the formula leaves weights
-    or multipliers that fail here.  Each linear form is evaluated at the points once, before the
-    loop over pairs.
+    or multipliers that fail here.  Each linear form is evaluated at the
+    points once, before the loop over pairs.
     """
     if any(w < 0 for w in weights):
         return False

@@ -681,3 +681,28 @@ def test_cli_output_is_pinned(command, report):
     code, out, err = _run(argv + ["--report", report])
     assert err == ""
     assert (code, _sha256(out)) == CLI_PINS[command, report]
+
+
+# r1 ox r1 + 2 r2 ox r3 over the square's rays r1 = (1, -1, 0),
+# r2 = (1, 0, -1), r3 = (1, 0, 1), row-major: a point of the minimal product
+_MIN_MEMBER_ENTRIES = (3, -1, 2, -1, 1, 0, -2, 0, -2)
+
+# sha256 of stdout and the exit code of min-check on that point, the one
+# MEMBER report among the pins, captured while ``conic_membership`` still
+# held the generators in a table by coordinate
+MIN_CHECK_MEMBER_PINS = {
+    "text": (0, "d136c3ca7ae95e0c48aecdc9c58003add7f9beb466ce59691c34345520d8c748"),
+    "json-lines": (0, "1781b8a16c1fb861def5ba570f91c926aec7150ac0f1fdbf49fa42c737c31074"),
+}
+
+
+@pytest.mark.parametrize("report", list(MIN_CHECK_MEMBER_PINS))
+def test_min_check_member_output_is_pinned(tmp_path, report):
+    path = tmp_path / "min-member.pt"
+    path.write_text(serialize_point_file("min-member", (3, 3), _MIN_MEMBER_ENTRIES))
+    code, out, err = _run(["min-check", "--cone-a", fixture_path("square.cone"),
+                           "--cone-b", fixture_path("square.cone"),
+                           "--point", str(path), "--report", report])
+    assert err == ""
+    assert "MEMBER" in out and "NON-MEMBER" not in out
+    assert (code, _sha256(out)) == MIN_CHECK_MEMBER_PINS[report]

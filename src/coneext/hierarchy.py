@@ -42,8 +42,9 @@ clears its vectors by positive integers, so no sign moves.  The judge
 cross-multiplies once.  ``_ext_k_rows`` and ``_pad_columns`` do not divide
 at all: both read one table of head ox Sym(tails) integers over one
 denominator (``_sym_head_ints``), the first by rows and the second by
-columns, and hand the LP each row in lowest terms, as cleared rows or as a
-``GeneratorTable``.  The interior test scales every facet centroid by one
+columns, join a row with its rhs over the two denominators (``_joined``),
+and hand the LP each row as the cleared ``(ints, d)`` in lowest terms that
+``LpProblem`` holds.  The interior test scales every facet centroid by one
 common D, which multiplies each of its terms by D^k, and each ray on its
 own, since its sums are linear in the ray.
 """
@@ -58,8 +59,8 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .cones import interior_point
-from .lp import (FEASIBLE, INFEASIBLE, CertificateError, GeneratorTable,
-                 LpProblem, conic_membership, solve)
+from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
+                 conic_solve, solve)
 from .linalg import clear_denominators, clear_rows, dot, primitive
 from .polytopes import SimplexFactorization
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
@@ -199,30 +200,34 @@ def _lowest_terms(ints, d):
     return tuple([a // g for a in ints]), d // g
 
 
+def _joined(ints, d, t, q):
+    """The row (*ints / d, t / q), for ints over d > 0 and an int t over
+    q > 0, in lowest terms: cross-multiplied over d q, then
+    ``_lowest_terms``."""
+    return _lowest_terms([a * q for a in ints] + [t * d], d * q)
+
+
 def _pad_columns(rows, pad, heads, tails, pairs, k):
-    """LP data of a symmetric-pad decomposition at the indices (m, o): the
-    target and a ``GeneratorTable`` of the pairs.
+    """The rows of the LP of a symmetric-pad decomposition as ``conic_solve``
+    takes them, one per index (m, o): the pairs' entries, then the target's.
 
     The target is Sym(R ox pad^(k-1)) for the tensor R with rows ``rows``,
     read at (m, o) off ``_sym_pad_ints``.  The generator of a pair
-    (combo, h) is Sym(tails_combo)[m] heads[h][o], so table row (m, o) reads
-    entry (o, m) of every pair in ``_sym_head_ints``, divided by one gcd down
-    to the least common denominator.
+    (combo, h) is Sym(tails_combo)[m] heads[h][o], so row (m, o) reads entry
+    (o, m) of every pair in ``_sym_head_ints`` and is ``_joined`` with the
+    target's entry over the two tables' denominators.
     """
     multisets = _multisets(len(pad), k)
-    target, den = _sym_pad_ints(rows, pad, multisets)
-    target = tuple(Fraction(t[i], den)
-                   for i in range(len(multisets)) for t in target)
-    ints, den = _sym_head_ints(heads, tails, pairs, multisets)
-    table = tuple(_lowest_terms([t[o][i] for t in ints], den)
-                  for i in range(len(multisets)) for o in range(len(heads[0])))
-    return target, GeneratorTable(len(pairs), table)
+    target, dt = _sym_pad_ints(rows, pad, multisets)
+    ints, dh = _sym_head_ints(heads, tails, pairs, multisets)
+    return tuple(_joined([t[o][i] for t in ints], dh, target[o][i], dt)
+                 for i in range(len(multisets)) for o in range(len(rows)))
 
 
 def _pad_decompose(rows, pad, heads, tails, pairs, k):
     """The ``ConicOutcome`` of the LP of ``_pad_columns``, a member's weights
     re-checked by ``_pad_resum_agrees``."""
-    check = conic_membership(*_pad_columns(rows, pad, heads, tails, pairs, k))
+    check = conic_solve(len(pairs), _pad_columns(rows, pad, heads, tails, pairs, k))
     if check.member and not _pad_resum_agrees(check.weights, pairs, heads,
                                               tails, rows, pad, k):
         raise ConsistencyError(
@@ -392,9 +397,8 @@ def _ext_k_rows(x, a_cone, based, k):
     the least common denominator.  The eq rows, one per (i, j) in
     row-major order, are the reduced columns read at (i, j) = x[i, j]: the
     reduction of sym_basis[m] read at j is Sym(e_j ox phi^(k-1))[m], so
-    block i joins row j of the ``_sym_pad_ints`` table of the unit rows
-    with row i of x (``GeneratorTable.joined``).  No entry is ever a
-    Fraction.
+    block i is row j of the ``_sym_pad_ints`` table of the unit rows
+    ``_joined`` with x[i, j].  No entry is ever a Fraction.
     """
     nA, nB = a_cone.dim, based.cone.dim
     pairs = _ext_k_pairs(a_cone, based, k)
@@ -403,12 +407,12 @@ def _ext_k_rows(x, a_cone, based, k):
     ge = [_lowest_terms((*itertools.chain.from_iterable(t), 0), den) for t in ints]
     units = [[int(i == j) for j in range(nB)] for i in range(nB)]
     red, den = _sym_pad_ints(units, based.phi, multisets)
-    table = GeneratorTable(len(multisets), tuple(
-        _lowest_terms(row, den) for row in red))
     zeros = (0,) * len(multisets)
-    eq = [(zeros * i + ints[:-1] + zeros * (nA - 1 - i) + ints[-1:], d)
-          for i in range(nA)
-          for ints, d in table.joined(x.entries[i * nB:(i + 1) * nB])]
+    eq = []
+    for i, j in itertools.product(range(nA), range(nB)):
+        t = x.entries[i * nB + j]
+        ints, d = _joined(red[j], den, t.numerator, t.denominator)
+        eq.append((zeros * i + ints[:-1] + zeros * (nA - 1 - i) + ints[-1:], d))
     return ge, eq
 
 

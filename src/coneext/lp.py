@@ -24,10 +24,11 @@ stays Fraction in and Fraction out.  A problem holds its rows only cleared
 to integers (``LpProblem.int_rows``); the tableau, both re-checks below and
 the conic re-sum and separation check all read them, each an exact
 comparison.  ``build`` clears Fraction rows once.  A conic LP arrives
-cleared: its generators come as a ``GeneratorTable``, one cleared row per
-coordinate, and ``conic_membership`` joins each row with the target's entry
-into the problem's ``int_rows``.  Every outcome is re-verified against the
-original problem before it is returned:
+as such rows, one per coordinate with the target's entry as the rhs:
+``conic_membership`` clears each coordinate of a list of generators once,
+the hierarchy builds its rows from ints, and both hand them to
+``conic_solve``.  Every outcome is re-verified against the original problem
+before it is returned:
 
 * feasible: the point satisfies every row exactly;
 * infeasible: Farkas multipliers (free on equality rows, nonnegative on
@@ -261,15 +262,15 @@ class _Tableau:
         return Fraction(-self.z.get(_RHS, 0), self.z[_OBJ])
 
     def pivot(self, r, c):
+        """Make column c basic in row r.  Row r must read positive at c, as
+        the ratio test of ``run`` chooses it, so that entry becomes the
+        row's positive denominator without a change of sign."""
         row = self.T[r]
         if self.basis[r] >= self.art0:
             # a leaving artificial leaves the problem: its column is nonzero
             # only in its own row, so deleting that entry drops the column
             del row[self.basis[r]]
         key, s = self._key(c)
-        if s * row[key] < 0:
-            for j in row:
-                row[j] = -row[j]
         _reduce(row)
         self.basis[r] = c
         for other in (*self.T, self.z):
@@ -475,66 +476,30 @@ class ConicOutcome:
     separating: tuple | None = None   # h with h(target) < 0 <= h(generator)
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
-    """Generators of a cone stored by coordinate, cleared: ``rows[i]`` is
-    ``(ints, d)``, coordinate i of every generator as ints over their least
-    common denominator d > 0.  ``len`` is the number of generators, and
-    iterating yields each generator as a tuple of Fractions."""
-
-    count: int
-    rows: tuple
-
-    @staticmethod
-    def of(generators, dim):
-        """The table of a list of generators of ``dim`` int or Fraction
-        entries each."""
-        gens = [tuple(g) for g in generators]
-        if any(len(g) != dim for g in gens):
-            raise ValueError("generator dimension mismatch")
-        cols = zip(*gens) if gens else [()] * dim
-        return GeneratorTable(len(gens), tuple(
-            (tuple(ints), d) for ints, d in map(clear_denominators, cols)))
-
-    def __len__(self):
-        return self.count
-
-    def __iter__(self):
-        for g in range(self.count):
-            yield tuple(Fraction(ints[g], d) for ints, d in self.rows)
-
-    def joined(self, target):
-        """Each row with its target entry t as the cleared row of
-        ``(*row, t)``: over L = lcm(d, den t), the row's ints times L / d
-        and then num t times L / den t, which is
-        ``clear_denominators((*row, t))`` read off without a Fraction."""
-        out = []
-        for (ints, d), t in zip(self.rows, target, strict=True):
-            q = t.denominator
-            scale = q // gcd(d, q)  # L / d
-            if scale != 1:
-                ints = tuple(a * scale for a in ints)
-            out.append(((*ints, t.numerator * (d * scale // q)), d * scale))
-        return tuple(out)
-
-
 def conic_membership(target, generators):
-    """Exact membership of ``target`` in the cone spanned by ``generators``,
-    a ``GeneratorTable`` or a list of generators, which is tabled first.
+    """Exact membership of ``target`` in the cone spanned by the list
+    ``generators`` (``conic_solve``): one LP row per coordinate i, the
+    generators' entries at i and then the target's, cleared once."""
+    target = vec(target)
+    gens = [tuple(g) for g in generators]
+    if any(len(g) != len(target) for g in gens):
+        raise ValueError("generator dimension mismatch")
+    rows = tuple((tuple(ints), d) for ints, d in map(clear_denominators,
+                                                      zip(*gens, target)))
+    return conic_solve(len(gens), rows)
+
+
+def conic_solve(count, rows):
+    """Exact membership of a target in the cone spanned by ``count``
+    generators, given as the cleared rows ``(ints, d)`` of ``LpProblem``,
+    one per coordinate: the generators' entries and then the target's.
 
     Member: nonnegative weights whose combination re-sums to the target
     exactly.  Non-member: a separating functional derived from the Farkas
     certificate, normalized to a primitive integer vector.
     """
-    target = vec(target)
-    if not isinstance(generators, GeneratorTable):
-        generators = GeneratorTable.of(generators, len(target))
-    elif len(generators.rows) != len(target):
-        raise ValueError("generator dimension mismatch")
-    count = len(generators)
     # one eq row per coordinate: the generators' entries = the target's
-    problem = LpProblem(count, generators.joined(target), len(target),
-                        frozenset(range(count)))
+    problem = LpProblem(count, rows, len(rows), frozenset(range(count)))
     out = solve(problem)
     if out.status == FEASIBLE:
         # the LP rows are the target's coordinates as sums over the generators

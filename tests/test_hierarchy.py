@@ -35,7 +35,7 @@ from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                omega_interior_test)
 from coneext.linalg import clear_denominators, dot, rank, vec
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
-                        conic_membership, solve)
+                        conic_membership, conic_solve, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
                              reorder_slots, sym_basis, symmetric_project)
@@ -280,6 +280,20 @@ def test_box_point_rejected_at_level_two_with_witness():
         assert pairing(zeta, g) >= 0
 
 
+def test_witness_that_does_not_separate_is_refused(monkeypatch):
+    """A Farkas certificate negated on the way back from the LP gives a
+    witness that is positive on the query point, which is refused before
+    any re-sum."""
+    def negated(problem):
+        out = solve(problem)
+        return LpOutcome(status=out.status,
+                         certificate=tuple(-c for c in out.certificate))
+
+    monkeypatch.setattr(hierarchy, "solve", negated)
+    with pytest.raises(ConsistencyError, match="does not separate"):
+        ext_k_membership(*_ext_k_case("box", "square"), 2)
+
+
 def test_member_extension_certificate_chain():
     """A returned level-2 extension contracts back to the query point and a
     level-3 extension contracts to a valid level-2 extension."""
@@ -327,6 +341,13 @@ def test_ext_membership_input_checks():
         ext_k_membership(x, sq, based, 0)
     with pytest.raises(ValueError):
         ext_k_membership(x, cone("orthant2"), based, 1)
+
+
+def test_level_refusals_below_one():
+    based = based_cone("square")
+    for call in (is_entanglement_breaking, reduction_map, vertex_facet_tensor):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            call(based, 0)
 
 
 # -- the LPs behind level-k membership, and tampered certificates ---------
@@ -400,6 +421,40 @@ def test_ext_k_lp_reaches_solve_cleared(monkeypatch, point, b_name, k):
     monkeypatch.setattr(hierarchy, "solve", entered)
     ext_k_membership(*_ext_k_case(point, b_name), k)
     assert made == [True]
+
+
+def test_pad_lps_reach_conic_solve_cleared(monkeypatch):
+    """The entanglement-breaking and dual hierarchy LPs reach
+    ``conic_solve`` as rows of ints, and ``_pad_columns`` forms no Fraction
+    on the way: ``Fraction.__new__``, which every Fraction made by a call or
+    by arithmetic passes through, is not entered while it runs."""
+    formed, seen = [], []
+    build = hierarchy._pad_columns
+
+    def watched(*args):
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is Fraction.__new__.__code__:
+                formed.append(frame.f_back.f_code.co_name)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return build(*args)
+        finally:
+            sys.setprofile(outer)
+
+    def recording(count, rows):
+        seen.append(all(type(a) is int for ints, d in rows for a in (*ints, d)))
+        return conic_solve(count, rows)
+
+    monkeypatch.setattr(hierarchy, "_pad_columns", watched)
+    monkeypatch.setattr(hierarchy, "conic_solve", recording)
+    for name in ("square", "pentagon"):
+        for k in (1, 2, 3):
+            is_entanglement_breaking(based_cone(name), k)
+    levels = [dual_hierarchy_k(*case).k for case in _dual_lp_cases().values()]
+    assert seen == [True] * (6 + sum(levels))
+    assert formed == []
 
 
 def _gap_k2_extension():
@@ -686,12 +741,21 @@ def test_eb_refutation_separates():
     assert out.refutation is not None
 
 
+def test_eb_routes_that_disagree_are_refused(monkeypatch):
+    """With the square's base no longer read as a product of simplices, the
+    combinatorial route says not breaking at k = 2 while the LP decomposes
+    the reduction tensor, and the disagreement raises."""
+    monkeypatch.setattr(hierarchy, "SimplexFactorization", type("Other", (), {}))
+    with pytest.raises(ConsistencyError, match="routes disagree at k=2"):
+        is_entanglement_breaking(based_cone("square"), 2)
+
+
 def _tamper_weights(monkeypatch, tamper):
     """Make the hierarchy see the weights of every member outcome of
-    ``conic_membership`` changed by ``tamper(weights, h, h_zero)``, where h is
+    ``conic_solve`` changed by ``tamper(weights, h, h_zero)``, where h is
     the first nonzero and h_zero the first zero weight."""
-    def tampered(target, generators):
-        out = conic_membership(target, generators)
+    def tampered(count, rows):
+        out = conic_solve(count, rows)
         if not out.member:
             return out
         weights = list(out.weights)
@@ -700,7 +764,7 @@ def _tamper_weights(monkeypatch, tamper):
         tamper(weights, h, h_zero)
         return ConicOutcome(member=True, weights=tuple(weights))
 
-    monkeypatch.setattr(hierarchy, "conic_membership", tampered)
+    monkeypatch.setattr(hierarchy, "conic_solve", tampered)
 
 
 # breaking decompositions with zero weights, so that a weight can move
@@ -731,14 +795,14 @@ def test_eb_check_survives_python_O():
         if __debug__:
             sys.exit("not running under -O")
 
-        def tampered(target, generators):
-            out = lp.conic_membership(target, generators)
+        def tampered(count, rows):
+            out = lp.conic_solve(count, rows)
             weights = list(out.weights)
             h = next(i for i, w in enumerate(weights) if w)
             weights[h] *= 2
             return lp.ConicOutcome(member=True, weights=tuple(weights))
 
-        hierarchy.conic_membership = tampered
+        hierarchy.conic_solve = tampered
         try:
             hierarchy.is_entanglement_breaking(based_cone("square"), 2)
         except hierarchy.ConsistencyError:
@@ -758,9 +822,8 @@ def test_pad_resum_rejects_a_negative_weight_that_resums():
     psis = [f[1:] for f in based.base.functionals]
     multis = _admissible_multisets(based, k)
     rest = (based.base.vertices, psis, units, based.phi, k)
-    weights = list(conic_membership(*_pad_columns(units, based.phi,
-                                                  based.base.vertices, psis,
-                                                  multis, k)).weights)
+    weights = list(conic_solve(len(multis), _pad_columns(
+        units, based.phi, based.base.vertices, psis, multis, k)).weights)
     h = next(i for i, w in enumerate(weights) if w)
     pairs = multis + [multis[h]]
     w = weights[h]
@@ -1047,6 +1110,12 @@ def test_dual_hierarchy_square_pair_needs_level_two():
     assert total == padded
 
 
+def test_dual_hierarchy_gives_none_past_k_max():
+    sq = cone("square")
+    x = _load_point("box-interior.pt", sq, sq)
+    assert dual_hierarchy_k(x, sq, based_cone("square"), k_max=1) is None
+
+
 def test_dual_hierarchy_requires_interior_point():
     sq = cone("square")
     based = based_cone("square")
@@ -1082,8 +1151,8 @@ def test_dual_check_survives_python_O():
         if __debug__:
             sys.exit("not running under -O")
 
-        def tampered(target, generators):
-            out = lp.conic_membership(target, generators)
+        def tampered(count, rows):
+            out = lp.conic_solve(count, rows)
             if not out.member:
                 return out
             weights = list(out.weights)
@@ -1091,7 +1160,7 @@ def test_dual_check_survives_python_O():
             weights[h] *= 2
             return lp.ConicOutcome(member=True, weights=tuple(weights))
 
-        hierarchy.conic_membership = tampered
+        hierarchy.conic_solve = tampered
         based = based_cone("square")
         _, _, entries = parse_point_file(fixture_text("box-interior.pt"))
         x = hierarchy.point_tensor(based.cone, based.cone, entries)
@@ -1182,6 +1251,14 @@ def _read_back(rows):
     return out
 
 
+def _conic_data(count, rows):
+    """(target, generators) of the rows that ``conic_solve`` takes, read back
+    as Fractions: the rhs of each row, and column g of the rows for each
+    generator g < count."""
+    return (tuple(Fraction(ints[-1], d) for ints, d in rows),
+            [tuple(Fraction(ints[g], d) for ints, d in rows) for g in range(count)])
+
+
 @pytest.mark.parametrize("a_name,b_name", CLOSED_FORM_PAIRS)
 def test_ext_k_rows_match_dense_pairing(a_name, b_name):
     """Ge rows against pairing(h, e_a ox sym_basis[m]), eq rows against the
@@ -1239,9 +1316,9 @@ def test_eb_columns_match_dense_tensors(name):
         nv = len(based.base.vertices)
         multis = [(combo, i % nv) for i, combo in
                   enumerate(_sorted_reps(len(based.base.functionals), k))]
-        gamma, gens = _pad_columns(units, based.phi, based.base.vertices,
-                                   [f[1:] for f in based.base.functionals],
-                                   multis, k)
+        gamma, gens = _conic_data(len(multis), _pad_columns(
+            units, based.phi, based.base.vertices,
+            [f[1:] for f in based.base.functionals], multis, k))
         dense = reduction_map(based, k)
         assert gamma == tuple(dense[r] for r in reps)
         assert len(gens) == len(multis)
@@ -1270,7 +1347,8 @@ def test_dual_columns_match_dense_symmetrization(a_name, b_name):
         reps = [(a,) + js for js in _sorted_reps(nB, k) for a in range(nA)]
         pairs = [(combo, ia) for ia in range(len(a_cone.rays))
                  for combo in _sorted_reps(len(based.cone.rays), k)]
-        z, gens = _pad_columns(xs, y, a_cone.rays, based.cone.rays, pairs, k)
+        z, gens = _conic_data(len(pairs), _pad_columns(
+            xs, y, a_cone.rays, based.cone.rays, pairs, k))
         dense = symmetric_project(kron(x, *([from_vector(y)] * (k - 1))), slots)
         assert z == tuple(dense[r] for r in reps)
         assert len(gens) == len(pairs)
@@ -1327,7 +1405,8 @@ def test_sym_tables_match_dense_tensors_off_the_lattice():
 # sha256 of repr(target, generators) of the entanglement-breaking LPs at
 # k = 1, 2, 3, captured from the EB-only builder that preceded
 # ``_pad_columns``; the shared builder must leave every entry and its order
-# alone, so the eb-check bytes cannot move.
+# alone, so the eb-check bytes cannot move.  Both are read back from the
+# rows that reach ``conic_solve`` (``_conic_data``).
 EB_LP_PINS = {
     "cube": "7f07b6a44a18d400d24e579c73634b10f9d5f1026d485c8fd7b4dc3ce2b28028",
     "octahedron": "07b9e73e038ec228e37ebbd4579a5f430c0b7cbe53ccbb47ef9c0f602755fac9",
@@ -1346,11 +1425,12 @@ EB_LP_PINS = {
 def test_eb_lp_data_is_pinned(monkeypatch, name):
     reps = []
 
-    def recording(target, generators):
+    def recording(count, rows):
+        target, generators = _conic_data(count, rows)
         reps.append(repr((vec(target), [vec(g) for g in generators])))
-        return conic_membership(target, generators)
+        return conic_solve(count, rows)
 
-    monkeypatch.setattr(hierarchy, "conic_membership", recording)
+    monkeypatch.setattr(hierarchy, "conic_solve", recording)
     based = based_cone(name)
     for k in (1, 2, 3):
         is_entanglement_breaking(based, k)
@@ -1387,25 +1467,32 @@ DUAL_LP_PINS = {
 def test_dual_lp_data_is_pinned(monkeypatch, case):
     reps = []
 
-    def recording(target, generators):
+    def recording(count, rows):
+        target, generators = _conic_data(count, rows)
         reps.append(repr((vec(target), [vec(g) for g in generators])))
-        return conic_membership(target, generators)
+        return conic_solve(count, rows)
 
-    monkeypatch.setattr(hierarchy, "conic_membership", recording)
+    monkeypatch.setattr(hierarchy, "conic_solve", recording)
     x, a_cone, based = _dual_lp_cases()[case]
     res = dual_hierarchy_k(x, a_cone, based)
     assert len(reps) == res.k
     assert hashlib.sha256("".join(reps).encode()).hexdigest() == DUAL_LP_PINS[case]
 
 
-# -- the cleared generator table of the pad LPs ------------------------------
+# -- the cleared rows of the pad LPs -----------------------------------------
 
-def _fraction_generators(rows, pad, heads, tails, pairs, k):
-    """The pad generators by the Fraction-product formula the generator
-    table replaced: entry (m, o) of pair (combo, h) is Sym(tails_combo)[m]
-    times heads[h][o]."""
+def _fraction_columns(rows, pad, heads, tails, pairs, k):
+    """(target, generators) of a pad LP by the Fraction-product formulas the
+    integer tables replaced: entry (m, o) of pair (combo, h) is
+    Sym(tails_combo)[m] times heads[h][o], and of the target
+    Sym(rows[o] ox pad^(k-1))[m]."""
     _, syms = _sym_tables(pad, tails, {combo for combo, _ in pairs}, k)
-    return [tuple(s * c for s in syms[combo] for c in heads[h]) for combo, h in pairs]
+    n = len(rows)
+    pads = [(o,) + (n,) * (k - 1) for o in range(n)]
+    _, sym_pads = _sym_tables(pad, [*rows, pad], pads, k)
+    target = tuple(s for m in zip(*(sym_pads[p] for p in pads)) for s in m)
+    return target, [tuple(s * c for s in syms[combo] for c in heads[h])
+                    for combo, h in pairs]
 
 
 def _pad_lp_cases():
@@ -1437,20 +1524,19 @@ def _pad_lp_cases():
             yield xs, y, a_cone.rays, based.cone.rays, pairs, k
 
 
-def test_pad_table_matches_the_fraction_formula():
-    """The generator table of every pad LP reads back entry for entry as
-    the Fraction-product formula, and each of its rows is that formula's
-    row cleared by ``clear_denominators``: the ints and the least common
+def test_pad_rows_match_the_fraction_formula():
+    """Row i of every pad LP is ``clear_denominators((*column, t))`` for
+    coordinate i of the Fraction-product formulas: the generators' entries
+    and the target's t, cleared to the ints and the least common
     denominator the LP is solved on."""
     cases = 0
     for args in _pad_lp_cases():
-        _, table = _pad_columns(*args)
-        gens = _fraction_generators(*args)
-        assert list(table) == gens
-        assert len(table.rows) == len(args[0]) * comb(len(args[1]) + args[-1] - 1,
-                                                      args[-1])
-        for i, row in enumerate(table.rows):
-            ints, d = clear_denominators([g[i] for g in gens])
+        rows = _pad_columns(*args)
+        target, gens = _fraction_columns(*args)
+        assert len(rows) == len(args[0]) * comb(len(args[1]) + args[-1] - 1,
+                                                args[-1])
+        for i, row in enumerate(rows):
+            ints, d = clear_denominators([*(g[i] for g in gens), target[i]])
             assert row == (tuple(ints), d)
         cases += 1
     assert cases == 3 * (len(cone_names()) + len(DUAL_LP_PINS) + len(CLOSED_FORM_PAIRS))

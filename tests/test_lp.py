@@ -8,6 +8,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -18,8 +19,8 @@ from coneext.fixtures import based_cone, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import ext_k_membership, point_tensor
 from coneext.linalg import clear_denominators, dot, vec
-from coneext.lp import (FEASIBLE, INFEASIBLE, GeneratorTable, LpProblem,
-                        conic_membership, solve, verify_farkas, verify_point)
+from coneext.lp import (FEASIBLE, INFEASIBLE, LpProblem, conic_membership,
+                        solve, verify_farkas, verify_point)
 
 
 def test_infeasible_with_farkas_certificate():
@@ -959,23 +960,23 @@ _ENTRY = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-9, 9),
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.data())
-def test_table_row_joined_with_its_target_is_the_row_cleared(data):
-    """Row i of a generator table joined with target entry t is exactly
-    ``clear_denominators((*row_i, t))``, ints and least common denominator,
-    for generators mixing ints and Fractions of unequal denominators,
-    negative entries, all-zero rows and zero targets; the table reads back
-    as the generators, and a conic query gives the same outcome on the
-    table as on the list."""
+def test_conic_rows_are_each_coordinate_cleared(data):
+    """Row i of the LP that ``conic_membership`` hands ``conic_solve`` is
+    exactly ``clear_denominators((*column_i, t))`` for coordinate i of the
+    generators and target entry t, ints and least common denominator, for
+    generators mixing ints and Fractions of unequal denominators, negative
+    entries, all-zero rows and zero targets."""
+    from coneext import lp
+
     dim = data.draw(st.integers(1, 4))
     gens = data.draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
                               max_size=5))
     target = vec(data.draw(st.lists(_ENTRY, min_size=dim, max_size=dim)))
-    table = GeneratorTable.of(gens, dim)
-    assert len(table) == len(gens)
-    assert list(table) == [vec(g) for g in gens]
-    joined = table.joined(target)
-    assert len(joined) == dim
-    for i, (ints, d) in enumerate(joined):
+    with mock.patch.object(lp, "conic_solve", wraps=lp.conic_solve) as seen:
+        conic_membership(target, gens)
+    (count, rows), = [c.args for c in seen.call_args_list]
+    assert count == len(gens) and len(rows) == dim
+    for i, (ints, d) in enumerate(rows):
         row = [g[i] for g in gens]
         event("all-zero row" if not any(row) else
               "zero target" if not target[i] else "both nonzero")
@@ -983,15 +984,25 @@ def test_table_row_joined_with_its_target_is_the_row_cleared(data):
         assert (ints, d) == (tuple(clear), lcd)
         assert all(type(a) is int for a in ints) and type(d) is int
         assert d == lcm(*(Fraction(a).denominator for a in (*row, target[i])))
-    assert conic_membership(target, table) == conic_membership(target, gens)
+        assert [Fraction(a, d) for a in ints] == [*row, target[i]]
 
 
 def test_generator_dimension_mismatch_is_refused():
-    """A generator or a table of the wrong dimension is a ``ValueError``."""
+    """A generator of the wrong dimension is a ``ValueError``."""
     with pytest.raises(ValueError, match="generator dimension mismatch"):
         conic_membership((1, 0), [(1, 0), (1,)])
-    with pytest.raises(ValueError, match="generator dimension mismatch"):
-        conic_membership((1, 0, 0), GeneratorTable.of([(1, 0)], 2))
+
+
+def test_excess_and_combination_refuse_a_length_mismatch():
+    """The row readers behind both re-checks refuse a point or multipliers
+    that do not match the rows, rather than reading a truncated zip."""
+    from coneext import lp
+
+    rows = (((1, 2, 3), 1),)
+    with pytest.raises(ValueError, match="row of length 2 against 3 values"):
+        lp._excess(rows, (1, 2, 3))
+    with pytest.raises(ValueError, match="2 multipliers against 1 rows"):
+        lp._combination(rows, (1, 1), 3)
 
 
 def _seventh_mutants():

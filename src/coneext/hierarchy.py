@@ -190,21 +190,15 @@ def _sym_pad_ints(rows, pad, multisets):
     return [t[0] for t in ints], den
 
 
-def _lowest_terms(ints, d):
-    """The row ints / d, for ints over a common multiple d > 0 of their
-    denominators, as a tuple of ints over its least common denominator:
-    both divided by their gcd."""
+def _joined(ints, d, t, q):
+    """The row (*ints / d, t / q), for ints over d > 0 and an int t over
+    q > 0, as a tuple of ints over its least common denominator: cross-
+    multiplied over d q, then all divided by their gcd."""
+    ints, d = [a * q for a in ints] + [t * d], d * q
     g = gcd(d, *ints)
     if g == 1:
         return tuple(ints), d
     return tuple([a // g for a in ints]), d // g
-
-
-def _joined(ints, d, t, q):
-    """The row (*ints / d, t / q), for ints over d > 0 and an int t over
-    q > 0, in lowest terms: cross-multiplied over d q, then
-    ``_lowest_terms``."""
-    return _lowest_terms([a * q for a in ints] + [t * d], d * q)
 
 
 def _pad_columns(rows, pad, heads, tails, pairs, k):
@@ -393,8 +387,8 @@ def _ext_k_rows(x, a_cone, based, k):
     Column (a, m) is e_a ox sym_basis[m].  The ge rows, one per pair
     (g, f) of ``_ext_k_pairs``, are f[a] Sym(g)[m] >= 0: max half-spaces
     paired with the column, which is entry (a, m) of the pair in
-    ``_sym_head_ints`` with A's facets as heads, divided by one gcd down to
-    the least common denominator.  The eq rows, one per (i, j) in
+    ``_sym_head_ints`` with A's facets as heads, ``_joined`` with the rhs
+    0.  The eq rows, one per (i, j) in
     row-major order, are the reduced columns read at (i, j) = x[i, j]: the
     reduction of sym_basis[m] read at j is Sym(e_j ox phi^(k-1))[m], so
     block i is row j of the ``_sym_pad_ints`` table of the unit rows
@@ -404,7 +398,7 @@ def _ext_k_rows(x, a_cone, based, k):
     pairs = _ext_k_pairs(a_cone, based, k)
     multisets = _multisets(nB, k)
     ints, den = _sym_head_ints(a_cone.facets, based.cone.facets, pairs, multisets)
-    ge = [_lowest_terms((*itertools.chain.from_iterable(t), 0), den) for t in ints]
+    ge = [_joined(itertools.chain.from_iterable(t), den, 0, 1) for t in ints]
     units = [[int(i == j) for j in range(nB)] for i in range(nB)]
     red, den = _sym_pad_ints(units, based.phi, multisets)
     zeros = (0,) * len(multisets)

@@ -388,11 +388,11 @@ def _ext_k_rows(x, a_cone, based, k):
     (g, f) of ``_ext_k_pairs``, are f[a] Sym(g)[m] >= 0: max half-spaces
     paired with the column, which is entry (a, m) of the pair in
     ``_sym_head_ints`` with A's facets as heads, ``_joined`` with the rhs
-    0.  The eq rows, one per (i, j) in
-    row-major order, are the reduced columns read at (i, j) = x[i, j]: the
-    reduction of sym_basis[m] read at j is Sym(e_j ox phi^(k-1))[m], so
-    block i is row j of the ``_sym_pad_ints`` table of the unit rows
-    ``_joined`` with x[i, j].  No entry is ever a Fraction.
+    0.  The eq rows, one per (i, j) in row-major order, are the reduced
+    columns read at (i, j) = x[i, j]: the reduction of sym_basis[m] read at
+    j is Sym(e_j ox phi^(k-1))[m], so block i is row j of the
+    ``_sym_pad_ints`` table of the unit rows ``_joined`` with x[i, j].  No
+    entry is ever a Fraction.
     """
     nA, nB = a_cone.dim, based.cone.dim
     pairs = _ext_k_pairs(a_cone, based, k)

@@ -14,12 +14,14 @@ so the tableau takes the same pivots as a dense tableau of Fractions while
 a pivot touches only nonzero entries.  A free variable x_j keeps the two
 column labels +x_j and -x_j of the split x_j = x_j+ - x_j-, and every tie-
 break reads those labels, but a row stores only its +x_j entry: the -x_j
-entry is always its negative and is read as such (Maros 2003, ch. 9), so a
-row carries each free variable once and the pivots are those of the split
-tableau.  An artificial column is deleted when it leaves the basis, so no
-artificial re-enters or is carried through later pivots, and an infeasible
-problem's Farkas multipliers are solved from the final basis (see
-``solve``).  No floating point, no presolve.  The API
+entry is always its negative and is read as such, so a row carries each
+free variable once.  A free variable that enters the basis never leaves it
+(Maros 2003, ch. 9): its row is taken out of the tableau, since neither
+pricing nor the ratio test reads it again, and its value is solved from the
+problem rows at the end.  An artificial column is deleted when it leaves
+the basis, so no artificial re-enters or is carried through later pivots,
+and an infeasible problem's Farkas multipliers are solved from the final
+basis (see ``solve``).  No floating point, no presolve.  The API
 stays Fraction in and Fraction out.  A problem holds its rows only cleared
 to integers (``LpProblem.int_rows``); the tableau, both re-checks below and
 the conic re-sum and separation check all read them, each an exact
@@ -192,7 +194,9 @@ class _Tableau:
     A free x_j has two columns, ("var", j, 1) and next to it ("var", j, -1),
     as if split into x_j+ - x_j-.  Every row, ``z`` included, stores only
     the first; the entry of the second is minus the stored one (``_key``),
-    as it would be in every row of the split tableau."""
+    as it would be in every row of the split tableau.  Once either column
+    of a free variable is basic, its row leaves ``T`` and ``basis`` and the
+    column joins ``frozen``: the full basis is ``basis`` and ``frozen``."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -217,6 +221,7 @@ class _Tableau:
         self.sigma = []
         self.T = []
         self.basis = []
+        self.frozen = []  # basic free columns, whose rows are gone
         for ridx, (ints, d, surplus) in enumerate(rows):
             b = ints[-1]
             # a ge row with nonpositive rhs is flipped so its surplus column
@@ -264,7 +269,8 @@ class _Tableau:
     def pivot(self, r, c):
         """Make column c basic in row r.  Row r must read positive at c, as
         the ratio test of ``run`` chooses it, so that entry becomes the
-        row's positive denominator without a change of sign."""
+        row's positive denominator without a change of sign.  A free column
+        is then frozen with its row taken out."""
         row = self.T[r]
         if self.basis[r] >= self.art0:
             # a leaving artificial leaves the problem: its column is nonzero
@@ -276,6 +282,11 @@ class _Tableau:
         for other in (*self.T, self.z):
             if key in other and other is not row:
                 _eliminate(other, row, key, s)
+        if key in self.free:
+            # a basic free variable never leaves, and its column is now zero
+            # in every other row and in z: its row is no longer read
+            del self.T[r], self.basis[r]
+            self.frozen.append(c)
 
     def run(self):
         """Guarded Dantzig iterations; returns "optimal" or "unbounded".
@@ -288,7 +299,9 @@ class _Tableau:
         pivot.  Only structural columns enter: each artificial is basic
         until it leaves, and then its column is gone.  A free variable's
         stored reduced cost a prices its +x_j column at a and its -x_j
-        column at -a, so a positive one makes the -x_j column a candidate."""
+        column at -a, so a positive one makes the -x_j column a candidate.
+        A frozen column is zero in ``z`` and has no row, so it neither
+        enters nor leaves again."""
         art0, free = self.art0, self.free
         seen = set()  # bases left by degenerate pivots since the last other one
         bland = False
@@ -327,6 +340,8 @@ class _Tableau:
             if bn:
                 seen.clear()
                 bland = False
+            elif key in free:
+                seen.clear()  # the live basis shrinks, so none of them recurs
             elif not bland:
                 seen.add(tuple(self.basis))
             self.pivot(leave, enter)
@@ -338,20 +353,21 @@ class _Tableau:
 
     def multipliers(self):
         """The Farkas multipliers of an infeasible phase 1, one per problem
-        row: sigma_i * y_i for the duals y = c_B B^-1 of the final basis B,
-        from y . B = c_B column by column.  A basic artificial of row i
-        (cost 1, column e_i) gives y_i = 1; a basic surplus of ge row i
-        (cost 0, column -sigma_i e_i) gives y_i = 0; each basic variable
-        column j (cost 0) gives sum_i m_i A_ij = 0.  The artificial and
-        surplus columns of B are multiples of unit columns at distinct rows,
-        so the remaining rows and the basic variable columns make a square
-        block of B, nonsingular because B is: one solution, solved on the
-        cleared rows."""
+        row: sigma_i * y_i for the duals y = c_B B^-1 of the full final
+        basis B, frozen columns included, from y . B = c_B column by column.
+        A basic artificial of row i (cost 1, column e_i) gives y_i = 1; a
+        basic surplus of ge row i (cost 0, column -sigma_i e_i) gives
+        y_i = 0; each basic variable column j (cost 0) gives
+        sum_i m_i A_ij = 0.
+        The artificial and surplus columns of B are multiples of unit
+        columns at distinct rows, so the remaining rows and the basic
+        variable columns make a square block of B, nonsingular because B is:
+        one solution, solved on the cleared rows."""
         rows = self.problem.int_rows
         ne = self.problem.num_eq
         mult = [None] * len(rows)
         var_cols = []
-        for bcol in self.basis:
+        for bcol in (*self.basis, *self.frozen):
             tag = self.cols[bcol]
             if tag[0] == "art":
                 mult[tag[1]] = self.sigma[tag[1]]
@@ -375,12 +391,35 @@ class _Tableau:
         return tuple(map(Fraction, mult))
 
     def extract_point(self):
+        """The basic solution: live basic columns read off their rows, and
+        the frozen free variables solved from the problem rows whose
+        surplus and artificial are nonbasic, which hold with equality.  As
+        in ``multipliers``, those rows and the basic variable columns make a
+        nonsingular square block of the final basis, so the frozen columns
+        of that block are independent and the solution is unique."""
         x = [Fraction(0)] * self.problem.num_vars
+        slack = set()  # rows whose surplus or artificial is basic
         for i, bcol in enumerate(self.basis):
             tag = self.cols[bcol]
-            if tag[0] == "var":
-                _, j, s = tag
-                x[j] += s * self.entry(i, _RHS)
+            if tag[0] == "var":  # a nonnegative variable: free ones are frozen
+                x[tag[1]] = self.entry(i, _RHS)
+            elif tag[0] == "sur":
+                slack.add(self.problem.num_eq + tag[1])
+            else:
+                slack.add(tag[1])
+        if self.frozen:
+            # sum over frozen j of ints[j] x_j = ints[-1] - the rest, in
+            # u_j = D x_j over the common denominator D of the known values
+            js = [self.cols[c][1] for c in self.frozen]
+            xs, D = clear_denominators((*x, -1))
+            rows = [ints for i, (ints, _) in enumerate(self.problem.int_rows)
+                    if i not in slack]
+            solution = linear_solve([[ints[j] for j in js] for ints in rows],
+                                    [-sum(map(mul, ints, xs)) for ints in rows])
+            if solution is None:
+                raise CertificateError("final phase 1 basis is singular")
+            for j, u in zip(js, solution):
+                x[j] = u / D
         return tuple(x)
 
 
@@ -417,9 +456,14 @@ def solve(problem):
 
     Phase 1 minimizes the sum of the artificials, and an artificial that
     leaves the basis leaves the problem: its column is deleted and never
-    enters again.  At minimum 0 the point is read from the final basis;
-    artificials left basic at level 0 do not change it.  Three facts make
-    this sound.
+    enters again.  A free variable that enters is frozen: it is basic for
+    good, and its row leaves the tableau.  Its column is then zero in every
+    live row and in the reduced costs, and stays so, since every later
+    pivot row is a live row; and having no sign to keep, it never blocks
+    the ratio test.  The live rows are then the tableau of the problem with
+    the frozen variables eliminated by their rows.  At minimum 0 the point
+    is read from the full final basis; artificials left basic at level 0 do
+    not change it.  Three facts make this sound.
 
     * Minimum 0 exactly when the problem is feasible.  Each deletion fixes
       an artificial at 0, so the restricted phase 1 is the full one with
@@ -428,32 +472,41 @@ def solve(problem):
       minimum is 0.  Conversely, at minimum 0 every remaining artificial is
       0 and so is every deleted one, and the basic solution solves the rows.
     * The multipliers certify infeasibility.  At a minimum of value w > 0
-      with basis B, y = c_B B^-1 prices every remaining column at a
-      nonnegative reduced cost: y . a_j <= 0 for every variable and
-      surplus column a_j, whose costs are 0, and y . b = w > 0.  Deleted
-      artificial columns do not enter Farkas' lemma, which reads only the
-      structural columns.  Take m_i = sigma_i y_i, where sigma_i = -1 on
-      the rows the tableau negates.  Then y . a_j <= 0 makes
+      with full basis B, live and frozen columns, y = c_B B^-1 prices
+      every remaining column at a nonnegative reduced cost: y . a_j <= 0
+      for every variable and surplus column a_j, whose costs are 0, and
+      y . b = w > 0.  Deleted artificial columns do not enter Farkas'
+      lemma, which reads only the structural columns.  Take
+      m_i = sigma_i y_i, where sigma_i = -1 on the rows the tableau
+      negates.  Then y . a_j <= 0 makes
       sum_i m_i A_ij zero on a free variable (its +x_j and -x_j columns
       have opposite reduced costs, both nonnegative), nonpositive on a
       nonnegative one, and m_i >= 0 on ge row i (its surplus), and
       sum_i m_i b_i = w > 0: the certificate ``verify_farkas`` judges.
       ``_Tableau.multipliers`` solves y . B = c_B for y.
-    * Termination under the guarded rule of ``_Tableau.run``.  A non-
-      degenerate pivot strictly lowers the objective: the entering reduced
-      cost is negative and the step is positive.  A degenerate pivot, and
-      the deletion of an artificial column, which is nonbasic by then,
-      leave the basic solution and the objective alone.  The objective is
-      a function of the basis, so no basis recurs across a non-degenerate
-      pivot, and as there are finitely many bases there are finitely many
-      non-degenerate pivots.  A run of degenerate pivots either ends or
-      repeats a basis, again because there are finitely many bases; at the
-      first repeat Bland's rule takes over until the run ends.  Between
-      deletions the column set is fixed and Bland's rule (Bland 1977)
-      cannot cycle from any basis: its scan covers every nonbasic column
-      of the restricted problem, since the remaining artificials are all
-      basic, and the ratio test lets the smallest basic column leave on
-      ties.  There are finitely many deletions, so the run ends.
+    * Termination under the guarded rule of ``_Tableau.run``.  Each free
+      variable enters at most once, so there are finitely many freezes.
+      After the last one no free column enters and only rows basic in a
+      surplus, an artificial or a nonnegative variable leave: the live
+      problem is an LP in sign-constrained columns, the +x_j and -x_j of
+      each free variable not frozen counting as two, and the argument below
+      applies to it.  A negative reduced cost always meets a blocking row,
+      since otherwise the sum of the artificials, which is at least 0, would
+      fall without bound.  A non-degenerate pivot strictly lowers the
+      objective: the entering reduced cost is negative and the step is
+      positive.  A degenerate pivot, and the deletion of an artificial
+      column, which is nonbasic by then, leave the basic solution and the
+      objective alone.  The objective is a function of the basis, so no
+      basis recurs across a non-degenerate pivot, and as there are finitely
+      many bases there are finitely many non-degenerate pivots.  A run of
+      degenerate pivots either ends or repeats a basis, again because there
+      are finitely many bases; at the first repeat Bland's rule takes over
+      until the run ends.  Between deletions the column set is fixed and
+      Bland's rule (Bland 1977) cannot cycle from any basis: its scan covers
+      every nonbasic column of the restricted problem, since the remaining
+      artificials are all basic, and the ratio test lets the smallest basic
+      column leave on ties.  There are finitely many deletions, so the run
+      ends.
     """
     tab = _Tableau(problem)
     art0 = tab.art0

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -317,41 +318,42 @@ def _digest(pivots):
 # sha256 of repr of the pivot sequence of each LP of _pinned_corpus(), with
 # its pivot count in the comment, captured under guarded Dantzig pricing:
 # the most negative reduced cost enters, and Bland's rule takes over after a
-# basis repeats within a run of degenerate pivots.  A change of pricing rule
-# or of the ratio test's tie-break changes these.  Each is phase 1 alone;
-# where an LP once carried an objective, its sequence is a prefix of the one
-# pinned when solve also ran phase 2.
+# basis repeats within a run of degenerate pivots.  A free variable that
+# enters is frozen: its row leaves the tableau, so it never leaves and the
+# later rows are numbered without it.  A change of pricing rule, of the
+# ratio test's tie-break or of the freezing rule changes these.  Each is
+# phase 1 alone.
 _PINNED_PIVOTS = [
     '422d7572839f779a3eb7f478bcfdb25b372f4262862385f7b1ce14b6a666a3d2',  # 5
     '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    'e4be09c7fe8eae07f78292b76527ab03398adf17143d9365cee59ddc6dc6332b',  # 2
+    '2c136d13af5742c6f7a9ddd9d6881abb7831935452c8f537cea056ea859ea8a5',  # 2
     'e87a3e3505b338a58d78d286bb9216a2ed2d496de7d0cceed98a750b47ed9a2f',  # 2
     '00ce6357cff8c2924ca78454dfcaaf693aca5b46178568fa33c70d0f8288746f',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    'a626abeb03512bd6d196da2bfd7e118d81b703b971e19267498ccc0a725850ac',  # 5
+    'aa5a90cbbf9f0b2db50cf628d3448d4259779585af43fd6e65a81188e9391fc2',  # 4
     '02cc7f0711a1198b57ce717df6271cfb6feb5cd998d090133efe84ba0152fbf3',  # 1
     '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
-    '9b3b21ee41692541dda0f9af2f395260ffc654cb15594e9db70a727a3457ce2c',  # 2
+    '9c7cf9f2fcdc7213f8e3634b089d470ccb167590778cf7f89789a8c4c009e989',  # 2
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '921af0b4acb4608c8c1f8e495aa69200072c01d42aac9a530e9d9a655c803a36',  # 5
+    '3bdaee6b4bdb261e5ecc4e0f2b34ffb3c23a7d25574dca1a515ea17126ad8984',  # 5
     '478320901d993375e8bcf2be91a742c5ec8ff9deac0956df56cd1f529aa59172',  # 1
-    '1f6681814b50dab5213fb3429662197608df3f8dfe3be40303e316778aef52de',  # 4
+    '253f285ca614ec2ceddda8a5b298acaabaa437c6cb7ef1d9ed2742fcead6eac2',  # 4
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '23fafb672dbd5fbdcaf03359549a4966fd4db23c15a2b1bcf9f22479fe3a2277',  # 1
     '2eef8a342e1bc3825c51c24910f0ab66cf63e2e82eec2298baf2375ebf75222f',  # 2
     '468d6fe1ef80d78491953e87344cc5062b8f48043713895871ff9b6fa1ad4c25',  # 2
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     '23fafb672dbd5fbdcaf03359549a4966fd4db23c15a2b1bcf9f22479fe3a2277',  # 1
-    'cd070bae97d2d052fea5e6aa6b199aa35f912459498b5421c445e1a17e69e0e0',  # 5
+    '6b6658ff3eb63cddc3d85a8bf714b5d2739ef8768fe673cb12a6c34e246f82ca',  # 5
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     'e077fdfe80d785eeefcdf6a753caf8b3a6d147f206d89cdec37305ad09c9e659',  # 6
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
     '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '85c638cc9bae41f712025b7f481181e0bf5df988c3b6e221f3d6e36aec3b308e',  # 3
-    '532b4cb6a95c98418bd691e27214629473f3d7d9abff759aa83a91016c39a9fd',  # 5
+    '405817303d5c33f68d21860d4210dda4eae99c712ac058cbf5a8c394471ce817',  # 3
+    '3eb68adc962ff5f0d2fbbc2c3ab0d5420909c68a79d2511670f9a3c598d04c83',  # 5
     '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
     'c3775583128a6a59a08cd5b4b1f55d321100f9c50159d0c554f3b20853e0980f',  # 4
 ]
@@ -367,18 +369,21 @@ def test_pinned_pivot_sequences(pivots):
 
 
 # (pivot count, sha256 of the pivot sequence) of the one LP of each
-# EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS.
-# Every ge row of these LPs has rhs 0, so phase 1 starts at a degenerate
-# vertex.
+# EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS
+# under the same freezing rule.  Every variable of these LPs is free, and
+# every ge row has rhs 0, so phase 1 starts at a degenerate vertex.  Before
+# free variables were frozen, gap-k3 took 103 pivots at k=3 and 185 at k=4.
 EXT_K_PIVOT_PINS = {
-    ("gap-k3", "square-skew", 1): (10, "95acb0f8ad33d5ee0b7042b5ed620422b37e496477c9d9059cb6c02909b47dc4"),
-    ("gap-k3", "square-skew", 2): (23, "ea7db940034ba2377c8c92ec12773d533db86b94dfba4074fa43a13c41da8d40"),
-    ("gap-k3", "square-skew", 3): (103, "da2a0233c5ddfd65b2e07d1c72df0ca20e6a8d25e8d0e36248d3d075df47addd"),
-    ("gap-k2", "square-skew", 1): (10, "520a2c9a13c739fe245bb85b4c6148adbe42fe7ab1fb523e798d7280f86b9d8b"),
-    ("gap-k2", "square-skew", 2): (23, "ef66c7645ae0c727545c08d6086c6ce0fa32058742150da171199479629d4600"),
-    ("gap-k2", "square-skew", 3): (69, "51aba647ec8b0afcb53010b8120450d55fefce2b8af548f21b6d9a5cd391ace4"),
-    ("box", "square", 1): (9, "93bc233e9cf08e47bcc8eb3206b41df8fa9baf231d873a53f8ddab31bf0c03e5"),
-    ("box", "square", 2): (15, "569b6ac39c9a105108f3adf0359c4389f53eabb96243455d5fc1234d1f776c4e"),
+    ("gap-k3", "square-skew", 1): (10, "1e562ccaafff8db35ba6b585351f44720a1d96c61ee25375b3ba9a518824a706"),
+    ("gap-k3", "square-skew", 2): (21, "f6f921a069afc12dfce72bbb36e35dd5bb3147d4dafd1a7b7ed6b54a8697e90f"),
+    ("gap-k3", "square-skew", 3): (57, "b0a1ef60c8517b7579d26e08c2cc77e17ad37dd391a32d0aa2328dd2a3d3e32b"),
+    ("gap-k3", "square-skew", 4): (114, "0eee38be8d41b1ab911e798692b366fbf19e4c342bf674b0309248ee1ebdd7b8"),
+    ("gap-k2", "square-skew", 1): (10, "c34dc87bb3614c256763850fb9ecb833c546ef1d27be3a34d5166e06551aac93"),
+    ("gap-k2", "square-skew", 2): (18, "3bae38dce171d02925bfb05d02f08b6c60665d470087df83304c5b47c70b7f8b"),
+    ("gap-k2", "square-skew", 3): (44, "5f2a26ffc63ac8527258f2a04865ff5b7d71ff288856fb40d86203ca7ceff87c"),
+    ("gap-k2", "square-skew", 4): (96, "8c32d1f86ccd533c2f655490288c7b526403185dc333cd2c933ccb32b6d841ba"),
+    ("box", "square", 1): (9, "2b9435276945e7a7707ee98e36d2e9196ab08d51e2ed15733db8ac4898ec6168"),
+    ("box", "square", 2): (14, "b5355b9ffb0c9c58fc5659854fcf9e30f1d51dc86ba4302e6387c5f943d63885"),
 }
 
 
@@ -406,11 +411,14 @@ def _pentagon_diagonal():
 
 
 # (pivot count, sha256 of the pivot sequence) of the pentagon diagonal
-# point's one LP.  It is a NON-MEMBER from k=1 on; Bland's rule stalled at
-# the degenerate apex for 194 pivots at k=2 and 2,393 at k=3.
+# point's one LP, with free variables frozen once basic.  It is a NON-MEMBER
+# from k=1 on; Bland's rule stalled at the degenerate apex for 194 pivots at
+# k=2 and 2,393 at k=3, and guarded Dantzig pricing alone took 47, 99 and
+# 726 pivots at k=2, 3 and 4.
 PENTAGON_DIAGONAL_PIVOT_PINS = {
-    2: (47, "f70267c7758506f8e3dfe7622d158ec83f9a59e7768e670551c267d19c883add"),
-    3: (99, "572301f63196ff0f26a96521b01d93499efae43ab411e65c858d157d353e061c"),
+    2: (20, "7d55365e882dbaf96f715cb41af286975ccea083f8d54d7f3d9fce02eb472e61"),
+    3: (41, "6b89837c6156699322287e71b59c7839cfddc54fb567732d0ebc647f97770fc9"),
+    4: (173, "3886fe2167628f203297984a70245622d00b698ac03c424620359f397481cb09"),
 }
 
 
@@ -581,14 +589,51 @@ def entering(monkeypatch):
 
 
 def test_no_pivot_enters_an_artificial_column(entering):
-    """Over the pinned and the random LPs and the pentagon diagonal's LPs,
-    every pivot enters a variable or surplus column."""
+    """Over the pinned and the random LPs, the Ext_k pin cases and the
+    pentagon diagonal's LPs, every pivot enters a variable or surplus
+    column."""
     for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
         solve(p)
+    for key in EXT_K_PIVOT_PINS:
+        ext_k_membership(*_ext_k_case(*key))
     for k in PENTAGON_DIAGONAL_PIVOT_PINS:
         ext_k_membership(*_pentagon_diagonal(), k)
     assert len(entering) >= 300, len(entering)
     assert {tag[0] for tag in entering} == {"var", "sur"}
+
+
+def test_a_basic_free_variable_never_leaves(monkeypatch):
+    """Over the pinned and the random LPs, the Ext_k pin cases and the
+    pentagon diagonal's LPs, no pivot lets a free variable's column leave,
+    and each free variable enters at most once in an LP."""
+    from coneext import lp
+
+    pivot = lp._Tableau.pivot
+    entered = weakref.WeakKeyDictionary()  # tableau -> free variables entered
+    leaving = []
+
+    def checking(tab, r, c):
+        free = {j for j in range(tab.problem.num_vars) if j not in tab.problem.nonneg}
+        kind, *rest = tab.cols[tab.basis[r]]
+        leaving.append(kind)
+        assert not (kind == "var" and rest[0] in free), tab.cols[tab.basis[r]]
+        kind, *rest = tab.cols[c]
+        if kind == "var" and rest[0] in free:
+            seen = entered.setdefault(tab, set())
+            assert rest[0] not in seen, tab.cols[c]
+            seen.add(rest[0])
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", checking)
+    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
+        solve(p)
+    for key in EXT_K_PIVOT_PINS:
+        ext_k_membership(*_ext_k_case(*key))
+    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
+        ext_k_membership(*_pentagon_diagonal(), k)
+    # every kind of basic column has left, a nonnegative variable included
+    assert set(leaving) == {"var", "sur", "art"}
+    assert len(leaving) >= 800, len(leaving)
 
 
 # x0 free, x1 >= 0; 2 x0 = 1 and 3/2 x0 = 4/3 disagree, x0 - x1 >= -1/2.
@@ -609,7 +654,8 @@ def test_multipliers_are_solved_from_a_mixed_final_basis(monkeypatch):
     kinds = []
 
     def recording(tab):
-        kinds.append(sorted(tab.cols[bcol][0] for bcol in tab.basis))
+        # the full final basis: the live rows' columns and the frozen x0
+        kinds.append(sorted(tab.cols[bcol][0] for bcol in (*tab.basis, *tab.frozen)))
         return multipliers(tab)
 
     monkeypatch.setattr(lp._Tableau, "multipliers", recording)
@@ -657,6 +703,58 @@ def test_a_moved_solved_multiplier_is_rejected_under_python_O():
         message = test_lp._solved_multiplier_moved_by_a_seventh()
         if message is None or "nonzero on a free variable" not in message:
             sys.exit(f"moved multiplier gave {{message!r}}")
+    """
+    _passes_under_python_O(code)
+
+
+# x0 free, x1 >= 0; x0 + x1 = 3/2 and 2 x0 - x1 = 1/3.  Phase 1 freezes x0
+# and leaves x1 = 8/9 basic, so x0 = 11/18 is solved from both rows.
+_FROZEN_LP = LpProblem.build(
+    2, eq_rows=[((1, 1), Fraction(3, 2)), ((2, -1), Fraction(1, 3))],
+    nonneg=(1,))
+
+
+def _solved_frozen_value_moved_by_a_seventh():
+    """The message raised when the solved value of the first frozen free
+    variable of _FROZEN_LP is moved by 1/7 before the point check, or None;
+    raises nothing itself, so it also reports under ``python -O``."""
+    from coneext import lp
+
+    extract_point = lp._Tableau.extract_point
+
+    def moved(tab):
+        x = list(extract_point(tab))
+        x[tab.cols[tab.frozen[0]][1]] += Fraction(1, 7)
+        return tuple(x)
+
+    lp._Tableau.extract_point = moved
+    try:
+        lp.solve(_FROZEN_LP)
+    except lp.CertificateError as err:
+        return str(err)
+    finally:
+        lp._Tableau.extract_point = extract_point
+    return None
+
+
+def test_frozen_value_is_solved_from_the_final_basis():
+    assert solve(_FROZEN_LP).point == (Fraction(11, 18), Fraction(8, 9))
+
+
+def test_a_solved_frozen_value_moved_by_a_seventh_is_rejected():
+    assert _solved_frozen_value_moved_by_a_seventh() == "equality row violated"
+
+
+def test_a_moved_frozen_value_is_rejected_under_python_O():
+    code = f"""
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+        import test_lp
+        message = test_lp._solved_frozen_value_moved_by_a_seventh()
+        if message != "equality row violated":
+            sys.exit(f"moved frozen value gave {{message!r}}")
     """
     _passes_under_python_O(code)
 
@@ -1132,6 +1230,8 @@ def test_every_certificate_message_is_raised(monkeypatch):
         m.setattr(lp, "linear_solve", lambda rows, rhs: None)
         with pytest.raises(lp.CertificateError, match="basis is singular"):
             solve(_MIXED_BASIS_LP)
+        with pytest.raises(lp.CertificateError, match="basis is singular"):
+            solve(_FROZEN_LP)
 
     def unknown(problem):
         # a status that solve never returns

@@ -299,9 +299,7 @@ class _Tableau:
         pivot.  Only structural columns enter: each artificial is basic
         until it leaves, and then its column is gone.  A free variable's
         stored reduced cost a prices its +x_j column at a and its -x_j
-        column at -a, so a positive one makes the -x_j column a candidate.
-        A frozen column is zero in ``z`` and has no row, so it neither
-        enters nor leaves again."""
+        column at -a, so a positive one makes the -x_j column a candidate."""
         art0, free = self.art0, self.free
         seen = set()  # bases left by degenerate pivots since the last other one
         bland = False
@@ -358,11 +356,10 @@ class _Tableau:
         A basic artificial of row i (cost 1, column e_i) gives y_i = 1; a
         basic surplus of ge row i (cost 0, column -sigma_i e_i) gives
         y_i = 0; each basic variable column j (cost 0) gives
-        sum_i m_i A_ij = 0.
-        The artificial and surplus columns of B are multiples of unit
-        columns at distinct rows, so the remaining rows and the basic
-        variable columns make a square block of B, nonsingular because B is:
-        one solution, solved on the cleared rows."""
+        sum_i m_i A_ij = 0.  The artificial and surplus columns of B are
+        multiples of unit columns at distinct rows, so the remaining rows and
+        the basic variable columns make a square block of B, nonsingular
+        because B is: one solution, solved on the cleared rows."""
         rows = self.problem.int_rows
         ne = self.problem.num_eq
         mult = [None] * len(rows)
@@ -391,12 +388,9 @@ class _Tableau:
         return tuple(map(Fraction, mult))
 
     def extract_point(self):
-        """The basic solution: live basic columns read off their rows, and
-        the frozen free variables solved from the problem rows whose
-        surplus and artificial are nonbasic, which hold with equality.  As
-        in ``multipliers``, those rows and the basic variable columns make a
-        nonsingular square block of the final basis, so the frozen columns
-        of that block are independent and the solution is unique."""
+        """The basic solution.  A frozen variable has no row: it is solved
+        from the problem rows whose surplus and artificial are nonbasic,
+        which hold with equality, uniquely as in ``multipliers``."""
         x = [Fraction(0)] * self.problem.num_vars
         slack = set()  # rows whose surplus or artificial is basic
         for i, bcol in enumerate(self.basis):
@@ -456,14 +450,12 @@ def solve(problem):
 
     Phase 1 minimizes the sum of the artificials, and an artificial that
     leaves the basis leaves the problem: its column is deleted and never
-    enters again.  A free variable that enters is frozen: it is basic for
-    good, and its row leaves the tableau.  Its column is then zero in every
-    live row and in the reduced costs, and stays so, since every later
-    pivot row is a live row; and having no sign to keep, it never blocks
-    the ratio test.  The live rows are then the tableau of the problem with
-    the frozen variables eliminated by their rows.  At minimum 0 the point
-    is read from the full final basis; artificials left basic at level 0 do
-    not change it.  Three facts make this sound.
+    enters again.  A free variable that enters is frozen: basic for good,
+    its row leaves the tableau, and its column stays zero in the live rows
+    and the reduced costs, as every later pivot row is live.  With no sign
+    to keep, it never blocks the ratio test.  At minimum 0 the point is read
+    from the full final basis; artificials left basic at level 0 do not
+    change it.  Three facts make this sound.
 
     * Minimum 0 exactly when the problem is feasible.  Each deletion fixes
       an artificial at 0, so the restricted phase 1 is the full one with
@@ -485,28 +477,24 @@ def solve(problem):
       sum_i m_i b_i = w > 0: the certificate ``verify_farkas`` judges.
       ``_Tableau.multipliers`` solves y . B = c_B for y.
     * Termination under the guarded rule of ``_Tableau.run``.  Each free
-      variable enters at most once, so there are finitely many freezes.
-      After the last one no free column enters and only rows basic in a
-      surplus, an artificial or a nonnegative variable leave: the live
-      problem is an LP in sign-constrained columns, the +x_j and -x_j of
-      each free variable not frozen counting as two, and the argument below
-      applies to it.  A negative reduced cost always meets a blocking row,
-      since otherwise the sum of the artificials, which is at least 0, would
-      fall without bound.  A non-degenerate pivot strictly lowers the
-      objective: the entering reduced cost is negative and the step is
-      positive.  A degenerate pivot, and the deletion of an artificial
-      column, which is nonbasic by then, leave the basic solution and the
-      objective alone.  The objective is a function of the basis, so no
-      basis recurs across a non-degenerate pivot, and as there are finitely
-      many bases there are finitely many non-degenerate pivots.  A run of
-      degenerate pivots either ends or repeats a basis, again because there
-      are finitely many bases; at the first repeat Bland's rule takes over
-      until the run ends.  Between deletions the column set is fixed and
-      Bland's rule (Bland 1977) cannot cycle from any basis: its scan covers
-      every nonbasic column of the restricted problem, since the remaining
-      artificials are all basic, and the ratio test lets the smallest basic
-      column leave on ties.  There are finitely many deletions, so the run
-      ends.
+      variable enters at most once, so there are finitely many freezes;
+      after the last, the live rows make an LP in sign-constrained columns,
+      and the argument below applies to it.  A negative reduced cost always
+      meets a blocking row, as the sum of the artificials is at least 0.  A
+      non-degenerate pivot strictly lowers the objective: the entering
+      reduced cost is negative and the step is positive.  A degenerate
+      pivot, and the deletion of an artificial column, which is nonbasic by
+      then, leave the basic solution and the objective alone.  The objective
+      is a function of the basis, so no basis recurs across a non-degenerate
+      pivot, and as there are finitely many bases there are finitely many
+      non-degenerate pivots.  A run of degenerate pivots either ends or
+      repeats a basis, again because there are finitely many bases; at the
+      first repeat Bland's rule takes over until the run ends.  Between
+      deletions the column set is fixed and Bland's rule (Bland 1977) cannot
+      cycle from any basis: its scan covers every nonbasic column of the
+      restricted problem, since the remaining artificials are all basic, and
+      the ratio test lets the smallest basic column leave on ties.  There
+      are finitely many deletions, so the run ends.
     """
     tab = _Tableau(problem)
     art0 = tab.art0

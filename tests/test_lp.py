@@ -371,8 +371,7 @@ def test_pinned_pivot_sequences(pivots):
 # (pivot count, sha256 of the pivot sequence) of the one LP of each
 # EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS
 # under the same freezing rule.  Every variable of these LPs is free, and
-# every ge row has rhs 0, so phase 1 starts at a degenerate vertex.  Before
-# free variables were frozen, gap-k3 took 103 pivots at k=3 and 185 at k=4.
+# every ge row has rhs 0, so phase 1 starts at a degenerate vertex.
 EXT_K_PIVOT_PINS = {
     ("gap-k3", "square-skew", 1): (10, "1e562ccaafff8db35ba6b585351f44720a1d96c61ee25375b3ba9a518824a706"),
     ("gap-k3", "square-skew", 2): (21, "f6f921a069afc12dfce72bbb36e35dd5bb3147d4dafd1a7b7ed6b54a8697e90f"),
@@ -613,15 +612,14 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
     leaving = []
 
     def checking(tab, r, c):
-        free = {j for j in range(tab.problem.num_vars) if j not in tab.problem.nonneg}
-        kind, *rest = tab.cols[tab.basis[r]]
-        leaving.append(kind)
-        assert not (kind == "var" and rest[0] in free), tab.cols[tab.basis[r]]
-        kind, *rest = tab.cols[c]
-        if kind == "var" and rest[0] in free:
+        nonneg = tab.problem.nonneg
+        out, into = tab.cols[tab.basis[r]], tab.cols[c]
+        leaving.append(out[0])
+        assert not (out[0] == "var" and out[1] not in nonneg), out
+        if into[0] == "var" and into[1] not in nonneg:
             seen = entered.setdefault(tab, set())
-            assert rest[0] not in seen, tab.cols[c]
-            seen.add(rest[0])
+            assert into[1] not in seen, into
+            seen.add(into[1])
         pivot(tab, r, c)
 
     monkeypatch.setattr(lp._Tableau, "pivot", checking)

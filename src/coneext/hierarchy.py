@@ -35,11 +35,12 @@ point; the generators are f ox Sym(g..), vertex ox Sym(psi..) or
 ray_A ox Sym(rays_B..).  ``_pad_decompose`` solves the last two, and one
 judge, ``_pad_resum_agrees``, re-checks all three as degree-k forms on the
 principal lattice, sharing no code with the formula above.  An extension is
-re-checked by contraction with the facets.
+re-checked on ints by contraction with the facets, and with phi for its
+reduction, sharing no code with the formula either.
 
-The LP builders, the judge and ``omega_interior_test`` run on ints: each
-clears its vectors by positive integers, so no sign moves.  The judge
-cross-multiplies once.  ``_ext_k_rows`` and ``_pad_columns`` do not divide
+The LP builders, both judges and ``omega_interior_test`` run on ints: each
+clears its vectors by positive integers, so no sign moves.  The judges
+cross-multiply once.  ``_ext_k_rows`` and ``_pad_columns`` do not divide
 at all: both read one table of head ox Sym(tails) integers over one
 denominator (``_sym_head_ints``), the first by rows and the second by
 columns, join a row with its rhs over the two denominators (``_joined``),
@@ -119,9 +120,8 @@ def reduction_map(based, k):
 def apply_reduction(x, based, k):
     """(Id_A ox reduction)(x) for x in V_A ox V_B^{ox k}: symmetrize the B
     slots, then pair all but the first with phi, which is the average over
-    keeping one B slot for any x.  No code is shared with ``_sym_product``
-    or ``_symmetric_extension``, which build the LPs, so
-    ``_check_extension``'s reduction check stays independent of them."""
+    keeping one B slot for any x.  A dense reference: ``_check_extension``
+    contracts a B-symmetric extension with phi on ints instead."""
     phi_dual = from_vector(based.phi, DUAL)
     t = symmetric_project(x, range(1, k + 1))
     for slot in range(k, 1, -1):
@@ -309,37 +309,62 @@ class ExtkVerdict:
     witness: DenseTensor | None = None    # primitive functional on V_A ox V_B
 
 
-def _max_halfspace_values(t, a_facets, b_facets, k):
-    """Yield <f ox g_1 ox .. ox g_k, t> for each A facet f and each sorted
-    k-multiset g of B facets (``combinations_with_replacement`` order).
+def _max_halfspace_ints(ys, fs, gs, k):
+    """Yield <f ox g_1 ox .. ox g_k, y> for each int A facet f of ``fs`` and
+    each sorted k-multiset g of int B facets of ``gs``
+    (``combinations_with_replacement`` order), for the int entries ``ys``
+    of a tensor y in V_A ox V_B^{ox k}, row-major.
 
-    t is contracted with f, then with one facet per B slot, so multisets with
-    a common prefix share that contraction.  Multisets are enough only
-    because t is B-symmetric: every arrangement of g pairs with t alike.
+    y is contracted with f, then with one facet per B slot, leading slot
+    first, so multisets with a common prefix share that contraction.
+    Multisets are enough only because y is B-symmetric: every arrangement
+    of g pairs with y alike.
     """
-    duals = [from_vector(g, DUAL) for g in b_facets]
+    def contract(v, w):
+        # the leading slot of v against w
+        r = len(v) // len(w)
+        out = [0] * r
+        for j, wj in enumerate(w):
+            if wj:
+                out = [o + wj * e for o, e in zip(out, v[j * r:(j + 1) * r])]
+        return out
 
-    def walk(s, start):
-        if not s.slots:
-            yield s.entries[0]
+    def walk(v, start, depth):
+        if not depth:
+            yield v[0]
             return
-        for i in range(start, len(duals)):
-            yield from walk(contract_slot(s, 0, duals[i]), i)
+        for i in range(start, len(gs)):
+            yield from walk(contract(v, gs[i]), i, depth - 1)
 
-    for f in a_facets:
-        yield from walk(contract_slot(t, 0, from_vector(f, DUAL)), 0)
+    for f in fs:
+        yield from walk(contract(ys, f), 0, k)
 
 
 def _check_extension(x, a_cone, based, k, y):
     """Exact re-verification: B-symmetric, all max half-spaces nonnegative,
-    and reduces to x."""
-    for (a, *js), e in zip(y.multi_indices(), y.entries):
-        if e != y[(a, *sorted(js))]:
+    and reduces to x.  y is cleared to ints by one positive D, which keeps
+    every sign and equality.  A B-symmetric y reduces to its contraction
+    with phi in any k - 1 of its B slots, here the trailing ones, compared
+    with x cross-multiplied."""
+    nA, nB = a_cone.dim, based.cone.dim
+    ys, D = clear_denominators(y.entries)
+    block = nB ** k
+    for p, js in enumerate(itertools.product(range(nB), repeat=k)):
+        q = 0
+        for j in sorted(js):
+            q = q * nB + j
+        if any(ys[a + p] != ys[a + q] for a in range(0, nA * block, block)):
             raise ConsistencyError("extension is not symmetric over the B slots")
-    if any(v < 0 for v in _max_halfspace_values(y, a_cone.facets,
-                                                based.cone.facets, k)):
+    fs, _ = clear_rows(a_cone.facets)
+    gs, _ = clear_rows(based.cone.facets)
+    if any(v < 0 for v in _max_halfspace_ints(ys, fs, gs, k)):
         raise ConsistencyError("extension violates a max half-space")
-    if apply_reduction(y, based, k) != x:
+    phi, dp = clear_denominators(based.phi)
+    for _ in range(k - 1):
+        ys = [sum(map(mul, phi, ys[i:i + nB])) for i in range(0, len(ys), nB)]
+    xs, dx = clear_denominators(x.entries)
+    scale = D * dp ** (k - 1)
+    if [v * dx for v in ys] != [v * scale for v in xs]:
         raise ConsistencyError("extension does not reduce to the query point")
 
 
@@ -613,8 +638,10 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
     Each level is one ``_pad_decompose`` of the symmetric pad of x with y
     over the generators ray_A ox Sym(rays_B).
     """
-    if any(v <= 0 for v in _max_halfspace_values(x, a_cone.facets,
-                                                 based.cone.facets, 1)):
+    xs, _ = clear_denominators(x.entries)
+    fs, _ = clear_rows(a_cone.facets)
+    gs, _ = clear_rows(based.cone.facets)
+    if any(v <= 0 for v in _max_halfspace_ints(xs, fs, gs, 1)):
         raise ValueError("point is not strictly interior to the max product")
     nB = based.cone.dim
     xs = [x.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]

@@ -17,11 +17,13 @@ break reads those labels, but a row stores only its +x_j entry: the -x_j
 entry is always its negative and is read as such, so a row carries each
 free variable once.  A free variable that enters the basis never leaves it
 (Maros 2003, ch. 9): its row is taken out of the tableau, since neither
-pricing nor the ratio test reads it again, and its value is solved from the
-problem rows at the end.  An artificial column is deleted when it leaves
-the basis, so no artificial re-enters or is carried through later pivots,
-and an infeasible problem's Farkas multipliers are solved from the final
-basis (see ``solve``).  No floating point, no presolve.  The API
+pricing nor the ratio test reads it again, and kept as it stands, so that
+its value is back-substituted from it at the end.  An artificial column is
+deleted when it leaves the basis, so no artificial re-enters or is carried
+through later pivots.  An infeasible problem's Farkas multipliers come from
+the final basis (see ``solve``): a ge row's is read off the cost row at its
+surplus column, and only the eq rows whose artificial has left are solved
+for.  No floating point, no presolve.  The API
 stays Fraction in and Fraction out.  A problem holds its rows only cleared
 to integers (``LpProblem.int_rows``); the tableau, both re-checks below and
 the conic re-sum and separation check all read them, each an exact
@@ -195,8 +197,9 @@ class _Tableau:
     as if split into x_j+ - x_j-.  Every row, ``z`` included, stores only
     the first; the entry of the second is minus the stored one (``_key``),
     as it would be in every row of the split tableau.  Once either column
-    of a free variable is basic, its row leaves ``T`` and ``basis`` and the
-    column joins ``frozen``: the full basis is ``basis`` and ``frozen``."""
+    of a free variable is basic, its row leaves ``T`` and ``basis`` for
+    ``kept`` and the column joins ``frozen``: the full basis is ``basis``
+    and ``frozen``."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -222,6 +225,7 @@ class _Tableau:
         self.T = []
         self.basis = []
         self.frozen = []  # basic free columns, whose rows are gone
+        self.kept = []  # the row each frozen column took out, as it left
         for ridx, (ints, d, surplus) in enumerate(rows):
             b = ints[-1]
             # a ge row with nonpositive rhs is flipped so its surplus column
@@ -284,8 +288,10 @@ class _Tableau:
                 _eliminate(other, row, key, s)
         if key in self.free:
             # a basic free variable never leaves, and its column is now zero
-            # in every other row and in z: its row is no longer read
-            del self.T[r], self.basis[r]
+            # in every other row and in z: its row is no longer pivoted, and
+            # is kept as it stands for ``extract_point``
+            self.kept.append(self.T.pop(r))
+            del self.basis[r]
             self.frozen.append(c)
 
     def run(self):
@@ -344,76 +350,82 @@ class _Tableau:
                 seen.add(tuple(self.basis))
             self.pivot(leave, enter)
 
-    def entry(self, i, c):
-        row = self.T[i]
-        (key, s), (bkey, bs) = self._key(c), self._key(self.basis[i])
-        return Fraction(s * row.get(key, 0), bs * row[bkey])
-
     def multipliers(self):
         """The Farkas multipliers of an infeasible phase 1, one per problem
-        row: sigma_i * y_i for the duals y = c_B B^-1 of the full final
-        basis B, frozen columns included, from y . B = c_B column by column.
-        A basic artificial of row i (cost 1, column e_i) gives y_i = 1; a
-        basic surplus of ge row i (cost 0, column -sigma_i e_i) gives
-        y_i = 0; each basic variable column j (cost 0) gives
-        sum_i m_i A_ij = 0.  The artificial and surplus columns of B are
-        multiples of unit columns at distinct rows, so the remaining rows and
-        the basic variable columns make a square block of B, nonsingular
-        because B is: one solution, solved on the cleared rows."""
+        row: m_i = sigma_i * y_i for the duals y = c_B B^-1 of the full final
+        basis B, frozen columns included.  Divided by its d_i, row i of the
+        tableau is sigma_i times the problem row, with -sigma_i at its
+        surplus and 1 at its artificial.  So the surplus column of ge row i
+        is -sigma_i e_i at cost 0, and its reduced cost is
+        0 - y . (-sigma_i e_i) = m_i: ge row i reads m_i off the cost row as
+        z[sur_i] / z[_OBJ], 0 where the surplus is basic.  A basic
+        artificial of eq row i (cost 1, column e_i) gives y_i = 1.  The
+        other eq rows, whose artificial has left, are solved from
+        y . a_j = 0 at each basic variable column j: sum_i m_i A_ij = 0.
+        The artificial and surplus columns of B are multiples of unit
+        columns at distinct rows, so the other rows and the basic variable
+        columns make a square block of B, nonsingular because B is; the
+        unknown rows are rows of that block, hence independent, and the
+        solution is unique."""
         rows = self.problem.int_rows
         ne = self.problem.num_eq
-        mult = [None] * len(rows)
+        # every m_i times z[_OBJ], where known: ints
+        zo = self.z[_OBJ]
+        scaled = [None] * ne + [self.z.get(c, 0) for c in range(self.sur0, self.art0)]
         var_cols = []
         for bcol in (*self.basis, *self.frozen):
             tag = self.cols[bcol]
-            if tag[0] == "art":
-                mult[tag[1]] = self.sigma[tag[1]]
-            elif tag[0] == "sur":
-                mult[ne + tag[1]] = 0
-            else:
+            if tag[0] == "art" and tag[1] < ne:
+                scaled[tag[1]] = self.sigma[tag[1]] * zo
+            elif tag[0] == "var":
                 var_cols.append(tag[1])
-        known = [i for i, m in enumerate(mult) if m]
-        unknown = [i for i, m in enumerate(mult) if m is None]
+        known = [i for i, m in enumerate(scaled) if m]
+        unknown = [i for i, m in enumerate(scaled) if m is None]
         # sum_i m_i ints_i[j] / d_i = 0 at each basic variable column j;
-        # times the lcm D of the known d_i, in the unknowns D m_i / d_i
+        # times z[_OBJ] L for the lcm L of the known d_i, in the unknowns
+        # u_i = z[_OBJ] L m_i / d_i
         scale = lcm(*(rows[i][1] for i in known))
-        weights = [(mult[i] * (scale // rows[i][1]), rows[i][0]) for i in known]
+        weights = [(scaled[i] * (scale // rows[i][1]), rows[i][0]) for i in known]
         system = [[rows[i][0][j] for i in unknown] for j in var_cols]
         rhs = [-sum(w * ints[j] for w, ints in weights) for j in var_cols]
         solution = linear_solve(system, rhs)
         if solution is None:
             raise CertificateError("final phase 1 basis is singular")
+        mult = [Fraction(m, zo) if m is not None else None for m in scaled]
         for i, u in zip(unknown, solution):
-            mult[i] = u * Fraction(rows[i][1], scale)
-        return tuple(map(Fraction, mult))
+            mult[i] = u * Fraction(rows[i][1], zo * scale)
+        return tuple(mult)
 
     def extract_point(self):
-        """The basic solution.  A frozen variable has no row: it is solved
-        from the problem rows whose surplus and artificial are nonbasic,
-        which hold with equality, uniquely as in ``multipliers``."""
+        """The basic solution.  A live basic column reads its row.  A frozen
+        variable x_j is back-substituted from the row it took out of the
+        tableau, last frozen first: that row reads x_j at its stored +x_j
+        entry (the -x_j column's entry is its negative), and each of its
+        other columns, a variable's or a surplus, was nonbasic when it froze
+        (a basic column is zero outside its own row), so is now nonbasic
+        (0), live basic (read from its row) or frozen later (already
+        solved).  No earlier frozen column is in it, since a freeze clears
+        its column from every live row and later pivots use live rows only.
+        The basic solution of a basis is unique, so this is the point that
+        solves the problem rows."""
+        value = {}  # stored column -> its nonzero value
+        for row, bcol in zip(self.T, self.basis):
+            if _RHS in row:  # a live basic column is never free
+                value[bcol] = Fraction(row[_RHS], row[bcol])
+        for c, row in zip(reversed(self.frozen), reversed(self.kept)):
+            key = self._key(c)[0]
+            # row[key] x_j = rhs - sum_col row[col] value[col], over the lcm
+            # L of the values' denominators
+            terms = [(a, value[col]) for col, a in row.items() if col in value]
+            L = lcm(*(v.denominator for _, v in terms))
+            rest = sum(a * v.numerator * (L // v.denominator) for a, v in terms)
+            if u := row.get(_RHS, 0) * L - rest:
+                value[key] = Fraction(u, L * row[key])
         x = [Fraction(0)] * self.problem.num_vars
-        slack = set()  # rows whose surplus or artificial is basic
-        for i, bcol in enumerate(self.basis):
-            tag = self.cols[bcol]
-            if tag[0] == "var":  # a nonnegative variable: free ones are frozen
-                x[tag[1]] = self.entry(i, _RHS)
-            elif tag[0] == "sur":
-                slack.add(self.problem.num_eq + tag[1])
-            else:
-                slack.add(tag[1])
-        if self.frozen:
-            # sum over frozen j of ints[j] x_j = ints[-1] - the rest, in
-            # u_j = D x_j over the common denominator D of the known values
-            js = [self.cols[c][1] for c in self.frozen]
-            xs, D = clear_denominators((*x, -1))
-            rows = [ints for i, (ints, _) in enumerate(self.problem.int_rows)
-                    if i not in slack]
-            solution = linear_solve([[ints[j] for j in js] for ints in rows],
-                                    [-sum(map(mul, ints, xs)) for ints in rows])
-            if solution is None:
-                raise CertificateError("final phase 1 basis is singular")
-            for j, u in zip(js, solution):
-                x[j] = u / D
+        for col, v in value.items():
+            tag = self.cols[col]
+            if tag[0] == "var":
+                x[tag[1]] = v
         return tuple(x)
 
 
@@ -454,8 +466,9 @@ def solve(problem):
     its row leaves the tableau, and its column stays zero in the live rows
     and the reduced costs, as every later pivot row is live.  With no sign
     to keep, it never blocks the ratio test.  At minimum 0 the point is read
-    from the full final basis; artificials left basic at level 0 do not
-    change it.  Three facts make this sound.
+    from the full final basis, each frozen value back-substituted from the
+    row it took out; artificials left basic at level 0 do not change it.
+    Three facts make this sound.
 
     * Minimum 0 exactly when the problem is feasible.  Each deletion fixes
       an artificial at 0, so the restricted phase 1 is the full one with
@@ -475,7 +488,8 @@ def solve(problem):
       have opposite reduced costs, both nonnegative), nonpositive on a
       nonnegative one, and m_i >= 0 on ge row i (its surplus), and
       sum_i m_i b_i = w > 0: the certificate ``verify_farkas`` judges.
-      ``_Tableau.multipliers`` solves y . B = c_B for y.
+      ``_Tableau.multipliers`` reads m_i of each ge row off the reduced cost
+      of its surplus column, and solves y . B = c_B for the rest.
     * Termination under the guarded rule of ``_Tableau.run``.  Each free
       variable enters at most once, so there are finitely many freezes;
       after the last, the live rows make an LP in sign-constrained columns,

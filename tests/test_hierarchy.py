@@ -33,7 +33,7 @@ from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                min_tensor_generators, point_tensor,
                                reduction_map, vertex_facet_tensor,
                                omega_interior_test)
-from coneext.linalg import clear_denominators, dot, rank, vec
+from coneext.linalg import clear_denominators, clear_rows, dot, rank, vec
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, conic_solve, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
@@ -536,15 +536,19 @@ def _orbit_tamper(y, a, m, delta):
 
 
 def test_max_halfspace_values_match_dense_pairing(extension_case):
-    """The contraction helper yields, per A facet and sorted B-facet
-    multiset, the pairing with the matching dense max half-space tensor,
-    also on a symmetric tensor outside the max product."""
+    """The integer contraction helper yields, per A facet and sorted B-facet
+    multiset, the pairing with the matching dense max half-space tensor
+    times the clearing factors, also on a symmetric tensor outside the max
+    product."""
     x, a_cone, based, k, y, dense = extension_case
     off = _orbit_tamper(y, 0, (2,) * k, Fraction(-10**6))
+    fs, df = clear_rows(a_cone.facets)
+    gs, dg = clear_rows(based.cone.facets)
     for t in (y, off):
         want = [pairing(h, t) for (_, *g), h in dense if g == sorted(g)]
-        got = list(hierarchy._max_halfspace_values(
-            t, a_cone.facets, based.cone.facets, k))
+        ts, dt = clear_denominators(t.entries)
+        got = [Fraction(v, dt * df * dg ** k)
+               for v in hierarchy._max_halfspace_ints(ts, fs, gs, k)]
         assert got == want
     assert min(want) < 0 <= min(pairing(h, y) for _, h in dense)
 

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import coneext
+from coneext import linalg
 from coneext.fixtures import based_cone, fixture_text
 from coneext.formats import parse_point_file
 from coneext.hierarchy import ext_k_membership, point_tensor
@@ -757,6 +758,183 @@ def test_a_moved_frozen_value_is_rejected_under_python_O():
     _passes_under_python_O(code)
 
 
+def test_a_kept_row_entry_moved_by_a_seventh_is_rejected():
+    """Each entry of the row that _FROZEN_LP's frozen variable took out of
+    the tableau, rhs included, moved by 1/7 before that variable is
+    back-substituted, gives a point that ``verify_point`` rejects."""
+    from coneext import lp
+
+    extract_point = lp._Tableau.extract_point
+    kept = []
+
+    def recording(tab):
+        kept.extend(tab.kept)
+        return extract_point(tab)
+
+    with mock.patch.object(lp._Tableau, "extract_point", recording):
+        solve(_FROZEN_LP)
+    assert len(kept) == 1
+    messages = {}
+    for col in kept[0]:
+        def moved(tab):
+            tab.kept[0][col] += Fraction(1, 7)
+            return extract_point(tab)
+
+        with mock.patch.object(lp._Tableau, "extract_point", moved):
+            with pytest.raises(lp.CertificateError) as err:
+                solve(_FROZEN_LP)
+        messages[col] = str(err.value)
+    assert set(messages.values()) == {"equality row violated"}
+    assert lp._RHS in messages and len(messages) >= 3
+
+
+def _gauss_jordan_point(tab):
+    """The basic solution of a final tableau with the frozen values solved by
+    one Gauss-Jordan elimination over the problem rows whose surplus and
+    artificial are nonbasic, which hold with equality: the reference for
+    ``_Tableau.extract_point``."""
+    from coneext.lp import _RHS
+
+    x = [Fraction(0)] * tab.problem.num_vars
+    slack = set()  # rows whose surplus or artificial is basic
+    for row, bcol in zip(tab.T, tab.basis):
+        tag = tab.cols[bcol]
+        if tag[0] == "var":  # a nonnegative variable: free ones are frozen
+            x[tag[1]] = Fraction(row.get(_RHS, 0), row[bcol])
+        elif tag[0] == "sur":
+            slack.add(tab.problem.num_eq + tag[1])
+        else:
+            slack.add(tag[1])
+    if tab.frozen:
+        js = [tab.cols[c][1] for c in tab.frozen]
+        xs, D = clear_denominators((*x, -1))
+        rows = [ints for i, (ints, _) in enumerate(tab.problem.int_rows)
+                if i not in slack]
+        solution = linalg.solve([[ints[j] for j in js] for ints in rows],
+                                [-sum(a * b for a, b in zip(ints, xs)) for ints in rows])
+        for j, u in zip(js, solution):
+            x[j] = u / D
+    return tuple(x)
+
+
+def _gauss_jordan_multipliers(tab):
+    """The Farkas multipliers of an infeasible final tableau with every
+    multiplier not fixed by a basic artificial or surplus solved from
+    y . B = c_B at the basic variable columns by one Gauss-Jordan
+    elimination: the reference for ``_Tableau.multipliers``."""
+    rows = tab.problem.int_rows
+    mult = [None] * len(rows)
+    var_cols = []
+    for bcol in (*tab.basis, *tab.frozen):
+        tag = tab.cols[bcol]
+        if tag[0] == "art":
+            mult[tag[1]] = tab.sigma[tag[1]]
+        elif tag[0] == "sur":
+            mult[tab.problem.num_eq + tag[1]] = 0
+        else:
+            var_cols.append(tag[1])
+    known = [i for i, m in enumerate(mult) if m]
+    unknown = [i for i, m in enumerate(mult) if m is None]
+    scale = lcm(*(rows[i][1] for i in known))
+    weights = [(mult[i] * (scale // rows[i][1]), rows[i][0]) for i in known]
+    solution = linalg.solve(
+        [[rows[i][0][j] for i in unknown] for j in var_cols],
+        [-sum(w * ints[j] for w, ints in weights) for j in var_cols])
+    for i, u in zip(unknown, solution):
+        mult[i] = u * Fraction(rows[i][1], scale)
+    return tuple(map(Fraction, mult))
+
+
+def _against_gauss_jordan():
+    """(patcher, seen): under the patcher, every point and multiplier tuple
+    a final tableau gives is appended to ``seen`` as (route, reference)."""
+    from coneext import lp
+
+    extract_point, multipliers = lp._Tableau.extract_point, lp._Tableau.multipliers
+    seen = []
+
+    def pointing(tab):
+        got = extract_point(tab)
+        seen.append((got, _gauss_jordan_point(tab)))
+        return got
+
+    def pricing(tab):
+        got = multipliers(tab)
+        seen.append((got, _gauss_jordan_multipliers(tab)))
+        return got
+
+    patches = mock.patch.multiple(lp._Tableau, extract_point=pointing,
+                                  multipliers=pricing)
+    return patches, seen
+
+
+def test_certificate_routes_agree_with_gauss_jordan_on_the_pins():
+    """Back-substituted points and multipliers read off the cost row equal
+    the Gauss-Jordan references, Fraction for Fraction, on every pinned
+    Ext_k LP, the pentagon diagonal's LPs and both hand-made LPs."""
+    patches, seen = _against_gauss_jordan()
+    with patches:
+        verdicts = [solve(_MIXED_BASIS_LP).status, solve(_FROZEN_LP).status]
+        for key in EXT_K_PIVOT_PINS:
+            verdicts.append(ext_k_membership(*_ext_k_case(*key)).member)
+        for k in PENTAGON_DIAGONAL_PIVOT_PINS:
+            verdicts.append(ext_k_membership(*_pentagon_diagonal(), k).member)
+    assert len(seen) == len(verdicts) == 2 + len(EXT_K_PIVOT_PINS) + len(
+        PENTAGON_DIAGONAL_PIVOT_PINS)
+    assert {True, False} <= set(verdicts)
+    for got, want in seen:
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+_SMALL = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def _mixed_lps(draw):
+    """A small LP with free and nonnegative variables, eq and ge rows."""
+    nv = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[_SMALL] * nv), _SMALL)
+    return LpProblem.build(nv, eq_rows=draw(st.lists(row, max_size=3)),
+                           ge_rows=draw(st.lists(row, max_size=3)),
+                           nonneg=draw(st.sets(st.integers(0, nv - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_lps())
+def test_certificate_routes_agree_with_gauss_jordan_on_small_lps(problem):
+    patches, seen = _against_gauss_jordan()
+    with patches:
+        out = solve(problem)
+    event(out.status)
+    event(f"{len(problem.nonneg)} of {problem.num_vars} nonnegative")
+    (got, want), = seen
+    assert got == want
+
+
+def test_ext_k_certificates_solve_no_more_than_the_eq_rows(monkeypatch):
+    """No Ext_k member reaches a linear solve, and a non-member solves only
+    for eq-row multipliers: at most nA nB unknowns."""
+    from coneext import lp
+
+    def refused(rows, rhs):
+        raise AssertionError("linear_solve reached")
+
+    monkeypatch.setattr(lp, "linear_solve", refused)
+    assert ext_k_membership(*_ext_k_case("gap-k3", "square-skew", 3)).member
+    unknowns = []
+
+    def recording(rows, rhs):
+        unknowns.append(len(rows[0]))
+        return linalg.solve(rows, rhs)
+
+    monkeypatch.setattr(lp, "linear_solve", recording)
+    x, a_cone, based, k = _ext_k_case("gap-k2", "square-skew", 3)
+    assert not ext_k_membership(x, a_cone, based, k).member
+    assert len(unknowns) == 1
+    assert 0 < unknowns[0] <= a_cone.dim * based.cone.dim
+
+
 def test_certificate_checks_survive_python_O():
     """The re-sum of a conic decomposition raises under ``python -O``, which
     strips ``assert`` statements."""
@@ -1228,8 +1406,6 @@ def test_every_certificate_message_is_raised(monkeypatch):
         m.setattr(lp, "linear_solve", lambda rows, rhs: None)
         with pytest.raises(lp.CertificateError, match="basis is singular"):
             solve(_MIXED_BASIS_LP)
-        with pytest.raises(lp.CertificateError, match="basis is singular"):
-            solve(_FROZEN_LP)
 
     def unknown(problem):
         # a status that solve never returns

@@ -2,20 +2,18 @@
 
 An LP here has no objective: ``solve`` decides whether the rows have a
 solution, by phase 1 of the primal simplex with guarded Dantzig pricing.
-The most negative reduced cost enters, and Bland's rule takes over for the
-rest of a run of degenerate pivots once it repeats a basis, so every run
-terminates and identical problems pivot identically.  The tableau is
-fraction-free and sparse, with one kind of row: a dict of int entries whose
+The most negative price enters (``_Tableau.run``), and Bland's rule takes
+over for the rest of a run of degenerate pivots once it repeats a basis, so
+every run terminates and identical problems pivot identically.  The tableau
+is fraction-free and sparse, with one kind of row: a dict of int entries whose
 denominator is its own positive entry at its basic column.  The reduced
 costs of the phase 1 objective are one more such row, basic in an objective
 column.  One step, cross-multiplication over the union of two supports and
 a gcd reduction (Edmonds 1967), does every pivot and prices the cost row,
 so the tableau takes the same pivots as a dense tableau of Fractions while
-a pivot touches only nonzero entries.  A free variable x_j keeps the two
-column labels +x_j and -x_j of the split x_j = x_j+ - x_j-, and every tie-
-break reads those labels, but a row stores only its +x_j entry: the -x_j
-entry is always its negative and is read as such, so a row carries each
-free variable once.  A free variable that enters the basis never leaves it
+a pivot touches only nonzero entries.  Each variable has one column.  A
+free variable's column may enter whenever its reduced cost is nonzero, in
+the direction opposite to that cost's sign, and once basic it never leaves
 (Maros 2003, ch. 9): its row is taken out of the tableau, since neither
 pricing nor the ratio test reads it again, and kept as it stands, so that
 its value is back-substituted from it at the end.  An artificial column is
@@ -191,35 +189,23 @@ class _Tableau:
     cost row ``z`` is one more such row, basic in the objective column
     ``_OBJ``, so that ``-z[_RHS] / z[_OBJ]`` is the objective value.  Every
     row is kept gcd-reduced over its nonzeros.  Columns are described by
-    tags: ("var", j, s) for the column of s * x_j, ("sur", i) for the
+    tags: ("var", j) for x_j, which is column j, ("sur", i) for the
     surplus of ge row i, ("art", i) for the artificial of standard row i.
-    A free x_j has two columns, ("var", j, 1) and next to it ("var", j, -1),
-    as if split into x_j+ - x_j-.  Every row, ``z`` included, stores only
-    the first; the entry of the second is minus the stored one (``_key``),
-    as it would be in every row of the split tableau.  Once either column
-    of a free variable is basic, its row leaves ``T`` and ``basis`` for
-    ``kept`` and the column joins ``frozen``: the full basis is ``basis``
-    and ``frozen``."""
+    ``free`` holds the columns of the free variables.  Once a free column
+    is basic, its row leaves ``T`` and ``basis`` for ``kept`` and the
+    column joins ``frozen``: the full basis is ``basis`` and ``frozen``."""
 
     def __init__(self, problem):
         self.problem = problem
         # each row times d, the least common denominator of its entries;
         # ints[-1] is the rhs times d, so it has the sign of the rhs
-        ne = problem.num_eq
+        ne, nv = problem.num_eq, problem.num_vars
         rows = [(ints, d, i - ne if i >= ne else None)
                 for i, (ints, d) in enumerate(problem.int_rows)]
-        self.cols = []
-        at = []  # the column of +x_j per variable j
-        self.free = set()  # the +x_j columns of the free variables
-        for j in range(problem.num_vars):
-            at.append(len(self.cols))
-            self.cols.append(("var", j, 1))
-            if j not in problem.nonneg:
-                self.free.add(at[-1])
-                self.cols.append(("var", j, -1))
-        self.sur0 = len(self.cols)
-        for i in range(len(rows) - ne):
-            self.cols.append(("sur", i))
+        self.cols = [("var", j) for j in range(nv)]
+        self.free = {j for j in range(nv) if j not in problem.nonneg}
+        self.sur0 = nv
+        self.cols.extend(("sur", i) for i in range(len(rows) - ne))
         self.art0 = len(self.cols)
         self.sigma = []
         self.T = []
@@ -233,7 +219,7 @@ class _Tableau:
             flipped = surplus is not None and b <= 0
             sg = -1 if flipped or b < 0 else 1
             self.sigma.append(sg)
-            row = {c: sg * a for c, a in zip(at, ints) if a}
+            row = {c: sg * a for c, a in enumerate(ints[:-1]) if a}
             if surplus is not None:
                 row[self.sur0 + surplus] = -sg * d
             if b:
@@ -247,23 +233,15 @@ class _Tableau:
                 self.basis.append(len(self.cols))
                 self.cols.append(("art", ridx))
 
-    def _key(self, c):
-        """(stored column, sign) of column c: the -x_j column of a free
-        variable reads as minus the +x_j column before it."""
-        return (c - 1, -1) if c - 1 in self.free else (c, 1)
-
     def set_costs(self, costs):
         """The row ``z`` of reduced costs ``costs - c_B . rows`` for the
-        current basis; ``costs`` holds one int or Fraction per column, and
-        the -x_j column of a free variable costs minus its +x_j column, so
-        its own entry is not read."""
+        current basis; ``costs`` holds one int or Fraction per column."""
         ints, d = clear_denominators(costs)
-        z = {c: a for c, a in enumerate(ints) if a and c - 1 not in self.free}
+        z = {c: a for c, a in enumerate(ints) if a}
         z[_OBJ] = d
         for row, bcol in zip(self.T, self.basis):
-            key, s = self._key(bcol)
-            if key in z:
-                _eliminate(z, row, key, s)
+            if bcol in z:
+                _eliminate(z, row, bcol)
         self.z = z
 
     @property
@@ -271,22 +249,25 @@ class _Tableau:
         return Fraction(-self.z.get(_RHS, 0), self.z[_OBJ])
 
     def pivot(self, r, c):
-        """Make column c basic in row r.  Row r must read positive at c, as
-        the ratio test of ``run`` chooses it, so that entry becomes the
-        row's positive denominator without a change of sign.  A free column
-        is then frozen with its row taken out."""
+        """Make column c basic in row r.  The ratio test of ``run`` chooses
+        a row that reads positive at c, or negative where a free column
+        enters downward; such a row is negated once, so its entry at c
+        becomes its positive denominator either way.  A free column is then
+        frozen with its row taken out."""
         row = self.T[r]
         if self.basis[r] >= self.art0:
             # a leaving artificial leaves the problem: its column is nonzero
             # only in its own row, so deleting that entry drops the column
             del row[self.basis[r]]
-        key, s = self._key(c)
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
         _reduce(row)
         self.basis[r] = c
         for other in (*self.T, self.z):
-            if key in other and other is not row:
-                _eliminate(other, row, key, s)
-        if key in self.free:
+            if c in other and other is not row:
+                _eliminate(other, row, c)
+        if c in self.free:
             # a basic free variable never leaves, and its column is now zero
             # in every other row and in z: its row is no longer pivoted, and
             # is kept as it stands for ``extract_point``
@@ -296,16 +277,16 @@ class _Tableau:
 
     def run(self):
         """Guarded Dantzig iterations; returns "optimal" or "unbounded".
-        The entering column has the most negative reduced cost, the lowest
-        index on ties (every entry of ``z`` shares the denominator
-        ``z[_OBJ]``, so the ints compare directly).  Through a run of
-        degenerate pivots, where the leaving row's rhs is 0, the bases are
-        kept; once one repeats, the lowest column with a negative reduced
-        cost enters instead (Bland's rule) until the next non-degenerate
-        pivot.  Only structural columns enter: each artificial is basic
-        until it leaves, and then its column is gone.  A free variable's
-        stored reduced cost a prices its +x_j column at a and its -x_j
-        column at -a, so a positive one makes the -x_j column a candidate."""
+        A column's price is its reduced cost a, or -a for a free column,
+        which enters downward when a > 0: the entering column moves in the
+        direction s = -sign(z[enter]).  The entering column has the most
+        negative price, the lowest index on ties (every entry of ``z``
+        shares the denominator ``z[_OBJ]``, so the ints compare directly).
+        Through a run of degenerate pivots, where the leaving row's rhs is
+        0, the bases are kept; once one repeats, the lowest column with a
+        negative price enters instead (Bland's rule) until the next
+        non-degenerate pivot.  Only structural columns enter: each
+        artificial is basic until it leaves, and then its column is gone."""
         art0, free = self.art0, self.free
         seen = set()  # bases left by degenerate pivots since the last other one
         bland = False
@@ -318,7 +299,7 @@ class _Tableau:
                     if not 0 <= c < art0:
                         continue
                 elif c in free:
-                    c, a = c + 1, -a
+                    a = -a
                 else:
                     continue
                 if bland:
@@ -328,11 +309,12 @@ class _Tableau:
                     enter, best = c, a
             if enter is None:
                 return "optimal"
-            # min ratio rhs_i / a_i over a_i > 0; the row denominators cancel
-            key, s = self._key(enter)
+            # min ratio rhs_i / a_i over a_i > 0, where a_i is row i's entry
+            # at the entering column times s; the row denominators cancel
+            s = 1 if self.z[enter] < 0 else -1
             leave = None
             for i, row in enumerate(self.T):
-                a = s * row.get(key, 0)
+                a = s * row.get(enter, 0)
                 if a > 0:
                     rn = row.get(_RHS, 0)
                     if leave is None or rn * ba < bn * a or (
@@ -344,7 +326,7 @@ class _Tableau:
             if bn:
                 seen.clear()
                 bland = False
-            elif key in free:
+            elif enter in free:
                 seen.clear()  # the live basis shrinks, so none of them recurs
             elif not bland:
                 seen.add(tuple(self.basis))
@@ -399,8 +381,8 @@ class _Tableau:
     def extract_point(self):
         """The basic solution.  A live basic column reads its row.  A frozen
         variable x_j is back-substituted from the row it took out of the
-        tableau, last frozen first: that row reads x_j at its stored +x_j
-        entry (the -x_j column's entry is its negative), and each of its
+        tableau, last frozen first: that row reads x_j at its positive
+        entry at column j, and each of its
         other columns, a variable's or a surplus, was nonbasic when it froze
         (a basic column is zero outside its own row), so is now nonbasic
         (0), live basic (read from its row) or frozen later (already
@@ -408,25 +390,20 @@ class _Tableau:
         its column from every live row and later pivots use live rows only.
         The basic solution of a basis is unique, so this is the point that
         solves the problem rows."""
-        value = {}  # stored column -> its nonzero value
+        value = {}  # column -> its nonzero value
         for row, bcol in zip(self.T, self.basis):
             if _RHS in row:  # a live basic column is never free
                 value[bcol] = Fraction(row[_RHS], row[bcol])
         for c, row in zip(reversed(self.frozen), reversed(self.kept)):
-            key = self._key(c)[0]
-            # row[key] x_j = rhs - sum_col row[col] value[col], over the lcm
+            # row[c] x_j = rhs - sum_col row[col] value[col], over the lcm
             # L of the values' denominators
             terms = [(a, value[col]) for col, a in row.items() if col in value]
             L = lcm(*(v.denominator for _, v in terms))
             rest = sum(a * v.numerator * (L // v.denominator) for a, v in terms)
             if u := row.get(_RHS, 0) * L - rest:
-                value[key] = Fraction(u, L * row[key])
-        x = [Fraction(0)] * self.problem.num_vars
-        for col, v in value.items():
-            tag = self.cols[col]
-            if tag[0] == "var":
-                x[tag[1]] = v
-        return tuple(x)
+                value[c] = Fraction(u, L * row[c])
+        zero = Fraction(0)
+        return tuple(value.get(j, zero) for j in range(self.problem.num_vars))
 
 
 def _reduce(row):
@@ -437,14 +414,13 @@ def _reduce(row):
             row[j] //= g
 
 
-def _eliminate(other, row, c, s):
-    """Clear stored column c of ``other`` in place with ``row``, which is
-    basic in the column read as s times column c: with p = s * row[c] > 0
-    and f = s * other[c], ``other`` becomes p * other - f * row over the
-    union of the two supports, gcd-reduced (Edmonds 1967).  The basic entry
-    of ``other`` lies outside the support of ``row``, so it is multiplied by
-    p and stays positive."""
-    p, f = s * row[c], s * other[c]
+def _eliminate(other, row, c):
+    """Clear column c of ``other`` in place with ``row``, which is basic in
+    column c: with p = row[c] > 0 and f = other[c], ``other`` becomes
+    p * other - f * row over the union of the two supports, gcd-reduced
+    (Edmonds 1967).  The basic entry of ``other`` lies outside the support
+    of ``row``, so it is multiplied by p and stays positive."""
+    p, f = row[c], other[c]
     if p != 1:
         for j in other:
             other[j] *= p
@@ -478,15 +454,16 @@ def solve(problem):
       0 and so is every deleted one, and the basic solution solves the rows.
     * The multipliers certify infeasibility.  At a minimum of value w > 0
       with full basis B, live and frozen columns, y = c_B B^-1 prices
-      every remaining column at a nonnegative reduced cost: y . a_j <= 0
-      for every variable and surplus column a_j, whose costs are 0, and
+      every remaining sign-constrained column at a nonnegative reduced
+      cost and every free column at 0, since a reduced cost of either sign
+      would let it enter: y . a_j <= 0 for every variable and surplus
+      column a_j, whose costs are 0, with equality on a free variable, and
       y . b = w > 0.  Deleted artificial columns do not enter Farkas'
       lemma, which reads only the structural columns.  Take
       m_i = sigma_i y_i, where sigma_i = -1 on the rows the tableau
-      negates.  Then y . a_j <= 0 makes
-      sum_i m_i A_ij zero on a free variable (its +x_j and -x_j columns
-      have opposite reduced costs, both nonnegative), nonpositive on a
-      nonnegative one, and m_i >= 0 on ge row i (its surplus), and
+      negates.  Then sum_i m_i A_ij is zero on a free variable,
+      nonpositive on a nonnegative one, and m_i >= 0 on ge row i (its
+      surplus), and
       sum_i m_i b_i = w > 0: the certificate ``verify_farkas`` judges.
       ``_Tableau.multipliers`` reads m_i of each ge row off the reduced cost
       of its surplus column, and solves y . B = c_B for the rest.

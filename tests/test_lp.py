@@ -1,6 +1,7 @@
 """Exact simplex: verified points, Farkas refutations, conic membership."""
 
 import hashlib
+import inspect
 import os
 import random
 import subprocess
@@ -298,14 +299,16 @@ def test_pinned_outcomes():
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """The (leaving row, entering column) of each pivot made from here on."""
+    """The (leaving row, entering column's tag, direction) of each pivot
+    made from here on: the direction is -1 where a free column enters
+    downward, at a negative entry of its row, and 1 otherwise."""
     from coneext import lp
 
     seen = []
     pivot = lp._Tableau.pivot
 
     def recording(tab, r, c):
-        seen.append((r, c))
+        seen.append((r, tab.cols[c], 1 if tab.T[r][c] > 0 else -1))
         pivot(tab, r, c)
 
     monkeypatch.setattr(lp._Tableau, "pivot", recording)
@@ -316,47 +319,49 @@ def _digest(pivots):
     return hashlib.sha256(repr(pivots).encode()).hexdigest()
 
 
-# sha256 of repr of the pivot sequence of each LP of _pinned_corpus(), with
-# its pivot count in the comment, captured under guarded Dantzig pricing:
-# the most negative reduced cost enters, and Bland's rule takes over after a
-# basis repeats within a run of degenerate pivots.  A free variable that
+# sha256 of repr of the pivot sequence, as ``pivots`` records it, of each LP
+# of _pinned_corpus(), with its pivot count in the comment, captured under
+# guarded Dantzig pricing: the most negative price enters, and Bland's rule
+# takes over after a basis repeats within a run of degenerate pivots.  The
+# records name columns by tag, so a renumbering of the columns that keeps
+# their order leaves these as they are.  A free variable that
 # enters is frozen: its row leaves the tableau, so it never leaves and the
 # later rows are numbered without it.  A change of pricing rule, of the
 # ratio test's tie-break or of the freezing rule changes these.  Each is
 # phase 1 alone.
 _PINNED_PIVOTS = [
-    '422d7572839f779a3eb7f478bcfdb25b372f4262862385f7b1ce14b6a666a3d2',  # 5
-    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
+    'd19c77e763abd3af78b1e75b772973106f26318f67e908d4a4be59354e6e9ab3',  # 5
+    '693af878d71d2e38ff77ac5c76ce2606c64b92995bbb580aa010e5ed1cc446b6',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    '2c136d13af5742c6f7a9ddd9d6881abb7831935452c8f537cea056ea859ea8a5',  # 2
-    'e87a3e3505b338a58d78d286bb9216a2ed2d496de7d0cceed98a750b47ed9a2f',  # 2
-    '00ce6357cff8c2924ca78454dfcaaf693aca5b46178568fa33c70d0f8288746f',  # 1
+    '13869874e29b29f599216538efdf4c909c0ac889fd1d377233b14d20d00ea4a0',  # 2
+    'a3875a7401c7fe5113a4868e591819efd98e7c81fdae4eef1eaf8d06c804b936',  # 2
+    'cb2c9804d4a7f102667a571c1d9efab8328dc34a16701fb3eb9eee35d0faf31d',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    'aa5a90cbbf9f0b2db50cf628d3448d4259779585af43fd6e65a81188e9391fc2',  # 4
-    '02cc7f0711a1198b57ce717df6271cfb6feb5cd998d090133efe84ba0152fbf3',  # 1
-    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
-    '9c7cf9f2fcdc7213f8e3634b089d470ccb167590778cf7f89789a8c4c009e989',  # 2
+    'f448b175653e79cb9e222a581e4b06e877ed5569e50cf2f51b874ab371324e7a',  # 4
+    'c7af53f84a5e7f32aab461ad2c70ab3743160d7d9fadc341b68fb64d6c020fb0',  # 1
+    '693af878d71d2e38ff77ac5c76ce2606c64b92995bbb580aa010e5ed1cc446b6',  # 1
+    '5cb1bb80bfda5a14c57ee72051005da83f8e389a683138cd54f1156739480e8e',  # 2
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '3bdaee6b4bdb261e5ecc4e0f2b34ffb3c23a7d25574dca1a515ea17126ad8984',  # 5
-    '478320901d993375e8bcf2be91a742c5ec8ff9deac0956df56cd1f529aa59172',  # 1
-    '253f285ca614ec2ceddda8a5b298acaabaa437c6cb7ef1d9ed2742fcead6eac2',  # 4
+    'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
+    'a23e42fab2bdffab97aa54f4ed143dec1355bfb2fe7d19361ef5824353dfbf4e',  # 5
+    '44657c0fb6069f65b7e465c60793d07254112c94a237f5b31a9693dc7b477fdb',  # 1
+    'aca4808b820a6c0f5ba0fec37427988eb6bcaa2a023e9e78d7e7b128ab148902',  # 4
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    '23fafb672dbd5fbdcaf03359549a4966fd4db23c15a2b1bcf9f22479fe3a2277',  # 1
-    '2eef8a342e1bc3825c51c24910f0ab66cf63e2e82eec2298baf2375ebf75222f',  # 2
-    '468d6fe1ef80d78491953e87344cc5062b8f48043713895871ff9b6fa1ad4c25',  # 2
-    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '23fafb672dbd5fbdcaf03359549a4966fd4db23c15a2b1bcf9f22479fe3a2277',  # 1
-    '6b6658ff3eb63cddc3d85a8bf714b5d2739ef8768fe673cb12a6c34e246f82ca',  # 5
+    '11a12938ab1774d589ec03905d863bea390a6653dbca74d9f78c0e829fdbaed3',  # 1
+    '78033db5e25586fd460cdef275f6f9adf74d90b18255ee12e89ddc3ae97c3ca3',  # 2
+    'c9f9c06632403ea84ab214764a9871d2d8011749c5ca3e7fa12847a11286434a',  # 2
+    'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
+    'cb2c9804d4a7f102667a571c1d9efab8328dc34a16701fb3eb9eee35d0faf31d',  # 1
+    '83fabdb892233fc40d6947bb82be3808166f77707fe79d82bab6eb8b5be0d820',  # 5
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    'e077fdfe80d785eeefcdf6a753caf8b3a6d147f206d89cdec37305ad09c9e659',  # 6
-    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '2e671ae9b7fca357b34a051eb7716cbf08cdc9e1ee9dbf0f7fecd06ad15e35da',  # 1
-    '405817303d5c33f68d21860d4210dda4eae99c712ac058cbf5a8c394471ce817',  # 3
-    '3eb68adc962ff5f0d2fbbc2c3ab0d5420909c68a79d2511670f9a3c598d04c83',  # 5
-    '20cab5066581e447126e909155878325d6a02b1a542a530550f37d0a0229456e',  # 1
-    'c3775583128a6a59a08cd5b4b1f55d321100f9c50159d0c554f3b20853e0980f',  # 4
+    'c021158a1d7704fced892ddef487d7d4ee1a13b3270b494c0c77bcc333e529fc',  # 6
+    'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
+    'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
+    '01c0dda164749612ba7af1bc01f11c6a20e938bf35290792125016722b4579c0',  # 3
+    '860aba3c55c35afff638406a708139ce002bc7b5d0bd2db2cbb942564970761a',  # 5
+    'ca70dd29d9c6b1120439573daf0c4e0d7624c6f84662c00b5a6c0a27a083da91',  # 1
+    'ca8671174d09f9d9c83f61d9117ce5bd3fdf4ffe1fd01fce488f2aa45861b323',  # 4
 ]
 
 
@@ -374,16 +379,16 @@ def test_pinned_pivot_sequences(pivots):
 # under the same freezing rule.  Every variable of these LPs is free, and
 # every ge row has rhs 0, so phase 1 starts at a degenerate vertex.
 EXT_K_PIVOT_PINS = {
-    ("gap-k3", "square-skew", 1): (10, "1e562ccaafff8db35ba6b585351f44720a1d96c61ee25375b3ba9a518824a706"),
-    ("gap-k3", "square-skew", 2): (21, "f6f921a069afc12dfce72bbb36e35dd5bb3147d4dafd1a7b7ed6b54a8697e90f"),
-    ("gap-k3", "square-skew", 3): (57, "b0a1ef60c8517b7579d26e08c2cc77e17ad37dd391a32d0aa2328dd2a3d3e32b"),
-    ("gap-k3", "square-skew", 4): (114, "0eee38be8d41b1ab911e798692b366fbf19e4c342bf674b0309248ee1ebdd7b8"),
-    ("gap-k2", "square-skew", 1): (10, "c34dc87bb3614c256763850fb9ecb833c546ef1d27be3a34d5166e06551aac93"),
-    ("gap-k2", "square-skew", 2): (18, "3bae38dce171d02925bfb05d02f08b6c60665d470087df83304c5b47c70b7f8b"),
-    ("gap-k2", "square-skew", 3): (44, "5f2a26ffc63ac8527258f2a04865ff5b7d71ff288856fb40d86203ca7ceff87c"),
-    ("gap-k2", "square-skew", 4): (96, "8c32d1f86ccd533c2f655490288c7b526403185dc333cd2c933ccb32b6d841ba"),
-    ("box", "square", 1): (9, "2b9435276945e7a7707ee98e36d2e9196ab08d51e2ed15733db8ac4898ec6168"),
-    ("box", "square", 2): (14, "b5355b9ffb0c9c58fc5659854fcf9e30f1d51dc86ba4302e6387c5f943d63885"),
+    ("gap-k3", "square-skew", 1): (10, "a8190a628b6a1e84c57951b062a9279c86a43d107b29735b0b42d14e4445cb13"),
+    ("gap-k3", "square-skew", 2): (21, "4986e62ccf12f34532023e97eebaa1181c5419f7eb2ec98d21fd5e8bc39d01da"),
+    ("gap-k3", "square-skew", 3): (57, "0c695bff0349b63e7343a3966fce486de74488bcdf3880b20fb6c1242620c76c"),
+    ("gap-k3", "square-skew", 4): (114, "d5a1c0b0b7c1a013fcad10e2638c3b289328bf2973f1f25924326bb024e2d99c"),
+    ("gap-k2", "square-skew", 1): (10, "7ea1249b6bcc76343ddea63806baf2d832cf9a9a0ce5a08b0130acd0bc64a3dd"),
+    ("gap-k2", "square-skew", 2): (18, "358f2ccf5ae1ad027b38114fffccfa45ae8be829dc5e3cae57f371d1799b7ea3"),
+    ("gap-k2", "square-skew", 3): (44, "a8e5cb246b8fd773abf123cf7c089f9cda5960d7f8e073d4a03cbaffeca873f2"),
+    ("gap-k2", "square-skew", 4): (96, "90aff9a2b46e29c0eca4eb5f51c041e5f5debbcdb3ea54f1d42027ae579e6d67"),
+    ("box", "square", 1): (9, "bfc8e6878debf2494ff674a46d60463ff3a91522c31de0dd54bb4ea1e6849985"),
+    ("box", "square", 2): (14, "d7552892bb87607ce86bf380e0ba20849028d9bc7eec50a9cdab5ee1f4ff399e"),
 }
 
 
@@ -416,9 +421,9 @@ def _pentagon_diagonal():
 # k=2 and 2,393 at k=3, and guarded Dantzig pricing alone took 47, 99 and
 # 726 pivots at k=2, 3 and 4.
 PENTAGON_DIAGONAL_PIVOT_PINS = {
-    2: (20, "7d55365e882dbaf96f715cb41af286975ccea083f8d54d7f3d9fce02eb472e61"),
-    3: (41, "6b89837c6156699322287e71b59c7839cfddc54fb567732d0ebc647f97770fc9"),
-    4: (173, "3886fe2167628f203297984a70245622d00b698ac03c424620359f397481cb09"),
+    2: (20, "326cc937e9912703a83050fb18ef3aa316760c57d15c4726a3b5f1377d130661"),
+    3: (41, "22a653127b4ff9d48984b15a7e1648ffe70044da7de2d1b0ffda936419b48c3f"),
+    4: (173, "d718c5f43fe1595e3cf88181f16f5b8f970f5e6b6bb949252acd92555ac2e4ee"),
 }
 
 
@@ -468,34 +473,23 @@ def test_guard_breaks_beales_cycle(monkeypatch):
     assert bases.count((4, 5, 6)) == 2
 
 
-def _stored_columns(tab):
-    """(stored column, sign) of each column of ``tab``, read from the tags:
-    the ("var", j, -1) column of a free x_j is stored as minus the
-    ("var", j, 1) column, every other column as itself."""
-    plus = {tag[1]: c for c, tag in enumerate(tab.cols)
-            if tag[0] == "var" and tag[2] > 0}
-    return [(plus[tag[1]], -1) if tag[0] == "var" and tag[2] < 0 else (c, 1)
-            for c, tag in enumerate(tab.cols)]
-
-
 def _bland_run(tab):
     """``_Tableau.run`` under Bland's rule alone, the pricing before the
-    guarded Dantzig rule: the lowest structural column with a negative
-    reduced cost enters, with the same ratio test and tie-break.  Every
-    entry is read with its sign from ``_stored_columns``."""
+    guarded Dantzig rule: the lowest structural column that can enter does,
+    with the same ratio test and tie-break.  A column can enter upward at a
+    negative reduced cost, and a free column downward at a positive one."""
     from coneext.lp import _RHS
 
-    columns = _stored_columns(tab)
     while True:
         z = tab.z
-        enter = next((c for c in range(tab.art0)
-                      if columns[c][1] * z.get(columns[c][0], 0) < 0), None)
+        enter = next((c for c in range(tab.art0) if z.get(c, 0) < 0
+                      or c in tab.free and z.get(c, 0) > 0), None)
         if enter is None:
             return "optimal"
-        key, sign = columns[enter]
+        sign = 1 if z[enter] < 0 else -1
         leave = None
         for i, row in enumerate(tab.T):
-            a = sign * row.get(key, 0)
+            a = sign * row.get(enter, 0)
             if a > 0:
                 rn = row.get(_RHS, 0)
                 if leave is None or rn * ba < bn * a or (
@@ -536,40 +530,36 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
 
 
 def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
-    """After every pivot of the pinned and the random LPs, each constraint
-    row has a positive entry at its basic column, read with its sign, its
+    """After every pivot of the pinned and the random LPs, each live row and
+    each kept row has a positive entry at its basic column, its
     denominator; the reduced-cost row has a positive objective entry and
-    none at a basic column; every row is gcd-reduced; and no row, nor the
-    reduced-cost row, holds an entry at an artificial column that is not
-    basic or at the -x_j column of a free variable."""
+    none at a basic column; every row is gcd-reduced; and no live row, nor
+    the reduced-cost row, holds an entry at an artificial column that is
+    not basic or at a frozen column."""
     from coneext import lp
 
     pivot = lp._Tableau.pivot
-    checked = []
+    downward = []
 
     def checking(tab, r, c):
+        downward.append(c in tab.free and tab.T[r][c] < 0)
         pivot(tab, r, c)
-        columns = _stored_columns(tab)
-        mirrors = {col for col, (_, sign) in enumerate(columns) if sign < 0}
-        left = set(range(tab.art0, len(tab.cols))) - set(tab.basis)
-        for row, bcol in zip(tab.T, tab.basis):
-            key, sign = columns[bcol]
-            assert sign * row[key] > 0
+        gone = set(range(tab.art0, len(tab.cols))) - set(tab.basis)
+        gone.update(tab.frozen)
+        for row, bcol in (*zip(tab.T, tab.basis), *zip(tab.kept, tab.frozen)):
+            assert row[bcol] > 0
             assert gcd(*row.values()) == 1
-            assert not left & row.keys()
-            assert not mirrors & row.keys()
+        for row in (*tab.T, tab.z):
+            assert not gone & row.keys()
         assert tab.z[lp._OBJ] > 0
-        assert not any(columns[bcol][0] in tab.z for bcol in tab.basis)
+        assert not any(bcol in tab.z for bcol in tab.basis)
         assert gcd(*tab.z.values()) == 1
-        assert not left & tab.z.keys()
-        assert not mirrors & tab.z.keys()
-        checked.append(c in mirrors)
 
     monkeypatch.setattr(lp._Tableau, "pivot", checking)
     for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
         solve(p)
-    assert len(checked) >= 200, len(checked)
-    assert any(checked)  # some pivot entered a -x_j column
+    assert len(downward) >= 200, len(downward)
+    assert any(downward)  # some pivot entered a free column downward
 
 
 @pytest.fixture
@@ -633,6 +623,34 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
     # every kind of basic column has left, a nonnegative variable included
     assert set(leaving) == {"var", "sur", "art"}
     assert len(leaving) >= 800, len(leaving)
+
+
+def test_one_column_per_variable(monkeypatch):
+    """Every tableau of the pinned and the Ext_k LPs has one column per
+    variable, column j being x_j, and then one per surplus and artificial;
+    ``_eliminate`` takes no sign: a free variable has no mirror column."""
+    from coneext import lp
+
+    run = lp._Tableau.run
+    free = []
+
+    def checking(tab):
+        problem = tab.problem
+        nv, ge = problem.num_vars, problem.int_rows[problem.num_eq:]
+        # a ge row with a positive rhs is not flipped and needs an artificial
+        artificials = problem.num_eq + sum(ints[-1] > 0 for ints, _ in ge)
+        assert len(tab.cols) == nv + len(ge) + artificials
+        assert tab.cols[:nv] == [("var", j) for j in range(nv)]
+        free.append(bool(tab.free))
+        return run(tab)
+
+    monkeypatch.setattr(lp._Tableau, "run", checking)
+    for p in _pinned_corpus():
+        solve(p)
+    for key in EXT_K_PIVOT_PINS:
+        ext_k_membership(*_ext_k_case(*key))
+    assert sum(free) >= len(EXT_K_PIVOT_PINS), free
+    assert len(inspect.signature(lp._eliminate).parameters) == 3
 
 
 # x0 free, x1 >= 0; 2 x0 = 1 and 3/2 x0 = 4/3 disagree, x0 - x1 >= -1/2.

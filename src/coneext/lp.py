@@ -382,14 +382,13 @@ class _Tableau:
         """The basic solution.  A live basic column reads its row.  A frozen
         variable x_j is back-substituted from the row it took out of the
         tableau, last frozen first: that row reads x_j at its positive
-        entry at column j, and each of its
-        other columns, a variable's or a surplus, was nonbasic when it froze
-        (a basic column is zero outside its own row), so is now nonbasic
-        (0), live basic (read from its row) or frozen later (already
-        solved).  No earlier frozen column is in it, since a freeze clears
-        its column from every live row and later pivots use live rows only.
-        The basic solution of a basis is unique, so this is the point that
-        solves the problem rows."""
+        entry at column j, and each of its other columns, a variable's or a
+        surplus, was nonbasic when it froze (a basic column is zero outside
+        its own row), so is now nonbasic (0), live basic (read from its row)
+        or frozen later (already solved).  No earlier frozen column is in
+        it, since a freeze clears its column from every live row and later
+        pivots use live rows only.  The basic solution of a basis is unique,
+        so this is the point that solves the problem rows."""
         value = {}  # column -> its nonzero value
         for row, bcol in zip(self.T, self.basis):
             if _RHS in row:  # a live basic column is never free

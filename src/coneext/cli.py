@@ -61,7 +61,7 @@ def _read(path, parse):
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
-        raise SemanticError(f"cannot read {path}: {e.strerror}")
+        raise SemanticError(f"{path}: cannot read ({e.strerror})")
     try:
         return parse(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -109,7 +109,7 @@ def _load_polytope_arg(args):
 def _load_point(path, dims):
     name, point_dims, entries = _read(path, parse_point_file)
     if point_dims != dims:
-        raise SemanticError(f"point dims {point_dims} do not match cones {dims}")
+        raise SemanticError(f"{path}: point dims {point_dims} do not match cones {dims}")
     return name, entries
 
 
@@ -201,7 +201,8 @@ def cmd_factor(args):
 def cmd_hull_check(args):
     name, poly = _load_polytope_arg(args)
     if len(poly.functionals) > FACET_CAP:
-        raise SemanticError(f"{name}: {len(poly.functionals)} facets exceed "
+        raise SemanticError(f"{args.polytope or args.cone_b}: "
+                            f"{len(poly.functionals)} facets exceed "
                             f"the hull-check cap of {FACET_CAP}")
     ok, witness = affine_hull_commutes(poly)
     report = [("command", "hull-check"), ("polytope", name)]

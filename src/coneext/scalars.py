@@ -151,7 +151,8 @@ class QuadScalar:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational equals its QuadScalar, so the two must hash alike
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __lt__(self, other):
         return (self - QuadScalar.of(other)).sign() < 0

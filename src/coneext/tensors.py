@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -41,23 +42,19 @@ def _strides(slots):
     return strides
 
 
+@dataclass(frozen=True, slots=True)
 class DenseTensor:
-    __slots__ = ("slots", "entries", "_stride")
+    slots: tuple
+    entries: tuple
 
-    def __init__(self, slots, entries):
-        slots = tuple(slots)
-        entries = tuple(entries)
+    def __post_init__(self):
+        object.__setattr__(self, "slots", tuple(self.slots))
+        object.__setattr__(self, "entries", tuple(self.entries))
         size = 1
-        for s in slots:
+        for s in self.slots:
             size *= s.dim
-        if len(entries) != size:
-            raise ValueError(f"expected {size} entries, got {len(entries)}")
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_stride", _strides(slots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseTensor is immutable")
+        if len(self.entries) != size:
+            raise ValueError(f"expected {size} entries, got {len(self.entries)}")
 
     # -- indexing -----------------------------------------------------------
 
@@ -65,10 +62,10 @@ class DenseTensor:
         if len(multi) != len(self.slots):
             raise ValueError("index arity mismatch")
         idx = 0
-        for i, (j, s) in enumerate(zip(multi, self.slots)):
+        for i, (j, s, st) in enumerate(zip(multi, self.slots, _strides(self.slots))):
             if not 0 <= j < s.dim:
                 raise IndexError(f"index {j} out of range for slot {i}")
-            idx += j * self._stride[i]
+            idx += j * st
         return idx
 
     def __getitem__(self, multi):
@@ -86,24 +83,8 @@ class DenseTensor:
             raise ValueError("slot mismatch in tensor sum")
         return DenseTensor(self.slots, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other):
-        if self.slots != other.slots:
-            raise ValueError("slot mismatch in tensor difference")
-        return DenseTensor(self.slots, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        return DenseTensor(self.slots, tuple(-a for a in self.entries))
-
     def scale(self, c):
         return DenseTensor(self.slots, tuple(c * a for a in self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return self.slots == other.slots and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.slots, self.entries))
 
     def is_zero(self):
         return all(a == 0 for a in self.entries)
@@ -190,15 +171,11 @@ def contract_slot(t, slot_index, f):
     s = t.slots[slot_index]
     if f.slots[0] != s.dual:
         raise ValueError("contraction needs equal dimension and opposite variance")
-    out_slots = t.slots[:slot_index] + t.slots[slot_index + 1:]
-    entries = [None] * (len(t.entries) // s.dim)
-    stride_out = _strides(out_slots)
-    for multi, e in zip(t.multi_indices(), t.entries):
-        rest = multi[:slot_index] + multi[slot_index + 1:]
-        idx = sum(j * st for j, st in zip(rest, stride_out))
-        term = e * f.entries[multi[slot_index]]
-        entries[idx] = term if entries[idx] is None else entries[idx] + term
-    return DenseTensor(out_slots, entries)
+    rest = [i for i in range(len(t.slots)) if i != slot_index]
+    e = reorder_slots(t, rest + [slot_index]).entries
+    return DenseTensor(t.slots[:slot_index] + t.slots[slot_index + 1:],
+                       [sum(map(mul, e[b:b + s.dim], f.entries))
+                        for b in range(0, len(e), s.dim)])
 
 
 def pairing(s, t):

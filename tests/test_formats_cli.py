@@ -357,6 +357,42 @@ def test_hull_check_refuses_more_facets_than_the_cap(tmp_path, monkeypatch):
     assert "21 facets" in err
 
 
+
+def _missing_phi(tmp_path):
+    path = tmp_path / "nophi.cone"
+    path.write_text("".join(line for line in fixture_text("square.cone").splitlines(True)
+                            if not line.startswith("phi ")))
+    return ["eb-check", "--k", "1", "--cone-b", str(path)], path, "no phi in file"
+
+
+def _parabola21(tmp_path):
+    path = tmp_path / "parabola21.poly"
+    path.write_text(serialize_polytope_file(
+        "parabola21", [(Fraction(i), Fraction(i * i)) for i in range(21)]))
+    return ["hull-check", "--polytope", str(path)], path, "21 facets exceed"
+
+
+@pytest.mark.parametrize("case", [
+    lambda tmp: (["dualize", "--cone-a", str(tmp / "absent.cone")],
+                 tmp / "absent.cone", "cannot read"),
+    lambda tmp: (["dualize", "--cone-a", str(tmp)], tmp, "cannot read"),
+    _missing_phi,
+    lambda tmp: (["min-check", "--cone-a", fixture_path("orthant2.cone"),
+                  "--cone-b", fixture_path("square.cone"),
+                  "--point", fixture_path("box.pt")],
+                 fixture_path("box.pt"), "point dims (3, 3) do not match"),
+    _parabola21,
+], ids=["missing-file", "directory", "no-phi", "point-dims", "facet-cap"])
+def test_semantic_errors_name_the_file(tmp_path, case):
+    """Every semantic error is one ``error: PATH: message`` line on stderr,
+    PATH being the input file at fault, with exit 3 and nothing on stdout."""
+    argv, path, message = case(tmp_path)
+    code, out, err = _run(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_quantum_demo_passes():
     code, out, _ = _run(["quantum-demo"])
     assert code == 0

@@ -140,3 +140,15 @@ def test_sign_helper():
     assert sign(Fraction(-2, 5)) == -1
     assert sign(0) == 0
     assert sign(7) == 1
+
+
+@pytest.mark.parametrize("rational", [0, 1, -3, Fraction(2, 3), Fraction(-7, 5)])
+def test_rational_quad_scalar_hashes_like_its_rational(rational):
+    """A QuadScalar with b = 0 equals its rational part, so it hashes like
+    it: dict lookups and sets treat the two as one key."""
+    q = QuadScalar(rational)
+    assert q == rational and hash(q) == hash(rational)
+    assert {rational: "x"}.get(q) == "x"
+    assert len({rational, q}) == 1
+    assert hash(QuadScalar(rational, 1)) == hash(QuadScalar(rational, 1))
+    assert QuadScalar(rational, 1) not in {rational}

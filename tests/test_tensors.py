@@ -258,3 +258,48 @@ def test_zero_tensor_and_entry_count_check():
     assert z.is_zero()
     with pytest.raises(ValueError):
         DenseTensor((Slot(2, PRIMAL),), (1, 2, 3))
+
+
+def _partner(dim, variance):
+    return DenseTensor((Slot(dim, variance),), [Fraction(1)] * dim)
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: Slot(2, "covariant"), ValueError),
+    (lambda: Slot(0, PRIMAL), ValueError),
+    (lambda: from_vector((1, 2)).flat_index((0, 0)), ValueError),
+    (lambda: from_vector((1, 2)).flat_index((2,)), IndexError),
+    (lambda: from_vector((1, 2)) + from_vector((1, 2), DUAL), ValueError),
+    (lambda: kron(), ValueError),
+    (lambda: symmetric_project(kron(from_vector((1, 2)), from_vector((1, 2, 3)))),
+     ValueError),
+    (lambda: contract_slot(from_vector((1, 2)), 0,
+                           kron(_partner(2, DUAL), _partner(2, DUAL))), ValueError),
+    (lambda: pairing(from_vector((1, 2)), from_vector((1, 2))), ValueError),
+])
+def test_input_checks_raise(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_dense_tensor_is_a_frozen_hashable_value():
+    """DenseTensor is declared like Slot, as a frozen dataclass: no field
+    can be reassigned, and equal tensors hash equal, Fraction and
+    QuadScalar entries alike."""
+    import dataclasses
+    import inspect
+
+    import coneext.tensors as tensors
+
+    t = from_vector((1, 2))
+    with pytest.raises(AttributeError):
+        t.entries = (Fraction(3), Fraction(4))
+    assert hash(t) == hash(from_vector((Fraction(2, 2), 2)))
+    quad = DenseTensor(t.slots, [QuadScalar(1), QuadScalar(2)])
+    assert quad == t and hash(quad) == hash(t)
+    assert dataclasses.is_dataclass(DenseTensor)
+    assert DenseTensor.__dataclass_params__.frozen
+    assert DenseTensor.__slots__ == ("slots", "entries")
+    source = inspect.getsource(tensors)
+    for name in ("__setattr__", "__sub__", "__neg__"):
+        assert f"def {name}" not in source

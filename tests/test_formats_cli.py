@@ -357,7 +357,6 @@ def test_hull_check_refuses_more_facets_than_the_cap(tmp_path, monkeypatch):
     assert "21 facets" in err
 
 
-
 def _missing_phi(tmp_path):
     path = tmp_path / "nophi.cone"
     path.write_text("".join(line for line in fixture_text("square.cone").splitlines(True)

@@ -20,18 +20,11 @@ negative verdict.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .cones import ConeError, dualize, make_based, make_cone
-from .formats import (ParseError, parse_cone_file, parse_point_file,
-                      parse_polytope_file, serialize_cone_file)
-from .hierarchy import (ext_k_membership, is_entanglement_breaking,
-                        min_tensor_generators, point_tensor)
-from .lp import conic_membership
-from .polytopes import (FACET_CAP, FactorFailure, affine_hull_commutes,
-                        factor_as_simplices, polytope_from_vertices)
-from .quantum import verify_appendix
+# every command shares only the number text forms; each loader and command
+# imports the rest of the package when it runs, so a call loads the modules
+# of its own subcommand and no others
 from .scalars import format_rational, parse_rational
 
 EXIT_YES = 0
@@ -57,6 +50,7 @@ def _read(path, parse):
     """``parse`` of the text of the file at ``path``; a parse error, or a
     byte that is not UTF-8, is raised as a ``_FileParseError`` naming the
     path."""
+    from .formats import ParseError
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -73,6 +67,8 @@ def _read(path, parse):
 
 
 def _load_cone(path):
+    from .cones import ConeError, make_cone
+    from .formats import parse_cone_file
     name, dim, gens, phi = _read(path, parse_cone_file)
     try:
         cone = make_cone(gens)
@@ -82,6 +78,7 @@ def _load_cone(path):
 
 
 def _load_based(path, phi_override):
+    from .cones import make_based
     name, cone, phi = _load_cone(path)
     if phi_override is not None:
         phi = phi_override
@@ -96,6 +93,8 @@ def _load_based(path, phi_override):
 
 
 def _load_polytope_arg(args):
+    from .formats import parse_polytope_file
+    from .polytopes import polytope_from_vertices
     if args.polytope is not None:
         name, ambient, verts = _read(args.polytope, parse_polytope_file)
         try:
@@ -107,6 +106,7 @@ def _load_polytope_arg(args):
 
 
 def _load_point(path, dims):
+    from .formats import parse_point_file
     name, point_dims, entries = _read(path, parse_point_file)
     if point_dims != dims:
         raise SemanticError(f"{path}: point dims {point_dims} do not match cones {dims}")
@@ -133,11 +133,13 @@ def _write_report(report, mode, out):
     if isinstance(report, str):
         out.write(report)
         return
-    for key, value, *text in report:
-        if mode == "json-lines":
+    if mode == "json-lines":
+        import json
+        for key, value, *_ in report:
             if value is not None:
                 out.write(json.dumps({key: value}, sort_keys=True) + "\n")
-            continue
+        return
+    for key, value, *text in report:
         if text:
             value = text[0]
         elif isinstance(value, list):
@@ -146,11 +148,14 @@ def _write_report(report, mode, out):
 
 
 def cmd_dualize(args):
+    from .cones import dualize
+    from .formats import serialize_cone_file
     name, cone, _ = _load_cone(args.cone_a)
     return EXIT_YES, serialize_cone_file(name, dualize(cone).rays)
 
 
 def cmd_ext_check(args):
+    from .hierarchy import ext_k_membership, point_tensor
     _, cone_a, _ = _load_cone(args.cone_a)
     _, based = _load_based(args.cone_b, args.phi)
     pname, entries = _load_point(args.point, (cone_a.dim, based.cone.dim))
@@ -167,6 +172,7 @@ def cmd_ext_check(args):
 
 
 def cmd_eb_check(args):
+    from .hierarchy import is_entanglement_breaking
     name, based = _load_based(args.cone_b, args.phi)
     outcome = is_entanglement_breaking(based, args.k)
     report = [("command", "eb-check"), ("cone", name), ("k", args.k)]
@@ -184,6 +190,7 @@ def cmd_eb_check(args):
 
 
 def cmd_factor(args):
+    from .polytopes import FactorFailure, factor_as_simplices
     name, poly = _load_polytope_arg(args)
     result = factor_as_simplices(poly)
     report = [("command", "factor"), ("polytope", name)]
@@ -199,6 +206,7 @@ def cmd_factor(args):
 
 
 def cmd_hull_check(args):
+    from .polytopes import FACET_CAP, affine_hull_commutes
     name, poly = _load_polytope_arg(args)
     if len(poly.functionals) > FACET_CAP:
         raise SemanticError(f"{args.polytope or args.cone_b}: "
@@ -215,6 +223,8 @@ def cmd_hull_check(args):
 
 
 def cmd_min_check(args):
+    from .hierarchy import min_tensor_generators
+    from .lp import conic_membership
     _, cone_a, _ = _load_cone(args.cone_a)
     _, cone_b, _ = _load_cone(args.cone_b)
     pname, entries = _load_point(args.point, (cone_a.dim, cone_b.dim))
@@ -229,6 +239,7 @@ def cmd_min_check(args):
 
 
 def cmd_quantum_demo(args):
+    from .quantum import verify_appendix
     claims = verify_appendix()  # raises AppendixError on a failed claim
     report = [("command", "quantum-demo")]
     for claim in claims:

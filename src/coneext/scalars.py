@@ -9,6 +9,7 @@ rational components and a purely algebraic sign test.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -47,46 +48,65 @@ def sign(q):
     return 0
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _parts(value):
+    """(numerator, denominator) of an int or a Fraction, in lowest terms."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 
 class QuadScalar:
     """An element a + b*sqrt(2) of Q(sqrt2), with exact rational components.
 
-    Equality is componentwise (sqrt2 is irrational, so the representation is
-    unique) and ``sign`` never leaves rational arithmetic.
+    It is held as three ints, (p + q*sqrt2)/d with d > 0 and
+    gcd(p, q, d) = 1, so each element has one representation (sqrt2 is
+    irrational) and equality compares ints.  ``a`` and ``b`` read the
+    components as Fractions, and ``sign`` never leaves integer arithmetic.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        (p, e), (q, f) = _parts(a), _parts(b)
+        # d = lcm(e, f) leaves gcd(p, q, d) = 1: the highest power of a
+        # prime that divides d divides e (or f) and not d // e, and it does
+        # not divide p, which is coprime to e
+        d = lcm(e, f)
+        _set_p(self, p * (d // e))
+        _set_q(self, q * (d // f))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
+
+    @property
+    def a(self):
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self):
+        return Fraction(self._q, self._d)
 
     @classmethod
     def of(cls, value):
         if isinstance(value, QuadScalar):
             return value
-        return cls(_as_fraction(value))
+        p, d = _parts(value)
+        return _quad(p, 0, d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = QuadScalar.of(other)
-        return QuadScalar(self.a + other.a, self.b + other.b)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._p + other._p, self._q + other._q, d)
+        return _reduced(self._p * e + other._p * d, self._q * e + other._q * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b)
+        return _quad(-self._p, -self._q, self._d)
 
     def __sub__(self, other):
         return self + (-QuadScalar.of(other))
@@ -96,25 +116,28 @@ class QuadScalar:
 
     def __mul__(self, other):
         other = QuadScalar.of(other)
-        # (a + b r)(c + d r) = ac + 2bd + (ad + bc) r   with r*r = 2
-        return QuadScalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        # (p + q r)(s + t r) = ps + 2qt + (pt + qs) r   with r*r = 2
+        p, q, s, t = self._p, self._q, other._p, other._q
+        return _reduced(p * s + 2 * q * t, p * t + q * s, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return QuadScalar(self.a, -self.b)
+        return _quad(self._p, -self._q, self._d)
 
     def __truediv__(self, other):
         other = QuadScalar.of(other)
-        norm = other.a * other.a - 2 * other.b * other.b
+        # x / y = x * conj(y) / (y * conj(y)), and y * conj(y) is the
+        # rational (s^2 - 2t^2) / e^2
+        p, q, s, t = self._p, self._q, other._p, other._q
+        norm = s * s - 2 * t * t
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        conj = other.conjugate()
-        num = self * conj
-        return QuadScalar(num.a / norm, num.b / norm)
+        e = other._d
+        d = self._d * norm
+        if d < 0:
+            d, e = -d, -e
+        return _reduced((p * s - 2 * q * t) * e, (q * s - p * t) * e, d)
 
     def __rtruediv__(self, other):
         return QuadScalar.of(other) / self
@@ -124,35 +147,37 @@ class QuadScalar:
     def sign(self):
         """Exact sign via case analysis on the components; no radicals.
 
-        With mixed component signs the tie is decided by comparing a*a
-        against 2*b*b (sqrt2 irrational, so equality would force a = b = 0).
+        With mixed component signs the tie is decided by comparing p*p
+        against 2*q*q (sqrt2 irrational, so equality would force p = q = 0).
         """
-        sa = sign(self.a)
-        sb = sign(self.b)
+        p, q = self._p, self._q
+        sa = sign(p)
+        sb = sign(q)
         if sa == 0:
             return sb
         if sb == 0:
             return sa
         if sa == sb:
             return sa
-        d = self.a * self.a - 2 * self.b * self.b
+        d = p * p - 2 * q * q
         if d == 0:
-            raise AssertionError("a^2 = 2 b^2 is impossible for nonzero rationals")
+            raise AssertionError("p^2 = 2 q^2 is impossible for nonzero integers")
         return sa if d > 0 else sb
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     def __eq__(self, other):
+        if isinstance(other, QuadScalar):
+            return self._p == other._p and self._q == other._q and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            other = QuadScalar.of(other)
-        if not isinstance(other, QuadScalar):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+            return (self._q == 0 and self._p == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # a rational equals its QuadScalar, so the two must hash alike
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return hash(self.a) if self._q == 0 else hash((self.a, self.b))
 
     def __lt__(self, other):
         return (self - QuadScalar.of(other)).sign() < 0
@@ -184,6 +209,30 @@ class QuadScalar:
         if len(parts) != 4 or parts[1] != "+" or parts[3] != SQRT2_TOKEN:
             raise ValueError(f"bad Q(sqrt2) literal {text!r}")
         return cls(parse_rational(parts[0]), parse_rational(parts[2]))
+
+
+# the slot setters bypass the raising __setattr__
+_set_p = QuadScalar._p.__set__
+_set_q = QuadScalar._q.__set__
+_set_d = QuadScalar._d.__set__
+
+
+def _quad(p, q, d):
+    """The QuadScalar (p + q*sqrt2)/d of ints already in lowest terms."""
+    x = object.__new__(QuadScalar)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(p, q, d):
+    """The QuadScalar (p + q*sqrt2)/d of ints with d > 0."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    return _quad(p, q, d)
 
 
 SQRT2 = QuadScalar(0, 1)

@@ -73,9 +73,6 @@ class DenseTensor:
             multi = (multi,)
         return self.entries[self.flat_index(multi)]
 
-    def multi_indices(self):
-        return itertools.product(*(range(s.dim) for s in self.slots))
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):

@@ -2,6 +2,7 @@
 exit-code contract (0 yes, 1 no, 2 usage or parse, 3 semantic, 4 internal)."""
 
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -343,10 +344,10 @@ def test_hull_check_refuses_more_facets_than_the_cap(tmp_path, monkeypatch):
     """The 21-gon through (i, i^2), i = 0..20, has one facet more than the
     subset-iteration cap: exit 3 with the cap named on stderr and nothing on
     stdout, before any of the 2^21 facet subsets is visited."""
-    import coneext.cli as cli
+    import coneext.polytopes as polytopes
     from coneext.polytopes import FACET_CAP
 
-    monkeypatch.setattr(cli, "affine_hull_commutes",
+    monkeypatch.setattr(polytopes, "affine_hull_commutes",
                         lambda p: pytest.fail("the subset iteration started"))
     path = tmp_path / "parabola21.poly"
     path.write_text(serialize_polytope_file(
@@ -555,20 +556,23 @@ def test_eb_check_json_lines_output_is_pinned(cone, k):
 
 _SQUARE, _SKEW = fixture_path("square.cone"), fixture_path("square-skew.cone")
 
-# (core call as cli.py names it, argv of the subcommand that makes it)
+# (home module of the core call, its name, argv of the subcommand that makes
+# it); a command looks the call up in its home module when it runs
 _CORE_CALLS = {
-    "dualize": ("dualize", ["dualize", "--cone-a", _SQUARE]),
-    "ext-check": ("ext_k_membership",
+    "dualize": ("cones", "dualize", ["dualize", "--cone-a", _SQUARE]),
+    "ext-check": ("hierarchy", "ext_k_membership",
                   ["ext-check", "--cone-a", _SQUARE, "--cone-b", _SKEW, "--k", "2",
                    "--point", fixture_path("gap-k3.pt")]),
-    "eb-check": ("is_entanglement_breaking", ["eb-check", "--k", "2", "--cone-b", _SQUARE]),
-    "factor": ("factor_as_simplices", ["factor", "--polytope", fixture_path("prism.poly")]),
-    "hull-check": ("affine_hull_commutes",
+    "eb-check": ("hierarchy", "is_entanglement_breaking",
+                 ["eb-check", "--k", "2", "--cone-b", _SQUARE]),
+    "factor": ("polytopes", "factor_as_simplices",
+               ["factor", "--polytope", fixture_path("prism.poly")]),
+    "hull-check": ("polytopes", "affine_hull_commutes",
                    ["hull-check", "--polytope", fixture_path("pentagon.poly")]),
-    "min-check": ("conic_membership",
+    "min-check": ("lp", "conic_membership",
                   ["min-check", "--cone-a", _SQUARE, "--cone-b", _SKEW,
                    "--point", fixture_path("gap-k2.pt")]),
-    "quantum-demo": ("verify_appendix", ["quantum-demo"]),
+    "quantum-demo": ("quantum", "verify_appendix", ["quantum-demo"]),
 }
 
 
@@ -580,13 +584,13 @@ def test_internal_error_exits_four(monkeypatch, command):
     from coneext.hierarchy import ConsistencyError
     from coneext.quantum import AppendixError
 
-    name, argv = _CORE_CALLS[command]
+    module, name, argv = _CORE_CALLS[command]
     error = AppendixError if name == "verify_appendix" else ConsistencyError
 
     def broken(*args):
         raise error("injected failure")
 
-    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.setattr(importlib.import_module(f"coneext.{module}"), name, broken)
     code, out, err = _run(argv)
     assert (code, out) == (cli.EXIT_INTERNAL, "") == (4, "")
     assert f"internal error: {error.__name__}: injected failure" in err

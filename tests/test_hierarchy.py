@@ -1189,7 +1189,8 @@ CLOSED_FORM_PAIRS = [(a, b) for a in ("square", "triangle") for b in cone_names(
 def _form(t):
     """The degree-k form x -> t(x, .., x) of a k-slot tensor, as a function
     of the point x."""
-    support = [(multi, e) for multi, e in zip(t.multi_indices(), t.entries) if e]
+    multis = itertools.product(*(range(s.dim) for s in t.slots))
+    support = [(multi, e) for multi, e in zip(multis, t.entries) if e]
 
     def at(x):
         total = 0

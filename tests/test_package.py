@@ -1,0 +1,108 @@
+"""The package surface: ``import coneext`` is lazy, every public name still
+resolves, and a CLI call loads only the modules its subcommand uses."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coneext
+from coneext.fixtures import fixture_path
+
+SRC = Path(coneext.__file__).resolve().parent.parent
+
+
+def test_every_public_name_resolves_in_its_home_module():
+    for name in coneext.__all__:
+        home = importlib.import_module(f"coneext.{coneext._HOME[name]}")
+        assert getattr(coneext, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from coneext import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(coneext.__all__)
+    assert namespace["QuadScalar"] is coneext.QuadScalar
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(coneext)
+    assert set(coneext.__all__) <= set(listed)
+    assert "__version__" in listed and listed == sorted(listed)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coneext.no_such_name
+    assert not hasattr(coneext, "ext_k_rows")
+    with pytest.raises(ImportError):
+        exec("from coneext import no_such_name", {})
+
+
+def test_a_submodule_still_imports_from_the_package():
+    from coneext import lp
+    assert lp is sys.modules["coneext.lp"] and lp.__name__ == "coneext.lp"
+
+
+# The probe runs a statement, then writes the coneext modules it left in
+# sys.modules to the file named by argv[1] on the way out.
+_PROBE = """\
+import atexit, json, sys
+out, code = sys.argv[1], sys.argv[2]
+atexit.register(lambda: open(out, "w").write(json.dumps(
+    sorted(m for m in sys.modules if m == "coneext" or m.startswith("coneext.")))))
+sys.argv = ["coneext"] + sys.argv[3:]
+exec(code)
+"""
+
+_RUN_CLI = "import runpy; runpy.run_module('coneext.cli', run_name='__main__')"
+
+
+def _loaded(tmp_path, code, *argv):
+    out = tmp_path / "modules.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(out), code, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    return {m.removeprefix("coneext.") for m in json.loads(out.read_text())}
+
+
+_SQUARE, _SKEW = fixture_path("square.cone"), fixture_path("square-skew.cone")
+
+_NO_DECIDERS = {"hierarchy", "lp", "tensors", "quantum"}
+
+# subcommand -> (argv, modules the call loads, modules it must not load)
+_FOOTPRINTS = {
+    "dualize": (["dualize", "--cone-a", _SQUARE], {"cones"}, _NO_DECIDERS | {"polytopes"}),
+    "factor-polytope": (["factor", "--polytope", fixture_path("prism.poly")],
+                        {"polytopes"}, _NO_DECIDERS),
+    "factor-cone": (["factor", "--cone-b", _SQUARE], {"polytopes"}, _NO_DECIDERS),
+    "hull-check-polytope": (["hull-check", "--polytope", fixture_path("pentagon.poly")],
+                            {"polytopes"}, _NO_DECIDERS),
+    "hull-check-cone": (["hull-check", "--cone-b", fixture_path("cube.cone")],
+                        {"polytopes"}, _NO_DECIDERS),
+    "quantum-demo": (["quantum-demo"], {"quantum"}, {"hierarchy", "lp", "polytopes"}),
+    "ext-check": (["ext-check", "--cone-a", _SQUARE, "--cone-b", _SKEW, "--k", "2",
+                   "--point", fixture_path("gap-k3.pt")], {"hierarchy"}, {"quantum"}),
+    "eb-check": (["eb-check", "--k", "2", "--cone-b", _SQUARE, "--report", "json-lines"],
+                 {"hierarchy"}, {"quantum"}),
+    "min-check": (["min-check", "--cone-a", _SQUARE, "--cone-b", _SKEW,
+                   "--point", fixture_path("gap-k2.pt")], {"hierarchy", "lp"}, {"quantum"}),
+}
+
+
+def test_import_coneext_loads_no_submodule(tmp_path):
+    assert _loaded(tmp_path, "import coneext") == {"coneext"}
+
+
+@pytest.mark.parametrize("command", list(_FOOTPRINTS))
+def test_a_cli_call_loads_only_its_subcommands_modules(tmp_path, command):
+    argv, used, unused = _FOOTPRINTS[command]
+    loaded = _loaded(tmp_path, _RUN_CLI, *argv)
+    assert used <= loaded and loaded & unused == set()

@@ -1,5 +1,6 @@
 """Exact scalar layer: rational text forms and the ordered field Q(sqrt2)."""
 
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from coneext.scalars import QuadScalar, SQRT2, format_rational, parse_rational, sign
+from quad_reference import QuadScalar as RefQuad
 
 
 def test_parse_rational_basic():
@@ -152,3 +154,98 @@ def test_rational_quad_scalar_hashes_like_its_rational(rational):
     assert len({rational, q}) == 1
     assert hash(QuadScalar(rational, 1)) == hash(QuadScalar(rational, 1))
     assert QuadScalar(rational, 1) not in {rational}
+
+
+# -- the integer class against the Fraction-pair reference -------------------
+
+def _random_rational(rng):
+    """Ints, zero and Fractions over small and large denominators."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-6, 6)
+    if kind == 1:
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4, 3, 6, 12)))
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+
+def _operand_pairs(seed, count):
+    """(new, reference) pairs on the same components; a quarter of them
+    rational (b = 0), as the quantum operators' entries mostly are."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = _random_rational(rng)
+        b = 0 if rng.random() < 0.25 else _random_rational(rng)
+        yield QuadScalar(a, b), RefQuad(a, b)
+
+
+def _same(new, ref):
+    return (type(new) is QuadScalar and (new.a, new.b) == (ref.a, ref.b)
+            and type(new.a) is type(ref.a) is Fraction)
+
+
+def _canonical(x):
+    return x._d > 0 and math.gcd(x._p, x._q, x._d) == 1
+
+
+def test_arithmetic_agrees_with_the_fraction_pair_reference():
+    pairs = list(_operand_pairs(101, 400))
+    rng = random.Random(103)
+    for (x, rx), (y, ry) in zip(pairs, pairs[1:] + pairs[:1]):
+        r = _random_rational(rng)
+        results = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx),
+                   (x + r, rx + r), (r + x, r + rx), (x - r, rx - r), (r - x, r - rx),
+                   (x * r, rx * r), (r * x, r * rx), (x.conjugate(), rx.conjugate())]
+        if not ry.is_zero():
+            results += [(x / y, rx / ry), (r / y, r / ry)]
+        if r != 0:
+            results.append((x / r, rx / r))
+        for new, ref in results:
+            assert _same(new, ref) and _canonical(new)
+        assert x.sign() == rx.sign() and x.is_zero() == rx.is_zero()
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(x, op)(y) == getattr(rx, op)(ry)
+            assert getattr(x, op)(r) == getattr(rx, op)(r)
+        assert float(x) == float(rx)
+
+
+def test_division_by_zero_agrees_with_the_reference():
+    for cls in (QuadScalar, RefQuad):
+        for zero in (0, Fraction(0), cls(0, 0)):
+            with pytest.raises(ZeroDivisionError):
+                cls(1, 1) / zero
+
+
+def test_equality_and_hash_agree_with_the_reference():
+    pairs = list(_operand_pairs(107, 400))
+    rng = random.Random(109)
+    for (x, rx), (y, ry) in zip(pairs, pairs[1:] + pairs[:1]):
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+        assert x == QuadScalar(rx.a, rx.b) and hash(x) == hash(rx)
+        for r in (_random_rational(rng), rx.a, int(rx.a)):
+            assert (x == r) == (rx == r) and (r == x) == (r == rx)
+            if x == r:
+                assert hash(x) == hash(r)
+        assert (x == "1") is (rx == "1") is False
+    with pytest.raises(TypeError):
+        QuadScalar(0.5)
+    with pytest.raises(TypeError):
+        QuadScalar(1) + 0.5
+
+
+def test_text_forms_agree_with_the_reference():
+    for x, rx in _operand_pairs(113, 300):
+        assert str(x) == str(rx) and repr(x) == repr(rx)
+        back = QuadScalar.parse(str(x))
+        assert back == x and _same(back, RefQuad.parse(str(rx))) and _canonical(back)
+
+
+def test_quad_scalar_is_immutable():
+    x = QuadScalar(Fraction(3, 4), -2)
+    y = QuadScalar(1, Fraction(1, 2))
+    for name in ("a", "b", "_p", "_q", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    for result in (x + y, x - y, x * y, x / y, -x, x.conjugate()):
+        assert result is not x and result is not y
+    assert (x.a, x.b, y.a, y.b) == (Fraction(3, 4), -2, 1, Fraction(1, 2))
+    assert QuadScalar.of(x) is x

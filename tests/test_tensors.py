@@ -168,7 +168,7 @@ def test_kron_entry_layout():
     b = from_vector((1, 0, 1))
     t = kron(a, b)
     ones = {(0, 0), (0, 2), (1, 0), (1, 2)}
-    for idx in t.multi_indices():
+    for idx in itertools.product(*(range(s.dim) for s in t.slots)):
         assert t[idx] == (1 if idx in ones else 0)
 
 

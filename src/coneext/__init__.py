@@ -24,8 +24,7 @@ _HOMES = {
     "hierarchy": ("ExtkVerdict", "EbOutcome", "HierarchyResult",
                   "reduction_map", "apply_reduction", "ext_k_membership",
                   "is_entanglement_breaking", "omega_interior_test", "dual_hierarchy_k",
-                  "min_tensor_generators", "max_tensor_halfspaces", "point_tensor",
-                  "vertex_facet_tensor"),
+                  "min_tensor_generators", "point_tensor"),
     "quantum": ("build_X", "psd_check_exact", "partial_transpose", "reduce_b_factors",
                 "sym_identity_extension", "trace_product", "verify_appendix"),
     "formats": ("ParseError", "parse_cone_file", "parse_polytope_file", "parse_point_file",

@@ -85,15 +85,6 @@ def min_tensor_generators(*cones):
     return out
 
 
-def max_tensor_halfspaces(*cones):
-    """Half-space description of the maximal tensor product: Kronecker
-    products of dual extreme rays (facets) across the factors."""
-    out = []
-    for combo in itertools.product(*(c.facets for c in cones)):
-        out.append(kron(*(from_vector(f, DUAL) for f in combo)))
-    return out
-
-
 def point_tensor(a_cone, b_cone, entries):
     """Entries (row-major, length dim_A * dim_B) as a V_A ox V_B tensor."""
     return DenseTensor((Slot(a_cone.dim, PRIMAL), Slot(b_cone.dim, PRIMAL)),
@@ -545,7 +536,7 @@ def is_entanglement_breaking(based, k):
 
 
 # ---------------------------------------------------------------------------
-# vertex-facet pairing tensor and the interior test
+# the interior test for the vertex-facet pairing tensor
 
 def _facet_centroids(base):
     """Centroid of the vertices of each facet of the base polytope."""
@@ -558,33 +549,6 @@ def _facet_centroids(base):
                 cent[c] += val
         out.append([val / len(idxs) for val in cent])
     return out
-
-
-def _reduction_pairing(phi, points, psis, k):
-    """<Gamma_k, sum_f x_f^{ox k} ox psi_f> for the level-k reduction tensor
-    Gamma_k of ``reduction_map``, as the scalar sum_f psi_f(x_f) phi(x_f)^(k-1):
-    x^{ox k} is symmetric, so the symmetrization of phi^(k-1) ox id over the
-    dual slots pairs with it as phi^(k-1) ox id does."""
-    return sum((dot(psi, x) * dot(phi, x) ** (k - 1) for x, psi in zip(points, psis)),
-               Fraction(0))
-
-
-def vertex_facet_tensor(based, k):
-    """Sum over facets of (facet centroid)^{ox k} ox (facet functional).
-    Exactly orthogonal to the level-k reduction tensor, checked as the
-    scalar identity of ``_reduction_pairing`` without building that tensor."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    cents = _facet_centroids(based.base)
-    psis = based.cone.facets
-    total = None
-    for cent, psi in zip(cents, psis):
-        term = kron(*([from_vector(cent)] * k), from_vector(psi, DUAL))
-        total = term if total is None else total + term
-    if _reduction_pairing(based.phi, cents, psis, k) != 0:
-        raise ConsistencyError(
-            "vertex-facet tensor is not orthogonal to the reduction map")
-    return total
 
 
 def omega_interior_test(based, k):

@@ -153,10 +153,6 @@ def inverse(rows):
     return [tuple(Fraction(a, row[i]) for a in row[n:]) for i, row in enumerate(m)]
 
 
-def mat_vec(rows, x):
-    return tuple(dot(r, x) for r in rows)
-
-
 def transpose(rows):
     return [tuple(col) for col in zip(*rows)]
 

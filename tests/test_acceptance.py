@@ -11,9 +11,8 @@ from coneext.fixtures import (EB_LEVELS, based_cone, cone, cone_names,
                               fixture_text, polytope)
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (apply_reduction, dual_hierarchy_k, ext_k_membership,
-                               is_entanglement_breaking, max_tensor_halfspaces,
-                               min_tensor_generators, omega_interior_test,
-                               point_tensor, reduction_map)
+                               is_entanglement_breaking, min_tensor_generators,
+                               omega_interior_test, point_tensor, reduction_map)
 from coneext.linalg import affine_rank, dot, nullspace, primitive, rank
 from coneext.linalg import solve as lin_solve
 from coneext.lp import conic_membership
@@ -24,6 +23,7 @@ from coneext.quantum import (ETA, build_X, psd_check_exact, sym_identity_extensi
 from coneext.scalars import QuadScalar
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, from_vector, kron,
                              pairing, reorder_slots, symmetric_project)
+from dense_reference import max_tensor_halfspaces
 from slices import _least_on_slice
 
 

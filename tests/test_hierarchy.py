@@ -26,19 +26,20 @@ from coneext.formats import parse_point_file
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                _arrangements, _check_extension, _ext_k_rows,
                                _facet_centroids, _pad_columns,
-                               _pad_resum_agrees, _reduction_pairing,
-                               apply_reduction, dual_hierarchy_k,
-                               ext_k_membership, is_entanglement_breaking,
-                               max_tensor_halfspaces,
+                               _pad_resum_agrees, apply_reduction,
+                               dual_hierarchy_k, ext_k_membership,
+                               is_entanglement_breaking,
                                min_tensor_generators, point_tensor,
-                               reduction_map, vertex_facet_tensor,
-                               omega_interior_test)
+                               reduction_map, omega_interior_test)
 from coneext.linalg import clear_denominators, clear_rows, dot, rank, vec
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, conic_solve, solve)
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
                              reorder_slots, sym_basis, symmetric_project)
+import dense_reference
+from dense_reference import (_reduction_pairing, max_tensor_halfspaces,
+                             vertex_facet_tensor)
 
 
 def _load_point(filename, a_cone, b_cone):
@@ -971,11 +972,9 @@ def test_reduction_pairing_scalar_equals_the_dense_pairing():
 
 def test_vertex_facet_tensor_refuses_points_off_the_identity(monkeypatch):
     """Facet points that break the orthogonality raise ConsistencyError."""
-    import coneext.hierarchy as hierarchy
-
     based = based_cone("square")
     moved = [[a + Fraction(1, 7) for a in c] for c in _facet_centroids(based.base)]
-    monkeypatch.setattr(hierarchy, "_facet_centroids", lambda base: moved)
+    monkeypatch.setattr(dense_reference, "_facet_centroids", lambda base: moved)
     with pytest.raises(ConsistencyError, match="not orthogonal"):
         vertex_facet_tensor(based, 2)
 

@@ -1,6 +1,7 @@
 """The package surface: ``import coneext`` is lazy, every public name still
 resolves, and a CLI call loads only the modules its subcommand uses."""
 
+import ast
 import importlib
 import json
 import os
@@ -39,6 +40,9 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         coneext.no_such_name
     assert not hasattr(coneext, "ext_k_rows")
+    for name in ("vertex_facet_tensor", "max_tensor_halfspaces"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(coneext, name)
     with pytest.raises(ImportError):
         exec("from coneext import no_such_name", {})
 
@@ -93,7 +97,8 @@ _FOOTPRINTS = {
     "eb-check": (["eb-check", "--k", "2", "--cone-b", _SQUARE, "--report", "json-lines"],
                  {"hierarchy"}, {"quantum"}),
     "min-check": (["min-check", "--cone-a", _SQUARE, "--cone-b", _SKEW,
-                   "--point", fixture_path("gap-k2.pt")], {"hierarchy", "lp"}, {"quantum"}),
+                   "--point", fixture_path("gap-k2.pt")], {"lp"},
+                  {"hierarchy", "polytopes", "tensors", "quantum"}),
 }
 
 
@@ -106,3 +111,24 @@ def test_a_cli_call_loads_only_its_subcommands_modules(tmp_path, command):
     argv, used, unused = _FOOTPRINTS[command]
     loaded = _loaded(tmp_path, _RUN_CLI, *argv)
     assert used <= loaded and loaded & unused == set()
+
+
+def test_every_private_helper_is_referenced_outside_its_own_body():
+    """Each private top-level function or class of the package is named
+    somewhere in ``src/coneext`` outside its own definition, so a helper
+    whose last caller goes does not stay behind; a recursive call does not
+    count as a caller."""
+    trees = [ast.parse(p.read_text()) for p in sorted((SRC / "coneext").glob("*.py"))]
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    everywhere = [name for tree in trees for name in names(tree)]
+    helpers = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert helpers
+    unreferenced = [h.name for h in helpers
+                    if everywhere.count(h.name) == names(h).count(h.name)]
+    assert unreferenced == []

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from coneext.cones import make_based, make_cone
 from coneext.fixtures import based_cone, fixture_text
 from coneext.formats import parse_point_file
-from coneext.hierarchy import (ext_k_membership, max_tensor_halfspaces,
-                               min_tensor_generators, point_tensor)
+from coneext.hierarchy import ext_k_membership, min_tensor_generators, point_tensor
 from coneext.lp import conic_membership
 from coneext.tensors import pairing
+from dense_reference import max_tensor_halfspaces
 from slices import _least_on_slice
 
 # min = max unless both factors are non-simplicial, so the chain draws A

@@ -222,20 +222,13 @@ def cmd_hull_check(args):
                                "facets {" + ", ".join(map(str, idx)) + "}")]
 
 
-def _min_columns(cone_a, cone_b):
-    """The generators of min(A, B) as columns: the product of each A ray
-    with each B ray, row-major, A's ray outer, in the order of
-    ``hierarchy.min_tensor_generators``."""
-    return [tuple(a * b for a in ra for b in rb)
-            for ra in cone_a.rays for rb in cone_b.rays]
-
-
 def cmd_min_check(args):
+    from .cones import min_columns
     from .lp import conic_membership
     _, cone_a, _ = _load_cone(args.cone_a)
     _, cone_b, _ = _load_cone(args.cone_b)
     pname, entries = _load_point(args.point, (cone_a.dim, cone_b.dim))
-    outcome = conic_membership(entries, _min_columns(cone_a, cone_b))
+    outcome = conic_membership(entries, min_columns(cone_a, cone_b))
     report = [("command", "min-check"), ("point", pname)]
     if outcome.member:
         return EXIT_YES, report + [("verdict", "MEMBER"),

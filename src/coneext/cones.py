@@ -16,8 +16,10 @@ facet . ray values on integer coordinates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 from .linalg import (clear_denominators, dot, greedy_independent, inverse,
@@ -187,6 +189,14 @@ def interior_point(cone):
     if not cone.strictly_contains(total):
         raise CertificationError("ray sum is not strictly interior")
     return total
+
+
+def min_columns(*cones):
+    """Generators of the minimal tensor product as flat columns: the
+    Kronecker product of one extreme ray per factor, for each tuple of rays
+    with the first factor's ray outermost, entries row-major."""
+    return [tuple(prod(e) for e in itertools.product(*combo))
+            for combo in itertools.product(*(c.rays for c in cones))]
 
 
 @dataclass(frozen=True)

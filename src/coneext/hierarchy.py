@@ -59,7 +59,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .cones import interior_point
+from .cones import interior_point, min_columns
 from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
                  conic_solve, solve)
 from .linalg import clear_denominators, clear_rows, dot, primitive
@@ -78,11 +78,10 @@ class ConsistencyError(AssertionError):
 
 def min_tensor_generators(*cones):
     """Generators of the minimal tensor product: Kronecker products of
-    extreme rays, one per tuple of factors."""
-    out = []
-    for combo in itertools.product(*(c.rays for c in cones)):
-        out.append(kron(*(from_vector(r) for r in combo)))
-    return out
+    extreme rays, one per tuple of factors, as ``cones.min_columns``
+    orders them."""
+    slots = tuple(Slot(c.dim, PRIMAL) for c in cones)
+    return [DenseTensor(slots, col) for col in min_columns(*cones)]
 
 
 def point_tensor(a_cone, b_cone, entries):

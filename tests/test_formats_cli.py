@@ -3,7 +3,6 @@ exit-code contract (0 yes, 1 no, 2 usage or parse, 3 semantic, 4 internal)."""
 
 import hashlib
 import importlib
-import itertools
 import json
 import os
 import shutil
@@ -746,20 +745,3 @@ def test_min_check_member_output_is_pinned(tmp_path, report):
     assert err == ""
     assert "MEMBER" in out and "NON-MEMBER" not in out
     assert (code, _sha256(out)) == MIN_CHECK_MEMBER_PINS[report]
-
-
-def test_min_check_columns_are_the_min_tensor_generators():
-    """min-check builds the generator columns of min(A, B) itself, without
-    ``hierarchy``; for every ordered pair of shipped cones they are the
-    entries of ``min_tensor_generators``, in its order."""
-    from coneext.cli import _min_columns
-    from coneext.fixtures import cone
-    from coneext.hierarchy import min_tensor_generators
-
-    pairs = 0
-    for a, b in itertools.product(cone_names(), repeat=2):
-        cone_a, cone_b = cone(a), cone(b)
-        want = [tuple(g.entries) for g in min_tensor_generators(cone_a, cone_b)]
-        assert _min_columns(cone_a, cone_b) == want, (a, b)
-        pairs += 1
-    assert pairs >= 100

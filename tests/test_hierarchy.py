@@ -71,6 +71,22 @@ def test_product_description_counts():
     assert len(min_tensor_generators(tri, sq, sq)) == 48
 
 
+def test_min_tensor_generators_are_the_kron_of_the_rays():
+    """Each generator is the Kronecker product of one ray per factor, the
+    first factor's ray outermost; min-check reads the same columns from
+    ``cones.min_columns``."""
+    def krons(*cones):
+        return [kron(*map(from_vector, combo))
+                for combo in itertools.product(*(c.rays for c in cones))]
+
+    pairs = list(itertools.product(map(cone, cone_names()), repeat=2))
+    assert len(pairs) >= 100
+    for a_cone, b_cone in pairs:
+        assert min_tensor_generators(a_cone, b_cone) == krons(a_cone, b_cone)
+    tri, sq = cone("triangle"), cone("square")
+    assert min_tensor_generators(tri, sq, sq) == krons(tri, sq, sq)
+
+
 def test_pure_tensor_is_min_member():
     sq = cone("square")
     gens = [g.entries for g in min_tensor_generators(sq, sq)]

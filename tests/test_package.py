@@ -114,15 +114,21 @@ def test_a_cli_call_loads_only_its_subcommands_modules(tmp_path, command):
 
 
 def test_every_private_helper_is_referenced_outside_its_own_body():
-    """Each private top-level function or class of the package is named
-    somewhere in ``src/coneext`` outside its own definition, so a helper
-    whose last caller goes does not stay behind; a recursive call does not
-    count as a caller."""
+    """Each private top-level function or class of the package is read by
+    name somewhere in ``src/coneext`` outside its own definition, or imported
+    by name, so a helper whose last caller goes does not stay behind; a
+    recursive call does not count as a caller, and neither does an assignment
+    to the name or an attribute spelled the same."""
     trees = [ast.parse(p.read_text()) for p in sorted((SRC / "coneext").glob("*.py"))]
 
     def names(node):
-        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute))]
+        out = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.append(n.id)
+            elif isinstance(n, ast.ImportFrom):
+                out.extend(a.name for a in n.names)
+        return out
 
     everywhere = [name for tree in trees for name in names(tree)]
     helpers = [node for tree in trees for node in tree.body

@@ -17,7 +17,6 @@ facet . ray values on integer coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import mul
@@ -25,6 +24,7 @@ from operator import mul
 from .linalg import (clear_denominators, dot, greedy_independent, inverse,
                      is_zero_vec, primitive, primitive_ints, rank, vec,
                      vec_add)
+from .records import record
 
 
 class ConeError(ValueError):
@@ -35,7 +35,7 @@ class CertificationError(AssertionError):
     """Internal double-description certification failed (a bug, not bad input)."""
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """Full-dimensional pointed cone; rays and facets are primitive integer
     vectors in canonical sorted order, mutually certified."""
@@ -199,7 +199,7 @@ def min_columns(*cones):
             for combo in itertools.product(*(c.rays for c in cones))]
 
 
-@dataclass(frozen=True)
+@record
 class BasedCone:
     """A proper cone with a strictly positive functional and its base slice.
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
@@ -64,6 +63,7 @@ from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
                  conic_solve, solve)
 from .linalg import clear_denominators, clear_rows, dot, primitive
 from .polytopes import SimplexFactorization
+from .records import record
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                       from_vector, kron, pairing, symmetric_project)
 
@@ -291,7 +291,7 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
 # ---------------------------------------------------------------------------
 # level-k membership
 
-@dataclass(frozen=True)
+@record
 class ExtkVerdict:
     member: bool
     k: int
@@ -472,14 +472,14 @@ def ext_k_membership(x, a_cone, based, k):
 # ---------------------------------------------------------------------------
 # entanglement breaking
 
-@dataclass(frozen=True)
+@record
 class EbTerm:
     facet_indices: tuple  # sorted k-tuple of base facet indices
     vertex_index: int
     weight: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class EbOutcome:
     breaking: bool
     k: int
@@ -584,7 +584,7 @@ def omega_interior_test(based, k):
 # ---------------------------------------------------------------------------
 # the dual hierarchy level search
 
-@dataclass(frozen=True)
+@record
 class HierarchyResult:
     k: int
     weights: tuple        # aligned with the generator descriptions

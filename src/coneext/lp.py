@@ -44,13 +44,13 @@ that ``python -O`` does not strip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from .linalg import clear_denominators, primitive, vec
 from .linalg import solve as linear_solve
+from .records import record
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -114,7 +114,7 @@ def _fraction_rows(int_rows):
                  for ints, d in int_rows)
 
 
-@dataclass(frozen=True)
+@record
 class LpOutcome:
     status: str
     point: tuple | None = None
@@ -500,7 +500,7 @@ def solve(problem):
     return LpOutcome(status=FEASIBLE, point=point)
 
 
-@dataclass(frozen=True)
+@record
 class ConicOutcome:
     member: bool
     weights: tuple | None = None      # aligned with the generator list

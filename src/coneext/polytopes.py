@@ -12,18 +12,18 @@ the factorization all read that one table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .cones import make_cone
 from .linalg import (affine_rank, dot, greedy_independent, inverse, nullspace,
                      primitive, rank, solve, vec, vec_sub)
+from .records import record
 
 FACET_CAP = 20  # subset iteration guard for the commutation test
 
 
-@dataclass(frozen=True)
+@record
 class Polytope:
     ambient_dim: int
     vertices: tuple          # canonical sorted points
@@ -191,7 +191,7 @@ def affine_hull_commutes(p):
     return True, None
 
 
-@dataclass(frozen=True)
+@record
 class SimplexFactorization:
     """A combinatorial isomorphism with a product of simplices.
 
@@ -208,7 +208,7 @@ class SimplexFactorization:
     normalized: tuple         # per facet: functional scaled to level 1
 
 
-@dataclass(frozen=True)
+@record
 class FactorFailure:
     reason: str
 

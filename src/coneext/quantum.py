@@ -13,10 +13,10 @@ any deviation raises AppendixError.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
+from .records import record
 from .scalars import QuadScalar
 from .tensors import DUAL, PRIMAL, DenseTensor, Slot, kron, pairing, reorder_slots
 
@@ -166,7 +166,7 @@ def sym_identity_extension(w):
 # ---------------------------------------------------------------------------
 # the four verification claims
 
-@dataclass(frozen=True)
+@record
 class AppendixClaim:
     label: str
     values: tuple  # (name, exact value as string) pairs

@@ -79,6 +79,10 @@ class QuadScalar:
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not through __setattr__
+        return QuadScalar, (self.a, self.b)
+
     @property
     def a(self):
         return Fraction(self._p, self._d)

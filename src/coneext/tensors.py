@@ -10,16 +10,17 @@ a field, so Q(sqrt2) scalars work too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
+
+from .records import record
 
 PRIMAL = "primal"
 DUAL = "dual"
 
 
-@dataclass(frozen=True)
+@record
 class Slot:
     dim: int
     variance: str
@@ -42,8 +43,10 @@ def _strides(slots):
     return strides
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DenseTensor:
+    __slots__ = ("slots", "entries")
+
     slots: tuple
     entries: tuple
 

@@ -1,5 +1,6 @@
 """The package surface: ``import coneext`` is lazy, every public name still
-resolves, and a CLI call loads only the modules its subcommand uses."""
+resolves, and a CLI call loads only the modules its subcommand uses and
+neither ``dataclasses`` nor ``inspect``."""
 
 import ast
 import importlib
@@ -52,13 +53,12 @@ def test_a_submodule_still_imports_from_the_package():
     assert lp is sys.modules["coneext.lp"] and lp.__name__ == "coneext.lp"
 
 
-# The probe runs a statement, then writes the coneext modules it left in
-# sys.modules to the file named by argv[1] on the way out.
+# The probe runs a statement, then writes the names of the modules it left
+# in sys.modules to the file named by argv[1] on the way out.
 _PROBE = """\
 import atexit, json, sys
 out, code = sys.argv[1], sys.argv[2]
-atexit.register(lambda: open(out, "w").write(json.dumps(
-    sorted(m for m in sys.modules if m == "coneext" or m.startswith("coneext.")))))
+atexit.register(lambda: open(out, "w").write(json.dumps(sorted(sys.modules))))
 sys.argv = ["coneext"] + sys.argv[3:]
 exec(code)
 """
@@ -66,7 +66,7 @@ exec(code)
 _RUN_CLI = "import runpy; runpy.run_module('coneext.cli', run_name='__main__')"
 
 
-def _loaded(tmp_path, code, *argv):
+def _modules(tmp_path, code, *argv):
     out = tmp_path / "modules.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -74,7 +74,13 @@ def _loaded(tmp_path, code, *argv):
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(out), code, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode in (0, 1), proc.stderr
-    return {m.removeprefix("coneext.") for m in json.loads(out.read_text())}
+    return set(json.loads(out.read_text()))
+
+
+def _package(modules):
+    """The coneext modules among ``modules``, without the package prefix."""
+    return {m.removeprefix("coneext.") for m in modules
+            if m == "coneext" or m.startswith("coneext.")}
 
 
 _SQUARE, _SKEW = fixture_path("square.cone"), fixture_path("square-skew.cone")
@@ -102,15 +108,41 @@ _FOOTPRINTS = {
 }
 
 
+# standard modules no call needs, each costly to import: dataclasses loads
+# inspect, and inspect loads ast, dis and tokenize
+_HEAVY = {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def preloaded(tmp_path_factory):
+    """The heavy modules a probe running ``pass`` already holds, such as
+    any a site hook loads; a call is not blamed for those."""
+    return _modules(tmp_path_factory.mktemp("bare"), "pass") & _HEAVY
+
+
 def test_import_coneext_loads_no_submodule(tmp_path):
-    assert _loaded(tmp_path, "import coneext") == {"coneext"}
+    assert _package(_modules(tmp_path, "import coneext")) == {"coneext"}
 
 
 @pytest.mark.parametrize("command", list(_FOOTPRINTS))
-def test_a_cli_call_loads_only_its_subcommands_modules(tmp_path, command):
+def test_a_cli_call_loads_only_its_subcommands_modules(tmp_path, command, preloaded):
     argv, used, unused = _FOOTPRINTS[command]
-    loaded = _loaded(tmp_path, _RUN_CLI, *argv)
+    modules = _modules(tmp_path, _RUN_CLI, *argv)
+    loaded = _package(modules)
     assert used <= loaded and loaded & unused == set()
+    assert modules & _HEAVY <= preloaded
+
+
+def test_no_module_of_the_package_imports_a_heavy_module():
+    imported = set()
+    for path in sorted((SRC / "coneext").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update((a.name.split(".")[0], path.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((node.module.split(".")[0], path.name))
+    assert ("fractions", "scalars.py") in imported
+    assert [pair for pair in imported if pair[0] in _HEAVY] == []
 
 
 def test_every_private_helper_is_referenced_outside_its_own_body():

@@ -1,7 +1,6 @@
 """Face combinatorics: simplicity, 2-levelness, hull commutation, and
 product-of-simplices recognition, cross-checked against each other."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -242,8 +241,9 @@ def _checked_polytopes():
 
 def _with_functional(p, j, f):
     """p with functional j replaced by f, every other field kept."""
-    functionals = p.functionals[:j] + (f,) + p.functionals[j + 1:]
-    return dataclasses.replace(p, functionals=functionals)
+    fields = {name: getattr(p, name) for name in p.__match_args__}
+    fields["functionals"] = p.functionals[:j] + (f,) + p.functionals[j + 1:]
+    return type(p)(**fields)
 
 
 @pytest.mark.parametrize("name, p", _checked_polytopes())

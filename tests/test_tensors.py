@@ -1,6 +1,5 @@
 """Slot bookkeeping: permutation action, symmetric projection, contractions."""
 
-import dataclasses
 import inspect
 import itertools
 import random
@@ -11,6 +10,7 @@ import pytest
 
 import coneext.tensors as tensors
 from coneext.linalg import rank
+from coneext.records import FrozenRecordError
 from coneext.scalars import QuadScalar
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
                              contract_slot, from_vector, kron, pairing,
@@ -283,17 +283,18 @@ def test_input_checks_raise(build, error):
 
 
 def test_dense_tensor_is_a_frozen_hashable_value():
-    """DenseTensor is declared like Slot, as a frozen dataclass: no field
-    can be reassigned, and equal tensors hash equal, Fraction and
-    QuadScalar entries alike."""
+    """DenseTensor is declared like Slot, as a frozen record: no attribute
+    can be assigned, and equal tensors hash equal, Fraction and QuadScalar
+    entries alike."""
     t = from_vector((1, 2))
-    with pytest.raises(AttributeError):
-        t.entries = (Fraction(3), Fraction(4))
+    for name in ("entries", "foo"):
+        with pytest.raises(FrozenRecordError):
+            setattr(t, name, (Fraction(3), Fraction(4)))
+    assert t.entries == (1, 2) and not hasattr(t, "__dict__")
     assert hash(t) == hash(from_vector((1, 2)))
     quad = DenseTensor(t.slots, [QuadScalar(1), QuadScalar(2)])
     assert quad == t and hash(quad) == hash(t)
-    assert dataclasses.is_dataclass(DenseTensor)
-    assert DenseTensor.__dataclass_params__.frozen
+    assert DenseTensor.__match_args__ == ("slots", "entries")
     assert DenseTensor.__slots__ == ("slots", "entries")
     source = inspect.getsource(tensors)
     for name in ("__setattr__", "__sub__", "__neg__"):

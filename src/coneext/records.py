@@ -42,6 +42,7 @@ def record(cls):
             name = f"{name}=_default_{name}"
         params.append(name)
     fields = "".join(f"self.{name}," for name in names)
+    others = "".join(f"other.{name}," for name in names)
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
     exec("\n".join([
         f"def __init__(self, {', '.join(params)}):",
@@ -51,7 +52,7 @@ def record(cls):
         f'    return self.__class__.__qualname__ + f"({shown})"',
         "def __eq__(self, other):",
         "    if other.__class__ is self.__class__:",
-        f"        return ({fields}) == ({fields.replace('self.', 'other.')})",
+        f"        return ({fields}) == ({others})",
         "    return NotImplemented",
         "def __hash__(self):",
         f"    return hash(({fields}))",

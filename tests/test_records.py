@@ -2,14 +2,17 @@
 value class behaves as the frozen dataclass with the same fields would, and
 no attribute of a record can be assigned or deleted."""
 
+import ast
 import copy
 import dataclasses
 import functools
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coneext
 from coneext.cones import BasedCone, Cone
 from coneext.fixtures import based_cone, cone, fixture_text, polytope
 from coneext.formats import parse_point_file
@@ -84,6 +87,12 @@ def _dataclass_twin(cls):
 
 
 def test_every_record_class_has_samples():
+    src = Path(coneext.__file__).parent
+    declared = {node.name for path in src.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and any(getattr(d, "id", None) == "record" for d in node.decorator_list)}
+    assert declared == {cls.__name__ for cls in _CLASSES}
     assert list(_samples()) == _CLASSES
     for cls, values in _samples().items():
         assert len(values) >= 2 and all(type(v) is cls for v in values), cls

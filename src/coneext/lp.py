@@ -2,9 +2,14 @@
 
 An LP here has no objective: ``solve`` decides whether the rows have a
 solution, by phase 1 of the primal simplex with guarded Dantzig pricing.
-The most negative price enters (``_Tableau.run``), and Bland's rule takes
-over for the rest of a run of degenerate pivots once it repeats a basis, so
-every run terminates and identical problems pivot identically.  The tableau
+A free column with a nonzero reduced cost enters before any other, and
+otherwise the most negative price enters (``_Tableau.run``).  The ratio
+test breaks ties lexicographically, by the tied rows' entries at the
+surplus columns (Dantzig, Orden and Wolfe 1955), so the degenerate start
+of a problem with zero-rhs ge rows is left without stalling.  Bland's rule
+takes over for the rest of a run of degenerate pivots once it repeats a
+basis, which a tie the keys cannot break allows, so every run terminates
+and identical problems pivot identically.  The tableau
 is fraction-free and sparse, with one kind of row: a dict of int entries whose
 denominator is its own positive entry at its basic column.  The reduced
 costs of the phase 1 objective are one more such row, basic in an objective
@@ -277,35 +282,40 @@ class _Tableau:
 
     def run(self):
         """Guarded Dantzig iterations; returns "optimal" or "unbounded".
-        A column's price is its reduced cost a, or -a for a free column,
+        A column's price is its reduced cost a, or -|a| for a free column,
         which enters downward when a > 0: the entering column moves in the
-        direction s = -sign(z[enter]).  The entering column has the most
-        negative price, the lowest index on ties (every entry of ``z``
-        shares the denominator ``z[_OBJ]``, so the ints compare directly).
-        Through a run of degenerate pivots, where the leaving row's rhs is
-        0, the bases are kept; once one repeats, the lowest column with a
-        negative price enters instead (Bland's rule) until the next
-        non-degenerate pivot.  Only structural columns enter: each
-        artificial is basic until it leaves, and then its column is gone."""
+        direction s = -sign(z[enter]).  A free column with a nonzero cost
+        enters before any sign-constrained one (Maros 2003, ch. 9); within
+        each kind the most negative price enters, the lowest index on ties
+        (every entry of ``z`` shares the denominator ``z[_OBJ]``, so the
+        ints compare directly).  The leaving row has the least ratio
+        rhs / entry; a tie goes to the lexicographically least row of
+        surplus entries over entries (Dantzig, Orden and Wolfe 1955), and
+        then to the lowest basic column.  Through a run of degenerate
+        pivots, where the leaving row's rhs is 0, the bases are kept; once
+        one repeats, the lowest column of each kind with a negative price
+        enters instead and ties go to the lowest basic column alone
+        (Bland's rule) until the next non-degenerate pivot.  Only
+        structural columns enter: each artificial is basic until it leaves,
+        and then its column is gone."""
         art0, free = self.art0, self.free
+        lex = self.sur0 < art0  # a conic LP has no ge row, hence no keys
         seen = set()  # bases left by degenerate pivots since the last other one
         bland = False
         while True:
             if seen and not bland:
                 bland = tuple(self.basis) in seen
-            enter, best = None, 0
+            enter, best, thawed = None, 0, False
             for c, a in self.z.items():
-                if a < 0:
-                    if not 0 <= c < art0:
-                        continue
-                elif c in free:
-                    a = -a
-                else:
+                if c in free:
+                    if not thawed:
+                        # a free column outranks every sign-constrained one
+                        enter, thawed = None, True
+                    a = -abs(a)
+                elif thawed or a > 0 or not 0 <= c < art0:
                     continue
-                if bland:
-                    if enter is None or c < enter:
-                        enter = c
-                elif a < best or a == best and c < enter:
+                if enter is None or (c < enter if bland else
+                                     a < best or a == best and c < enter):
                     enter, best = c, a
             if enter is None:
                 return "optimal"
@@ -317,10 +327,13 @@ class _Tableau:
                 a = s * row.get(enter, 0)
                 if a > 0:
                     rn = row.get(_RHS, 0)
-                    if leave is None or rn * ba < bn * a or (
-                            rn * ba == bn * a
-                            and self.basis[i] < self.basis[leave]):
-                        leave, bn, ba = i, rn, a
+                    if leave is not None:
+                        d = rn * ba - bn * a
+                        if d == 0 and lex and not bland:
+                            d = self._lex_diff(row, a, self.T[leave], ba)
+                        if d > 0 or d == 0 and self.basis[i] > self.basis[leave]:
+                            continue
+                    leave, bn, ba = i, rn, a
             if leave is None:
                 return "unbounded"
             if bn:
@@ -331,6 +344,19 @@ class _Tableau:
             elif not bland:
                 seen.add(tuple(self.basis))
             self.pivot(leave, enter)
+
+    def _lex_diff(self, row, a, other, oa):
+        """row[c] oa - other[c] a at the first surplus column c where it is
+        not 0, or 0 if there is none: negative when ``row`` over its entry
+        a at the entering column is lexicographically less than ``other``
+        over its entry oa, both positive.  Under the perturbation of ge row
+        i's rhs by -eps^(i+1), which adds eps^(i+1) times the surplus
+        column of row i to the rhs column, these are the eps terms of the
+        two ratios in turn."""
+        for c in range(self.sur0, self.art0):
+            if d := row.get(c, 0) * oa - other.get(c, 0) * a:
+                return d
+        return 0
 
     def multipliers(self):
         """The Farkas multipliers of an infeasible phase 1, one per problem
@@ -467,9 +493,13 @@ def solve(problem):
       ``_Tableau.multipliers`` reads m_i of each ge row off the reduced cost
       of its surplus column, and solves y . B = c_B for the rest.
     * Termination under the guarded rule of ``_Tableau.run``.  Each free
-      variable enters at most once, so there are finitely many freezes;
-      after the last, the live rows make an LP in sign-constrained columns,
-      and the argument below applies to it.  A negative reduced cost always
+      variable enters at most once, so there are finitely many freezes.
+      After the last, no free column ever has a nonzero reduced cost again,
+      since it would enter first; the live rows make an LP in
+      sign-constrained columns, priced as before free columns came first,
+      and the argument below applies to it.  The ratio test's tie-break
+      outside Bland's rule, lexicographic or by basic column, plays no part
+      in it.  A negative reduced cost always
       meets a blocking row, as the sum of the artificials is at least 0.  A
       non-degenerate pivot strictly lowers the objective: the entering
       reduced cost is negative and the step is positive.  A degenerate
@@ -483,8 +513,12 @@ def solve(problem):
       deletions the column set is fixed and Bland's rule (Bland 1977) cannot
       cycle from any basis: its scan covers every nonbasic column of the
       restricted problem, since the remaining artificials are all basic, and
-      the ratio test lets the smallest basic column leave on ties.  There
-      are finitely many deletions, so the run ends.
+      under it the ratio test lets the smallest basic column leave on ties,
+      reading no lexicographic key.  There are finitely many deletions, so
+      the run ends.  The lexicographic tie-break alone would not repeat a
+      basis while every live row's rhs and surplus entries are
+      lexicographically positive, but an eq row with rhs 0 has no surplus
+      entry while its artificial is basic, so the guard stays.
     """
     tab = _Tableau(problem)
     art0 = tab.art0

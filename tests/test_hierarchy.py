@@ -379,16 +379,19 @@ def test_level_refusals_below_one():
 # ", optimum=None" put back into the two reprs, each gives the hash pinned
 # before.  gap-k2 at k=3 was re-captured when a basic free variable was
 # frozen in the tableau: its Farkas multipliers changed, its witness zeta
-# did not.  The k=4 cases were captured under that rule.
+# did not.  The k=4 cases were captured under that rule.  gap-k3 at k=2 to
+# 4 and gap-k2 at k=3 and 4 were re-captured under the lexicographic ratio
+# test and free columns first: each verdict stayed, read from another
+# final basis.
 EXT_K_LP_PINS = {
     ("gap-k3", "square-skew", 1): "3065658bff062c79b0123e01927c731b3c8e4df10730040ac42d8d2c72ed66b6",
-    ("gap-k3", "square-skew", 2): "e2cfa9d0e0585008f46769fa07d64e305074054703bf30d902e68fa0a761e630",
-    ("gap-k3", "square-skew", 3): "9974d355e57f5e5df545192e929d499c052aa4ae35d02c5e3955e2b02929cf73",
-    ("gap-k3", "square-skew", 4): "cf6871757aab754a91b4e0661a7c9e4f41cabe490141671fe0f0f1f6d8ac7b9a",
+    ("gap-k3", "square-skew", 2): "020865ad026fd9a08b6cb60fd034a650471c831cabeba9d5f157b3f4772eadb3",
+    ("gap-k3", "square-skew", 3): "a72c949e8dc61aeb0acb8e7b7de3b8c7df9f45d348bee11b4916403f89258c76",
+    ("gap-k3", "square-skew", 4): "31cb3c5c69eb087a3df60db4d5bab517e55224c1f4f794c7e9429f53149d9869",
     ("gap-k2", "square-skew", 1): "d4224debea1df08a5abb20b316fd2fefb6cb89d95ede6db6e93c6435b54c421d",
     ("gap-k2", "square-skew", 2): "e9201de2308634f5f9c8af8ee63c5aecf12f62b1c24d79a75cfc9bb5a3bd5e8a",
-    ("gap-k2", "square-skew", 3): "1e7dea1052ccec94cd046883e4d82fffb2be7b00f2570a355fa801ebd3b36fbe",
-    ("gap-k2", "square-skew", 4): "fce5016c6388f2e12137cfcbcc1706f7843a86020e66cf83b6aeac08c0138d02",
+    ("gap-k2", "square-skew", 3): "24f61a599be5310afaf99393fa73d3f241caaa43bfd3994afdda89627dfde708",
+    ("gap-k2", "square-skew", 4): "2148ab82f49342fb4a78c0326e0bf09b96955dc71076203ab44d81d5b89509e4",
     ("box", "square", 1): "c393823b800b4586d65af9c6fa500b0972aecd1095834d18654605fd9e6c984e",
     ("box", "square", 2): "28443414301f34d8fd113b1b0566d5625d6d40871b52cb6c5de1260efd48a2af",
 }

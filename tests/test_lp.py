@@ -252,7 +252,9 @@ def _summary(out):
 
 # (status | point | Farkas certificate | - | ray) for each problem of
 # _pinned_corpus(); any change to the pivot sequence changes these.  The
-# comment on each line says whether the LP once carried an objective.
+# comment on each line says whether the LP once carried an objective.  Four
+# points were re-captured under the lexicographic ratio test and free
+# columns first; every status stayed as it was.
 _PINNED = [
     'feasible|1 0 0 22/3 17/3|-|-|-',  # 5 vars, 4 eq, 3 ge, no obj
     'feasible|0 0 49/36 0 0|-|-|-',  # 5 vars, 1 eq, 1 ge, obj
@@ -273,18 +275,18 @@ _PINNED = [
     'feasible|0 7/4 0 5/24 91/36|-|-|-',  # 5 vars, 0 eq, 5 ge, obj
     'feasible|0 0 0 0 0|-|-|-',  # 5 vars, 0 eq, 2 ge, obj
     'feasible|0 0 0 -7/4 0|-|-|-',  # 5 vars, 0 eq, 1 ge, obj
-    'feasible|0 0 0 157/108 197/162|-|-|-',  # 5 vars, 2 eq, 0 ge, obj
+    'feasible|157/75 0 0 0 73/225|-|-|-',  # 5 vars, 2 eq, 0 ge, obj
     'infeasible|-|-1 -1 1 19/3 13/2|-|-',  # 3 vars, 3 eq, 2 ge, no obj
     'feasible|1|-|-|-',  # 1 vars, 4 eq, 4 ge, obj
     'feasible|0 0 0 0 1|-|-|-',  # 5 vars, 1 eq, 0 ge, obj
-    'feasible|470/271 399/542 -4247/1626 253/1626|-|-|-',  # 4 vars, 1 eq, 4 ge, obj
+    'feasible|280/151 777/151 -1/453 -541/453|-|-|-',  # 4 vars, 1 eq, 4 ge, obj
     'feasible|0|-|-|-',  # 1 vars, 2 eq, 3 ge, obj
-    'feasible|-593/227 889/227 581/227 995/681|-|-|-',  # 4 vars, 2 eq, 5 ge, no obj
+    'feasible|-325/134 343/134 773/201 54/67|-|-|-',  # 4 vars, 2 eq, 5 ge, no obj
     'feasible|2|-|-|-',  # 1 vars, 2 eq, 2 ge, obj
     'feasible|3/2|-|-|-',  # 1 vars, 3 eq, 5 ge, obj
     'feasible|0 149/33 188/11 390/11 0|-|-|-',  # 5 vars, 3 eq, 0 ge, obj
     'feasible|3/2 -3 4/3 4|-|-|-',  # 4 vars, 3 eq, 2 ge, obj
-    'feasible|0 5/3 0|-|-|-',  # 3 vars, 0 eq, 2 ge, no obj
+    'feasible|0 0 5/3|-|-|-',  # 3 vars, 0 eq, 2 ge, no obj
     'feasible|319/408 0 0 1849/612 395/136|-|-|-',  # 5 vars, 0 eq, 4 ge, obj
 ]
 
@@ -321,8 +323,11 @@ def _digest(pivots):
 
 # sha256 of repr of the pivot sequence, as ``pivots`` records it, of each LP
 # of _pinned_corpus(), with its pivot count in the comment, captured under
-# guarded Dantzig pricing: the most negative price enters, and Bland's rule
-# takes over after a basis repeats within a run of degenerate pivots.  The
+# guarded Dantzig pricing with free columns first and the lexicographic
+# ratio test: a free column with a nonzero cost enters before any other,
+# the most negative price enters within each kind, ratio ties go to the
+# lexicographically least row of surplus entries, and Bland's rule takes
+# over after a basis repeats within a run of degenerate pivots.  The
 # records name columns by tag, so a renumbering of the columns that keeps
 # their order leaves these as they are.  A free variable that
 # enters is frozen: its row leaves the tableau, so it never leaves and the
@@ -330,14 +335,14 @@ def _digest(pivots):
 # ratio test's tie-break or of the freezing rule changes these.  Each is
 # phase 1 alone.
 _PINNED_PIVOTS = [
-    'd19c77e763abd3af78b1e75b772973106f26318f67e908d4a4be59354e6e9ab3',  # 5
+    '353459c33acb8ebe857f3856289f0f2031f68e3e7577af84e74a4b412bb9436b',  # 6
     '693af878d71d2e38ff77ac5c76ce2606c64b92995bbb580aa010e5ed1cc446b6',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '13869874e29b29f599216538efdf4c909c0ac889fd1d377233b14d20d00ea4a0',  # 2
     'a3875a7401c7fe5113a4868e591819efd98e7c81fdae4eef1eaf8d06c804b936',  # 2
     'cb2c9804d4a7f102667a571c1d9efab8328dc34a16701fb3eb9eee35d0faf31d',  # 1
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    'f448b175653e79cb9e222a581e4b06e877ed5569e50cf2f51b874ab371324e7a',  # 4
+    '9d4239367f53b0871006e04171b0c4061ad959cf42114a2704c6c6c3b3dddc12',  # 4
     'c7af53f84a5e7f32aab461ad2c70ab3743160d7d9fadc341b68fb64d6c020fb0',  # 1
     '693af878d71d2e38ff77ac5c76ce2606c64b92995bbb580aa010e5ed1cc446b6',  # 1
     '5cb1bb80bfda5a14c57ee72051005da83f8e389a683138cd54f1156739480e8e',  # 2
@@ -345,22 +350,22 @@ _PINNED_PIVOTS = [
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
     'a23e42fab2bdffab97aa54f4ed143dec1355bfb2fe7d19361ef5824353dfbf4e',  # 5
-    '44657c0fb6069f65b7e465c60793d07254112c94a237f5b31a9693dc7b477fdb',  # 1
+    'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
     'aca4808b820a6c0f5ba0fec37427988eb6bcaa2a023e9e78d7e7b128ab148902',  # 4
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
     '11a12938ab1774d589ec03905d863bea390a6653dbca74d9f78c0e829fdbaed3',  # 1
-    '78033db5e25586fd460cdef275f6f9adf74d90b18255ee12e89ddc3ae97c3ca3',  # 2
+    '33b4b0a1d02fefb4609917c784dc1944ae098a4622f9b13e73e56bc5cf178ca4',  # 2
     'c9f9c06632403ea84ab214764a9871d2d8011749c5ca3e7fa12847a11286434a',  # 2
     'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
     'cb2c9804d4a7f102667a571c1d9efab8328dc34a16701fb3eb9eee35d0faf31d',  # 1
-    '83fabdb892233fc40d6947bb82be3808166f77707fe79d82bab6eb8b5be0d820',  # 5
+    'fac15d12a840f55da4ef268ae4884b29a4de1724476c3e6361e3fde0930fffce',  # 4
     '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',  # 0
-    'c021158a1d7704fced892ddef487d7d4ee1a13b3270b494c0c77bcc333e529fc',  # 6
+    'e8f8ac685be5dd4c3f80a57a43e767d5920af1e8f2892e7da7a18b05b26de7b1',  # 5
     'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
     'c4c07ac1a2ba06d8955f3067120236a4562e2aa867400fe56e51dac4d4399fee',  # 1
     '01c0dda164749612ba7af1bc01f11c6a20e938bf35290792125016722b4579c0',  # 3
-    '860aba3c55c35afff638406a708139ce002bc7b5d0bd2db2cbb942564970761a',  # 5
-    'ca70dd29d9c6b1120439573daf0c4e0d7624c6f84662c00b5a6c0a27a083da91',  # 1
+    '9ffba6c259436a3bc6e39821de3f467d8d3b3f5428d99219475f15a7e6914d98',  # 5
+    '693af878d71d2e38ff77ac5c76ce2606c64b92995bbb580aa010e5ed1cc446b6',  # 1
     'ca8671174d09f9d9c83f61d9117ce5bd3fdf4ffe1fd01fce488f2aa45861b323',  # 4
 ]
 
@@ -376,19 +381,19 @@ def test_pinned_pivot_sequences(pivots):
 
 # (pivot count, sha256 of the pivot sequence) of the one LP of each
 # EXT_K_LP_PINS case of tests/test_hierarchy.py, captured with _PINNED_PIVOTS
-# under the same freezing rule.  Every variable of these LPs is free, and
-# every ge row has rhs 0, so phase 1 starts at a degenerate vertex.
+# under the same rules.  Every variable of these LPs is free, and every ge
+# row has rhs 0, so phase 1 starts at a degenerate vertex.
 EXT_K_PIVOT_PINS = {
     ("gap-k3", "square-skew", 1): (10, "a8190a628b6a1e84c57951b062a9279c86a43d107b29735b0b42d14e4445cb13"),
-    ("gap-k3", "square-skew", 2): (21, "4986e62ccf12f34532023e97eebaa1181c5419f7eb2ec98d21fd5e8bc39d01da"),
-    ("gap-k3", "square-skew", 3): (57, "0c695bff0349b63e7343a3966fce486de74488bcdf3880b20fb6c1242620c76c"),
-    ("gap-k3", "square-skew", 4): (114, "d5a1c0b0b7c1a013fcad10e2638c3b289328bf2973f1f25924326bb024e2d99c"),
+    ("gap-k3", "square-skew", 2): (19, "430af4f197a856f128f58bb90cf84c14c53ff151fa1497c418bdebb5db78cb9e"),
+    ("gap-k3", "square-skew", 3): (56, "471fbc3a6151939264be17f7addcf2473c1ff3aecaf9ca545de37289cbcd87e1"),
+    ("gap-k3", "square-skew", 4): (87, "08d1ccf02c466c86f64277f90bf301abe0ea59e4c972b17cd8358e4f8fde0d32"),
     ("gap-k2", "square-skew", 1): (10, "7ea1249b6bcc76343ddea63806baf2d832cf9a9a0ce5a08b0130acd0bc64a3dd"),
-    ("gap-k2", "square-skew", 2): (18, "358f2ccf5ae1ad027b38114fffccfa45ae8be829dc5e3cae57f371d1799b7ea3"),
-    ("gap-k2", "square-skew", 3): (44, "a8e5cb246b8fd773abf123cf7c089f9cda5960d7f8e073d4a03cbaffeca873f2"),
-    ("gap-k2", "square-skew", 4): (96, "90aff9a2b46e29c0eca4eb5f51c041e5f5debbcdb3ea54f1d42027ae579e6d67"),
-    ("box", "square", 1): (9, "bfc8e6878debf2494ff674a46d60463ff3a91522c31de0dd54bb4ea1e6849985"),
-    ("box", "square", 2): (14, "d7552892bb87607ce86bf380e0ba20849028d9bc7eec50a9cdab5ee1f4ff399e"),
+    ("gap-k2", "square-skew", 2): (18, "04eaf88ad0c7b5ed4470f2dc090c1c361f64cffe893a906d8366a4a632d56103"),
+    ("gap-k2", "square-skew", 3): (45, "bbb1c949f9654127a184b3ee5294a9a287039810f563647533bc1641c9b2ee12"),
+    ("gap-k2", "square-skew", 4): (78, "698173b36408ec81163a17ae2db2092e82652bcdd72d0bed49bcdd4aa118de51"),
+    ("box", "square", 1): (10, "f80a9c925cb561b282b72717f654b74da99d1008a35de3ede1e435dea72440a4"),
+    ("box", "square", 2): (14, "1dd61ce1be5cf0f951d95b409ac35bfd358064f419143dd0639c719389020b46"),
 }
 
 
@@ -418,12 +423,13 @@ def _pentagon_diagonal():
 # (pivot count, sha256 of the pivot sequence) of the pentagon diagonal
 # point's one LP, with free variables frozen once basic.  It is a NON-MEMBER
 # from k=1 on; Bland's rule stalled at the degenerate apex for 194 pivots at
-# k=2 and 2,393 at k=3, and guarded Dantzig pricing alone took 47, 99 and
-# 726 pivots at k=2, 3 and 4.
+# k=2 and 2,393 at k=3, guarded Dantzig pricing alone took 47, 99 and 726
+# pivots at k=2, 3 and 4, and with frozen free variables 20, 41 and 173,
+# before the lexicographic ratio test and free columns first.
 PENTAGON_DIAGONAL_PIVOT_PINS = {
-    2: (20, "326cc937e9912703a83050fb18ef3aa316760c57d15c4726a3b5f1377d130661"),
-    3: (41, "22a653127b4ff9d48984b15a7e1648ffe70044da7de2d1b0ffda936419b48c3f"),
-    4: (173, "d718c5f43fe1595e3cf88181f16f5b8f970f5e6b6bb949252acd92555ac2e4ee"),
+    2: (12, "5e3a4fb2ef528ffc88240b72edad0c95939443de0af410cc5a0035f5b5c567f6"),
+    3: (18, "5e4811b90bb337df9fe4f56aaf2ba0b92b58e93a910becacd1504500e300751d"),
+    4: (25, "563b0e7161356e71c5b823d0e1607b12f165626be7a2cf62504ea3a7aed4007d"),
 }
 
 
@@ -436,8 +442,9 @@ def test_pentagon_diagonal_leaves_the_apex(pivots, k):
 # Beale's LP (1955): min -3/4 x0 + 20 x1 - 1/2 x2 + 6 x3 over x >= 0 with
 # 1/4 x0 - 8 x1 - x2 + 9 x3 <= 0, 1/2 x0 - 12 x1 - 1/2 x2 + 3 x3 <= 0 and
 # x2 <= 1.  The surplus columns 4, 5, 6 start basic at the degenerate apex,
-# and plain Dantzig pricing with these tie-breaks cycles back to them.  The
-# rows need no artificial, so the tableau runs on Beale's costs directly.
+# and Dantzig pricing that breaks ratio ties by the lowest basic column
+# cycles back to them after six pivots.  The rows need no artificial, so
+# the tableau runs on Beale's costs directly.
 _BEALE = LpProblem.build(
     4, ge_rows=[((Fraction(-1, 4), 8, 1, -9), 0),
                 ((Fraction(-1, 2), 12, Fraction(1, 2), -3), 0),
@@ -445,39 +452,80 @@ _BEALE = LpProblem.build(
     nonneg=range(4))
 _BEALE_COSTS = (Fraction(-3, 4), 20, Fraction(-1, 2), 6, 0, 0, 0)
 
+# The same LP with the first two rows as eq rows, each with its own slack
+# variable x4 or x5 >= 0, so that they carry no surplus column.  Pivoted to
+# the basis (x4, x5, surplus of x2 <= 1), its tableau rows equal those of
+# _BEALE, but the two tied rows now read 0 at the one surplus column, which
+# their pivots never reach: the lexicographic keys cannot break their ties,
+# and the pivots of Beale's cycle come back.
+_BEALE_EQ = LpProblem.build(
+    6, eq_rows=[((Fraction(1, 4), -8, -1, 9, 1, 0), 0),
+                ((Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1), 0)],
+    ge_rows=[((0, 0, -1, 0, 0, 0), -1)],
+    nonneg=range(6))
 
-def test_guard_breaks_beales_cycle(monkeypatch):
-    """The starting basis comes back once, after six degenerate pivots;
-    from there Bland's rule leaves the cycle and reaches the optimum."""
+
+def _recorded_bases(monkeypatch):
+    """The bases of every pivot made from here on, each after its pivot;
+    more than 50 pivots raise."""
     from coneext import lp
 
     pivot = lp._Tableau.pivot
     bases = []
 
     def capped(tab, r, c):
-        if not bases:
-            bases.append(tuple(tab.basis))
         if len(bases) > 50:
-            raise RuntimeError("more than 50 pivots: the guard did not fire")
+            raise RuntimeError("more than 50 pivots: the run cycles")
         pivot(tab, r, c)
         bases.append(tuple(tab.basis))
 
     monkeypatch.setattr(lp._Tableau, "pivot", capped)
+    return bases
+
+
+def test_lexicographic_ratio_test_leaves_beales_apex(monkeypatch):
+    """The keys break the tie of the first pivot, and the run reaches the
+    optimum without a basis repeating."""
+    from coneext import lp
+
     tab = lp._Tableau(_BEALE)
     assert len(tab.cols) == len(_BEALE_COSTS)
     tab.set_costs(_BEALE_COSTS)
+    start, bases = tuple(tab.basis), _recorded_bases(monkeypatch)
     assert tab.run() == "optimal"
     assert tab.value == Fraction(-5, 4)
     assert tab.extract_point() == (1, 0, 1, 0)
-    assert bases[0] == bases[6] == (4, 5, 6)
-    assert bases.count((4, 5, 6)) == 2
+    assert start == (4, 5, 6)
+    assert len({start, *bases}) == 1 + len(bases) == 3
+
+
+def test_guard_breaks_beales_cycle(monkeypatch):
+    """On _BEALE_EQ the starting basis comes back once, after six
+    degenerate pivots; from there Bland's rule leaves the cycle and reaches
+    the optimum of Beale's LP."""
+    from coneext import lp
+
+    tab = lp._Tableau(_BEALE_EQ)
+    assert (tab.sur0, tab.art0) == (6, 7)
+    tab.set_costs([0] * len(tab.cols))
+    tab.pivot(0, 4)
+    tab.pivot(1, 5)  # each artificial leaves, and its column with it
+    tab.set_costs((*_BEALE_COSTS[:4], 0, 0, 0, 0, 0))
+    start, bases = tuple(tab.basis), _recorded_bases(monkeypatch)
+    assert start == (4, 5, 6)
+    assert tab.run() == "optimal"
+    assert tab.value == Fraction(-5, 4)
+    assert tab.extract_point() == (1, 0, 1, 0, Fraction(3, 4), 0)
+    assert bases[5] == start
+    assert bases.count(start) == 1
 
 
 def _bland_run(tab):
     """``_Tableau.run`` under Bland's rule alone, the pricing before the
     guarded Dantzig rule: the lowest structural column that can enter does,
-    with the same ratio test and tie-break.  A column can enter upward at a
-    negative reduced cost, and a free column downward at a positive one."""
+    and ratio ties go to the lowest basic column.  A column can enter
+    upward at a negative reduced cost, and a free column downward at a
+    positive one."""
     from coneext.lp import _RHS
 
     while True:
@@ -501,14 +549,17 @@ def _bland_run(tab):
 
 
 def test_guarded_dantzig_agrees_with_bland(monkeypatch):
-    """On the pinned and the random LPs, the Ext_k pin cases and the
-    pentagon diagonal at k=2, both rules reach the same statuses and
-    verdicts, and every outcome passes its judge."""
+    """On the pinned and the random LPs, the Ext_k pin cases (gap-k3 and
+    gap-k2 up to k=4) and the pentagon diagonal at k=2 to 4, the guarded
+    rule, with free columns first and the lexicographic ratio test, and
+    Bland's rule alone reach the same statuses and verdicts, and every
+    outcome passes its judge.  Bland's rule takes 3,566 pivots on the
+    pentagon diagonal at k=4, most of this test's time."""
     from coneext import hierarchy, lp
 
     lps = [*_pinned_corpus(), *(p for _, p in _random_lps())]
     cases = [_ext_k_case(*key) for key in EXT_K_PIVOT_PINS]
-    cases.append((*_pentagon_diagonal(), 2))
+    cases.extend((*_pentagon_diagonal(), k) for k in PENTAGON_DIAGONAL_PIVOT_PINS)
     ext_k_lps = []
 
     def judged(problem):
@@ -527,6 +578,52 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "run", _bland_run)
     assert outcomes() == guarded
     assert set(guarded[1]) == {True, False}
+
+
+def test_live_rows_stay_lexicographically_nonnegative(monkeypatch):
+    """Each row's rhs and then its entries at the surplus columns, in column
+    order, start lexicographically nonnegative: an eq row and a ge row that
+    is not flipped have rhs >= 0, and a flipped ge row reads its positive
+    denominator at its own surplus column.  Over the pinned and the random
+    LPs, the Ext_k pin cases and the pentagon diagonal's LPs, the
+    lexicographic ratio test keeps every live row so after every pivot."""
+    from coneext import lp
+
+    pivot = lp._Tableau.pivot
+    rows = []
+
+    def checking(tab, r, c):
+        pivot(tab, r, c)
+        for row in tab.T:
+            keys = (row.get(j, 0) for j in (lp._RHS, *range(tab.sur0, tab.art0)))
+            assert next((a for a in keys if a), 0) >= 0
+        rows.append(len(tab.T))
+
+    monkeypatch.setattr(lp._Tableau, "pivot", checking)
+    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
+        solve(p)
+    for key in EXT_K_PIVOT_PINS:
+        ext_k_membership(*_ext_k_case(*key))
+    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
+        ext_k_membership(*_pentagon_diagonal(), k)
+    assert len(rows) >= 600, len(rows)
+
+
+def test_free_columns_enter_first(entering_costs):
+    """Over the Ext_k pin cases and the pentagon diagonal's LPs, a
+    sign-constrained column enters only when no free column has a nonzero
+    reduced cost, and a free column enters at the largest reduced cost in
+    absolute value among the free columns."""
+    for key in EXT_K_PIVOT_PINS:
+        ext_k_membership(*_ext_k_case(*key))
+    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
+        ext_k_membership(*_pentagon_diagonal(), k)
+    kinds = set()
+    for tag, cost, free_costs in entering_costs:
+        if free_costs:
+            assert tag[0] == "var" and abs(cost) == max(free_costs), tag
+        kinds.add(tag[0])
+    assert kinds == {"var", "sur"}
 
 
 def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
@@ -578,6 +675,26 @@ def entering(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def entering_costs(monkeypatch):
+    """(tag of the entering column, its reduced cost, the absolute reduced
+    costs of the free columns not yet frozen) of each pivot made from here
+    on."""
+    from coneext import lp
+
+    seen = []
+    pivot = lp._Tableau.pivot
+
+    def recording(tab, r, c):
+        z = tab.z
+        seen.append((tab.cols[c], z[c],
+                     [abs(z[j]) for j in tab.free if j in z]))
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    return seen
+
+
 def test_no_pivot_enters_an_artificial_column(entering):
     """Over the pinned and the random LPs, the Ext_k pin cases and the
     pentagon diagonal's LPs, every pivot enters a variable or surplus
@@ -593,9 +710,10 @@ def test_no_pivot_enters_an_artificial_column(entering):
 
 
 def test_a_basic_free_variable_never_leaves(monkeypatch):
-    """Over the pinned and the random LPs, the Ext_k pin cases and the
-    pentagon diagonal's LPs, no pivot lets a free variable's column leave,
-    and each free variable enters at most once in an LP."""
+    """Over the pinned and the random LPs, the Ext_k pin cases, gap-k3 and
+    gap-k2 at k=5 and the pentagon diagonal's LPs, no pivot lets a free
+    variable's column leave, and each free variable enters at most once in
+    an LP."""
     from coneext import lp
 
     pivot = lp._Tableau.pivot
@@ -616,7 +734,8 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "pivot", checking)
     for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
         solve(p)
-    for key in EXT_K_PIVOT_PINS:
+    for key in (*EXT_K_PIVOT_PINS, ("gap-k3", "square-skew", 5),
+                ("gap-k2", "square-skew", 5)):
         ext_k_membership(*_ext_k_case(*key))
     for k in PENTAGON_DIAGONAL_PIVOT_PINS:
         ext_k_membership(*_pentagon_diagonal(), k)

@@ -1,8 +1,9 @@
-"""The fixture tool rewrites the shipped point files byte for byte, and the
-benchmark tracer's table names live functions."""
+"""The fixture tool rewrites the shipped point files byte for byte, the
+benchmark tracer's table names live functions, and the ladder tool runs."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -39,3 +40,27 @@ def test_every_traced_name_resolves():
         mod = importlib.import_module(f"coneext.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"coneext.{module}.{name}"
+
+
+def test_ladder_tool_counts_pivots_without_changing_a_verdict(capsys, monkeypatch):
+    """``tools/ladder.py --max-k 2`` prints the one rung at k <= 2, the
+    pentagon diagonal, as JSON, and leaves ``lp`` unwrapped; a gap rung
+    measured directly counts its pivots, degenerate ones included."""
+    from coneext import lp
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    pivot, eliminate = lp._Tableau.pivot, lp._eliminate
+    ladder.main(["--max-k", "2", "--json"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["point"] for line in lines] == ["pentagon-diagonal"]
+    rung = json.loads(lines[0])
+    assert (rung["k"], rung["verdict"]) == (2, "NON-MEMBER")
+    assert 0 < rung["degenerate"] <= rung["pivots"] < rung["eliminate_calls"]
+    assert (lp._Tableau.pivot, lp._eliminate) == (pivot, eliminate)
+    gap = ladder.measure("gap-k2", 2)
+    assert gap["verdict"] == "member"
+    assert 0 < gap["degenerate"] <= gap["pivots"]

@@ -299,7 +299,6 @@ class _Tableau:
         structural columns enter: each artificial is basic until it leaves,
         and then its column is gone."""
         art0, free = self.art0, self.free
-        lex = self.sur0 < art0  # a conic LP has no ge row, hence no keys
         seen = set()  # bases left by degenerate pivots since the last other one
         bland = False
         while True:
@@ -329,7 +328,7 @@ class _Tableau:
                     rn = row.get(_RHS, 0)
                     if leave is not None:
                         d = rn * ba - bn * a
-                        if d == 0 and lex and not bland:
+                        if d == 0 and not bland:
                             d = self._lex_diff(row, a, self.T[leave], ba)
                         if d > 0 or d == 0 and self.basis[i] > self.basis[leave]:
                             continue
@@ -347,7 +346,8 @@ class _Tableau:
 
     def _lex_diff(self, row, a, other, oa):
         """row[c] oa - other[c] a at the first surplus column c where it is
-        not 0, or 0 if there is none: negative when ``row`` over its entry
+        not 0, or 0 if there is none, as in an LP without ge rows, which has
+        no surplus column: negative when ``row`` over its entry
         a at the entering column is lexicographically less than ``other``
         over its entry oa, both positive.  Under the perturbation of ge row
         i's rhs by -eps^(i+1), which adds eps^(i+1) times the surplus

@@ -1,6 +1,7 @@
 """Exact simplex: verified points, Farkas refutations, conic membership."""
 
 import hashlib
+import importlib.util
 import inspect
 import os
 import random
@@ -10,6 +11,7 @@ import textwrap
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,9 +20,7 @@ from hypothesis import strategies as st
 
 import coneext
 from coneext import linalg
-from coneext.fixtures import based_cone, fixture_text
-from coneext.formats import parse_point_file
-from coneext.hierarchy import ext_k_membership, point_tensor
+from coneext.hierarchy import ext_k_membership
 from coneext.linalg import clear_denominators, dot, vec
 from coneext.lp import (FEASIBLE, INFEASIBLE, LpProblem, conic_membership,
                         solve, verify_farkas, verify_point)
@@ -397,27 +397,31 @@ EXT_K_PIVOT_PINS = {
 }
 
 
+def _load_ladder():
+    """tools/ladder.py, whose ``case`` builds the Ext_k points."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(ladder)
+    finally:
+        sys.path[:] = saved
+    return ladder
+
+
+ladder = _load_ladder()
+
+
 def _ext_k_case(point, b_name, k):
     """The arguments of ext_k_membership for a shipped point on square x B."""
-    a_cone = based_cone("square").cone
-    based = based_cone(b_name)
-    _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
-    return point_tensor(a_cone, based.cone, entries), a_cone, based, k
+    return (*ladder.case(point, b_name), k)
 
 
 @pytest.mark.parametrize("point,b_name,k", list(EXT_K_PIVOT_PINS))
 def test_ext_k_pivot_sequences(pivots, point, b_name, k):
     ext_k_membership(*_ext_k_case(point, b_name, k))
     assert (len(pivots), _digest(pivots)) == EXT_K_PIVOT_PINS[point, b_name, k]
-
-
-def _pentagon_diagonal():
-    """x = sum_i e_i ox e_i on pentagon x pentagon, with its cone pair."""
-    based = based_cone("pentagon")
-    n = based.cone.dim
-    x = point_tensor(based.cone, based.cone,
-                     [int(i == j) for i in range(n) for j in range(n)])
-    return x, based.cone, based
 
 
 # (pivot count, sha256 of the pivot sequence) of the pentagon diagonal
@@ -435,7 +439,7 @@ PENTAGON_DIAGONAL_PIVOT_PINS = {
 
 @pytest.mark.parametrize("k", list(PENTAGON_DIAGONAL_PIVOT_PINS))
 def test_pentagon_diagonal_leaves_the_apex(pivots, k):
-    assert not ext_k_membership(*_pentagon_diagonal(), k).member
+    assert not ext_k_membership(*ladder.case("pentagon-diagonal"), k).member
     assert (len(pivots), _digest(pivots)) == PENTAGON_DIAGONAL_PIVOT_PINS[k]
 
 
@@ -559,7 +563,8 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
 
     lps = [*_pinned_corpus(), *(p for _, p in _random_lps())]
     cases = [_ext_k_case(*key) for key in EXT_K_PIVOT_PINS]
-    cases.extend((*_pentagon_diagonal(), k) for k in PENTAGON_DIAGONAL_PIVOT_PINS)
+    cases.extend((*ladder.case("pentagon-diagonal"), k)
+                 for k in PENTAGON_DIAGONAL_PIVOT_PINS)
     ext_k_lps = []
 
     def judged(problem):
@@ -605,7 +610,7 @@ def test_live_rows_stay_lexicographically_nonnegative(monkeypatch):
     for key in EXT_K_PIVOT_PINS:
         ext_k_membership(*_ext_k_case(*key))
     for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*_pentagon_diagonal(), k)
+        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
     assert len(rows) >= 600, len(rows)
 
 
@@ -617,7 +622,7 @@ def test_free_columns_enter_first(entering_costs):
     for key in EXT_K_PIVOT_PINS:
         ext_k_membership(*_ext_k_case(*key))
     for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*_pentagon_diagonal(), k)
+        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
     kinds = set()
     for tag, cost, free_costs in entering_costs:
         if free_costs:
@@ -704,7 +709,7 @@ def test_no_pivot_enters_an_artificial_column(entering):
     for key in EXT_K_PIVOT_PINS:
         ext_k_membership(*_ext_k_case(*key))
     for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*_pentagon_diagonal(), k)
+        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
     assert len(entering) >= 300, len(entering)
     assert {tag[0] for tag in entering} == {"var", "sur"}
 
@@ -738,7 +743,7 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
                 ("gap-k2", "square-skew", 5)):
         ext_k_membership(*_ext_k_case(*key))
     for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*_pentagon_diagonal(), k)
+        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
     # every kind of basic column has left, a nonnegative variable included
     assert set(leaving) == {"var", "sur", "art"}
     assert len(leaving) >= 800, len(leaving)
@@ -1015,7 +1020,8 @@ def test_certificate_routes_agree_with_gauss_jordan_on_the_pins():
         for key in EXT_K_PIVOT_PINS:
             verdicts.append(ext_k_membership(*_ext_k_case(*key)).member)
         for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-            verdicts.append(ext_k_membership(*_pentagon_diagonal(), k).member)
+            verdicts.append(
+                ext_k_membership(*ladder.case("pentagon-diagonal"), k).member)
     assert len(seen) == len(verdicts) == 2 + len(EXT_K_PIVOT_PINS) + len(
         PENTAGON_DIAGONAL_PIVOT_PINS)
     assert {True, False} <= set(verdicts)

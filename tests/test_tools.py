@@ -43,8 +43,8 @@ def test_every_traced_name_resolves():
 
 
 def test_ladder_tool_counts_pivots_without_changing_a_verdict(capsys, monkeypatch):
-    """``tools/ladder.py --max-k 2`` prints the one rung at k <= 2, the
-    pentagon diagonal, as JSON, and leaves ``lp`` unwrapped; a gap rung
+    """``tools/ladder.py`` prints one JSON line per rung, here only the
+    pentagon diagonal at k=2, and leaves ``lp`` unwrapped; a gap rung
     measured directly counts its pivots, degenerate ones included."""
     from coneext import lp
 
@@ -53,12 +53,13 @@ def test_ladder_tool_counts_pivots_without_changing_a_verdict(capsys, monkeypatc
     spec = importlib.util.spec_from_file_location("ladder", path)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
+    monkeypatch.setattr(ladder, "RUNGS", [("pentagon-diagonal", 2)])
     pivot, eliminate = lp._Tableau.pivot, lp._eliminate
-    ladder.main(["--max-k", "2", "--json"])
-    lines = capsys.readouterr().out.splitlines()
-    assert [json.loads(line)["point"] for line in lines] == ["pentagon-diagonal"]
-    rung = json.loads(lines[0])
-    assert (rung["k"], rung["verdict"]) == (2, "NON-MEMBER")
+    ladder.main()
+    (line,) = capsys.readouterr().out.splitlines()
+    rung = json.loads(line)
+    assert (rung["point"], rung["k"], rung["verdict"]) == (
+        "pentagon-diagonal", 2, "NON-MEMBER")
     assert 0 < rung["degenerate"] <= rung["pivots"] < rung["eliminate_calls"]
     assert (lp._Tableau.pivot, lp._eliminate) == (pivot, eliminate)
     gap = ladder.measure("gap-k2", 2)

@@ -1,21 +1,20 @@
-"""Print the in-process Ext_k ladder, one line per rung.
+"""Print the in-process Ext_k ladder, one JSON object per rung and line.
 
 The rungs are the shipped points gap-k3 and gap-k2 on square x square-skew
 at k = 3..6, and the pentagon diagonal sum_i e_i ox e_i on
-pentagon x pentagon at k = 2..4.  Each line gives the verdict, the wall
-time of ``ext_k_membership``, its pivots, the degenerate ones among them
+pentagon x pentagon at k = 2..4.  Each object gives the verdict, the wall
+seconds of ``ext_k_membership``, its pivots, the degenerate ones among them
 (the leaving row's rhs is 0) and the calls of ``lp._eliminate``.  The
 counts come from wrapping ``lp._Tableau.pivot`` and ``lp._eliminate`` from
 outside; nothing under src/ changes, and the wrappers' cost is in the time.
 
-Run from the repository root:  python3 tools/ladder.py [--max-k K] [--json]
+Run from the repository root:  python3 tools/ladder.py
 
-``--max-k`` drops the rungs above K; ``--json`` prints one JSON object per
-rung instead of the table.  The tool imports ``coneext`` from the src/ of
-its own checkout.
+The tool imports ``coneext`` from the src/ of its own checkout, so two
+checkouts' ladders can be set side by side.  The tests build their Ext_k
+points with ``case``.
 """
 
-import argparse
 import json
 import sys
 import time
@@ -32,14 +31,15 @@ RUNGS = [*((p, k) for p in ("gap-k3", "gap-k2") for k in range(3, 7)),
          *(("pentagon-diagonal", k) for k in range(2, 5))]
 
 
-def case(point):
-    """(x, A, based B) of a rung's point."""
+def case(point, b_name="square-skew"):
+    """(x, A, based B) of a point: the pentagon diagonal on
+    pentagon x pentagon, or a shipped point on square x B."""
     if point == "pentagon-diagonal":
         based = based_cone("pentagon")
         n = based.cone.dim
         entries = [int(i == j) for i in range(n) for j in range(n)]
         return point_tensor(based.cone, based.cone, entries), based.cone, based
-    a_cone, based = based_cone("square").cone, based_cone("square-skew")
+    a_cone, based = based_cone("square").cone, based_cone(b_name)
     _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
     return point_tensor(a_cone, based.cone, entries), a_cone, based
 
@@ -70,24 +70,9 @@ def measure(point, k):
             "seconds": round(seconds, 3), **counts}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-k", type=int, default=6)
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-    if not args.json:
-        print(f"{'point':<18} {'k':>2} {'verdict':<10} {'seconds':>8} "
-              f"{'pivots':>7} {'degenerate':>10} {'eliminate':>10}")
+def main():
     for point, k in RUNGS:
-        if k > args.max_k:
-            continue
-        m = measure(point, k)
-        if args.json:
-            print(json.dumps(m))
-        else:
-            print(f"{point:<18} {k:>2} {m['verdict']:<10} {m['seconds']:>8.3f} "
-                  f"{m['pivots']:>7} {m['degenerate']:>10} {m['eliminate_calls']:>10}",
-                  flush=True)
+        print(json.dumps(measure(point, k)), flush=True)
 
 
 if __name__ == "__main__":

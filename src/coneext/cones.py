@@ -1,29 +1,28 @@
 """Proper polyhedral cones with mutually certified double descriptions.
 
 A ``Cone`` always carries both extreme rays and facet functionals as
-primitive integer vectors; construction certifies the pair against each
-other (every ray saturates a rank n-1 set of facets and vice versa), so
-downstream modules may use either view without re-deriving it.
+primitive integer vectors, tuples of ints; construction certifies the pair
+against each other (every ray saturates a rank n-1 set of facets and vice
+versa), so downstream modules may use either view without re-deriving it,
+and none clears them again.
 
 Facets are computed by the double description method with incremental
 constraint insertion, chosen for certified exactness at small dimension
-over asymptotic speed.  It runs on the generators cleared to integers once
-and carries each ray's tight set through the insertions, so the facet-
-generator incidence comes out of it with no further dot product; the
-certification re-derives the incidence independently, from one table of
-facet . ray values on integer coordinates.
+over asymptotic speed.  It runs on the generators made primitive integer
+vectors once and carries each ray's tight set through the insertions, so
+the facet-generator incidence comes out of it with no further dot product;
+the certification re-derives the incidence independently, from one table
+of facet . ray values.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import prod
 from operator import mul
 
-from .linalg import (clear_denominators, dot, greedy_independent, inverse,
-                     is_zero_vec, primitive, primitive_ints, rank, vec,
-                     vec_add)
+from .linalg import (dot, greedy_independent, inverse, is_zero_vec, primitive,
+                     rank, vec)
 from .records import record
 
 
@@ -38,7 +37,7 @@ class CertificationError(AssertionError):
 @record
 class Cone:
     """Full-dimensional pointed cone; rays and facets are primitive integer
-    vectors in canonical sorted order, mutually certified."""
+    vectors, tuples of ints, in canonical sorted order, mutually certified."""
 
     dim: int
     rays: tuple
@@ -53,7 +52,7 @@ def _adjacent(constraints, tight_a, tight_b, n):
     return rank([constraints[i] for i in common]) == n - 2
 
 
-def _dual_extreme_rays(constraints, n):
+def _dual_extreme_rays(cons, n):
     """Extreme rays of {f : c . f >= 0 for all c} by incremental insertion,
     each with its tight set: the indices of the constraints it saturates.
 
@@ -72,16 +71,15 @@ def _dual_extreme_rays(constraints, n):
     >= 0 because both rays satisfy c'; it vanishes exactly when both do.
     So its tight set is (tight(r+) & tight(r-)) | {c}, with no dot product.
 
-    The work runs on the constraints cleared to integers once and on
-    primitive integer rays.  Returns (ray, tight set) pairs sorted by ray,
-    each ray a primitive integer vector of Fractions.
+    The constraints are integer vectors, and the rays are kept primitive.
+    Returns (ray, tight set) pairs sorted by ray, each ray a primitive
+    integer vector, a tuple of ints.
     """
-    cons = [clear_denominators(c)[0] for c in constraints]
     base = greedy_independent(cons, n)
     if len(base) < n:
         raise ConeError("cone is not full-dimensional")
     minv = inverse([cons[i] for i in base])
-    rays = [primitive_ints([minv[r][l] for r in range(n)]) for l in range(n)]
+    rays = [primitive([minv[r][l] for r in range(n)]) for l in range(n)]
     tight = [frozenset(base[:l] + base[l + 1:]) for l in range(n)]
     for idx in (i for i in range(len(cons)) if i not in base):
         c = cons[idx]
@@ -96,32 +94,30 @@ def _dual_extreme_rays(constraints, n):
                 for rm, tm, vm in zip(rays, tight, vals):
                     if vm >= 0 or not _adjacent(cons, tp, tm, n):
                         continue
-                    r = primitive_ints([vp * bm - vm * bp for bp, bm in zip(rp, rm)])
+                    r = primitive([vp * bm - vm * bp for bp, bm in zip(rp, rm)])
                     if r not in seen:
                         seen.add(r)
                         keep.append((r, (tp & tm) | {idx}))
         rays = [r for r, _ in keep]
         tight = [t for _, t in keep]
-    return sorted((tuple(map(Fraction, r)), t) for r, t in zip(rays, tight))
+    return sorted(zip(rays, tight))
 
 
 def _certify(dim, rays, facets, facet_rank=None):
-    """Certify rays and facets against each other from one table of
-    facet . ray values, computed on integer coordinates."""
-    rints = [clear_denominators(r)[0] for r in rays]
-    fints = [clear_denominators(f)[0] for f in facets]
-    if rank(rints) != dim:
+    """Certify the integer rays and facets against each other from one
+    table of facet . ray values."""
+    if rank(rays) != dim:
         raise CertificationError("rays do not span")
-    if (rank(fints) if facet_rank is None else facet_rank) != dim:
+    if (rank(facets) if facet_rank is None else facet_rank) != dim:
         raise CertificationError("facets do not span")
-    values = [[sum(map(mul, f, r)) for r in rints] for f in fints]
+    values = [[sum(map(mul, f, r)) for r in rays] for f in facets]
     if any(v < 0 for row in values for v in row):
         raise CertificationError("facet negative on a ray")
-    for j in range(len(rints)):
-        if rank([f for f, row in zip(fints, values) if row[j] == 0]) != dim - 1:
+    for j in range(len(rays)):
+        if rank([f for f, row in zip(facets, values) if row[j] == 0]) != dim - 1:
             raise CertificationError("ray does not saturate a rank n-1 facet set")
     for row in values:
-        if rank([r for r, v in zip(rints, row) if v == 0]) != dim - 1:
+        if rank([r for r, v in zip(rays, row) if v == 0]) != dim - 1:
             raise CertificationError("facet not supported by a rank n-1 ray set")
 
 
@@ -183,9 +179,7 @@ def is_simplicial(cone):
 
 def interior_point(cone):
     """Sum of the extreme rays, certified interior by strict positivity."""
-    total = cone.rays[0]
-    for r in cone.rays[1:]:
-        total = vec_add(total, r)
+    total = tuple(map(sum, zip(*cone.rays)))
     if not cone.strictly_contains(total):
         raise CertificationError("ray sum is not strictly interior")
     return total

@@ -38,16 +38,16 @@ principal lattice, sharing no code with the formula above.  An extension is
 re-checked on ints by contraction with the facets, and with phi for its
 reduction, sharing no code with the formula either.
 
-The LP builders, both judges and ``omega_interior_test`` run on ints: each
-clears its vectors by positive integers, so no sign moves.  The judges
-cross-multiply once.  ``_ext_k_rows`` and ``_pad_columns`` do not divide
-at all: both read one table of head ox Sym(tails) integers over one
-denominator (``_sym_head_ints``), the first by rows and the second by
-columns, join a row with its rhs over the two denominators (``_joined``),
-and hand the LP each row as the cleared ``(ints, d)`` in lowest terms that
-``LpProblem`` holds.  The interior test scales every facet centroid by one
-common D, which multiplies each of its terms by D^k, and each ray on its
-own, since its sums are linear in the ray.
+The LP builders, both judges and ``omega_interior_test`` run on ints.  A
+cone's rays and facets are ints already; each clears its other vectors by
+positive integers, so no sign moves.  The judges cross-multiply once.
+``_ext_k_rows`` and ``_pad_columns`` do not divide at all: both read one
+table of head ox Sym(tails) integers over one denominator
+(``_sym_head_ints``), the first by rows and the second by columns, join a
+row with its rhs over the two denominators (``_joined``), and hand the LP
+each row as the cleared ``(ints, d)`` in lowest terms that ``LpProblem``
+holds.  The interior test scales every facet centroid by one common D,
+which multiplies each of its terms by D^k.
 """
 
 from __future__ import annotations
@@ -261,11 +261,11 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
     def values(v):
         return [sum(a * b for a, b in zip(v, t) if b) for t in points]
 
-    # the weights over dw, head coordinate o over dh, the tails over one dt,
-    # the pad over dp and row o over dr; row o is compared cross-multiplied
+    # the weights over dw, head coordinate o over dh, the pad over dp and
+    # row o over dr; the tails, B's facets or rays, are ints already.  Row o
+    # is compared cross-multiplied
     weights, dw = clear_denominators(weights)
     cols = [clear_denominators(col) for col in zip(*heads)]
-    tails, dt = clear_rows(tails)
     forms = [values(v) for v in tails]
     pad, dp = clear_denominators(pad)
     pad_pow = [p ** (k - 1) for p in values(pad)]
@@ -281,7 +281,7 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
                 row[:] = [r + wc * p for r, p in zip(row, prod)]
     for sums, (_, dh), row in zip(total, cols, rows, strict=True):
         row, dr = clear_denominators(row)
-        lhs, rhs = dr * dp ** (k - 1), dw * dh * dt ** k
+        lhs, rhs = dr * dp ** (k - 1), dw * dh
         target = [v * p for v, p in zip(values(row), pad_pow)]
         if [s * lhs for s in sums] != [v * rhs for v in target]:
             return False
@@ -296,7 +296,7 @@ class ExtkVerdict:
     member: bool
     k: int
     extension: DenseTensor | None = None  # V_A ox V_B^{ox k}, symmetric in B
-    witness: DenseTensor | None = None    # primitive functional on V_A ox V_B
+    witness: DenseTensor | None = None    # primitive int functional on V_A ox V_B
 
 
 def _max_halfspace_ints(ys, fs, gs, k):
@@ -345,9 +345,8 @@ def _check_extension(x, a_cone, based, k, y):
             q = q * nB + j
         if any(ys[a + p] != ys[a + q] for a in range(0, nA * block, block)):
             raise ConsistencyError("extension is not symmetric over the B slots")
-    fs, _ = clear_rows(a_cone.facets)
-    gs, _ = clear_rows(based.cone.facets)
-    if any(v < 0 for v in _max_halfspace_ints(ys, fs, gs, k)):
+    if any(v < 0 for v in _max_halfspace_ints(ys, a_cone.facets,
+                                              based.cone.facets, k)):
         raise ConsistencyError("extension violates a max half-space")
     phi, dp = clear_denominators(based.phi)
     for _ in range(k - 1):
@@ -561,11 +560,10 @@ def omega_interior_test(based, k):
     base = based.base
     cone = based.cone
     # sum_f psi_f(r) prod_(a in combo) psi_a(cent_f) on ints
-    psis, _ = clear_rows(cone.facets)
+    psis = cone.facets
     cents, _ = clear_rows(_facet_centroids(base))
     at_cent = [[sum(map(mul, psi, c)) for c in cents] for psi in psis]
-    at_ray = [[sum(map(mul, psi, r)) for psi in psis]
-              for r, _ in map(clear_denominators, cone.rays)]
+    at_ray = [[sum(map(mul, psi, r)) for psi in psis] for r in cone.rays]
 
     def positive(combo):
         prods = [1] * len(psis)
@@ -602,9 +600,8 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
     over the generators ray_A ox Sym(rays_B).
     """
     xs, _ = clear_denominators(x.entries)
-    fs, _ = clear_rows(a_cone.facets)
-    gs, _ = clear_rows(based.cone.facets)
-    if any(v <= 0 for v in _max_halfspace_ints(xs, fs, gs, 1)):
+    if any(v <= 0 for v in _max_halfspace_ints(xs, a_cone.facets,
+                                               based.cone.facets, 1)):
         raise ValueError("point is not strictly interior to the max product")
     nB = based.cone.dim
     xs = [x.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]

@@ -1,9 +1,12 @@
-"""Small exact linear-algebra toolkit; Fraction (or int) in, Fraction out.
+"""Small exact linear-algebra toolkit.
 
-Vectors are tuples, matrices lists/tuples of row vectors.  The inner loops
-run on integer numerators over a cleared denominator: ``dot`` divides once,
-and ``rref`` is fraction-free Gauss-Jordan elimination (cf. Bareiss 1968)
-on integer rows, each gcd-reduced after every update.  Desk-scale sizes.
+Vectors are tuples, matrices lists/tuples of row vectors, with int or
+Fraction entries.  ``primitive`` returns ints; ``dot`` and the eliminations
+(``rref``, ``nullspace``, ``solve``, ``inverse``) return Fractions.  The
+inner loops run on integer numerators over a cleared denominator: ``dot``
+divides once, and ``rref`` is fraction-free Gauss-Jordan elimination (cf.
+Bareiss 1968) on integer rows, each gcd-reduced after every update.
+Desk-scale sizes.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ from operator import mul
 
 def vec(entries):
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u, v):
@@ -54,18 +53,13 @@ def is_zero_vec(u):
     return all(a == 0 for a in u)
 
 
-def primitive_ints(u):
+def primitive(u):
     """Scale to coprime ints, clearing denominators; direction kept."""
     ints, _ = clear_denominators(u)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
-
-
-def primitive(u):
-    """``primitive_ints(u)`` as Fractions."""
-    return tuple(map(Fraction, primitive_ints(u)))
 
 
 def _echelon(rows):

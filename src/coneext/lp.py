@@ -26,8 +26,9 @@ deleted when it leaves the basis, so no artificial re-enters or is carried
 through later pivots.  An infeasible problem's Farkas multipliers come from
 the final basis (see ``solve``): a ge row's is read off the cost row at its
 surplus column, and only the eq rows whose artificial has left are solved
-for.  No floating point, no presolve.  The API
-stays Fraction in and Fraction out.  A problem holds its rows only cleared
+for.  No floating point, no presolve.  The API takes int or Fraction rows
+and returns points, weights and Farkas certificates as Fractions, and a
+conic separator as primitive ints.  A problem holds its rows only cleared
 to integers (``LpProblem.int_rows``); the tableau, both re-checks below and
 the conic re-sum and separation check all read them, each an exact
 comparison.  ``build`` clears Fraction rows once.  A conic LP arrives
@@ -538,7 +539,7 @@ def solve(problem):
 class ConicOutcome:
     member: bool
     weights: tuple | None = None      # aligned with the generator list
-    separating: tuple | None = None   # h with h(target) < 0 <= h(generator)
+    separating: tuple | None = None   # int h, h(target) < 0 <= h(generator)
 
 
 def conic_membership(target, generators):

@@ -27,7 +27,7 @@ FACET_CAP = 20  # subset iteration guard for the commutation test
 class Polytope:
     ambient_dim: int
     vertices: tuple          # canonical sorted points
-    functionals: tuple       # rows (a0, a1..aN): psi(x) = a0 + a . x, primitive
+    functionals: tuple       # int rows (a0, a1..aN): psi(x) = a0 + a . x, primitive
     hull_point: tuple
     hull_directions: tuple   # basis of the hull's direction space
 
@@ -129,7 +129,7 @@ def base_polytope(cone, phi):
     stay in bijection with them (same order)."""
     phi = vec(phi)
     vertices = tuple(sorted(tuple(x / dot(phi, r) for x in r) for r in cone.rays))
-    functionals = tuple((Fraction(0),) + f for f in cone.facets)
+    functionals = tuple((0,) + f for f in cone.facets)
     directions = tuple(nullspace([phi]))
     p = Polytope(cone.dim, vertices, functionals, vertices[0], directions)
     _check_polytope(p)

@@ -2,9 +2,9 @@
 
 A tensor carries an ordered list of slots, each a (dimension, variance)
 pair; entries are stored flat in row-major order.  Contraction pairs a
-primal slot against a dual slot of the same dimension.  Entries are
-Fractions throughout the cone machinery; the container itself only needs
-a field, so Q(sqrt2) scalars work too.
+primal slot against a dual slot of the same dimension.  Entries are ints
+or Fractions in the cone machinery (an Ext_k witness is ints); the
+container itself only needs a field, so Q(sqrt2) scalars work too.
 """
 
 from __future__ import annotations

@@ -7,10 +7,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import coneext
-from coneext.fixtures import EB_LEVELS, based_cone, fixture_text
+from coneext.cones import dualize, interior_point, min_columns
+from coneext.fixtures import (EB_LEVELS, based_cone, cone_names, fixture_text,
+                              polytope, polytope_names)
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (dual_hierarchy_k, ext_k_membership,
-                               is_entanglement_breaking, point_tensor)
+                               is_entanglement_breaking, omega_interior_test,
+                               point_tensor)
+from coneext.lp import conic_membership
+from coneext.polytopes import SimplexFactorization
 
 SRC = Path(coneext.__file__).resolve().parent
 
@@ -72,14 +77,16 @@ def _point(filename, a_cone, b_cone):
 def test_decisions_return_only_ints_and_fractions():
     """The scan above cannot see an ``int / int``, which makes a float at run
     time; so the corpus decisions run, and every number they return must be
-    an int or a Fraction: EB terms and refutations, the entries of Ext_k
-    witnesses and extensions, and dual hierarchy weights."""
+    an int or a Fraction: EB terms, the entries of Ext_k extensions and dual
+    hierarchy weights.  EB refutations and Ext_k witnesses are primitive
+    integer vectors, so they must be ints."""
     seen, wrong = {}, []
 
     def scan(kind, values):
         values = list(values)
         seen[kind] = seen.get(kind, 0) + len(values)
-        wrong.extend((kind, v) for v in values if type(v) not in (int, Fraction))
+        types = (int,) if kind in ("eb refutation", "witness") else (int, Fraction)
+        wrong.extend((kind, v) for v in values if type(v) not in types)
 
     for name in EB_LEVELS:
         for k in (1, 2, 3):
@@ -104,3 +111,45 @@ def test_decisions_return_only_ints_and_fractions():
     assert wrong == []
     assert set(seen) == {"eb terms", "eb refutation", "extension", "witness",
                          "dual weights"} and min(seen.values()) > 0
+
+
+def test_cone_data_are_ints_and_no_float_is_made():
+    """Over every shipped cone and polytope: rays, facets, interior points,
+    polytope functionals and conic separators are tuples of ints, and the
+    vectors computed from them by a division (base vertices, normalized
+    functionals, facet centroids through the interior test, conic weights)
+    hold ints or Fractions, never a float."""
+    seen, wrong = {}, []
+
+    def scan(kind, vectors, types=(int,)):
+        vectors = list(vectors)
+        seen[kind] = seen.get(kind, 0) + len(vectors)
+        wrong.extend((kind, v) for v in vectors
+                     if type(v) is not tuple or any(type(a) not in types for a in v))
+
+    exact = (int, Fraction)
+    bases = []
+    for name in cone_names():
+        based = based_cone(name)
+        c, dual = based.cone, dualize(based.cone)
+        scan("cone vectors", (*c.rays, *c.facets, *dual.rays, *dual.facets))
+        scan("interior point", [interior_point(c)])
+        bases.append(based.base)
+        omega_interior_test(based, 1)  # divides the facet centroids
+    for p in bases + [polytope(name) for name in polytope_names()]:
+        scan("functionals", p.functionals)
+        scan("vertices", p.vertices, exact)
+        if isinstance(p.factorization, SimplexFactorization):
+            scan("normalized", p.factorization.normalized, exact)
+    sq = based_cone("square").cone
+    gens = min_columns(sq, sq)
+    member = conic_membership([a + b for a, b in zip(gens[0], gens[1])], gens)
+    _, _, entries = parse_point_file(fixture_text("gap-k2.pt"))
+    outside = conic_membership(entries, gens)
+    assert member.member and not outside.member
+    scan("conic weights", [member.weights], exact)
+    scan("separator", [outside.separating])
+    assert wrong == []
+    assert set(seen) == {"cone vectors", "interior point", "functionals",
+                         "vertices", "normalized", "conic weights",
+                         "separator"} and min(seen.values()) > 0

@@ -21,10 +21,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coneext.cones import interior_point
+from coneext.cones import interior_point, min_columns
 from coneext.fixtures import based_cone, cone
 from coneext.formats import serialize_point_file
-from coneext.hierarchy import ext_k_membership, min_tensor_generators, point_tensor
+from coneext.hierarchy import ext_k_membership, point_tensor
 from coneext.lp import conic_membership
 from coneext.tensors import pairing
 
@@ -66,7 +66,7 @@ def find_gap_point(k, rng):
     based = based_cone("square-skew")
     s = interior_point(sq)
     x0 = tuple(Fraction(a) * Fraction(b) for a in s for b in s)
-    gens = [tuple(g.entries) for g in min_tensor_generators(sq, sq)]
+    gens = min_columns(sq, sq)
     while True:
         d = tuple(Fraction(rng.randint(-3, 3)) for _ in range(9))
         got = shoot_boundary(sq, based, k, x0, d)

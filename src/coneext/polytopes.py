@@ -2,22 +2,21 @@
 the affine-hull commutation test, and recognition of products of simplices.
 
 A polytope may sit in a lower-dimensional affine subspace of its ambient
-space; it carries an explicit hull description (point plus direction basis).
+space; its hull is its first vertex plus the span of its direction basis.
 Facet functionals are affine, nonnegative on the polytope and zero exactly
 on their facet.  Each is evaluated at each vertex once (``Polytope.values``),
-and the incidence, the polytope check, two-levelness and the class sums of
-the factorization all read that one table.
+and the incidence, the polytope check, two-levelness and the factorization
+all read that one table.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 
-from .cones import make_cone
-from .linalg import (affine_rank, dot, greedy_independent, inverse, nullspace,
-                     primitive, rank, solve, vec, vec_sub)
+from .cones import CertificationError, make_cone
+from .linalg import (affine_rank, dot, greedy_independent, nullspace, primitive,
+                     rank, solve, vec, vec_sub)
 from .records import record
 
 FACET_CAP = 20  # subset iteration guard for the commutation test
@@ -28,8 +27,7 @@ class Polytope:
     ambient_dim: int
     vertices: tuple          # canonical sorted points
     functionals: tuple       # int rows (a0, a1..aN): psi(x) = a0 + a . x, primitive
-    hull_point: tuple
-    hull_directions: tuple   # basis of the hull's direction space
+    hull_directions: tuple   # basis of the hull's direction space at vertices[0]
 
     @property
     def dim(self):
@@ -70,22 +68,30 @@ class Polytope:
 
 
 def _check_polytope(p):
+    """Certify faces, not completeness: every functional is nonnegative on
+    the vertices and zero on a codimension-1 face, and the vertices span the
+    hull.  A vertex dropped still passes.  Both builders are complete by
+    construction: their vertices are all the extreme rays of a ``make_cone``
+    and their functionals are all its facets."""
     if any(val < 0 for row in p.values for val in row):
-        raise AssertionError("facet functional negative on a vertex")
+        raise CertificationError("facet functional negative on a vertex")
     d = p.dim
     if len(p.vertices) > 1 and affine_rank(p.vertices) != d:
-        raise AssertionError("vertex set does not span the recorded hull")
+        raise CertificationError("vertex set does not span the recorded hull")
     for j in range(len(p.functionals)):
         verts = [p.vertices[i] for i in p.vertices_of_facet(j)]
         if not verts or affine_rank(verts) != d - 1:
-            raise AssertionError("facet is not a codimension-1 face")
+            raise CertificationError("facet is not a codimension-1 face")
 
 
 def polytope_from_vertices(points):
     """Build a polytope from points (non-vertices are dropped).
 
-    Facets come from the homogenization cone over hull-local coordinates,
-    so the construction is exact in any ambient dimension.
+    Facets come from the homogenization cone over the hull chart
+    t(x) = D (x - v0), D the direction rows, so the construction is exact in
+    any ambient dimension.  A facet pulled back is affine with its linear
+    part in the row space of D, and that form is unique, so the primitive
+    functionals do not depend on the chart.
     """
     pts = sorted({vec(p) for p in points})
     if not pts:
@@ -99,27 +105,16 @@ def polytope_from_vertices(points):
     directions = [diffs[i] for i in dir_idx]
     d = len(directions)
     if d == 0:
-        return Polytope(ambient, (pts[0],), (), pts[0], ())
-    # local coordinates t(x) = L (x - v0) with L the left inverse of D
-    gram = [[dot(a, b) for b in directions] for a in directions]
-    left = inverse(gram)
-    lmap = [tuple(dot(row, col) for col in zip(*directions)) for row in left]
-
-    def local(x):
-        diff = vec_sub(x, v0)
-        return tuple(dot(row, diff) for row in lmap)
-
-    lifted = [(Fraction(1),) + local(p) for p in pts]
+        return Polytope(ambient, (pts[0],), (), ())
+    lifted = [(1,) + tuple(dot(row, diff) for row in directions) for diff in diffs]
     cone = make_cone(lifted)
     vertices = tuple(p for p, q in zip(pts, lifted) if primitive(q) in cone.rays)
     functionals = []
     for f in cone.facets:
-        a0, alocal = f[0], f[1:]
-        coeffs = tuple(dot(alocal, col) for col in zip(*lmap))
-        const = a0 - dot(coeffs, v0)
-        functionals.append(primitive((const,) + coeffs))
+        coeffs = tuple(dot(f[1:], col) for col in zip(*directions))
+        functionals.append(primitive((f[0] - dot(coeffs, v0),) + coeffs))
     functionals = tuple(sorted(functionals))
-    p = Polytope(ambient, vertices, functionals, v0, tuple(directions))
+    p = Polytope(ambient, vertices, functionals, tuple(directions))
     _check_polytope(p)
     return p
 
@@ -131,7 +126,7 @@ def base_polytope(cone, phi):
     vertices = tuple(sorted(tuple(x / dot(phi, r) for x in r) for r in cone.rays))
     functionals = tuple((0,) + f for f in cone.facets)
     directions = tuple(nullspace([phi]))
-    p = Polytope(cone.dim, vertices, functionals, vertices[0], directions)
+    p = Polytope(cone.dim, vertices, functionals, directions)
     _check_polytope(p)
     return p
 
@@ -170,24 +165,17 @@ def affine_hull_commutes(p):
     if nf > FACET_CAP:
         raise ValueError(f"facet count {nf} exceeds the {FACET_CAP} subset-iteration cap")
     # facet j's hull in hull coordinates t: row . t = rhs, for the points
-    # hull_point + directions t
+    # vertices[0] + directions t; a dimension is None when its set is empty
     hulls = [(tuple(dot(f[1:], d) for d in p.hull_directions),
-              -p.evaluate(j, p.hull_point)) for j, f in enumerate(p.functionals)]
+              -p.evaluate(j, p.vertices[0])) for j, f in enumerate(p.functionals)]
     for size in range(1, nf + 1):
         for subset in itertools.combinations(range(nf), size):
             face = p.face_from_facets(subset)
+            face_dim = affine_rank([p.vertices[i] for i in face]) if face else None
             rows, rhs = zip(*(hulls[j] for j in subset))
-            if solve(rows, rhs) is None:
-                hull_dim = None           # intersection of hulls is empty
-            else:
-                hull_dim = p.dim - rank(rows)
-            if not face:
-                if hull_dim is not None:
-                    return False, frozenset(subset)
-            else:
-                face_dim = affine_rank([p.vertices[i] for i in face])
-                if hull_dim is None or face_dim != hull_dim:
-                    return False, frozenset(subset)
+            hull_dim = None if solve(rows, rhs) is None else p.dim - rank(rows)
+            if face_dim != hull_dim:
+                return False, frozenset(subset)
     return True, None
 
 
@@ -218,8 +206,11 @@ def factor_as_simplices(p):
 
     Requires simple and two-level; groups facets into classes where two
     facets are separated exactly when some vertex avoids both; verifies the
-    grouping is an equivalence, labels vertices by avoided facets, and
-    re-derives the incidence matrix from the labels before accepting.
+    grouping is an equivalence, labels vertices by avoided facets, and checks
+    that the labels biject with the product.  The labels then give the
+    incidence: each vertex avoids exactly one facet per class and the classes
+    partition the facets.  On a two-level polytope each normalized value is
+    0 or 1, so each class's normalized functionals sum to 1 on every vertex.
     """
     if not is_simple(p):
         return FactorFailure("not simple: some vertex lies on more than dim facets")
@@ -264,20 +255,8 @@ def factor_as_simplices(p):
         expected *= len(members)
     if len(set(labels)) != nv or expected != nv:
         return FactorFailure("vertex labels do not biject with the product")
-    for i in range(nv):
-        rebuilt = frozenset(
-            g for ci, members in enumerate(classes)
-            for pos, g in enumerate(members) if labels[i][ci] != pos)
-        if rebuilt != p.incidence[i]:
-            return FactorFailure("label-derived incidence mismatch")
     normalized = tuple(
         tuple(a / levels[j] for a in p.functionals[j]) for j in range(nf))
-    for i in range(nv):
-        for members in classes:
-            total = sum((p.values[j][i] / levels[j] for j in members),
-                        start=Fraction(0))
-            if total != 1:
-                return FactorFailure("class functionals do not sum to one")
     order = sorted(range(len(classes)), key=lambda c: (len(classes[c]), classes[c]))
     classes = tuple(classes[c] for c in order)
     labels = tuple(tuple(lab[c] for c in order) for lab in labels)

@@ -1,6 +1,7 @@
 """Face combinatorics: simplicity, 2-levelness, hull commutation, and
 product-of-simplices recognition, cross-checked against each other."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -104,20 +105,23 @@ def _simplex_vertices(d):
     return verts
 
 
-def _random_affine_image(rng, points):
+def _random_affine_image(rng, points, extra=0):
+    """An injective affine image of points of R^n in R^(n + extra), so for
+    extra > 0 a hull of lower dimension than its ambient space."""
     n = len(points[0])
+    m = n + extra
     while True:
-        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        aug = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(mat)]
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         if len(nullspace(mat, n)) == 0:
             break
-    shift = [rng.randint(-4, 4) for _ in range(n)]
+    shift = [rng.randint(-4, 4) for _ in range(m)]
     return [tuple(sum(mat[i][j] * x[j] for j in range(n)) + shift[i]
-                  for i in range(n)) for x in points]
+                  for i in range(m)) for x in points]
 
 
 def test_random_simplex_products_factor_back():
     rng = random.Random(20260821)
+    wide = random.Random(20260822)
     shapes = [(1, 1), (2,), (2, 1), (1, 1, 1), (2, 2), (3,), (1, 2)]
     for _ in range(12):
         dims = list(rng.choice(shapes))
@@ -125,25 +129,29 @@ def test_random_simplex_products_factor_back():
         prod = [()]
         for d in dims:
             prod = [a + b for a in prod for b in _simplex_vertices(d)]
-        mapped = _random_affine_image(rng, prod)
-        p = polytope_from_vertices(mapped)
-        assert is_simple(p) and is_two_level(p)
-        commutes, _ = affine_hull_commutes(p)
-        assert commutes
-        f = factor_as_simplices(p)
-        assert isinstance(f, SimplexFactorization)
-        assert sorted(f.factor_dims) == sorted(dims)
-        assert _reconstruct_incidence(p, f) == p.incidence
+        for mapped in (_random_affine_image(rng, prod),
+                       _random_affine_image(wide, prod, extra=1)):
+            p = polytope_from_vertices(mapped)
+            assert p.dim == sum(dims)
+            assert is_simple(p) and is_two_level(p)
+            commutes, _ = affine_hull_commutes(p)
+            assert commutes
+            f = factor_as_simplices(p)
+            assert isinstance(f, SimplexFactorization)
+            assert sorted(f.factor_dims) == sorted(dims)
+            assert _reconstruct_incidence(p, f) == p.incidence
 
 
 def test_hull_commutation_is_affine_invariant():
     rng = random.Random(311)
+    wide = random.Random(312)
     for name in ("pentagon", "quad", "square", "prism"):
         base = polytope(name)
         want, _ = affine_hull_commutes(base)
-        for _ in range(3):
-            mapped = polytope_from_vertices(_random_affine_image(rng, list(base.vertices)))
-            got, _ = affine_hull_commutes(mapped)
+        images = [_random_affine_image(rng, list(base.vertices)) for _ in range(3)]
+        images.append(_random_affine_image(wide, list(base.vertices), extra=1))
+        for image in images:
+            got, _ = affine_hull_commutes(polytope_from_vertices(image))
             assert got == want, name
 
 
@@ -233,17 +241,73 @@ def test_vertex_order_does_not_matter():
         assert polytope_from_vertices(shuffled) == polytope_from_vertices(verts)
 
 
+# sha256 of repr(functionals) of polytope_from_vertices(base.vertices) per
+# corpus cone, captured when the builder lifted through the Gram inverse.
+# Each base sits in a hyperplane of its cone's space.
+REBUILT_BASE_FUNCTIONALS = {
+    "cube": "71424fc7647622c08bd206aa74dc5cdf0c27c8bb00510459c27639f39656e4e2",
+    "octahedron": "3db8ebfff984ea2e1b574a64096d9c6566b8ba70e62c7ebbb3d38bfabb154ffb",
+    "orthant2": "86c1abb9c9775876c3a86b7a599b02a82448230362247f8cbaada0e78e2a972c",
+    "orthant3": "698875b50c3b5533d014e154cebd61db6fe934b7e844ae779defbaeaf97c27d6",
+    "pentagon": "63b46be0e248c45c7fb55f8a600f4c03a9d67e42e74ea78422e720d3bc29f92d",
+    "prism": "eb44dce6ead6fcc2c9a87038e1316d278fb698b2890dd1085ecaca71a024cbac",
+    "quad": "c3b5fc8ab21531a5afd951672df8577aecda066f45ad141c9b4ef13ba825ba35",
+    "square-skew": "4332115b3c5b71a7fda249f33f88842903f80f24759eb3fe75de7e9facedd329",
+    "square": "4ef48372b92246bc7b590842946340d9a9c825ac20a059ae47295f42ad84f394",
+    "triangle": "9138fec2db5fbf83d142afa09d44fb749d9068f0ef688992265ef7564431d174",
+}
+
+
+def _factor_dims(p):
+    f = factor_as_simplices(p)
+    return f.factor_dims if isinstance(f, SimplexFactorization) else f.reason
+
+
+@pytest.mark.parametrize("name", cone_names())
+def test_a_base_rebuilt_from_its_vertices_is_the_base(name):
+    """Each corpus base, a hull of lower dimension than its ambient space,
+    rebuilt from its vertices alone has the same vertices, facets, factor
+    dims and hull verdict, and functionals pinned byte for byte."""
+    base = based_cone(name).base
+    p = polytope_from_vertices(base.vertices)
+    assert p.ambient_dim == base.ambient_dim == p.dim + 1
+    assert p.vertices == base.vertices
+    facets = lambda q: {q.vertices_of_facet(j) for j in range(len(q.functionals))}
+    assert facets(p) == facets(base)
+    assert _factor_dims(p) == _factor_dims(base)
+    assert affine_hull_commutes(p)[0] == affine_hull_commutes(base)[0]
+    digest = hashlib.sha256(repr(p.functionals).encode()).hexdigest()
+    assert digest == REBUILT_BASE_FUNCTIONALS[name]
+
+
 def _checked_polytopes():
     """Every shipped polytope and the base of every corpus cone, named."""
     return ([(name, polytope(name)) for name in polytope_names()]
             + [(f"base {name}", based_cone(name).base) for name in cone_names()])
 
 
+def _replaced(p, **changes):
+    """p with the given fields replaced, every other field kept."""
+    fields = {name: getattr(p, name) for name in p.__match_args__}
+    return type(p)(**(fields | changes))
+
+
 def _with_functional(p, j, f):
     """p with functional j replaced by f, every other field kept."""
-    fields = {name: getattr(p, name) for name in p.__match_args__}
-    fields["functionals"] = p.functionals[:j] + (f,) + p.functionals[j + 1:]
-    return type(p)(**fields)
+    return _replaced(p, functionals=p.functionals[:j] + (f,) + p.functionals[j + 1:])
+
+
+@pytest.mark.parametrize("p", [polytope("cube"), based_cone("cube").base],
+                         ids=["cube", "base cube"])
+def test_check_polytope_does_not_see_a_dropped_vertex(p):
+    """The check certifies faces, not completeness: with any one vertex
+    dropped, every functional stays nonnegative and every facet keeps a
+    spanning vertex set.  Only the factorization notices."""
+    for i in range(len(p.vertices)):
+        short = _replaced(p, vertices=p.vertices[:i] + p.vertices[i + 1:])
+        polytopes._check_polytope(short)
+        assert factor_as_simplices(short) == FactorFailure(
+            "vertex labels do not biject with the product")
 
 
 @pytest.mark.parametrize("name, p", _checked_polytopes())

@@ -22,7 +22,7 @@ from math import prod
 from operator import mul
 
 from .linalg import (dot, greedy_independent, inverse, is_zero_vec, primitive,
-                     rank, vec)
+                     rank, rational, vec)
 from .records import record
 
 
@@ -125,14 +125,15 @@ def make_cone(generators):
     """Canonicalize generators into a certified proper cone.
 
     Redundant (non-extreme) generators are removed.  Raises ConeError when
-    the input is empty, not full-dimensional, or contains a line.  The pair
+    the input is empty, not full-dimensional, or contains a line, and
+    TypeError on an entry that is not an int or a Fraction.  The pair
     is complete by construction, so unlike ``dualize`` it needs no second
     double description: the facets are every extreme ray of the dual of
     the generators, and the rays are every generator they make extreme.
     """
     gens = []
     seen = set()
-    for g in generators:
+    for g in map(rational, generators):
         if is_zero_vec(g):
             continue
         p = primitive(g)

@@ -61,7 +61,7 @@ from operator import mul
 from .cones import interior_point, min_columns
 from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
                  conic_solve, solve)
-from .linalg import clear_denominators, clear_rows, dot, primitive
+from .linalg import clear_denominators, clear_rows, dot, primitive, vec
 from .polytopes import SimplexFactorization
 from .records import record
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
@@ -85,9 +85,18 @@ def min_tensor_generators(*cones):
 
 
 def point_tensor(a_cone, b_cone, entries):
-    """Entries (row-major, length dim_A * dim_B) as a V_A ox V_B tensor."""
+    """Int or Fraction entries (row-major, length dim_A * dim_B) as a
+    V_A ox V_B tensor."""
     return DenseTensor((Slot(a_cone.dim, PRIMAL), Slot(b_cone.dim, PRIMAL)),
-                       [Fraction(e) for e in entries])
+                       vec(entries))
+
+
+def _point_dims(x, a_cone, based):
+    """(dim A, dim B); ValueError unless x is a V_A ox V_B point."""
+    nA, nB = a_cone.dim, based.cone.dim
+    if x.slots != (Slot(nA, PRIMAL), Slot(nB, PRIMAL)):
+        raise ValueError("point has wrong shape for the cone pair")
+    return nA, nB
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +456,7 @@ def ext_k_membership(x, a_cone, based, k):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    nA, nB = a_cone.dim, based.cone.dim
-    if x.slots != (Slot(nA, PRIMAL), Slot(nB, PRIMAL)):
-        raise ValueError("point has wrong shape for the cone pair")
+    nA, nB = _point_dims(x, a_cone, based)
     ge, eq = _ext_k_rows(x, a_cone, based, k)
     problem = LpProblem(len(eq[0][0]) - 1, (*eq, *ge), len(eq), frozenset())
     out = solve(problem)
@@ -557,6 +564,8 @@ def omega_interior_test(based, k):
     every vertex avoids more than k facets.  Both sides are exact; they must
     agree or ConsistencyError is raised.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     base = based.base
     cone = based.cone
     # sum_f psi_f(r) prod_(a in combo) psi_a(cent_f) on ints
@@ -593,18 +602,21 @@ def dual_hierarchy_k(x, a_cone, based, k_max=6):
     """Smallest k <= k_max such that the symmetrized pad of x with interior
     base points lands in the k-fold minimal tensor product.
 
-    Requires x strictly interior to the max product (checked; ValueError
-    otherwise).  Returns HierarchyResult or None when k_max is exhausted.
+    Requires k_max >= 1 and x a V_A ox V_B point strictly interior to the
+    max product (checked; ValueError otherwise).  Returns HierarchyResult or
+    None when k_max is exhausted.
 
     Each level is one ``_pad_decompose`` of the symmetric pad of x with y
     over the generators ray_A ox Sym(rays_B).
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    nA, nB = _point_dims(x, a_cone, based)
     xs, _ = clear_denominators(x.entries)
     if any(v <= 0 for v in _max_halfspace_ints(xs, a_cone.facets,
                                                based.cone.facets, 1)):
         raise ValueError("point is not strictly interior to the max product")
-    nB = based.cone.dim
-    xs = [x.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
+    xs = [x.entries[a * nB:(a + 1) * nB] for a in range(nA)]
     y = interior_point(based.cone)
     scale = dot(based.phi, y)
     y = tuple(v / scale for v in y)

@@ -1,12 +1,13 @@
 """Small exact linear-algebra toolkit.
 
 Vectors are tuples, matrices lists/tuples of row vectors, with int or
-Fraction entries.  ``primitive`` returns ints; ``dot`` and the eliminations
-(``rref``, ``nullspace``, ``solve``, ``inverse``) return Fractions.  The
-inner loops run on integer numerators over a cleared denominator: ``dot``
-divides once, and ``rref`` is fraction-free Gauss-Jordan elimination (cf.
-Bareiss 1968) on integer rows, each gcd-reduced after every update.
-Desk-scale sizes.
+Fraction entries; ``rational`` refuses any other entry for the public entry
+points.  ``primitive`` returns ints; ``dot`` and the eliminations
+(``nullspace``, ``solve``, ``inverse``) return Fractions.  The inner loops
+run on integer numerators over a cleared denominator: ``dot`` divides once,
+and ``_echelon`` is fraction-free Gauss-Jordan elimination (cf. Bareiss
+1968) on integer rows, each gcd-reduced after every update.  Desk-scale
+sizes.
 """
 
 from __future__ import annotations
@@ -16,8 +17,19 @@ from math import gcd, lcm
 from operator import mul
 
 
+def rational(entries):
+    """``entries`` as a tuple; TypeError unless each is an int or a Fraction,
+    so that a float is never read as its binary value, nor a str parsed."""
+    entries = tuple(entries)
+    for e in entries:
+        if not isinstance(e, (int, Fraction)):
+            raise TypeError(f"entry {e!r} is not an int or a Fraction")
+    return entries
+
+
 def vec(entries):
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    """The int or Fraction ``entries`` (``rational``) as Fractions."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in rational(entries))
 
 
 def vec_sub(u, v):
@@ -89,20 +101,12 @@ def _echelon(rows):
     return m, pivots
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (rows, pivot column indices)."""
-    m, pivots = _echelon(rows)
-    out = [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)]
-    out += [[Fraction(0)] * len(row) for row in m[len(pivots):]]
-    return out, pivots
-
-
 def rank(rows):
     return len(_echelon(rows)[1])
 
 
 def nullspace(rows, ncols=None):
-    """Basis of {x : A x = 0}, via back substitution from the rref."""
+    """Basis of {x : A x = 0}, read off the reduced row echelon form."""
     rows = [tuple(r) for r in rows]
     if ncols is None:
         if not rows:

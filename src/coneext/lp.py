@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import clear_denominators, primitive, vec
+from .linalg import clear_denominators, primitive, rational
 from .linalg import solve as linear_solve
 from .records import record
 
@@ -98,7 +98,7 @@ class LpProblem:
         """The problem of int or Fraction rows (r, b), each cleared once."""
         eqs = tuple(eq_rows)
         rows = tuple((tuple(ints), d) for ints, d in (
-            clear_denominators(vec((*r, b))) for r, b in (*eqs, *ge_rows)))
+            clear_denominators(rational((*r, b))) for r, b in (*eqs, *ge_rows)))
         return LpProblem(num_vars, rows, len(eqs), frozenset(nonneg))
 
     def __repr__(self):
@@ -546,8 +546,8 @@ def conic_membership(target, generators):
     """Exact membership of ``target`` in the cone spanned by the list
     ``generators`` (``conic_solve``): one LP row per coordinate i, the
     generators' entries at i and then the target's, cleared once."""
-    target = vec(target)
-    gens = [tuple(g) for g in generators]
+    target = rational(target)
+    gens = [rational(g) for g in generators]
     if any(len(g) != len(target) for g in gens):
         raise ValueError("generator dimension mismatch")
     rows = tuple((tuple(ints), d) for ints, d in map(clear_denominators,

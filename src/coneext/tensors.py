@@ -86,18 +86,9 @@ class DenseTensor:
     def scale(self, c):
         return DenseTensor(self.slots, tuple(c * a for a in self.entries))
 
-    def is_zero(self):
-        return all(a == 0 for a in self.entries)
-
     def __repr__(self):
         shape = ",".join(f"{s.dim}{'*' if s.variance == DUAL else ''}" for s in self.slots)
         return f"DenseTensor[{shape}]"
-
-
-def basis_vector(dim, i, variance=PRIMAL):
-    entries = [Fraction(0)] * dim
-    entries[i] = Fraction(1)
-    return DenseTensor((Slot(dim, variance),), entries)
 
 
 def from_vector(entries, variance=PRIMAL):

@@ -1,15 +1,10 @@
 """Double description with certificates: rays, facets, duality, bases."""
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 
 import pytest
 
-import coneext
 from coneext.cones import (CertificationError, Cone, ConeError, _certify,
                            dualize, interior_point, is_simplicial, make_based,
                            make_cone)
@@ -70,8 +65,7 @@ def _dropped_one(c):
 
 def _incomplete_pairs_dualized():
     """({fixture: messages ``dualize`` raised on its copies missing one ray
-    or facet}, the copies it returned); raises nothing itself, so it also
-    reports under ``python -O``."""
+    or facet}, the copies it returned)."""
     raised, returned = {}, []
     for name in cone_names():
         for tampered in _dropped_one(cone(name)):
@@ -101,25 +95,6 @@ def test_dualize_refuses_a_pair_missing_a_ray_or_a_facet():
     assert returned == []
     assert set(raised) == set(cone_names())
     assert _OTHER_RAYS in raised["cube"] and _OTHER_RAYS in raised["octahedron"]
-
-
-def test_dualize_refuses_incomplete_pairs_under_python_O():
-    code = f"""
-        import sys
-        if __debug__:
-            sys.exit("not running under -O")
-        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
-        import test_cones
-        raised, returned = test_cones._incomplete_pairs_dualized()
-        if returned or test_cones._OTHER_RAYS not in raised["cube"]:
-            sys.exit(f"returned {{returned[:3]}}, raised {{raised}}")
-    """
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coneext.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
 
 
 def _lp_probe_verdict(gens):

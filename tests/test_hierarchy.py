@@ -4,11 +4,8 @@ entanglement-breaking decision, and the dual hierarchy search."""
 import ast
 import hashlib
 import itertools
-import os
 import random
-import subprocess
 import sys
-import textwrap
 from fractions import Fraction
 from math import comb, lcm
 
@@ -16,7 +13,6 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-import coneext
 import coneext.hierarchy as hierarchy
 import coneext.lp as lp
 import coneext.polytopes as polytopes
@@ -34,9 +30,9 @@ from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
 from coneext.linalg import clear_denominators, clear_rows, dot, rank, vec
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, conic_solve, solve)
-from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, basis_vector,
-                             contract_slot, from_vector, kron, pairing,
-                             reorder_slots, sym_basis, symmetric_project)
+from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
+                             from_vector, kron, pairing, reorder_slots,
+                             sym_basis, symmetric_project)
 import dense_reference
 from dense_reference import (_reduction_pairing, max_tensor_halfspaces,
                              vertex_facet_tensor)
@@ -362,9 +358,11 @@ def test_ext_membership_input_checks():
 
 def test_level_refusals_below_one():
     based = based_cone("square")
-    for call in (is_entanglement_breaking, reduction_map, vertex_facet_tensor):
-        with pytest.raises(ValueError, match="k must be at least 1"):
-            call(based, 0)
+    for call in (is_entanglement_breaking, reduction_map, vertex_facet_tensor,
+                 omega_interior_test):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                call(based, k)
 
 
 # -- the LPs behind level-k membership, and tampered certificates ---------
@@ -504,11 +502,11 @@ def test_check_extension_rejects_a_changed_entry():
         for j in range(based.cone.dim):
             old = y[a, j, j]
             far = _with_entry(y, (a, j, j), old - 10**6)
-            with pytest.raises(AssertionError, match="half-space"):
+            with pytest.raises(ConsistencyError, match="half-space"):
                 _check_extension(x, a_cone, based, 2, far)
             if based.phi[j]:
                 up = _with_entry(y, (a, j, j), old + 1)
-                with pytest.raises(AssertionError, match="half-space|reduce"):
+                with pytest.raises(ConsistencyError, match="half-space|reduce"):
                     _check_extension(x, a_cone, based, 2, up)
 
 
@@ -616,34 +614,6 @@ def test_check_extension_agrees_with_the_dense_reference(extension_case):
     assert verdicts[0] and not all(verdicts)
 
 
-def test_check_extension_survives_python_O():
-    """The max half-space check raises under ``python -O`` on an extension
-    with one symmetric entry pushed far below zero."""
-    code = """
-        import sys
-        from coneext import hierarchy
-        from coneext.fixtures import based_cone, cone, fixture_text
-        from coneext.formats import parse_point_file
-        from coneext.tensors import DenseTensor
-        if __debug__:
-            sys.exit("not running under -O")
-
-        a_cone, based = cone("square"), based_cone("square-skew")
-        _, _, entries = parse_point_file(fixture_text("gap-k2.pt"))
-        x = hierarchy.point_tensor(a_cone, based.cone, entries)
-        y = hierarchy.ext_k_membership(x, a_cone, based, 2).extension
-        ent = list(y.entries)
-        ent[y.flat_index((0, 1, 1))] -= 10**6
-        try:
-            hierarchy._check_extension(x, a_cone, based, 2,
-                                       DenseTensor(y.slots, ent))
-        except hierarchy.ConsistencyError as err:
-            sys.exit(0 if "half-space" in str(err) else str(err))
-        sys.exit("a tampered extension passed its re-check")
-    """
-    _passes_under_python_O(code)
-
-
 def _tamper_multipliers(monkeypatch, tamper):
     """Make ext_k_membership see its Farkas certificate changed by
     ``tamper(cert, h, h_zero)``, where h is the first nonzero and h_zero the
@@ -691,48 +661,6 @@ def test_witness_resum_rejects_tampered_multipliers(monkeypatch, point, b_name,
     x, a_cone, based = _ext_k_case(point, b_name)
     with pytest.raises(ConsistencyError, match="witness"):
         ext_k_membership(x, a_cone, based, k)
-
-
-def _passes_under_python_O(code):
-    """Run ``code`` under ``python -O`` with this checkout's coneext; it
-    exits 0 when the check it tampers with raised."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coneext.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-
-
-def test_witness_check_survives_python_O():
-    """The witness re-sum raises under ``python -O``, which strips
-    ``assert`` statements."""
-    code = """
-        import sys
-        from coneext import hierarchy, lp
-        from coneext.fixtures import based_cone, fixture_text
-        from coneext.formats import parse_point_file
-        if __debug__:
-            sys.exit("not running under -O")
-
-        def tampered(problem):
-            out = lp.solve(problem)
-            cert = list(out.certificate)
-            h = next(i for i in range(len(problem.eq_rows), len(cert)) if cert[i])
-            cert[h] *= 2
-            return lp.LpOutcome(status=out.status, certificate=tuple(cert))
-
-        hierarchy.solve = tampered
-        based = based_cone("square")
-        _, _, entries = parse_point_file(fixture_text("box.pt"))
-        x = hierarchy.point_tensor(based.cone, based.cone, entries)
-        try:
-            hierarchy.ext_k_membership(x, based.cone, based, 2)
-        except hierarchy.ConsistencyError:
-            sys.exit(0)
-        sys.exit("non-member returned without the witness re-sum check")
-    """
-    _passes_under_python_O(code)
 
 
 # -- entanglement breaking --------------------------------------------------
@@ -811,33 +739,6 @@ def test_eb_resum_rejects_tampered_weights(monkeypatch, name, k, tamper):
     _tamper_weights(monkeypatch, tamper)
     with pytest.raises(ConsistencyError, match="re-sum|negative weight"):
         is_entanglement_breaking(based_cone(name), k)
-
-
-def test_eb_check_survives_python_O():
-    """The breaking re-sum raises under ``python -O``, which strips
-    ``assert`` statements."""
-    code = """
-        import sys
-        from coneext import hierarchy, lp
-        from coneext.fixtures import based_cone
-        if __debug__:
-            sys.exit("not running under -O")
-
-        def tampered(count, rows):
-            out = lp.conic_solve(count, rows)
-            weights = list(out.weights)
-            h = next(i for i, w in enumerate(weights) if w)
-            weights[h] *= 2
-            return lp.ConicOutcome(member=True, weights=tuple(weights))
-
-        hierarchy.conic_solve = tampered
-        try:
-            hierarchy.is_entanglement_breaking(based_cone("square"), 2)
-        except hierarchy.ConsistencyError:
-            sys.exit(0)
-        sys.exit("breaking verdict returned without the re-sum check")
-    """
-    _passes_under_python_O(code)
 
 
 def test_pad_resum_rejects_a_negative_weight_that_resums():
@@ -1142,6 +1043,33 @@ def test_dual_hierarchy_gives_none_past_k_max():
     assert dual_hierarchy_k(x, sq, based_cone("square"), k_max=1) is None
 
 
+def test_dual_hierarchy_refuses_k_max_below_one():
+    """Refused before any work: the point is not even interior."""
+    sq = cone("square")
+    box = _load_point("box.pt", sq, sq)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            dual_hierarchy_k(box, sq, based_cone("square"), k_max=k_max)
+
+
+def test_dual_hierarchy_refuses_a_point_of_the_wrong_shape():
+    """The entries of an interior point of cube ox square on B ox A slots, or
+    on dual slots, are refused as ``ext_k_membership`` refuses them."""
+    a_cone, based = cone("cube"), based_cone("square")
+    nA, nB = a_cone.dim, based.cone.dim
+    entries = kron(from_vector(interior_point(a_cone)),
+                   from_vector(interior_point(based.cone))).entries
+    x = point_tensor(a_cone, based.cone, entries)
+    assert dual_hierarchy_k(x, a_cone, based).k == 1
+    for slots in ((Slot(nB, PRIMAL), Slot(nA, PRIMAL)),
+                  (Slot(nA, DUAL), Slot(nB, DUAL))):
+        bad = DenseTensor(slots, entries)
+        with pytest.raises(ValueError, match="wrong shape"):
+            dual_hierarchy_k(bad, a_cone, based)
+        with pytest.raises(ValueError, match="wrong shape"):
+            ext_k_membership(bad, a_cone, based, 1)
+
+
 def test_dual_hierarchy_requires_interior_point():
     sq = cone("square")
     based = based_cone("square")
@@ -1164,39 +1092,6 @@ def test_dual_hierarchy_resum_rejects_tampered_weights(monkeypatch, tamper):
     x = _load_point("box-interior.pt", sq, sq)
     with pytest.raises(ConsistencyError, match="re-sum|negative weight"):
         dual_hierarchy_k(x, sq, based_cone("square"))
-
-
-def test_dual_check_survives_python_O():
-    """The dual hierarchy re-sum raises under ``python -O``, which strips
-    ``assert`` statements."""
-    code = """
-        import sys
-        from coneext import hierarchy, lp
-        from coneext.fixtures import based_cone, fixture_text
-        from coneext.formats import parse_point_file
-        if __debug__:
-            sys.exit("not running under -O")
-
-        def tampered(count, rows):
-            out = lp.conic_solve(count, rows)
-            if not out.member:
-                return out
-            weights = list(out.weights)
-            h = next(i for i, w in enumerate(weights) if w)
-            weights[h] *= 2
-            return lp.ConicOutcome(member=True, weights=tuple(weights))
-
-        hierarchy.conic_solve = tampered
-        based = based_cone("square")
-        _, _, entries = parse_point_file(fixture_text("box-interior.pt"))
-        x = hierarchy.point_tensor(based.cone, based.cone, entries)
-        try:
-            hierarchy.dual_hierarchy_k(x, based.cone, based)
-        except hierarchy.ConsistencyError:
-            sys.exit(0)
-        sys.exit("hierarchy level returned without the re-sum check")
-    """
-    _passes_under_python_O(code)
 
 
 # -- symmetric-power coordinates against the dense definitions --------------
@@ -1234,7 +1129,7 @@ def test_lattice_is_unisolvent():
             forms = [_form(s) for s in sym_basis(n, k)]
             assert rank([[form(t) for t in points] for form in forms]) == len(points)
             sym = DenseTensor((Slot(n, PRIMAL),) * k, [Fraction(0)] * n ** k)
-            while sym.is_zero():
+            while not any(sym.entries):
                 ent = list(sym.entries)
                 for _ in range(3):
                     ent[rng.randrange(len(ent))] = Fraction(rng.randint(-4, 4),
@@ -1307,7 +1202,8 @@ def test_ext_k_rows_match_dense_pairing(a_name, b_name):
         assert [Fraction(ints[-1], d) for ints, d in eq_rows] == list(x.entries)
         ge, eq = _read_back(ge_rows), _read_back(eq_rows)
         sym = sym_basis(nB, k)
-        cols = [kron(basis_vector(nA, a), s) for a in range(nA) for s in sym]
+        cols = [kron(from_vector([int(i == a) for i in range(nA)]), s)
+                for a in range(nA) for s in sym]
         b_parts = [kron(*(from_vector(g, DUAL) for g in combo))
                    for combo in itertools.combinations_with_replacement(
                        based.cone.facets, k)]

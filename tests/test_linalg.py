@@ -7,8 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from coneext.linalg import (affine_rank, dot, greedy_independent, inverse,
-                            nullspace, primitive, rank, rref, solve,
-                            transpose, vec)
+                            nullspace, primitive, rank, solve, transpose, vec)
 from dense_reference import mat_vec
 
 
@@ -65,7 +64,7 @@ def test_rank_of_rref_agrees():
     rng = random.Random(29)
     for _ in range(50):
         rows = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        reduced, pivots = rref(rows)
+        pivots = _ref_rref(rows)[1]
         assert rank(rows) == len(pivots)
         # duplicating rows never changes rank
         assert rank(rows + rows) == len(pivots)
@@ -205,10 +204,7 @@ def test_kernels_match_the_fraction_reference():
     for trial in range(400):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
         rows = _awkward_matrix(rng, nrows, ncols)
-        m, pivots = rref(rows)
-        assert (m, pivots) == _ref_rref(rows), rows
-        assert _all_fractions(m)
-        assert rank(rows) == len(pivots)
+        assert rank(rows) == len(_ref_rref(rows)[1]), rows
         chosen = _ref_greedy(rows)
         assert greedy_independent(rows) == chosen
         assert greedy_independent(rows, 2) == chosen[:2]
@@ -236,8 +232,7 @@ def test_kernels_match_the_fraction_reference():
 
 
 def test_kernels_on_empty_inputs():
-    assert rref([]) == _ref_rref([]) == ([], [])
-    assert rank([]) == 0
+    assert rank([]) == len(_ref_rref([])[1]) == 0
     assert nullspace([], 3) == _ref_nullspace([], 3)
     assert solve([], ()) == ()
     assert inverse([]) == []
@@ -258,8 +253,7 @@ def test_dot_of_unequal_lengths_raises():
 def test_kernels_accept_iterators():
     """Rows and vectors may be any iterables, as with plain Fractions."""
     rows = [(1, Fraction(1, 2), 0), (2, 1, 0), (0, 0, Fraction(3, 4))]
-    assert rref(iter(r) for r in rows) == _ref_rref(rows)
-    assert rank([iter(r) for r in rows]) == 2
+    assert rank(iter(r) for r in rows) == len(_ref_rref(rows)[1]) == 2
     assert dot(iter(rows[0]), iter(rows[2])) == _ref_dot(rows[0], rows[2])
     assert primitive(a for a in rows[0]) == _ref_primitive(rows[0])
     assert nullspace(iter(r) for r in rows) == _ref_nullspace(rows, 3)

@@ -3,11 +3,8 @@
 import hashlib
 import importlib.util
 import inspect
-import os
 import random
-import subprocess
 import sys
-import textwrap
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
@@ -18,7 +15,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import coneext
 from coneext import linalg
 from coneext.hierarchy import ext_k_membership
 from coneext.linalg import clear_denominators, dot, vec
@@ -807,10 +803,9 @@ def test_multipliers_are_solved_from_a_mixed_final_basis(monkeypatch):
     assert all(type(m) is Fraction for m in out.certificate)
 
 
-def _solved_multiplier_moved_by_a_seventh():
-    """The message raised when the solved multiplier m_0 of the mixed-basis
-    LP is moved by 1/7 before the Farkas check, or None; raises nothing
-    itself, so it also reports under ``python -O``."""
+def test_a_solved_multiplier_moved_by_a_seventh_is_rejected(monkeypatch):
+    """The solved multiplier m_0 of the mixed-basis LP moved by 1/7 before
+    the Farkas check: x0 is free, so the combination stops vanishing on it."""
     from coneext import lp
 
     multipliers = lp._Tableau.multipliers
@@ -819,33 +814,9 @@ def _solved_multiplier_moved_by_a_seventh():
         m = multipliers(tab)
         return (m[0] + Fraction(1, 7), *m[1:])
 
-    lp._Tableau.multipliers = moved
-    try:
-        lp.solve(_MIXED_BASIS_LP)
-    except lp.CertificateError as err:
-        return str(err)
-    finally:
-        lp._Tableau.multipliers = multipliers
-    return None
-
-
-def test_a_solved_multiplier_moved_by_a_seventh_is_rejected():
-    # x0 is free, so the combination stops vanishing on it
-    assert "nonzero on a free variable" in _solved_multiplier_moved_by_a_seventh()
-
-
-def test_a_moved_solved_multiplier_is_rejected_under_python_O():
-    code = f"""
-        import sys
-        if __debug__:
-            sys.exit("not running under -O")
-        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
-        import test_lp
-        message = test_lp._solved_multiplier_moved_by_a_seventh()
-        if message is None or "nonzero on a free variable" not in message:
-            sys.exit(f"moved multiplier gave {{message!r}}")
-    """
-    _passes_under_python_O(code)
+    monkeypatch.setattr(lp._Tableau, "multipliers", moved)
+    with pytest.raises(lp.CertificateError, match="nonzero on a free variable"):
+        solve(_MIXED_BASIS_LP)
 
 
 # x0 free, x1 >= 0; x0 + x1 = 3/2 and 2 x0 - x1 = 1/3.  Phase 1 freezes x0
@@ -855,10 +826,13 @@ _FROZEN_LP = LpProblem.build(
     nonneg=(1,))
 
 
-def _solved_frozen_value_moved_by_a_seventh():
-    """The message raised when the solved value of the first frozen free
-    variable of _FROZEN_LP is moved by 1/7 before the point check, or None;
-    raises nothing itself, so it also reports under ``python -O``."""
+def test_frozen_value_is_solved_from_the_final_basis():
+    assert solve(_FROZEN_LP).point == (Fraction(11, 18), Fraction(8, 9))
+
+
+def test_a_solved_frozen_value_moved_by_a_seventh_is_rejected(monkeypatch):
+    """The solved value of the first frozen free variable of _FROZEN_LP moved
+    by 1/7 before the point check."""
     from coneext import lp
 
     extract_point = lp._Tableau.extract_point
@@ -868,36 +842,9 @@ def _solved_frozen_value_moved_by_a_seventh():
         x[tab.cols[tab.frozen[0]][1]] += Fraction(1, 7)
         return tuple(x)
 
-    lp._Tableau.extract_point = moved
-    try:
-        lp.solve(_FROZEN_LP)
-    except lp.CertificateError as err:
-        return str(err)
-    finally:
-        lp._Tableau.extract_point = extract_point
-    return None
-
-
-def test_frozen_value_is_solved_from_the_final_basis():
-    assert solve(_FROZEN_LP).point == (Fraction(11, 18), Fraction(8, 9))
-
-
-def test_a_solved_frozen_value_moved_by_a_seventh_is_rejected():
-    assert _solved_frozen_value_moved_by_a_seventh() == "equality row violated"
-
-
-def test_a_moved_frozen_value_is_rejected_under_python_O():
-    code = f"""
-        import sys
-        if __debug__:
-            sys.exit("not running under -O")
-        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
-        import test_lp
-        message = test_lp._solved_frozen_value_moved_by_a_seventh()
-        if message != "equality row violated":
-            sys.exit(f"moved frozen value gave {{message!r}}")
-    """
-    _passes_under_python_O(code)
+    monkeypatch.setattr(lp._Tableau, "extract_point", moved)
+    with pytest.raises(lp.CertificateError, match="^equality row violated$"):
+        solve(_FROZEN_LP)
 
 
 def test_a_kept_row_entry_moved_by_a_seventh_is_rejected():
@@ -1078,38 +1025,6 @@ def test_ext_k_certificates_solve_no_more_than_the_eq_rows(monkeypatch):
     assert 0 < unknowns[0] <= a_cone.dim * based.cone.dim
 
 
-def test_certificate_checks_survive_python_O():
-    """The re-sum of a conic decomposition raises under ``python -O``, which
-    strips ``assert`` statements."""
-    code = textwrap.dedent("""
-        import sys
-        from fractions import Fraction
-        from coneext import lp
-        if __debug__:
-            sys.exit("not running under -O")
-        # an LP answer whose weights do not re-sum to the target
-        lp.solve = lambda problem: lp.LpOutcome(
-            status=lp.FEASIBLE, point=(Fraction(2),))
-        try:
-            lp.conic_membership((1, 0), [(1, 1)])
-        except lp.CertificateError:
-            sys.exit(0)
-        sys.exit("member=True returned without a re-sum check")
-    """)
-    _passes_under_python_O(code)
-
-
-def _passes_under_python_O(code):
-    """Run ``code`` under ``python -O`` with this checkout's coneext; it
-    exits 0 when the check it tampers with raised."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coneext.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-
-
 def test_verifiers_raise_certificate_error():
     """Each verifier reports a bad certificate as ``CertificateError``
     itself, not as the bare ``AssertionError`` it derives from."""
@@ -1215,35 +1130,9 @@ def test_conic_resum_rejects_a_weight_moved_by_a_seventh(monkeypatch):
                 conic_membership(_FRACTIONAL_TARGET, _FRACTIONAL_GENS)
 
 
-def test_fractional_resum_survives_python_O():
-    code = f"""
-        import sys
-        from fractions import Fraction
-        from coneext import lp
-        if __debug__:
-            sys.exit("not running under -O")
-        gens, target = {_FRACTIONAL_GENS!r}, {_FRACTIONAL_TARGET!r}
-        weights = lp.conic_membership(target, gens).weights
-        for i in range(len(gens)):
-            for delta in (Fraction(1, 7), Fraction(-1, 7)):
-                bad = weights[:i] + (weights[i] + delta,) + weights[i + 1:]
-                lp.solve = lambda problem, bad=bad: lp.LpOutcome(
-                    status=lp.FEASIBLE, point=bad)
-                try:
-                    lp.conic_membership(target, gens)
-                except lp.CertificateError as err:
-                    if "re-sum" not in str(err):
-                        sys.exit(str(err))
-                    continue
-                sys.exit(f"weight {{i}} moved by {{delta}} passed the re-sum")
-    """
-    _passes_under_python_O(code)
-
-
 def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
     """An INFEASIBLE answer whose functional is nonnegative on the target
-    fails the separation check with ``CertificateError``, an explicit raise
-    that ``python -O`` keeps."""
+    fails the separation check with ``CertificateError``."""
     from coneext import lp
 
     monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(
@@ -1476,9 +1365,10 @@ def _separation(certificate):
         lp.solve = solve_
 
 
-def _seventh_survivors():
-    """(counts per check, the mutants that raised no ``CertificateError``);
-    raises nothing itself, so it also reports under ``python -O``."""
+def test_verifiers_reject_entries_moved_by_a_seventh():
+    """Fractional data: every point, Farkas and separating certificate
+    entry moved by 1/7 where that breaks a row, a sign or the separation
+    fails its check with ``CertificateError``."""
     from coneext import lp
 
     counts, survivors = {}, []
@@ -1489,32 +1379,10 @@ def _seventh_survivors():
         except lp.CertificateError:
             continue
         survivors.append((check.__name__, args))
-    return counts, survivors
-
-
-def test_verifiers_reject_entries_moved_by_a_seventh():
-    """Fractional data: every point, Farkas and separating certificate
-    entry moved by 1/7 where that breaks a row, a sign or the separation
-    fails its check with ``CertificateError``."""
-    counts, survivors = _seventh_survivors()
     assert survivors == []
-    assert min(counts.get(name, 0) for name in (
-        "verify_point", "verify_farkas")) >= 20, counts
+    assert set(counts) == {"verify_point", "verify_farkas", "_separation"}
+    assert min(counts["verify_point"], counts["verify_farkas"]) >= 20, counts
     assert counts["_separation"] == 4
-
-
-def test_seventh_moves_are_rejected_under_python_O():
-    code = f"""
-        import sys
-        if __debug__:
-            sys.exit("not running under -O")
-        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
-        import test_lp
-        counts, survivors = test_lp._seventh_survivors()
-        if survivors or len(counts) != 3:
-            sys.exit(f"{{counts}}: accepted {{survivors[:3]}}")
-    """
-    _passes_under_python_O(code)
 
 
 def test_every_certificate_message_is_raised(monkeypatch):

@@ -1,21 +1,25 @@
 """The runtime promise of the README: the package imports only the standard
-library and computes with no floating point."""
+library, computes with no floating point and checks the same under
+``python -O``."""
 
 import ast
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import coneext
-from coneext.cones import dualize, interior_point, min_columns
+from coneext.cones import dualize, interior_point, make_based, make_cone, min_columns
 from coneext.fixtures import (EB_LEVELS, based_cone, cone_names, fixture_text,
                               polytope, polytope_names)
 from coneext.formats import parse_point_file
 from coneext.hierarchy import (dual_hierarchy_k, ext_k_membership,
                                is_entanglement_breaking, omega_interior_test,
                                point_tensor)
-from coneext.lp import conic_membership
-from coneext.polytopes import SimplexFactorization
+from coneext.lp import LpProblem, conic_membership
+from coneext.polytopes import SimplexFactorization, polytope_from_vertices
 
 SRC = Path(coneext.__file__).resolve().parent
 
@@ -56,6 +60,63 @@ def test_every_import_is_relative_or_stdlib():
     assert outside == []
 
 
+_STRIPPED_WORDS = re.compile(r"\bassert\b|\b__debug__\b|\bsys\.flags\b")
+
+
+def _python_O_dependence(tree):
+    """(line, what) for each construct whose behaviour ``python -O`` changes:
+    an ``assert``, a read of ``__debug__`` or of ``sys.flags``, and any of
+    these words in a string that ``exec`` compiles."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert"
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            yield node.lineno, "__debug__"
+        elif (isinstance(node, ast.Attribute) and node.attr == "flags"
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            yield node.lineno, "sys.flags"
+        elif (isinstance(node, ast.ImportFrom) and node.module == "sys"
+              and any(alias.name == "flags" for alias in node.names)):
+            yield node.lineno, "sys.flags"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "exec"):
+            for part in ast.walk(node):
+                if (isinstance(part, ast.Constant) and isinstance(part.value, str)
+                        and _STRIPPED_WORDS.search(part.value)):
+                    yield part.lineno, f"exec template {part.value.strip()!r}"
+
+
+def _exec_calls(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "exec"]
+
+
+def test_python_O_dependence_scan_sees_each_construct():
+    for source, want in (("assert x", "assert"),
+                         ("if __debug__: pass", "__debug__"),
+                         ("import sys; sys.flags.optimize", "sys.flags"),
+                         ("from sys import flags", "sys.flags"),
+                         ("exec('def f(x):\\n    assert x')",
+                          "exec template 'def f(x):\\n    assert x'")):
+        assert [what for _, what in _python_O_dependence(ast.parse(source))] == [want]
+    assert list(_python_O_dependence(ast.parse("raise AssertionError('x')"))) == []
+
+
+def test_no_check_depends_on_python_O():
+    """``python -O`` strips ``assert`` statements and the code under
+    ``if __debug__:``, and nothing else, so a package without either, and
+    without a read of ``sys.flags``, checks the same under ``-O``.  The one
+    ``exec``, in ``records.record``, compiles templates scanned here too."""
+    found, execs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, line, what) for line, what in _python_O_dependence(tree)]
+        execs += [(path.name, line) for line in _exec_calls(tree)]
+    assert found == []
+    assert [name for name, _ in execs] == ["records.py"]
+
+
 def test_no_floating_point_outside_quad_scalar_float():
     found, allowed = [], []
     for path in sorted(SRC.glob("*.py")):
@@ -67,6 +128,30 @@ def test_no_floating_point_outside_quad_scalar_float():
     # the scan does see the conversion it exempts
     assert {(name, what) for name, _, what in allowed} >= {
         ("scalars.py", "float("), ("scalars.py", "2.0")}
+
+
+_SQUARE = based_cone("square").cone
+
+# each public entry point that takes numbers, with one entry ``bad`` among ints
+_ENTRY_CALLS = {
+    "make_cone": lambda bad: make_cone([(bad, 1), (1, 0)]),
+    "make_based": lambda bad: make_based(_SQUARE, (1, bad, 0)),
+    "point_tensor": lambda bad: point_tensor(_SQUARE, _SQUARE, [1] * 8 + [bad]),
+    "conic_membership target": lambda bad: conic_membership((bad, 1), [(1, 0), (0, 1)]),
+    "conic_membership generator": lambda bad: conic_membership((1, 1), [(1, 0), (bad, 1)]),
+    "polytope_from_vertices": lambda bad: polytope_from_vertices([(0, 0), (1, bad)]),
+    "LpProblem.build row": lambda bad: LpProblem.build(1, ge_rows=[((bad,), 1)]),
+    "LpProblem.build rhs": lambda bad: LpProblem.build(1, eq_rows=[((1,), bad)]),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("entry", list(_ENTRY_CALLS))
+def test_entry_points_refuse_float_and_str_entries(entry, bad):
+    """A float would be read as its binary value and a str parsed, so both
+    are refused with TypeError."""
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        _ENTRY_CALLS[entry](bad)
 
 
 def _point(filename, a_cone, b_cone):

@@ -75,7 +75,7 @@ def _dual_extreme_rays(cons, n):
     Returns (ray, tight set) pairs sorted by ray, each ray a primitive
     integer vector, a tuple of ints.
     """
-    base = greedy_independent(cons, n)
+    base = greedy_independent(cons)
     if len(base) < n:
         raise ConeError("cone is not full-dimensional")
     minv = inverse([cons[i] for i in base])

@@ -11,7 +11,8 @@ from __future__ import annotations
 from importlib import resources
 
 from .cones import make_based, make_cone
-from .formats import parse_cone_file, parse_polytope_file
+from .formats import parse_cone_file, parse_point_file, parse_polytope_file
+from .hierarchy import point_tensor
 from .polytopes import polytope_from_vertices
 
 
@@ -66,6 +67,16 @@ def based_cone(name):
 def polytope(name):
     _, _, vertices = parse_polytope_file(fixture_text(f"{name}.poly"))
     return polytope_from_vertices(vertices)
+
+
+def point(name, a_cone, b_cone):
+    """The point of ``name``.pt as a V_A ox V_B tensor; ValueError unless
+    the file's dims are (a_cone.dim, b_cone.dim)."""
+    _, dims, entries = parse_point_file(fixture_text(f"{name}.pt"))
+    if dims != (a_cone.dim, b_cone.dim):
+        raise ValueError(f"point {name} has dims {dims}, "
+                         f"not {(a_cone.dim, b_cone.dim)}")
+    return point_tensor(a_cone, b_cone, entries)
 
 
 # which polytopes factor into simplices (products of simplices)

@@ -160,8 +160,7 @@ def affine_rank(points):
     return rank([vec_sub(p, points[0]) for p in points[1:]])
 
 
-def greedy_independent(rows, target_rank=None):
-    """Indices of a maximal (or rank-``target_rank``) independent subset,
-    scanning in list order: the pivot columns of the rows taken as columns."""
-    pivots = _echelon(transpose(rows))[1]
-    return pivots if target_rank is None else pivots[:target_rank]
+def greedy_independent(rows):
+    """Indices of a maximal independent subset, scanning in list order: the
+    pivot columns of the rows taken as columns."""
+    return _echelon(transpose(rows))[1]

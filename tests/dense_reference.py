@@ -1,15 +1,17 @@
-"""Dense references that left ``coneext`` because no decision reaches them:
-the maximal tensor product as Kronecker products of facets, the
-vertex-facet pairing tensor with its orthogonality check, and a
-matrix-vector product.  The tests check the int routes and the decisions
-against them."""
+"""The tests' first-principles oracles.  Dense references that left
+``coneext`` because no decision reaches them: the maximal tensor product as
+Kronecker products of facets and membership in it, the vertex-facet pairing
+tensor with its orthogonality check, and a matrix-vector product.  And a
+re-check of a hull-commutation witness from incidence and stacked
+equations.  The tests check the int routes and the decisions against
+them."""
 
 import itertools
 from fractions import Fraction
 
 from coneext.hierarchy import ConsistencyError, _facet_centroids
-from coneext.linalg import dot
-from coneext.tensors import DUAL, from_vector, kron
+from coneext.linalg import affine_rank, dot, nullspace, solve
+from coneext.tensors import DUAL, from_vector, kron, pairing
 
 
 def max_tensor_halfspaces(*cones):
@@ -19,6 +21,12 @@ def max_tensor_halfspaces(*cones):
     for combo in itertools.product(*(c.facets for c in cones)):
         out.append(kron(*(from_vector(f, DUAL) for f in combo)))
     return out
+
+
+def _in_max(x, a_cone, based):
+    """Whether x lies in max(A, B): every f ox g pairs nonnegatively with it."""
+    return all(pairing(h, x) >= 0
+               for h in max_tensor_halfspaces(a_cone, based.cone))
 
 
 def _reduction_pairing(phi, points, psis, k):
@@ -50,3 +58,17 @@ def vertex_facet_tensor(based, k):
 
 def mat_vec(rows, x):
     return tuple(dot(r, x) for r in rows)
+
+
+def _recheck_witness(p, subset):
+    """Recompute both dimensions for a witness subset from first principles:
+    the face from incidence, the hull intersection from stacked equations."""
+    face = p.face_from_facets(subset)
+    rows = [p.functionals[j][1:] for j in subset]
+    rhs = [-p.functionals[j][0] for j in subset]
+    sol = solve(rows, rhs)
+    hull_dim = None if sol is None else len(nullspace(rows, p.ambient_dim))
+    if not face:
+        return hull_dim is not None
+    face_dim = affine_rank([p.vertices[i] for i in face])
+    return hull_dim is None or face_dim != hull_dim

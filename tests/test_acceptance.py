@@ -7,14 +7,11 @@ import time
 from fractions import Fraction
 
 from coneext.cones import ConeError, dualize, interior_point, is_simplicial, make_cone
-from coneext.fixtures import (EB_LEVELS, based_cone, cone, cone_names,
-                              fixture_text, polytope)
-from coneext.formats import parse_point_file
+from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, point, polytope
 from coneext.hierarchy import (apply_reduction, dual_hierarchy_k, ext_k_membership,
                                is_entanglement_breaking, min_tensor_generators,
-                               omega_interior_test, point_tensor, reduction_map)
-from coneext.linalg import affine_rank, dot, nullspace, primitive, rank
-from coneext.linalg import solve as lin_solve
+                               omega_interior_test, reduction_map)
+from coneext.linalg import dot, primitive, rank
 from coneext.lp import conic_membership
 from coneext.polytopes import (SimplexFactorization, affine_hull_commutes,
                                factor_as_simplices, is_simple, is_two_level)
@@ -23,7 +20,7 @@ from coneext.quantum import (ETA, build_X, psd_check_exact, sym_identity_extensi
 from coneext.scalars import QuadScalar
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, from_vector, kron,
                              pairing, reorder_slots, symmetric_project)
-from dense_reference import max_tensor_halfspaces
+from dense_reference import _recheck_witness, max_tensor_halfspaces
 from slices import _least_on_slice
 
 
@@ -127,11 +124,10 @@ def test_criterion_3_gap_points_certified():
     sq = cone("square")
     based = based_cone("square-skew")
     gens = [_entries(g) for g in min_tensor_generators(sq, based.cone)]
-    for fname, k in (("gap-k2.pt", 2), ("gap-k3.pt", 3)):
-        _, dims, entries = parse_point_file(fixture_text(fname))
-        x = point_tensor(sq, based.cone, entries)
+    for name, k in (("gap-k2", 2), ("gap-k3", 3)):
+        x = point(name, sq, based.cone)
         verdict = ext_k_membership(x, sq, based, k)
-        assert verdict.member, fname
+        assert verdict.member, name
         y = verdict.extension
         assert len(y.slots) == k + 1
         for i in range(1, k):
@@ -144,7 +140,7 @@ def test_criterion_3_gap_points_certified():
                 assert pairing(h, y) >= 0
         assert apply_reduction(y, based, k) == x
         chk = conic_membership(_entries(x), gens)
-        assert not chk.member, fname
+        assert not chk.member, name
         h = chk.separating
         assert dot(h, _entries(x)) < 0
         assert all(dot(h, g) >= 0 for g in gens)
@@ -203,8 +199,7 @@ def test_criterion_4_simplicial_collapse():
             pairs += 1
     assert pairs == 6
     sq = cone("square")
-    _, dims, entries = parse_point_file(fixture_text("box.pt"))
-    box = point_tensor(sq, sq, entries)
+    box = point("box", sq, sq)
     halfspaces = [_entries(h) for h in max_tensor_halfspaces(sq, sq)]
     assert all(dot(h, _entries(box)) >= 0 for h in halfspaces)
     gens = [_entries(g) for g in min_tensor_generators(sq, sq)]
@@ -214,18 +209,6 @@ def test_criterion_4_simplicial_collapse():
     assert dot(h, _entries(box)) < 0
     assert all(dot(h, g) >= 0 for g in gens)
     print("criterion 4: PASS (6 simplicial pairs collapse, square gap witnessed)")
-
-
-def _recheck_witness(p, subset):
-    face = p.face_from_facets(subset)
-    rows = [p.functionals[j][1:] for j in subset]
-    rhs = [-p.functionals[j][0] for j in subset]
-    sol = lin_solve(rows, rhs)
-    hull_dim = None if sol is None else len(nullspace(rows, p.ambient_dim))
-    if not face:
-        return hull_dim is not None
-    face_dim = affine_rank([p.vertices[i] for i in face])
-    return hull_dim is None or face_dim != hull_dim
 
 
 def test_criterion_5_hull_commutation_matches_structure():
@@ -324,8 +307,7 @@ def test_criterion_8_hierarchy_levels():
     assert count == 20
     sq = cone("square")
     based = based_cone("square")
-    _, dims, entries = parse_point_file(fixture_text("box-interior.pt"))
-    x = point_tensor(sq, based.cone, entries)
+    x = point("box-interior", sq, based.cone)
     result = dual_hierarchy_k(x, sq, based)
     assert result is not None and result.k <= 6
     yv = interior_point(based.cone)

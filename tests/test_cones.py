@@ -292,7 +292,7 @@ def test_pentagon_facet_count():
 # the certification makes three more.
 
 def _reference_dual_extreme_rays(constraints, n):
-    base = greedy_independent(constraints, n)
+    base = greedy_independent(constraints)
     if len(base) < n:
         raise ConeError("cone is not full-dimensional")
     minv = inverse([constraints[i] for i in base])

@@ -14,9 +14,9 @@ import pytest
 
 import coneext
 from coneext.cli import main
-from coneext.fixtures import (EB_LEVELS, FACTORABLE, UNFACTORABLE, cone_names,
-                              fixture_path, fixture_text, list_fixtures,
-                              polytope_names)
+from coneext.fixtures import (EB_LEVELS, FACTORABLE, UNFACTORABLE, based_cone, cone,
+                              cone_names, fixture_path, fixture_text, list_fixtures,
+                              point, polytope_names)
 from coneext.formats import (ParseError, parse_cone_file, parse_point_file,
                              parse_polytope_file, serialize_cone_file,
                              serialize_point_file, serialize_polytope_file)
@@ -46,6 +46,35 @@ def test_corpus_names_come_from_the_files():
         assert parse_polytope_file(fixture_text(f"{name}.poly"))[0] == name
     assert set(EB_LEVELS) == set(cone_names())
     assert sorted(FACTORABLE + UNFACTORABLE) == sorted(polytope_names())
+
+
+# the B of each shipped point, whose A is the square
+POINT_B = {"box": "square", "box-interior": "square", "gap-k2": "square-skew",
+           "gap-k3": "square-skew"}
+
+
+def test_every_shipped_point_loads_against_square_and_its_b():
+    assert set(POINT_B) == {fn[:-3] for fn in list_fixtures() if fn.endswith(".pt")}
+    sq = cone("square")
+    for name, b_name in POINT_B.items():
+        b = based_cone(b_name).cone
+        x = point(name, sq, b)
+        assert [s.dim for s in x.slots] == [sq.dim, b.dim]
+        dims = (sq.dim, b.dim)
+        assert serialize_point_file(name, dims, x.entries) == fixture_text(f"{name}.pt")
+
+
+def test_point_refuses_wrong_dims_and_unknown_names():
+    """A point is loaded only against cones of its file's dims, and the error
+    names it; an unknown name is a FileNotFoundError, as for ``fixture_path``."""
+    with pytest.raises(ValueError, match="point gap-k2 has dims"):
+        point("gap-k2", cone("square"), cone("cube"))
+    with pytest.raises(ValueError, match="point box has dims"):
+        point("box", cone("orthant2"), cone("square"))
+    with pytest.raises(FileNotFoundError):
+        point("no-such-point", cone("square"), cone("square"))
+    with pytest.raises(FileNotFoundError):
+        fixture_path("no-such-point.pt")
 
 
 def test_cone_parse_reports_line_numbers():

@@ -17,8 +17,7 @@ import coneext.hierarchy as hierarchy
 import coneext.lp as lp
 import coneext.polytopes as polytopes
 from coneext.cones import interior_point, make_based, make_cone
-from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, fixture_text
-from coneext.formats import parse_point_file
+from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, point
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                _arrangements, _check_extension, _ext_k_rows,
                                _facet_centroids, _pad_columns,
@@ -34,14 +33,8 @@ from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                              from_vector, kron, pairing, reorder_slots,
                              sym_basis, symmetric_project)
 import dense_reference
-from dense_reference import (_reduction_pairing, max_tensor_halfspaces,
+from dense_reference import (_in_max, _reduction_pairing, max_tensor_halfspaces,
                              vertex_facet_tensor)
-
-
-def _load_point(filename, a_cone, b_cone):
-    _, dims, entries = parse_point_file(fixture_text(filename))
-    assert dims == (a_cone.dim, b_cone.dim)
-    return point_tensor(a_cone, b_cone, entries)
 
 
 def _affine_base_point(rng, based):
@@ -238,16 +231,11 @@ def test_square_level_two_four_term_expansion():
 
 # -- level-k membership -----------------------------------------------------
 
-def _in_max(x, a_cone, based, k):
-    return all(pairing(h, x) >= 0
-               for h in max_tensor_halfspaces(a_cone, *([based.cone] * k)))
-
-
 def test_level_one_equals_max_product():
     rng = random.Random(37)
     sq = cone("square")
     based = based_cone("square")
-    box = _load_point("box.pt", sq, sq)
+    box = point("box", sq, sq)
     seen = {True: 0, False: 0}
     for trial in range(60):
         if trial % 3 == 0:
@@ -262,7 +250,7 @@ def test_level_one_equals_max_product():
             jitter = [Fraction(rng.randint(-1, 1), 8) for _ in range(9)]
             entries = [a + b for a, b in zip(box.entries, jitter)]
         x = point_tensor(sq, sq, entries)
-        direct = _in_max(x, sq, based, 1)
+        direct = _in_max(x, sq, based)
         verdict = ext_k_membership(x, sq, based, 1)
         assert verdict.member == direct
         seen[direct] += 1
@@ -272,8 +260,8 @@ def test_level_one_equals_max_product():
 def test_box_point_splits_max_from_min():
     sq = cone("square")
     based = based_cone("square")
-    box = _load_point("box.pt", sq, sq)
-    assert _in_max(box, sq, based, 1)
+    box = point("box", sq, sq)
+    assert _in_max(box, sq, based)
     gens = [g.entries for g in min_tensor_generators(sq, sq)]
     out = conic_membership(box.entries, gens)
     assert not out.member
@@ -284,7 +272,7 @@ def test_box_point_splits_max_from_min():
 def test_box_point_rejected_at_level_two_with_witness():
     sq = cone("square")
     based = based_cone("square")
-    box = _load_point("box.pt", sq, sq)
+    box = point("box", sq, sq)
     verdict = ext_k_membership(box, sq, based, 2)
     assert not verdict.member
     zeta = verdict.witness
@@ -313,14 +301,14 @@ def test_member_extension_certificate_chain():
     sq = cone("square")
     skew = based_cone("square-skew")
     phi = from_vector(skew.phi, DUAL)
-    gap2 = _load_point("gap-k2.pt", sq, sq)
+    gap2 = point("gap-k2", sq, sq)
     v2 = ext_k_membership(gap2, sq, skew, 2)
     assert v2.member
     y = v2.extension
     assert contract_slot(y, 2, phi) == gap2
     assert contract_slot(y, 1, phi) == gap2
 
-    gap3 = _load_point("gap-k3.pt", sq, sq)
+    gap3 = point("gap-k3", sq, sq)
     v3 = ext_k_membership(gap3, sq, skew, 3)
     assert v3.member
     y3 = v3.extension
@@ -395,10 +383,10 @@ EXT_K_LP_PINS = {
 }
 
 
-def _ext_k_case(point, b_name):
+def _ext_k_case(name, b_name):
     a_cone = based_cone("square").cone
     based = based_cone(b_name)
-    return _load_point(f"{point}.pt", a_cone, based.cone), a_cone, based
+    return point(name, a_cone, based.cone), a_cone, based
 
 
 @pytest.mark.parametrize("point,b_name,k", list(EXT_K_LP_PINS))
@@ -536,7 +524,7 @@ def extension_case(request):
     if name == "summed-min":
         x = _summed_min_point(a_cone, based.cone)
     else:
-        x = _load_point(f"{name}.pt", a_cone, based.cone)
+        x = point(name, a_cone, based.cone)
     verdict = ext_k_membership(x, a_cone, based, k)
     assert verdict.member
     index = itertools.product(range(len(a_cone.facets)),
@@ -780,7 +768,7 @@ def _accepted_resums(monkeypatch):
 
     monkeypatch.setattr(hierarchy, "_pad_resum_agrees", recording)
     sq = based_cone("square")
-    x = _load_point("box-interior.pt", sq.cone, sq.cone).scale(Fraction(1, 3))
+    x = point("box-interior", sq.cone, sq.cone).scale(Fraction(1, 3))
     halved = make_based(sq.cone, (2, 0, 0))
     assert dual_hierarchy_k(x, sq.cone, halved).k == 2
     assert is_entanglement_breaking(halved, 2).breaking
@@ -993,10 +981,10 @@ def test_omega_interior_test_refuses_a_flipped_strict_side(monkeypatch, name, k,
     avoidance side stays, and the two disagree."""
     based = based_cone(name)
     verts = based.base.vertices
-    point = verts[0] if at == "vertex" else [sum(c) / len(verts) for c in zip(*verts)]
+    moved = verts[0] if at == "vertex" else [sum(c) / len(verts) for c in zip(*verts)]
     assert omega_interior_test(based, k) == (at == "vertex")
     monkeypatch.setattr(hierarchy, "_facet_centroids",
-                        lambda base: [point] * len(base.functionals))
+                        lambda base: [moved] * len(base.functionals))
     with pytest.raises(ConsistencyError, match="interior test sides disagree"):
         omega_interior_test(based, k)
 
@@ -1017,7 +1005,7 @@ def test_dual_hierarchy_simplicial_pair_is_level_one():
 def test_dual_hierarchy_square_pair_needs_level_two():
     sq = cone("square")
     based = based_cone("square")
-    x = _load_point("box-interior.pt", sq, sq)
+    x = point("box-interior", sq, sq)
     res = dual_hierarchy_k(x, sq, based)
     assert res is not None
     assert res.k == 2
@@ -1039,14 +1027,14 @@ def test_dual_hierarchy_square_pair_needs_level_two():
 
 def test_dual_hierarchy_gives_none_past_k_max():
     sq = cone("square")
-    x = _load_point("box-interior.pt", sq, sq)
+    x = point("box-interior", sq, sq)
     assert dual_hierarchy_k(x, sq, based_cone("square"), k_max=1) is None
 
 
 def test_dual_hierarchy_refuses_k_max_below_one():
     """Refused before any work: the point is not even interior."""
     sq = cone("square")
-    box = _load_point("box.pt", sq, sq)
+    box = point("box", sq, sq)
     for k_max in (0, -1):
         with pytest.raises(ValueError, match="k_max must be at least 1"):
             dual_hierarchy_k(box, sq, based_cone("square"), k_max=k_max)
@@ -1073,7 +1061,7 @@ def test_dual_hierarchy_refuses_a_point_of_the_wrong_shape():
 def test_dual_hierarchy_requires_interior_point():
     sq = cone("square")
     based = based_cone("square")
-    box = _load_point("box.pt", sq, sq)
+    box = point("box", sq, sq)
     with pytest.raises(ValueError):
         dual_hierarchy_k(box, sq, based)
 
@@ -1081,7 +1069,7 @@ def test_dual_hierarchy_requires_interior_point():
 def test_dual_hierarchy_resum_accepts_the_true_weights(monkeypatch):
     _tamper_weights(monkeypatch, lambda weights, h, h_zero: None)
     sq = cone("square")
-    x = _load_point("box-interior.pt", sq, sq)
+    x = point("box-interior", sq, sq)
     assert dual_hierarchy_k(x, sq, based_cone("square")).k == 2
 
 
@@ -1089,7 +1077,7 @@ def test_dual_hierarchy_resum_accepts_the_true_weights(monkeypatch):
 def test_dual_hierarchy_resum_rejects_tampered_weights(monkeypatch, tamper):
     _tamper_weights(monkeypatch, tamper)
     sq = cone("square")
-    x = _load_point("box-interior.pt", sq, sq)
+    x = point("box-interior", sq, sq)
     with pytest.raises(ConsistencyError, match="re-sum|negative weight"):
         dual_hierarchy_k(x, sq, based_cone("square"))
 
@@ -1370,7 +1358,7 @@ def _dual_lp_cases():
     rng = random.Random(47)
     entries = [Fraction(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(6)]
     return {
-        "box-interior": (_load_point("box-interior.pt", sq, sq), sq,
+        "box-interior": (point("box-interior", sq, sq), sq,
                          based_cone("square")),
         "orthant2-orthant3": (point_tensor(a, cone("orthant3"), entries), a,
                               based_cone("orthant3")),

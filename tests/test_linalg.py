@@ -207,7 +207,6 @@ def test_kernels_match_the_fraction_reference():
         assert rank(rows) == len(_ref_rref(rows)[1]), rows
         chosen = _ref_greedy(rows)
         assert greedy_independent(rows) == chosen
-        assert greedy_independent(rows, 2) == chosen[:2]
         basis = nullspace(rows, ncols)
         assert basis == _ref_nullspace(rows, ncols) and _all_fractions(basis)
         rhs = [_entry(rng) for _ in rows]

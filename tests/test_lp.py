@@ -1,14 +1,11 @@
 """Exact simplex: verified points, Farkas refutations, conic membership."""
 
 import hashlib
-import importlib.util
 import inspect
 import random
-import sys
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,6 +17,7 @@ from coneext.hierarchy import ext_k_membership
 from coneext.linalg import clear_denominators, dot, vec
 from coneext.lp import (FEASIBLE, INFEASIBLE, LpProblem, conic_membership,
                         solve, verify_farkas, verify_point)
+from test_tools import ladder
 
 
 def test_infeasible_with_farkas_certificate():
@@ -235,6 +233,11 @@ def _pinned_corpus():
         yield LpProblem.build(nv, eq_rows=eqs, ge_rows=ges, nonneg=nonneg)
 
 
+def _corpus_lps():
+    """The pinned and then the random LPs."""
+    return (*_pinned_corpus(), *(p for _, p in _random_lps()))
+
+
 def _summary(out):
     def show(v):
         return "-" if v is None else " ".join(map(str, v))
@@ -295,21 +298,31 @@ def test_pinned_outcomes():
 
 # -- the pivot sequence and the tableau rows ---------------------------------
 
+def _observe_pivots(monkeypatch, before=None, after=None):
+    """Wrap every pivot made from here on: ``before(tab, r, c)`` runs ahead
+    of it and ``after(tab, r, c)`` once it is made."""
+    from coneext import lp
+
+    pivot = lp._Tableau.pivot
+
+    def observed(tab, r, c):
+        if before:
+            before(tab, r, c)
+        pivot(tab, r, c)
+        if after:
+            after(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", observed)
+
+
 @pytest.fixture
 def pivots(monkeypatch):
     """The (leaving row, entering column's tag, direction) of each pivot
     made from here on: the direction is -1 where a free column enters
     downward, at a negative entry of its row, and 1 otherwise."""
-    from coneext import lp
-
     seen = []
-    pivot = lp._Tableau.pivot
-
-    def recording(tab, r, c):
-        seen.append((r, tab.cols[c], 1 if tab.T[r][c] > 0 else -1))
-        pivot(tab, r, c)
-
-    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    _observe_pivots(monkeypatch, before=lambda tab, r, c: seen.append(
+        (r, tab.cols[c], 1 if tab.T[r][c] > 0 else -1)))
     return seen
 
 
@@ -393,22 +406,6 @@ EXT_K_PIVOT_PINS = {
 }
 
 
-def _load_ladder():
-    """tools/ladder.py, whose ``case`` builds the Ext_k points."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    ladder = importlib.util.module_from_spec(spec)
-    saved = list(sys.path)
-    try:
-        spec.loader.exec_module(ladder)
-    finally:
-        sys.path[:] = saved
-    return ladder
-
-
-ladder = _load_ladder()
-
-
 def _ext_k_case(point, b_name, k):
     """The arguments of ext_k_membership for a shipped point on square x B."""
     return (*ladder.case(point, b_name), k)
@@ -437,6 +434,14 @@ PENTAGON_DIAGONAL_PIVOT_PINS = {
 def test_pentagon_diagonal_leaves_the_apex(pivots, k):
     assert not ext_k_membership(*ladder.case("pentagon-diagonal"), k).member
     assert (len(pivots), _digest(pivots)) == PENTAGON_DIAGONAL_PIVOT_PINS[k]
+
+
+def _ext_k_corpus(*extra):
+    """The arguments of ext_k_membership for each Ext_k pin case, then for
+    each ``extra`` (point, B, k), then for the pentagon diagonal at each k
+    of its pins."""
+    return [*(_ext_k_case(*key) for key in (*EXT_K_PIVOT_PINS, *extra)),
+            *((*ladder.case("pentagon-diagonal"), k) for k in PENTAGON_DIAGONAL_PIVOT_PINS)]
 
 
 # Beale's LP (1955): min -3/4 x0 + 20 x1 - 1/2 x2 + 6 x3 over x >= 0 with
@@ -468,18 +473,14 @@ _BEALE_EQ = LpProblem.build(
 def _recorded_bases(monkeypatch):
     """The bases of every pivot made from here on, each after its pivot;
     more than 50 pivots raise."""
-    from coneext import lp
-
-    pivot = lp._Tableau.pivot
     bases = []
 
     def capped(tab, r, c):
         if len(bases) > 50:
             raise RuntimeError("more than 50 pivots: the run cycles")
-        pivot(tab, r, c)
-        bases.append(tuple(tab.basis))
 
-    monkeypatch.setattr(lp._Tableau, "pivot", capped)
+    _observe_pivots(monkeypatch, before=capped,
+                    after=lambda tab, r, c: bases.append(tuple(tab.basis)))
     return bases
 
 
@@ -557,10 +558,7 @@ def test_guarded_dantzig_agrees_with_bland(monkeypatch):
     pentagon diagonal at k=4, most of this test's time."""
     from coneext import hierarchy, lp
 
-    lps = [*_pinned_corpus(), *(p for _, p in _random_lps())]
-    cases = [_ext_k_case(*key) for key in EXT_K_PIVOT_PINS]
-    cases.extend((*ladder.case("pentagon-diagonal"), k)
-                 for k in PENTAGON_DIAGONAL_PIVOT_PINS)
+    lps, cases = _corpus_lps(), _ext_k_corpus()
     ext_k_lps = []
 
     def judged(problem):
@@ -590,37 +588,31 @@ def test_live_rows_stay_lexicographically_nonnegative(monkeypatch):
     lexicographic ratio test keeps every live row so after every pivot."""
     from coneext import lp
 
-    pivot = lp._Tableau.pivot
     rows = []
 
     def checking(tab, r, c):
-        pivot(tab, r, c)
         for row in tab.T:
             keys = (row.get(j, 0) for j in (lp._RHS, *range(tab.sur0, tab.art0)))
             assert next((a for a in keys if a), 0) >= 0
         rows.append(len(tab.T))
 
-    monkeypatch.setattr(lp._Tableau, "pivot", checking)
-    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
+    _observe_pivots(monkeypatch, after=checking)
+    for p in _corpus_lps():
         solve(p)
-    for key in EXT_K_PIVOT_PINS:
-        ext_k_membership(*_ext_k_case(*key))
-    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
+    for case in _ext_k_corpus():
+        ext_k_membership(*case)
     assert len(rows) >= 600, len(rows)
 
 
-def test_free_columns_enter_first(entering_costs):
+def test_free_columns_enter_first(entering):
     """Over the Ext_k pin cases and the pentagon diagonal's LPs, a
     sign-constrained column enters only when no free column has a nonzero
     reduced cost, and a free column enters at the largest reduced cost in
     absolute value among the free columns."""
-    for key in EXT_K_PIVOT_PINS:
-        ext_k_membership(*_ext_k_case(*key))
-    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
+    for case in _ext_k_corpus():
+        ext_k_membership(*case)
     kinds = set()
-    for tag, cost, free_costs in entering_costs:
+    for tag, cost, free_costs in entering:
         if free_costs:
             assert tag[0] == "var" and abs(cost) == max(free_costs), tag
         kinds.add(tag[0])
@@ -636,12 +628,9 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
     not basic or at a frozen column."""
     from coneext import lp
 
-    pivot = lp._Tableau.pivot
     downward = []
 
     def checking(tab, r, c):
-        downward.append(c in tab.free and tab.T[r][c] < 0)
-        pivot(tab, r, c)
         gone = set(range(tab.art0, len(tab.cols))) - set(tab.basis)
         gone.update(tab.frozen)
         for row, bcol in (*zip(tab.T, tab.basis), *zip(tab.kept, tab.frozen)):
@@ -653,8 +642,9 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
         assert not any(bcol in tab.z for bcol in tab.basis)
         assert gcd(*tab.z.values()) == 1
 
-    monkeypatch.setattr(lp._Tableau, "pivot", checking)
-    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
+    _observe_pivots(monkeypatch, before=lambda tab, r, c: downward.append(
+        c in tab.free and tab.T[r][c] < 0), after=checking)
+    for p in _corpus_lps():
         solve(p)
     assert len(downward) >= 200, len(downward)
     assert any(downward)  # some pivot entered a free column downward
@@ -662,37 +652,17 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
 
 @pytest.fixture
 def entering(monkeypatch):
-    """The tag of the entering column of each pivot made from here on."""
-    from coneext import lp
-
-    seen = []
-    pivot = lp._Tableau.pivot
-
-    def recording(tab, r, c):
-        seen.append(tab.cols[c])
-        pivot(tab, r, c)
-
-    monkeypatch.setattr(lp._Tableau, "pivot", recording)
-    return seen
-
-
-@pytest.fixture
-def entering_costs(monkeypatch):
     """(tag of the entering column, its reduced cost, the absolute reduced
     costs of the free columns not yet frozen) of each pivot made from here
     on."""
-    from coneext import lp
-
     seen = []
-    pivot = lp._Tableau.pivot
 
     def recording(tab, r, c):
         z = tab.z
-        seen.append((tab.cols[c], z[c],
+        seen.append((tab.cols[c], z.get(c, 0),
                      [abs(z[j]) for j in tab.free if j in z]))
-        pivot(tab, r, c)
 
-    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    _observe_pivots(monkeypatch, before=recording)
     return seen
 
 
@@ -700,14 +670,12 @@ def test_no_pivot_enters_an_artificial_column(entering):
     """Over the pinned and the random LPs, the Ext_k pin cases and the
     pentagon diagonal's LPs, every pivot enters a variable or surplus
     column."""
-    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
+    for p in _corpus_lps():
         solve(p)
-    for key in EXT_K_PIVOT_PINS:
-        ext_k_membership(*_ext_k_case(*key))
-    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
+    for case in _ext_k_corpus():
+        ext_k_membership(*case)
     assert len(entering) >= 300, len(entering)
-    assert {tag[0] for tag in entering} == {"var", "sur"}
+    assert {tag[0] for tag, _, _ in entering} == {"var", "sur"}
 
 
 def test_a_basic_free_variable_never_leaves(monkeypatch):
@@ -715,9 +683,6 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
     gap-k2 at k=5 and the pentagon diagonal's LPs, no pivot lets a free
     variable's column leave, and each free variable enters at most once in
     an LP."""
-    from coneext import lp
-
-    pivot = lp._Tableau.pivot
     entered = weakref.WeakKeyDictionary()  # tableau -> free variables entered
     leaving = []
 
@@ -730,16 +695,12 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
             seen = entered.setdefault(tab, set())
             assert into[1] not in seen, into
             seen.add(into[1])
-        pivot(tab, r, c)
 
-    monkeypatch.setattr(lp._Tableau, "pivot", checking)
-    for p in (*_pinned_corpus(), *(p for _, p in _random_lps())):
+    _observe_pivots(monkeypatch, before=checking)
+    for p in _corpus_lps():
         solve(p)
-    for key in (*EXT_K_PIVOT_PINS, ("gap-k3", "square-skew", 5),
-                ("gap-k2", "square-skew", 5)):
-        ext_k_membership(*_ext_k_case(*key))
-    for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-        ext_k_membership(*ladder.case("pentagon-diagonal"), k)
+    for case in _ext_k_corpus(("gap-k3", "square-skew", 5), ("gap-k2", "square-skew", 5)):
+        ext_k_membership(*case)
     # every kind of basic column has left, a nonnegative variable included
     assert set(leaving) == {"var", "sur", "art"}
     assert len(leaving) >= 800, len(leaving)
@@ -964,11 +925,7 @@ def test_certificate_routes_agree_with_gauss_jordan_on_the_pins():
     patches, seen = _against_gauss_jordan()
     with patches:
         verdicts = [solve(_MIXED_BASIS_LP).status, solve(_FROZEN_LP).status]
-        for key in EXT_K_PIVOT_PINS:
-            verdicts.append(ext_k_membership(*_ext_k_case(*key)).member)
-        for k in PENTAGON_DIAGONAL_PIVOT_PINS:
-            verdicts.append(
-                ext_k_membership(*ladder.case("pentagon-diagonal"), k).member)
+        verdicts.extend(ext_k_membership(*case).member for case in _ext_k_corpus())
     assert len(seen) == len(verdicts) == 2 + len(EXT_K_PIVOT_PINS) + len(
         PENTAGON_DIAGONAL_PIVOT_PINS)
     assert {True, False} <= set(verdicts)
@@ -1050,43 +1007,70 @@ def _bumped(v, j, new):
     return v[:j] + (new,) + v[j + 1:]
 
 
-def test_verifiers_reject_mutated_certificates():
-    """Change one entry of each pinned certificate in a way that makes it
-    invalid by construction; its verifier must reject every such change."""
-    tried = {FEASIBLE: 0, INFEASIBLE: 0}
+_LINE_GENS = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 2), Fraction(-1, 3)))
+_LINE_TARGET = (Fraction(1, 5), Fraction(-1, 7))
+
+
+def _separation(certificate):
+    """The separation check of ``conic_membership`` on the line query, for
+    an LP answer carrying ``certificate``."""
+    from coneext import lp
+
+    solve_ = lp.solve
+    lp.solve = lambda problem: lp.LpOutcome(status=lp.INFEASIBLE,
+                                            certificate=certificate)
+    try:
+        lp.conic_membership(_LINE_TARGET, _LINE_GENS)
+    finally:
+        lp.solve = solve_
+
+
+def _mutants(step):
+    """(verifier, args) for each pinned LP answer, checked valid first, with
+    one entry changed by ``step`` in a way that makes it invalid by
+    construction, plus the same for the separation check of a conic query."""
     for p in _pinned_corpus():
         out = solve(p)
-        rows = p.eq_rows + p.ge_rows
         free = [j for j in range(p.num_vars) if j not in p.nonneg]
         if out.status == INFEASIBLE:
             verify_farkas(p, out.certificate)
             ne = len(p.eq_rows)
-            for i, ((r, _), lam) in enumerate(zip(rows, out.certificate)):
-                mutants = []
-                if any(r[j] != 0 for j in free):
-                    # the combination stops vanishing on a free variable
-                    mutants.append(lam + 1)
-                if i >= ne and lam > 0:
-                    mutants.append(-lam)
-                for m in mutants:
-                    assert _rejects(verify_farkas, p, _bumped(out.certificate, i, m))
-                    tried[INFEASIBLE] += 1
+            for i, ((r, _), lam) in enumerate(zip(p.eq_rows + p.ge_rows, out.certificate)):
+                # the combination stops vanishing on a free variable
+                news = [lam + step, lam - step] if any(r[j] != 0 for j in free) else []
+                if i >= ne:
+                    news.append(-lam if lam else -step)  # a negative multiplier
+                for m in news:
+                    yield verify_farkas, (p, _bumped(out.certificate, i, m))
             continue
         verify_point(p, out.point)
-        for j in range(p.num_vars):
-            mutants = []
-            if any(r[j] != 0 for r, _ in p.eq_rows):
-                mutants.append(out.point[j] + 1)
+        for j, x in enumerate(out.point):
+            news = [x + step, x - step] if any(r[j] != 0 for r, _ in p.eq_rows) else []
             for r, b in p.ge_rows:
                 if r[j] != 0 and dot(r, out.point) == b:
                     # step off a tight inequality
-                    mutants.append(out.point[j] - (1 if r[j] > 0 else -1))
+                    news.append(x - step if r[j] > 0 else x + step)
             if j in p.nonneg:
-                mutants.append(Fraction(-1))
-            for m in mutants:
-                assert _rejects(verify_point, p, _bumped(out.point, j, m))
-                tried[FEASIBLE] += 1
-    assert all(n >= 20 for n in tried.values()), tried
+                news.append(-step)
+            for m in news:
+                yield verify_point, (p, _bumped(out.point, j, m))
+    # the generators span a line, so a separating functional vanishes on it
+    # and each certificate entry moved by the step stops vanishing there
+    cert = solve(LpProblem.build(2, eq_rows=[(g, t) for g, t in zip(
+        zip(*_LINE_GENS), _LINE_TARGET)], nonneg=(0, 1))).certificate
+    for i in range(len(cert)):
+        for m in (step, -step):
+            yield _separation, (_bumped(cert, i, cert[i] + m),)
+
+
+def test_verifiers_reject_mutated_certificates():
+    """Change one entry of each pinned certificate by 1 in a way that makes
+    it invalid by construction; its verifier must reject every such change."""
+    tried = {}
+    for check, args in _mutants(1):
+        assert _rejects(check, *args), (check.__name__, args)
+        tried[check.__name__] = tried.get(check.__name__, 0) + 1
+    assert min(tried["verify_point"], tried["verify_farkas"]) >= 20, tried
 
 
 def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
@@ -1311,60 +1295,6 @@ def test_excess_and_combination_refuse_a_length_mismatch():
         lp._combination(rows, (1, 1), 3)
 
 
-def _seventh_mutants():
-    """(verifier, args) for each pinned LP answer with one entry moved by
-    +-1/7 in a way that makes it invalid by construction, plus the same
-    for the separation check of a conic query."""
-    sevenths = (Fraction(1, 7), Fraction(-1, 7))
-    for p in _pinned_corpus():
-        out = solve(p)
-        free = [j for j in range(p.num_vars) if j not in p.nonneg]
-        if out.status == INFEASIBLE:
-            ne = len(p.eq_rows)
-            for i, ((r, _), lam) in enumerate(zip(p.eq_rows + p.ge_rows, out.certificate)):
-                # the combination stops vanishing on a free variable
-                moves = sevenths if any(r[j] != 0 for j in free) else ()
-                if i >= ne and lam == 0:
-                    moves += (Fraction(-1, 7),)
-                for m in moves:
-                    yield verify_farkas, (p, _bumped(out.certificate, i, lam + m))
-            continue
-        for j in range(p.num_vars):
-            moves = sevenths if any(r[j] != 0 for r, _ in p.eq_rows) else ()
-            for r, b in p.ge_rows:
-                if r[j] != 0 and dot(r, out.point) == b:
-                    moves += (Fraction(-1 if r[j] > 0 else 1, 7),)
-            if j in p.nonneg and out.point[j] == 0:
-                moves += (Fraction(-1, 7),)
-            for m in moves:
-                yield verify_point, (p, _bumped(out.point, j, out.point[j] + m))
-    # the generators span a line, so a separating functional vanishes on it
-    # and each certificate entry moved by 1/7 stops vanishing there
-    cert = solve(LpProblem.build(2, eq_rows=[(g, t) for g, t in zip(
-        zip(*_LINE_GENS), _LINE_TARGET)], nonneg=(0, 1))).certificate
-    for i in range(len(cert)):
-        for m in sevenths:
-            yield _separation, (_bumped(cert, i, cert[i] + m),)
-
-
-_LINE_GENS = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 2), Fraction(-1, 3)))
-_LINE_TARGET = (Fraction(1, 5), Fraction(-1, 7))
-
-
-def _separation(certificate):
-    """The separation check of ``conic_membership`` on the line query, for
-    an LP answer carrying ``certificate``."""
-    from coneext import lp
-
-    solve_ = lp.solve
-    lp.solve = lambda problem: lp.LpOutcome(status=lp.INFEASIBLE,
-                                            certificate=certificate)
-    try:
-        lp.conic_membership(_LINE_TARGET, _LINE_GENS)
-    finally:
-        lp.solve = solve_
-
-
 def test_verifiers_reject_entries_moved_by_a_seventh():
     """Fractional data: every point, Farkas and separating certificate
     entry moved by 1/7 where that breaks a row, a sign or the separation
@@ -1372,7 +1302,7 @@ def test_verifiers_reject_entries_moved_by_a_seventh():
     from coneext import lp
 
     counts, survivors = {}, []
-    for check, args in _seventh_mutants():
+    for check, args in _mutants(Fraction(1, 7)):
         counts[check.__name__] = counts.get(check.__name__, 0) + 1
         try:
             check(*args)

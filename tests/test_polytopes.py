@@ -11,10 +11,11 @@ import pytest
 from coneext import polytopes
 from coneext.fixtures import (FACTORABLE, UNFACTORABLE, based_cone, cone_names,
                               polytope, polytope_names)
-from coneext.linalg import affine_rank, dot, nullspace, solve
+from coneext.linalg import dot, nullspace, solve
 from coneext.polytopes import (FactorFailure, SimplexFactorization,
                                affine_hull_commutes, factor_as_simplices,
                                is_simple, is_two_level, polytope_from_vertices)
+from dense_reference import _recheck_witness
 
 EXPECTED_DIMS = {
     "triangle": (2,),
@@ -153,20 +154,6 @@ def test_hull_commutation_is_affine_invariant():
         for image in images:
             got, _ = affine_hull_commutes(polytope_from_vertices(image))
             assert got == want, name
-
-
-def _recheck_witness(p, subset):
-    """Recompute both dimensions for a witness subset from first principles:
-    the face from incidence, the hull intersection from stacked equations."""
-    face = p.face_from_facets(subset)
-    rows = [p.functionals[j][1:] for j in subset]
-    rhs = [-p.functionals[j][0] for j in subset]
-    sol = solve(rows, rhs)
-    hull_dim = None if sol is None else len(nullspace(rows, p.ambient_dim))
-    if not face:
-        return hull_dim is not None
-    face_dim = affine_rank([p.vertices[i] for i in face])
-    return hull_dim is None or face_dim != hull_dim
 
 
 def test_failure_witnesses_recheck():

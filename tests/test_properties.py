@@ -12,12 +12,10 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from coneext.cones import make_based, make_cone
-from coneext.fixtures import based_cone, fixture_text
-from coneext.formats import parse_point_file
+from coneext.fixtures import based_cone, point
 from coneext.hierarchy import ext_k_membership, min_tensor_generators, point_tensor
 from coneext.lp import conic_membership
-from coneext.tensors import pairing
-from dense_reference import max_tensor_halfspaces
+from dense_reference import _in_max, max_tensor_halfspaces
 from slices import _least_on_slice
 
 # min = max unless both factors are non-simplicial, so the chain draws A
@@ -72,11 +70,6 @@ def _draw_query(data, a_names, b_names):
                                    min_size=len(entries), max_size=len(entries)))
         entries = [e + d for e, d in zip(entries, noise)]
     return a_cone, based, gens, point_tensor(a_cone, based.cone, entries)
-
-
-def _in_max(x, a_cone, based):
-    return all(pairing(h, x) >= 0
-               for h in max_tensor_halfspaces(a_cone, based.cone))
 
 
 def _check_chain(a_cone, based, gens, x):
@@ -163,8 +156,7 @@ def test_chain_on_gap_points(point_file):
     """The shipped gap points sit in Ext_2 but outside min, and gap-k2 also
     outside Ext_3: regions random draws rarely reach."""
     a_cone, based, gens, _ = _pair("square", "square-skew")
-    _, _, entries = parse_point_file(fixture_text(point_file))
-    x = point_tensor(a_cone, based.cone, entries)
+    x = point(point_file.removesuffix(".pt"), a_cone, based.cone)
     assert _check_chain(a_cone, based, gens, x) == (False, True, True)
     assert ext_k_membership(x, a_cone, based, 3).member == GAP_EXT3[point_file]
 

@@ -14,11 +14,10 @@ import pytest
 
 import coneext
 from coneext.cones import BasedCone, Cone
-from coneext.fixtures import based_cone, cone, fixture_text, polytope
-from coneext.formats import parse_point_file
+from coneext.fixtures import based_cone, cone, point, polytope
 from coneext.hierarchy import (EbOutcome, EbTerm, ExtkVerdict, HierarchyResult,
                                dual_hierarchy_k, ext_k_membership,
-                               is_entanglement_breaking, point_tensor)
+                               is_entanglement_breaking)
 from coneext.lp import ConicOutcome, LpOutcome, LpProblem, conic_membership, solve
 from coneext.polytopes import (FactorFailure, Polytope, SimplexFactorization,
                                factor_as_simplices)
@@ -26,10 +25,6 @@ from coneext.quantum import AppendixClaim, verify_appendix
 from coneext.records import FrozenRecordError, record
 from coneext.scalars import QuadScalar
 from coneext.tensors import DUAL, PRIMAL, DenseTensor, Slot, from_vector
-
-
-def _point(name, a, b):
-    return point_tensor(a, b, parse_point_file(fixture_text(name))[2])
 
 
 _CLASSES = [Slot, DenseTensor, Cone, BasedCone, Polytope, SimplexFactorization,
@@ -42,8 +37,8 @@ def _samples():
     """Record class -> instances made by the package's own decisions, some
     equal to each other, most not."""
     sq, skew, based_sq = cone("square"), based_cone("square-skew"), based_cone("square")
-    verdicts = [ext_k_membership(_point(p, sq, sq), sq, skew, k)
-                for p, k in (("gap-k2.pt", 2), ("gap-k2.pt", 3), ("box.pt", 2))]
+    verdicts = [ext_k_membership(point(p, sq, sq), sq, skew, k)
+                for p, k in (("gap-k2", 2), ("gap-k2", 3), ("box", 2))]
     eb = [is_entanglement_breaking(based_cone(name), k)
           for name, k in (("triangle", 1), ("square", 1), ("square", 2))]
     claims = verify_appendix()
@@ -68,7 +63,7 @@ def _samples():
         ExtkVerdict: verdicts,
         EbTerm: [*eb[0].terms[:2], *eb[2].terms[:2]],
         EbOutcome: eb,
-        HierarchyResult: [dual_hierarchy_k(_point("box-interior.pt", sq, based_sq.cone),
+        HierarchyResult: [dual_hierarchy_k(point("box-interior", sq, based_sq.cone),
                                            sq, based_sq),
                           HierarchyResult(1, (Fraction(1),), ((0, (0,)),))],
         AppendixClaim: list(claims),

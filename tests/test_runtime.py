@@ -12,9 +12,8 @@ import pytest
 
 import coneext
 from coneext.cones import dualize, interior_point, make_based, make_cone, min_columns
-from coneext.fixtures import (EB_LEVELS, based_cone, cone_names, fixture_text,
-                              polytope, polytope_names)
-from coneext.formats import parse_point_file
+from coneext.fixtures import (EB_LEVELS, based_cone, cone_names, point, polytope,
+                              polytope_names)
 from coneext.hierarchy import (dual_hierarchy_k, ext_k_membership,
                                is_entanglement_breaking, omega_interior_test,
                                point_tensor)
@@ -154,11 +153,6 @@ def test_entry_points_refuse_float_and_str_entries(entry, bad):
         _ENTRY_CALLS[entry](bad)
 
 
-def _point(filename, a_cone, b_cone):
-    _, _, entries = parse_point_file(fixture_text(filename))
-    return point_tensor(a_cone, b_cone, entries)
-
-
 def test_decisions_return_only_ints_and_fractions():
     """The scan above cannot see an ``int / int``, which makes a float at run
     time; so the corpus decisions run, and every number they return must be
@@ -182,16 +176,16 @@ def test_decisions_return_only_ints_and_fractions():
             else:
                 scan("eb refutation", out.refutation)
     sq, skew = based_cone("square"), based_cone("square-skew")
-    for point, based, levels in (("gap-k2", skew, (1, 2, 3)), ("gap-k3", skew, (1, 2, 3)),
-                                 ("box", sq, (1, 2))):
-        x = _point(f"{point}.pt", sq.cone, based.cone)
+    for name, based, levels in (("gap-k2", skew, (1, 2, 3)), ("gap-k3", skew, (1, 2, 3)),
+                                ("box", sq, (1, 2))):
+        x = point(name, sq.cone, based.cone)
         for k in levels:
             out = ext_k_membership(x, sq.cone, based, k)
             if out.member:
                 scan("extension", out.extension.entries)
             else:
                 scan("witness", out.witness.entries)
-    res = dual_hierarchy_k(_point("box-interior.pt", sq.cone, sq.cone), sq.cone, sq)
+    res = dual_hierarchy_k(point("box-interior", sq.cone, sq.cone), sq.cone, sq)
     scan("dual weights", res.weights)
     assert wrong == []
     assert set(seen) == {"eb terms", "eb refutation", "extension", "witness",
@@ -229,8 +223,7 @@ def test_cone_data_are_ints_and_no_float_is_made():
     sq = based_cone("square").cone
     gens = min_columns(sq, sq)
     member = conic_membership([a + b for a, b in zip(gens[0], gens[1])], gens)
-    _, _, entries = parse_point_file(fixture_text("gap-k2.pt"))
-    outside = conic_membership(entries, gens)
+    outside = conic_membership(point("gap-k2", sq, sq).entries, gens)
     assert member.member and not outside.member
     scan("conic weights", [member.weights], exact)
     scan("separator", [outside.separating])

@@ -9,18 +9,33 @@ from pathlib import Path
 
 from coneext.fixtures import fixture_path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+ROOT = Path(__file__).resolve().parent.parent
 POINT_FILES = ("box.pt", "box-interior.pt", "gap-k2.pt", "gap-k3.pt")
+
+
+def load(relpath):
+    """The module at ``relpath`` of the checkout, loaded by path.  A tool puts
+    its own src/ first on ``sys.path``; the path is left as it was."""
+    path = ROOT / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+# tools/ladder.py, whose ``case`` also builds the Ext_k points of test_lp.py
+ladder = load("tools/ladder.py")
 
 
 def test_make_fixtures_reproduces_the_shipped_points(tmp_path, monkeypatch):
     """A run on an unchanged checkout leaves ``git status`` clean.  The gap
     points come from a cutting plane over ``ext_k_membership``: the largest
     step along a ray that stays in the level-k cone."""
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("make_fixtures", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load("tools/make_fixtures.py")
     monkeypatch.setattr(tool, "OUT", tmp_path)
     tool.main()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(POINT_FILES)
@@ -31,10 +46,7 @@ def test_make_fixtures_reproduces_the_shipped_points(tmp_path, monkeypatch):
 def test_every_traced_name_resolves():
     """The benchmark's tracer wraps each name of its ``TRACED`` table with
     ``getattr``; a helper removed from ``coneext`` breaks the traced run."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load("perfbench/tracer.py")
     assert tracer.TRACED
     for module, names in tracer.TRACED.items():
         mod = importlib.import_module(f"coneext.{module}")
@@ -48,11 +60,6 @@ def test_ladder_tool_counts_pivots_without_changing_a_verdict(capsys, monkeypatc
     measured directly counts its pivots, degenerate ones included."""
     from coneext import lp
 
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    path = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
     monkeypatch.setattr(ladder, "RUNGS", [("pentagon-diagonal", 2)])
     pivot, eliminate = lp._Tableau.pivot, lp._eliminate
     ladder.main()

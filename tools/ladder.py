@@ -11,8 +11,9 @@ outside; nothing under src/ changes, and the wrappers' cost is in the time.
 Run from the repository root:  python3 tools/ladder.py
 
 The tool imports ``coneext`` from the src/ of its own checkout, so two
-checkouts' ladders can be set side by side.  The tests build their Ext_k
-points with ``case``.
+checkouts' ladders can be set side by side.  The tests load the shipped
+points through ``coneext.fixtures.point``, as ``case`` does; ``case`` still
+builds the pentagon diagonal, which ships as no file.
 """
 
 import json
@@ -23,25 +24,23 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coneext import lp
-from coneext.fixtures import based_cone, fixture_text
-from coneext.formats import parse_point_file
+from coneext.fixtures import based_cone, point
 from coneext.hierarchy import ext_k_membership, point_tensor
 
 RUNGS = [*((p, k) for p in ("gap-k3", "gap-k2") for k in range(3, 7)),
          *(("pentagon-diagonal", k) for k in range(2, 5))]
 
 
-def case(point, b_name="square-skew"):
+def case(name, b_name="square-skew"):
     """(x, A, based B) of a point: the pentagon diagonal on
     pentagon x pentagon, or a shipped point on square x B."""
-    if point == "pentagon-diagonal":
+    if name == "pentagon-diagonal":
         based = based_cone("pentagon")
         n = based.cone.dim
         entries = [int(i == j) for i in range(n) for j in range(n)]
         return point_tensor(based.cone, based.cone, entries), based.cone, based
     a_cone, based = based_cone("square").cone, based_cone(b_name)
-    _, _, entries = parse_point_file(fixture_text(f"{point}.pt"))
-    return point_tensor(a_cone, based.cone, entries), a_cone, based
+    return point(name, a_cone, based.cone), a_cone, based
 
 
 def measure(point, k):

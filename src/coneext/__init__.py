@@ -13,7 +13,7 @@ import importlib
 # public name -> home module, grouped by module; a name is imported from its
 # module on first access (PEP 562), so ``import coneext`` loads no submodule
 _HOMES = {
-    "scalars": ("Rational", "QuadScalar", "SQRT2", "parse_rational", "format_rational"),
+    "scalars": ("QuadScalar", "SQRT2", "parse_rational", "format_rational"),
     "cones": ("Cone", "BasedCone", "ConeError", "make_cone", "make_based", "dualize",
               "is_simplicial", "interior_point"),
     "polytopes": ("Polytope", "SimplexFactorization", "FactorFailure",

@@ -59,8 +59,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .cones import interior_point, min_columns
-from .lp import (FEASIBLE, INFEASIBLE, CertificateError, LpProblem,
-                 conic_solve, solve)
+from .lp import FEASIBLE, LpProblem, conic_solve, solve
 from .linalg import clear_denominators, clear_rows, dot, primitive, vec
 from .polytopes import SimplexFactorization
 from .records import record
@@ -366,26 +365,6 @@ def _check_extension(x, a_cone, based, k, y):
         raise ConsistencyError("extension does not reduce to the query point")
 
 
-def _check_witness(zeta, mu, lam, a_cone, based, k):
-    """Exact re-verification of a refutation: with zeta = c (-mu), c > 0,
-    the weights c lam_h of the max half-spaces f ox Sym(g_combo) are
-    nonnegative and re-sum to the reduction-adjoint image Sym(zeta ox
-    phi^(k-1)) of zeta, which therefore lies in the minimal product of the
-    dual cones (``_pad_resum_agrees``, independent of the LP rows).
-    """
-    i = next(i for i, m in enumerate(mu) if m)
-    c = zeta.entries[i] / -mu[i]
-    nB = based.cone.dim
-    pairs = _ext_k_pairs(a_cone, based, k)
-    zetas = [zeta.entries[a * nB:(a + 1) * nB] for a in range(a_cone.dim)]
-    if c <= 0 or not _pad_resum_agrees([c * lam_h for lam_h in lam], pairs,
-                                       a_cone.facets, based.cone.facets,
-                                       zetas, based.phi, k):
-        raise ConsistencyError(
-            "witness multipliers have the wrong sign or the witness image "
-            "escaped the minimal product of the duals")
-
-
 def reduction_adjoint(based, k, zeta):
     """(Id ox adjoint-of-reduction)(zeta): pad with phi factors and
     symmetrize over the B-dual slots."""
@@ -451,8 +430,9 @@ def ext_k_membership(x, a_cone, based, k):
     Non-member: the primitive witness functional zeta = c (-mu), c > 0, from
     the Farkas multipliers mu of the eq rows, with zeta(x) < 0.  The
     multipliers of the max half-space rows decompose its reduction-adjoint
-    image in the minimal tensor product of the dual cones, re-checked by
-    ``_check_witness`` with no second LP.
+    image Sym(zeta ox phi^(k-1)) in the minimal tensor product of the dual
+    cones once scaled by c, re-checked by ``_pad_resum_agrees`` with no
+    second LP.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -464,14 +444,21 @@ def ext_k_membership(x, a_cone, based, k):
         y = _symmetric_extension(out.point, nA, nB, k)
         _check_extension(x, a_cone, based, k, y)
         return ExtkVerdict(member=True, k=k, extension=y)
-    if out.status != INFEASIBLE:
-        raise CertificateError(f"unexpected LP status {out.status!r}")
     mu, lam = out.certificate[:len(eq)], out.certificate[len(eq):]
     zeta_entries = primitive([-m for m in mu])
     zeta = DenseTensor((Slot(nA, DUAL), Slot(nB, DUAL)), zeta_entries)
     if pairing(zeta, x) >= 0:
         raise ConsistencyError("witness does not separate the query point")
-    _check_witness(zeta, mu, lam, a_cone, based, k)
+    # zeta = c (-mu) with c > 0, so c lam decomposes zeta's image
+    i = next(i for i, m in enumerate(mu) if m)
+    c = zeta_entries[i] / -mu[i]
+    zetas = [zeta_entries[a * nB:(a + 1) * nB] for a in range(nA)]
+    if not _pad_resum_agrees([c * lam_h for lam_h in lam],
+                             _ext_k_pairs(a_cone, based, k), a_cone.facets,
+                             based.cone.facets, zetas, based.phi, k):
+        raise ConsistencyError(
+            "witness multipliers have the wrong sign or the witness image "
+            "escaped the minimal product of the duals")
     return ExtkVerdict(member=False, k=k, witness=zeta)
 
 

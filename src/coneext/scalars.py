@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 SQRT2_TOKEN = "r2"
 
 

@@ -35,6 +35,7 @@ from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
 import dense_reference
 from dense_reference import (_in_max, _reduction_pairing, max_tensor_halfspaces,
                              vertex_facet_tensor)
+from test_tools import ladder
 
 
 def _affine_base_point(rng, based):
@@ -292,7 +293,7 @@ def test_witness_that_does_not_separate_is_refused(monkeypatch):
 
     monkeypatch.setattr(hierarchy, "solve", negated)
     with pytest.raises(ConsistencyError, match="does not separate"):
-        ext_k_membership(*_ext_k_case("box", "square"), 2)
+        ext_k_membership(*ladder.case("box", "square"), 2)
 
 
 def test_member_extension_certificate_chain():
@@ -383,12 +384,6 @@ EXT_K_LP_PINS = {
 }
 
 
-def _ext_k_case(name, b_name):
-    a_cone = based_cone("square").cone
-    based = based_cone(b_name)
-    return point(name, a_cone, based.cone), a_cone, based
-
-
 @pytest.mark.parametrize("point,b_name,k", list(EXT_K_LP_PINS))
 def test_ext_k_lps_are_pinned(monkeypatch, point, b_name, k):
     digests = []
@@ -400,7 +395,7 @@ def test_ext_k_lps_are_pinned(monkeypatch, point, b_name, k):
         return out
 
     monkeypatch.setattr(hierarchy, "solve", recording)
-    x, a_cone, based = _ext_k_case(point, b_name)
+    x, a_cone, based = ladder.case(point, b_name)
     ext_k_membership(x, a_cone, based, k)
     assert digests == [EXT_K_LP_PINS[point, b_name, k]]
 
@@ -429,7 +424,7 @@ def test_ext_k_lp_reaches_solve_cleared(monkeypatch, point, b_name, k):
     monkeypatch.setattr(lp.LpProblem, "build", staticmethod(refused))
     monkeypatch.setattr(lp, "_fraction_rows", refused)
     monkeypatch.setattr(hierarchy, "solve", entered)
-    ext_k_membership(*_ext_k_case(point, b_name), k)
+    ext_k_membership(*ladder.case(point, b_name), k)
     assert made == [True]
 
 
@@ -468,7 +463,7 @@ def test_pad_lps_reach_conic_solve_cleared(monkeypatch):
 
 
 def _gap_k2_extension():
-    x, a_cone, based = _ext_k_case("gap-k2", "square-skew")
+    x, a_cone, based = ladder.case("gap-k2", "square-skew")
     verdict = ext_k_membership(x, a_cone, based, 2)
     assert verdict.member
     return x, a_cone, based, verdict.extension
@@ -631,22 +626,36 @@ def _negate(cert, h, _):
     cert[h] = -cert[h]
 
 
+def _zero_all(cert, h, _):
+    cert[h:] = [0] * (len(cert) - h)
+
+
+def _negate_all(cert, h, _):
+    cert[h:] = [-c for c in cert[h:]]
+
+
+def _negate_eq(cert, h, _):
+    # flips zeta, which then fails to separate
+    cert[:h] = [-c for c in cert[:h]]
+
+
 WITNESS_CASES = [("box", "square", 2), ("gap-k2", "square-skew", 3)]
 
 
 @pytest.mark.parametrize("point,b_name,k", WITNESS_CASES)
 def test_witness_resum_accepts_the_true_multipliers(monkeypatch, point, b_name, k):
     _tamper_multipliers(monkeypatch, lambda cert, h, h_zero: None)
-    x, a_cone, based = _ext_k_case(point, b_name)
+    x, a_cone, based = ladder.case(point, b_name)
     assert not ext_k_membership(x, a_cone, based, k).member
 
 
-@pytest.mark.parametrize("tamper", [_scale, _move, _negate])
+@pytest.mark.parametrize("tamper", [_scale, _move, _negate, _zero_all,
+                                    _negate_all, _negate_eq])
 @pytest.mark.parametrize("point,b_name,k", WITNESS_CASES)
 def test_witness_resum_rejects_tampered_multipliers(monkeypatch, point, b_name,
                                                     k, tamper):
     _tamper_multipliers(monkeypatch, tamper)
-    x, a_cone, based = _ext_k_case(point, b_name)
+    x, a_cone, based = ladder.case(point, b_name)
     with pytest.raises(ConsistencyError, match="witness"):
         ext_k_membership(x, a_cone, based, k)
 
@@ -773,7 +782,7 @@ def _accepted_resums(monkeypatch):
     assert dual_hierarchy_k(x, sq.cone, halved).k == 2
     assert is_entanglement_breaking(halved, 2).breaking
     is_entanglement_breaking(based_cone("cube"), 3)
-    ext_k_membership(*_ext_k_case("box", "square"), 2)
+    ext_k_membership(*ladder.case("box", "square"), 2)
     monkeypatch.undo()
     return calls
 

@@ -1318,7 +1318,7 @@ def test_verifiers_reject_entries_moved_by_a_seventh():
 def test_every_certificate_message_is_raised(monkeypatch):
     """Each ``CertificateError`` message of the module comes from some bad
     certificate or tampered solver step."""
-    from coneext import hierarchy, lp
+    from coneext import lp
 
     # x0 >= 0 and x1 free, x0 + x1 = 2, x1 >= -5
     p = LpProblem.build(2, eq_rows=[((1, 1), 2)], ge_rows=[((0, 1), -5)],
@@ -1347,16 +1347,3 @@ def test_every_certificate_message_is_raised(monkeypatch):
         m.setattr(lp, "linear_solve", lambda rows, rhs: None)
         with pytest.raises(lp.CertificateError, match="basis is singular"):
             solve(_MIXED_BASIS_LP)
-
-    def unknown(problem):
-        # a status that solve never returns
-        return lp.LpOutcome(status="unknown")
-
-    with monkeypatch.context() as m:
-        m.setattr(lp, "solve", unknown)
-        with pytest.raises(lp.CertificateError, match="unexpected LP status"):
-            conic_membership((1, 0), [(1, 0)])
-    with monkeypatch.context() as m:
-        m.setattr(hierarchy, "solve", unknown)
-        with pytest.raises(lp.CertificateError, match="unexpected LP status"):
-            ext_k_membership(*_ext_k_case("box", "square", 1))

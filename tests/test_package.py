@@ -1,6 +1,7 @@
 """The package surface: ``import coneext`` is lazy, every public name still
-resolves, and a CLI call loads only the modules its subcommand uses and
-neither ``dataclasses`` nor ``inspect``."""
+resolves, the package imports only itself and the standard library, and a
+CLI call loads only the modules its subcommand uses and neither
+``dataclasses`` nor ``inspect``."""
 
 import ast
 import importlib
@@ -41,7 +42,7 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         coneext.no_such_name
     assert not hasattr(coneext, "ext_k_rows")
-    for name in ("vertex_facet_tensor", "max_tensor_halfspaces"):
+    for name in ("vertex_facet_tensor", "max_tensor_halfspaces", "Rational"):
         with pytest.raises(AttributeError, match=name):
             getattr(coneext, name)
     with pytest.raises(ImportError):
@@ -133,7 +134,9 @@ def test_a_cli_call_loads_only_its_subcommands_modules(tmp_path, command, preloa
     assert modules & _HEAVY <= preloaded
 
 
-def test_no_module_of_the_package_imports_a_heavy_module():
+def test_every_import_is_relative_or_stdlib():
+    """Each module of the package imports only itself and the standard
+    library, and none of ``_HEAVY``."""
     imported = set()
     for path in sorted((SRC / "coneext").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -142,6 +145,7 @@ def test_no_module_of_the_package_imports_a_heavy_module():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add((node.module.split(".")[0], path.name))
     assert ("fractions", "scalars.py") in imported
+    assert [pair for pair in imported if pair[0] not in sys.stdlib_module_names] == []
     assert [pair for pair in imported if pair[0] in _HEAVY] == []
 
 

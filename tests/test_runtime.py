@@ -1,10 +1,9 @@
-"""The runtime promise of the README: the package imports only the standard
-library, computes with no floating point and checks the same under
-``python -O``."""
+"""The runtime promise of the README: the package computes with no floating
+point and checks the same under ``python -O``.  Its import scan, standard
+library only, is in test_package.py."""
 
 import ast
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,21 +41,6 @@ def _quad_float(tree):
                 if isinstance(item, ast.FunctionDef) and item.name == "__float__":
                     return range(item.lineno, item.end_lineno + 1)
     return range(0)
-
-
-def test_every_import_is_relative_or_stdlib():
-    outside = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [(path.name, node.lineno, name) for name in names
-                        if name.split(".")[0] not in sys.stdlib_module_names]
-    assert outside == []
 
 
 _STRIPPED_WORDS = re.compile(r"\bassert\b|\b__debug__\b|\bsys\.flags\b")

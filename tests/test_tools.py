@@ -28,6 +28,7 @@ def load(relpath):
 
 
 # tools/ladder.py, whose ``case`` also builds the Ext_k points of test_lp.py
+# and test_hierarchy.py
 ladder = load("tools/ladder.py")
 
 

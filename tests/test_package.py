@@ -1,7 +1,7 @@
 """The package surface: ``import coneext`` is lazy, every public name still
-resolves, the package imports only itself and the standard library, and a
-CLI call loads only the modules its subcommand uses and neither
-``dataclasses`` nor ``inspect``."""
+resolves, no module of the package imports ``dataclasses`` or ``inspect``,
+and a CLI call loads only the modules its subcommand uses and neither of
+those two."""
 
 import ast
 import importlib
@@ -134,9 +134,10 @@ def test_a_cli_call_loads_only_its_subcommands_modules(tmp_path, command, preloa
     assert modules & _HEAVY <= preloaded
 
 
-def test_every_import_is_relative_or_stdlib():
-    """Each module of the package imports only itself and the standard
-    library, and none of ``_HEAVY``."""
+def package_imports():
+    """(top-level module, file name) for each absolute import in the
+    package: the one walk behind both import checks, this file's heavy-module
+    test and test_runtime's standard-library test."""
     imported = set()
     for path in sorted((SRC / "coneext").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -145,8 +146,11 @@ def test_every_import_is_relative_or_stdlib():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add((node.module.split(".")[0], path.name))
     assert ("fractions", "scalars.py") in imported
-    assert [pair for pair in imported if pair[0] not in sys.stdlib_module_names] == []
-    assert [pair for pair in imported if pair[0] in _HEAVY] == []
+    return imported
+
+
+def test_no_module_of_the_package_imports_a_heavy_module():
+    assert [pair for pair in package_imports() if pair[0] in _HEAVY] == []
 
 
 def test_every_private_helper_is_referenced_outside_its_own_body():

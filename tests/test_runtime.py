@@ -1,9 +1,10 @@
-"""The runtime promise of the README: the package computes with no floating
-point and checks the same under ``python -O``.  Its import scan, standard
-library only, is in test_package.py."""
+"""The runtime promise of the README: the package imports only the standard
+library, computes with no floating point and checks the same under
+``python -O``."""
 
 import ast
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from coneext.hierarchy import (dual_hierarchy_k, ext_k_membership,
                                point_tensor)
 from coneext.lp import LpProblem, conic_membership
 from coneext.polytopes import SimplexFactorization, polytope_from_vertices
+from test_package import package_imports
 
 SRC = Path(coneext.__file__).resolve().parent
 
@@ -41,6 +43,11 @@ def _quad_float(tree):
                 if isinstance(item, ast.FunctionDef) and item.name == "__float__":
                     return range(item.lineno, item.end_lineno + 1)
     return range(0)
+
+
+def test_every_import_is_relative_or_stdlib():
+    assert [pair for pair in package_imports()
+            if pair[0] not in sys.stdlib_module_names] == []
 
 
 _STRIPPED_WORDS = re.compile(r"\bassert\b|\b__debug__\b|\bsys\.flags\b")

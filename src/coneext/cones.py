@@ -21,8 +21,8 @@ import itertools
 from math import prod
 from operator import mul
 
-from .linalg import (dot, greedy_independent, inverse, is_zero_vec, primitive,
-                     rank, rational, vec)
+from .linalg import (dot, greedy_independent, inverse, primitive, rank,
+                     rational, vec)
 from .records import record
 
 
@@ -134,7 +134,7 @@ def make_cone(generators):
     gens = []
     seen = set()
     for g in map(rational, generators):
-        if is_zero_vec(g):
+        if not any(g):
             continue
         p = primitive(g)
         if p not in seen:

@@ -61,10 +61,6 @@ def dot(u, v):
     return Fraction(sum(map(mul, us, vs)), ud * vd)
 
 
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
-
-
 def primitive(u):
     """Scale to coprime ints, clearing denominators; direction kept."""
     ints, _ = clear_denominators(u)

@@ -149,22 +149,13 @@ class QuadScalar:
     def sign(self):
         """Exact sign via case analysis on the components; no radicals.
 
-        With mixed component signs the tie is decided by comparing p*p
-        against 2*q*q (sqrt2 irrational, so equality would force p = q = 0).
+        With mixed component signs the larger of p*p and 2*q*q decides;
+        sqrt2 is irrational, so the two are never equal.
         """
         p, q = self._p, self._q
-        sa = sign(p)
-        sb = sign(q)
-        if sa == 0:
-            return sb
-        if sb == 0:
-            return sa
-        if sa == sb:
-            return sa
-        d = p * p - 2 * q * q
-        if d == 0:
-            raise AssertionError("p^2 = 2 q^2 is impossible for nonzero integers")
-        return sa if d > 0 else sb
+        if p * q >= 0:
+            return sign(p) or sign(q)
+        return sign(p) if p * p > 2 * q * q else sign(q)
 
     def is_zero(self):
         return self._p == 0 and self._q == 0
@@ -192,9 +183,6 @@ class QuadScalar:
 
     def __ge__(self, other):
         return (self - QuadScalar.of(other)).sign() >= 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * (2.0 ** 0.5)
 
     # -- text form ----------------------------------------------------------
 

@@ -127,9 +127,6 @@ class QuadScalar:
     def __ge__(self, other):
         return (self - QuadScalar.of(other)).sign() >= 0
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * (2.0 ** 0.5)
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self):

@@ -33,6 +33,8 @@ def test_error_cases():
         make_cone([])
     with pytest.raises(ConeError):
         make_cone([(0, 0)])
+    with pytest.raises(ConeError, match="^mixed ambient dimensions$"):
+        make_cone([(1, 0), (1, 0, 0)])
 
 
 def test_make_based_refuses_a_ray():

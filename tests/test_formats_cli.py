@@ -112,6 +112,8 @@ def test_point_file_shape_checks():
         parse_point_file("point p\ndims 2 2\nrow 1 0\n")  # missing row
     with pytest.raises(ParseError):
         parse_point_file("point p\ndims 2 2\nrow 1 0 3\nrow 0 1\n")
+    with pytest.raises(ValueError, match="entry count does not match dims"):
+        serialize_point_file("p", (2, 2), (1, 2, 3))
 
 
 @pytest.mark.parametrize("parse,text,line,message", [
@@ -124,6 +126,9 @@ def test_point_file_shape_checks():
     (parse_point_file, "point p\ndims 1 2\nrow 1 0\nrow 0 1\n", 4,
      "point has 2 rows, expected 1"),
     (parse_cone_file, "cone x\ndim 2\nphi 1 1\nray 1 x\n", 4, "bad rational 'x'"),
+    (parse_cone_file, "cone -x\ndim 2\nray 1 0\n", 1, "bad name '-x'"),
+    (parse_cone_file, "cone x\nsize 2\nray 1 0\n", 2, "expected 'dim' with 1 integer(s)"),
+    (parse_cone_file, "cone x\ndim 2\nvertex 1 0\n", 3, "unexpected keyword 'vertex'"),
 ])
 def test_parse_errors_name_the_offending_line(parse, text, line, message):
     """An error found at the end of the file names the file's last line (at

@@ -233,6 +233,8 @@ def test_kernels_match_the_fraction_reference():
 def test_kernels_on_empty_inputs():
     assert rank([]) == len(_ref_rref([])[1]) == 0
     assert nullspace([], 3) == _ref_nullspace([], 3)
+    with pytest.raises(ValueError, match="^need ncols for an empty system$"):
+        nullspace([])
     assert solve([], ()) == ()
     assert inverse([]) == []
     assert dot((), ()) == 0 and type(dot((), ())) is Fraction

@@ -406,14 +406,9 @@ EXT_K_PIVOT_PINS = {
 }
 
 
-def _ext_k_case(point, b_name, k):
-    """The arguments of ext_k_membership for a shipped point on square x B."""
-    return (*ladder.case(point, b_name), k)
-
-
 @pytest.mark.parametrize("point,b_name,k", list(EXT_K_PIVOT_PINS))
 def test_ext_k_pivot_sequences(pivots, point, b_name, k):
-    ext_k_membership(*_ext_k_case(point, b_name, k))
+    ext_k_membership(*ladder.case(point, b_name), k)
     assert (len(pivots), _digest(pivots)) == EXT_K_PIVOT_PINS[point, b_name, k]
 
 
@@ -440,7 +435,8 @@ def _ext_k_corpus(*extra):
     """The arguments of ext_k_membership for each Ext_k pin case, then for
     each ``extra`` (point, B, k), then for the pentagon diagonal at each k
     of its pins."""
-    return [*(_ext_k_case(*key) for key in (*EXT_K_PIVOT_PINS, *extra)),
+    return [*((*ladder.case(point, b_name), k)
+              for point, b_name, k in (*EXT_K_PIVOT_PINS, *extra)),
             *((*ladder.case("pentagon-diagonal"), k) for k in PENTAGON_DIAGONAL_PIVOT_PINS)]
 
 
@@ -728,8 +724,8 @@ def test_one_column_per_variable(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "run", checking)
     for p in _pinned_corpus():
         solve(p)
-    for key in EXT_K_PIVOT_PINS:
-        ext_k_membership(*_ext_k_case(*key))
+    for point, b_name, k in EXT_K_PIVOT_PINS:
+        ext_k_membership(*ladder.case(point, b_name), k)
     assert sum(free) >= len(EXT_K_PIVOT_PINS), free
     assert len(inspect.signature(lp._eliminate).parameters) == 3
 
@@ -968,7 +964,7 @@ def test_ext_k_certificates_solve_no_more_than_the_eq_rows(monkeypatch):
         raise AssertionError("linear_solve reached")
 
     monkeypatch.setattr(lp, "linear_solve", refused)
-    assert ext_k_membership(*_ext_k_case("gap-k3", "square-skew", 3)).member
+    assert ext_k_membership(*ladder.case("gap-k3", "square-skew"), 3).member
     unknowns = []
 
     def recording(rows, rhs):
@@ -976,8 +972,8 @@ def test_ext_k_certificates_solve_no_more_than_the_eq_rows(monkeypatch):
         return linalg.solve(rows, rhs)
 
     monkeypatch.setattr(lp, "linear_solve", recording)
-    x, a_cone, based, k = _ext_k_case("gap-k2", "square-skew", 3)
-    assert not ext_k_membership(x, a_cone, based, k).member
+    x, a_cone, based = ladder.case("gap-k2", "square-skew")
+    assert not ext_k_membership(x, a_cone, based, 3).member
     assert len(unknowns) == 1
     assert 0 < unknowns[0] <= a_cone.dim * based.cone.dim
 

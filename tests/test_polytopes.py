@@ -12,7 +12,7 @@ from coneext import polytopes
 from coneext.fixtures import (FACTORABLE, UNFACTORABLE, based_cone, cone_names,
                               polytope, polytope_names)
 from coneext.linalg import dot, nullspace, solve
-from coneext.polytopes import (FactorFailure, SimplexFactorization,
+from coneext.polytopes import (FactorFailure, Polytope, SimplexFactorization,
                                affine_hull_commutes, factor_as_simplices,
                                is_simple, is_two_level, polytope_from_vertices)
 from dense_reference import _recheck_witness
@@ -183,6 +183,38 @@ def test_a_point_is_the_product_of_no_simplices():
     p = polytope_from_vertices([(Fraction(1), Fraction(2))])
     fact = factor_as_simplices(p)
     assert fact == SimplexFactorization((), (), ((),), ())
+
+
+def test_affine_hull_commutes_refuses_more_facets_than_the_cap():
+    """The 21-gon through (i, i^2) has one facet more than the cap, and the
+    function itself refuses it, whatever the CLI checks first."""
+    p = polytope_from_vertices([(i, i * i) for i in range(21)])
+    with pytest.raises(ValueError,
+                       match="^facet count 21 exceeds the 20 subset-iteration cap$"):
+        affine_hull_commutes(p)
+
+
+@pytest.mark.parametrize("functionals,directions,reason", [
+    # the square's four facets with the vertex (1, 1) left out
+    (((0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1)), ((1, 0), (0, 1)),
+     "facet grouping is not an equivalence relation"),
+    # three pairwise separated facets, one per vertex, on a recorded line:
+    # each facet is its own class, and no vertex avoids all three
+    (((0, 1, 1), (1, -1, 0), (1, 0, -1)), ((1, 0),),
+     "a vertex does not avoid exactly one facet per class"),
+])
+def test_factor_failures_of_hand_built_polytopes(functionals, directions, reason):
+    """Simple, two-level polytopes that no builder makes, put together by
+    hand, reach the two failures before the bijection check."""
+    p = Polytope(2, ((0, 0), (0, 1), (1, 0)), functionals, directions)
+    assert factor_as_simplices(p) == FactorFailure(reason)
+
+
+def test_polytope_from_vertices_refuses_bad_input():
+    with pytest.raises(ValueError, match="^no points given$"):
+        polytope_from_vertices([])
+    with pytest.raises(ValueError, match="^mixed ambient dimensions$"):
+        polytope_from_vertices([(0, 0), (1,)])
 
 
 def test_avoiding_sets_on_square():

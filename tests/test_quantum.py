@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coneext import quantum
 from coneext.quantum import (ETA, ONE, ZERO, AppendixError, build_X,
                              identity_operator, kron_operator,
                              operator, partial_transpose, psd_check_exact,
@@ -94,7 +95,8 @@ def test_psd_matches_eigenvalue_oracle():
         m = _random_symmetric(rng, n)
         if trial % 3 == 0:
             m = _gram(m)  # guaranteed PSD
-        arr = np.array([[float(m[(i, j)]) for j in range(n)] for i in range(n)])
+        arr = np.array([[m[(i, j)].a + m[(i, j)].b * np.sqrt(2) for j in range(n)]
+                        for i in range(n)])
         eigs = np.linalg.eigvalsh(arr)
         if min(abs(e) for e in eigs) < 1e-9:
             continue
@@ -244,6 +246,8 @@ def test_operator_map_shape_checks():
         partial_transpose(identity_operator(9), (3, 3), 2)
     with pytest.raises(ValueError):
         trace_product(identity_operator(3), identity_operator(4))
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        operator([[1, 0], [0]])
 
 
 def test_report_passes_all_claims():
@@ -257,6 +261,21 @@ def test_report_passes_all_claims():
     assert values["obstruction"]["trace_y_w"] == "0 + 0 r2"
     assert values["obstruction"]["w_psd"] == "False"
     assert values["obstruction"]["pad_strictly_pd"] == "True"
+
+
+@pytest.mark.parametrize("name,fake,message", [
+    ("psd_check_exact", lambda m, strict=False: False, "decomposition of Y failed"),
+    ("_gram_vectors", lambda real=quantum._gram_vectors: real()[:2],
+     "Gram extension of the corner operator failed"),
+    ("partial_transpose", lambda m, dims, which: m, "partial-transpose extension failed"),
+    ("trace_product", lambda x, y: QuadScalar(1, 0), "obstruction verification failed"),
+])
+def test_each_claim_refuses_a_broken_ingredient(monkeypatch, name, fake, message):
+    """With one ingredient of a claim broken, verify_appendix raises that
+    claim's message: the claims before it still pass."""
+    monkeypatch.setattr(quantum, name, fake)
+    with pytest.raises(AppendixError, match=f"^{message}$"):
+        verify_appendix()
 
 
 def test_y_decomposition_identity():

@@ -34,17 +34,6 @@ def _float_uses(tree):
             yield node.lineno, "float("
 
 
-def _quad_float(tree):
-    """The lines of ``QuadScalar.__float__``, the one place allowed floats:
-    the numpy oracle and the scalar tests convert through it."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "QuadScalar":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__float__":
-                    return range(item.lineno, item.end_lineno + 1)
-    return range(0)
-
-
 def test_every_import_is_relative_or_stdlib():
     assert [pair for pair in package_imports()
             if pair[0] not in sys.stdlib_module_names] == []
@@ -108,16 +97,14 @@ def test_no_check_depends_on_python_O():
 
 
 def test_no_floating_point_outside_quad_scalar_float():
-    found, allowed = [], []
+    """No float literal and no ``float(`` call anywhere in the package.  The
+    name dates from when ``QuadScalar.__float__`` was exempt."""
+    assert [what for _, what in _float_uses(ast.parse("float(x) + 2.0"))] == ["float(", "2.0"]
+    found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        exempt = _quad_float(tree)
-        for line, what in _float_uses(tree):
-            (allowed if line in exempt else found).append((path.name, line, what))
+        found += [(path.name, line, what) for line, what in _float_uses(tree)]
     assert found == []
-    # the scan does see the conversion it exempts
-    assert {(name, what) for name, _, what in allowed} >= {
-        ("scalars.py", "float("), ("scalars.py", "2.0")}
 
 
 _SQUARE = based_cone("square").cone

@@ -115,7 +115,8 @@ def test_comparison_operators():
     assert QuadScalar(3, 0) == 3
     assert QuadScalar(0, 1) != 1
     vals = [QuadScalar(0, 1), QuadScalar(1), QuadScalar(-1, 1), QuadScalar(2, -1)]
-    assert sorted(vals) == sorted(vals, key=float)
+    # sqrt2 - 1 < 2 - sqrt2 < 1 < sqrt2
+    assert sorted(vals) == [QuadScalar(-1, 1), QuadScalar(2, -1), QuadScalar(1), QuadScalar(0, 1)]
 
 
 def test_division_errors_and_inverse():
@@ -205,7 +206,6 @@ def test_arithmetic_agrees_with_the_fraction_pair_reference():
         for op in ("__lt__", "__le__", "__gt__", "__ge__"):
             assert getattr(x, op)(y) == getattr(rx, op)(ry)
             assert getattr(x, op)(r) == getattr(rx, op)(r)
-        assert float(x) == float(rx)
 
 
 def test_division_by_zero_agrees_with_the_reference():

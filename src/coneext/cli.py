@@ -84,8 +84,6 @@ def _load_based(path, phi_override):
         phi = phi_override
     if phi is None:
         raise SemanticError(f"{path}: no phi in file and no --phi given")
-    if len(phi) != cone.dim:
-        raise SemanticError(f"{path}: phi has {len(phi)} entries, cone has dim {cone.dim}")
     try:
         return name, make_based(cone, phi)
     except ValueError as e:
@@ -97,10 +95,7 @@ def _load_polytope_arg(args):
     from .polytopes import polytope_from_vertices
     if args.polytope is not None:
         name, ambient, verts = _read(args.polytope, parse_polytope_file)
-        try:
-            return name, polytope_from_vertices(verts)
-        except ValueError as e:
-            raise SemanticError(f"{args.polytope}: {e}")
+        return name, polytope_from_vertices(verts)
     name, based = _load_based(args.cone_b, args.phi)
     return name, based.base
 

@@ -215,7 +215,7 @@ def make_based(cone, phi):
         raise ConeError("a based cone needs dimension at least 2")
     phi = vec(phi)
     if len(phi) != cone.dim:
-        raise ConeError("phi dimension mismatch")
+        raise ConeError(f"phi has {len(phi)} entries, cone has dim {cone.dim}")
     for r in cone.rays:
         if dot(phi, r) <= 0:
             raise ConeError("phi is not strictly positive on the cone")

@@ -33,7 +33,7 @@ Sym(R ox pad^(k-1)) of R over generators head ox Sym(tails).  R is the
 witness, the identity or the query point; the pad is phi, phi or an interior
 point; the generators are f ox Sym(g..), vertex ox Sym(psi..) or
 ray_A ox Sym(rays_B..).  ``_pad_decompose`` solves the last two, and one
-judge, ``_pad_resum_agrees``, re-checks all three as degree-k forms on the
+judge, ``_check_pad``, re-checks all three as degree-k forms on the
 principal lattice, sharing no code with the formula above.  An extension is
 re-checked on ints by contraction with the facets, and with phi for its
 reduction, sharing no code with the formula either.
@@ -218,12 +218,10 @@ def _pad_columns(rows, pad, heads, tails, pairs, k):
 
 def _pad_decompose(rows, pad, heads, tails, pairs, k):
     """The ``ConicOutcome`` of the LP of ``_pad_columns``, a member's weights
-    re-checked by ``_pad_resum_agrees``."""
+    re-checked by ``_check_pad``."""
     check = conic_solve(len(pairs), _pad_columns(rows, pad, heads, tails, pairs, k))
-    if check.member and not _pad_resum_agrees(check.weights, pairs, heads,
-                                              tails, rows, pad, k):
-        raise ConsistencyError(
-            "pad decomposition has a negative weight or does not re-sum")
+    if check.member:
+        _check_pad(rows, pad, heads, tails, pairs, k, check.weights)
     return check
 
 
@@ -248,12 +246,13 @@ def _lattice(n, k):
             yield (first,) + rest
 
 
-def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
-    """The one judge of a symmetric-pad decomposition: whether the weights are
-    nonnegative and the columns of ``_pad_columns`` re-sum to Sym(R ox
-    pad^(k-1)), read per row o as forms: sum w heads[h][o] prod_(j in combo)
-    <tails[j], t> against <rows[o], t> <pad, t>^(k-1) at every point t of the
-    principal lattice.
+def _check_pad(rows, pad, heads, tails, pairs, k, weights):
+    """The one judge of a symmetric-pad certificate, the data of the LP of
+    ``_pad_columns`` and its weights: ConsistencyError unless the weights are
+    nonnegative and the pairs' columns re-sum to Sym(R ox pad^(k-1)), read
+    per row o as forms: sum w heads[h][o] prod_(j in combo) <tails[j], t>
+    against <rows[o], t> <pad, t>^(k-1) at every point t of the principal
+    lattice.
 
     The LP data this re-check judges, the pad target included, are
     coefficients of products of linear forms (``_sym_product``).  Here the
@@ -263,7 +262,7 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
     points once, before the loop over pairs.
     """
     if any(w < 0 for w in weights):
-        return False
+        raise ConsistencyError("pad decomposition has a negative weight")
     points = list(_lattice(len(pad), k))
 
     def values(v):
@@ -292,8 +291,7 @@ def _pad_resum_agrees(weights, pairs, heads, tails, rows, pad, k):
         lhs, rhs = dr * dp ** (k - 1), dw * dh
         target = [v * p for v, p in zip(values(row), pad_pow)]
         if [s * lhs for s in sums] != [v * rhs for v in target]:
-            return False
-    return True
+            raise ConsistencyError("pad decomposition does not re-sum")
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +379,23 @@ def _ext_k_pairs(a_cone, based, k):
     return [(combo, f) for f in range(len(a_cone.facets)) for combo in combos]
 
 
-def _ext_k_rows(x, a_cone, based, k):
+def _ext_k_rows(x, a_cone, based, pairs):
     """(ge, eq): the rows of the level-k LP for the point x over the columns
     (a, m), cleared as ``LpProblem`` takes them, each ``(ints, d)`` with the
     rhs last over the least common denominator d of the row.
 
     Column (a, m) is e_a ox sym_basis[m].  The ge rows, one per pair
-    (g, f) of ``_ext_k_pairs``, are f[a] Sym(g)[m] >= 0: max half-spaces
-    paired with the column, which is entry (a, m) of the pair in
-    ``_sym_head_ints`` with A's facets as heads, ``_joined`` with the rhs
-    0.  The eq rows, one per (i, j) in row-major order, are the reduced
-    columns read at (i, j) = x[i, j]: the reduction of sym_basis[m] read at
-    j is Sym(e_j ox phi^(k-1))[m], so block i is row j of the
-    ``_sym_pad_ints`` table of the unit rows ``_joined`` with x[i, j].  No
-    entry is ever a Fraction.
+    (g, f) of ``pairs``, the ``_ext_k_pairs`` of the level k = |g|, are
+    f[a] Sym(g)[m] >= 0: max half-spaces paired with the column, which is
+    entry (a, m) of the pair in ``_sym_head_ints`` with A's facets as
+    heads, ``_joined`` with the rhs 0.  The eq rows, one per (i, j) in
+    row-major order, are the reduced columns read at (i, j) = x[i, j]: the
+    reduction of sym_basis[m] read at j is Sym(e_j ox phi^(k-1))[m], so
+    block i is row j of the ``_sym_pad_ints`` table of the unit rows
+    ``_joined`` with x[i, j].  No entry is ever a Fraction.
     """
     nA, nB = a_cone.dim, based.cone.dim
-    pairs = _ext_k_pairs(a_cone, based, k)
-    multisets = _multisets(nB, k)
+    multisets = _multisets(nB, len(pairs[0][0]))
     ints, den = _sym_head_ints(a_cone.facets, based.cone.facets, pairs, multisets)
     ge = [_joined(itertools.chain.from_iterable(t), den, 0, 1) for t in ints]
     units = [[int(i == j) for j in range(nB)] for i in range(nB)]
@@ -431,13 +428,13 @@ def ext_k_membership(x, a_cone, based, k):
     the Farkas multipliers mu of the eq rows, with zeta(x) < 0.  The
     multipliers of the max half-space rows decompose its reduction-adjoint
     image Sym(zeta ox phi^(k-1)) in the minimal tensor product of the dual
-    cones once scaled by c, re-checked by ``_pad_resum_agrees`` with no
-    second LP.
+    cones once scaled by c, re-checked by ``_check_pad`` with no second LP.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     nA, nB = _point_dims(x, a_cone, based)
-    ge, eq = _ext_k_rows(x, a_cone, based, k)
+    pairs = _ext_k_pairs(a_cone, based, k)
+    ge, eq = _ext_k_rows(x, a_cone, based, pairs)
     problem = LpProblem(len(eq[0][0]) - 1, (*eq, *ge), len(eq), frozenset())
     out = solve(problem)
     if out.status == FEASIBLE:
@@ -453,12 +450,8 @@ def ext_k_membership(x, a_cone, based, k):
     i = next(i for i, m in enumerate(mu) if m)
     c = zeta_entries[i] / -mu[i]
     zetas = [zeta_entries[a * nB:(a + 1) * nB] for a in range(nA)]
-    if not _pad_resum_agrees([c * lam_h for lam_h in lam],
-                             _ext_k_pairs(a_cone, based, k), a_cone.facets,
-                             based.cone.facets, zetas, based.phi, k):
-        raise ConsistencyError(
-            "witness multipliers have the wrong sign or the witness image "
-            "escaped the minimal product of the duals")
+    _check_pad(zetas, based.phi, a_cone.facets, based.cone.facets, pairs, k,
+               [c * lam_h for lam_h in lam])
     return ExtkVerdict(member=False, k=k, witness=zeta)
 
 

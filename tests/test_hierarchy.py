@@ -19,9 +19,9 @@ import coneext.polytopes as polytopes
 from coneext.cones import interior_point, make_based, make_cone
 from coneext.fixtures import EB_LEVELS, based_cone, cone, cone_names, point
 from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
-                               _arrangements, _check_extension, _ext_k_rows,
-                               _facet_centroids, _pad_columns,
-                               _pad_resum_agrees, apply_reduction,
+                               _arrangements, _check_extension, _check_pad,
+                               _ext_k_pairs, _ext_k_rows, _facet_centroids,
+                               _pad_columns, apply_reduction,
                                dual_hierarchy_k, ext_k_membership,
                                is_entanglement_breaking,
                                min_tensor_generators, point_tensor,
@@ -656,7 +656,8 @@ def test_witness_resum_rejects_tampered_multipliers(monkeypatch, point, b_name,
                                                     k, tamper):
     _tamper_multipliers(monkeypatch, tamper)
     x, a_cone, based = ladder.case(point, b_name)
-    with pytest.raises(ConsistencyError, match="witness"):
+    with pytest.raises(ConsistencyError,
+                       match="re-sum|negative weight|does not separate"):
         ext_k_membership(x, a_cone, based, k)
 
 
@@ -747,35 +748,33 @@ def test_pad_resum_rejects_a_negative_weight_that_resums():
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     psis = [f[1:] for f in based.base.functionals]
     multis = _admissible_multisets(based, k)
-    rest = (based.base.vertices, psis, units, based.phi, k)
-    weights = list(conic_solve(len(multis), _pad_columns(
-        units, based.phi, based.base.vertices, psis, multis, k)).weights)
+    data = (units, based.phi, based.base.vertices, psis)
+    weights = list(conic_solve(len(multis), _pad_columns(*data, multis, k)).weights)
     h = next(i for i, w in enumerate(weights) if w)
     pairs = multis + [multis[h]]
     w = weights[h]
     split = weights[:h] + [w / 2] + weights[h + 1:] + [w / 2]
     signed = weights[:h] + [2 * w] + weights[h + 1:] + [-w]
-    assert _pad_resum_agrees(split, pairs, *rest)
-    assert not _pad_resum_agrees(signed, pairs, *rest)
+    _check_pad(*data, pairs, k, split)
+    with pytest.raises(ConsistencyError, match="has a negative weight"):
+        _check_pad(*data, pairs, k, signed)
 
 
 def _accepted_resums(monkeypatch):
-    """The arguments of every accepting ``_pad_resum_agrees`` call, each as
-    (weights, pairs, heads, tails, rows, pad, k), made with the square cone
+    """The arguments of every accepting ``_check_pad`` call, each as
+    (rows, pad, heads, tails, pairs, k, weights), made with the square cone
     based at phi = (2, 0, 0): by the dual hierarchy search on box-interior
     / 3, whose rows and pad are not integral, and by EB at k = 2, whose
     heads (the base vertices) are not; then by EB on cube and by the square
     x square refutation of box at k = 2."""
     calls = []
-    judge = hierarchy._pad_resum_agrees
+    judge = hierarchy._check_pad
 
     def recording(*args):
-        ok = judge(*args)
-        if ok:
-            calls.append(args)
-        return ok
+        judge(*args)
+        calls.append(args)
 
-    monkeypatch.setattr(hierarchy, "_pad_resum_agrees", recording)
+    monkeypatch.setattr(hierarchy, "_check_pad", recording)
     sq = based_cone("square")
     x = point("box-interior", sq.cone, sq.cone).scale(Fraction(1, 3))
     halved = make_based(sq.cone, (2, 0, 0))
@@ -799,28 +798,30 @@ def test_pad_resum_rejects_a_moved_pad_head_or_row(monkeypatch):
     refused once one pad entry, one coordinate of a head that carries
     weight, or one row entry is moved by 1/7.  With every tail halved and
     every weight times 2^k it is accepted again."""
-    calls = [c for c in _accepted_resums(monkeypatch) if c[-1] >= 2]
+    calls = [c for c in _accepted_resums(monkeypatch) if c[5] >= 2]
     assert len(calls) == 4
     def off_lattice(vectors):
         return any(Fraction(e).denominator > 1 for v in vectors for e in v)
 
-    assert any(off_lattice([pad]) for *_, pad, _ in calls)
-    assert any(off_lattice(rows) for *_, rows, _, _ in calls)
+    assert any(off_lattice([pad]) for _, pad, *_ in calls)
+    assert any(off_lattice(rows) for rows, *_ in calls)
     assert any(off_lattice(heads) for _, _, heads, *_ in calls)
-    for weights, pairs, heads, tails, rows, pad, k in calls:
+    def refused(*args):
+        with pytest.raises(ConsistencyError, match="does not re-sum"):
+            _check_pad(*args)
+
+    for rows, pad, heads, tails, pairs, k, weights in calls:
         halves = [[Fraction(e, 2) for e in v] for v in tails]
-        assert _pad_resum_agrees([w * 2 ** k for w in weights], pairs, heads,
-                                 halves, rows, pad, k)
+        _check_pad(rows, pad, heads, halves, pairs, k,
+                   [w * 2 ** k for w in weights])
         h = next(h for w, (_, h) in zip(weights, pairs) if w)
         for j in range(len(pad)):
-            assert not _pad_resum_agrees(weights, pairs, heads, tails, rows,
-                                         _moved([pad], 0, j)[0], k)
+            refused(rows, _moved([pad], 0, j)[0], heads, tails, pairs, k,
+                    weights)
         for o in range(len(heads[h])):
-            assert not _pad_resum_agrees(weights, pairs, _moved(heads, h, o),
-                                         tails, rows, pad, k)
+            refused(rows, pad, _moved(heads, h, o), tails, pairs, k, weights)
         for o, j in itertools.product(range(len(rows)), range(len(pad))):
-            assert not _pad_resum_agrees(weights, pairs, heads, tails,
-                                         _moved(rows, o, j), pad, k)
+            refused(_moved(rows, o, j), pad, heads, tails, pairs, k, weights)
 
 
 def _ordered_count(based, k):
@@ -1147,11 +1148,12 @@ def test_forms_agree_sees_every_monomial():
         for k in (1, 2, 3, 4):
             pairs = [(m, 0) for m in _sorted_reps(n, k)]
             weights = [_arrangements(m) for m, _ in pairs]
-            rest = (pairs, [[1]], units, [ones], ones, k)
-            assert _pad_resum_agrees(weights, *rest)
+            data = ([ones], ones, [[1]], units, pairs, k)
+            _check_pad(*data, weights)
             for i, (m, _) in enumerate(pairs):
                 off = weights[:i] + [weights[i] + 1] + weights[i + 1:]
-                assert not _pad_resum_agrees(off, *rest), m
+                with pytest.raises(ConsistencyError, match="does not re-sum"):
+                    _check_pad(*data, off)
 
 
 def _sorted_reps(n, k):
@@ -1194,7 +1196,8 @@ def test_ext_k_rows_match_dense_pairing(a_name, b_name):
                      [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in range(nA * nB)])
     for k in (1, 2, 3):
-        ge_rows, eq_rows = _ext_k_rows(x, a_cone, based, k)
+        ge_rows, eq_rows = _ext_k_rows(x, a_cone, based,
+                                       _ext_k_pairs(a_cone, based, k))
         assert all(ints[-1] == 0 for ints, _ in ge_rows)
         assert [Fraction(ints[-1], d) for ints, d in eq_rows] == list(x.entries)
         ge, eq = _read_back(ge_rows), _read_back(eq_rows)
@@ -1502,7 +1505,7 @@ def test_judges_share_no_hierarchy_function_with_the_builders():
         tree = ast.parse(fh.read())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-    judges = _reachable(functions, ("_pad_resum_agrees", "_check_extension"))
+    judges = _reachable(functions, ("_check_pad", "_check_extension"))
     builders = _reachable(functions, ("_ext_k_rows", "_pad_columns"))
     assert "_lattice" in judges and "_sym_head_ints" in builders
     assert judges.isdisjoint(builders), judges & builders

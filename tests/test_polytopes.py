@@ -210,6 +210,16 @@ def test_factor_failures_of_hand_built_polytopes(functionals, directions, reason
     assert factor_as_simplices(p) == FactorFailure(reason)
 
 
+def test_check_polytope_refuses_a_surplus_hull_direction():
+    """A segment of the x axis with the plane recorded as its hull: both
+    functionals are nonnegative on both vertices, but the two vertices span
+    a line, not the recorded plane.  With the line recorded it passes."""
+    p = Polytope(2, ((0, 0), (1, 0)), ((0, 1, 0), (1, -1, 0)), ((1, 0), (0, 1)))
+    with pytest.raises(AssertionError, match="does not span the recorded hull"):
+        polytopes._check_polytope(p)
+    polytopes._check_polytope(_replaced(p, hull_directions=((1, 0),)))
+
+
 def test_polytope_from_vertices_refuses_bad_input():
     with pytest.raises(ValueError, match="^no points given$"):
         polytope_from_vertices([])

@@ -236,15 +236,15 @@ def test_operator_maps_are_pinned():
 
 
 def test_operator_map_shape_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a 27x27 operator"):
         reduce_b_factors(identity_operator(9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a 9x9 operator"):
         sym_identity_extension(identity_operator(27))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor dimensions do not multiply"):
         partial_transpose(identity_operator(6), (3, 3), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor index out of range"):
         partial_transpose(identity_operator(9), (3, 3), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         trace_product(identity_operator(3), identity_operator(4))
     with pytest.raises(ValueError, match="^matrix is not square$"):
         operator([[1, 0], [0]])

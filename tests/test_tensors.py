@@ -69,7 +69,7 @@ def test_permutation_action_composes():
 def test_reorder_needs_a_permutation():
     t = kron(_unit(2, 0), _unit(3, 0))
     assert reorder_slots(t, (1, 0)) == kron(_unit(3, 0), _unit(2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a permutation"):
         reorder_slots(t, (0, 0))
 
 

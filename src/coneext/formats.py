@@ -4,10 +4,11 @@ Three kinds of file, all using "p/q" rationals, '#' comments, and blank
 lines, and one grammar: a header line ``KIND NAME``, a size line of
 positive integers, then one ``WORD q q q`` line per vector, each vector as
 long as the last size.  ``_read`` reads that grammar and ``_write`` writes
-it; each ``parse_*`` adds only its own kind's rule.  A parse error names
-the offending line, and an error found at the end of the file names its
-last line.  Serialization is canonical: parsing a serialized object and
-serializing it again reproduces the bytes exactly.
+it, refusing with ValueError what a parser would refuse, so every
+serialized file parses back; each ``parse_*`` adds only its own kind's
+rule.  A parse error names the offending line, and an error found at the
+end of the file names its last line.  Serialization is canonical: parsing
+a serialized object and serializing it again reproduces the bytes exactly.
 
 cone file:            polytope file:        point file:
     cone NAME             polytope NAME         point NAME
@@ -87,11 +88,24 @@ def _read(text, kind, field, count, words):
     return name, size[0] if count == 1 else size, vectors
 
 
-def _write(kind, name, field, sizes, lines):
-    """Canonical text of a file: the header, the size line, then one line
-    per ``(word, vector)`` of ``lines``."""
+def _write(kind, name, field, word, vectors, lead=(), more=()):
+    """Canonical text of a file: the header, the size line of ``lead`` and
+    then the vectors' length, one ``word`` line per vector of ``vectors``,
+    then the ``(word, vector)`` lines of ``more``.  ValueError on what a
+    ``parse_*`` would refuse, so that every file written parses back: a bad
+    name, no vectors, a size below 1, or lines of unequal length."""
+    if not _NAME_RE.fullmatch(name):
+        raise ValueError(f"bad name {name!r}")
+    if not vectors:
+        raise ValueError(f"{kind} file has no {word} lines")
+    lines = [*((word, v) for v in vectors), *more]
+    sizes = (*lead, len(vectors[0]))
+    if min(sizes) < 1:
+        raise ValueError(f"{field} must be positive")
+    if any(len(v) != sizes[-1] for _, v in lines):
+        raise ValueError(f"{kind} file lines of unequal length")
     out = [f"{kind} {name}", f"{field} " + " ".join(map(str, sizes))]
-    out += [word + " " + " ".join(format_rational(x) for x in v) for word, v in lines]
+    out += [w + " " + " ".join(format_rational(x) for x in v) for w, v in lines]
     return "\n".join(out) + "\n"
 
 
@@ -114,10 +128,8 @@ def parse_cone_file(text):
 
 
 def serialize_cone_file(name, rays, phi=None):
-    lines = [("ray", r) for r in rays]
-    if phi is not None:
-        lines.append(("phi", phi))
-    return _write("cone", name, "dim", (len(rays[0]),), lines)
+    return _write("cone", name, "dim", "ray", rays,
+                  more=() if phi is None else (("phi", phi),))
 
 
 def parse_polytope_file(text):
@@ -128,8 +140,7 @@ def parse_polytope_file(text):
 
 
 def serialize_polytope_file(name, vertices):
-    return _write("polytope", name, "ambient", (len(vertices[0]),),
-                  [("vertex", v) for v in vertices])
+    return _write("polytope", name, "ambient", "vertex", vertices)
 
 
 def parse_point_file(text):
@@ -146,5 +157,5 @@ def serialize_point_file(name, dims, entries):
     na, nb = dims
     if len(entries) != na * nb:
         raise ValueError("entry count does not match dims")
-    return _write("point", name, "dims", dims,
-                  [("row", entries[i * nb:(i + 1) * nb]) for i in range(na)])
+    return _write("point", name, "dims", "row",
+                  [entries[i * nb:(i + 1) * nb] for i in range(na)], lead=(na,))

@@ -1,8 +1,8 @@
 """Small exact linear-algebra toolkit.
 
 Vectors are tuples, matrices lists/tuples of row vectors, with int or
-Fraction entries; ``rational`` refuses any other entry for the public entry
-points.  ``primitive`` returns ints; ``dot`` and the eliminations
+Fraction entries; ``scalars.rational`` refuses any other entry for the
+public entry points.  ``primitive`` returns ints; ``dot`` and the eliminations
 (``nullspace``, ``solve``, ``inverse``) return Fractions.  The inner loops
 run on integer numerators over a cleared denominator: ``dot`` divides once,
 and ``_echelon`` is fraction-free Gauss-Jordan elimination (cf. Bareiss
@@ -16,15 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-
-def rational(entries):
-    """``entries`` as a tuple; TypeError unless each is an int or a Fraction,
-    so that a float is never read as its binary value, nor a str parsed."""
-    entries = tuple(entries)
-    for e in entries:
-        if not isinstance(e, (int, Fraction)):
-            raise TypeError(f"entry {e!r} is not an int or a Fraction")
-    return entries
+from .scalars import rational
 
 
 def vec(entries):

@@ -1,42 +1,31 @@
 """Exact rational feasibility with self-verifying certificates.
 
 An LP here has no objective: ``solve`` decides whether the rows have a
-solution, by phase 1 of the primal simplex with guarded Dantzig pricing.
-A free column with a nonzero reduced cost enters before any other, and
-otherwise the most negative price enters (``_Tableau.run``).  The ratio
-test breaks ties lexicographically, by the tied rows' entries at the
-surplus columns (Dantzig, Orden and Wolfe 1955), so the degenerate start
-of a problem with zero-rhs ge rows is left without stalling.  Bland's rule
-takes over for the rest of a run of degenerate pivots once it repeats a
-basis, which a tie the keys cannot break allows, so every run terminates
-and identical problems pivot identically.  The tableau
-is fraction-free and sparse, with one kind of row: a dict of int entries whose
-denominator is its own positive entry at its basic column.  The reduced
-costs of the phase 1 objective are one more such row, basic in an objective
-column.  One step, cross-multiplication over the union of two supports and
-a gcd reduction (Edmonds 1967), does every pivot and prices the cost row,
-so the tableau takes the same pivots as a dense tableau of Fractions while
-a pivot touches only nonzero entries.  Each variable has one column.  A
-free variable's column may enter whenever its reduced cost is nonzero, in
-the direction opposite to that cost's sign, and once basic it never leaves
-(Maros 2003, ch. 9): its row is taken out of the tableau, since neither
-pricing nor the ratio test reads it again, and kept as it stands, so that
-its value is back-substituted from it at the end.  An artificial column is
-deleted when it leaves the basis, so no artificial re-enters or is carried
-through later pivots.  An infeasible problem's Farkas multipliers come from
-the final basis (see ``solve``): a ge row's is read off the cost row at its
-surplus column, and only the eq rows whose artificial has left are solved
-for.  No floating point, no presolve.  The API takes int or Fraction rows
-and returns points, weights and Farkas certificates as Fractions, and a
-conic separator as primitive ints.  A problem holds its rows only cleared
-to integers (``LpProblem.int_rows``); the tableau, both re-checks below and
-the conic re-sum and separation check all read them, each an exact
-comparison.  ``build`` clears Fraction rows once.  A conic LP arrives
-as such rows, one per coordinate with the target's entry as the rhs:
-``conic_membership`` clears each coordinate of a list of generators once,
-the hierarchy builds its rows from ints, and both hand them to
-``conic_solve``.  Every outcome is re-verified against the original problem
-before it is returned:
+solution, by phase 1 of the primal simplex with guarded Dantzig pricing:
+free columns first, ratio ties broken lexicographically (Dantzig, Orden and
+Wolfe 1955), and Bland's rule once a run of degenerate pivots repeats a
+basis, so every run terminates and identical problems pivot identically
+(``_Tableau.run``).  The tableau is fraction-free and sparse, with one kind
+of row: a dict of int entries whose denominator is its own positive entry
+at its basic column.  The reduced costs of the phase 1 objective are one
+more such row.  One step, cross-multiplication over the union of two
+supports and a gcd reduction (Edmonds 1967), does every pivot and prices
+the cost row, so the tableau takes the same pivots as a dense tableau of
+Fractions while a pivot touches only nonzero entries.  A free variable that
+enters is frozen and an artificial that leaves is deleted (``solve``); an
+infeasible problem's Farkas multipliers come from the final basis
+(``_Tableau.multipliers``).  No floating point, no presolve.  The API
+takes int or Fraction rows and returns points, weights and Farkas
+certificates as Fractions, and a conic separator as primitive ints.  A
+problem holds its rows only cleared to integers (``LpProblem.int_rows``);
+the tableau and the two judges below, ``verify_point`` and
+``verify_farkas``, read them, each judge an exact comparison.  ``build``
+clears Fraction rows once.  A conic LP arrives as such rows, one per
+coordinate with the target's entry as the rhs: ``conic_membership`` clears
+each coordinate of a list of generators once, the hierarchy builds its rows
+from ints, and both hand them to ``conic_solve``, which judges the weights
+or the separator it returns with the same two judges.  Every outcome is
+re-verified against the original problem before it is returned:
 
 * feasible: the point satisfies every row exactly;
 * infeasible: Farkas multipliers (free on equality rows, nonnegative on
@@ -54,9 +43,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import clear_denominators, primitive, rational
+from .linalg import clear_denominators, primitive
 from .linalg import solve as linear_solve
 from .records import record
+from .scalars import rational
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -194,50 +184,44 @@ class _Tableau:
     denominator: the real row is ``T[i] / T[i][basis[i]]``.  The reduced-
     cost row ``z`` is one more such row, basic in the objective column
     ``_OBJ``, so that ``-z[_RHS] / z[_OBJ]`` is the objective value.  Every
-    row is kept gcd-reduced over its nonzeros.  Columns are described by
-    tags: ("var", j) for x_j, which is column j, ("sur", i) for the
-    surplus of ge row i, ("art", i) for the artificial of standard row i.
+    row is kept gcd-reduced over its nonzeros.  A column is a position:
+    x_j is column j, the surplus of ge row i is column ``sur0 + i``, and
+    the artificial of problem row r, if it has one, is column ``art0 + r``.
     ``free`` holds the columns of the free variables.  Once a free column
     is basic, its row leaves ``T`` and ``basis`` for ``kept`` and the
-    column joins ``frozen``: the full basis is ``basis`` and ``frozen``."""
+    column joins ``frozen``: the full basis is ``basis`` and ``frozen``.
+    The tableau starts at phase 1: each row basic in its artificial or its
+    surplus, and ``z`` pricing the sum of the artificials."""
 
     def __init__(self, problem):
         self.problem = problem
-        # each row times d, the least common denominator of its entries;
-        # ints[-1] is the rhs times d, so it has the sign of the rhs
         ne, nv = problem.num_eq, problem.num_vars
-        rows = [(ints, d, i - ne if i >= ne else None)
-                for i, (ints, d) in enumerate(problem.int_rows)]
-        self.cols = [("var", j) for j in range(nv)]
         self.free = {j for j in range(nv) if j not in problem.nonneg}
-        self.sur0 = nv
-        self.cols.extend(("sur", i) for i in range(len(rows) - ne))
-        self.art0 = len(self.cols)
-        self.sigma = []
-        self.T = []
-        self.basis = []
+        self.sur0, self.art0 = nv, nv + len(problem.int_rows) - ne
+        self.sigma, self.T, self.basis = [], [], []
         self.frozen = []  # basic free columns, whose rows are gone
         self.kept = []  # the row each frozen column took out, as it left
-        for ridx, (ints, d, surplus) in enumerate(rows):
-            b = ints[-1]
+        # row r is sigma_r times ints, the problem row times d, the least
+        # common denominator of its entries: ints[-1] has the rhs's sign
+        for r, (ints, d) in enumerate(problem.int_rows):
+            b, sur = ints[-1], self.sur0 + r - ne
             # a ge row with nonpositive rhs is flipped so its surplus column
-            # can start basic; only the remaining rows need an artificial
-            flipped = surplus is not None and b <= 0
+            # starts basic; only the remaining rows need an artificial
+            flipped = r >= ne and b <= 0
             sg = -1 if flipped or b < 0 else 1
-            self.sigma.append(sg)
             row = {c: sg * a for c, a in enumerate(ints[:-1]) if a}
-            if surplus is not None:
-                row[self.sur0 + surplus] = -sg * d
+            if r >= ne:
+                row[sur] = -sg * d
             if b:
                 row[_RHS] = sg * b
+            bcol = sur if flipped else self.art0 + r
+            row[bcol] = d  # the basic entry is d > 0 either way
+            self.sigma.append(sg)
             self.T.append(row)
-            # the basic entry is d > 0 either way
-            if flipped:
-                self.basis.append(self.sur0 + surplus)
-            else:
-                row[len(self.cols)] = d
-                self.basis.append(len(self.cols))
-                self.cols.append(("art", ridx))
+            self.basis.append(bcol)
+        # phase 1 costs 1 at each artificial: row r starts basic in column
+        # art0 + r exactly when it has one
+        self.set_costs([0] * self.art0 + [int(c >= self.art0) for c in self.basis])
 
     def set_costs(self, costs):
         """The row ``z`` of reduced costs ``costs - c_B . rows`` for the
@@ -368,7 +352,8 @@ class _Tableau:
         is -sigma_i e_i at cost 0, and its reduced cost is
         0 - y . (-sigma_i e_i) = m_i: ge row i reads m_i off the cost row as
         z[sur_i] / z[_OBJ], 0 where the surplus is basic.  A basic
-        artificial of eq row i (cost 1, column e_i) gives y_i = 1.  The
+        artificial of row i (cost 1, column e_i) gives y_i = 1, so
+        m_i = sigma_i, which a ge row's surplus reads as well.  The
         other eq rows, whose artificial has left, are solved from
         y . a_j = 0 at each basic variable column j: sum_i m_i A_ij = 0.
         The artificial and surplus columns of B are multiples of unit
@@ -383,11 +368,11 @@ class _Tableau:
         scaled = [None] * ne + [self.z.get(c, 0) for c in range(self.sur0, self.art0)]
         var_cols = []
         for bcol in (*self.basis, *self.frozen):
-            tag = self.cols[bcol]
-            if tag[0] == "art" and tag[1] < ne:
-                scaled[tag[1]] = self.sigma[tag[1]] * zo
-            elif tag[0] == "var":
-                var_cols.append(tag[1])
+            if bcol >= self.art0:
+                r = bcol - self.art0
+                scaled[r] = self.sigma[r] * zo
+            elif bcol < self.sur0:
+                var_cols.append(bcol)
         known = [i for i, m in enumerate(scaled) if m]
         unknown = [i for i, m in enumerate(scaled) if m is None]
         # sum_i m_i ints_i[j] / d_i = 0 at each basic variable column j;
@@ -522,8 +507,6 @@ def solve(problem):
       entry while its artificial is basic, so the guard stays.
     """
     tab = _Tableau(problem)
-    art0 = tab.art0
-    tab.set_costs([0] * art0 + [1] * (len(tab.cols) - art0))
     if tab.run() != "optimal":
         raise CertificateError("phase 1 unbounded, but it is bounded below by zero")
     if tab.value > 0:
@@ -561,21 +544,19 @@ def conic_solve(count, rows):
     one per coordinate: the generators' entries and then the target's.
 
     Member: nonnegative weights whose combination re-sums to the target
-    exactly.  Non-member: a separating functional derived from the Farkas
-    certificate, normalized to a primitive integer vector.
+    exactly, judged by ``verify_point``.  Non-member: a separating
+    functional derived from the Farkas certificate, normalized to a
+    primitive integer vector, and judged by ``verify_farkas`` as the
+    certificate it negates.
     """
     # one eq row per coordinate: the generators' entries = the target's
     problem = LpProblem(count, rows, len(rows), frozenset(range(count)))
     out = solve(problem)
     if out.status == FEASIBLE:
-        # the LP rows are the target's coordinates as sums over the generators
-        if any(_excess(problem.int_rows, out.point)):
-            raise CertificateError("decomposition does not re-sum")
+        verify_point(problem, out.point)
         return ConicOutcome(member=True, weights=out.point)
     h = primitive([-lam for lam in out.certificate])
-    # the columns of the rows are the generators and then the target, so
-    # the row sum weighted by h holds the signs of h on each of them
-    *on_gens, on_target = _combination(problem.int_rows, h, count + 1)
-    if on_target >= 0 or any(v < 0 for v in on_gens):
-        raise CertificateError("separating functional failed verification")
+    # -h weights the rows into h's value on each generator and on the
+    # target, negated: a Farkas certificate exactly when h separates
+    verify_farkas(problem, [-v for v in h])
     return ConicOutcome(member=False, separating=h)

@@ -30,9 +30,20 @@ def parse_rational(text):
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def rational(entries):
+    """``entries`` as a tuple; TypeError unless each is an int or a Fraction,
+    so that a float is never read as its binary value, nor a str parsed."""
+    entries = tuple(entries)
+    for e in entries:
+        if not isinstance(e, (int, Fraction)):
+            raise TypeError(f"entry {e!r} is not an int or a Fraction")
+    return entries
+
+
 def format_rational(q):
-    """Render a Fraction as ``p/q``, or ``p`` when the denominator is 1."""
-    q = Fraction(q)
+    """Render an int or a Fraction (``rational``) as ``p/q``, or ``p`` when
+    the denominator is 1."""
+    (q,) = rational((q,))
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .records import record
+from .scalars import rational
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -91,7 +92,7 @@ class DenseTensor:
 
 
 def from_vector(entries, variance=PRIMAL):
-    entries = tuple(Fraction(e) for e in entries)
+    entries = tuple(map(Fraction, rational(entries)))
     return DenseTensor((Slot(len(entries), variance),), entries)
 
 

@@ -116,6 +116,30 @@ def test_point_file_shape_checks():
         serialize_point_file("p", (2, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("serialize,message", [
+    (lambda: serialize_cone_file("a b", [(1, 0)]), "bad name 'a b'"),
+    (lambda: serialize_cone_file("c\n", [(1, 0)]), "bad name 'c\\n'"),
+    (lambda: serialize_cone_file("c", [(1, 0), (0, 1, 0)]), "cone file lines of unequal length"),
+    (lambda: serialize_polytope_file("p", [(0, 0), (1,)]),
+     "polytope file lines of unequal length"),
+    (lambda: serialize_cone_file("c", [(1, 0)], phi=(1, 1, 1)),
+     "cone file lines of unequal length"),
+    (lambda: serialize_cone_file("c", []), "cone file has no ray lines"),
+    (lambda: serialize_cone_file("c", [], phi=(1, 1)), "cone file has no ray lines"),
+    (lambda: serialize_polytope_file("p", []), "polytope file has no vertex lines"),
+    (lambda: serialize_cone_file("c", [()]), "dim must be positive"),
+    (lambda: serialize_point_file("x", (2, 0), ()), "dims must be positive"),
+    (lambda: serialize_point_file("x", (0, 2), ()), "point file has no row lines"),
+], ids=["name-space", "name-newline", "ray-length", "vertex-length", "phi-length",
+        "no-rays", "phi-only", "no-vertices", "empty-ray", "zero-dim", "zero-rows"])
+def test_serializers_refuse_what_the_parsers_refuse(serialize, message):
+    """Each of these would write a file that its own parser refuses, so
+    ``formats._write`` raises ValueError instead."""
+    with pytest.raises(ValueError) as e:
+        serialize()
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("parse,text,line,message", [
     (parse_cone_file, "", 1, "empty file, expected 'cone NAME'"),
     (parse_cone_file, "# a\n\n", 2, "empty file, expected 'cone NAME'"),

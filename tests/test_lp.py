@@ -315,6 +315,18 @@ def _observe_pivots(monkeypatch, before=None, after=None):
     monkeypatch.setattr(lp._Tableau, "pivot", observed)
 
 
+def _tag(tab, c):
+    """The (kind, index) of column c of ``tab``, as the pivot records name
+    columns: ("var", j) for x_j, column j; ("sur", i) for the surplus of ge
+    row i, column ``sur0 + i``; ("art", r) for the artificial of row r,
+    column ``art0 + r``."""
+    if c < tab.sur0:
+        return "var", c
+    if c < tab.art0:
+        return "sur", c - tab.sur0
+    return "art", c - tab.art0
+
+
 @pytest.fixture
 def pivots(monkeypatch):
     """The (leaving row, entering column's tag, direction) of each pivot
@@ -322,7 +334,7 @@ def pivots(monkeypatch):
     downward, at a negative entry of its row, and 1 otherwise."""
     seen = []
     _observe_pivots(monkeypatch, before=lambda tab, r, c: seen.append(
-        (r, tab.cols[c], 1 if tab.T[r][c] > 0 else -1)))
+        (r, _tag(tab, c), 1 if tab.T[r][c] > 0 else -1)))
     return seen
 
 
@@ -486,7 +498,7 @@ def test_lexicographic_ratio_test_leaves_beales_apex(monkeypatch):
     from coneext import lp
 
     tab = lp._Tableau(_BEALE)
-    assert len(tab.cols) == len(_BEALE_COSTS)
+    assert tab.art0 == len(_BEALE_COSTS)
     tab.set_costs(_BEALE_COSTS)
     start, bases = tuple(tab.basis), _recorded_bases(monkeypatch)
     assert tab.run() == "optimal"
@@ -504,7 +516,7 @@ def test_guard_breaks_beales_cycle(monkeypatch):
 
     tab = lp._Tableau(_BEALE_EQ)
     assert (tab.sur0, tab.art0) == (6, 7)
-    tab.set_costs([0] * len(tab.cols))
+    tab.set_costs([0] * tab.art0)
     tab.pivot(0, 4)
     tab.pivot(1, 5)  # each artificial leaves, and its column with it
     tab.set_costs((*_BEALE_COSTS[:4], 0, 0, 0, 0, 0))
@@ -627,7 +639,7 @@ def test_rows_keep_their_invariant_through_every_pivot(monkeypatch):
     downward = []
 
     def checking(tab, r, c):
-        gone = set(range(tab.art0, len(tab.cols))) - set(tab.basis)
+        gone = set(range(tab.art0, tab.art0 + len(tab.problem.int_rows))) - set(tab.basis)
         gone.update(tab.frozen)
         for row, bcol in (*zip(tab.T, tab.basis), *zip(tab.kept, tab.frozen)):
             assert row[bcol] > 0
@@ -655,7 +667,7 @@ def entering(monkeypatch):
 
     def recording(tab, r, c):
         z = tab.z
-        seen.append((tab.cols[c], z.get(c, 0),
+        seen.append((_tag(tab, c), z.get(c, 0),
                      [abs(z[j]) for j in tab.free if j in z]))
 
     _observe_pivots(monkeypatch, before=recording)
@@ -684,7 +696,7 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
 
     def checking(tab, r, c):
         nonneg = tab.problem.nonneg
-        out, into = tab.cols[tab.basis[r]], tab.cols[c]
+        out, into = _tag(tab, tab.basis[r]), _tag(tab, c)
         leaving.append(out[0])
         assert not (out[0] == "var" and out[1] not in nonneg), out
         if into[0] == "var" and into[1] not in nonneg:
@@ -704,29 +716,48 @@ def test_a_basic_free_variable_never_leaves(monkeypatch):
 
 def test_one_column_per_variable(monkeypatch):
     """Every tableau of the pinned and the Ext_k LPs has one column per
-    variable, column j being x_j, and then one per surplus and artificial;
-    ``_eliminate`` takes no sign: a free variable has no mirror column."""
+    variable, column j being x_j, then the surplus of ge row i at column
+    ``sur0 + i``, and the artificial of row r at column ``art0 + r`` while
+    it lives; a flipped ge row never has one.  ``_eliminate`` takes no
+    sign: a free variable has no mirror column."""
     from coneext import lp
 
     run = lp._Tableau.run
-    free = []
+    free, artificials = [], []
+
+    def living(tab):
+        # an artificial column is the basic column of its own row alone
+        ne, rows = tab.problem.num_eq, tab.problem.int_rows
+        for row, bcol in zip(tab.T, tab.basis):
+            assert [c for c in row if c >= tab.art0] in ([], [bcol])
+            if bcol >= tab.art0:
+                r = bcol - tab.art0
+                assert r < ne or rows[r][0][-1] > 0  # not a flipped ge row
+                artificials.append(r)
 
     def checking(tab):
         problem = tab.problem
-        nv, ge = problem.num_vars, problem.int_rows[problem.num_eq:]
-        # a ge row with a positive rhs is not flipped and needs an artificial
-        artificials = problem.num_eq + sum(ints[-1] > 0 for ints, _ in ge)
-        assert len(tab.cols) == nv + len(ge) + artificials
-        assert tab.cols[:nv] == [("var", j) for j in range(nv)]
+        ne, nv = problem.num_eq, problem.num_vars
+        assert (tab.sur0, tab.art0) == (nv, nv + len(problem.int_rows) - ne)
+        for r, ((ints, d), row, sg) in enumerate(zip(problem.int_rows, tab.T, tab.sigma)):
+            assert {c: a for c, a in row.items() if 0 <= c < nv} == {
+                j: sg * a for j, a in enumerate(ints[:-1]) if a}
+            if r >= ne:
+                assert row[tab.sur0 + r - ne] == -sg * d
+            flipped = r >= ne and ints[-1] <= 0
+            assert tab.basis[r] == (tab.sur0 + r - ne if flipped else tab.art0 + r)
+        living(tab)
         free.append(bool(tab.free))
         return run(tab)
 
     monkeypatch.setattr(lp._Tableau, "run", checking)
+    _observe_pivots(monkeypatch, after=lambda tab, r, c: living(tab))
     for p in _pinned_corpus():
         solve(p)
     for point, b_name, k in EXT_K_PIVOT_PINS:
         ext_k_membership(*ladder.case(point, b_name), k)
     assert sum(free) >= len(EXT_K_PIVOT_PINS), free
+    assert len(artificials) >= 100, len(artificials)
     assert len(inspect.signature(lp._eliminate).parameters) == 3
 
 
@@ -749,7 +780,7 @@ def test_multipliers_are_solved_from_a_mixed_final_basis(monkeypatch):
 
     def recording(tab):
         # the full final basis: the live rows' columns and the frozen x0
-        kinds.append(sorted(tab.cols[bcol][0] for bcol in (*tab.basis, *tab.frozen)))
+        kinds.append(sorted(_tag(tab, bcol)[0] for bcol in (*tab.basis, *tab.frozen)))
         return multipliers(tab)
 
     monkeypatch.setattr(lp._Tableau, "multipliers", recording)
@@ -796,7 +827,7 @@ def test_a_solved_frozen_value_moved_by_a_seventh_is_rejected(monkeypatch):
 
     def moved(tab):
         x = list(extract_point(tab))
-        x[tab.cols[tab.frozen[0]][1]] += Fraction(1, 7)
+        x[tab.frozen[0]] += Fraction(1, 7)
         return tuple(x)
 
     monkeypatch.setattr(lp._Tableau, "extract_point", moved)
@@ -844,7 +875,7 @@ def _gauss_jordan_point(tab):
     x = [Fraction(0)] * tab.problem.num_vars
     slack = set()  # rows whose surplus or artificial is basic
     for row, bcol in zip(tab.T, tab.basis):
-        tag = tab.cols[bcol]
+        tag = _tag(tab, bcol)
         if tag[0] == "var":  # a nonnegative variable: free ones are frozen
             x[tag[1]] = Fraction(row.get(_RHS, 0), row[bcol])
         elif tag[0] == "sur":
@@ -852,7 +883,7 @@ def _gauss_jordan_point(tab):
         else:
             slack.add(tag[1])
     if tab.frozen:
-        js = [tab.cols[c][1] for c in tab.frozen]
+        js = tab.frozen
         xs, D = clear_denominators((*x, -1))
         rows = [ints for i, (ints, _) in enumerate(tab.problem.int_rows)
                 if i not in slack]
@@ -872,7 +903,7 @@ def _gauss_jordan_multipliers(tab):
     mult = [None] * len(rows)
     var_cols = []
     for bcol in (*tab.basis, *tab.frozen):
-        tag = tab.cols[bcol]
+        tag = _tag(tab, bcol)
         if tag[0] == "art":
             mult[tag[1]] = tab.sigma[tag[1]]
         elif tag[0] == "sur":
@@ -1071,7 +1102,8 @@ def test_verifiers_reject_mutated_certificates():
 
 def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
     """Each weight of a valid decomposition, changed by one, fails the
-    re-sum against the target."""
+    re-sum against the target: ``verify_point`` finds an eq row of the
+    conic LP violated."""
     from coneext import lp
 
     gens = [vec(r) for r in ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1))]
@@ -1082,7 +1114,7 @@ def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
         bad = _bumped(out.weights, i, out.weights[i] + 1)
         monkeypatch.setattr(lp, "solve", lambda problem, bad=bad: lp.LpOutcome(
             status=FEASIBLE, point=bad))
-        with pytest.raises(lp.CertificateError, match="re-sum"):
+        with pytest.raises(lp.CertificateError, match="^equality row violated$"):
             conic_membership(target, gens)
 
 
@@ -1106,23 +1138,26 @@ def test_conic_resum_rejects_a_weight_moved_by_a_seventh(monkeypatch):
             bad = _bumped(out.weights, i, out.weights[i] + delta)
             monkeypatch.setattr(lp, "solve", lambda problem, bad=bad: lp.LpOutcome(
                 status=FEASIBLE, point=bad))
-            with pytest.raises(lp.CertificateError, match="re-sum"):
+            with pytest.raises(lp.CertificateError, match="^equality row violated$"):
                 conic_membership(_FRACTIONAL_TARGET, _FRACTIONAL_GENS)
 
 
 def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
-    """An INFEASIBLE answer whose functional is nonnegative on the target
-    fails the separation check with ``CertificateError``."""
+    """An INFEASIBLE answer whose functional is nonnegative on the target,
+    or negative on a generator, fails the separation check with
+    ``CertificateError``: ``verify_farkas`` refuses the certificate the
+    functional negates."""
     from coneext import lp
 
     monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(
         status=INFEASIBLE, certificate=(Fraction(-1), Fraction(0))))
-    with pytest.raises(lp.CertificateError, match="separating"):
+    with pytest.raises(lp.CertificateError, match="^Farkas combination has nonpositive rhs$"):
         conic_membership(vec((1, 0)), [vec((1, 0))])
     # negative on the target, but also negative on the second generator
     monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(
         status=INFEASIBLE, certificate=(Fraction(-1, 3), Fraction(1, 3))))
-    with pytest.raises(lp.CertificateError, match="separating"):
+    with pytest.raises(lp.CertificateError,
+                       match="^Farkas row positive on a nonnegative variable$"):
         conic_membership(vec((-1, 0)), [vec((1, 0)), vec((0, 1))])
 
 

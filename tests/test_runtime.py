@@ -14,11 +14,13 @@ import coneext
 from coneext.cones import dualize, interior_point, make_based, make_cone, min_columns
 from coneext.fixtures import (EB_LEVELS, based_cone, cone_names, point, polytope,
                               polytope_names)
+from coneext.formats import serialize_cone_file, serialize_point_file, serialize_polytope_file
 from coneext.hierarchy import (dual_hierarchy_k, ext_k_membership,
                                is_entanglement_breaking, omega_interior_test,
                                point_tensor)
 from coneext.lp import LpProblem, conic_membership
 from coneext.polytopes import SimplexFactorization, polytope_from_vertices
+from coneext.scalars import format_rational
 from test_package import package_imports
 
 SRC = Path(coneext.__file__).resolve().parent
@@ -119,6 +121,10 @@ _ENTRY_CALLS = {
     "polytope_from_vertices": lambda bad: polytope_from_vertices([(0, 0), (1, bad)]),
     "LpProblem.build row": lambda bad: LpProblem.build(1, ge_rows=[((bad,), 1)]),
     "LpProblem.build rhs": lambda bad: LpProblem.build(1, eq_rows=[((1,), bad)]),
+    "format_rational": format_rational,
+    "serialize_cone_file": lambda bad: serialize_cone_file("c", [(1, 0), (bad, 1)]),
+    "serialize_polytope_file": lambda bad: serialize_polytope_file("p", [(0, 0), (1, bad)]),
+    "serialize_point_file": lambda bad: serialize_point_file("x", (1, 2), [1, bad]),
 }
 
 

@@ -280,6 +280,9 @@ def test_zero_tensor_and_entry_count_check():
                            kron(from_vector((1, 1), DUAL), from_vector((1, 1), DUAL))),
      ValueError),
     (lambda: pairing(from_vector((1, 2)), from_vector((1, 2))), ValueError),
+    # a float would be read as its binary value, and a str parsed
+    (lambda: from_vector((1, 0.5)), TypeError),
+    (lambda: from_vector((1, "1/2")), TypeError),
 ])
 def test_input_checks_raise(build, error):
     with pytest.raises(error):

@@ -16,12 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .scalars import rational
-
-
-def vec(entries):
-    """The int or Fraction ``entries`` (``rational``) as Fractions."""
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in rational(entries))
+from .scalars import rational, vec
 
 
 def vec_sub(u, v):

@@ -23,9 +23,10 @@ the tableau and the two judges below, ``verify_point`` and
 clears Fraction rows once.  A conic LP arrives as such rows, one per
 coordinate with the target's entry as the rhs: ``conic_membership`` clears
 each coordinate of a list of generators once, the hierarchy builds its rows
-from ints, and both hand them to ``conic_solve``, which judges the weights
-or the separator it returns with the same two judges.  Every outcome is
-re-verified against the original problem before it is returned:
+from ints, and both hand them to ``conic_solve``, which returns the point
+of ``solve`` as the weights or only rescales its certificate into a
+primitive separator.  ``solve`` judges every outcome once, against the
+original problem, before it is returned:
 
 * feasible: the point satisfies every row exactly;
 * infeasible: Farkas multipliers (free on equality rows, nonnegative on
@@ -543,20 +544,16 @@ def conic_solve(count, rows):
     generators, given as the cleared rows ``(ints, d)`` of ``LpProblem``,
     one per coordinate: the generators' entries and then the target's.
 
-    Member: nonnegative weights whose combination re-sums to the target
-    exactly, judged by ``verify_point``.  Non-member: a separating
-    functional derived from the Farkas certificate, normalized to a
-    primitive integer vector, and judged by ``verify_farkas`` as the
-    certificate it negates.
+    Member: the point of ``solve``, nonnegative weights that re-sum to the
+    target exactly.  Non-member: the negated Farkas certificate of
+    ``solve`` rescaled to a primitive integer vector h, so that
+    h(target) < 0 <= h(generator).  ``solve`` has judged both, and a
+    positive rescaling changes nothing ``verify_farkas`` tests, so neither
+    is judged again.
     """
     # one eq row per coordinate: the generators' entries = the target's
-    problem = LpProblem(count, rows, len(rows), frozenset(range(count)))
-    out = solve(problem)
+    out = solve(LpProblem(count, rows, len(rows), frozenset(range(count))))
     if out.status == FEASIBLE:
-        verify_point(problem, out.point)
         return ConicOutcome(member=True, weights=out.point)
-    h = primitive([-lam for lam in out.certificate])
-    # -h weights the rows into h's value on each generator and on the
-    # target, negated: a Farkas certificate exactly when h separates
-    verify_farkas(problem, [-v for v in h])
-    return ConicOutcome(member=False, separating=h)
+    return ConicOutcome(member=False,
+                        separating=primitive([-lam for lam in out.certificate]))

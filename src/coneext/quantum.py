@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt, prod
 
 from .records import record
-from .scalars import QuadScalar
+from .scalars import SQRT2, QuadScalar
 from .tensors import DUAL, PRIMAL, DenseTensor, Slot, kron, pairing, reorder_slots
 
 ZERO = QuadScalar(0, 0)
@@ -190,11 +190,10 @@ def _gram_vectors():
     regenerated from the pattern; the reduction identity below would fail
     otherwise.
     """
-    root = QuadScalar(0, 1)
     vecs = []
     for i in (1, 2, 3):
         v = [ZERO] * 27
-        v[_ket(i, i, i)] = root
+        v[_ket(i, i, i)] = SQRT2
         for a in (1, 2, 3):
             if a == i:
                 continue
@@ -226,11 +225,10 @@ def verify_appendix():
     returned claim has passed.
     """
     claims = []
-    root = QuadScalar(0, 1)
 
     # claim 1: decomposition of Y
     y = build_X(1, ETA, 1)
-    corner = build_X(4, 1, ONE + root + root)
+    corner = build_X(4, 1, ONE + SQRT2 + SQRT2)
     w_corner = QuadScalar.of(Fraction(1, 4))
     w_flip = QuadScalar(Fraction(3, 4), Fraction(-1, 2))
     recomposed = corner.scale(w_corner) + build_X(0, 1, 1).scale(w_flip)

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and the ordered field Q(sqrt2).
 
 Rationals are ``fractions.Fraction`` (already canonical: reduced, positive
-denominator, exact zero ``0/1``).  This module adds the plain-text forms used
-by the file formats plus ``QuadScalar``, numbers ``a + b*sqrt(2)`` with
-rational components and a purely algebraic sign test.
+denominator, exact zero ``0/1``).  This module adds the one int-or-Fraction
+gate, ``rational``, the plain-text forms used by the file formats, and
+``QuadScalar``, numbers ``a + b*sqrt(2)`` with rational components and a
+purely algebraic sign test.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def rational(entries):
     return entries
 
 
+def vec(entries):
+    """The int or Fraction ``entries`` (``rational``) as Fractions."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in rational(entries))
+
+
 def format_rational(q):
     """Render an int or a Fraction (``rational``) as ``p/q``, or ``p`` when
     the denominator is 1."""
@@ -58,10 +64,10 @@ def sign(q):
 
 
 def _parts(value):
-    """(numerator, denominator) of an int or a Fraction, in lowest terms."""
-    if isinstance(value, (int, Fraction)):
-        return value.numerator, value.denominator
-    raise TypeError(f"expected a rational, got {type(value).__name__}")
+    """(numerator, denominator) of an int or a Fraction (``rational``), in
+    lowest terms."""
+    (value,) = rational((value,))
+    return value.numerator, value.denominator
 
 
 class QuadScalar:

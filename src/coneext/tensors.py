@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .records import record
-from .scalars import rational
+from .scalars import vec
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -92,7 +92,7 @@ class DenseTensor:
 
 
 def from_vector(entries, variance=PRIMAL):
-    entries = tuple(map(Fraction, rational(entries)))
+    entries = vec(entries)
     return DenseTensor((Slot(len(entries), variance),), entries)
 
 

@@ -689,10 +689,34 @@ def test_eb_square_decomposition_resums():
 
 
 def test_eb_refutation_separates():
-    skew = based_cone("square-skew")
-    out = is_entanglement_breaking(skew, 2)
-    assert not out.breaking
-    assert out.refutation is not None
+    """On every non-breaking corpus case at k = 1..3, the refutation h, read
+    at ``_pad_columns``' indices (m, o), is negative on the dense reduction
+    tensor and nonnegative on every admissible generator
+    Sym(psi_combo) ox vertex_v, both built densely and read at (*m, o)."""
+    cases = 0
+    for name, level in EB_LEVELS.items():
+        based = based_cone(name)
+        n = based.cone.dim
+        psis = [from_vector(f, DUAL) for f in based.cone.facets]
+        for k in (1, 2, 3):
+            if level is not None and k >= level:
+                continue
+            out = is_entanglement_breaking(based, k)
+            assert not out.breaking
+            reps = [m + (o,) for m in _sorted_reps(n, k) for o in range(n)]
+            h = out.refutation
+            assert len(h) == len(reps)
+
+            def value(t):
+                return sum(c * t[r] for c, r in zip(h, reps))
+
+            assert value(reduction_map(based, k)) < 0, (name, k)
+            for combo, v in _admissible_multisets(based, k):
+                column = kron(symmetric_project(kron(*(psis[j] for j in combo))),
+                              from_vector(based.base.vertices[v]))
+                assert value(column) >= 0, (name, k, combo, v)
+            cases += 1
+    assert cases == 16
 
 
 def test_eb_routes_that_disagree_are_refused(monkeypatch):

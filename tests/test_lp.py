@@ -1039,17 +1039,13 @@ _LINE_TARGET = (Fraction(1, 5), Fraction(-1, 7))
 
 
 def _separation(certificate):
-    """The separation check of ``conic_membership`` on the line query, for
-    an LP answer carrying ``certificate``."""
+    """The judge of a conic non-member on the line query, ``solve``'s
+    ``verify_farkas``, for a final tableau whose multipliers are
+    ``certificate``."""
     from coneext import lp
 
-    solve_ = lp.solve
-    lp.solve = lambda problem: lp.LpOutcome(status=lp.INFEASIBLE,
-                                            certificate=certificate)
-    try:
+    with mock.patch.object(lp._Tableau, "multipliers", lambda tab: certificate):
         lp.conic_membership(_LINE_TARGET, _LINE_GENS)
-    finally:
-        lp.solve = solve_
 
 
 def _mutants(step):
@@ -1101,9 +1097,9 @@ def test_verifiers_reject_mutated_certificates():
 
 
 def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
-    """Each weight of a valid decomposition, changed by one, fails the
-    re-sum against the target: ``verify_point`` finds an eq row of the
-    conic LP violated."""
+    """Each weight of a valid decomposition, changed by one and read off the
+    final tableau, fails the re-sum against the target: ``solve``'s
+    ``verify_point`` finds an eq row of the conic LP violated."""
     from coneext import lp
 
     gens = [vec(r) for r in ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1))]
@@ -1112,8 +1108,7 @@ def test_conic_resum_rejects_a_mutated_weight(monkeypatch):
     assert out.member
     for i in range(len(gens)):
         bad = _bumped(out.weights, i, out.weights[i] + 1)
-        monkeypatch.setattr(lp, "solve", lambda problem, bad=bad: lp.LpOutcome(
-            status=FEASIBLE, point=bad))
+        monkeypatch.setattr(lp._Tableau, "extract_point", lambda tab, bad=bad: bad)
         with pytest.raises(lp.CertificateError, match="^equality row violated$"):
             conic_membership(target, gens)
 
@@ -1136,29 +1131,57 @@ def test_conic_resum_rejects_a_weight_moved_by_a_seventh(monkeypatch):
     for i in range(len(_FRACTIONAL_GENS)):
         for delta in (Fraction(1, 7), Fraction(-1, 7)):
             bad = _bumped(out.weights, i, out.weights[i] + delta)
-            monkeypatch.setattr(lp, "solve", lambda problem, bad=bad: lp.LpOutcome(
-                status=FEASIBLE, point=bad))
+            monkeypatch.setattr(lp._Tableau, "extract_point", lambda tab, bad=bad: bad)
             with pytest.raises(lp.CertificateError, match="^equality row violated$"):
                 conic_membership(_FRACTIONAL_TARGET, _FRACTIONAL_GENS)
 
 
 def test_conic_separation_rejects_a_non_separating_certificate(monkeypatch):
-    """An INFEASIBLE answer whose functional is nonnegative on the target,
-    or negative on a generator, fails the separation check with
-    ``CertificateError``: ``verify_farkas`` refuses the certificate the
-    functional negates."""
+    """A final tableau read as infeasible whose multipliers negate a
+    functional nonnegative on the target, or negative on a generator, fails
+    with ``CertificateError``: ``solve``'s ``verify_farkas`` refuses the
+    certificate before ``conic_solve`` could return the functional."""
     from coneext import lp
 
-    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(
-        status=INFEASIBLE, certificate=(Fraction(-1), Fraction(0))))
+    # the first query is feasible, so phase 1 ends at value 0 unless forced
+    monkeypatch.setattr(lp._Tableau, "value", property(lambda tab: Fraction(1)))
+    monkeypatch.setattr(lp._Tableau, "multipliers",
+                        lambda tab: (Fraction(-1), Fraction(0)))
     with pytest.raises(lp.CertificateError, match="^Farkas combination has nonpositive rhs$"):
         conic_membership(vec((1, 0)), [vec((1, 0))])
     # negative on the target, but also negative on the second generator
-    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpOutcome(
-        status=INFEASIBLE, certificate=(Fraction(-1, 3), Fraction(1, 3))))
+    monkeypatch.setattr(lp._Tableau, "multipliers",
+                        lambda tab: (Fraction(-1, 3), Fraction(1, 3)))
     with pytest.raises(lp.CertificateError,
                        match="^Farkas row positive on a nonnegative variable$"):
         conic_membership(vec((-1, 0)), [vec((1, 0)), vec((0, 1))])
+
+
+def test_each_lp_outcome_is_judged_once(monkeypatch):
+    """``solve`` judges each outcome once, and nothing above it judges the
+    same outcome again: a conic member and non-member, and the EB LP of the
+    square (breaking) and of the skewed square (not breaking) at k = 2,
+    each make exactly one call to ``verify_point`` or ``verify_farkas``."""
+    from coneext import lp
+    from coneext.fixtures import based_cone
+    from coneext.hierarchy import is_entanglement_breaking
+
+    point = mock.Mock(wraps=lp.verify_point)
+    farkas = mock.Mock(wraps=lp.verify_farkas)
+    monkeypatch.setattr(lp, "verify_point", point)
+    monkeypatch.setattr(lp, "verify_farkas", farkas)
+    rays = [vec(r) for r in ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1))]
+    cases = [
+        (lambda: conic_membership(vec((3, 1, 1)), rays).member, True),
+        (lambda: conic_membership(vec((0, 0, 1)), rays).member, False),
+        (lambda: is_entanglement_breaking(based_cone("square"), 2).breaking, True),
+        (lambda: is_entanglement_breaking(based_cone("square-skew"), 2).breaking, False),
+    ]
+    for decide, member in cases:
+        point.reset_mock()
+        farkas.reset_mock()
+        assert decide() == member
+        assert (point.call_count, farkas.call_count) == ((1, 0) if member else (0, 1))
 
 
 def test_directly_built_problem_with_list_rows():

@@ -14,7 +14,9 @@ Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage or parse
 error, 3 semantic error (improper cone, bad functional, shape mismatch),
 4 internal error (a failed certificate re-check, disagreeing decision
 routes, or any other unexpected exception), so a fault never reads as a
-negative verdict.
+negative verdict.  Every refusal of an input is one ``_Refusal`` that
+carries its exit code, 2 or 3, and its whole stderr line; ``main`` prints
+the line and returns the code.
 """
 
 from __future__ import annotations
@@ -34,28 +36,24 @@ EXIT_SEMANTIC = 3
 EXIT_INTERNAL = 4
 
 
-class SemanticError(Exception):
-    pass
+class _Refusal(Exception):
+    """An input the CLI refuses: ``main`` prints ``message``, the whole
+    stderr line, and exits with ``code``."""
 
-
-class _UsageError(Exception):
-    pass
-
-
-class _FileParseError(Exception):
-    """A ``ParseError`` in an input file, prefixed with the file's path."""
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
 
 
 def _read(path, parse):
     """``parse`` of the text of the file at ``path``; a parse error, or a
-    byte that is not UTF-8, is raised as a ``_FileParseError`` naming the
-    path."""
+    byte that is not UTF-8, is refused with exit 2 naming the path."""
     from .formats import ParseError
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
-        raise SemanticError(f"{path}: cannot read ({e.strerror})")
+        raise _Refusal(EXIT_SEMANTIC, f"error: {path}: cannot read ({e.strerror})")
     try:
         return parse(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -63,7 +61,7 @@ def _read(path, parse):
                            data.count(b"\n", 0, e.start) + 1)
     except ParseError as e:
         error = e
-    raise _FileParseError(f"{path}: {error}")
+    raise _Refusal(EXIT_USAGE, f"error: {path}: {error}")
 
 
 def _load_cone(path):
@@ -73,7 +71,7 @@ def _load_cone(path):
     try:
         cone = make_cone(gens)
     except ConeError as e:
-        raise SemanticError(f"{path}: {e}")
+        raise _Refusal(EXIT_SEMANTIC, f"error: {path}: {e}")
     return name, cone, phi
 
 
@@ -83,28 +81,34 @@ def _load_based(path, phi_override):
     if phi_override is not None:
         phi = phi_override
     if phi is None:
-        raise SemanticError(f"{path}: no phi in file and no --phi given")
+        raise _Refusal(EXIT_SEMANTIC, f"error: {path}: no phi in file and no --phi given")
     try:
         return name, make_based(cone, phi)
     except ValueError as e:
-        raise SemanticError(f"{path}: {e}")
+        raise _Refusal(EXIT_SEMANTIC, f"error: {path}: {e}")
 
 
 def _load_polytope_arg(args):
     from .formats import parse_polytope_file
     from .polytopes import polytope_from_vertices
-    if args.polytope is not None:
-        name, ambient, verts = _read(args.polytope, parse_polytope_file)
-        return name, polytope_from_vertices(verts)
-    name, based = _load_based(args.cone_b, args.phi)
-    return name, based.base
+    if args.polytope is None:
+        if args.cone_b is None:
+            raise _Refusal(EXIT_USAGE, "usage error: need --polytope or --cone-b")
+        name, based = _load_based(args.cone_b, args.phi)
+        return name, based.base
+    if args.cone_b is not None or args.phi is not None:
+        raise _Refusal(EXIT_USAGE, "usage error: --polytope cannot be "
+                                   "combined with --cone-b or --phi")
+    name, ambient, verts = _read(args.polytope, parse_polytope_file)
+    return name, polytope_from_vertices(verts)
 
 
 def _load_point(path, dims):
     from .formats import parse_point_file
     name, point_dims, entries = _read(path, parse_point_file)
     if point_dims != dims:
-        raise SemanticError(f"{path}: point dims {point_dims} do not match cones {dims}")
+        raise _Refusal(EXIT_SEMANTIC,
+                       f"error: {path}: point dims {point_dims} do not match cones {dims}")
     return name, entries
 
 
@@ -112,7 +116,7 @@ def _parse_phi(text):
     try:
         return tuple(parse_rational(t) for t in text.split())
     except ValueError as e:
-        raise _UsageError(f"--phi: {e}")
+        raise _Refusal(EXIT_USAGE, f"usage error: --phi: {e}")
 
 
 def _fmt_vec(v):
@@ -204,9 +208,9 @@ def cmd_hull_check(args):
     from .polytopes import FACET_CAP, affine_hull_commutes
     name, poly = _load_polytope_arg(args)
     if len(poly.functionals) > FACET_CAP:
-        raise SemanticError(f"{args.polytope or args.cone_b}: "
-                            f"{len(poly.functionals)} facets exceed "
-                            f"the hull-check cap of {FACET_CAP}")
+        raise _Refusal(EXIT_SEMANTIC, f"error: {args.polytope or args.cone_b}: "
+                                      f"{len(poly.functionals)} facets exceed "
+                                      f"the hull-check cap of {FACET_CAP}")
     ok, witness = affine_hull_commutes(poly)
     report = [("command", "hull-check"), ("polytope", name)]
     if ok:
@@ -292,25 +296,13 @@ def main(argv=None):
         if getattr(args, "phi", None) is not None:
             args.phi = _parse_phi(args.phi)
         if getattr(args, "k", 1) < 1:
-            raise _UsageError("--k must be a positive integer")
-        if hasattr(args, "polytope"):
-            if args.polytope is None and args.cone_b is None:
-                raise _UsageError("need --polytope or --cone-b")
-            if args.polytope is not None and (args.cone_b is not None
-                                              or args.phi is not None):
-                raise _UsageError("--polytope cannot be combined with --cone-b or --phi")
+            raise _Refusal(EXIT_USAGE, "usage error: --k must be a positive integer")
         code, report = args.fn(args)
         _write_report(report, args.report, sys.stdout)
         return code
-    except _FileParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SemanticError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    except _Refusal as e:
+        print(e, file=sys.stderr)
+        return e.code
     except Exception as e:
         import traceback  # deferred: it loads linecache and tokenize
         traceback.print_exc(file=sys.stderr)

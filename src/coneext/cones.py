@@ -21,9 +21,9 @@ import itertools
 from math import prod
 from operator import mul
 
-from .linalg import (dot, greedy_independent, inverse, primitive, rank,
-                     rational, vec)
+from .linalg import dot, greedy_independent, inverse, primitive, rank
 from .records import record
+from .scalars import rational, vec
 
 
 class ConeError(ValueError):

@@ -60,9 +60,10 @@ from operator import mul
 
 from .cones import interior_point, min_columns
 from .lp import FEASIBLE, LpProblem, conic_solve, solve
-from .linalg import clear_denominators, clear_rows, dot, primitive, vec
+from .linalg import clear_denominators, clear_rows, dot, primitive
 from .polytopes import SimplexFactorization
 from .records import record
+from .scalars import vec
 from .tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                       from_vector, kron, pairing, symmetric_project)
 

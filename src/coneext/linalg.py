@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .scalars import rational, vec
-
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))

@@ -16,8 +16,9 @@ from functools import cached_property
 
 from .cones import CertificationError, make_cone
 from .linalg import (affine_rank, dot, greedy_independent, nullspace, primitive,
-                     rank, solve, vec, vec_sub)
+                     rank, solve, vec_sub)
 from .records import record
+from .scalars import vec
 
 FACET_CAP = 20  # subset iteration guard for the commutation test
 

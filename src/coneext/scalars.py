@@ -23,12 +23,12 @@ def parse_rational(text):
     # Fraction() accepts floats-as-strings like "1.5"; the file format does not.
     if any(c not in "0123456789/+-" for c in text):
         raise ValueError(f"bad rational literal {text!r}")
-    if text.count("/") > 1:
-        raise ValueError(f"bad rational literal {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"bad rational literal {text!r}") from None
 
 
 def rational(entries):

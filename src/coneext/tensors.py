@@ -176,15 +176,16 @@ def pairing(s, t):
     return sum((a * b for a, b in zip(s.entries, t.entries)), start=s.entries[0] * 0)
 
 
-def sym_basis(n, k, variance=PRIMAL):
-    """Basis of the symmetric subspace of the k-fold power of an n-dim space.
+def sym_basis(n, k):
+    """Basis of the symmetric subspace of the k-fold power of an n-dim space,
+    in primal slots.
 
     One element per size-k multiset of [n], in combinations_with_replacement
     order (a multiset first appears as its sorted arrangement): the mean of
     the unit tensors over its arrangements.  Each is fixed by
     symmetric_project, and there are C(n+k-1, k) of them.
     """
-    slots = (Slot(n, variance),) * k
+    slots = (Slot(n, PRIMAL),) * k
     out = []
     for orbit in _orbits(slots, range(k)):
         entries = [Fraction(0)] * (n ** k)

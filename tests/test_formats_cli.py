@@ -1,6 +1,7 @@
 """File formats round-trip bit-exactly; the command surface honors the
 exit-code contract (0 yes, 1 no, 2 usage or parse, 3 semantic, 4 internal)."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -362,6 +364,7 @@ def test_factor_accepts_based_cone_input():
 @pytest.mark.parametrize("phi,message", [
     ("1 x 0", "bad rational literal 'x'"),
     ("1 1/0 0", "zero denominator in '1/0'"),
+    ("1 1/ 0", "bad rational literal '1/'"),
 ])
 def test_bad_phi_literal_is_a_usage_error(phi, message):
     """A bad --phi literal names the option, not a line of some file, and
@@ -496,6 +499,24 @@ def test_console_script_is_deterministic():
 def test_missing_subcommand_is_usage_error():
     assert _run([])[0] == 2
     assert _run(["no-such-command"])[0] == 2
+
+
+def test_every_cli_refusal_exits_2_or_3():
+    """Every ``raise`` in the CLI is a ``_Refusal`` whose code is exit 2 or
+    3, and ``main`` catches ``_Refusal`` in exactly one handler, so no
+    refusal of an input can exit 0 or 1 and read as a verdict."""
+    import coneext.cli as cli
+    tree = ast.parse(Path(cli.__file__).read_text())
+    raises = [n.exc for n in ast.walk(tree) if isinstance(n, ast.Raise)]
+    assert raises
+    for exc in raises:
+        assert isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name), ast.unparse(exc)
+        assert exc.func.id == "_Refusal", ast.unparse(exc)
+        assert ast.unparse(exc.args[0]) in ("EXIT_USAGE", "EXIT_SEMANTIC"), ast.unparse(exc)
+    main_def, = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    handlers = [n for n in ast.walk(main_def) if isinstance(n, ast.ExceptHandler)
+                and n.type is not None and "_Refusal" in ast.unparse(n.type)]
+    assert len(handlers) == 1
 
 
 # sha256 of stdout and the exit code, captured before the LP data moved to

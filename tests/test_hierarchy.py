@@ -26,9 +26,10 @@ from coneext.hierarchy import (ConsistencyError, _admissible_multisets,
                                is_entanglement_breaking,
                                min_tensor_generators, point_tensor,
                                reduction_map, omega_interior_test)
-from coneext.linalg import clear_denominators, clear_rows, dot, rank, vec
+from coneext.linalg import clear_denominators, clear_rows, dot, rank
 from coneext.lp import (INFEASIBLE, ConicOutcome, LpOutcome,
                         conic_membership, conic_solve, solve)
+from coneext.scalars import vec
 from coneext.tensors import (DUAL, PRIMAL, DenseTensor, Slot, contract_slot,
                              from_vector, kron, pairing, reorder_slots,
                              sym_basis, symmetric_project)

@@ -7,7 +7,8 @@ from math import gcd, lcm
 import pytest
 
 from coneext.linalg import (affine_rank, dot, greedy_independent, inverse,
-                            nullspace, primitive, rank, solve, transpose, vec)
+                            nullspace, primitive, rank, solve, transpose)
+from coneext.scalars import vec
 from dense_reference import mat_vec
 
 

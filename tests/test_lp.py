@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from coneext import linalg
 from coneext.hierarchy import ext_k_membership
-from coneext.linalg import clear_denominators, dot, vec
+from coneext.linalg import clear_denominators, dot
 from coneext.lp import (FEASIBLE, INFEASIBLE, LpProblem, conic_membership,
                         solve, verify_farkas, verify_point)
+from coneext.scalars import vec
 from test_tools import ladder
 
 

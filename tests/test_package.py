@@ -178,3 +178,35 @@ def test_every_private_helper_is_referenced_outside_its_own_body():
     unreferenced = [h.name for h in helpers
                     if everywhere.count(h.name) == names(h).count(h.name)]
     assert unreferenced == []
+
+
+def test_every_name_is_imported_from_its_home():
+    """Each ``from .X import n`` in the package, and each ``from coneext.X
+    import n`` in the tests and tools, names a top-level def, class or
+    assignment of X, not a name X itself imports, so every name has one
+    import home."""
+    def defined(tree):
+        out = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update(n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+        return out
+
+    package = SRC / "coneext"
+    homes = {p.stem: defined(ast.parse(p.read_text())) for p in package.glob("*.py")}
+    sources = [(p, 1, "") for p in package.glob("*.py")] + [
+        (p, 0, "coneext.") for d in ("tests", "tools")
+        for p in (SRC.parent / d).glob("*.py")]
+    imports = [(path.name, node.module.removeprefix(prefix), alias.name)
+               for path, level, prefix in sources
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == level
+               and node.module and node.module.startswith(prefix)
+               for alias in node.names]
+    assert ("cli.py", "scalars", "parse_rational") in imports
+    assert ("test_lp.py", "lp", "solve") in imports
+    assert [i for i in imports if i[2] not in homes[i[1]]] == []

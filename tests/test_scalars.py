@@ -23,8 +23,10 @@ def test_parse_rational_rejects_junk():
     for bad, message in (("", "empty rational literal"), ("1//2", bad_literal),
                          ("1.5", bad_literal), ("a/b", bad_literal),
                          ("1/2/3", bad_literal), ("1e3", bad_literal),
-                         ("--2", "Invalid literal for Fraction"),
-                         ("1/0x", bad_literal), ("1/0", "zero denominator")):
+                         ("--2", bad_literal), ("1/0x", bad_literal),
+                         ("1/0", "zero denominator"), ("1/", bad_literal),
+                         ("/2", bad_literal), ("-", bad_literal),
+                         ("+-1", bad_literal), ("1/+2", bad_literal)):
         with pytest.raises(ValueError, match=message):
             parse_rational(bad)
 
